@@ -1,10 +1,12 @@
 """Closed-form sum assemblies shared by the interaction kernels and the
 reduced-energy model: the ring-interaction coefficients C0(K, d), C2(K, d)
-and the 2x2 angular quadratic form built from pure cosecant sums.
+and the 2x2 angular quadratic form built from pure cosecant sums.  Each is
+cached, as the minimization revisits the same (K, d).
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,12 +23,14 @@ def s_alt(k: int, n: int, x: float) -> float:
     return sum_direct(SumSpec("alt", k, n, x))
 
 
-def c0_form(K: int, d: float) -> float:
+@lru_cache(maxsize=256)
+def c0(K: int, d: float) -> float:
     """Shat_1(K) + S_1(K, d): the coefficient of the first-order ring term."""
     return s_hat(1, K) + s_alt(1, K, d)
 
 
-def c2_form(K: int, d: float) -> float:
+@lru_cache(maxsize=256)
+def c2(K: int, d: float) -> float:
     """Shat_1 + Shat_3 + S_1 - (d + sqrt(1+d^2))^2 S_3 + 3(d^2 + d^4) S_5,
     the coefficient of the third-order ring term."""
     root = d + math.sqrt(1.0 + d * d)
@@ -39,10 +43,11 @@ def c2_form(K: int, d: float) -> float:
     )
 
 
-def a_gamma_form(K: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def a_gamma(K: int) -> np.ndarray:
     """The symmetric 2x2 quadratic form in (alpha_w, alpha_b) governing the
     angular dependence of the third-order ring term, assembled exactly from
-    the pure cosecant sums S^o_1, S^o_3, S^o_5 and Shat^e_3."""
+    the pure cosecant sums S^o_1, S^o_3, S^o_5 and Shat^e_3 (read-only)."""
     s1o = sum_direct(SumSpec("odd", 1, K, 0.0))
     s3o = sum_direct(SumSpec("odd", 3, K, 0.0))
     s5o = sum_direct(SumSpec("odd", 5, K, 0.0))
@@ -51,4 +56,6 @@ def a_gamma_form(K: int) -> np.ndarray:
     a11 = s3o - 2.0 * s1o + 3.0 * s3e_hat
     a12 = -3.0 * s3_hat + 3.0 * s1o
     a22 = 1.5 * (4.0 * s5o + s3o - 3.0 * s1o) + 3.0 * s3e_hat
-    return np.array([[a11, a12], [a12, a22]])
+    form = np.array([[a11, a12], [a12, a22]])
+    form.flags.writeable = False
+    return form

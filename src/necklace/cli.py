@@ -10,12 +10,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from . import acceptance
 from .crown import build_crown, q_mid_lower, u_star_profile
 from .energy import default_config, minimize_psi
-from .errors import DomainError
+from .errors import AccuracyError, DomainError, NotFoundError, UnsupportedError
 from .geometry import Point3, SectorConfig
 from .kernels import gamma_bb, h0e_bb
 from .nodal import nodal_mesh
@@ -96,7 +94,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key=value file merged under the flags")
     sp.add_argument("--out", help="output path (default stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,7 +147,7 @@ def _cmd_sums(args) -> int:
     if args.x == 0.0:
         try:
             asym = csc_asym(args.variant, args.k, args.n)
-        except DomainError:
+        except (DomainError, UnsupportedError):
             asym = math.nan
     elif args.variant == "alt":
         asym = s_asym(args.k, args.n, args.x)
@@ -265,12 +262,14 @@ def run(argv: Sequence[str]) -> int:
         _apply_config(args, parser, _DEFAULTS.get(args.command, {}))
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
-    np.random.seed(args.seed % 2**32)
     try:
         return _HANDLERS[args.command](args)
-    except DomainError as exc:
+    except (DomainError, UnsupportedError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (AccuracyError, NotFoundError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 def main() -> None:

@@ -12,18 +12,17 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._forms import a_gamma_form, c0_form, c2_form
+from ._forms import a_gamma, c0, c2
 from .crown import ProfileHandle, build_crown, fd_gradient, u_star_profile
 from .errors import AccuracyError, DomainError
 from .geometry import Point3, SectorConfig
 from .kernels import (
     PlacedBubble,
-    _grad_h0e_closed,
-    _grad_newton_closed,
-    _hess_h0e_closed,
-    _hess_newton_closed,
-    gamma_bb,
-    h0e_bb,
+    _gamma_bb_closed,
+    _h0e_bb_closed,
+    _h0e_derivs,
+    _in_plane,
+    _newton_derivs,
 )
 from .nodal import radial_nodal_root
 
@@ -45,6 +44,8 @@ class ReducedConfig:
     def __post_init__(self):
         if self.K < 4 or self.K % 2 != 0:
             raise DomainError(f"K must be an even integer >= 4, got {self.K}")
+        if not all(map(math.isfinite, (self.lam, self.gnorm, self.cstar, self.delta))):
+            raise DomainError("lam, gnorm, cstar and delta must be finite")
         if self.lam <= 0 or self.gnorm <= 0 or self.cstar <= 0:
             raise DomainError("lam, gnorm and cstar must be positive")
         if not 0.0 < self.delta < 1.0:
@@ -113,26 +114,11 @@ def _gl_panels(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
-def _sphere_rule(n_t: int, n_p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Product rule on the unit sphere: Gauss in cos(theta), uniform in phi."""
-    ct, wt = np.polynomial.legendre.leggauss(n_t)
-    st = np.sqrt(1.0 - ct * ct)
-    phi = 2.0 * np.pi * np.arange(n_p) / n_p
-    dirs = np.empty((n_t * n_p, 3))
-    dirs[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    dirs[:, 1] = np.outer(st, np.sin(phi)).ravel()
-    dirs[:, 2] = np.repeat(ct, n_p)
-    weights = np.repeat(wt, n_p) * (2.0 * np.pi / n_p)
-    return dirs, weights
-
-
-def _equatorial_rule(n_feat: int, n_p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Sphere rule with the cos(theta) axis split into an equatorial band
-    [-1/4, 1/4] of order n_feat and polar panels of order 16, for integrands
-    concentrated near the z3 = 0 plane."""
+def _sphere_rule(panels, n_p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Product rule on the unit sphere: Gauss on each (lo, hi, order) panel
+    of cos(theta), uniform in phi."""
     ct_parts, wt_parts = [], []
-    for lo, hi, order in ((-1.0, -0.25, 16), (-0.25, 0.25, n_feat),
-                          (0.25, 1.0, 16)):
+    for lo, hi, order in panels:
         x, w = np.polynomial.legendre.leggauss(order)
         half = 0.5 * (hi - lo)
         ct_parts.append(0.5 * (lo + hi) + half * x)
@@ -198,7 +184,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
 
     # core balls, log-radial around each center
     core_total = 0.0
-    dirs, dweights = _sphere_rule(n(12), n(24))
+    dirs, dweights = _sphere_rule([(-1.0, 1.0, n(12))], n(24))
     for c, _R, w, rho0 in cores:
         s_nodes, s_weights = _gl_panels(
             np.linspace(math.log(rho0), math.log(w), n(30) + 1), 8
@@ -248,16 +234,19 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
                 sigma = min(sigma, 0.5 * w / R)
         if math.isinf(sigma):
             n_p = n(32)
-            dirs_s, dweights_s = _sphere_rule(n(16), n_p)
+            dirs_s, dweights_s = _sphere_rule([(-1.0, 1.0, n(16))], n_p)
         else:
             n_p = n(min(640.0, max(48.0, 20.0 / sigma)))
             if even_z3:
-                # the concentration cores all sit in the z3 = 0 plane; keep
-                # the band order even so the half-sphere restriction is exact
+                # the concentration cores all sit in the z3 = 0 plane: refine
+                # an equatorial band, keeping its order even so the
+                # half-sphere restriction is exact
                 n_feat = max(16, n_p // 2)
-                dirs_s, dweights_s = _equatorial_rule(n_feat + n_feat % 2, n_p)
+                dirs_s, dweights_s = _sphere_rule(
+                    [(-1.0, -0.25, 16), (-0.25, 0.25, n_feat + n_feat % 2),
+                     (0.25, 1.0, 16)], n_p)
             else:
-                dirs_s, dweights_s = _sphere_rule(n_p, n_p)
+                dirs_s, dweights_s = _sphere_rule([(-1.0, 1.0, n_p)], n_p)
         if even_z3:
             keep = dirs_s[:, 2] > 0.0
             dirs_s, dweights_s = dirs_s[keep], 2.0 * dweights_s[keep]
@@ -267,7 +256,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
             outer_total += float((vals @ dweights_s) * rw * rv * rv)
 
     # far field: measured 1/|z| coefficient on the cutoff sphere
-    dirs_t, dweights_t = _sphere_rule(n(16), n(32))
+    dirs_t, dweights_t = _sphere_rule([(-1.0, 1.0, n(16))], n(32))
     qR = np.asarray(profile.fn(R_far * dirs_t + xiv), dtype=float)
     coeff2 = float(((qR * R_far) ** 2) @ dweights_t) / (4.0 * np.pi)
     tail = coeff2 / (3.0 * R_far**3)
@@ -284,32 +273,6 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
             "tail_fraction": tail / total,
         }
     return total
-
-
-# ---------------------------------------------------------------------------
-# leading closed forms
-
-
-def c0(K: int, d: float) -> float:
-    return c0_form(K, d)
-
-
-def c2(K: int, d: float) -> float:
-    return c2_form(K, d)
-
-
-def a_gamma(K: int) -> np.ndarray:
-    return a_gamma_form(K)
-
-
-@lru_cache(maxsize=256)
-def _c_forms(K: int, d: float) -> Tuple[float, float]:
-    return c0_form(K, d), c2_form(K, d)
-
-
-@lru_cache(maxsize=64)
-def _a_gamma_cached(K: int) -> np.ndarray:
-    return a_gamma_form(K)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +294,14 @@ def psi_full(A: ReducedPoint, cfg: ReducedConfig) -> float:
     through the exact closed-form resummations."""
     sector = SectorConfig(cfg.K)
     P = _placed(A, cfg)
-    b = P.b_point
+    babs, alpha_b = _in_plane(P.b_point)
     qhat = P.q_hat
-    h_val = gamma_bb(b, sector).closed_form + h0e_bb(b, sector).closed_form
-    grad = (
-        _grad_newton_closed(P, sector, "z") + _grad_newton_closed(P, sector, "p")
-        + _grad_h0e_closed(P, sector, "z") + _grad_h0e_closed(P, sector, "p")
-    )
-    hess = _hess_newton_closed(P, sector) + _hess_h0e_closed(P, sector)
+    h_val = (_gamma_bb_closed(babs, alpha_b, sector)
+             + _h0e_bb_closed(babs, alpha_b, sector))
+    newton = _newton_derivs(P, sector)
+    ext = _h0e_derivs(P, sector)
+    grad = newton[0] + newton[1] + ext[0] + ext[1]
+    hess = newton[2] + ext[2]
     e = A.eps
     return (e * qhat * qhat * h_val + e * e * qhat * grad + e**3 * hess
             - cfg.lam * e * e * cfg.cstar)
@@ -347,8 +310,8 @@ def psi_full(A: ReducedPoint, cfg: ReducedConfig) -> float:
 def psi_leading(A: ReducedPoint, cfg: ReducedConfig) -> float:
     """eps (a gnorm)^2 C0/(2|b|) + eps^3 gnorm^2 C2/(8|b|^3) - lam eps^2 cstar
     + eps^3 (alpha_w, alpha_b) A_gamma (alpha_w, alpha_b)^T."""
-    C0, C2 = _c_forms(cfg.K, A.d)
-    Ag = _a_gamma_cached(cfg.K)
+    C0, C2 = c0(cfg.K, A.d), c2(cfg.K, A.d)
+    Ag = a_gamma(cfg.K)
     b = A.b_abs
     e = A.eps
     qhat = A.a * cfg.gnorm
@@ -365,8 +328,7 @@ def eps_star(cfg: ReducedConfig, d: float) -> float:
     """Stationary eps of the leading model at a = alpha = 0:
     16 |b|^3 lam cstar / (3 gnorm^2 C2)."""
     b = math.sqrt(1.0 + d * d) - d
-    _, C2 = _c_forms(cfg.K, d)
-    return 16.0 * b**3 * cfg.lam * cfg.cstar / (3.0 * cfg.gnorm**2 * C2)
+    return 16.0 * b**3 * cfg.lam * cfg.cstar / (3.0 * cfg.gnorm**2 * c2(cfg.K, d))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +461,7 @@ def u6_integral(profile: ProfileHandle, R: float = 50.0,
                 n_r: int = 400, n_t: int = 24, n_p: int = 48) -> float:
     """int profile^6 over R^3 by log-radial spherical quadrature plus the
     measured 1/|z|^6 tail."""
-    dirs, dweights = _sphere_rule(n_t, n_p)
+    dirs, dweights = _sphere_rule([(-1.0, 1.0, n_t)], n_p)
     s_nodes, s_weights = _gl_panels(
         np.linspace(math.log(1e-6), math.log(R), n_r + 1), 8
     )

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -98,20 +99,6 @@ def in_sector(z: Point3, cfg: SectorConfig) -> bool:
     return 0.0 < z.norm() < 1.0
 
 
-def extend_odd(u: Callable[[Point3], float], z: Point3, cfg: SectorConfig) -> float:
-    """Alternating extension sum_{j=0}^{K/2-1} [u(z e^{4ij t0}) - u(zbar e^{(4j+2)i t0})].
-
-    The result vanishes on the rays arg = j*theta0 with j odd and is odd across
-    them.  Evaluation failures of ``u`` propagate.
-    """
-    t0 = cfg.theta0
-    zb = conj(z)
-    total = 0.0
-    for j in range(cfg.K // 2):
-        total += u(rotate(z, 4 * j * t0)) - u(rotate(zb, (4 * j + 2) * t0))
-    return total
-
-
 def rotation_matrix(theta: float) -> np.ndarray:
     """The in-plane rotation matrix acting on (z1, z2, z3) column vectors."""
     c, s = math.cos(theta), math.sin(theta)
@@ -120,3 +107,29 @@ def rotation_matrix(theta: float) -> np.ndarray:
 
 #: reflection of the in-plane imaginary part, as a matrix
 CONJ_MATRIX = np.diag([1.0, -1.0, 1.0])
+
+
+@lru_cache(maxsize=64)
+def sector_images(K: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The images of the alternating extension over the sector of opening
+    2 pi/K, as read-only ``(K, 3, 3)`` matrices and ``(K,)`` signs: + for the
+    rotations by 4j theta0, - for conjugation followed by the rotations by
+    (4j+2) theta0, j < K/2.  Row 0 is the identity."""
+    t0 = SectorConfig(K).theta0
+    mats = np.array([m for j in range(K // 2)
+                     for m in (rotation_matrix(4 * j * t0),
+                               rotation_matrix((4 * j + 2) * t0) @ CONJ_MATRIX)])
+    signs = np.tile([1.0, -1.0], K // 2)
+    mats.flags.writeable = signs.flags.writeable = False
+    return mats, signs
+
+
+def extend_odd(u: Callable[[Point3], float], z: Point3, cfg: SectorConfig) -> float:
+    """Alternating extension sum_{j=0}^{K/2-1} [u(z e^{4ij t0}) - u(zbar e^{(4j+2)i t0})].
+
+    The result vanishes on the rays arg = j*theta0 with j odd and is odd across
+    them.  Evaluation failures of ``u`` propagate.
+    """
+    mats, signs = sector_images(cfg.K)
+    return math.fsum(s * u(Point3.from_array(v))
+                     for v, s in zip(mats @ z.as_array(), signs.tolist()))

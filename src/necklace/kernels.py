@@ -7,34 +7,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from ._forms import a_gamma
 from .crown import ProfileHandle, fd_gradient, fd_hessian
 from .errors import DomainError
-from .geometry import CONJ_MATRIX, Point3, SectorConfig, rotation_matrix
+from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
 from .trigsums import SumSpec, sum_direct
 
 _COINCIDENT_TOL = 1e-13
 
 
-def _ext_images(cfg: SectorConfig) -> List[Tuple[np.ndarray, float]]:
-    """(matrix, sign) pairs of the alternating extension: + rotations by
-    4j theta0, - conjugation followed by rotations by (4j+2) theta0."""
-    t0 = cfg.theta0
-    out: List[Tuple[np.ndarray, float]] = []
-    for j in range(cfg.K // 2):
-        out.append((rotation_matrix(4 * j * t0), 1.0))
-        out.append((rotation_matrix((4 * j + 2) * t0) @ CONJ_MATRIX, -1.0))
-    return out
-
-
-def _tail_images(cfg: SectorConfig) -> List[Tuple[np.ndarray, float]]:
+def _tail(cfg: SectorConfig) -> Tuple[np.ndarray, np.ndarray]:
     """The extension images without the identity; signs flipped so that
     sum_s s u(Mz) equals u(z) - extension(u)(z)."""
-    return [(m, -s) for (m, s) in _ext_images(cfg)
-            if not np.allclose(m, np.eye(3))]
+    mats, signs = sector_images(cfg.K)
+    return mats[1:], -signs[1:]
+
+
+def _pow(a: np.ndarray, e: float) -> np.ndarray:
+    # Python float ** per element, not np.power: NumPy's SIMD power loop is
+    # off by one ulp on a few percent of elements, which moves printed values
+    # (the default `necklace kernels` h0e_bb direct sum among them).
+    return np.array([x ** e for x in a.tolist()])
+
+
+def _norm(r: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(r, r))
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ class PlacedBubble:
     theta_star: float = 0.0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise DomainError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise DomainError("eps must be finite and positive")
         if not 0.0 < self.b_abs < 1.0:
             raise DomainError("|b| must lie in (0, 1)")
         if abs(self.alpha_w - self.beta_hat) > 1e-12:
@@ -149,32 +150,38 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
 def gamma_direct(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """1/|zbar e^{2i t0} - p| - sum_{j=1}^{K/2-1} (1/|z e^{4ij t0} - p|
     - 1/|zbar e^{(4j+2)i t0} - p|): the image-interaction kernel."""
-    zv, pv = z.as_array(), p.as_array()
-    terms = []
-    for mat, sign in _tail_images(cfg):
-        r = float(np.linalg.norm(mat @ zv - pv))
-        if r < _COINCIDENT_TOL:
-            raise DomainError("evaluation point coincides with an image point")
-        terms.append(sign / r)
-    return math.fsum(terms)
+    mats, signs = _tail(cfg)
+    r = _norm(mats @ z.as_array() - p.as_array())
+    if np.any(r < _COINCIDENT_TOL):
+        raise DomainError("evaluation point coincides with an image point")
+    return math.fsum(signs / r)
 
 
-def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
-    """Diagonal value gamma(b, b) with its exact cosecant resummation and the
-    alpha_b = 0 asymptotic Shat_1(K)/(2|b|)."""
-    babs = math.hypot(b.z1, b.z2)
-    alpha_b = math.atan2(b.z2, b.z1)
+def _in_plane(b: Point3) -> Tuple[float, float]:
+    """|b| and arg b of a point of the z1 z2 plane."""
     if abs(b.z3) > 1e-12:
         raise DomainError("b must lie in the z1 z2 plane")
+    return math.hypot(b.z1, b.z2), math.atan2(b.z2, b.z1)
+
+
+def _gamma_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
+    """The exact cosecant resummation of gamma(b, b)."""
     if babs <= 0.5:
         raise DomainError("|b| must exceed 1/2")
     t0 = cfg.theta0
     if abs(alpha_b) >= t0 / 2.0:
         raise DomainError("|alpha_b| must be below theta0/2")
-    direct = gamma_direct(b, b, cfg)
     terms = [1.0 / math.sin((2 * j + 1) * t0 - alpha_b) for j in range(cfg.K // 2)]
     terms += [-1.0 / math.sin(2 * j * t0) for j in range(1, cfg.K // 2)]
-    closed = math.fsum(terms) / (2.0 * babs)
+    return math.fsum(terms) / (2.0 * babs)
+
+
+def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
+    """Diagonal value gamma(b, b) with its exact cosecant resummation and the
+    alpha_b = 0 asymptotic Shat_1(K)/(2|b|)."""
+    babs, alpha_b = _in_plane(b)
+    closed = _gamma_bb_closed(babs, alpha_b, cfg)
+    direct = gamma_direct(b, b, cfg)
     asym = sum_direct(SumSpec("alt_hat", 1, cfg.K, 0.0)) / (2.0 * babs)
     return KernelReport.build(direct, closed, asym)
 
@@ -183,49 +190,47 @@ def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
 # regular part of the ball Green's function
 
 
+def _h0_rad(v: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """The radicand 1 - 2 v.p + |v|^2 |p|^2 of h0, per row of ``v``."""
+    rad = 1.0 - 2.0 * np.vecdot(v, pv) + np.vecdot(v, v) * np.vecdot(pv, pv)
+    if np.any(rad <= 0.0):
+        raise DomainError("nonpositive radicand in h0")
+    return rad
+
+
 def h0(z: Point3, p: Point3) -> float:
     """(1 - 2 z.p + |z|^2 |p|^2)^{-1/2}."""
-    zv, pv = z.as_array(), p.as_array()
-    rad = 1.0 - 2.0 * float(zv @ pv) + float(zv @ zv) * float(pv @ pv)
-    if rad <= 0.0:
-        raise DomainError("nonpositive radicand in h0")
-    return rad**-0.5
-
-
-def _h0_mat(v: np.ndarray, pv: np.ndarray) -> float:
-    rad = 1.0 - 2.0 * float(v @ pv) + float(v @ v) * float(pv @ pv)
-    if rad <= 0.0:
-        raise DomainError("nonpositive radicand in h0")
-    return rad**-0.5
+    return float(_h0_rad(z.as_array(), p.as_array())) ** -0.5
 
 
 def h0e(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """The alternating extension of h0 in its first slot."""
-    zv, pv = z.as_array(), p.as_array()
-    return math.fsum(
-        sign * _h0_mat(mat @ zv, pv) for mat, sign in _ext_images(cfg)
-    )
+    mats, signs = sector_images(cfg.K)
+    return math.fsum(signs * _pow(_h0_rad(mats @ z.as_array(), p.as_array()), -0.5))
 
 
-def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
-    """Diagonal value h0e(b, b) with its exact shifted-sum closed form and the
-    alpha_b = 0 asymptotic S_1(K, d)/(2|b|), d = (1 - |b|^2)/(2|b|)."""
-    babs = math.hypot(b.z1, b.z2)
-    alpha_b = math.atan2(b.z2, b.z1)
-    if abs(b.z3) > 1e-12:
-        raise DomainError("b must lie in the z1 z2 plane")
+def _h0e_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
+    """The exact shifted-sum closed form of h0e(b, b)."""
     if not 0.0 < babs < 1.0:
         raise DomainError("|b| must lie in (0, 1)")
     t0 = cfg.theta0
     if abs(alpha_b) > t0 / 2.0:
         raise DomainError("|alpha_b| must be at most theta0/2")
     d = (1.0 - babs * babs) / (2.0 * babs)
-    direct = h0e(b, b, cfg)
     terms = []
     for j in range(cfg.K // 2):
         terms.append((d * d + math.sin(2 * j * t0) ** 2) ** -0.5)
         terms.append(-((d * d + math.sin((2 * j + 1) * t0 - alpha_b) ** 2) ** -0.5))
-    closed = math.fsum(terms) / (2.0 * babs)
+    return math.fsum(terms) / (2.0 * babs)
+
+
+def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
+    """Diagonal value h0e(b, b) with its exact shifted-sum closed form and the
+    alpha_b = 0 asymptotic S_1(K, d)/(2|b|), d = (1 - |b|^2)/(2|b|)."""
+    babs, alpha_b = _in_plane(b)
+    closed = _h0e_bb_closed(babs, alpha_b, cfg)
+    direct = h0e(b, b, cfg)
+    d = (1.0 - babs * babs) / (2.0 * babs)
     asym = sum_direct(SumSpec("alt", 1, cfg.K, d)) / (2.0 * babs)
     return KernelReport.build(direct, closed, asym)
 
@@ -234,67 +239,40 @@ def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
 # first and second derivatives along the placement direction
 
 
-def _grad_newton_closed(A: PlacedBubble, cfg: SectorConfig, slot: str) -> float:
-    bv = A.b_point.as_array()
-    w = A.w_vec
-    total = []
-    for mat, sign in _tail_images(cfg):
-        v = mat @ bv
-        r = v - bv
-        rn = float(np.linalg.norm(r))
-        if slot == "p":
-            total.append(sign * float(r @ w) / rn**3)
-        else:
-            total.append(-sign * float(r @ (mat @ w)) / rn**3)
-    return math.fsum(total)
+def _newton_derivs(A: PlacedBubble, cfg: SectorConfig) -> Tuple[float, float, float]:
+    """Exact image sums of the Newtonian kernel's w-derivatives at (b, b):
+    the z-slot and p-slot gradients and the mixed Hessian."""
+    mats, signs = _tail(cfg)
+    bv, w = A.b_point.as_array(), A.w_vec
+    mw = mats @ w
+    r = mats @ bv - bv
+    rn = _norm(r)
+    rn3, rn5 = _pow(rn, 3), _pow(rn, 5)
+    rw, rmw = np.vecdot(r, w), np.vecdot(r, mw)
+    return (
+        math.fsum(-signs * rmw / rn3),
+        math.fsum(signs * rw / rn3),
+        math.fsum(signs * (np.vecdot(mw, w) / rn3 - 3.0 * rmw * rw / rn5)),
+    )
 
 
-def _grad_h0e_closed(A: PlacedBubble, cfg: SectorConfig, slot: str) -> float:
-    bv = A.b_point.as_array()
-    w = A.w_vec
-    b2 = float(bv @ bv)
-    total = []
-    for mat, sign in _ext_images(cfg):
-        v = mat @ bv
-        F = _h0_mat(v, bv)
-        if slot == "p":
-            total.append(sign * F**3 * float((v - float(v @ v) * bv) @ w))
-        else:
-            total.append(sign * F**3 * float((bv - float(v @ v) * v) @ (mat @ w)))
-    return math.fsum(total)
-
-
-def _hess_newton_closed(A: PlacedBubble, cfg: SectorConfig) -> float:
-    bv = A.b_point.as_array()
-    w = A.w_vec
-    total = []
-    for mat, sign in _tail_images(cfg):
-        v = mat @ bv
-        r = v - bv
-        rn = float(np.linalg.norm(r))
-        mw = mat @ w
-        total.append(
-            sign * (float(mw @ w) / rn**3
-                    - 3.0 * float(r @ mw) * float(r @ w) / rn**5)
-        )
-    return math.fsum(total)
-
-
-def _hess_h0e_closed(A: PlacedBubble, cfg: SectorConfig) -> float:
-    bv = A.b_point.as_array()
-    w = A.w_vec
-    total = []
-    for mat, sign in _ext_images(cfg):
-        v = mat @ bv
-        v2 = float(v @ v)
-        F = _h0_mat(v, bv)
-        mw = mat @ w
-        total.append(
-            sign * (3.0 * F**5 * float((bv - v2 * v) @ mw)
-                    * float((v - v2 * bv) @ w)
-                    + F**3 * (float(mw @ w) - 2.0 * float(v @ mw) * float(bv @ w)))
-        )
-    return math.fsum(total)
+def _h0e_derivs(A: PlacedBubble, cfg: SectorConfig) -> Tuple[float, float, float]:
+    """Exact image sums of h0e's w-derivatives at (b, b): the z-slot and
+    p-slot gradients and the mixed Hessian."""
+    mats, signs = sector_images(cfg.K)
+    bv, w = A.b_point.as_array(), A.w_vec
+    v, mw = mats @ bv, mats @ w
+    v2 = np.vecdot(v, v)[:, None]
+    F = _pow(_h0_rad(v, bv), -0.5)
+    F3, F5 = _pow(F, 3), _pow(F, 5)
+    gz = np.vecdot(bv - v2 * v, mw)
+    gp = np.vecdot(v - v2 * bv, w)
+    return (
+        math.fsum(signs * F3 * gz),
+        math.fsum(signs * F3 * gp),
+        math.fsum(signs * (3.0 * F5 * gz * gp + F3 * (
+            np.vecdot(mw, w) - 2.0 * np.vecdot(v, mw) * np.vecdot(bv, w)))),
+    )
 
 
 def _direct_fn(kind: str, cfg: SectorConfig):
@@ -325,12 +303,12 @@ def kernel_grad(kind: str, slot: str, A: PlacedBubble, cfg: SectorConfig,
     else:
         direct = A.w_abs * (f(bv, bv + h * what) - f(bv, bv - h * what)) / (2 * h)
     if kind == "gamma":
-        closed = _grad_newton_closed(A, cfg, slot)
+        closed = _newton_derivs(A, cfg)[("z", "p").index(slot)]
         asym = -A.w_abs * sum_direct(SumSpec("alt_hat", 1, cfg.K, 0.0)) / (
             4.0 * A.b_abs**2
         )
     else:
-        closed = _grad_h0e_closed(A, cfg, slot)
+        closed = _h0e_derivs(A, cfg)[("z", "p").index(slot)]
         d = A.d
         s1 = sum_direct(SumSpec("alt", 1, cfg.K, d))
         s3 = sum_direct(SumSpec("alt", 3, cfg.K, d))
@@ -358,16 +336,14 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig,
     w = A.w_vec
     what = w / np.linalg.norm(w)
     if kind == "gamma":
-        closed = _hess_newton_closed(A, cfg)
-        from ._forms import a_gamma_form
-
+        closed = _newton_derivs(A, cfg)[2]
         s1h = sum_direct(SumSpec("alt_hat", 1, cfg.K, 0.0))
         s3h = sum_direct(SumSpec("alt_hat", 3, cfg.K, 0.0))
         alpha = np.array([A.alpha_w, A.alpha_b])
-        quad = float(alpha @ a_gamma_form(cfg.K) @ alpha)
+        quad = float(alpha @ a_gamma(cfg.K) @ alpha)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (s1h + s3h + quad)
     else:
-        closed = _hess_h0e_closed(A, cfg)
+        closed = _h0e_derivs(A, cfg)[2]
         d = A.d
         s1 = sum_direct(SumSpec("alt", 1, cfg.K, d))
         s3 = sum_direct(SumSpec("alt", 3, cfg.K, d))
@@ -429,28 +405,19 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     eps^{1/2} q_hat gamma + eps^{3/2} w.grad_p gamma
     + (1/6) eps^{5/2} W : d2_p gamma
     as the closed form, and the first two orders as the asymptotic."""
-    zv = z.as_array()
-    bv = A.b_point.as_array()
-    w = A.w_vec
+    mats, signs = _tail(cfg)
+    v = mats @ z.as_array()
+    direct = math.fsum(s * q_a(Point3.from_array(u), A)
+                       for u, s in zip(v, signs.tolist()))
     W = np.asarray(A.W, dtype=float)
-    trW = float(np.trace(W))
-    direct_terms = []
-    g_terms = []
-    g1_terms = []
-    g2_terms = []
-    for mat, sign in _tail_images(cfg):
-        v = mat @ zv
-        direct_terms.append(sign * q_a(Point3.from_array(v), A))
-        r = v - bv
-        rn = float(np.linalg.norm(r))
-        g_terms.append(sign / rn)
-        g1_terms.append(sign * float(r @ w) / rn**3)
-        g2_terms.append(sign * (-trW / rn**3 + 3.0 * float(r @ W @ r) / rn**5))
-    direct = math.fsum(direct_terms)
+    r = v - A.b_point.as_array()
+    rn = _norm(r)
+    rn3, rn5 = _pow(rn, 3), _pow(rn, 5)
+    g2 = -float(np.trace(W)) / rn3 + 3.0 * np.vecdot(r @ W, r) / rn5
     e = A.eps
-    lead = math.sqrt(e) * A.q_hat * math.fsum(g_terms)
-    grad_term = e**1.5 * math.fsum(g1_terms)
-    hess_term = e**2.5 / 6.0 * math.fsum(g2_terms)
+    lead = math.sqrt(e) * A.q_hat * math.fsum(signs / rn)
+    grad_term = e**1.5 * math.fsum(signs * np.vecdot(r, A.w_vec) / rn3)
+    hess_term = e**2.5 / 6.0 * math.fsum(signs * g2)
     closed = lead + grad_term + hess_term
     asym = lead + grad_term
     return KernelReport.build(direct, closed, asym)

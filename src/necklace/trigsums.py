@@ -46,8 +46,8 @@ class SumSpec:
             raise DomainError(f"k must be one of 1, 3, 5, got {self.k}")
         if self.n < 4 or self.n % 2 != 0:
             raise DomainError(f"n must be an even integer >= 4, got {self.n}")
-        if self.x < 0:
-            raise DomainError("x must be >= 0")
+        if not (math.isfinite(self.x) and self.x >= 0):
+            raise DomainError("x must be finite and >= 0")
         if self.x == 0.0 and self.variant in ("even", "alt"):
             raise DomainError(
                 f"variant {self.variant!r} contains the singular j=0 term at x=0"

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from necklace import cli
 from necklace.cli import build_parser, run
+from necklace.errors import AccuracyError, DomainError, NotFoundError, UnsupportedError
 from necklace.trigsums import SumSpec, sum_direct
 
 
@@ -50,6 +52,17 @@ class TestSums:
         payload = json.loads(_read(out))
         assert payload[0]["variant"] == "alt"
         assert math.isfinite(payload[0]["direct"])
+
+    def test_unsupported_asymptotic_is_nan(self, tmp_path, capsys):
+        out = tmp_path / "row.csv"
+        code = run(["sums", "--variant", "odd", "--k", "1", "--n", "64",
+                    "--x", "0", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        header, row = _read(out).strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert cols["asymptotic"] == "nan"
+        assert float(cols["direct"]) == sum_direct(SumSpec("odd", 1, 64))
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -125,3 +138,20 @@ class TestSubcommands:
     def test_kernels_bad_point(self, capsys):
         assert run(["kernels", "--K", "32", "--b-abs", "0.3"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("exc, code", [
+    (DomainError("bad input"), 2),
+    (UnsupportedError("bad input"), 2),
+    (AccuracyError("bad input", best=0.0), 1),
+    (NotFoundError("bad input"), 1),
+])
+def test_typed_errors_map_to_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "sums", fail)
+    assert run(["sums"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad input\n"
+    assert captured.out == ""

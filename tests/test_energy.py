@@ -42,6 +42,8 @@ class TestConfigs:
     @pytest.mark.parametrize("kwargs", [
         {"K": 63}, {"K": 2}, {"lam": 0.0}, {"gnorm": -1.0},
         {"cstar": 0.0}, {"delta": 0.0}, {"delta": 1.0},
+        {"lam": math.nan}, {"gnorm": math.inf}, {"cstar": math.inf},
+        {"cstar": math.nan}, {"lam": -math.inf}, {"delta": math.nan},
     ])
     def test_rejects(self, kwargs):
         base = dict(K=64, lam=1.0, gnorm=1.0, cstar=0.25, delta=0.1)

@@ -5,10 +5,21 @@ import pytest
 
 from necklace.crown import build_crown, u_star_profile
 from necklace.errors import DomainError
-from necklace.geometry import Point3, SectorConfig
+from necklace.geometry import (
+    CONJ_MATRIX,
+    Point3,
+    SectorConfig,
+    conj,
+    extend_odd,
+    rotate,
+    rotation_matrix,
+    sector_images,
+)
 from necklace.kernels import (
     KernelReport,
     PlacedBubble,
+    _h0e_derivs,
+    _newton_derivs,
     gamma_bb,
     gamma_direct,
     h0,
@@ -54,6 +65,11 @@ class TestPlacedBubble:
                                      [0.0, 0.0, 0.0],
                                      [0.0, 0.0, 0.0]]))
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_eps(self, eps):
+        with pytest.raises(DomainError):
+            _bubble(eps=eps)
+
     def test_derived_quantities(self):
         A = _bubble(b_abs=0.8, alpha_b=0.05)
         assert A.d == pytest.approx((1 - 0.64) / 1.6)
@@ -86,10 +102,8 @@ class TestGamma:
     def test_coincident_image_rejected(self):
         z = Point3(0.9, 0.0, 0.0)
         # p equal to the first non-identity image of z
-        from necklace.kernels import _tail_images
-
-        mat, _ = _tail_images(CFG)[0]
-        p = Point3.from_array(mat @ z.as_array())
+        mats, _ = sector_images(CFG.K)
+        p = Point3.from_array(mats[1] @ z.as_array())
         with pytest.raises(DomainError):
             gamma_direct(z, p, CFG)
 
@@ -221,3 +235,110 @@ class TestPlacedBubbleField:
         # the retained orders
         assert rep.abs_err_dc < 100.0 * A.eps**2.5
         assert rep.abs_err_ca < abs(rep.closed_form)
+
+
+# ---------------------------------------------------------------------------
+# the sector-image table against a plain per-image loop
+
+
+def _ref_images(K):
+    """(matrix, sign) pairs of the alternating extension, identity first,
+    built one image at a time."""
+    t0 = math.pi / K
+    out = []
+    for j in range(K // 2):
+        out.append((rotation_matrix(4 * j * t0), 1.0))
+        out.append((rotation_matrix((4 * j + 2) * t0) @ CONJ_MATRIX, -1.0))
+    return out
+
+
+def _dot(a, b):
+    return float(a @ b)
+
+
+def _ref_gamma(z, p, K):
+    zv, pv = z.as_array(), p.as_array()
+    return math.fsum(-s / math.sqrt(_dot(M @ zv - pv, M @ zv - pv))
+                     for M, s in _ref_images(K)[1:])
+
+
+def _ref_h0(v, pv):
+    return (1.0 - 2.0 * _dot(v, pv) + _dot(v, v) * _dot(pv, pv)) ** -0.5
+
+
+def _ref_h0e(z, p, K):
+    zv, pv = z.as_array(), p.as_array()
+    return math.fsum(s * _ref_h0(M @ zv, pv) for M, s in _ref_images(K))
+
+
+def _ref_newton_derivs(A, K):
+    b, w = A.b_point.as_array(), A.w_vec
+    gz, gp, hess = [], [], []
+    for M, s in _ref_images(K)[1:]:
+        r, mw = M @ b - b, M @ w
+        rn = math.sqrt(_dot(r, r))
+        gz.append(s * _dot(r, mw) / rn**3)
+        gp.append(-s * _dot(r, w) / rn**3)
+        hess.append(-s * (_dot(mw, w) / rn**3
+                          - 3.0 * _dot(r, mw) * _dot(r, w) / rn**5))
+    return math.fsum(gz), math.fsum(gp), math.fsum(hess)
+
+
+def _ref_h0e_derivs(A, K):
+    b, w = A.b_point.as_array(), A.w_vec
+    gz, gp, hess = [], [], []
+    for M, s in _ref_images(K):
+        v, mw = M @ b, M @ w
+        v2 = _dot(v, v)
+        F = _ref_h0(v, b)
+        dz = _dot(b - v2 * v, mw)
+        dp = _dot(v - v2 * b, w)
+        gz.append(s * F**3 * dz)
+        gp.append(s * F**3 * dp)
+        hess.append(s * (3.0 * F**5 * dz * dp
+                         + F**3 * (_dot(mw, w) - 2.0 * _dot(v, mw) * _dot(b, w))))
+    return math.fsum(gz), math.fsum(gp), math.fsum(hess)
+
+
+@pytest.mark.parametrize("K", [4, 32, 256])
+class TestSectorImages:
+    def test_table(self, K):
+        mats, signs = sector_images(K)
+        assert mats.shape == (K, 3, 3) and signs.shape == (K,)
+        assert np.array_equal(mats[0], np.eye(3))
+        assert np.array_equal(signs, np.tile([1.0, -1.0], K // 2))
+        assert np.allclose(mats @ mats.transpose(0, 2, 1), np.eye(3), atol=1e-15)
+        assert np.array_equal(np.sign(np.linalg.det(mats)), signs)
+        assert not (mats.flags.writeable or signs.flags.writeable)
+        assert sector_images(K)[0] is mats
+        # the images are the rotations of z and of conj(z) by multiples of 2 theta0
+        z = Point3(0.4, 0.1, -0.2)
+        for j in range(K // 2):
+            t = 4 * j * math.pi / K
+            assert np.allclose(mats[2 * j] @ z.as_array(),
+                               rotate(z, t).as_array(), rtol=0.0, atol=1e-15)
+            assert np.allclose(mats[2 * j + 1] @ z.as_array(),
+                               rotate(conj(z), t + 2 * math.pi / K).as_array(),
+                               rtol=0.0, atol=1e-15)
+
+    def test_kernel_sums(self, K):
+        cfg = SectorConfig(K)
+        z = Point3(0.7, 0.05, 0.1)
+        p = Point3(0.8, -0.03, -0.2)
+        assert gamma_direct(z, p, cfg) == pytest.approx(_ref_gamma(z, p, K), rel=1e-14)
+        assert h0e(z, p, cfg) == pytest.approx(_ref_h0e(z, p, K), rel=1e-14)
+
+    def test_closed_forms(self, K):
+        cfg = SectorConfig(K)
+        A = _bubble(b_abs=0.965, alpha_b=0.1 * cfg.theta0, alpha_w=0.07)
+        for got, ref in ((_newton_derivs(A, cfg), _ref_newton_derivs(A, K)),
+                         (_h0e_derivs(A, cfg), _ref_h0e_derivs(A, K))):
+            assert got == pytest.approx(ref, rel=1e-14)
+
+    def test_extend_odd(self, K):
+        cfg = SectorConfig(K)
+        z = Point3(0.4, 0.1, -0.2)
+        u = lambda q: math.exp(-4.0 * ((q.z1 - 0.3) ** 2 + q.z2**2 + q.z3**2))
+        ref = math.fsum(s * u(Point3.from_array(M @ z.as_array()))
+                        for M, s in _ref_images(K))
+        assert extend_odd(u, z, cfg) == pytest.approx(ref, rel=1e-14)

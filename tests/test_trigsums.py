@@ -54,6 +54,9 @@ class TestSumSpec:
         dict(variant="odd", k=1, n=8, x=-0.5),
         dict(variant="even", k=1, n=8, x=0.0),
         dict(variant="alt", k=1, n=8, x=0.0),
+        dict(variant="alt", k=1, n=64, x=math.nan),
+        dict(variant="odd", k=1, n=8, x=math.inf),
+        dict(variant="odd", k=1, n=8, x=-math.inf),
     ])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
