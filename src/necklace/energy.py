@@ -6,7 +6,7 @@ reproduces the parameter scaling laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -105,8 +105,17 @@ def _smooth_cut(t: np.ndarray) -> np.ndarray:
     return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def _gl_panels(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=128)
+def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of the given order on [-1, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gl_panels(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(order)
     a = edges[:-1]
     half = 0.5 * (edges[1:] - a)
     nodes = (a + half)[:, None] + half[:, None] * x
@@ -119,7 +128,7 @@ def _sphere_rule(panels, n_p: int) -> Tuple[np.ndarray, np.ndarray]:
     of cos(theta), uniform in phi."""
     ct_parts, wt_parts = [], []
     for lo, hi, order in panels:
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = _leggauss(order)
         half = 0.5 * (hi - lo)
         ct_parts.append(0.5 * (lo + hi) + half * x)
         wt_parts.append(half * w)
@@ -135,6 +144,45 @@ def _sphere_rule(panels, n_p: int) -> Tuple[np.ndarray, np.ndarray]:
     return dirs, weights
 
 
+def _cores(profile: ProfileHandle, xi: Point3):
+    """The concentration cores of ``profile`` relative to ``xi``: per feature
+    and singularity, its center c, radius R = |c|, bump width w and inner
+    log-radial cutoff rho0."""
+    xiv = xi.as_array()
+    sing = {(s.z1, s.z2, s.z3) for s in profile.singularities}
+    cores = []
+    for pt in tuple(profile.features) + tuple(profile.singularities):
+        c = pt.as_array() - xiv
+        R = float(np.linalg.norm(c))
+        if R < 1e-9:
+            raise DomainError("a concentration core coincides with xi")
+        w = min(0.15, 0.6 * R, max(0.03, 0.2 * R), 0.19)
+        rho0 = 1e-9 if (pt.z1, pt.z2, pt.z3) in sing else 1e-6
+        cores.append((c, R, w, rho0))
+    return cores
+
+
+def _bump_factor(y: np.ndarray, r: float, cores) -> np.ndarray:
+    """prod over cores of 1 - _smooth_cut(2|y - c|/w - 1) at points ``y`` of
+    the shell |y| = r.
+
+    A core's factor is exactly 1.0 wherever |y - c| >= w, so it is applied
+    only to the points within w of c (with a margin covering the rounding of
+    the test): a core whose radius is farther than w from r is skipped, and
+    for the others one y @ c selects the points.  The values are bit-identical
+    to the product over all cores at every point.
+    """
+    fac = np.ones(y.shape[:-1])
+    for c, R, w, _rho0 in cores:
+        reach = (w * (1.0 + 1e-9)) ** 2 + 1e-12 * (r + R) ** 2
+        if (r - R) ** 2 >= reach:
+            continue
+        near = r * r + R * R - 2.0 * (y @ c) < reach
+        rho = np.linalg.norm(y[near] - c, axis=-1)
+        fac[near] *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
+    return fac
+
+
 def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
            detail: bool = False):
     """The constant int q(z + xi)^2 / (4 pi |z|^4) dz for a profile vanishing
@@ -147,6 +195,8 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     from the measured 1/|z| coefficient.  ``scale`` multiplies every node
     count (scale=2 halves all steps).
     """
+    if not (math.isfinite(scale) and scale > 0):
+        raise DomainError("scale must be finite and positive")
     xiv = xi.as_array()
     q0 = float(np.asarray(profile.fn(xiv)))
     if abs(q0) > 1e-8:
@@ -154,32 +204,13 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
             f"profile must vanish at xi (got {q0:.3e}); the integrand is "
             "otherwise non-integrable at the origin"
         )
-    if scale <= 0:
-        raise DomainError("scale must be positive")
 
     def integrand(y: np.ndarray) -> np.ndarray:
         q = np.asarray(profile.fn(y + xiv), dtype=float)
         r2 = np.sum(y * y, axis=-1)
         return q * q / (4.0 * np.pi * r2 * r2)
 
-    sing = {(s.z1, s.z2, s.z3) for s in profile.singularities}
-    cores = []
-    for pt in tuple(profile.features) + tuple(profile.singularities):
-        c = pt.as_array() - xiv
-        R = float(np.linalg.norm(c))
-        if R < 1e-9:
-            raise DomainError("a concentration core coincides with xi")
-        w = min(0.15, 0.6 * R, max(0.03, 0.2 * R), 0.19)
-        rho0 = 1e-9 if (pt.z1, pt.z2, pt.z3) in sing else 1e-6
-        cores.append((c, R, w, rho0))
-
-    def bump_factor(y: np.ndarray) -> np.ndarray:
-        fac = np.ones(y.shape[:-1])
-        for c, _R, w, _rho0 in cores:
-            rho = np.linalg.norm(y - c, axis=-1)
-            fac *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
-        return fac
-
+    cores = _cores(profile, xi)
     n = lambda base: max(2, int(math.ceil(base * scale)))
 
     # core balls, log-radial around each center
@@ -222,7 +253,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
         and all(abs(pt.z3) < 1e-12
                 for pt in tuple(profile.features) + tuple(profile.singularities))
     )
-    glx, glw = np.polynomial.legendre.leggauss(8)
+    glx, glw = _leggauss(8)
     outer_total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         r_nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * glx
@@ -252,7 +283,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
             dirs_s, dweights_s = dirs_s[keep], 2.0 * dweights_s[keep]
         for rv, rw in zip(r_nodes, r_weights):
             pts = rv * dirs_s
-            vals = integrand(pts) * bump_factor(pts)
+            vals = integrand(pts) * _bump_factor(pts, rv, cores)
             outer_total += float((vals @ dweights_s) * rw * rv * rv)
 
     # far field: measured 1/|z| coefficient on the cutoff sphere
@@ -490,5 +521,8 @@ def default_model(m: int = 16, scale: float = 1.0):
 
 def default_config(K: int, lam: float = 1.0, delta: float = 0.1,
                    m: int = 16) -> ReducedConfig:
+    # validate K, lam and delta with placeholder constants before paying for
+    # the model quadrature
+    cfg = ReducedConfig(K=K, lam=lam, gnorm=1.0, cstar=1.0, delta=delta)
     _, _, gnorm, cstar = default_model(m)
-    return ReducedConfig(K=K, lam=lam, gnorm=gnorm, cstar=cstar, delta=delta)
+    return replace(cfg, gnorm=gnorm, cstar=cstar)

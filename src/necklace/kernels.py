@@ -38,6 +38,13 @@ def _norm(r: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(r, r))
 
 
+def _check_finite(*pts: Point3) -> None:
+    for pt in pts:
+        if not (math.isfinite(pt.z1) and math.isfinite(pt.z2)
+                and math.isfinite(pt.z3)):
+            raise DomainError(f"point coordinates must be finite, got {pt}")
+
+
 @dataclass(frozen=True)
 class KernelReport:
     direct: float
@@ -150,6 +157,7 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
 def gamma_direct(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """1/|zbar e^{2i t0} - p| - sum_{j=1}^{K/2-1} (1/|z e^{4ij t0} - p|
     - 1/|zbar e^{(4j+2)i t0} - p|): the image-interaction kernel."""
+    _check_finite(z, p)
     mats, signs = _tail(cfg)
     r = _norm(mats @ z.as_array() - p.as_array())
     if np.any(r < _COINCIDENT_TOL):
@@ -179,6 +187,7 @@ def _gamma_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
 def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     """Diagonal value gamma(b, b) with its exact cosecant resummation and the
     alpha_b = 0 asymptotic Shat_1(K)/(2|b|)."""
+    _check_finite(b)
     babs, alpha_b = _in_plane(b)
     closed = _gamma_bb_closed(babs, alpha_b, cfg)
     direct = gamma_direct(b, b, cfg)
@@ -200,11 +209,13 @@ def _h0_rad(v: np.ndarray, pv: np.ndarray) -> np.ndarray:
 
 def h0(z: Point3, p: Point3) -> float:
     """(1 - 2 z.p + |z|^2 |p|^2)^{-1/2}."""
+    _check_finite(z, p)
     return float(_h0_rad(z.as_array(), p.as_array())) ** -0.5
 
 
 def h0e(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """The alternating extension of h0 in its first slot."""
+    _check_finite(z, p)
     mats, signs = sector_images(cfg.K)
     return math.fsum(signs * _pow(_h0_rad(mats @ z.as_array(), p.as_array()), -0.5))
 
@@ -227,6 +238,7 @@ def _h0e_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
 def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     """Diagonal value h0e(b, b) with its exact shifted-sum closed form and the
     alpha_b = 0 asymptotic S_1(K, d)/(2|b|), d = (1 - |b|^2)/(2|b|)."""
+    _check_finite(b)
     babs, alpha_b = _in_plane(b)
     closed = _h0e_bb_closed(babs, alpha_b, cfg)
     direct = h0e(b, b, cfg)
@@ -405,6 +417,7 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     eps^{1/2} q_hat gamma + eps^{3/2} w.grad_p gamma
     + (1/6) eps^{5/2} W : d2_p gamma
     as the closed form, and the first two orders as the asymptotic."""
+    _check_finite(z)
     mats, signs = _tail(cfg)
     v = mats @ z.as_array()
     direct = math.fsum(s * q_a(Point3.from_array(u), A)

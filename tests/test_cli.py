@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from necklace import cli
+from necklace import cli, energy
 from necklace.cli import build_parser, run
 from necklace.errors import AccuracyError, DomainError, NotFoundError, UnsupportedError
 from necklace.trigsums import SumSpec, sum_direct
@@ -154,4 +154,19 @@ def test_typed_errors_map_to_exit_codes(monkeypatch, capsys, exc, code):
     assert run(["sums"]) == code
     captured = capsys.readouterr()
     assert captured.err == "error: bad input\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lam", "nan"], ["--lam", "-1"], ["--delta", "2"], ["--K", "3"],
+])
+def test_energy_validates_before_model(monkeypatch, capsys, flags):
+    def no_model(*args, **kwargs):
+        raise AssertionError("default_model called before validation")
+
+    monkeypatch.setattr(energy, "default_model", no_model)
+    assert run(["energy", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert captured.out == ""

@@ -8,6 +8,9 @@ from necklace.energy import (
     ReducedConfig,
     ReducedPoint,
     _box,
+    _bump_factor,
+    _cores,
+    _smooth_cut,
     a_gamma,
     c0,
     c2,
@@ -178,6 +181,42 @@ class TestCStar:
         profile, xi, _gnorm, _cstar = default_model(16)
         with pytest.raises(DomainError):
             c_star(profile, xi, scale=0.0)
+        for scale in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                c_star(profile, xi, scale=scale)
+
+    def test_model_constant(self):
+        # the m=16 value the benchmark reference pins, at its tolerance
+        _profile, _xi, _gnorm, cstar = default_model(16)
+        assert cstar == pytest.approx(0.23348704238119866, rel=1e-13)
+
+    def test_pruned_bump_factor_is_exact(self):
+        profile, xi, _gnorm, _cstar = default_model(16)
+        cores = _cores(profile, xi)
+        rng = np.random.default_rng(7)
+
+        def unpruned(y):
+            fac = np.ones(len(y))
+            for c, _R, w, _rho0 in cores:
+                rho = np.linalg.norm(y - c, axis=-1)
+                fac *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
+            return fac
+
+        crossed = 0
+        for c, R, w, _rho0 in cores[:: max(1, len(cores) // 4)]:
+            # random directions plus a cluster around the core's direction
+            dirs = rng.normal(size=(4000, 3))
+            dirs[:2000] = c / R + 0.5 * w / R * dirs[:2000]
+            dirs /= np.linalg.norm(dirs, axis=-1)[:, None]
+            for r in (R - 3.0 * w, R + 2.5 * w,
+                      R - w - 1e-12, R - w, R - w + 1e-12,
+                      R + w - 1e-12, R + w, R + w + 1e-12,
+                      R - 0.7 * w, R - 0.2 * w, R, R + 0.6 * w):
+                y = r * dirs
+                ref = unpruned(y)
+                assert np.array_equal(_bump_factor(y, r, cores), ref)
+                crossed += int(np.any((ref > 0.0) & (ref < 1.0)))
+        assert crossed >= 8
 
     def test_value_and_tail(self):
         profile, xi, gnorm, cstar = default_model(16)

@@ -237,6 +237,29 @@ class TestPlacedBubbleField:
         assert rep.abs_err_ca < abs(rep.closed_form)
 
 
+_KERNEL_ENTRIES = {
+    "gamma_direct_z": lambda pt: gamma_direct(pt, Point3(0.8, 0.0, 0.0), CFG),
+    "gamma_direct_p": lambda pt: gamma_direct(Point3(0.8, 0.0, 0.0), pt, CFG),
+    "h0_z": lambda pt: h0(pt, Point3(0.3, 0.1, 0.0)),
+    "h0_p": lambda pt: h0(Point3(0.3, 0.1, 0.0), pt),
+    "h0e_z": lambda pt: h0e(pt, Point3(0.8, 0.0, 0.0), CFG),
+    "h0e_p": lambda pt: h0e(Point3(0.8, 0.0, 0.0), pt, CFG),
+    "gamma_bb": lambda pt: gamma_bb(pt, CFG),
+    "h0e_bb": lambda pt: h0e_bb(pt, CFG),
+    "t_a": lambda pt: t_a(pt, _bubble(), CFG),
+}
+
+
+@pytest.mark.parametrize("coord", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_KERNEL_ENTRIES))
+def test_nonfinite_point_rejected(entry, bad, coord):
+    xyz = [0.9, 0.01, 0.0]
+    xyz[coord] = bad
+    with pytest.raises(DomainError):
+        _KERNEL_ENTRIES[entry](Point3(*xyz))
+
+
 # ---------------------------------------------------------------------------
 # the sector-image table against a plain per-image loop
 
