@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -17,6 +18,9 @@ from .geometry import Point3, rotation_matrix
 from .trigsums import csc_full_sum
 
 TALENTI_AMP = 3.0**0.25
+
+# rows per block of u_star's ring sum: the (block, m) buffer stays in cache
+_BLOCK = 2048
 
 PointLike = Union[Point3, np.ndarray]
 
@@ -43,6 +47,13 @@ class CrownParams:
 
     def centers_array(self) -> np.ndarray:
         return np.array([p.as_array() for p in self.xi])
+
+    @cached_property
+    def _centers_t(self) -> np.ndarray:
+        """The (3, m) transposed centers, built once and read-only."""
+        ct = self.centers_array().T
+        ct.flags.writeable = False
+        return ct
 
     def unit_centers_array(self) -> np.ndarray:
         """The centers pushed out to the unit circle (the mu -> 0 positions)."""
@@ -77,21 +88,45 @@ def u_bubble(z: PointLike) -> Union[float, np.ndarray]:
 
 
 def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
-    """u_bubble minus the m ring bubbles 3^{1/4} mu^{1/2} (mu^2 + |z-xi_j|^2)^{-1/2}."""
+    """u_bubble minus the m ring bubbles 3^{1/4} mu^{1/2} (mu^2 + |z-xi_j|^2)^{-1/2}.
+
+    The points are walked in blocks of at most _BLOCK rows through one reused
+    (block, m) buffer, every step in place, so no (N, m) temporary is made.
+    """
     arr = _as_array(z)
-    centers = p.centers_array()
-    # |z - xi_j|^2 expanded through a matmul; all |xi_j| are equal, and
-    # mu^2 >> the round-off of the expansion, so adding mu^2 keeps this safe
-    dist2 = (
-        np.sum(arr * arr, axis=-1)[..., None]
-        + (1.0 - p.mu * p.mu)
-        - 2.0 * (arr @ centers.T)
-    )
-    ring = TALENTI_AMP * math.sqrt(p.mu) * np.sum(
-        (p.mu * p.mu + np.maximum(dist2, 0.0)) ** -0.5, axis=-1
-    )
-    val = u_bubble(arr) - ring
-    return float(val) if np.ndim(val) == 0 else val
+    if arr.shape[-1:] != (3,):
+        raise DomainError(f"points must have a trailing axis of length 3, got {arr.shape}")
+    pts = arr.reshape(-1, 3)
+    n = len(pts)
+    rho2 = 1.0 - p.mu * p.mu
+    mu2 = p.mu * p.mu
+    amp = TALENTI_AMP * math.sqrt(p.mu)
+    out = np.empty(n)
+    buf = np.empty((min(n, _BLOCK), p.m))
+    # equal blocks: a lone trailing row would go through BLAS's
+    # matrix-vector product, which rounds differently from the
+    # matrix-matrix product of the rows around it
+    nblk = -(-n // _BLOCK)
+    for i in range(nblk):
+        lo, hi = i * n // nblk, (i + 1) * n // nblk
+        blk = pts[lo:hi]
+        # |z|^2 left to right, the order np.sum adds three terms in
+        sq = blk * blk
+        r2 = sq[:, 0] + sq[:, 1]
+        r2 += sq[:, 2]
+        # |z - xi_j|^2 expanded through a matmul; all |xi_j| are equal, and
+        # mu^2 >> the round-off of the expansion, so adding mu^2 keeps this safe
+        d2 = np.matmul(blk, p._centers_t, out=buf[: hi - lo])
+        d2 *= 2.0
+        np.subtract((r2 + rho2)[:, None], d2, out=d2)
+        np.maximum(d2, 0.0, out=d2)
+        d2 += mu2
+        np.power(d2, -0.5, out=d2)
+        ring = d2.sum(axis=-1)
+        ring *= amp
+        np.subtract(TALENTI_AMP / np.sqrt(1.0 + r2), ring, out=out[lo:hi])
+    val = out.reshape(arr.shape[:-1])
+    return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)

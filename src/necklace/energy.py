@@ -29,7 +29,7 @@ from .nodal import radial_nodal_root
 __all__ = [
     "ReducedConfig", "ReducedPoint", "c_star", "c0", "c2", "a_gamma",
     "psi_full", "psi_leading", "minimize_psi", "j_reduced",
-    "default_model", "u6_integral",
+    "default_model", "default_model_parts", "u6_integral",
 ]
 
 
@@ -506,17 +506,28 @@ def u6_integral(profile: ProfileHandle, R: float = 50.0,
 
 
 @lru_cache(maxsize=8)
-def default_model(m: int = 16, scale: float = 1.0):
-    """Model constants from the m-bubble ring profile: the in-plane zero on
-    the outward ray from the first core, the gradient modulus there, and the
-    decay constant.  Returns (profile, xi, gnorm, cstar)."""
+def _model(m: int, scale: float):
     params = build_crown(m)
     profile = u_star_profile(params)
     t = radial_nodal_root(params, profile, 0, (-1.0, 0.0, 0.0))
     xi = Point3.from_array(params.xi[0].as_array() - t * np.array([1.0, 0.0, 0.0]))
     gnorm = float(np.linalg.norm(fd_gradient(profile.fn, xi.as_array())))
-    cstar = c_star(profile, xi, scale=scale)
-    return profile, xi, gnorm, cstar
+    cstar, parts = c_star(profile, xi, scale=scale, detail=True)
+    return profile, xi, gnorm, cstar, parts
+
+
+def default_model(m: int = 16, scale: float = 1.0):
+    """Model constants from the m-bubble ring profile: the in-plane zero on
+    the outward ray from the first core, the gradient modulus there, and the
+    decay constant.  Returns (profile, xi, gnorm, cstar), computed once per
+    (m, scale)."""
+    return _model(m, scale)[:4]
+
+
+def default_model_parts(m: int = 16, scale: float = 1.0) -> Dict[str, float]:
+    """The outer/cores/tail parts and the tail fraction of default_model's
+    cstar, from the same quadrature."""
+    return dict(_model(m, scale)[4])
 
 
 def default_config(K: int, lam: float = 1.0, delta: float = 0.1,

@@ -89,12 +89,18 @@ class PlacedBubble:
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise DomainError("eps must be finite and positive")
+        for name in ("a", "q_hat", "w_abs", "alpha_w", "alpha_b", "beta_hat",
+                     "theta_star"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if not 0.0 < self.b_abs < 1.0:
             raise DomainError("|b| must lie in (0, 1)")
         if abs(self.alpha_w - self.beta_hat) > 1e-12:
             raise DomainError("alpha_w must equal beta_hat by the frame convention")
         W = np.asarray(self.W, dtype=float)
-        if W.shape != (3, 3) or not np.allclose(W, W.T, atol=1e-10):
+        if W.shape != (3, 3) or not np.isfinite(W).all():
+            raise DomainError("W must be a finite 3x3 matrix")
+        if not np.allclose(W, W.T, atol=1e-10):
             raise DomainError("W must be a symmetric 3x3 matrix")
 
     @property

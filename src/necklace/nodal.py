@@ -143,6 +143,11 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     fa = profile.fn(a)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (a + b)
+        # once every row's midpoint equals one of its ends, further steps
+        # change nothing: mid == a gives fm == fa, and mid == b gives f(b),
+        # whose sign always differs from fa's
+        if np.all(np.all(mid == a, axis=1) | np.all(mid == b, axis=1)):
+            break
         fm = profile.fn(mid)
         left = (fa < 0) == (fm < 0)
         a = np.where(left[:, None], mid, a)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -119,6 +120,14 @@ class TestSubcommands:
         lines = _read(out).strip().splitlines()
         assert lines[0] == "z1,z2,z3,value,grad_norm"
         assert len(lines) > 1
+
+    def test_nodal_defaults_bytes(self, tmp_path, capsys):
+        out = tmp_path / "nodal.csv"
+        assert run(["nodal", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "870f39486b2ceb2d5ceddc590ae4613ae815cbdc227f3a60e20e8c72d7a2bf28"
+        )
 
     def test_nodal_domain_error(self, capsys):
         assert run(["nodal", "--res", "8"]) == 2

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from necklace.crown import (
+    _BLOCK,
+    TALENTI_AMP,
     build_crown,
     fd_gradient,
     fd_hessian,
@@ -17,6 +19,7 @@ from necklace.crown import (
     talenti_profile,
     u_bubble,
     u_star,
+    u_star_corrected_profile,
 )
 from necklace.errors import DomainError, NearPoleWarning
 from necklace.geometry import Point3
@@ -78,6 +81,94 @@ class TestBubbles:
         c, s = math.cos(ang), math.sin(ang)
         rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
         assert np.max(np.abs(u_star(z, crown16) - u_star(z @ rot.T, crown16))) < 1e-12
+
+
+def _u_star_reference(z, p):
+    """u_star as one unblocked array expression over all points at once."""
+    arr = z.as_array() if isinstance(z, Point3) else np.asarray(z, dtype=float)
+    centers = p.centers_array()
+    dist2 = (
+        np.sum(arr * arr, axis=-1)[..., None]
+        + (1.0 - p.mu * p.mu)
+        - 2.0 * (arr @ centers.T)
+    )
+    ring = TALENTI_AMP * math.sqrt(p.mu) * np.sum(
+        (p.mu * p.mu + np.maximum(dist2, 0.0)) ** -0.5, axis=-1
+    )
+    val = TALENTI_AMP / np.sqrt(1.0 + np.sum(arr * arr, axis=-1)) - ring
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def _points(shape, seed=21):
+    return np.random.default_rng(seed).uniform(-2.0, 2.0, shape)
+
+
+def _near_ring(n, seed):
+    """Points within ~0.01 of the m=16 ring centers, where |z - xi_j|^2
+    cancels most and a changed rounding of the matmul shows in u_star."""
+    rng = np.random.default_rng(seed)
+    centers = build_crown(16).centers_array()
+    return centers[rng.integers(0, 16, n)] + rng.normal(0.0, 0.01, (n, 3))
+
+
+_WIDE = _points((2 * _BLOCK + 5, 6))
+
+
+class TestUStarBlocks:
+    @pytest.mark.parametrize("z", [
+        Point3(0.3, -0.2, 0.1),
+        _points(3),
+        _points((1, 3)),
+        _points((_BLOCK - 1, 3)),
+        _points((_BLOCK, 3)),
+        _points((_BLOCK + 1, 3)),
+        _points((2 * _BLOCK + 1, 3)),
+        _points((2 * _BLOCK + 5, 3)),
+        _points((96, 96, 3)),
+        np.asfortranarray(_points((_BLOCK + 7, 3))),
+        np.asfortranarray(_points((40, 60, 3))),
+        _WIDE[::2, 1:4],
+        _WIDE[::-3, ::-2],
+    ], ids=["point3", "3", "1x3", "block-1", "block", "block+1", "2block+1",
+            "2block+5", "96x96", "fortran", "fortran-3d", "strided",
+            "reversed"])
+    def test_bit_identical(self, crown16, z):
+        got = u_star(z, crown16)
+        ref = _u_star_reference(z, crown16)
+        assert type(got) is type(ref)
+        assert np.shape(got) == np.shape(ref)
+        assert np.array_equal(got, ref)
+
+    def test_trailing_rows(self, crown16):
+        # a lone last row in its own block would take BLAS's matrix-vector
+        # path, which rounds differently from the batch
+        for seed in range(16):
+            for n in (_BLOCK + 1, 2 * _BLOCK + 1):
+                z = _near_ring(n, seed)
+                assert np.array_equal(u_star(z, crown16), _u_star_reference(z, crown16))
+
+    def test_empty(self, crown16):
+        got = u_star(np.empty((0, 3)), crown16)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == (0,)
+
+    def test_corrected_profile_points(self, crown16):
+        # points around the ring and the unit-circle poles of the correction,
+        # kept off the poles themselves
+        rng = np.random.default_rng(22)
+        units = crown16.unit_centers_array()
+        z = units[rng.integers(0, 16, 3000)] + rng.normal(0.0, 0.05, (3000, 3))
+        z = z[np.min(np.linalg.norm(z[:, None] - units, axis=-1), axis=-1) > 1e-3]
+        assert np.array_equal(u_star(z, crown16), _u_star_reference(z, crown16))
+        profile = u_star_corrected_profile(crown16)
+        assert np.array_equal(
+            profile(z), _u_star_reference(z, crown16) + psi_d1(z, crown16)
+        )
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 2), (3, 6), ()])
+    def test_rejects_bad_trailing_axis(self, crown16, shape):
+        with pytest.raises(DomainError):
+            u_star(np.zeros(shape), crown16)
 
 
 class TestCorrection:

@@ -16,6 +16,7 @@ from necklace.energy import (
     c2,
     c_star,
     default_model,
+    default_model_parts,
     eps_star,
     in_box,
     j_reduced,
@@ -219,10 +220,11 @@ class TestCStar:
         assert crossed >= 8
 
     def test_value_and_tail(self):
-        profile, xi, gnorm, cstar = default_model(16)
+        _profile, _xi, gnorm, cstar = default_model(16)
         assert cstar > 0.0
         assert gnorm > 0.0
-        total, parts = c_star(profile, xi, detail=True)
+        parts = default_model_parts(16)
+        total = parts["outer"] + parts["cores"] + parts["tail"]
         assert total == pytest.approx(cstar, rel=1e-12)
         assert parts["tail_fraction"] <= 1e-8
 

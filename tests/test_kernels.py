@@ -70,6 +70,26 @@ class TestPlacedBubble:
         with pytest.raises(DomainError):
             _bubble(eps=eps)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "q_hat", "w_abs", "alpha_w",
+                                      "beta_hat", "alpha_w_beta_hat", "b_abs",
+                                      "alpha_b", "theta_star", "W_diag",
+                                      "W_offdiag"])
+    def test_rejects_nonfinite_field(self, name, bad):
+        fields = dict(eps=1e-4, a=0.0, q_hat=1.0, w_abs=1.0, alpha_w=0.02,
+                      b_abs=0.97, alpha_b=0.01, beta_hat=0.02)
+        if name == "alpha_w_beta_hat":
+            fields.update(alpha_w=bad, beta_hat=bad)
+        elif name.startswith("W_"):
+            W = np.eye(3)
+            W[0, 0 if name == "W_diag" else 1] = bad
+            W[1, 0] = W[0, 1]
+            fields["W"] = W
+        else:
+            fields[name] = bad
+        with pytest.raises(DomainError):
+            PlacedBubble(**fields)
+
     def test_derived_quantities(self):
         A = _bubble(b_abs=0.8, alpha_b=0.05)
         assert A.d == pytest.approx((1 - 0.64) / 1.6)
