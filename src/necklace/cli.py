@@ -5,9 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 from . import acceptance
@@ -49,13 +47,6 @@ def _emit(rows: List[Dict[str, object]], fmt: str, out: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("NECKLACE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
@@ -217,12 +208,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: c(args.quick), acceptance.CRITERIA))
-    else:
-        results = acceptance.run_all(quick=args.quick)
+    results = acceptance.run_all(quick=args.quick)
     rows = [
         {"criterion": i + 1, "name": r.name,
          "status": "pass" if r.passed else "FAIL",

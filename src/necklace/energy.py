@@ -367,6 +367,8 @@ def eps_star(cfg: ReducedConfig, d: float) -> float:
 
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+#: cap on the cyclic golden-section sweeps of minimize_psi
+_SWEEPS = 60
 
 
 def _golden(f, lo: float, hi: float, tol: float) -> float:
@@ -386,13 +388,14 @@ def _golden(f, lo: float, hi: float, tol: float) -> float:
 
 
 def minimize_psi(cfg: ReducedConfig, mode: str = "leading",
-                 grid_points: int = 9, sweeps: int = 60):
+                 grid_points: int = 9):
     """Deterministic coarse grid followed by cyclic golden-section descent.
 
     Coordinates: log eps, the a-axis normalized by its eps-dependent
     half-width, d, alpha_b, alpha_w.  Returns (argmin, diagnostics) where the
     diagnostics report the boundary distance per axis (as a fraction of the
-    box width) and the scaling ratios of the minimizer.
+    box width), the scaling ratios of the minimizer, the sweeps used and
+    whether the descent converged before the sweep cap.
     """
     if mode not in ("leading", "full"):
         raise DomainError(f"mode must be 'leading' or 'full', got {mode!r}")
@@ -433,7 +436,7 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading",
 
     # cyclic golden-section refinement
     x = dict(best_x)
-    for _ in range(sweeps):
+    for sweeps_used in range(1, _SWEEPS + 1):
         moved = 0.0
         for k in order:
             lo, hi = bounds[k]
@@ -452,6 +455,7 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading",
                 x[k] = new
         if moved < 1e-5:
             break
+    converged = moved < 1e-5
 
     argmin = to_point(x)
     val = value(x)
@@ -473,6 +477,8 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading",
         "a_rel": x["a_rel"],
         "alpha_b_rel": argmin.alpha_b / box["alpha_b"][1],
         "alpha_w_rel": argmin.alpha_w / box["alpha_w"][1],
+        "sweeps_used": sweeps_used,
+        "converged": converged,
     }
     return argmin, diagnostics
 
@@ -488,13 +494,21 @@ def j_reduced(A: ReducedPoint, cfg: ReducedConfig, q6_const: float,
 # default model constants from the m = 16 ring profile
 
 
-def u6_integral(profile: ProfileHandle, R: float = 50.0,
-                n_r: int = 400, n_t: int = 24, n_p: int = 48) -> float:
+#: u6_integral's rule: outer radius, log-radial panels, Gauss order in
+#: cos(theta) and uniform nodes in phi
+_U6_RADIUS = 50.0
+_U6_RADIAL_PANELS = 400
+_U6_POLAR_ORDER = 24
+_U6_AZIMUTH_NODES = 48
+
+
+def u6_integral(profile: ProfileHandle) -> float:
     """int profile^6 over R^3 by log-radial spherical quadrature plus the
     measured 1/|z|^6 tail."""
-    dirs, dweights = _sphere_rule([(-1.0, 1.0, n_t)], n_p)
+    R = _U6_RADIUS
+    dirs, dweights = _sphere_rule([(-1.0, 1.0, _U6_POLAR_ORDER)], _U6_AZIMUTH_NODES)
     s_nodes, s_weights = _gl_panels(
-        np.linspace(math.log(1e-6), math.log(R), n_r + 1), 8
+        np.linspace(math.log(1e-6), math.log(R), _U6_RADIAL_PANELS + 1), 8
     )
     r = np.exp(s_nodes)
     pts = r[:, None, None] * dirs

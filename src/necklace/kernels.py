@@ -11,13 +11,18 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._forms import a_gamma
+from ._forms import a_gamma, s_alt, s_hat
 from .crown import ProfileHandle, fd_gradient, fd_hessian
 from .errors import DomainError
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
-from .trigsums import SumSpec, sum_direct
 
 _COINCIDENT_TOL = 1e-13
+#: central-difference step of kernel_grad's direct derivative
+_GRAD_STEP = 1e-6
+#: second-difference step of kernel_hess, and the gap to the closed form above
+#: which the step is halved and the two differences Richardson-combined
+_HESS_STEP = 1e-4
+_HESS_REFINE_TOL = 1e-3
 
 
 def _tail(cfg: SectorConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -197,7 +202,7 @@ def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     babs, alpha_b = _in_plane(b)
     closed = _gamma_bb_closed(babs, alpha_b, cfg)
     direct = gamma_direct(b, b, cfg)
-    asym = sum_direct(SumSpec("alt_hat", 1, cfg.K, 0.0)) / (2.0 * babs)
+    asym = s_hat(1, cfg.K) / (2.0 * babs)
     return KernelReport.build(direct, closed, asym)
 
 
@@ -249,7 +254,7 @@ def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     closed = _h0e_bb_closed(babs, alpha_b, cfg)
     direct = h0e(b, b, cfg)
     d = (1.0 - babs * babs) / (2.0 * babs)
-    asym = sum_direct(SumSpec("alt", 1, cfg.K, d)) / (2.0 * babs)
+    asym = s_alt(1, cfg.K, d) / (2.0 * babs)
     return KernelReport.build(direct, closed, asym)
 
 
@@ -305,8 +310,8 @@ def _direct_fn(kind: str, cfg: SectorConfig):
     raise DomainError(f"unknown kernel kind {kind!r}")
 
 
-def kernel_grad(kind: str, slot: str, A: PlacedBubble, cfg: SectorConfig,
-                fd_step: float = 1e-6) -> KernelReport:
+def kernel_grad(kind: str, slot: str, A: PlacedBubble,
+                cfg: SectorConfig) -> KernelReport:
     """w-directional derivative of the kernel in the chosen slot at (b, b):
     finite difference vs exact analytic sum vs the alpha = 0 cosecant form."""
     if slot not in ("z", "p"):
@@ -315,21 +320,18 @@ def kernel_grad(kind: str, slot: str, A: PlacedBubble, cfg: SectorConfig,
     bv = A.b_point.as_array()
     w = A.w_vec
     what = w / np.linalg.norm(w)
-    h = fd_step
+    h = _GRAD_STEP
     if slot == "z":
         direct = A.w_abs * (f(bv + h * what, bv) - f(bv - h * what, bv)) / (2 * h)
     else:
         direct = A.w_abs * (f(bv, bv + h * what) - f(bv, bv - h * what)) / (2 * h)
     if kind == "gamma":
         closed = _newton_derivs(A, cfg)[("z", "p").index(slot)]
-        asym = -A.w_abs * sum_direct(SumSpec("alt_hat", 1, cfg.K, 0.0)) / (
-            4.0 * A.b_abs**2
-        )
+        asym = -A.w_abs * s_hat(1, cfg.K) / (4.0 * A.b_abs**2)
     else:
         closed = _h0e_derivs(A, cfg)[("z", "p").index(slot)]
         d = A.d
-        s1 = sum_direct(SumSpec("alt", 1, cfg.K, d))
-        s3 = sum_direct(SumSpec("alt", 3, cfg.K, d))
+        s1, s3 = s_alt(1, cfg.K, d), s_alt(3, cfg.K, d)
         asym = A.w_abs / (4.0 * A.b_abs**2) * (
             -s1 + d * math.sqrt(1.0 + d * d) * s3
         )
@@ -345,8 +347,7 @@ def _mixed_second_difference(f, bv, what, h: float) -> float:
     ) / (4.0 * h * h)
 
 
-def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig,
-                fd_step: float = 1e-4, tol: float = 1e-3) -> KernelReport:
+def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     """w^T (mixed z/p Hessian) w at (b, b): second difference (with Richardson
     refinement when needed) vs exact analytic sum vs the ring asymptotic."""
     f = _direct_fn(kind, cfg)
@@ -355,24 +356,21 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig,
     what = w / np.linalg.norm(w)
     if kind == "gamma":
         closed = _newton_derivs(A, cfg)[2]
-        s1h = sum_direct(SumSpec("alt_hat", 1, cfg.K, 0.0))
-        s3h = sum_direct(SumSpec("alt_hat", 3, cfg.K, 0.0))
+        s1h, s3h = s_hat(1, cfg.K), s_hat(3, cfg.K)
         alpha = np.array([A.alpha_w, A.alpha_b])
         quad = float(alpha @ a_gamma(cfg.K) @ alpha)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (s1h + s3h + quad)
     else:
         closed = _h0e_derivs(A, cfg)[2]
         d = A.d
-        s1 = sum_direct(SumSpec("alt", 1, cfg.K, d))
-        s3 = sum_direct(SumSpec("alt", 3, cfg.K, d))
-        s5 = sum_direct(SumSpec("alt", 5, cfg.K, d))
+        s1, s3, s5 = (s_alt(k, cfg.K, d) for k in (1, 3, 5))
         root = d + math.sqrt(1.0 + d * d)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (
             s1 - root * root * s3 + 3.0 * (d * d + d**4) * s5
         )
-    direct = A.w_abs**2 * _mixed_second_difference(f, bv, what, fd_step)
-    if abs(direct - closed) > tol:
-        finer = A.w_abs**2 * _mixed_second_difference(f, bv, what, fd_step / 2.0)
+    direct = A.w_abs**2 * _mixed_second_difference(f, bv, what, _HESS_STEP)
+    if abs(direct - closed) > _HESS_REFINE_TOL:
+        finer = A.w_abs**2 * _mixed_second_difference(f, bv, what, _HESS_STEP / 2.0)
         direct = (4.0 * finer - direct) / 3.0
     return KernelReport.build(direct, closed, asym)
 

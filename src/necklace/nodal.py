@@ -18,6 +18,8 @@ from .geometry import Point3
 
 _BISECT_ITERS = 60
 _RESIDUAL_TOL = 1e-8
+#: lowest-gradient mesh points the polish starts from
+_POLISH_CANDIDATES = 24
 
 BBox = Tuple[Tuple[float, float], Tuple[float, float], Tuple[float, float]]
 
@@ -183,7 +185,7 @@ def _polish_min(profile: ProfileHandle, start: np.ndarray) -> float:
 
 
 def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle,
-                          polish: bool = True, candidates: int = 24) -> float:
+                          polish: bool = True) -> float:
     """Minimum of |grad u| over the extracted zero set.
 
     The raw grid minimum is polished by a surface-constrained local
@@ -194,7 +196,7 @@ def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle,
     raw_min = float(np.min(mesh.gradients))
     if not polish:
         return raw_min
-    order = np.argsort(mesh.gradients)[:candidates]
+    order = np.argsort(mesh.gradients)[:_POLISH_CANDIDATES]
     best = raw_min
     for idx in order:
         val = _polish_min(profile, mesh.points[idx].copy())

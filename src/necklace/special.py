@@ -1,16 +1,14 @@
-"""Special-function substrate: complete elliptic integral of the first kind,
-modified Bessel K0 and its derivative, zeta(3)/zeta(5), Euler's constant, and
-a tolerance-checked adaptive quadrature wrapper.
+"""Special-function substrate: the constants zeta(3), zeta(5) and Euler's
+gamma, and domain-checked scipy wrappers for the complete elliptic integral of
+the first kind and the modified Bessel function K0 and its derivative.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
 
-import scipy.integrate
+import scipy.special
 
-from .errors import AccuracyError, DomainError, UnsupportedError
+from .errors import DomainError
 
 # Compiled-in constants.  The test suite independently reproduces each one
 # from its defining series (truncation + integral tail bound), so a wrong
@@ -19,162 +17,29 @@ ZETA3 = 1.2020569031595942854
 ZETA5 = 1.0369277551433699263
 EULER_GAMMA = 0.5772156649015328606
 
-#: switch point between the direct quadrature and the logarithmic series
-_ELLIPTIC_SERIES_CUT = 0.9
-#: switch point between the integral representation and the asymptotic series
-_BESSEL_ASYM_CUT = 30.0
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureConfig()
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: Union[float, None],
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
-    """Adaptive quadrature of ``f`` on (a, b); ``b`` may be ``math.inf``.
-
-    An infinite upper limit is handled by the exponential substitution
-    t = a - log(1 - u), mapping (a, inf) to (0, 1).  If the error estimate
-    exceeds the configured tolerances an :class:`AccuracyError` is raised with
-    the best estimate attached.
-    """
-    if b is None:
-        b = math.inf
-    if not b > a:
-        raise DomainError("integration requires b > a")
-    if math.isinf(b):
-        def g(u: float) -> float:
-            one_minus = 1.0 - u
-            return f(a - math.log1p(-u)) / one_minus
-
-        val, err = scipy.integrate.quad(
-            g, 0.0, 1.0,
-            epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
-        )
-    else:
-        val, err = scipy.integrate.quad(
-            f, a, b,
-            epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
-        )
-    if err > max(cfg.abs_tol, cfg.rel_tol * abs(val)) * 10.0:
-        raise AccuracyError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance", best=val
-        )
-    return val
-
 
 def elliptic_k(sigma: float) -> float:
-    """Complete elliptic integral int_0^1 dt / sqrt((1-t^2)(1-sigma^2 t^2)).
-
-    Direct adaptive quadrature (in the smooth t = sin(phi) form) for
-    sigma <= 0.9; the logarithmic series in 1 - sigma^2 for sigma > 0.9,
-    truncated when a term drops below 1e-15.
-    """
+    """Complete elliptic integral int_0^1 dt / sqrt((1-t^2)(1-sigma^2 t^2)),
+    for sigma in [0, 1)."""
     if not 0.0 <= sigma < 1.0:
         raise DomainError(f"sigma must lie in [0, 1), got {sigma}")
-    if sigma <= _ELLIPTIC_SERIES_CUT:
-        s2 = sigma * sigma
-
-        def f(phi: float) -> float:
-            sp = math.sin(phi)
-            return 1.0 / math.sqrt(1.0 - s2 * sp * sp)
-
-        return integrate(f, 0.0, math.pi / 2.0)
-    # series about sigma = 1: with mc = 1 - sigma^2,
-    # K = sum_l c_l [log(4/sqrt(mc)) - b_l] mc^l,
-    # c_0 = 1, c_l = c_{l-1} ((2l-1)/(2l))^2, b_0 = 0, b_l = b_{l-1} + 2/(2l(2l-1))
-    mc = (1.0 - sigma) * (1.0 + sigma)
-    big_l = math.log(4.0 / math.sqrt(mc))
-    c = 1.0
-    bl = 0.0
-    power = 1.0
-    total = 0.0
-    for ell in range(0, 200):
-        if ell > 0:
-            c *= ((2 * ell - 1) / (2 * ell)) ** 2
-            bl += 2.0 / (2 * ell * (2 * ell - 1))
-            power *= mc
-        term = c * (big_l - bl) * power
-        total += term
-        if abs(term) < 1e-15:
-            break
-    return total
+    # K in terms of the complementary parameter 1 - sigma^2, which keeps full
+    # relative accuracy as sigma -> 1
+    return float(scipy.special.ellipkm1((1.0 - sigma) * (1.0 + sigma)))
 
 
-def _k0_quad(t: float, cosh_factor: bool) -> float:
-    cut = (40.0 + abs(math.log(1e-12))) / t
-    umax = math.acosh(cut) if cut > 1.0 else 0.0
-    if umax == 0.0:
-        return 0.0
-
-    if cosh_factor:
-        def f(u: float) -> float:
-            ch = math.cosh(u)
-            return math.exp(-t * ch) * ch
-    else:
-        def f(u: float) -> float:
-            return math.exp(-t * math.cosh(u))
-
-    return integrate(f, 0.0, umax)
-
-
-def _k_asym(t: float, nu: int) -> float:
-    """Asymptotic series sqrt(pi/2t) e^{-t} sum_k a_k(nu)/t^k, a_0 = 1,
-    a_k = a_{k-1} (4 nu^2 - (2k-1)^2) / (8k)."""
-    total = 1.0
-    a = 1.0
-    for k in range(1, 40):
-        a *= (4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
-        term = a / t**k
-        if abs(term) < 1e-17 * abs(total):
-            break
-        total += term
-    return math.sqrt(math.pi / (2.0 * t)) * math.exp(-t) * total
+def _check_positive(name: str, t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"{name} requires finite t > 0, got {t}")
 
 
 def bessel_k0(t: float) -> float:
-    """K0(t) = int_0^inf e^{-t cosh u} du for t > 0."""
-    if t <= 0.0:
-        raise DomainError("bessel_k0 requires t > 0")
-    if t > _BESSEL_ASYM_CUT:
-        return _k_asym(t, 0)
-    return _k0_quad(t, cosh_factor=False)
+    """K0(t) = int_0^inf e^{-t cosh u} du for finite t > 0."""
+    _check_positive("bessel_k0", t)
+    return float(scipy.special.k0(t))
 
 
 def bessel_k0_prime(t: float) -> float:
-    """d/dt K0(t) = -int_0^inf e^{-t cosh u} cosh u du; always negative."""
-    if t <= 0.0:
-        raise DomainError("bessel_k0_prime requires t > 0")
-    if t > _BESSEL_ASYM_CUT:
-        return -_k_asym(t, 1)
-    return -_k0_quad(t, cosh_factor=True)
-
-
-def zeta_const(s: int) -> float:
-    """zeta(s) for s in {3, 5}, to at least 12 digits."""
-    if s == 3:
-        return ZETA3
-    if s == 5:
-        return ZETA5
-    raise UnsupportedError(f"only s in {{3, 5}} is provided, got {s}")
-
-
-def euler_gamma() -> float:
-    """Euler's constant, to at least 10 digits."""
-    return EULER_GAMMA
+    """d/dt K0(t) = -K1(t) for finite t > 0; always negative."""
+    _check_positive("bessel_k0_prime", t)
+    return -float(scipy.special.k1(t))

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+import threading
 
 import pytest
 
-from necklace import cli, energy
+from necklace import acceptance, cli, energy
 from necklace.cli import build_parser, run
 from necklace.errors import AccuracyError, DomainError, NotFoundError, UnsupportedError
 from necklace.trigsums import SumSpec, sum_direct
@@ -179,3 +180,32 @@ def test_energy_validates_before_model(monkeypatch, capsys, flags):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_verify_runs_serially(monkeypatch, capsys, tmp_path):
+    """verify runs its criteria one after another on the calling thread,
+    whatever NECKLACE_THREADS says: mpmath's working precision is
+    process-wide, so concurrent criteria corrupt each other's sums."""
+    monkeypatch.setenv("NECKLACE_THREADS", "4")
+    for failing, code in ((None, 0), ("second", 1)):
+        seen = []
+
+        def fake(name):
+            def criterion(quick):
+                assert quick is True
+                seen.append((name, threading.get_ident()))
+                return acceptance.Result(name, name != failing, 0.0)
+            return criterion
+
+        names = ("first", "second", "third")
+        monkeypatch.setattr(acceptance, "CRITERIA", tuple(map(fake, names)))
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--quick", "--format", "json",
+                    "--out", str(out)]) == code
+        capsys.readouterr()
+        assert seen == [(n, threading.get_ident()) for n in names]
+        rows = json.loads(out.read_text())
+        assert [(r["criterion"], r["name"]) for r in rows] == [
+            (1, "first"), (2, "second"), (3, "third")]
+        assert [r["status"] for r in rows] == [
+            "FAIL" if n == failing else "pass" for n in names]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from necklace import energy
 from necklace.crown import talenti_profile
 from necklace.energy import (
     ReducedConfig,
@@ -163,6 +164,18 @@ class TestMinimization:
         a2, d2 = minimize_psi(cfg, mode="leading")
         assert a1 == a2
         assert d1["value"] == d2["value"]
+
+    def test_reports_convergence(self, monkeypatch):
+        _, diag = minimize_psi(_cfg(), mode="leading")
+        assert diag["converged"] is True
+        assert 1 <= diag["sweeps_used"] < energy._SWEEPS
+        # a config whose descent takes three sweeps, then capped at one
+        slow = ReducedConfig(K=64, lam=1.0, gnorm=1.0, cstar=0.05, delta=0.1)
+        assert minimize_psi(slow, mode="leading")[1]["sweeps_used"] == 3
+        monkeypatch.setattr(energy, "_SWEEPS", 1)
+        _, capped = minimize_psi(slow, mode="leading")
+        assert capped["sweeps_used"] == 1
+        assert capped["converged"] is False
 
     def test_j_reduced_affine_in_psi(self):
         cfg = _cfg()
