@@ -33,8 +33,7 @@ from .kernels import (
     t_a,
 )
 from .nodal import gradient_min_on_nodal, nodal_mesh
-from .special import ZETA3, ZETA5
-from .trigsums import SumSpec, s1_contour, s_asym, sum_direct
+from .trigsums import ZETA3, ZETA5, SumSpec, s1_contour, s_asym, sum_direct
 
 
 @dataclass
@@ -333,7 +332,7 @@ def criterion_10(quick: bool = False) -> Result:
         profile = u_star_profile(params)
         res0 = 48 if quick else 96
         mesh = nodal_mesh(params, profile, 2.5, res0)
-        d["points"] = len(mesh)
+        d["points"], d["dropped"] = len(mesh), mesh.dropped
         if len(mesh) == 0:
             return False
         d["max_residual"] = float(np.max(np.abs(mesh.values)))

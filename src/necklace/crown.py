@@ -92,20 +92,24 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
 
     The points are walked in blocks of at most _BLOCK rows through one reused
     (block, m) buffer, every step in place, so no (N, m) temporary is made.
+    A point's value does not depend on how many points share the call.
     """
     arr = _as_array(z)
     if arr.shape[-1:] != (3,):
         raise DomainError(f"points must have a trailing axis of length 3, got {arr.shape}")
     pts = arr.reshape(-1, 3)
+    # a lone row would go through BLAS's matrix-vector product, which rounds
+    # differently from the matrix-matrix product of a batch; as a 2-row batch
+    # of itself it gets the value it has in any batch.  The blocks below are
+    # equal for the same reason, so no block is a lone row.
+    if len(pts) == 1:
+        pts = np.repeat(pts, 2, axis=0)
     n = len(pts)
     rho2 = 1.0 - p.mu * p.mu
     mu2 = p.mu * p.mu
     amp = TALENTI_AMP * math.sqrt(p.mu)
     out = np.empty(n)
     buf = np.empty((min(n, _BLOCK), p.m))
-    # equal blocks: a lone trailing row would go through BLAS's
-    # matrix-vector product, which rounds differently from the
-    # matrix-matrix product of the rows around it
     nblk = -(-n // _BLOCK)
     for i in range(nblk):
         lo, hi = i * n // nblk, (i + 1) * n // nblk
@@ -125,7 +129,7 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
         ring = d2.sum(axis=-1)
         ring *= amp
         np.subtract(TALENTI_AMP / np.sqrt(1.0 + r2), ring, out=out[lo:hi])
-    val = out.reshape(arr.shape[:-1])
+    val = out[: arr.size // 3].reshape(arr.shape[:-1])
     return float(val) if val.ndim == 0 else val
 
 
@@ -276,31 +280,34 @@ def h_param(z: PointLike, p: CrownParams, validate: bool = False) -> float:
 
 def fd_gradient(profile: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
                 h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a vectorized scalar field."""
+    """Central-difference gradient of a vectorized scalar field, from one
+    call on the 6 stencil points."""
     point = np.asarray(point, dtype=float)
     eye = np.eye(3)
-    plus = np.asarray(profile(point + h * eye), dtype=float)
-    minus = np.asarray(profile(point - h * eye), dtype=float)
-    return (plus - minus) / (2.0 * h)
+    vals = np.asarray(profile(np.concatenate([point + h * eye, point - h * eye])),
+                      dtype=float)
+    return (vals[:3] - vals[3:]) / (2.0 * h)
 
 
 def fd_hessian(profile: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
                h: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian of a vectorized scalar field."""
+    """Central-difference Hessian of a vectorized scalar field, from one call
+    on the 19 stencil points."""
     point = np.asarray(point, dtype=float)
     eye = np.eye(3)
-    f0 = float(np.asarray(profile(point)))
+    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
+    stencil = [point] + [point + h * e for e in eye] + [point - h * e for e in eye]
+    for i, j in pairs:
+        stencil += [point + h * eye[i] + h * eye[j], point + h * eye[i] - h * eye[j],
+                    point - h * eye[i] + h * eye[j], point - h * eye[i] - h * eye[j]]
+    vals = np.asarray(profile(np.array(stencil)), dtype=float).tolist()
+    f0, fp, fm, mixed = vals[0], vals[1:4], vals[4:7], vals[7:]
     hess = np.empty((3, 3))
     for i in range(3):
-        fp = float(np.asarray(profile(point + h * eye[i])))
-        fm = float(np.asarray(profile(point - h * eye[i])))
-        hess[i, i] = (fp - 2.0 * f0 + fm) / (h * h)
-        for j in range(i + 1, 3):
-            fpp = float(np.asarray(profile(point + h * eye[i] + h * eye[j])))
-            fpm = float(np.asarray(profile(point + h * eye[i] - h * eye[j])))
-            fmp = float(np.asarray(profile(point - h * eye[i] + h * eye[j])))
-            fmm = float(np.asarray(profile(point - h * eye[i] - h * eye[j])))
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+        hess[i, i] = (fp[i] - 2.0 * f0 + fm[i]) / (h * h)
+    for k, (i, j) in enumerate(pairs):
+        fpp, fpm, fmp, fmm = mixed[4 * k: 4 * k + 4]
+        hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
     return hess
 
 

@@ -105,7 +105,9 @@ class PlacedBubble:
         W = np.asarray(self.W, dtype=float)
         if W.shape != (3, 3) or not np.isfinite(W).all():
             raise DomainError("W must be a finite 3x3 matrix")
-        if not np.allclose(W, W.T, atol=1e-10):
+        # the exact test is far cheaper than allclose, and every W it
+        # accepts allclose accepts too
+        if not np.array_equal(W, W.T) and not np.allclose(W, W.T, atol=1e-10):
             raise DomainError("W must be a symmetric 3x3 matrix")
 
     @property
@@ -379,21 +381,27 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
 # the placed bubble and its image sum
 
 
+def _q_a_profile(v: np.ndarray, A: PlacedBubble) -> np.ndarray:
+    """q_a through the attached profile at each row of ``v``, from one
+    profile call."""
+    r = v - A.b_point.as_array()
+    rn = _norm(r)
+    if np.any(rn < _COINCIDENT_TOL):
+        raise DomainError("q_a is undefined at the placement point")
+    rot = rotation_matrix(A.beta)
+    # stacked matvecs, each rounded as rot @ r_i is
+    inner = (A.eps * np.matmul(rot, r[:, :, None])[:, :, 0] / _pow(rn, 2)[:, None]
+             + A.xi_hat.as_array())
+    return math.sqrt(A.eps) / rn * A.profile.fn(inner)
+
+
 def q_a(z: Point3, A: PlacedBubble) -> float:
     """The placed bubble eps^{1/2}/|z-b| q(eps R_beta (z-b)/|z-b|^2 + xi_hat).
 
     Uses the attached profile when available, otherwise the second-order
     far-field expansion in the stored scalars."""
-    zv = z.as_array()
-    bv = A.b_point.as_array()
-    r = zv - bv
-    rn = float(np.linalg.norm(r))
-    if rn < _COINCIDENT_TOL:
-        raise DomainError("q_a is undefined at the placement point")
     if A.profile is not None and A.xi_hat is not None:
-        rot = rotation_matrix(A.beta)
-        inner = A.eps * (rot @ r) / rn**2 + A.xi_hat.as_array()
-        return math.sqrt(A.eps) / rn * float(np.asarray(A.profile.fn(inner)))
+        return float(_q_a_profile(z.as_array()[None, :], A)[0])
     return q_a_expansion(z, A)
 
 
@@ -424,8 +432,11 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     _check_finite(z)
     mats, signs = _tail(cfg)
     v = mats @ z.as_array()
-    direct = math.fsum(s * q_a(Point3.from_array(u), A)
-                       for u, s in zip(v, signs.tolist()))
+    if A.profile is not None and A.xi_hat is not None:
+        direct = math.fsum(signs * _q_a_profile(v, A))
+    else:
+        direct = math.fsum(s * q_a_expansion(Point3.from_array(u), A)
+                           for u, s in zip(v, signs.tolist()))
     W = np.asarray(A.W, dtype=float)
     r = v - A.b_point.as_array()
     rn = _norm(r)

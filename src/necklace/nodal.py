@@ -12,7 +12,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 import scipy.optimize
 
-from .crown import CrownParams, ProfileHandle, _as_array
+from .crown import _BLOCK, CrownParams, ProfileHandle, _as_array
 from .errors import DomainError, NotFoundError
 from .geometry import Point3
 
@@ -43,20 +43,32 @@ class NodalMesh:
     gradients: np.ndarray   # (N,) |grad u|
     bbox: BBox
     resolution: int
+    dropped: int = 0        # crossings removed for residual > 1e-8
 
     def __len__(self) -> int:
         return len(self.points)
 
 
 def gradient_norms(profile: ProfileHandle, points: np.ndarray) -> np.ndarray:
-    """Central-difference |grad u| with scale-aware step h = 1e-5 max(1, |z|)."""
+    """Central-difference |grad u| with scale-aware step h = 1e-5 max(1, |z|).
+
+    Each chunk of points makes one profile call on its six stencil points,
+    small enough to be one block of u_star."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     h = 1e-5 * np.maximum(1.0, np.linalg.norm(pts, axis=-1))[:, None]
     acc = np.zeros((len(pts), 3))
     eye = np.eye(3)
-    for ax in range(3):
-        step = h * eye[ax]
-        acc[:, ax] = (profile.fn(pts + step) - profile.fn(pts - step)) / (2.0 * h[:, 0])
+    chunk = _BLOCK // 6
+    stencil = np.empty((6, min(len(pts), chunk), 3))
+    for lo in range(0, len(pts), chunk):
+        blk, hb = pts[lo:lo + chunk], h[lo:lo + chunk]
+        st = stencil[:, :len(blk)]
+        for ax in range(3):
+            step = hb * eye[ax]
+            np.add(blk, step, out=st[2 * ax])
+            np.subtract(blk, step, out=st[2 * ax + 1])
+        vals = profile.fn(st)
+        acc[lo:lo + chunk] = (vals[0::2] - vals[1::2]).T / (2.0 * hb)
     return np.linalg.norm(acc, axis=-1)
 
 
@@ -162,7 +174,8 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     residual = residual[keep]
     grads = gradient_norms(profile, points) if len(points) else np.empty(0)
     return NodalMesh(points=points, values=residual, gradients=grads,
-                     bbox=bbox, resolution=resolution)
+                     bbox=bbox, resolution=resolution,
+                     dropped=int(np.count_nonzero(~keep)))
 
 
 def _polish_min(profile: ProfileHandle, start: np.ndarray) -> float:

@@ -1,6 +1,5 @@
-"""Special-function substrate: the constants zeta(3), zeta(5) and Euler's
-gamma, and domain-checked scipy wrappers for the complete elliptic integral of
-the first kind and the modified Bessel function K0 and its derivative.
+"""Domain-checked scipy wrappers for the complete elliptic integral of the
+first kind and the modified Bessel function K0 and its derivative.
 """
 from __future__ import annotations
 
@@ -9,13 +8,6 @@ import math
 import scipy.special
 
 from .errors import DomainError
-
-# Compiled-in constants.  The test suite independently reproduces each one
-# from its defining series (truncation + integral tail bound), so a wrong
-# digit here fails loudly.
-ZETA3 = 1.2020569031595942854
-ZETA5 = 1.0369277551433699263
-EULER_GAMMA = 0.5772156649015328606
 
 
 def elliptic_k(sigma: float) -> float:

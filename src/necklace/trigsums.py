@@ -15,14 +15,14 @@ Variants, each over offsets x >= 0 with n even:
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
-import mpmath as mp
 import scipy.integrate
+from mpmath.ctx_mp import MPContext
 
 from .errors import AccuracyError, DomainError, RegimeWarning, UnsupportedError
-from .special import EULER_GAMMA, ZETA3, ZETA5
 
 VARIANTS = ("odd", "even", "even_hat", "alt", "alt_hat")
 
@@ -74,18 +74,30 @@ def _term_indices(spec: SumSpec):
             yield j, 1.0 if j % 2 == 1 else -1.0
 
 
-def _sum_mp(spec: SumSpec, dps: int):
-    with mp.workdps(dps):
-        x2 = mp.mpf(spec.x) ** 2
-        step = mp.pi / spec.n
-        khalf = mp.mpf(spec.k) / 2
-        total = mp.mpf(0)
-        abssum = mp.mpf(0)
-        for j, sign in _term_indices(spec):
-            t = (x2 + mp.sin(j * step) ** 2) ** (-khalf)
-            total += sign * t
-            abssum += t
-        return total, abssum
+# one private mpmath context per thread: mpmath's global context keeps one
+# working precision for the whole process, which concurrent callers would race on
+_MP = threading.local()
+
+
+def _mp_context() -> MPContext:
+    ctx = getattr(_MP, "ctx", None)
+    if ctx is None:
+        ctx = _MP.ctx = MPContext()
+    return ctx
+
+
+def _sum_mp(ctx: MPContext, spec: SumSpec):
+    """The sum and the sum of the term magnitudes at ctx's precision."""
+    x2 = ctx.mpf(spec.x) ** 2
+    step = ctx.pi / spec.n
+    khalf = ctx.mpf(spec.k) / 2
+    total = ctx.mpf(0)
+    abssum = ctx.mpf(0)
+    for j, sign in _term_indices(spec):
+        t = (x2 + ctx.sin(j * step) ** 2) ** (-khalf)
+        total += sign * t
+        abssum += t
+    return total, abssum
 
 
 def sum_direct(spec: SumSpec) -> float:
@@ -94,7 +106,8 @@ def sum_direct(spec: SumSpec) -> float:
     When the alternating cancellation exceeds what double precision can
     resolve (|sum| below 1e-8 of the term magnitude), the sum is recomputed
     in multiprecision with doubling working precision until the result is
-    resolved, then rounded back to float.
+    resolved, then rounded back to float.  The multiprecision pathway uses a
+    private context per thread, so concurrent calls do not interfere.
     """
     x2 = spec.x * spec.x
     step = math.pi / spec.n
@@ -107,10 +120,14 @@ def sum_direct(spec: SumSpec) -> float:
     abssum = math.fsum(abs(t) for t in terms)
     if abs(total) >= _CANCEL_THRESHOLD * abssum:
         return total
+    ctx = _mp_context()
     dps = 40
     while dps <= 640:
-        total_mp, abs_mp = _sum_mp(spec, dps)
-        if abs(total_mp) > abs_mp * mp.mpf(10) ** (-(dps - 15)):
+        ctx.dps = dps
+        total_mp, abs_mp = _sum_mp(ctx, spec)
+        # the resolution test runs in double precision
+        ctx.prec = 53
+        if abs(total_mp) > abs_mp * ctx.mpf(10) ** (-(dps - 15)):
             return float(total_mp)
         dps *= 2
     raise AccuracyError(
@@ -176,6 +193,12 @@ def s_asym(k: int, n: int, x: float) -> float:
         return pref * n**3 * nx ** -1.5 * math.exp(-nx)
     return pref / 3.0 * n**5 * nx ** -2.5 * math.exp(-nx)
 
+
+# zeta(3), zeta(5) and Euler's gamma; the test suite reproduces each one from
+# its defining series, so a wrong digit here fails loudly
+ZETA3 = 1.2020569031595942854
+ZETA5 = 1.0369277551433699263
+EULER_GAMMA = 0.5772156649015328606
 
 _CSC_LEADING = {
     ("odd", 3): lambda n: 7.0 * ZETA3 * n**3 / (4.0 * math.pi**3),

@@ -20,6 +20,7 @@ from necklace.crown import (
     u_bubble,
     u_star,
     u_star_corrected_profile,
+    u_star_profile,
 )
 from necklace.errors import DomainError, NearPoleWarning
 from necklace.geometry import Point3
@@ -147,6 +148,16 @@ class TestUStarBlocks:
                 z = _near_ring(n, seed)
                 assert np.array_equal(u_star(z, crown16), _u_star_reference(z, crown16))
 
+    def test_lone_row_matches_batch(self, crown16):
+        # a one-row call must not take BLAS's matrix-vector path, whose
+        # rounding differs from the matrix-matrix product of a batch
+        z = _near_ring(2049, 3)
+        batch = u_star(z, crown16)
+        for i in range(20):
+            assert u_star(z[i], crown16) == batch[i]
+            assert u_star(z[i:i + 1], crown16)[0] == batch[i]
+            assert u_star(z[i:i + 2], crown16)[0] == batch[i]
+
     def test_empty(self, crown16):
         got = u_star(np.empty((0, 3)), crown16)
         assert isinstance(got, np.ndarray)
@@ -243,6 +254,38 @@ class TestFiniteDifferences:
         x = np.array([0.3, 0.7, -0.2])
         assert fd_gradient(f, x) == pytest.approx(A @ x + b, abs=1e-8)
         assert fd_hessian(f, x) == pytest.approx(A, abs=1e-6)
+
+
+def _fd_hessian_loop(profile, point, h=1e-4):
+    """The one-point-per-call central-difference Hessian."""
+    eye = np.eye(3)
+    f0 = float(np.asarray(profile(point)))
+    hess = np.empty((3, 3))
+    for i in range(3):
+        fp = float(np.asarray(profile(point + h * eye[i])))
+        fm = float(np.asarray(profile(point - h * eye[i])))
+        hess[i, i] = (fp - 2.0 * f0 + fm) / (h * h)
+        for j in range(i + 1, 3):
+            fpp = float(np.asarray(profile(point + h * eye[i] + h * eye[j])))
+            fpm = float(np.asarray(profile(point + h * eye[i] - h * eye[j])))
+            fmp = float(np.asarray(profile(point - h * eye[i] + h * eye[j])))
+            fmm = float(np.asarray(profile(point - h * eye[i] - h * eye[j])))
+            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+    return hess
+
+
+class TestFiniteDifferenceBatching:
+    def test_hessian_matches_loop(self, crown16):
+        prof = u_star_profile(crown16)
+        for z in _near_ring(12, 5):
+            assert np.array_equal(fd_hessian(prof.fn, z), _fd_hessian_loop(prof.fn, z))
+
+    def test_gradient_matches_loop(self, crown16):
+        prof = u_star_profile(crown16)
+        h, eye = 1e-6, np.eye(3)
+        for z in _near_ring(12, 6):
+            loop = [(prof.fn(z + h * e) - prof.fn(z - h * e)) / (2.0 * h) for e in eye]
+            assert np.array_equal(fd_gradient(prof.fn, z), loop)
 
 
 class TestKernelZ:

@@ -28,7 +28,7 @@ from necklace.energy import (
 )
 from necklace.errors import DomainError
 from necklace.geometry import Point3
-from necklace.special import ZETA3, ZETA5
+from necklace.trigsums import ZETA3, ZETA5
 
 
 def _cfg(K=64):

@@ -64,6 +64,12 @@ class TestPlacedBubble:
                          W=np.array([[0.0, 1.0, 0.0],
                                      [0.0, 0.0, 0.0],
                                      [0.0, 0.0, 0.0]]))
+        # symmetric only to round-off: the allclose fallback accepts it
+        PlacedBubble(eps=1e-4, a=0.0, q_hat=1.0, w_abs=1.0, alpha_w=0.0,
+                     b_abs=0.9, alpha_b=0.0, beta_hat=0.0,
+                     W=np.array([[0.0, 1.0, 0.0],
+                                 [1.0 + 1e-12, 0.0, 0.0],
+                                 [0.0, 0.0, 0.0]]))
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_eps(self, eps):
@@ -243,6 +249,33 @@ class TestPlacedBubbleField:
         approx = q_a_expansion(z, A)
         scale = math.sqrt(A.eps) * A.eps**2
         assert abs(full - approx) < 100.0 * scale
+
+    def test_batched_image_sum_matches_per_image_loop(self):
+        # t_a makes one profile call for all its images; each image's term
+        # must still be the value of a lone q_a call and of the one-image code
+        def one_image(u, A):
+            r = u - A.b_point.as_array()
+            rn = float(np.linalg.norm(r))
+            inner = A.eps * (rotation_matrix(A.beta) @ r) / rn**2 + A.xi_hat.as_array()
+            return math.sqrt(A.eps) / rn * float(A.profile.fn(inner))
+
+        crown = build_crown(16)
+        prof = u_star_profile(crown)
+        xi = Point3(0.6038943129964425, 0.0, 0.0)
+        K = 64
+        cfg = SectorConfig(K)
+        # a rotated frame (beta_hat = 0.3) and an off-axis placement
+        A = place_bubble(K**-3.0, 0.0, 0.985, 0.01, 0.3, prof, xi)
+        mats, signs = sector_images(K)
+        rng = np.random.default_rng(7)
+        t0 = math.pi / K
+        for _ in range(40):
+            r, ang = rng.uniform(0.05, 0.999), rng.uniform(-t0, t0)
+            z = Point3(r * math.cos(ang), r * math.sin(ang), rng.uniform(-0.5, 0.5))
+            images = list(zip(mats[1:] @ z.as_array(), (-signs[1:]).tolist()))
+            direct = t_a(z, A, cfg).direct
+            assert direct == math.fsum(s * q_a(Point3.from_array(u), A) for u, s in images)
+            assert direct == math.fsum(s * one_image(u, A) for u, s in images)
 
     def test_image_sum_report(self):
         crown = build_crown(16)

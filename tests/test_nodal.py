@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from necklace.crown import (
+    _BLOCK,
+    ProfileHandle,
     build_crown,
     talenti_profile,
     u_star_corrected_profile,
@@ -61,6 +63,26 @@ class TestGradientNorms:
         assert gradient_norms(prof, pts) == pytest.approx(exact, abs=1e-9)
 
 
+def _gradient_norms_loop(profile, pts):
+    """Per-axis central differences, each axis one call on all points."""
+    h = 1e-5 * np.maximum(1.0, np.linalg.norm(pts, axis=-1))[:, None]
+    acc = np.zeros((len(pts), 3))
+    for ax in range(3):
+        step = h * np.eye(3)[ax]
+        acc[:, ax] = (profile.fn(pts + step) - profile.fn(pts - step)) / (2.0 * h[:, 0])
+    return np.linalg.norm(acc, axis=-1)
+
+
+@pytest.mark.parametrize("n", [_BLOCK // 6 - 1, _BLOCK // 6, _BLOCK // 6 + 1])
+def test_chunked_gradient_norms_match_loop(crown16, star16, n):
+    rng = np.random.default_rng(n)
+    centers = crown16.centers_array()
+    pts = centers[rng.integers(0, 16, n)] + rng.normal(0.0, 0.05, (n, 3))
+    assert np.array_equal(gradient_norms(star16, pts), _gradient_norms_loop(star16, pts))
+    for i in range(3):
+        assert gradient_norms(star16, pts[i]) == _gradient_norms_loop(star16, pts[i:i + 1])
+
+
 class TestNodalMesh:
     def test_bbox_validation(self, crown16, star16):
         with pytest.raises(DomainError):
@@ -86,6 +108,23 @@ class TestNodalMesh:
         hi = np.array([ax[1] for ax in mesh.bbox])
         assert np.all(mesh.points >= lo - 1e-12)
         assert np.all(mesh.points <= hi + 1e-12)
+
+    def test_dropped_count(self, crown16, star16):
+        # kept + dropped is every sign-changing grid edge
+        res = 48
+        mesh = nodal_mesh(crown16, star16, 2.5, res)
+        ax = np.linspace(-2.5, 2.5, res)
+        grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
+        sign = np.sign(star16.fn(grid))
+        edges = sum(int(np.count_nonzero(
+            np.take(sign, range(res - 1), axis=a) * np.take(sign, range(1, res), axis=a) < 0))
+            for a in range(3))
+        assert len(mesh) + mesh.dropped == edges
+        # a sign jump at z1 = 0.1 never gets below the residual bound, so all
+        # 16 x 16 crossings of it are dropped
+        step = ProfileHandle(fn=lambda a: np.where(a[..., 0] < 0.1, -1.0, 1.0), tag="step")
+        jump = nodal_mesh(crown16, step, 1.0, 16)
+        assert (len(jump), jump.dropped) == (0, 256)
 
     def test_corrected_profile_mesh(self, crown16):
         prof = u_star_corrected_profile(crown16)

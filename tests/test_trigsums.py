@@ -1,13 +1,18 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from necklace.errors import DomainError, RegimeWarning, UnsupportedError
-from necklace.special import EULER_GAMMA, ZETA3, ZETA5
 from necklace.trigsums import (
+    EULER_GAMMA,
+    ZETA3,
+    ZETA5,
     SumSpec,
     appendix_h_sum,
     csc_asym,
@@ -172,3 +177,54 @@ def test_appendix_h_sum_matches_brute():
     assert appendix_h_sum(m, theta, h) == pytest.approx(expected, rel=1e-13)
     with pytest.warns(RegimeWarning):
         appendix_h_sum(m, theta, 0.5)
+
+
+def test_sum_direct_thread_safe():
+    # every spec escalates to multiprecision, ending at 40, 80 or 160 digits,
+    # so threads sharing one process-wide precision would use each other's
+    specs = [SumSpec("alt", k, 200, x) for k in (1, 3, 5) for x in (0.15, 0.5, 1.0, 1.6)]
+    serial = [sum_direct(spec) for spec in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(lambda: [sum_direct(spec) for spec in specs])
+                       for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == serial for got in results)
+
+
+def _zeta_series(s: float, terms: int = 200_000) -> float:
+    """Independent oracle: direct series with an Euler-Maclaurin tail."""
+    n = np.arange(1, terms, dtype=float)
+    head = float(np.sum(n**-s))
+    N = float(terms)
+    return head + N ** (1 - s) / (s - 1) + N**-s / 2.0 + s * N ** (-s - 1) / 12.0
+
+
+def _gamma_series(terms: int = 200_000) -> float:
+    n = np.arange(1, terms + 1, dtype=float)
+    harmonic = float(np.sum(1.0 / n))
+    N = float(terms)
+    return harmonic - math.log(N) - 1.0 / (2.0 * N) + 1.0 / (12.0 * N * N)
+
+
+def test_zeta_constants_reproduced_from_series():
+    assert ZETA3 == pytest.approx(_zeta_series(3.0), abs=1e-13)
+    assert ZETA5 == pytest.approx(_zeta_series(5.0), abs=1e-13)
+
+
+def test_euler_gamma_ten_digits():
+    assert EULER_GAMMA == pytest.approx(_gamma_series(), abs=1e-10)
+
+
+def test_sinh_moment_integral():
+    """int_0^inf t^2/sinh t dt = (7/2) zeta(3); the tail beyond t = 100 is
+    below 4 * 100^2 e^-100 < 1e-38."""
+    val, _ = scipy.integrate.quad(
+        lambda t: t * t / math.sinh(t) if t > 0 else 0.0, 0.0, 100.0,
+        epsabs=1e-12, epsrel=1e-10, limit=200,
+    )
+    assert val == pytest.approx(3.5 * ZETA3, abs=1e-10)
