@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,10 @@ class Result:
     details: Dict[str, object] = field(default_factory=dict)
 
 
-def _run(name: str, body: Callable[[Dict[str, object]], bool]) -> Result:
+def _run(name: str, body: Callable[[Dict[str, object]], bool],
+         budget: Optional[float] = None) -> Result:
+    """Run a criterion's body; with a ``budget``, a body that takes that many
+    seconds or more fails too, and the details record ``budget_s``."""
     details: Dict[str, object] = {}
     start = time.perf_counter()
     try:
@@ -52,8 +55,11 @@ def _run(name: str, body: Callable[[Dict[str, object]], bool]) -> Result:
     except Exception as exc:  # a crashed criterion is a failed criterion
         details["error"] = f"{type(exc).__name__}: {exc}"
         passed = False
-    return Result(name=name, passed=bool(passed),
-                  elapsed=time.perf_counter() - start, details=details)
+    elapsed = time.perf_counter() - start
+    if budget is not None:
+        passed = passed and elapsed < budget
+        details["budget_s"] = budget
+    return Result(name=name, passed=bool(passed), elapsed=elapsed, details=details)
 
 
 def criterion_1(quick: bool = False) -> Result:
@@ -74,10 +80,7 @@ def criterion_1(quick: bool = False) -> Result:
         d["max_log4_gap"] = max(gaps)
         return ok and max(gaps) <= 2.0
 
-    res = _run("series constants", body)
-    res.passed = res.passed and res.elapsed < 2.0
-    res.details["budget_s"] = 2.0
-    return res
+    return _run("series constants", body, budget=2.0)
 
 
 def criterion_2(quick: bool = False) -> Result:
@@ -92,10 +95,7 @@ def criterion_2(quick: bool = False) -> Result:
         d["worst_rel"] = worst
         return worst <= 1e-7
 
-    res = _run("contour identity", body)
-    res.passed = res.passed and res.elapsed < 5.0
-    res.details["budget_s"] = 5.0
-    return res
+    return _run("contour identity", body, budget=5.0)
 
 
 def criterion_3(quick: bool = False) -> Result:
@@ -320,10 +320,7 @@ def criterion_9(quick: bool = False) -> Result:
             d[f"K={K}"] = entry
         return bool(ok)
 
-    res = _run("reduced-energy scaling", body)
-    res.passed = res.passed and res.elapsed < 60.0
-    res.details["budget_s"] = 60.0
-    return res
+    return _run("reduced-energy scaling", body, budget=60.0)
 
 
 def criterion_10(quick: bool = False) -> Result:

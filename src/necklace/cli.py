@@ -49,36 +49,28 @@ def _emit(rows: List[Dict[str, object]], fmt: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  defaults: Dict[str, object]) -> None:
-    """Merge a key=value config file under the flags (flags win)."""
-    if not getattr(args, "config", None):
-        pass
-    else:
-        known = set(vars(args))
-        with open(args.config) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    parser.error(f"malformed config line: {line!r}")
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                if key not in known:
-                    parser.error(f"unknown config key: {key!r}")
-                if getattr(args, key) is None:
-                    current_default = defaults.get(key)
-                    caster = type(current_default) if current_default is not None else str
-                    try:
-                        value = caster(raw.strip()) if caster is not bool else (
-                            raw.strip().lower() in ("1", "true", "yes"))
-                    except ValueError:
-                        parser.error(f"bad value for {key!r}: {raw.strip()!r}")
-                    setattr(args, key, value)
-    for key, val in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
+def _config_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> List[str]:
+    """The option tokens of the key=value config file: ``--key value`` per
+    line, or ``--key`` alone for a switch set to true."""
+    tokens: List[str] = []
+    with open(args.config) as fh:
+        lines = [line.strip() for line in fh]
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            parser.error(f"malformed config line: {line!r}")
+        if key not in vars(args):
+            parser.error(f"unknown config key: {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            tokens += [flag, value]
+        elif value.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+        elif value.lower() not in ("0", "false", "no"):
+            parser.error(f"bad value for {key!r}: {value!r}")
+    return tokens
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -96,33 +88,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sums", help="trigonometric sums and their asymptotics")
-    p.add_argument("--variant", choices=("odd", "even", "even_hat", "alt", "alt_hat"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--x", type=float)
+    p.add_argument("--variant", choices=("odd", "even", "even_hat", "alt", "alt_hat"),
+                   default="alt_hat")
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--x", type=float, default=0.0)
     _add_common(p)
 
     p = sub.add_parser("ansatz", help="ring parameters and midpoint report")
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=int, default=16)
     _add_common(p)
 
     p = sub.add_parser("nodal", help="zero-set point cloud of the ring profile")
-    p.add_argument("--m", type=int)
-    p.add_argument("--bbox", type=float)
-    p.add_argument("--res", type=int)
+    p.add_argument("--m", type=int, default=16)
+    p.add_argument("--bbox", type=float, default=2.5)
+    p.add_argument("--res", type=int, default=96)
     _add_common(p)
 
     p = sub.add_parser("kernels", help="diagonal kernel reports")
-    p.add_argument("--K", type=int)
-    p.add_argument("--b-abs", dest="b_abs", type=float)
-    p.add_argument("--alpha-b", dest="alpha_b", type=float)
+    p.add_argument("--K", type=int, default=64)
+    p.add_argument("--b-abs", dest="b_abs", type=float, default=0.9)
+    p.add_argument("--alpha-b", dest="alpha_b", type=float, default=0.0)
     _add_common(p)
 
     p = sub.add_parser("energy", help="reduced-energy minimization")
-    p.add_argument("--K", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--mode", choices=("leading", "full"))
+    p.add_argument("--K", type=int, default=64)
+    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--mode", choices=("leading", "full"), default="leading")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the acceptance checks")
@@ -222,15 +215,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_DEFAULTS = {
-    "sums": {"variant": "alt_hat", "k": 1, "n": 64, "x": 0.0},
-    "ansatz": {"m": 16},
-    "nodal": {"m": 16, "bbox": 2.5, "res": 96},
-    "kernels": {"K": 64, "b_abs": 0.9, "alpha_b": 0.0},
-    "energy": {"K": 64, "lam": 1.0, "delta": 0.1, "mode": "leading"},
-    "verify": {},
-}
-
 _HANDLERS = {
     "sums": _cmd_sums,
     "ansatz": _cmd_ansatz,
@@ -243,9 +227,13 @@ _HANDLERS = {
 
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
-        _apply_config(args, parser, _DEFAULTS.get(args.command, {}))
+        args = parser.parse_args(argv)
+        if args.config:
+            # the file's options go before the command line's, so flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_args(args, parser) + argv[at:])
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:

@@ -9,7 +9,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -21,6 +21,9 @@ TALENTI_AMP = 3.0**0.25
 
 # rows per block of u_star's ring sum: the (block, m) buffer stays in cache
 _BLOCK = 2048
+#: central-difference step of fd_hessian
+_FD_HESSIAN_STEP = 1e-4
+_EYE = np.eye(3)
 
 PointLike = Union[Point3, np.ndarray]
 
@@ -144,7 +147,6 @@ class ProfileHandle:
 
     fn: Callable[[np.ndarray], np.ndarray]
     tag: str  # talenti | u_star | u_star_corrected
-    params: Optional[CrownParams] = None
     features: Tuple[Point3, ...] = ()
     singularities: Tuple[Point3, ...] = ()
 
@@ -159,7 +161,7 @@ def talenti_profile() -> ProfileHandle:
 
 def u_star_profile(p: CrownParams) -> ProfileHandle:
     return ProfileHandle(
-        fn=lambda arr: u_star(arr, p), tag="u_star", params=p, features=p.xi
+        fn=lambda arr: u_star(arr, p), tag="u_star", features=p.xi
     )
 
 
@@ -171,7 +173,7 @@ def u_star_corrected_profile(p: CrownParams) -> ProfileHandle:
         return u_star(arr, p) + psi_d1(arr, p)
 
     return ProfileHandle(
-        fn=fn, tag="u_star_corrected", params=p, features=p.xi, singularities=sing
+        fn=fn, tag="u_star_corrected", features=p.xi, singularities=sing
     )
 
 
@@ -249,13 +251,10 @@ def q_mid_lower(p: CrownParams) -> MidpointReport:
     return MidpointReport(value=value, lower_bound=bound)
 
 
-def h_param(z: PointLike, p: CrownParams, validate: bool = False) -> float:
+def h_param(z: PointLike, p: CrownParams) -> float:
     """Scaled distance to the ring circle:
-    h = sqrt(((r - rho)^2 + z3^2) / (4 r rho)), rho = sqrt(1 - mu^2).
-
-    With ``validate`` the defining identity
-    |z - xi_j|^2 = 4 r rho (h^2 + sin^2((j-1) pi/m - theta/2)) is checked for
-    every j."""
+    h = sqrt(((r - rho)^2 + z3^2) / (4 r rho)), rho = sqrt(1 - mu^2), so that
+    |z - xi_j|^2 = 4 r rho (h^2 + sin^2((j-1) pi/m - theta/2)) for every j."""
     arr = _as_array(z)
     if arr.ndim != 1:
         raise DomainError("h_param takes a single point")
@@ -263,36 +262,40 @@ def h_param(z: PointLike, p: CrownParams, validate: bool = False) -> float:
     if r == 0.0:
         raise DomainError("h_param is undefined on the z3 axis")
     rho = p.ring_radius
-    h = math.sqrt(((r - rho) ** 2 + arr[2] ** 2) / (4.0 * r * rho))
-    if validate:
-        theta = math.atan2(arr[1], arr[0])
-        centers = p.centers_array()
-        for j in range(p.m):
-            lhs = float(np.sum((arr - centers[j]) ** 2))
-            ang = j * math.pi / p.m - theta / 2.0
-            rhs = 4.0 * r * rho * (h * h + math.sin(ang) ** 2)
-            if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):
-                raise DomainError(
-                    f"ring-distance identity violated at j={j}: {lhs} vs {rhs}"
-                )
-    return h
+    return math.sqrt(((r - rho) ** 2 + arr[2] ** 2) / (4.0 * r * rho))
 
 
-def fd_gradient(profile: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
-                h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a vectorized scalar field, from one
-    call on the 6 stencil points."""
-    point = np.asarray(point, dtype=float)
-    eye = np.eye(3)
-    vals = np.asarray(profile(np.concatenate([point + h * eye, point - h * eye])),
-                      dtype=float)
-    return (vals[:3] - vals[3:]) / (2.0 * h)
+def fd_gradient(profile: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
+                h: Union[float, np.ndarray] = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a vectorized scalar field at a (3,)
+    point or at each row of (N, 3) points, with step ``h``: a scalar or one
+    step per point.
+
+    Each chunk of points makes one profile call on its six stencil points,
+    small enough to be one block of u_star."""
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(-1, 3)
+    h = np.asarray(h, dtype=float).reshape(-1, 1)
+    grad = np.empty_like(flat)
+    chunk = _BLOCK // 6
+    stencil = np.empty((6, min(len(flat), chunk), 3))
+    for lo in range(0, len(flat), chunk):
+        blk, hb = flat[lo:lo + chunk], h[lo:lo + chunk] if len(h) > 1 else h
+        st = stencil[:, :len(blk)]
+        for ax in range(3):
+            step = hb * _EYE[ax]
+            np.add(blk, step, out=st[2 * ax])
+            np.subtract(blk, step, out=st[2 * ax + 1])
+        vals = profile(st)
+        grad[lo:lo + chunk] = (vals[0::2] - vals[1::2]).T / (2.0 * hb)
+    return grad.reshape(pts.shape)
 
 
-def fd_hessian(profile: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
-               h: float = 1e-4) -> np.ndarray:
+def fd_hessian(profile: Callable[[np.ndarray], np.ndarray],
+               point: np.ndarray) -> np.ndarray:
     """Central-difference Hessian of a vectorized scalar field, from one call
     on the 19 stencil points."""
+    h = _FD_HESSIAN_STEP
     point = np.asarray(point, dtype=float)
     eye = np.eye(3)
     pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]

@@ -85,14 +85,18 @@ def _a_half_width(cfg: ReducedConfig, eps: float) -> float:
     return eps * math.log(cfg.K) / cfg.delta
 
 
-def in_box(A: ReducedPoint, cfg: ReducedConfig, slack: float = 1e-12) -> bool:
+#: how far outside the box in_box still accepts a point, per axis
+_BOX_SLACK = 1e-12
+
+
+def in_box(A: ReducedPoint, cfg: ReducedConfig) -> bool:
     box = _box(cfg)
     for name in ("eps", "d", "alpha_b", "alpha_w"):
         lo, hi = box[name]
         v = getattr(A, name)
-        if not lo - slack <= v <= hi + slack:
+        if not lo - _BOX_SLACK <= v <= hi + _BOX_SLACK:
             return False
-    return abs(A.a) <= _a_half_width(cfg, A.eps) + slack
+    return abs(A.a) <= _a_half_width(cfg, A.eps) + _BOX_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +373,8 @@ def eps_star(cfg: ReducedConfig, d: float) -> float:
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 #: cap on the cyclic golden-section sweeps of minimize_psi
 _SWEEPS = 60
+#: points per axis of minimize_psi's grid stage
+_GRID_POINTS = 9
 
 
 def _golden(f, lo: float, hi: float, tol: float) -> float:
@@ -387,8 +393,7 @@ def _golden(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def minimize_psi(cfg: ReducedConfig, mode: str = "leading",
-                 grid_points: int = 9):
+def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     """Deterministic coarse grid followed by cyclic golden-section descent.
 
     Coordinates: log eps, the a-axis normalized by its eps-dependent
@@ -399,8 +404,6 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading",
     """
     if mode not in ("leading", "full"):
         raise DomainError(f"mode must be 'leading' or 'full', got {mode!r}")
-    if grid_points < 9:
-        raise DomainError("grid must use at least 9 points per axis")
     objective = psi_leading if mode == "leading" else psi_full
     box = _box(cfg)
     bounds = {
@@ -423,7 +426,7 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading",
         return objective(to_point(x), cfg)
 
     # grid stage
-    axes = {k: np.linspace(*bounds[k], grid_points) for k in order}
+    axes = {k: np.linspace(*bounds[k], _GRID_POINTS) for k in order}
     best_x = None
     best_v = math.inf
     mesh = np.meshgrid(*(axes[k] for k in order), indexing="ij")
@@ -448,7 +451,7 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading",
                 trial[key] = t
                 return value(trial)
 
-            span = (hi - lo) / (grid_points - 1)
+            span = (hi - lo) / (_GRID_POINTS - 1)
             new = _golden(line, max(lo, cur - span), min(hi, cur + span), tol)
             if line(new) <= value(x):
                 moved = max(moved, abs(new - x[k]) / (hi - lo))
@@ -544,10 +547,9 @@ def default_model_parts(m: int = 16, scale: float = 1.0) -> Dict[str, float]:
     return dict(_model(m, scale)[4])
 
 
-def default_config(K: int, lam: float = 1.0, delta: float = 0.1,
-                   m: int = 16) -> ReducedConfig:
+def default_config(K: int, lam: float = 1.0, delta: float = 0.1) -> ReducedConfig:
     # validate K, lam and delta with placeholder constants before paying for
     # the model quadrature
     cfg = ReducedConfig(K=K, lam=lam, gnorm=1.0, cstar=1.0, delta=delta)
-    _, _, gnorm, cstar = default_model(m)
+    _, _, gnorm, cstar = default_model(16)
     return replace(cfg, gnorm=gnorm, cstar=cstar)

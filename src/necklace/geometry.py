@@ -39,34 +39,21 @@ class Point3:
     def norm(self) -> float:
         return math.sqrt(self.z1 * self.z1 + self.z2 * self.z2 + self.z3 * self.z3)
 
-    def __add__(self, other: "Point3") -> "Point3":
-        return Point3(self.z1 + other.z1, self.z2 + other.z2, self.z3 + other.z3)
-
-    def __sub__(self, other: "Point3") -> "Point3":
-        return Point3(self.z1 - other.z1, self.z2 - other.z2, self.z3 - other.z3)
-
-    def scale(self, c: float) -> "Point3":
-        return Point3(c * self.z1, c * self.z2, c * self.z3)
-
 
 @dataclass(frozen=True)
 class SectorConfig:
-    """An angular sector of opening 2*pi/K, K even.
-
-    ``theta0`` is always pi/K; passing a conflicting value is an error.
-    """
+    """An angular sector of opening 2*pi/K, K even."""
 
     K: int
-    theta0: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.K < 4 or self.K % 2 != 0:
             raise DomainError(f"K must be an even integer >= 4, got {self.K}")
-        t0 = math.pi / self.K
-        if self.theta0 is None:
-            object.__setattr__(self, "theta0", t0)
-        elif abs(self.theta0 - t0) > 1e-15:
-            raise DomainError("theta0 must equal pi/K")
+
+    @property
+    def theta0(self) -> float:
+        """The sector's half-opening pi/K."""
+        return math.pi / self.K
 
 
 def rotate(z: Point3, theta: float) -> Point3:

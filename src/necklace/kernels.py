@@ -55,16 +55,14 @@ class KernelReport:
     direct: float
     closed_form: float
     asymptotic: float
-    abs_err_dc: float = field(default=math.nan)
-    abs_err_ca: float = field(default=math.nan)
 
-    @staticmethod
-    def build(direct: float, closed_form: float, asymptotic: float) -> "KernelReport":
-        return KernelReport(
-            direct=direct, closed_form=closed_form, asymptotic=asymptotic,
-            abs_err_dc=abs(direct - closed_form),
-            abs_err_ca=abs(closed_form - asymptotic),
-        )
+    @property
+    def abs_err_dc(self) -> float:
+        return abs(self.direct - self.closed_form)
+
+    @property
+    def abs_err_ca(self) -> float:
+        return abs(self.closed_form - self.asymptotic)
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     closed = _gamma_bb_closed(babs, alpha_b, cfg)
     direct = gamma_direct(b, b, cfg)
     asym = s_hat(1, cfg.K) / (2.0 * babs)
-    return KernelReport.build(direct, closed, asym)
+    return KernelReport(direct, closed, asym)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,7 @@ def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     direct = h0e(b, b, cfg)
     d = (1.0 - babs * babs) / (2.0 * babs)
     asym = s_alt(1, cfg.K, d) / (2.0 * babs)
-    return KernelReport.build(direct, closed, asym)
+    return KernelReport(direct, closed, asym)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +335,7 @@ def kernel_grad(kind: str, slot: str, A: PlacedBubble,
         asym = A.w_abs / (4.0 * A.b_abs**2) * (
             -s1 + d * math.sqrt(1.0 + d * d) * s3
         )
-    return KernelReport.build(direct, closed, asym)
+    return KernelReport(direct, closed, asym)
 
 
 def _mixed_second_difference(f, bv, what, h: float) -> float:
@@ -374,7 +372,7 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     if abs(direct - closed) > _HESS_REFINE_TOL:
         finer = A.w_abs**2 * _mixed_second_difference(f, bv, what, _HESS_STEP / 2.0)
         direct = (4.0 * finer - direct) / 3.0
-    return KernelReport.build(direct, closed, asym)
+    return KernelReport(direct, closed, asym)
 
 
 # ---------------------------------------------------------------------------
@@ -448,4 +446,4 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     hess_term = e**2.5 / 6.0 * math.fsum(signs * g2)
     closed = lead + grad_term + hess_term
     asym = lead + grad_term
-    return KernelReport.build(direct, closed, asym)
+    return KernelReport(direct, closed, asym)

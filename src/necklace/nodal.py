@@ -12,7 +12,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 import scipy.optimize
 
-from .crown import _BLOCK, CrownParams, ProfileHandle, _as_array
+from .crown import CrownParams, ProfileHandle, _as_array, fd_gradient
 from .errors import DomainError, NotFoundError
 from .geometry import Point3
 
@@ -50,26 +50,10 @@ class NodalMesh:
 
 
 def gradient_norms(profile: ProfileHandle, points: np.ndarray) -> np.ndarray:
-    """Central-difference |grad u| with scale-aware step h = 1e-5 max(1, |z|).
-
-    Each chunk of points makes one profile call on its six stencil points,
-    small enough to be one block of u_star."""
+    """Central-difference |grad u| with scale-aware step h = 1e-5 max(1, |z|)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    h = 1e-5 * np.maximum(1.0, np.linalg.norm(pts, axis=-1))[:, None]
-    acc = np.zeros((len(pts), 3))
-    eye = np.eye(3)
-    chunk = _BLOCK // 6
-    stencil = np.empty((6, min(len(pts), chunk), 3))
-    for lo in range(0, len(pts), chunk):
-        blk, hb = pts[lo:lo + chunk], h[lo:lo + chunk]
-        st = stencil[:, :len(blk)]
-        for ax in range(3):
-            step = hb * eye[ax]
-            np.add(blk, step, out=st[2 * ax])
-            np.subtract(blk, step, out=st[2 * ax + 1])
-        vals = profile.fn(st)
-        acc[lo:lo + chunk] = (vals[0::2] - vals[1::2]).T / (2.0 * hb)
-    return np.linalg.norm(acc, axis=-1)
+    h = 1e-5 * np.maximum(1.0, np.linalg.norm(pts, axis=-1))
+    return np.linalg.norm(fd_gradient(profile.fn, pts, h), axis=-1)
 
 
 def radial_nodal_root(p: CrownParams, profile: ProfileHandle, j: int,
@@ -197,8 +181,7 @@ def _polish_min(profile: ProfileHandle, start: np.ndarray) -> float:
     return float(res.fun)
 
 
-def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle,
-                          polish: bool = True) -> float:
+def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle) -> float:
     """Minimum of |grad u| over the extracted zero set.
 
     The raw grid minimum is polished by a surface-constrained local
@@ -206,11 +189,8 @@ def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle,
     independent of the grid resolution."""
     if len(mesh) == 0:
         raise DomainError("empty mesh has no gradient minimum")
-    raw_min = float(np.min(mesh.gradients))
-    if not polish:
-        return raw_min
     order = np.argsort(mesh.gradients)[:_POLISH_CANDIDATES]
-    best = raw_min
+    best = float(np.min(mesh.gradients))
     for idx in order:
         val = _polish_min(profile, mesh.points[idx].copy())
         if val < best:

@@ -103,6 +103,50 @@ class TestConfigFile:
         assert run(["sums", "--config", str(cfgfile)]) == 2
         capsys.readouterr()
 
+    def test_format_and_out_from_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("format=json\n")
+        assert run(["sums", "--config", str(cfgfile)]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["variant"] == "alt_hat"
+        out = tmp_path / "row.json"
+        cfgfile.write_text(f"format=json\nout={out}\n")
+        assert run(["sums", "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(_read(out))[0]["n"] == 64
+
+    @pytest.mark.parametrize("line, quick", [
+        ("quick=true", True), ("quick=0", False),
+    ])
+    def test_quick_from_file(self, monkeypatch, tmp_path, capsys, line, quick):
+        seen = []
+
+        def fake_run_all(quick=False):
+            seen.append(quick)
+            return []
+
+        monkeypatch.setattr(acceptance, "run_all", fake_run_all)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        assert run(["verify", "--config", str(cfgfile)]) == 0
+        capsys.readouterr()
+        assert seen == [quick]
+
+    @pytest.mark.parametrize("command, line", [
+        ("energy", "mode=bogus"), ("energy", "lam=abc"), ("energy", "K=6.5"),
+        ("verify", "quick=maybe"),
+    ])
+    def test_values_checked_before_model(self, monkeypatch, tmp_path, capsys,
+                                         command, line):
+        def no_model(*args, **kwargs):
+            raise AssertionError("default_model called before validation")
+
+        monkeypatch.setattr(energy, "default_model", no_model)
+        monkeypatch.setattr(acceptance, "run_all", no_model)
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(line + "\n")
+        assert run([command, "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestSubcommands:
     def test_ansatz_defaults(self, tmp_path, capsys):

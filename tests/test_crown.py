@@ -238,8 +238,16 @@ class TestCorrection:
 class TestHParam:
     def test_identity_validated(self, crown16):
         z = np.array([0.9, 0.2, 0.3])
-        h = h_param(z, crown16, validate=True)
+        h = h_param(z, crown16)
         assert h > 0.0
+        # |z - xi_j|^2 = 4 r rho (h^2 + sin^2(j pi/m - theta/2)) for every j
+        r, theta = math.hypot(z[0], z[1]), math.atan2(z[1], z[0])
+        rho = crown16.ring_radius
+        for j, center in enumerate(crown16.centers_array()):
+            lhs = float(np.sum((z - center) ** 2))
+            ang = j * math.pi / crown16.m - theta / 2.0
+            rhs = 4.0 * r * rho * (h * h + math.sin(ang) ** 2)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), j
 
     def test_axis_rejected(self, crown16):
         with pytest.raises(DomainError):
@@ -286,6 +294,18 @@ class TestFiniteDifferenceBatching:
         for z in _near_ring(12, 6):
             loop = [(prof.fn(z + h * e) - prof.fn(z - h * e)) / (2.0 * h) for e in eye]
             assert np.array_equal(fd_gradient(prof.fn, z), loop)
+
+    def test_gradient_rows_match_lone_points(self, crown16):
+        """(N, 3) points over three chunks, with a scalar and a per-point
+        step, give each row the gradient of its point alone."""
+        prof = u_star_profile(crown16)
+        pts = _near_ring(2 * (_BLOCK // 6) + 5, 7)
+        steps = np.linspace(1e-6, 1e-5, len(pts))
+        rows = fd_gradient(prof.fn, pts)
+        assert rows.shape == pts.shape
+        assert np.array_equal(rows, [fd_gradient(prof.fn, z) for z in pts])
+        assert np.array_equal(fd_gradient(prof.fn, pts, steps),
+                              [fd_gradient(prof.fn, z, h) for z, h in zip(pts, steps)])
 
 
 class TestKernelZ:

@@ -153,8 +153,6 @@ class TestPsi:
     def test_full_rejects_bad_mode(self):
         with pytest.raises(DomainError):
             minimize_psi(_cfg(), mode="exact")
-        with pytest.raises(DomainError):
-            minimize_psi(_cfg(), grid_points=5)
 
 
 class TestMinimization:

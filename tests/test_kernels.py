@@ -139,6 +139,10 @@ class TestGamma:
         assert rep.abs_err_dc < 1e-11
         assert rep.abs_err_ca < abs(rep.closed_form) * 0.01
 
+    def test_report_errors_derived(self):
+        rep = KernelReport(1.0, 0.75, 0.5)
+        assert (rep.abs_err_dc, rep.abs_err_ca) == (0.25, 0.25)
+
     def test_diagonal_exact_at_zero_angle(self):
         rep = gamma_bb(_b_point(0.93, 0.0), CFG)
         assert rep.closed_form == pytest.approx(rep.asymptotic, rel=1e-13)
