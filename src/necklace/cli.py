@@ -53,8 +53,11 @@ def _config_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> L
     """The option tokens of the key=value config file: ``--key value`` per
     line, or ``--key`` alone for a switch set to true."""
     tokens: List[str] = []
-    with open(args.config) as fh:
-        lines = [line.strip() for line in fh]
+    try:
+        with open(args.config) as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as exc:
+        parser.error(f"cannot read config file {args.config!r}: {exc.strerror}")
     for line in lines:
         if not line or line.startswith("#"):
             continue

@@ -322,21 +322,27 @@ def _placed(A: ReducedPoint, cfg: ReducedConfig) -> PlacedBubble:
     )
 
 
+def _full_kernels(A: ReducedPoint, cfg: ReducedConfig) -> Tuple[float, float, float]:
+    """H(b,b), w.(grad_z + grad_p)H(b,b) and w^T (mixed Hessian of H)(b,b) w
+    of psi_full; they depend on d, alpha_b and alpha_w only."""
+    sector = SectorConfig(cfg.K)
+    P = _placed(A, cfg)
+    babs, alpha_b = _in_plane(P.b_point)
+    h_val = (_gamma_bb_closed(babs, alpha_b, sector)
+             + _h0e_bb_closed(babs, alpha_b, sector))
+    newton = _newton_derivs(P, sector)
+    ext = _h0e_derivs(P, sector)
+    return (h_val, newton[0] + newton[1] + ext[0] + ext[1],
+            newton[2] + ext[2])
+
+
 def psi_full(A: ReducedPoint, cfg: ReducedConfig) -> float:
     """eps qhat^2 H(b,b) + eps^2 qhat w.(grad_z + grad_p)H(b,b)
     + eps^3 w^T (mixed Hessian of H)(b,b) w - lam eps^2 cstar, where H is the
     sum of the ball-kernel extension and the alternating image sum, evaluated
     through the exact closed-form resummations."""
-    sector = SectorConfig(cfg.K)
-    P = _placed(A, cfg)
-    babs, alpha_b = _in_plane(P.b_point)
-    qhat = P.q_hat
-    h_val = (_gamma_bb_closed(babs, alpha_b, sector)
-             + _h0e_bb_closed(babs, alpha_b, sector))
-    newton = _newton_derivs(P, sector)
-    ext = _h0e_derivs(P, sector)
-    grad = newton[0] + newton[1] + ext[0] + ext[1]
-    hess = newton[2] + ext[2]
+    h_val, grad, hess = _full_kernels(A, cfg)
+    qhat = A.a * cfg.gnorm
     e = A.eps
     return (e * qhat * qhat * h_val + e * e * qhat * grad + e**3 * hess
             - cfg.lam * e * e * cfg.cstar)
@@ -375,6 +381,8 @@ _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _SWEEPS = 60
 #: points per axis of minimize_psi's grid stage
 _GRID_POINTS = 9
+#: minimize_psi's search coordinates, in the axis order of its grid
+_ORDER = ("log_eps", "d", "a_rel", "alpha_b", "alpha_w")
 
 
 def _golden(f, lo: float, hi: float, tol: float) -> float:
@@ -393,27 +401,91 @@ def _golden(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
-    """Deterministic coarse grid followed by cyclic golden-section descent.
-
-    Coordinates: log eps, the a-axis normalized by its eps-dependent
-    half-width, d, alpha_b, alpha_w.  Returns (argmin, diagnostics) where the
-    diagnostics report the boundary distance per axis (as a fraction of the
-    box width), the scaling ratios of the minimizer, the sweeps used and
-    whether the descent converged before the sweep cap.
-    """
-    if mode not in ("leading", "full"):
-        raise DomainError(f"mode must be 'leading' or 'full', got {mode!r}")
-    objective = psi_leading if mode == "leading" else psi_full
+def _search_bounds(cfg: ReducedConfig) -> Dict[str, Tuple[float, float]]:
+    """The box in minimize_psi's search coordinates."""
     box = _box(cfg)
-    bounds = {
+    return {
         "log_eps": (math.log(box["eps"][0]), math.log(box["eps"][1])),
         "a_rel": (-1.0, 1.0),
         "d": box["d"],
         "alpha_b": box["alpha_b"],
         "alpha_w": box["alpha_w"],
     }
-    order = ("log_eps", "d", "a_rel", "alpha_b", "alpha_w")
+
+
+def _grid_values(cfg: ReducedConfig, axes: Dict[str, np.ndarray],
+                 mode: str) -> np.ndarray:
+    """Psi at every point of the product grid of ``axes``, an array indexed
+    in _ORDER, each value == the scalar psi_leading or psi_full there.
+
+    Psi is a polynomial in eps and qhat = a gnorm with coefficients that
+    depend on the other axes only.  Every other operation (exp, **, sqrt,
+    the kernel sums, the 2x2 quadratic form) runs through the scalar code on
+    its few distinct inputs; the broadcast combines the tables with + - * /
+    only, in the scalar expression's order, and those round correctly.  No
+    np.power on a table: see kernels._pow.
+    """
+    log_eps, d, a_rel, alpha_b, alpha_w = (axes[k].tolist() for k in _ORDER)
+
+    def table(values, *dims):
+        # a table over the listed axes, shaped to broadcast over the others
+        arr = np.array(values, dtype=float)
+        shape = [1] * len(_ORDER)
+        for ax, n in zip(dims, arr.shape):
+            shape[ax] = n
+        return arr.reshape(shape)
+
+    eps = [math.exp(v) for v in log_eps]
+    e = table(eps, 0)
+    e3 = table([v**3 for v in eps], 0)
+    qhat = (table(a_rel, 2) * table([_a_half_width(cfg, v) for v in eps], 0)
+            * cfg.gnorm)
+    lam_term = cfg.lam * e * e * cfg.cstar
+    if mode == "leading":
+        b = [ReducedPoint(1.0, 0.0, v, 0.0, 0.0).b_abs for v in d]
+        Ag = a_gamma(cfg.K)
+        quad = [[float(np.array([w, ab]) @ Ag @ np.array([w, ab]))
+                 for w in alpha_w] for ab in alpha_b]
+        return (e * qhat * qhat * table([c0(cfg.K, v) for v in d], 1)
+                / (2.0 * table(b, 1))
+                + e3 * cfg.gnorm**2 * table([c2(cfg.K, v) for v in d], 1)
+                / (8.0 * table([v**3 for v in b], 1))
+                - lam_term + e3 * table(quad, 3, 4))
+    kern = np.array([[[_full_kernels(ReducedPoint(1.0, 0.0, dv, ab, w), cfg)
+                       for w in alpha_w] for ab in alpha_b] for dv in d])
+    h_val, grad, hess = (table(kern[..., i], 1, 3, 4) for i in range(3))
+    return (e * qhat * qhat * h_val + e * e * qhat * grad + e3 * hess
+            - lam_term)
+
+
+def _grid_start(cfg: ReducedConfig, bounds: Dict[str, Tuple[float, float]],
+                mode: str) -> Dict[str, float]:
+    """The point of the _GRID_POINTS^5 grid over ``bounds`` with the smallest
+    Psi, NaN values skipped and the first in C order on ties."""
+    axes = {k: np.linspace(*bounds[k], _GRID_POINTS) for k in _ORDER}
+    grid = _grid_values(cfg, axes, mode)
+    if np.isnan(grid).all():
+        raise AccuracyError("Psi is NaN at every grid point", best=math.nan)
+    best = np.unravel_index(np.nanargmin(grid), grid.shape)
+    return {k: float(axes[k][i]) for k, i in zip(_ORDER, best)}
+
+
+def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
+    """Deterministic coarse grid followed by cyclic golden-section descent.
+
+    Coordinates: log eps, the a-axis normalized by its eps-dependent
+    half-width, d, alpha_b, alpha_w.  The grid is evaluated from tables
+    (_grid_values); the descent calls the scalar objective.  Returns (argmin,
+    diagnostics) where the diagnostics report the boundary distance per axis
+    (as a fraction of the box width), the scaling ratios of the minimizer,
+    the sweeps used, whether the descent converged before the sweep cap, the
+    number of grid points and the scalar objective calls of the descent.
+    """
+    if mode not in ("leading", "full"):
+        raise DomainError(f"mode must be 'leading' or 'full', got {mode!r}")
+    objective = psi_leading if mode == "leading" else psi_full
+    box = _box(cfg)
+    bounds = _search_bounds(cfg)
 
     def to_point(x: Dict[str, float]) -> ReducedPoint:
         eps = math.exp(x["log_eps"])
@@ -422,26 +494,17 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
             alpha_b=x["alpha_b"], alpha_w=x["alpha_w"],
         )
 
+    calls = [0]
+
     def value(x: Dict[str, float]) -> float:
+        calls[0] += 1
         return objective(to_point(x), cfg)
 
-    # grid stage
-    axes = {k: np.linspace(*bounds[k], _GRID_POINTS) for k in order}
-    best_x = None
-    best_v = math.inf
-    mesh = np.meshgrid(*(axes[k] for k in order), indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    for row in flat:
-        x = dict(zip(order, (float(v) for v in row)))
-        v = value(x)
-        if v < best_v:
-            best_v, best_x = v, x
-
-    # cyclic golden-section refinement
-    x = dict(best_x)
+    # cyclic golden-section refinement from the best grid point
+    x = _grid_start(cfg, bounds, mode)
     for sweeps_used in range(1, _SWEEPS + 1):
         moved = 0.0
-        for k in order:
+        for k in _ORDER:
             lo, hi = bounds[k]
             tol = 1e-4 * (hi - lo)
             cur = x[k]
@@ -459,12 +522,13 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
         if moved < 1e-5:
             break
     converged = moved < 1e-5
+    evaluations = calls[0]
 
     argmin = to_point(x)
     val = value(x)
     K = cfg.K
     boundary_dist = {}
-    for k in order:
+    for k in _ORDER:
         lo, hi = bounds[k]
         boundary_dist[k] = min(x[k] - lo, hi - x[k]) / (hi - lo)
     on_boundary = [k for k, fr in boundary_dist.items() if fr < 1e-3]
@@ -482,6 +546,8 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
         "alpha_w_rel": argmin.alpha_w / box["alpha_w"][1],
         "sweeps_used": sweeps_used,
         "converged": converged,
+        "grid_points": _GRID_POINTS ** len(_ORDER),
+        "evaluations": evaluations,
     }
     return argmin, diagnostics
 

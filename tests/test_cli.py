@@ -103,6 +103,15 @@ class TestConfigFile:
         assert run(["sums", "--config", str(cfgfile)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_is_usage_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "absent.cfg" if kind == "missing" else tmp_path
+        assert run(["sums", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "cannot read config file" in captured.err
+
     def test_format_and_out_from_file(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("format=json\n")
@@ -172,6 +181,14 @@ class TestSubcommands:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "870f39486b2ceb2d5ceddc590ae4613ae815cbdc227f3a60e20e8c72d7a2bf28"
+        )
+
+    def test_energy_defaults_bytes(self, tmp_path, capsys):
+        out = tmp_path / "energy.csv"
+        assert run(["energy", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4e6c696971403ea6b03a47ca7912d40a048c9066eb15272539bfdad0ceb726fc"
         )
 
     def test_nodal_domain_error(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,16 +7,22 @@ import pytest
 from necklace import energy
 from necklace.crown import talenti_profile
 from necklace.energy import (
+    _ORDER,
     ReducedConfig,
     ReducedPoint,
+    _a_half_width,
     _box,
     _bump_factor,
     _cores,
+    _grid_start,
+    _grid_values,
+    _search_bounds,
     _smooth_cut,
     a_gamma,
     c0,
     c2,
     c_star,
+    default_config,
     default_model,
     default_model_parts,
     eps_star,
@@ -26,7 +33,7 @@ from necklace.energy import (
     psi_leading,
     u6_integral,
 )
-from necklace.errors import DomainError
+from necklace.errors import AccuracyError, DomainError
 from necklace.geometry import Point3
 from necklace.trigsums import ZETA3, ZETA5
 
@@ -164,9 +171,21 @@ class TestMinimization:
         assert d1["value"] == d2["value"]
 
     def test_reports_convergence(self, monkeypatch):
+        calls = []
+
+        def counted(A, cfg):
+            calls.append(A)
+            return psi_leading(A, cfg)
+
+        monkeypatch.setattr(energy, "psi_leading", counted)
         _, diag = minimize_psi(_cfg(), mode="leading")
+        monkeypatch.undo()
         assert diag["converged"] is True
         assert 1 <= diag["sweeps_used"] < energy._SWEEPS
+        assert diag["grid_points"] == 9**5
+        # the descent's calls, then one for the reported value; the grid
+        # makes none
+        assert diag["evaluations"] == len(calls) - 1 > 0
         # a config whose descent takes three sweeps, then capped at one
         slow = ReducedConfig(K=64, lam=1.0, gnorm=1.0, cstar=0.05, delta=0.1)
         assert minimize_psi(slow, mode="leading")[1]["sweeps_used"] == 3
@@ -175,6 +194,17 @@ class TestMinimization:
         assert capped["sweeps_used"] == 1
         assert capped["converged"] is False
 
+    def test_full_mode(self):
+        cfg = default_config(64)  # the model quadrature, cached, untimed
+        t0 = time.perf_counter()
+        argmin, diag = minimize_psi(cfg, mode="full")
+        assert time.perf_counter() - t0 < 5.0
+        assert math.isfinite(diag["value"])
+        assert diag["value"] == psi_full(argmin, cfg)
+        assert in_box(argmin, cfg)
+        assert diag["mode"] == "full"
+        assert diag["converged"] is True
+
     def test_j_reduced_affine_in_psi(self):
         cfg = _cfg()
         A = _mid_point(cfg)
@@ -182,6 +212,78 @@ class TestMinimization:
         assert j_reduced(A, cfg, q6) == pytest.approx(
             q6 / 3.0 + 2.0 * math.pi * psi_leading(A, cfg), rel=1e-14
         )
+
+
+def _loop_grid(cfg, mode):
+    """The scalar grid stage minimize_psi ran before its table grid: Psi at
+    each meshgrid row through the scalar objective, and the index and
+    coordinates of the first row with the strictly smallest value."""
+    objective = energy.psi_leading if mode == "leading" else psi_full
+    bounds = _search_bounds(cfg)
+    axes = {k: np.linspace(*bounds[k], 9) for k in _ORDER}
+    mesh = np.meshgrid(*(axes[k] for k in _ORDER), indexing="ij")
+    flat = np.stack([m.ravel() for m in mesh], axis=-1)
+    values, best_i, best_x, best_v = [], None, None, math.inf
+    for i, row in enumerate(flat):
+        x = dict(zip(_ORDER, (float(v) for v in row)))
+        eps = math.exp(x["log_eps"])
+        v = objective(ReducedPoint(
+            eps=eps, a=x["a_rel"] * _a_half_width(cfg, eps), d=x["d"],
+            alpha_b=x["alpha_b"], alpha_w=x["alpha_w"],
+        ), cfg)
+        values.append(v)
+        if v < best_v:
+            best_v, best_i, best_x = v, i, x
+    return axes, np.array(values), best_i, best_x
+
+
+class TestGridTables:
+    @pytest.mark.parametrize("K", [64, 128, 256])
+    @pytest.mark.parametrize("lam, gnorm, cstar, delta", [
+        (1.0, 1.0, 0.25, 0.1), (0.5, 0.7, 0.01, 0.3), (2.0, 0.3, 1e-4, 0.05),
+    ])
+    def test_leading_equals_scalar_loop(self, K, lam, gnorm, cstar, delta):
+        cfg = ReducedConfig(K=K, lam=lam, gnorm=gnorm, cstar=cstar, delta=delta)
+        axes, ref, best, best_x = _loop_grid(cfg, "leading")
+        grid = _grid_values(cfg, axes, "leading")
+        assert grid.shape == (9,) * 5
+        assert np.array_equal(grid.ravel(), ref)
+        assert np.nanargmin(grid) == best
+        assert _grid_start(cfg, _search_bounds(cfg), "leading") == best_x
+
+    def test_full_equals_psi_full(self):
+        cfg = ReducedConfig(K=64, lam=1.0, gnorm=0.7, cstar=0.25, delta=0.1)
+        bounds = _search_bounds(cfg)
+        axes = {k: np.linspace(*bounds[k], 9) for k in _ORDER}
+        grid = _grid_values(cfg, axes, "full")
+        rng = np.random.default_rng(11)
+        for idx in rng.integers(0, 9, size=(500, 5)):
+            x = {k: float(axes[k][i]) for k, i in zip(_ORDER, idx)}
+            eps = math.exp(x["log_eps"])
+            A = ReducedPoint(eps=eps, a=x["a_rel"] * _a_half_width(cfg, eps),
+                             d=x["d"], alpha_b=x["alpha_b"],
+                             alpha_w=x["alpha_w"])
+            assert grid[tuple(idx)] == psi_full(A, cfg)
+
+    def test_nan_entries_skipped_like_the_loop(self, monkeypatch):
+        cfg = _cfg()
+        _, _, best, best_x = _loop_grid(cfg, "leading")
+        # poison the d of the unpatched winner, so the winner has to move
+        real_c0 = energy.c0
+        monkeypatch.setattr(energy, "c0", lambda K, d: (
+            math.nan if d == best_x["d"] else real_c0(K, d)))
+        axes, ref, best_nan, best_nan_x = _loop_grid(cfg, "leading")
+        grid = _grid_values(cfg, axes, "leading")
+        assert np.isnan(grid).sum() == 9**4
+        assert np.array_equal(grid.ravel(), ref, equal_nan=True)
+        assert best_nan != best
+        assert np.nanargmin(grid) == best_nan
+        assert _grid_start(cfg, _search_bounds(cfg), "leading") == best_nan_x
+
+    def test_all_nan_grid_raises(self, monkeypatch):
+        monkeypatch.setattr(energy, "c0", lambda K, d: math.nan)
+        with pytest.raises(AccuracyError):
+            minimize_psi(_cfg(), mode="leading")
 
 
 class TestCStar:
