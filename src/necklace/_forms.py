@@ -59,3 +59,9 @@ def a_gamma(K: int) -> np.ndarray:
     form = np.array([[a11, a12], [a12, a22]])
     form.flags.writeable = False
     return form
+
+
+def a_gamma_quad(K: int, alpha_w: float, alpha_b: float) -> float:
+    """(alpha_w, alpha_b) A_gamma(K) (alpha_w, alpha_b)^T."""
+    alpha = np.array([alpha_w, alpha_b])
+    return float(alpha @ a_gamma(K) @ alpha)

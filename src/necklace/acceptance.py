@@ -20,6 +20,8 @@ from .energy import (
     eps_star,
     minimize_psi,
     psi_leading,
+    _a_half_width,
+    _b_abs,
     _box,
 )
 from .geometry import Point3, SectorConfig
@@ -197,10 +199,15 @@ def criterion_6(quick: bool = False) -> Result:
     return _run("kernel resummation", body)
 
 
+def _placement_b_abs(K: int) -> float:
+    """|b| at d = (log K - (1/2) log log K) / K, criteria 7 and 8's placement."""
+    logK = math.log(K)
+    return _b_abs((logK - 0.5 * math.log(logK)) / K)
+
+
 def _sample_bubble(K: int, rng) -> PlacedBubble:
     logK = math.log(K)
-    dval = (logK - 0.5 * math.log(logK)) / K
-    babs = math.sqrt(1.0 + dval * dval) - dval
+    babs = _placement_b_abs(K)
     aw = rng.uniform(-0.5, 0.5) * logK / (math.sqrt(0.1) * K)
     ab = rng.uniform(-0.5, 0.5) * logK / (math.sqrt(0.1) * K * K)
     W = rng.uniform(-1.0, 1.0, size=(3, 3))
@@ -237,11 +244,8 @@ def criterion_8(quick: bool = False) -> Result:
         K = 64
         eps = K**-3.0
         cfg = SectorConfig(K)
-        profile, xi, _gnorm, _cstar = default_model(16)
-        logK = math.log(K)
-        dval = (logK - 0.5 * math.log(logK)) / K
-        babs = math.sqrt(1.0 + dval * dval) - dval
-        A = place_bubble(eps, 0.0, babs, 0.0, 0.0, profile, xi)
+        profile, xi, _gnorm, _cstar = default_model()
+        A = place_bubble(eps, 0.0, _placement_b_abs(K), 0.0, 0.0, profile, xi)
         rng = np.random.default_rng(8)
         n_pts = 100 if quick else 1000
         sup_t, sup_err = 0.0, 0.0
@@ -268,7 +272,7 @@ def criterion_8(quick: bool = False) -> Result:
 def criterion_9(quick: bool = False) -> Result:
     # the model constants are fixed inputs to this criterion; computing them
     # (a one-time quadrature, cached) is excluded from the runtime budget
-    _profile, _xi, gnorm, cstar = default_model(16)
+    _profile, _xi, gnorm, cstar = default_model()
 
     def body(d):
         ok = True
@@ -314,7 +318,7 @@ def criterion_9(quick: bool = False) -> Result:
             cmp_eps = psi_at(eps=box["eps"][0]) > base
             d_lo = box["d"][0]
             cmp_d = psi_at(dd=d_lo, eps=proj_eps(d_lo)) > base
-            cmp_a = psi_at(a=es * math.log(K) / cfg.delta) > base
+            cmp_a = psi_at(a=_a_half_width(cfg, es)) > base
             entry["cmp_eps"], entry["cmp_d"], entry["cmp_a"] = cmp_eps, cmp_d, cmp_a
             ok &= cmp_eps and cmp_d and cmp_a
             d[f"K={K}"] = entry

@@ -12,12 +12,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._forms import a_gamma, c0, c2
+from ._forms import a_gamma, a_gamma_quad, c0, c2
 from .crown import ProfileHandle, build_crown, fd_gradient, u_star_profile
 from .errors import AccuracyError, DomainError
 from .geometry import Point3, SectorConfig
 from .kernels import (
-    PlacedBubble,
     _gamma_bb_closed,
     _h0e_bb_closed,
     _h0e_derivs,
@@ -63,9 +62,21 @@ class ReducedPoint:
     alpha_b: float
     alpha_w: float
 
+    def __post_init__(self):
+        if not (all(map(math.isfinite, (self.eps, self.a, self.d, self.alpha_b,
+                                        self.alpha_w))) and self.eps > 0):
+            raise DomainError("eps, a, d, alpha_b, alpha_w must be finite, eps > 0")
+        if not 0.0 < self.b_abs < 1.0:
+            raise DomainError(f"d must be positive with |b| in (0, 1), got d={self.d}")
+
     @property
     def b_abs(self) -> float:
-        return math.sqrt(1.0 + self.d * self.d) - self.d
+        return _b_abs(self.d)
+
+
+def _b_abs(d: float) -> float:
+    """The placement modulus |b| = sqrt(1 + d^2) - d."""
+    return math.sqrt(1.0 + d * d) - d
 
 
 def _box(cfg: ReducedConfig) -> Dict[str, Tuple[float, float]]:
@@ -314,26 +325,39 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
 # the energy
 
 
-def _placed(A: ReducedPoint, cfg: ReducedConfig) -> PlacedBubble:
-    return PlacedBubble(
-        eps=A.eps, a=A.a, q_hat=A.a * cfg.gnorm, w_abs=cfg.gnorm,
-        alpha_w=A.alpha_w, b_abs=A.b_abs, alpha_b=A.alpha_b,
-        beta_hat=A.alpha_w,
-    )
-
-
-def _full_kernels(A: ReducedPoint, cfg: ReducedConfig) -> Tuple[float, float, float]:
+def _full_kernels(cfg: ReducedConfig, d: float, alpha_b: float,
+                  alpha_w: float) -> Tuple[float, float, float]:
     """H(b,b), w.(grad_z + grad_p)H(b,b) and w^T (mixed Hessian of H)(b,b) w
-    of psi_full; they depend on d, alpha_b and alpha_w only."""
+    of psi_full, with w = gnorm (cos alpha_w, sin alpha_w, 0)."""
     sector = SectorConfig(cfg.K)
-    P = _placed(A, cfg)
-    babs, alpha_b = _in_plane(P.b_point)
+    b_abs = _b_abs(d)
+    b = Point3(b_abs * math.cos(alpha_b), b_abs * math.sin(alpha_b), 0.0)
+    # |b| and arg b read back from the point, as gamma_bb and h0e_bb do: the
+    # round trip moves the last bits of H
+    babs, alpha_b = _in_plane(b)
     h_val = (_gamma_bb_closed(babs, alpha_b, sector)
              + _h0e_bb_closed(babs, alpha_b, sector))
-    newton = _newton_derivs(P, sector)
-    ext = _h0e_derivs(P, sector)
+    bv = b.as_array()
+    w = cfg.gnorm * np.array([math.cos(alpha_w), math.sin(alpha_w), 0.0])
+    newton = _newton_derivs(bv, w, sector)
+    ext = _h0e_derivs(bv, w, sector)
     return (h_val, newton[0] + newton[1] + ext[0] + ext[1],
             newton[2] + ext[2])
+
+
+def _psi(cfg: ReducedConfig, e, e3, qhat, coef, mode: str):
+    """Psi from eps, eps^3, qhat = a gnorm and the mode's coefficients: (C0,
+    |b|, C2, |b|^3, the A_gamma form) in leading mode, the _full_kernels
+    triple in full mode.  Floats or broadcasting tables alike: + - * / round
+    correctly, so a table entry equals the scalar value at its inputs."""
+    lam_term = cfg.lam * e * e * cfg.cstar
+    if mode == "leading":
+        C0, b, C2, b3, quad = coef
+        return (e * qhat * qhat * C0 / (2.0 * b)
+                + e3 * cfg.gnorm**2 * C2 / (8.0 * b3)
+                - lam_term + e3 * quad)
+    h_val, grad, hess = coef
+    return e * qhat * qhat * h_val + e * e * qhat * grad + e3 * hess - lam_term
 
 
 def psi_full(A: ReducedPoint, cfg: ReducedConfig) -> float:
@@ -341,35 +365,33 @@ def psi_full(A: ReducedPoint, cfg: ReducedConfig) -> float:
     + eps^3 w^T (mixed Hessian of H)(b,b) w - lam eps^2 cstar, where H is the
     sum of the ball-kernel extension and the alternating image sum, evaluated
     through the exact closed-form resummations."""
-    h_val, grad, hess = _full_kernels(A, cfg)
-    qhat = A.a * cfg.gnorm
-    e = A.eps
-    return (e * qhat * qhat * h_val + e * e * qhat * grad + e**3 * hess
-            - cfg.lam * e * e * cfg.cstar)
+    coef = _full_kernels(cfg, A.d, A.alpha_b, A.alpha_w)
+    return _psi(cfg, A.eps, A.eps**3, A.a * cfg.gnorm, coef, "full")
 
 
 def psi_leading(A: ReducedPoint, cfg: ReducedConfig) -> float:
     """eps (a gnorm)^2 C0/(2|b|) + eps^3 gnorm^2 C2/(8|b|^3) - lam eps^2 cstar
     + eps^3 (alpha_w, alpha_b) A_gamma (alpha_w, alpha_b)^T."""
-    C0, C2 = c0(cfg.K, A.d), c2(cfg.K, A.d)
-    Ag = a_gamma(cfg.K)
     b = A.b_abs
-    e = A.eps
-    qhat = A.a * cfg.gnorm
-    alpha = np.array([A.alpha_w, A.alpha_b])
-    return (
-        e * qhat * qhat * C0 / (2.0 * b)
-        + e**3 * cfg.gnorm**2 * C2 / (8.0 * b**3)
-        - cfg.lam * e * e * cfg.cstar
-        + e**3 * float(alpha @ Ag @ alpha)
-    )
+    coef = (c0(cfg.K, A.d), b, c2(cfg.K, A.d), b**3,
+            a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b))
+    return _psi(cfg, A.eps, A.eps**3, A.a * cfg.gnorm, coef, "leading")
+
+
+def _objective(mode: str):
+    """The scalar Psi of ``mode``, looked up when called."""
+    if mode == "leading":
+        return psi_leading
+    if mode == "full":
+        return psi_full
+    raise DomainError(f"mode must be 'leading' or 'full', got {mode!r}")
 
 
 def eps_star(cfg: ReducedConfig, d: float) -> float:
     """Stationary eps of the leading model at a = alpha = 0:
     16 |b|^3 lam cstar / (3 gnorm^2 C2)."""
-    b = math.sqrt(1.0 + d * d) - d
-    return 16.0 * b**3 * cfg.lam * cfg.cstar / (3.0 * cfg.gnorm**2 * c2(cfg.K, d))
+    return (16.0 * _b_abs(d)**3 * cfg.lam * cfg.cstar
+            / (3.0 * cfg.gnorm**2 * c2(cfg.K, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +443,8 @@ def _grid_values(cfg: ReducedConfig, axes: Dict[str, np.ndarray],
     Psi is a polynomial in eps and qhat = a gnorm with coefficients that
     depend on the other axes only.  Every other operation (exp, **, sqrt,
     the kernel sums, the 2x2 quadratic form) runs through the scalar code on
-    its few distinct inputs; the broadcast combines the tables with + - * /
-    only, in the scalar expression's order, and those round correctly.  No
-    np.power on a table: see kernels._pow.
+    its few distinct inputs; _psi then combines the tables with + - * /,
+    which round correctly.  No np.power on a table: see kernels._pow.
     """
     log_eps, d, a_rel, alpha_b, alpha_w = (axes[k].tolist() for k in _ORDER)
 
@@ -436,26 +457,20 @@ def _grid_values(cfg: ReducedConfig, axes: Dict[str, np.ndarray],
         return arr.reshape(shape)
 
     eps = [math.exp(v) for v in log_eps]
-    e = table(eps, 0)
-    e3 = table([v**3 for v in eps], 0)
     qhat = (table(a_rel, 2) * table([_a_half_width(cfg, v) for v in eps], 0)
             * cfg.gnorm)
-    lam_term = cfg.lam * e * e * cfg.cstar
     if mode == "leading":
-        b = [ReducedPoint(1.0, 0.0, v, 0.0, 0.0).b_abs for v in d]
-        Ag = a_gamma(cfg.K)
-        quad = [[float(np.array([w, ab]) @ Ag @ np.array([w, ab]))
-                 for w in alpha_w] for ab in alpha_b]
-        return (e * qhat * qhat * table([c0(cfg.K, v) for v in d], 1)
-                / (2.0 * table(b, 1))
-                + e3 * cfg.gnorm**2 * table([c2(cfg.K, v) for v in d], 1)
-                / (8.0 * table([v**3 for v in b], 1))
-                - lam_term + e3 * table(quad, 3, 4))
-    kern = np.array([[[_full_kernels(ReducedPoint(1.0, 0.0, dv, ab, w), cfg)
-                       for w in alpha_w] for ab in alpha_b] for dv in d])
-    h_val, grad, hess = (table(kern[..., i], 1, 3, 4) for i in range(3))
-    return (e * qhat * qhat * h_val + e * e * qhat * grad + e3 * hess
-            - lam_term)
+        b = [_b_abs(v) for v in d]
+        coef = (table([c0(cfg.K, v) for v in d], 1), table(b, 1),
+                table([c2(cfg.K, v) for v in d], 1), table([v**3 for v in b], 1),
+                table([[a_gamma_quad(cfg.K, w, ab) for w in alpha_w]
+                       for ab in alpha_b], 3, 4))
+    else:
+        kern = np.array([[[_full_kernels(cfg, dv, ab, w) for w in alpha_w]
+                          for ab in alpha_b] for dv in d])
+        coef = tuple(table(kern[..., i], 1, 3, 4) for i in range(3))
+    return _psi(cfg, table(eps, 0), table([v**3 for v in eps], 0), qhat, coef,
+                mode)
 
 
 def _grid_start(cfg: ReducedConfig, bounds: Dict[str, Tuple[float, float]],
@@ -481,9 +496,7 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     the sweeps used, whether the descent converged before the sweep cap, the
     number of grid points and the scalar objective calls of the descent.
     """
-    if mode not in ("leading", "full"):
-        raise DomainError(f"mode must be 'leading' or 'full', got {mode!r}")
-    objective = psi_leading if mode == "leading" else psi_full
+    objective = _objective(mode)
     box = _box(cfg)
     bounds = _search_bounds(cfg)
 
@@ -555,8 +568,7 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
 def j_reduced(A: ReducedPoint, cfg: ReducedConfig, q6_const: float,
               mode: str = "leading") -> float:
     """q6_const/3 + 2 pi Psi(A)."""
-    psi = psi_leading(A, cfg) if mode == "leading" else psi_full(A, cfg)
-    return q6_const / 3.0 + 2.0 * math.pi * psi
+    return q6_const / 3.0 + 2.0 * math.pi * _objective(mode)(A, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -588,34 +600,33 @@ def u6_integral(profile: ProfileHandle) -> float:
     return main + tail
 
 
-@lru_cache(maxsize=8)
-def _model(m: int, scale: float):
-    params = build_crown(m)
+@lru_cache(maxsize=1)
+def _model():
+    params = build_crown(16)
     profile = u_star_profile(params)
     t = radial_nodal_root(params, profile, 0, (-1.0, 0.0, 0.0))
     xi = Point3.from_array(params.xi[0].as_array() - t * np.array([1.0, 0.0, 0.0]))
     gnorm = float(np.linalg.norm(fd_gradient(profile.fn, xi.as_array())))
-    cstar, parts = c_star(profile, xi, scale=scale, detail=True)
+    cstar, parts = c_star(profile, xi, detail=True)
     return profile, xi, gnorm, cstar, parts
 
 
-def default_model(m: int = 16, scale: float = 1.0):
-    """Model constants from the m-bubble ring profile: the in-plane zero on
-    the outward ray from the first core, the gradient modulus there, and the
-    decay constant.  Returns (profile, xi, gnorm, cstar), computed once per
-    (m, scale)."""
-    return _model(m, scale)[:4]
+def default_model():
+    """Model constants from the m = 16 ring profile: the in-plane zero on the
+    outward ray from the first core, the gradient modulus there, and the
+    decay constant.  Returns (profile, xi, gnorm, cstar), computed once."""
+    return _model()[:4]
 
 
-def default_model_parts(m: int = 16, scale: float = 1.0) -> Dict[str, float]:
+def default_model_parts() -> Dict[str, float]:
     """The outer/cores/tail parts and the tail fraction of default_model's
     cstar, from the same quadrature."""
-    return dict(_model(m, scale)[4])
+    return dict(_model()[4])
 
 
 def default_config(K: int, lam: float = 1.0, delta: float = 0.1) -> ReducedConfig:
     # validate K, lam and delta with placeholder constants before paying for
     # the model quadrature
     cfg = ReducedConfig(K=K, lam=lam, gnorm=1.0, cstar=1.0, delta=delta)
-    _, _, gnorm, cstar = default_model(16)
+    _, _, gnorm, cstar = default_model()
     return replace(cfg, gnorm=gnorm, cstar=cstar)

@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._forms import a_gamma, s_alt, s_hat
+from ._forms import a_gamma_quad, s_alt, s_hat
 from .crown import ProfileHandle, fd_gradient, fd_hessian
 from .errors import DomainError
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
@@ -19,10 +19,9 @@ from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
 _COINCIDENT_TOL = 1e-13
 #: central-difference step of kernel_grad's direct derivative
 _GRAD_STEP = 1e-6
-#: second-difference step of kernel_hess, and the gap to the closed form above
-#: which the step is halved and the two differences Richardson-combined
+#: second-difference step of kernel_hess; the differences at this step and
+#: at half of it are Richardson-combined
 _HESS_STEP = 1e-4
-_HESS_REFINE_TOL = 1e-3
 
 
 def _tail(cfg: SectorConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -262,11 +261,11 @@ def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
 # first and second derivatives along the placement direction
 
 
-def _newton_derivs(A: PlacedBubble, cfg: SectorConfig) -> Tuple[float, float, float]:
+def _newton_derivs(bv: np.ndarray, w: np.ndarray,
+                   cfg: SectorConfig) -> Tuple[float, float, float]:
     """Exact image sums of the Newtonian kernel's w-derivatives at (b, b):
     the z-slot and p-slot gradients and the mixed Hessian."""
     mats, signs = _tail(cfg)
-    bv, w = A.b_point.as_array(), A.w_vec
     mw = mats @ w
     r = mats @ bv - bv
     rn = _norm(r)
@@ -279,11 +278,11 @@ def _newton_derivs(A: PlacedBubble, cfg: SectorConfig) -> Tuple[float, float, fl
     )
 
 
-def _h0e_derivs(A: PlacedBubble, cfg: SectorConfig) -> Tuple[float, float, float]:
+def _h0e_derivs(bv: np.ndarray, w: np.ndarray,
+                cfg: SectorConfig) -> Tuple[float, float, float]:
     """Exact image sums of h0e's w-derivatives at (b, b): the z-slot and
     p-slot gradients and the mixed Hessian."""
     mats, signs = sector_images(cfg.K)
-    bv, w = A.b_point.as_array(), A.w_vec
     v, mw = mats @ bv, mats @ w
     v2 = np.vecdot(v, v)[:, None]
     F = _pow(_h0_rad(v, bv), -0.5)
@@ -326,10 +325,10 @@ def kernel_grad(kind: str, slot: str, A: PlacedBubble,
     else:
         direct = A.w_abs * (f(bv, bv + h * what) - f(bv, bv - h * what)) / (2 * h)
     if kind == "gamma":
-        closed = _newton_derivs(A, cfg)[("z", "p").index(slot)]
+        closed = _newton_derivs(bv, w, cfg)[("z", "p").index(slot)]
         asym = -A.w_abs * s_hat(1, cfg.K) / (4.0 * A.b_abs**2)
     else:
-        closed = _h0e_derivs(A, cfg)[("z", "p").index(slot)]
+        closed = _h0e_derivs(bv, w, cfg)[("z", "p").index(slot)]
         d = A.d
         s1, s3 = s_alt(1, cfg.K, d), s_alt(3, cfg.K, d)
         asym = A.w_abs / (4.0 * A.b_abs**2) * (
@@ -348,30 +347,28 @@ def _mixed_second_difference(f, bv, what, h: float) -> float:
 
 
 def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
-    """w^T (mixed z/p Hessian) w at (b, b): second difference (with Richardson
-    refinement when needed) vs exact analytic sum vs the ring asymptotic."""
+    """w^T (mixed z/p Hessian) w at (b, b): Richardson-combined second
+    differences vs exact analytic sum vs the ring asymptotic."""
     f = _direct_fn(kind, cfg)
     bv = A.b_point.as_array()
     w = A.w_vec
     what = w / np.linalg.norm(w)
     if kind == "gamma":
-        closed = _newton_derivs(A, cfg)[2]
+        closed = _newton_derivs(bv, w, cfg)[2]
         s1h, s3h = s_hat(1, cfg.K), s_hat(3, cfg.K)
-        alpha = np.array([A.alpha_w, A.alpha_b])
-        quad = float(alpha @ a_gamma(cfg.K) @ alpha)
+        quad = a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (s1h + s3h + quad)
     else:
-        closed = _h0e_derivs(A, cfg)[2]
+        closed = _h0e_derivs(bv, w, cfg)[2]
         d = A.d
         s1, s3, s5 = (s_alt(k, cfg.K, d) for k in (1, 3, 5))
         root = d + math.sqrt(1.0 + d * d)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (
             s1 - root * root * s3 + 3.0 * (d * d + d**4) * s5
         )
-    direct = A.w_abs**2 * _mixed_second_difference(f, bv, what, _HESS_STEP)
-    if abs(direct - closed) > _HESS_REFINE_TOL:
-        finer = A.w_abs**2 * _mixed_second_difference(f, bv, what, _HESS_STEP / 2.0)
-        direct = (4.0 * finer - direct) / 3.0
+    coarse = A.w_abs**2 * _mixed_second_difference(f, bv, what, _HESS_STEP)
+    finer = A.w_abs**2 * _mixed_second_difference(f, bv, what, _HESS_STEP / 2.0)
+    direct = (4.0 * finer - coarse) / 3.0
     return KernelReport(direct, closed, asym)
 
 

@@ -27,10 +27,13 @@ BBox = Tuple[Tuple[float, float], Tuple[float, float], Tuple[float, float]]
 def _normalize_bbox(bbox) -> BBox:
     if np.isscalar(bbox):
         b = float(bbox)
-        return ((-b, b), (-b, b), (-b, b))
+        bbox = ((-b, b),) * 3
     bbox = tuple(tuple(float(v) for v in ax) for ax in bbox)
-    if len(bbox) != 3 or any(len(ax) != 2 or ax[0] >= ax[1] for ax in bbox):
-        raise DomainError("bbox must be a scalar half-width or three (lo, hi) pairs")
+    if len(bbox) != 3 or not all(len(ax) == 2 and math.isfinite(ax[0])
+                                 and math.isfinite(ax[1]) and ax[0] < ax[1]
+                                 for ax in bbox):
+        raise DomainError("bbox must be a finite positive half-width or three "
+                          "finite (lo, hi) pairs with lo < hi")
     return bbox  # type: ignore[return-value]
 
 
@@ -63,9 +66,12 @@ def radial_nodal_root(p: CrownParams, profile: ProfileHandle, j: int,
     if not 0 <= j < p.m:
         raise DomainError(f"bubble index out of range: {j}")
     d = _as_array(direction).astype(float)
+    norm = float(np.linalg.norm(d))
+    if not (np.isfinite(d).all() and 0.0 < norm < math.inf):
+        raise DomainError(f"direction must be finite and nonzero, got {d}")
     if abs(d[2]) > 1e-12:
         raise DomainError("direction must lie in the z1 z2 plane")
-    d = d / np.linalg.norm(d)
+    d = d / norm
     center = p.xi[j].as_array()
     lo, hi = 1e-3 / p.m, 0.5
     ts = np.linspace(lo, hi, 1024)

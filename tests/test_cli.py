@@ -191,9 +191,24 @@ class TestSubcommands:
             "4e6c696971403ea6b03a47ca7912d40a048c9066eb15272539bfdad0ceb726fc"
         )
 
+    def test_energy_full_mode_bytes(self, tmp_path, capsys):
+        out = tmp_path / "energy.csv"
+        assert run(["energy", "--mode", "full", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "041889c5292b67000e51e715a87211fbd46fba1d6d81f50e2b85c7275f8e5188"
+        )
+
     def test_nodal_domain_error(self, capsys):
         assert run(["nodal", "--res", "8"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bbox", ["nan", "inf", "-inf", "-1", "0"])
+    def test_nodal_bad_bbox(self, capsys, bbox):
+        assert run(["nodal", "--res", "16", f"--bbox={bbox}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bbox ")
+        assert captured.out == ""
 
     def test_kernels_report(self, tmp_path, capsys):
         out = tmp_path / "kernels.csv"

@@ -34,7 +34,15 @@ from necklace.energy import (
     u6_integral,
 )
 from necklace.errors import AccuracyError, DomainError
-from necklace.geometry import Point3
+from necklace.geometry import Point3, SectorConfig
+from necklace.kernels import (
+    PlacedBubble,
+    _gamma_bb_closed,
+    _h0e_bb_closed,
+    _h0e_derivs,
+    _in_plane,
+    _newton_derivs,
+)
 from necklace.trigsums import ZETA3, ZETA5
 
 
@@ -160,6 +168,79 @@ class TestPsi:
     def test_full_rejects_bad_mode(self):
         with pytest.raises(DomainError):
             minimize_psi(_cfg(), mode="exact")
+        with pytest.raises(DomainError):
+            j_reduced(_mid_point(_cfg()), _cfg(), 1.0, mode="bogus")
+
+    @pytest.mark.parametrize("field, bad", [
+        *((f, v) for f in ("eps", "a", "d", "alpha_b", "alpha_w")
+          for v in (math.nan, math.inf, -math.inf)),
+        ("eps", 0.0), ("eps", -1e-5), ("d", 0.0), ("d", -0.05),
+        # |b| = sqrt(1 + d^2) - d rounds to 1 and to 0
+        ("d", 1e-20), ("d", 1e10),
+    ])
+    def test_rejects_invalid_point(self, field, bad):
+        cfg = _cfg()
+        fields = dict(eps=1e-6, a=1e-7, d=0.05, alpha_b=1e-4, alpha_w=1e-2)
+        fields[field] = bad
+        for evaluate in (psi_leading, psi_full,
+                         lambda A, c: j_reduced(A, c, 1.0, mode="full")):
+            with pytest.raises(DomainError):
+                evaluate(ReducedPoint(**fields), cfg)
+
+
+def _oracle_psi_leading(A, cfg):
+    """psi_leading as it was written before the one-polynomial _psi."""
+    C0, C2 = c0(cfg.K, A.d), c2(cfg.K, A.d)
+    Ag = a_gamma(cfg.K)
+    b = math.sqrt(1.0 + A.d * A.d) - A.d
+    e = A.eps
+    qhat = A.a * cfg.gnorm
+    alpha = np.array([A.alpha_w, A.alpha_b])
+    return (
+        e * qhat * qhat * C0 / (2.0 * b)
+        + e**3 * cfg.gnorm**2 * C2 / (8.0 * b**3)
+        - cfg.lam * e * e * cfg.cstar
+        + e**3 * float(alpha @ Ag @ alpha)
+    )
+
+
+def _oracle_psi_full(A, cfg):
+    """psi_full as it was written before _full_kernels took (d, alpha_b,
+    alpha_w): through a validated PlacedBubble."""
+    sector = SectorConfig(cfg.K)
+    P = PlacedBubble(eps=A.eps, a=A.a, q_hat=A.a * cfg.gnorm, w_abs=cfg.gnorm,
+                     alpha_w=A.alpha_w, b_abs=A.b_abs, alpha_b=A.alpha_b,
+                     beta_hat=A.alpha_w)
+    babs, alpha_b = _in_plane(P.b_point)
+    h_val = (_gamma_bb_closed(babs, alpha_b, sector)
+             + _h0e_bb_closed(babs, alpha_b, sector))
+    bv, w = P.b_point.as_array(), P.w_vec
+    newton = _newton_derivs(bv, w, sector)
+    ext = _h0e_derivs(bv, w, sector)
+    grad = newton[0] + newton[1] + ext[0] + ext[1]
+    hess = newton[2] + ext[2]
+    qhat = A.a * cfg.gnorm
+    e = A.eps
+    return (e * qhat * qhat * h_val + e * e * qhat * grad + e**3 * hess
+            - cfg.lam * e * e * cfg.cstar)
+
+
+@pytest.mark.parametrize("K", [64, 128, 256])
+@pytest.mark.parametrize("lam, gnorm, cstar, delta", [
+    (1.0, 1.0, 0.25, 0.1), (0.5, 0.7, 0.01, 0.3), (2.0, 0.3, 1e-4, 0.05),
+])
+def test_psi_equals_oracles(K, lam, gnorm, cstar, delta):
+    cfg = ReducedConfig(K=K, lam=lam, gnorm=gnorm, cstar=cstar, delta=delta)
+    box = _box(cfg)
+    rng = np.random.default_rng(K + int(1000 * delta))
+    for _ in range(35):
+        eps = math.exp(rng.uniform(*np.log(box["eps"])))
+        A = ReducedPoint(eps=eps, a=rng.uniform(-1.0, 1.0) * _a_half_width(cfg, eps),
+                         d=rng.uniform(*box["d"]),
+                         alpha_b=rng.uniform(*box["alpha_b"]),
+                         alpha_w=rng.uniform(*box["alpha_w"]))
+        assert psi_leading(A, cfg) == _oracle_psi_leading(A, cfg)
+        assert psi_full(A, cfg) == _oracle_psi_full(A, cfg)
 
 
 class TestMinimization:
@@ -292,7 +373,7 @@ class TestCStar:
             c_star(talenti_profile(), Point3(0.0, 0.0, 0.0))
 
     def test_bad_scale(self):
-        profile, xi, _gnorm, _cstar = default_model(16)
+        profile, xi, _gnorm, _cstar = default_model()
         with pytest.raises(DomainError):
             c_star(profile, xi, scale=0.0)
         for scale in (math.nan, math.inf, -math.inf):
@@ -301,11 +382,11 @@ class TestCStar:
 
     def test_model_constant(self):
         # the m=16 value the benchmark reference pins, at its tolerance
-        _profile, _xi, _gnorm, cstar = default_model(16)
+        _profile, _xi, _gnorm, cstar = default_model()
         assert cstar == pytest.approx(0.23348704238119866, rel=1e-13)
 
     def test_pruned_bump_factor_is_exact(self):
-        profile, xi, _gnorm, _cstar = default_model(16)
+        profile, xi, _gnorm, _cstar = default_model()
         cores = _cores(profile, xi)
         rng = np.random.default_rng(7)
 
@@ -333,16 +414,16 @@ class TestCStar:
         assert crossed >= 8
 
     def test_value_and_tail(self):
-        _profile, _xi, gnorm, cstar = default_model(16)
+        _profile, _xi, gnorm, cstar = default_model()
         assert cstar > 0.0
         assert gnorm > 0.0
-        parts = default_model_parts(16)
+        parts = default_model_parts()
         total = parts["outer"] + parts["cores"] + parts["tail"]
         assert total == pytest.approx(cstar, rel=1e-12)
         assert parts["tail_fraction"] <= 1e-8
 
     def test_halving_steps(self):
-        profile, xi, _gnorm, cstar = default_model(16)
+        profile, xi, _gnorm, cstar = default_model()
         refined = c_star(profile, xi, scale=2.0)
         assert abs(refined - cstar) / refined <= 1e-6
 

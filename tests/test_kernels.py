@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from necklace import kernels
 from necklace.crown import build_crown, u_star_profile
 from necklace.errors import DomainError
 from necklace.geometry import (
@@ -214,6 +215,16 @@ class TestDerivatives:
         rep = kernel_hess(kind, A, CFG)
         assert rep.abs_err_dc < 1e-3
 
+    def test_hess_direct_ignores_closed_form(self, monkeypatch):
+        A = _bubble(b_abs=0.965, alpha_b=0.1 * CFG.theta0, alpha_w=0.07)
+        before = kernel_hess("gamma", A, CFG)
+        real = kernels._newton_derivs
+        monkeypatch.setattr(kernels, "_newton_derivs",
+                            lambda *args: tuple(v + 1.0 for v in real(*args)))
+        after = kernel_hess("gamma", A, CFG)
+        assert after.closed_form == before.closed_form + 1.0
+        assert after.direct == before.direct
+
     def test_bad_slot(self):
         with pytest.raises(DomainError):
             kernel_grad("gamma", "q", _bubble(), CFG)
@@ -411,8 +422,9 @@ class TestSectorImages:
     def test_closed_forms(self, K):
         cfg = SectorConfig(K)
         A = _bubble(b_abs=0.965, alpha_b=0.1 * cfg.theta0, alpha_w=0.07)
-        for got, ref in ((_newton_derivs(A, cfg), _ref_newton_derivs(A, K)),
-                         (_h0e_derivs(A, cfg), _ref_h0e_derivs(A, K))):
+        bv, w = A.b_point.as_array(), A.w_vec
+        for got, ref in ((_newton_derivs(bv, w, cfg), _ref_newton_derivs(A, K)),
+                         (_h0e_derivs(bv, w, cfg), _ref_h0e_derivs(A, K))):
             assert got == pytest.approx(ref, rel=1e-14)
 
     def test_extend_odd(self, K):

@@ -49,6 +49,14 @@ class TestRadialRoot:
         with pytest.raises(DomainError):
             radial_nodal_root(crown16, star16, 0, (0.0, 0.5, 0.5))
 
+    @pytest.mark.parametrize("direction", [
+        (0.0, 0.0, 0.0), (np.nan, 0.0, 0.0), (-np.inf, 0.0, 0.0),
+        (1.0, np.nan, 0.0), (1.0, 0.0, np.nan),
+    ])
+    def test_degenerate_direction(self, crown16, star16, direction):
+        with pytest.raises(DomainError):
+            radial_nodal_root(crown16, star16, 0, direction)
+
     def test_no_root_for_positive_profile(self, crown16):
         with pytest.raises(NotFoundError):
             radial_nodal_root(crown16, talenti_profile(), 0, (1.0, 0.0, 0.0))
@@ -89,6 +97,16 @@ class TestNodalMesh:
             nodal_mesh(crown16, star16, ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0)), 16)
         with pytest.raises(DomainError):
             nodal_mesh(crown16, star16, 2.5, 8)
+
+    @pytest.mark.parametrize("bbox", [
+        np.nan, np.inf, -np.inf, -1.0, 0.0,
+        ((0.0, 1.0), (0.0, np.nan), (0.0, 1.0)),
+        ((-np.inf, 1.0), (0.0, 1.0), (0.0, 1.0)),
+        ((0.0, 1.0), (0.0, 1.0), (0.0, np.inf)),
+    ])
+    def test_bbox_nonfinite_or_reversed(self, crown16, star16, bbox):
+        with pytest.raises(DomainError):
+            nodal_mesh(crown16, star16, bbox, 16)
 
     def test_scalar_bbox_normalized(self, crown16, star16):
         mesh = nodal_mesh(crown16, star16, 1.5, 16)
