@@ -341,8 +341,8 @@ def criterion_10(quick: bool = False) -> Result:
         mesh2 = nodal_mesh(params, profile, 2.5, 2 * res0)
         g1 = gradient_min_on_nodal(mesh2, profile)
         d["grad_min"], d["grad_min_doubled"] = g0, g1
-        return (d["max_residual"] <= 1e-8 and g0 > 0.0
-                and abs(g1 - g0) <= 1e-6)
+        d["grad_min_gap"] = abs(g1 - g0)
+        return d["max_residual"] <= 1e-8 and g0 > 0.0 and d["grad_min_gap"] <= 1e-6
 
     return _run("nodal mesh", body)
 

@@ -9,7 +9,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +57,18 @@ class CrownParams:
         ct = self.centers_array().T
         ct.flags.writeable = False
         return ct
+
+    @cached_property
+    def _bubbles(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """u_star as a sum of m + 1 bubbles A (c + |z - x|^2)^{-1/2}: the
+        (m + 1, 3) centres x (the origin, then the ring), c and A, built once
+        and read-only."""
+        x = np.vstack([np.zeros(3), self.centers_array()])
+        c = np.array([1.0] + [self.mu * self.mu] * self.m)
+        amp = np.array([TALENTI_AMP] + [-TALENTI_AMP * math.sqrt(self.mu)] * self.m)
+        for arr in (x, c, amp):
+            arr.flags.writeable = False
+        return x, c, amp
 
     def unit_centers_array(self) -> np.ndarray:
         """The centers pushed out to the unit circle (the mu -> 0 positions)."""
@@ -136,6 +148,39 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
     return float(val) if val.ndim == 0 else val
 
 
+Derivs = Tuple[float, np.ndarray, np.ndarray, np.ndarray]
+
+
+def u_star_derivs(z: PointLike, v: Optional[np.ndarray], p: CrownParams) -> Derivs:
+    """u_star, its gradient, its Hessian and its third derivative contracted
+    with v, T[v], at one point, in closed form.  ``v=None`` contracts with
+    the gradient.
+
+    With r = z - x and s = c + |r|^2, each bubble A s^{-1/2} contributes
+    grad -A r s^{-3/2}, Hessian -A (I s^{-3/2} - 3 r r^T s^{-5/2}) and
+    T[v] = A (3 s^{-5/2} (I (r.v) + r v^T + v r^T) - 15 s^{-7/2} (r.v) r r^T).
+    """
+    zv = _as_array(z)
+    if zv.shape != (3,):
+        raise DomainError(f"u_star_derivs takes a single point, got shape {zv.shape}")
+    x, c, amp = p._bubbles
+    r = zv - x
+    s = c + np.einsum("ij,ij->i", r, r)
+    a1 = amp / np.sqrt(s)
+    a3 = a1 / s
+    a5 = a3 / s
+    a7 = a5 / s
+    grad = -(a3 @ r)
+    rr = r[:, :, None] * r[:, None, :]
+    hess = 3.0 * np.einsum("i,ijk->jk", a5, rr) - a3.sum() * _EYE
+    v = grad if v is None else np.asarray(v, dtype=float)
+    rv = r @ v
+    w = a5 @ r
+    tv = (3.0 * ((a5 @ rv) * _EYE + np.outer(w, v) + np.outer(v, w))
+          - 15.0 * np.einsum("i,ijk->jk", a7 * rv, rr))
+    return float(a1.sum()), grad, hess, tv
+
+
 @dataclass(frozen=True)
 class ProfileHandle:
     """A scalar field on R^3 with a tag describing its construction.
@@ -143,12 +188,16 @@ class ProfileHandle:
     ``fn`` is vectorized over trailing (..., 3) point arrays.  ``features``
     lists points near which the field has sharp concentration (used by
     quadrature routines to adapt), ``singularities`` lists genuine poles.
+    ``derivs(z, v)``, where the field has closed-form derivatives, returns
+    its value, gradient, Hessian and third derivative contracted with v at
+    one point, as ``u_star_derivs`` does.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     tag: str  # talenti | u_star | u_star_corrected
     features: Tuple[Point3, ...] = ()
     singularities: Tuple[Point3, ...] = ()
+    derivs: Optional[Callable[[np.ndarray, Optional[np.ndarray]], Derivs]] = None
 
     def __call__(self, z: PointLike) -> Union[float, np.ndarray]:
         val = self.fn(_as_array(z))
@@ -161,7 +210,8 @@ def talenti_profile() -> ProfileHandle:
 
 def u_star_profile(p: CrownParams) -> ProfileHandle:
     return ProfileHandle(
-        fn=lambda arr: u_star(arr, p), tag="u_star", features=p.xi
+        fn=lambda arr: u_star(arr, p), tag="u_star", features=p.xi,
+        derivs=lambda z, v: u_star_derivs(z, v, p),
     )
 
 

@@ -91,8 +91,9 @@ class PlacedBubble:
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise DomainError("eps must be finite and positive")
-        for name in ("a", "q_hat", "w_abs", "alpha_w", "alpha_b", "beta_hat",
-                     "theta_star"):
+        if not (math.isfinite(self.w_abs) and self.w_abs > 0):
+            raise DomainError("w_abs must be finite and positive")
+        for name in ("a", "q_hat", "alpha_w", "alpha_b", "beta_hat", "theta_star"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
         if not 0.0 < self.b_abs < 1.0:

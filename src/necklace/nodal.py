@@ -1,7 +1,7 @@
 """Zero-level-set extraction for a profile: radial root finding along rays,
 grid + edge-bisection point clouds, and the minimum gradient norm over the
-extracted set (polished to a surface-constrained local minimum so it is
-stable under grid refinement).
+extracted set (polished by Newton's method to a surface-constrained local
+minimum, so it is stable under grid refinement).
 """
 from __future__ import annotations
 
@@ -10,16 +10,17 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
-import scipy.optimize
 
 from .crown import CrownParams, ProfileHandle, _as_array, fd_gradient
-from .errors import DomainError, NotFoundError
+from .errors import DomainError, NotFoundError, UnsupportedError
 from .geometry import Point3
 
 _BISECT_ITERS = 60
 _RESIDUAL_TOL = 1e-8
 #: lowest-gradient mesh points the polish starts from
 _POLISH_CANDIDATES = 24
+#: Newton steps a polish may take before its start counts as failed
+_NEWTON_ITERS = 50
 
 BBox = Tuple[Tuple[float, float], Tuple[float, float], Tuple[float, float]]
 
@@ -168,23 +169,34 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
                      dropped=int(np.count_nonzero(~keep)))
 
 
-def _polish_min(profile: ProfileHandle, start: np.ndarray) -> float:
-    """Minimize |grad u| constrained to u = 0 from a mesh candidate."""
+def _polish_min(profile: ProfileHandle, start: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Minimize |grad u| constrained to u = 0 from a mesh candidate: Newton's
+    method on the KKT system of min |g|^2 / 2 subject to u = 0,
 
-    def objective(z):
-        return float(gradient_norms(profile, z[None, :])[0])
+        [H g - lam g; u] = 0,  Jacobian [[T[g] + H^2 - lam H, -g]; [g^T, 0]],
 
-    def constraint(z):
-        return float(profile.fn(np.asarray(z, dtype=float)))
-
-    res = scipy.optimize.minimize(
-        objective, start, method="SLSQP",
-        constraints=[{"type": "eq", "fun": constraint}],
-        options={"maxiter": 200, "ftol": 1e-14},
-    )
-    if not res.success or abs(constraint(res.x)) > 1e-6:
-        return math.inf
-    return float(res.fun)
+    with g, H and T[g] from ``profile.derivs``.  Returns |g| and the point it
+    stops at; a start that takes more than _NEWTON_ITERS steps to a step of
+    at most 1e-15 max(1, |z|), or stops with |u| > 1e-6, gives inf."""
+    z = np.array(start, dtype=float)
+    u, g, hess, tg = profile.derivs(z, None)
+    lam = float(g @ hess @ g) / float(g @ g)
+    jac = np.zeros((4, 4))
+    for _ in range(_NEWTON_ITERS):
+        hg = hess @ g
+        jac[:3, :3] = tg + hess @ hess - lam * hess
+        jac[:3, 3] = -g
+        jac[3, :3] = g
+        try:
+            step = np.linalg.solve(jac, -np.append(hg - lam * g, u))
+        except np.linalg.LinAlgError:
+            break
+        z += step[:3]
+        lam += float(step[3])
+        u, g, hess, tg = profile.derivs(z, None)
+        if np.linalg.norm(step[:3]) <= 1e-15 * max(1.0, np.linalg.norm(z)):
+            return (float(np.linalg.norm(g)) if abs(u) <= 1e-6 else math.inf), z
+    return math.inf, z
 
 
 def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle) -> float:
@@ -192,13 +204,18 @@ def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle) -> float:
 
     The raw grid minimum is polished by a surface-constrained local
     minimization from the lowest-gradient candidates, which makes the result
-    independent of the grid resolution."""
+    independent of the grid resolution.  The polish needs the profile's
+    closed-form derivatives: a profile without ``derivs`` raises
+    UnsupportedError."""
     if len(mesh) == 0:
         raise DomainError("empty mesh has no gradient minimum")
+    if profile.derivs is None:
+        raise UnsupportedError(f"the {profile.tag!r} profile has no closed-form "
+                               "derivatives to polish the gradient minimum with")
     order = np.argsort(mesh.gradients)[:_POLISH_CANDIDATES]
     best = float(np.min(mesh.gradients))
     for idx in order:
-        val = _polish_min(profile, mesh.points[idx].copy())
+        val, _ = _polish_min(profile, mesh.points[idx])
         if val < best:
             best = val
     return best

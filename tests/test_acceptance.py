@@ -34,3 +34,9 @@ def test_criterion(results, name):
     res = results[name]
     detail = json.dumps(res.details, default=str, sort_keys=True)
     assert res.passed, f"{name} failed in {res.elapsed:.1f}s: {detail}"
+
+
+def test_nodal_refinement_gap(results):
+    details = results["nodal mesh"].details
+    assert details["grad_min_gap"] == abs(details["grad_min_doubled"] - details["grad_min"])
+    assert details["grad_min_gap"] <= 1e-12

@@ -77,11 +77,13 @@ class TestPlacedBubble:
         with pytest.raises(DomainError):
             _bubble(eps=eps)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["a", "q_hat", "w_abs", "alpha_w",
-                                      "beta_hat", "alpha_w_beta_hat", "b_abs",
-                                      "alpha_b", "theta_star", "W_diag",
-                                      "W_offdiag"])
+    @pytest.mark.parametrize("name,bad", [
+        (name, bad)
+        for name in ["a", "q_hat", "w_abs", "alpha_w", "beta_hat",
+                     "alpha_w_beta_hat", "b_abs", "alpha_b", "theta_star",
+                     "W_diag", "W_offdiag"]
+        for bad in [math.nan, math.inf, -math.inf]
+    ] + [("w_abs", 0.0), ("w_abs", -1.0)])
     def test_rejects_nonfinite_field(self, name, bad):
         fields = dict(eps=1e-4, a=0.0, q_hat=1.0, w_abs=1.0, alpha_w=0.02,
                       b_abs=0.97, alpha_b=0.01, beta_hat=0.02)

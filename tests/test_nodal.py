@@ -6,11 +6,15 @@ from necklace.crown import (
     ProfileHandle,
     build_crown,
     talenti_profile,
+    u_star,
     u_star_corrected_profile,
+    u_star_derivs,
     u_star_profile,
 )
-from necklace.errors import DomainError, NotFoundError
+from necklace.errors import DomainError, NotFoundError, UnsupportedError
 from necklace.nodal import (
+    _POLISH_CANDIDATES,
+    _polish_min,
     gradient_min_on_nodal,
     gradient_norms,
     nodal_mesh,
@@ -26,6 +30,11 @@ def crown16():
 @pytest.fixture(scope="module")
 def star16(crown16):
     return u_star_profile(crown16)
+
+
+@pytest.fixture(scope="module")
+def mesh48(crown16, star16):
+    return nodal_mesh(crown16, star16, 2.5, 48)
 
 
 class TestRadialRoot:
@@ -165,3 +174,40 @@ class TestGradientMin:
         raw = mesh.gradients.min()
         polished = gradient_min_on_nodal(mesh, star16)
         assert polished <= raw + 1e-15
+
+    def test_polished_minimum_independent_of_resolution(self, crown16, star16, mesh48):
+        fine = nodal_mesh(crown16, star16, 2.5, 96)
+        g_coarse = gradient_min_on_nodal(mesh48, star16)
+        g_fine = gradient_min_on_nodal(fine, star16)
+        assert abs(g_fine - g_coarse) <= 1e-12
+
+    def test_polished_values_are_gradients_on_the_zero_set(self, crown16, star16, mesh48):
+        order = np.argsort(mesh48.gradients)[:_POLISH_CANDIDATES]
+        for idx in order:
+            start = mesh48.points[idx].copy()
+            val, z = _polish_min(star16, mesh48.points[idx])
+            assert np.array_equal(mesh48.points[idx], start)
+            assert abs(u_star(z, crown16)) <= 1e-12
+            assert val == np.linalg.norm(u_star_derivs(z, None, crown16)[1])
+            assert val == pytest.approx(gradient_norms(star16, z)[0], rel=1e-8)
+
+    def test_failed_start_gives_inf(self, star16):
+        # from a start far outside the zero set the Newton steps run off to
+        # infinity, and the start does not converge within the step budget
+        assert _polish_min(star16, np.array([40.0, 30.0, 20.0]))[0] == np.inf
+
+    def test_stalled_start_off_the_zero_set_gives_inf(self):
+        # a field so steep that the Newton step to u = 0 is below the step
+        # bound: the polish stops, but at |u| = 1e-3, off the zero set
+        steep = ProfileHandle(
+            fn=lambda a: a[..., 0], tag="steep",
+            derivs=lambda z, v: (1e-3, np.array([1e20, 0.0, 0.0]),
+                                 np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3))))
+        assert _polish_min(steep, np.zeros(3))[0] == np.inf
+
+    def test_needs_closed_form_derivatives(self, crown16):
+        prof = u_star_corrected_profile(crown16)
+        mesh = nodal_mesh(crown16, prof, 2.5, 48)
+        assert len(mesh) > 0
+        with pytest.raises(UnsupportedError):
+            gradient_min_on_nodal(mesh, prof)
