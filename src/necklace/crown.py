@@ -120,9 +120,9 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
     if len(pts) == 1:
         pts = np.repeat(pts, 2, axis=0)
     n = len(pts)
-    rho2 = 1.0 - p.mu * p.mu
-    mu2 = p.mu * p.mu
-    amp = TALENTI_AMP * math.sqrt(p.mu)
+    # the ring bubbles' c = mu^2 and A < 0 after the origin's row
+    _, c, amp = p._bubbles
+    rho2 = 1.0 - c[1]
     out = np.empty(n)
     buf = np.empty((min(n, _BLOCK), p.m))
     nblk = -(-n // _BLOCK)
@@ -139,11 +139,11 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
         d2 *= 2.0
         np.subtract((r2 + rho2)[:, None], d2, out=d2)
         np.maximum(d2, 0.0, out=d2)
-        d2 += mu2
+        d2 += c[1]
         np.power(d2, -0.5, out=d2)
         ring = d2.sum(axis=-1)
-        ring *= amp
-        np.subtract(TALENTI_AMP / np.sqrt(1.0 + r2), ring, out=out[lo:hi])
+        ring *= amp[1]
+        np.add(amp[0] / np.sqrt(c[0] + r2), ring, out=out[lo:hi])
     val = out[: arr.size // 3].reshape(arr.shape[:-1])
     return float(val) if val.ndim == 0 else val
 
@@ -151,14 +151,13 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
 Derivs = Tuple[float, np.ndarray, np.ndarray, np.ndarray]
 
 
-def u_star_derivs(z: PointLike, v: Optional[np.ndarray], p: CrownParams) -> Derivs:
-    """u_star, its gradient, its Hessian and its third derivative contracted
-    with v, T[v], at one point, in closed form.  ``v=None`` contracts with
-    the gradient.
+def u_star_derivs(z: PointLike, p: CrownParams) -> Derivs:
+    """u_star, its gradient g, its Hessian and its third derivative
+    contracted with the gradient, T[g], at one point, in closed form.
 
     With r = z - x and s = c + |r|^2, each bubble A s^{-1/2} contributes
     grad -A r s^{-3/2}, Hessian -A (I s^{-3/2} - 3 r r^T s^{-5/2}) and
-    T[v] = A (3 s^{-5/2} (I (r.v) + r v^T + v r^T) - 15 s^{-7/2} (r.v) r r^T).
+    T[g] = A (3 s^{-5/2} (I (r.g) + r g^T + g r^T) - 15 s^{-7/2} (r.g) r r^T).
     """
     zv = _as_array(z)
     if zv.shape != (3,):
@@ -173,12 +172,11 @@ def u_star_derivs(z: PointLike, v: Optional[np.ndarray], p: CrownParams) -> Deri
     grad = -(a3 @ r)
     rr = r[:, :, None] * r[:, None, :]
     hess = 3.0 * np.einsum("i,ijk->jk", a5, rr) - a3.sum() * _EYE
-    v = grad if v is None else np.asarray(v, dtype=float)
-    rv = r @ v
+    rg = r @ grad
     w = a5 @ r
-    tv = (3.0 * ((a5 @ rv) * _EYE + np.outer(w, v) + np.outer(v, w))
-          - 15.0 * np.einsum("i,ijk->jk", a7 * rv, rr))
-    return float(a1.sum()), grad, hess, tv
+    tg = (3.0 * ((a5 @ rg) * _EYE + np.outer(w, grad) + np.outer(grad, w))
+          - 15.0 * np.einsum("i,ijk->jk", a7 * rg, rr))
+    return float(a1.sum()), grad, hess, tg
 
 
 @dataclass(frozen=True)
@@ -188,16 +186,16 @@ class ProfileHandle:
     ``fn`` is vectorized over trailing (..., 3) point arrays.  ``features``
     lists points near which the field has sharp concentration (used by
     quadrature routines to adapt), ``singularities`` lists genuine poles.
-    ``derivs(z, v)``, where the field has closed-form derivatives, returns
-    its value, gradient, Hessian and third derivative contracted with v at
-    one point, as ``u_star_derivs`` does.
+    ``derivs(z)``, where the field has closed-form derivatives, returns its
+    value, gradient, Hessian and third derivative contracted with the
+    gradient at one point, as ``u_star_derivs`` does.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     tag: str  # talenti | u_star | u_star_corrected
     features: Tuple[Point3, ...] = ()
     singularities: Tuple[Point3, ...] = ()
-    derivs: Optional[Callable[[np.ndarray, Optional[np.ndarray]], Derivs]] = None
+    derivs: Optional[Callable[[np.ndarray], Derivs]] = None
 
     def __call__(self, z: PointLike) -> Union[float, np.ndarray]:
         val = self.fn(_as_array(z))
@@ -211,7 +209,7 @@ def talenti_profile() -> ProfileHandle:
 def u_star_profile(p: CrownParams) -> ProfileHandle:
     return ProfileHandle(
         fn=lambda arr: u_star(arr, p), tag="u_star", features=p.xi,
-        derivs=lambda z, v: u_star_derivs(z, v, p),
+        derivs=lambda z: u_star_derivs(z, p),
     )
 
 

@@ -169,19 +169,21 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
                      dropped=int(np.count_nonzero(~keep)))
 
 
-def _polish_min(profile: ProfileHandle, start: np.ndarray) -> Tuple[float, np.ndarray]:
+def _polish_min(profile: ProfileHandle, start: np.ndarray) -> float:
     """Minimize |grad u| constrained to u = 0 from a mesh candidate: Newton's
     method on the KKT system of min |g|^2 / 2 subject to u = 0,
 
         [H g - lam g; u] = 0,  Jacobian [[T[g] + H^2 - lam H, -g]; [g^T, 0]],
 
-    with g, H and T[g] from ``profile.derivs``.  Returns |g| and the point it
-    stops at; a start that takes more than _NEWTON_ITERS steps to a step of
-    at most 1e-15 max(1, |z|), or stops with |u| > 1e-6, gives inf."""
+    with g, H and T[g] from ``profile.derivs``.  Once a step is at most
+    1e-12 max(1, |z|) it takes one more step, which brings z to round-off,
+    and returns |g| there.  A start that does not get there within
+    _NEWTON_ITERS steps, or ends with |u| > 1e-6, gives inf."""
     z = np.array(start, dtype=float)
-    u, g, hess, tg = profile.derivs(z, None)
+    u, g, hess, tg = profile.derivs(z)
     lam = float(g @ hess @ g) / float(g @ g)
     jac = np.zeros((4, 4))
+    converged = False
     for _ in range(_NEWTON_ITERS):
         hg = hess @ g
         jac[:3, :3] = tg + hess @ hess - lam * hess
@@ -193,10 +195,11 @@ def _polish_min(profile: ProfileHandle, start: np.ndarray) -> Tuple[float, np.nd
             break
         z += step[:3]
         lam += float(step[3])
-        u, g, hess, tg = profile.derivs(z, None)
-        if np.linalg.norm(step[:3]) <= 1e-15 * max(1.0, np.linalg.norm(z)):
-            return (float(np.linalg.norm(g)) if abs(u) <= 1e-6 else math.inf), z
-    return math.inf, z
+        u, g, hess, tg = profile.derivs(z)
+        if converged:
+            return float(np.linalg.norm(g)) if abs(u) <= 1e-6 else math.inf
+        converged = np.linalg.norm(step[:3]) <= 1e-12 * max(1.0, np.linalg.norm(z))
+    return math.inf
 
 
 def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle) -> float:
@@ -215,7 +218,7 @@ def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle) -> float:
     order = np.argsort(mesh.gradients)[:_POLISH_CANDIDATES]
     best = float(np.min(mesh.gradients))
     for idx in order:
-        val, _ = _polish_min(profile, mesh.points[idx])
+        val = _polish_min(profile, mesh.points[idx])
         if val < best:
             best = val
     return best

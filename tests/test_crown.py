@@ -184,27 +184,29 @@ class TestUStarBlocks:
             u_star(np.zeros(shape), crown16)
 
 
-def _derivs_mp(z, v, p):
-    """u_star, its gradient, Hessian and T[v] summed bubble by bubble in
+def _derivs_mp(z, p):
+    """u_star, its gradient g, Hessian and T[g] summed bubble by bubble in
     mpmath at 30 digits, from the same float centres, c and A."""
     x, c, amp = p._bubbles
     with mp.workdps(30):
-        z, v = mp.matrix(z.tolist()), mp.matrix(v.tolist())
+        z = mp.matrix(z.tolist())
+        bubbles = [(r, ci + (r.T * r)[0], ai) for r, ci, ai in
+                   ((z - mp.matrix(xi), ci, ai)
+                    for xi, ci, ai in zip(x.tolist(), c.tolist(), amp.tolist()))]
         u, g = mp.mpf(0), mp.zeros(3, 1)
-        hess, tv = mp.zeros(3, 3), mp.zeros(3, 3)
+        hess, tg = mp.zeros(3, 3), mp.zeros(3, 3)
         eye = mp.eye(3)
-        for xi, ci, ai in zip(x.tolist(), c.tolist(), amp.tolist()):
-            r = z - mp.matrix(xi)
-            s = ci + (r.T * r)[0]
-            rv = (r.T * v)[0]
-            u += ai * s**-0.5
-            g += -ai * s**-1.5 * r
-            hess += -ai * (s**-1.5 * eye - 3 * s**-2.5 * (r * r.T))
-            tv += ai * (3 * s**-2.5 * (rv * eye + r * v.T + v * r.T)
-                        - 15 * s**-3.5 * rv * (r * r.T))
+        for r, s, a in bubbles:
+            u += a * s**-0.5
+            g += -a * s**-1.5 * r
+            hess += -a * (s**-1.5 * eye - 3 * s**-2.5 * (r * r.T))
+        for r, s, a in bubbles:
+            rg = (r.T * g)[0]
+            tg += a * (3 * s**-2.5 * (rg * eye + r * g.T + g * r.T)
+                       - 15 * s**-3.5 * rg * (r * r.T))
         return (float(u), np.array(g.tolist(), dtype=float).ravel(),
                 np.array(hess.tolist(), dtype=float),
-                np.array(tv.tolist(), dtype=float))
+                np.array(tg.tolist(), dtype=float))
 
 
 def _derivs_points(p):
@@ -219,34 +221,32 @@ def _derivs_points(p):
 
 class TestUStarDerivs:
     def test_against_mpmath(self, crown16):
-        rng = np.random.default_rng(32)
         for z in _derivs_points(crown16):
-            v = rng.normal(size=3)
-            u, g, hess, tv = u_star_derivs(z, v, crown16)
-            u_ref, g_ref, hess_ref, tv_ref = _derivs_mp(z, v, crown16)
+            u, g, hess, tg = u_star_derivs(z, crown16)
+            u_ref, g_ref, hess_ref, tg_ref = _derivs_mp(z, crown16)
             # grad u vanishes at the origin by symmetry; the scale there is 1
             scale = max(np.linalg.norm(g_ref), 1.0)
             assert abs(u - u_ref) <= 1e-13 * scale
             assert np.abs(g - g_ref).max() <= 1e-13 * scale
             assert np.abs(hess - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
-            assert np.abs(tv - tv_ref).max() <= 1e-12 * max(np.abs(tv_ref).max(), 1.0)
+            assert np.abs(tg - tg_ref).max() <= 1e-12 * max(np.abs(tg_ref).max(), 1.0)
 
     def test_third_derivative_is_hessian_difference(self, crown16):
-        rng = np.random.default_rng(33)
         centers = crown16.centers_array()
+        # T[g] = |g| T[g/|g|]; the origin, where g = 0, is left out
         for z in _derivs_points(crown16)[1:]:
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
+            _, g, _, tg = u_star_derivs(z, crown16)
+            gnorm = np.linalg.norm(g)
+            v = g / gnorm
             h = 1e-4 * min(1.0, np.min(np.linalg.norm(z - centers, axis=1)))
-            tv = u_star_derivs(z, v, crown16)[3]
-            diff = (u_star_derivs(z + h * v, v, crown16)[2]
-                    - u_star_derivs(z - h * v, v, crown16)[2]) / (2.0 * h)
-            assert np.abs(diff - tv).max() <= 1e-6 * max(np.abs(tv).max(), 1.0)
+            diff = (u_star_derivs(z + h * v, crown16)[2]
+                    - u_star_derivs(z - h * v, crown16)[2]) * (gnorm / (2.0 * h))
+            assert np.abs(diff - tg).max() <= 1e-6 * max(np.abs(tg).max(), gnorm)
 
     def test_against_finite_differences(self, crown16):
         prof = u_star_profile(crown16)
         for z in _points((12, 3), seed=34):
-            u, g, hess, _ = u_star_derivs(z, None, crown16)
+            u, g, hess, _ = u_star_derivs(z, crown16)
             assert u == pytest.approx(u_star(z, crown16), abs=1e-14)
             # the central differences' round-off floors: eps/h at h = 1e-6
             # for the gradient, eps/h^2 at h = 1e-4 for the Hessian
@@ -254,22 +254,20 @@ class TestUStarDerivs:
             assert np.abs(fd_g - g).max() <= 1e-8 * max(np.abs(g).max(), 1.0)
             assert np.abs(fd_h - hess).max() <= 1e-6 * max(np.abs(hess).max(), 1.0)
 
-    def test_default_direction_is_the_gradient(self, crown16):
-        z = np.array([0.5, 0.2, -0.1])
-        u, g, hess, tg = u_star_derivs(z, None, crown16)
-        assert np.array_equal(tg, u_star_derivs(z, g, crown16)[3])
+    def test_second_and_third_derivatives_are_symmetric(self, crown16):
+        _, _, hess, tg = u_star_derivs(np.array([0.5, 0.2, -0.1]), crown16)
         assert np.array_equal(hess, hess.T)
         assert np.array_equal(tg, tg.T)
 
     @pytest.mark.parametrize("shape", [(2,), (1, 3), (17, 3)])
     def test_rejects_anything_but_one_point(self, crown16, shape):
         with pytest.raises(DomainError):
-            u_star_derivs(np.zeros(shape), None, crown16)
+            u_star_derivs(np.zeros(shape), crown16)
 
     def test_profile_carries_derivs(self, crown16):
         z = np.array([0.5, 0.2, -0.1])
-        got = u_star_profile(crown16).derivs(z, None)
-        for a, b in zip(got, u_star_derivs(z, None, crown16)):
+        got = u_star_profile(crown16).derivs(z)
+        for a, b in zip(got, u_star_derivs(z, crown16)):
             assert np.array_equal(a, b)
         assert talenti_profile().derivs is None
         assert u_star_corrected_profile(crown16).derivs is None
