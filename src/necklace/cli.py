@@ -174,6 +174,9 @@ def _cmd_nodal(args) -> int:
 
 def _cmd_kernels(args) -> int:
     cfg = SectorConfig(args.K)
+    if not (math.isfinite(args.b_abs) and math.isfinite(args.alpha_b)):
+        raise DomainError(f"--b-abs and --alpha-b must be finite, got "
+                          f"{args.b_abs!r} and {args.alpha_b!r}")
     b = Point3(args.b_abs * math.cos(args.alpha_b),
                args.b_abs * math.sin(args.alpha_b), 0.0)
     rows = []

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
@@ -26,12 +26,20 @@ _FD_HESSIAN_STEP = 1e-4
 _EYE = np.eye(3)
 
 PointLike = Union[Point3, np.ndarray]
+#: a field sum_i A_i (c_i + |z - x_i|^2)^{-1/2} as its (x, c, A)
+Bubbles = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _as_array(z: PointLike) -> np.ndarray:
     if isinstance(z, Point3):
         return z.as_array()
     return np.asarray(z, dtype=float)
+
+
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -59,16 +67,14 @@ class CrownParams:
         return ct
 
     @cached_property
-    def _bubbles(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _bubbles(self) -> Bubbles:
         """u_star as a sum of m + 1 bubbles A (c + |z - x|^2)^{-1/2}: the
         (m + 1, 3) centres x (the origin, then the ring), c and A, built once
         and read-only."""
         x = np.vstack([np.zeros(3), self.centers_array()])
         c = np.array([1.0] + [self.mu * self.mu] * self.m)
         amp = np.array([TALENTI_AMP] + [-TALENTI_AMP * math.sqrt(self.mu)] * self.m)
-        for arr in (x, c, amp):
-            arr.flags.writeable = False
-        return x, c, amp
+        return _read_only(x, c, amp)
 
     def unit_centers_array(self) -> np.ndarray:
         """The centers pushed out to the unit circle (the mu -> 0 positions)."""
@@ -188,7 +194,11 @@ class ProfileHandle:
     quadrature routines to adapt), ``singularities`` lists genuine poles.
     ``derivs(z)``, where the field has closed-form derivatives, returns its
     value, gradient, Hessian and third derivative contracted with the
-    gradient at one point, as ``u_star_derivs`` does.
+    gradient at one point, as ``u_star_derivs`` does.  ``bubbles``, where
+    the field is a sum of bubbles, is (x, c, A): (n, 3) centres and (n,)
+    c > 0 and A such that fn(z) = sum_i A_i (c_i + |z - x_i|^2)^{-1/2}
+    exactly, up to the round-off of evaluating it.  Without it (None) the
+    field is treated as a black box.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -196,20 +206,26 @@ class ProfileHandle:
     features: Tuple[Point3, ...] = ()
     singularities: Tuple[Point3, ...] = ()
     derivs: Optional[Callable[[np.ndarray], Derivs]] = None
+    # out of __eq__ and __hash__, which arrays would break
+    bubbles: Optional[Bubbles] = field(default=None, compare=False)
 
     def __call__(self, z: PointLike) -> Union[float, np.ndarray]:
         val = self.fn(_as_array(z))
         return float(val) if np.ndim(val) == 0 else val
 
 
+#: u_bubble as the one bubble at the origin with c = 1
+_TALENTI_BUBBLES = _read_only(np.zeros((1, 3)), np.ones(1), np.array([TALENTI_AMP]))
+
+
 def talenti_profile() -> ProfileHandle:
-    return ProfileHandle(fn=u_bubble, tag="talenti")
+    return ProfileHandle(fn=u_bubble, tag="talenti", bubbles=_TALENTI_BUBBLES)
 
 
 def u_star_profile(p: CrownParams) -> ProfileHandle:
     return ProfileHandle(
         fn=lambda arr: u_star(arr, p), tag="u_star", features=p.xi,
-        derivs=lambda z: u_star_derivs(z, p),
+        derivs=lambda z: u_star_derivs(z, p), bubbles=p._bubbles,
     )
 
 

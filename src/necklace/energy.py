@@ -177,24 +177,43 @@ def _cores(profile: ProfileHandle, xi: Point3):
     return cores
 
 
-def _bump_factor(y: np.ndarray, r: float, cores) -> np.ndarray:
+def _near_cores(dirs: np.ndarray, lo: float, hi: float, cores):
+    """The cores that come within w of the shells lo <= |y| <= hi through
+    ``dirs``, each as (c, R, w, rows): ``rows`` are the directions that can
+    pass within w of c.
+
+    A point within w of c lies within angle asin(w/R) of c's direction, and
+    a shell farther than w from R misses the core; both tests are widened by
+    a relative 1e-9 on w (and 1e-9 on the cosine) for rounding, so the rows
+    are a superset of those within w.
+    """
+    near = []
+    for c, R, w, _rho0 in cores:
+        wide = w * (1.0 + 1e-9)
+        if lo - wide <= R <= hi + wide:
+            cos_min = math.sqrt(1.0 - (wide / R) ** 2) - 1e-9
+            near.append((c, R, w, np.flatnonzero(dirs @ (c / R) >= cos_min)))
+    return near
+
+
+def _bump_factor(y: np.ndarray, r: float, near) -> np.ndarray:
     """prod over cores of 1 - _smooth_cut(2|y - c|/w - 1) at points ``y`` of
-    the shell |y| = r.
+    the shell |y| = r, for the directions ``y`` / r that ``_near_cores``
+    took ``near`` from.
 
     A core's factor is exactly 1.0 wherever |y - c| >= w, so it is applied
-    only to the points within w of c (with a margin covering the rounding of
-    the test): a core whose radius is farther than w from r is skipped, and
-    for the others one y @ c selects the points.  The values are bit-identical
-    to the product over all cores at every point.
+    only to the rows ``_near_cores`` picked, and not at all on a shell
+    farther than w from R (with a margin covering the rounding of the
+    test).  A picked row beyond w gets exactly 1.0 too, so the values are
+    bit-identical to the product over all cores at every point.
     """
     fac = np.ones(y.shape[:-1])
-    for c, R, w, _rho0 in cores:
+    for c, R, w, rows in near:
         reach = (w * (1.0 + 1e-9)) ** 2 + 1e-12 * (r + R) ** 2
         if (r - R) ** 2 >= reach:
             continue
-        near = r * r + R * R - 2.0 * (y @ c) < reach
-        rho = np.linalg.norm(y[near] - c, axis=-1)
-        fac[near] *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
+        rho = np.linalg.norm(y[rows] - c, axis=-1)
+        fac[rows] *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
     return fac
 
 
@@ -296,9 +315,10 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
         if even_z3:
             keep = dirs_s[:, 2] > 0.0
             dirs_s, dweights_s = dirs_s[keep], 2.0 * dweights_s[keep]
+        near = _near_cores(dirs_s, lo, hi, cores)
         for rv, rw in zip(r_nodes, r_weights):
             pts = rv * dirs_s
-            vals = integrand(pts) * _bump_factor(pts, rv, cores)
+            vals = integrand(pts) * _bump_factor(pts, rv, near)
             outer_total += float((vals @ dweights_s) * rw * rv * rv)
 
     # far field: measured 1/|z| coefficient on the cutoff sphere

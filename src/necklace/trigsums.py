@@ -48,10 +48,18 @@ class SumSpec:
             raise DomainError(f"n must be an even integer >= 4, got {self.n}")
         if not (math.isfinite(self.x) and self.x >= 0):
             raise DomainError("x must be finite and >= 0")
-        if self.x == 0.0 and self.variant in ("even", "alt"):
-            raise DomainError(
-                f"variant {self.variant!r} contains the singular j=0 term at x=0"
-            )
+        if self.variant in ("even", "alt"):
+            # sum_direct's j = 0 term; x = 0, or an x whose square
+            # underflows, divides by zero
+            try:
+                finite = math.isfinite((self.x * self.x) ** (-self.k / 2.0))
+            except (ZeroDivisionError, OverflowError):
+                finite = False
+            if not finite:
+                raise DomainError(
+                    f"variant {self.variant!r}: the j=0 term (x^2)^(-k/2) is not "
+                    f"a finite double at x={self.x!r}, k={self.k}"
+                )
 
 
 def _term_indices(spec: SumSpec):

@@ -33,6 +33,7 @@ def test_traced_profile():
     assert profile.tag == "u_star"
     assert profile.features == params.xi
     assert profile.derivs is not None
+    assert profile.bubbles is params._bubbles
     z = np.array([[0.3, 0.1, 0.2], [0.9, 0.05, 0.0]])
     assert np.array_equal(profile.fn(z), u_star(z, params))
 

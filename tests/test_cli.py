@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import threading
+import warnings
 
 import pytest
 
@@ -203,11 +204,23 @@ class TestSubcommands:
         assert run(["nodal", "--res", "8"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("bbox", ["nan", "inf", "-inf", "-1", "0"])
+    @pytest.mark.parametrize("bbox", ["nan", "inf", "-inf", "-1", "0", "1e200",
+                                      "7.8e153"])
     def test_nodal_bad_bbox(self, capsys, bbox):
         assert run(["nodal", "--res", "16", f"--bbox={bbox}"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: bbox ")
+        assert captured.out == ""
+
+    def test_nodal_huge_bbox_is_rejected_before_evaluating(self, capsys):
+        # a half-width whose squares overflow is a domain error, raised
+        # before any squared distance is formed, so no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["nodal", "--bbox", "1e200", "--res", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bbox ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_kernels_report(self, tmp_path, capsys):
@@ -224,6 +237,31 @@ class TestSubcommands:
     def test_kernels_bad_point(self, capsys):
         assert run(["kernels", "--K", "32", "--b-abs", "0.3"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", [
+        "--alpha-b=inf", "--alpha-b=-inf", "--alpha-b=nan",
+        "--b-abs=inf", "--b-abs=nan",
+    ])
+    def test_kernels_nonfinite_point(self, capsys, flag):
+        assert run(["kernels", "--K", "32", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --b-abs and --alpha-b must be finite")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--variant", "alt", "--x", "1e-300", "--n", "64"],
+        ["--variant", "alt", "--x", "1e-110", "--k", "3"],
+        ["--variant", "alt", "--x", "1e-200", "--k", "3"],
+        ["--variant", "even", "--x", "1e-300"],
+        ["--variant", "even", "--x", "1e-70", "--k", "5"],
+    ])
+    def test_sums_j0_term_not_finite(self, capsys, argv):
+        assert run(["sums", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: variant ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("exc, code", [

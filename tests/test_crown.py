@@ -85,6 +85,18 @@ class TestBubbles:
         rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
         assert np.max(np.abs(u_star(z, crown16) - u_star(z @ rot.T, crown16))) < 1e-12
 
+    def test_profile_bubbles_describe_fn(self, crown16):
+        # the direct sum over the profile's (x, c, A) is its field, at points
+        # anywhere and next to the ring centres
+        z = np.vstack([_points((300, 3)), _near_ring(300, 3)])
+        for prof in (u_star_profile(crown16), talenti_profile()):
+            x, c, amp = prof.bubbles
+            r2 = np.sum((z[:, None, :] - x) ** 2, axis=-1)
+            direct = (amp / np.sqrt(c + r2)).sum(axis=-1)
+            assert np.max(np.abs(prof.fn(z) - direct)) < 1e-9
+            assert not any(arr.flags.writeable for arr in prof.bubbles)
+        assert u_star_corrected_profile(crown16).bubbles is None
+
 
 def _u_star_reference(z, p):
     """u_star as one unblocked array expression over all points at once."""

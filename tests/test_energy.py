@@ -14,6 +14,7 @@ from necklace.energy import (
     _box,
     _bump_factor,
     _cores,
+    _near_cores,
     _grid_start,
     _grid_values,
     _search_bounds,
@@ -409,7 +410,8 @@ class TestCStar:
                       R - 0.7 * w, R - 0.2 * w, R, R + 0.6 * w):
                 y = r * dirs
                 ref = unpruned(y)
-                assert np.array_equal(_bump_factor(y, r, cores), ref)
+                near = _near_cores(dirs, r, r, cores)
+                assert np.array_equal(_bump_factor(y, r, near), ref)
                 crossed += int(np.any((ref > 0.0) & (ref < 1.0)))
         assert crossed >= 8
 

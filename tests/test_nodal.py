@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,11 @@ from necklace.crown import (
 )
 from necklace.errors import DomainError, NotFoundError, UnsupportedError
 from necklace.nodal import (
+    _BRICK,
     _POLISH_CANDIDATES,
+    _SIGN_MARGIN,
+    _axis_bounds,
+    _certified_signs,
     _polish_min,
     gradient_min_on_nodal,
     gradient_norms,
@@ -114,6 +119,8 @@ class TestNodalMesh:
         ((0.0, 1.0), (0.0, np.nan), (0.0, 1.0)),
         ((-np.inf, 1.0), (0.0, 1.0), (0.0, 1.0)),
         ((0.0, 1.0), (0.0, 1.0), (0.0, np.inf)),
+        1e200,
+        ((0.0, 1.0), (-8e153, 1.0), (0.0, 1.0)),
     ])
     def test_bbox_nonfinite_or_reversed(self, crown16, star16, bbox):
         with pytest.raises(DomainError):
@@ -160,6 +167,132 @@ class TestNodalMesh:
         mesh = nodal_mesh(crown16, prof, 2.5, 48)
         assert len(mesh) > 0
         assert np.max(mesh.values) <= 1e-8
+
+
+def _counting(profile):
+    """``profile`` with a field that counts the points of the calls that
+    evaluate one z slab, as the grid scan's calls do."""
+    seen = [0]
+
+    def fn(a):
+        a3 = np.reshape(a, (-1, 3))
+        if np.all(a3[:, 2] == a3[0, 2]):
+            seen[0] += len(a3)
+        return profile.fn(a)
+
+    return replace(profile, fn=fn), seen
+
+
+class TestCertifiedScan:
+    @pytest.mark.parametrize("res", [48, 96])
+    def test_same_mesh_as_full_scan(self, crown16, star16, res):
+        certified = nodal_mesh(crown16, star16, 2.5, res)
+        full = nodal_mesh(crown16, replace(star16, bubbles=None), 2.5, res)
+        assert len(certified) > 0
+        assert np.array_equal(certified.points, full.points)
+        assert np.array_equal(certified.values, full.values)
+        assert np.array_equal(certified.gradients, full.gradients)
+        assert certified.dropped == full.dropped
+
+    def test_certificate_is_sound(self, crown16, mesh48):
+        # grids of several spacings around a ring centre, the origin, a point
+        # of the zero set or anywhere in the box: one brick centred on the
+        # anchor, and a grid placed at random whose lengths, not multiples of
+        # the brick, leave partial bricks at the ends
+        rng = np.random.default_rng(11)
+        x, _c, _amp = crown16._bubbles
+        counts = {1.0: 0, -1.0: 0, 0.0: 0}
+        for trial in range(64):
+            h = (1e-3, 0.01, 0.05, 0.2)[trial % 4]
+            anchor = (x[rng.integers(1, 17)], np.zeros(3), rng.uniform(-2.0, 2.0, 3),
+                      mesh48.points[rng.integers(len(mesh48))])[trial // 4 % 4]
+            n = rng.integers(_BRICK + 1, 4 * _BRICK + 3, 3)
+            for axes in ([anchor[i] + h * (np.arange(_BRICK) - 0.5 * (_BRICK - 1))
+                          for i in range(3)],
+                         [anchor[i] + h * (np.arange(n[i]) - rng.uniform(0, n[i] - 1))
+                          for i in range(3)]):
+                grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+                sign = np.sign(u_star(grid, crown16))
+                layers = list(_certified_signs(*axes, crown16._bubbles))
+                assert len(layers) == -(-len(axes[2]) // _BRICK)
+                for k, layer in enumerate(layers):
+                    assert layer.shape == sign.shape[:2]
+                    known = layer != 0.0
+                    for kz in range(k * _BRICK, min((k + 1) * _BRICK, len(axes[2]))):
+                        assert np.array_equal(sign[:, :, kz][known], layer[known])
+                    for v in counts:
+                        counts[v] += int(np.count_nonzero(layer == v))
+        assert min(counts.values()) > 1000
+
+    def test_axis_bounds(self, crown16):
+        # per brick, the far bound is the largest squared coordinate distance
+        # over the brick's points and the near bound at most the smallest:
+        # the term of a bubble with A > 0 is lowest far away, one with A < 0
+        # closest in
+        rng = np.random.default_rng(5)
+        x, _c, amp = crown16._bubbles
+        for n in (_BRICK, 2 * _BRICK + 1, 3 * _BRICK - 1):
+            for axis in (np.linspace(-1.2, 1.3, n), np.sort(rng.uniform(-1.5, 1.5, n))):
+                for ax in range(3):
+                    lo, hi = _axis_bounds(axis, x[:, ax], amp)
+                    assert lo.shape == hi.shape == (-(-n // _BRICK), 17)
+                    for b in range(len(lo)):
+                        d = (axis[b * _BRICK:(b + 1) * _BRICK, None] - x[:, ax]) ** 2
+                        far = np.where(amp > 0, lo[b], hi[b])
+                        near = np.where(amp > 0, hi[b], lo[b])
+                        assert np.array_equal(far, d.max(axis=0))
+                        assert np.all(near <= d.min(axis=0))
+                        inside = (axis[b * _BRICK] <= x[:, ax]) & (
+                            x[:, ax] <= axis[min((b + 1) * _BRICK, n) - 1])
+                        assert np.all(near[inside] == 0.0)
+                        assert np.array_equal(near[~inside], d.min(axis=0)[~inside])
+
+    def test_well_inside_a_brick_is_not_certified(self):
+        # a broad positive bubble with a narrow negative well at the origin:
+        # the brick's corners are positive, the points next to the well not
+        bubbles = (np.zeros((2, 3)), np.array([1.0, 1e-4]), np.array([1.0, -0.1]))
+        axis = np.array([-0.3, -0.01, 0.01, 0.3])
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+        r2 = np.sum(grid * grid, axis=-1)[..., None]
+        vals = np.sum(bubbles[2] / np.sqrt(bubbles[1] + r2), axis=-1)
+        assert vals[0, 0, 0] > 0.0 > vals[1, 1, 1]
+        layers = list(_certified_signs(axis, axis, axis, bubbles))
+        assert len(layers) == 1 and not np.any(layers[0])
+
+    @pytest.mark.parametrize("amp, sign", [
+        (0.9 * _SIGN_MARGIN, 0.0), (-0.9 * _SIGN_MARGIN, 0.0),
+        (1.1 * _SIGN_MARGIN, 1.0), (-1.1 * _SIGN_MARGIN, -1.0),
+    ])
+    def test_margin(self, amp, sign):
+        # a bubble of height amp: certified only where it clears the margin
+        bubbles = (np.zeros((1, 3)), np.ones(1), np.array([amp]))
+        axis = np.linspace(-1e-3, 1e-3, _BRICK)
+        layers = list(_certified_signs(axis, axis, axis, bubbles))
+        assert len(layers) == 1 and np.all(layers[0] == sign)
+
+    def test_no_bubbles_certifies_nothing(self):
+        axis = np.linspace(-1.0, 1.0, 17)
+        for layer in _certified_signs(axis, axis, axis, None):
+            assert not np.any(layer)
+
+    def test_scan_evaluates_under_a_quarter(self, crown16, star16):
+        counting, seen = _counting(star16)
+        mesh = nodal_mesh(crown16, counting, 2.5, 96)
+        assert len(mesh) > 0
+        assert 0 < seen[0] < 0.25 * 96**3
+
+    def test_talenti_scan_evaluates_nothing(self, crown16):
+        counting, seen = _counting(talenti_profile())
+        mesh = nodal_mesh(crown16, counting, 2.5, 48)
+        assert len(mesh) == 0
+        assert seen[0] == 0
+
+    def test_largest_bbox_runs_without_warnings(self, crown16, star16):
+        half = 0.999999 * np.sqrt(np.finfo(float).max / 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for prof in (star16, talenti_profile()):
+                assert len(nodal_mesh(crown16, prof, half, 16)) == 0
 
 
 class TestGradientMin:

@@ -51,6 +51,14 @@ class TestSumSpec:
         spec = SumSpec("odd", 3, 8, 0.5)
         assert spec.k == 3
 
+    @pytest.mark.parametrize("variant, k, x", [
+        ("alt", 1, 1e-150), ("alt", 3, 1e-100), ("even", 5, 1e-60),
+    ])
+    def test_tiny_x_with_finite_j0_term(self, variant, k, x):
+        # the j = 0 term (x^2)^(-k/2) is finite and dominates the sum
+        total = sum_direct(SumSpec(variant, k, 64, x))
+        assert total == pytest.approx((x * x) ** (-k / 2.0), rel=1e-12)
+
     @pytest.mark.parametrize("bad", [
         dict(variant="weird", k=1, n=8),
         dict(variant="odd", k=2, n=8),
@@ -62,6 +70,9 @@ class TestSumSpec:
         dict(variant="alt", k=1, n=64, x=math.nan),
         dict(variant="odd", k=1, n=8, x=math.inf),
         dict(variant="odd", k=1, n=8, x=-math.inf),
+        dict(variant="alt", k=1, n=64, x=1e-300),
+        dict(variant="alt", k=3, n=8, x=1e-110),
+        dict(variant="even", k=5, n=8, x=1e-70),
     ])
     def test_rejects(self, bad):
         with pytest.raises(DomainError):
