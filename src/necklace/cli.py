@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's messages go through gettext, which imports locale on the first
+# parser; importing it with the module keeps that out of the first command
+import locale  # noqa: F401
 import math
+import re
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -76,6 +80,21 @@ def _config_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> L
     return tokens
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent form, or
+    -inf/-nan, as an option's value.  argparse's own pattern for negative
+    numbers has no exponent, so "--x -1e-3" failed with "expected one
+    argument".  Subparsers are built with the same class."""
+
+    _NEGATIVE_NUMBER = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+    )
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key=value file merged under the flags")
     sp.add_argument("--out", help="output path (default stdout)")
@@ -83,7 +102,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="necklace",
         description="ring-of-bubbles numerics: sums, kernels, nodal sets, "
                     "reduced energy",

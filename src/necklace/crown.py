@@ -21,6 +21,9 @@ TALENTI_AMP = 3.0**0.25
 
 # rows per block of u_star's ring sum: the (block, m) buffer stays in cache
 _BLOCK = 2048
+#: the largest ring build_crown accepts: u_star's (_BLOCK, m) buffer is then
+#: 64 MB, and the ring radius sqrt(1 - mu^2) already rounds to 1
+M_MAX = 4096
 #: central-difference step of fd_hessian
 _FD_HESSIAN_STEP = 1e-4
 _EYE = np.eye(3)
@@ -84,9 +87,12 @@ class CrownParams:
 
 def build_crown(m: int) -> CrownParams:
     """Ring parameters for m bubbles:
-    d = sqrt(2) m log m / sum_{j<m} csc(j pi/m), mu = d^2/(m log m)^2."""
+    d = sqrt(2) m log m / sum_{j<m} csc(j pi/m), mu = d^2/(m log m)^2.
+    m must be even, 8 <= m <= M_MAX."""
     if m < 8 or m % 2 != 0:
         raise DomainError(f"m must be an even integer >= 8, got {m}")
+    if m > M_MAX:
+        raise DomainError(f"m must be at most {M_MAX}, got {m}")
     d = math.sqrt(2.0) * m * math.log(m) / csc_full_sum(m)
     mu = d * d / (m * math.log(m)) ** 2
     rr = math.sqrt(1.0 - mu * mu)

@@ -13,6 +13,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ._forms import a_gamma, a_gamma_quad, c0, c2
+from ._quad import gl_panels, leggauss
 from .crown import ProfileHandle, build_crown, fd_gradient, u_star_profile
 from .errors import AccuracyError, DomainError
 from .geometry import Point3, SectorConfig
@@ -120,30 +121,12 @@ def _smooth_cut(t: np.ndarray) -> np.ndarray:
     return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-@lru_cache(maxsize=128)
-def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Legendre rule of the given order on [-1, 1], read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _gl_panels(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
-    x, w = _leggauss(order)
-    a = edges[:-1]
-    half = 0.5 * (edges[1:] - a)
-    nodes = (a + half)[:, None] + half[:, None] * x
-    weights = half[:, None] * w
-    return nodes.ravel(), weights.ravel()
-
-
 def _sphere_rule(panels, n_p: int) -> Tuple[np.ndarray, np.ndarray]:
     """Product rule on the unit sphere: Gauss on each (lo, hi, order) panel
     of cos(theta), uniform in phi."""
     ct_parts, wt_parts = [], []
     for lo, hi, order in panels:
-        x, w = _leggauss(order)
+        x, w = leggauss(order)
         half = 0.5 * (hi - lo)
         ct_parts.append(0.5 * (lo + hi) + half * x)
         wt_parts.append(half * w)
@@ -251,7 +234,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     core_total = 0.0
     dirs, dweights = _sphere_rule([(-1.0, 1.0, n(12))], n(24))
     for c, _R, w, rho0 in cores:
-        s_nodes, s_weights = _gl_panels(
+        s_nodes, s_weights = gl_panels(
             np.linspace(math.log(rho0), math.log(w), n(30) + 1), 8
         )
         rho = np.exp(s_nodes)
@@ -287,7 +270,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
         and all(abs(pt.z3) < 1e-12
                 for pt in tuple(profile.features) + tuple(profile.singularities))
     )
-    glx, glw = _leggauss(8)
+    glx, glw = leggauss(8)
     outer_total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         r_nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * glx
@@ -608,7 +591,7 @@ def u6_integral(profile: ProfileHandle) -> float:
     measured 1/|z|^6 tail."""
     R = _U6_RADIUS
     dirs, dweights = _sphere_rule([(-1.0, 1.0, _U6_POLAR_ORDER)], _U6_AZIMUTH_NODES)
-    s_nodes, s_weights = _gl_panels(
+    s_nodes, s_weights = gl_panels(
         np.linspace(math.log(1e-6), math.log(R), _U6_RADIAL_PANELS + 1), 8
     )
     r = np.exp(s_nodes)

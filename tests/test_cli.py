@@ -323,3 +323,43 @@ def test_verify_runs_serially(monkeypatch, capsys, tmp_path):
             (1, "first"), (2, "second"), (3, "third")]
         assert [r["status"] for r in rows] == [
             "FAIL" if n == failing else "pass" for n in names]
+
+
+@pytest.mark.parametrize("argv, flag, value, code", [
+    (["kernels", "--K", "32"], "--alpha-b", "-1e-3", 0),
+    (["kernels", "--K", "32"], "--alpha-b", "-1E-3", 0),
+    (["kernels", "--K", "32"], "--alpha-b", "-.5e-2", 0),
+    (["kernels", "--K", "32"], "--alpha-b", "-inf", 2),
+    (["kernels", "--K", "32"], "--b-abs", "-9e-1", 2),
+    (["sums", "--variant", "alt"], "--x", "-1e-3", 2),
+    (["energy"], "--lam", "-1e-3", 2),
+    (["energy"], "--delta", "-1e-3", 2),
+])
+def test_negative_exponent_value_parses(monkeypatch, capsys, argv, flag, value, code):
+    # "--flag -1e-3" is the same command as "--flag=-1e-3", with the same
+    # output bytes, not a missing value
+    monkeypatch.setattr(energy, "default_model", lambda *a, **k: pytest.fail("model built"))
+    assert run(argv + [flag, value]) == code
+    spaced = capsys.readouterr()
+    assert run(argv + [f"{flag}={value}"]) == code
+    assert capsys.readouterr() == spaced
+    assert spaced.err.count("\n") == (code != 0)
+
+
+def test_negative_exponent_value_from_config(tmp_path, capsys):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("alpha_b=-1e-3\nK=32\n")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["kernels", "--config", str(cfg), "--out", str(a)]) == 0
+    assert run(["kernels", "--K", "32", "--alpha-b=-1e-3", "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("m", ["4098", "100000000"])
+def test_ansatz_rejects_huge_m(capsys, m):
+    # rejected before any O(m) work, so even m = 1e8 returns at once
+    assert run(["ansatz", "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: m must be at most 4096, got {m}\n"
+    assert captured.out == ""

@@ -7,6 +7,7 @@ import pytest
 
 from necklace.crown import (
     _BLOCK,
+    M_MAX,
     TALENTI_AMP,
     build_crown,
     fd_gradient,
@@ -38,6 +39,11 @@ class TestBuildCrown:
     def test_rejects_bad_m(self):
         for m in (7, 6, 15, 0):
             with pytest.raises(DomainError):
+                build_crown(m)
+
+    def test_rejects_m_above_bound(self):
+        for m in (M_MAX + 2, 10**8):
+            with pytest.raises(DomainError, match=f"at most {M_MAX}"):
                 build_crown(m)
 
     def test_parameters(self, crown16):

@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from necklace.errors import DomainError, RegimeWarning, UnsupportedError
+from necklace.errors import AccuracyError, DomainError, RegimeWarning, UnsupportedError
 from necklace.trigsums import (
     EULER_GAMMA,
     ZETA3,
@@ -130,6 +130,56 @@ def test_contour_identity(n, x):
 
 def test_contour_underflow_is_zero():
     assert s1_contour(4000, 1.0) == 0.0
+
+
+# the (n, x) grid of the Gauss-Legendre checks, less the points where S_1
+# underflows to 0
+_CONTOUR_GRID = [
+    (n, x)
+    for n in (4, 10, 50, 200, 1000, 4000)
+    for x in (1e-8, 1e-4, 0.01, 0.05, 0.2, 1.0, 3.0)
+    if n * math.asinh(x) <= 700.0
+]
+
+
+def _contour_by_quad(n, x):
+    """s1_contour's integral by scipy's adaptive quad, as an independent
+    reference for its Gauss-Legendre rule: the same integrand on [0, ucut]."""
+    y0 = n * math.asinh(x)
+    ucut = math.acosh(max(math.sinh(math.asinh(x) + 45.0 / n) / x, 1.0 + 1e-15))
+
+    def g(u):
+        xc = x * math.cosh(u)
+        y = n * math.asinh(xc)
+        return 2.0 * math.exp(y0 - y) / (-math.expm1(-2.0 * y) * math.sqrt(1.0 + xc * xc))
+
+    val, _ = scipy.integrate.quad(g, 0.0, ucut, epsabs=0.0, epsrel=1e-12, limit=200)
+    return (2.0 * n / math.pi) * math.exp(-y0) * val
+
+
+@pytest.mark.parametrize("n, x", _CONTOUR_GRID)
+def test_contour_grid_matches_direct(n, x):
+    direct = sum_direct(SumSpec("alt", 1, n, x))
+    assert s1_contour(n, x) == pytest.approx(direct, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, x", _CONTOUR_GRID)
+def test_contour_grid_matches_adaptive_quad(n, x):
+    assert s1_contour(n, x) == pytest.approx(_contour_by_quad(n, x), rel=1e-10)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+def test_contour_rejects_bad_x(x):
+    with pytest.raises(DomainError):
+        s1_contour(10, x)
+
+
+@pytest.mark.parametrize("x", [1e-50, 1e-310])
+def test_contour_unresolved_at_tiny_x(x):
+    # the fixed rule cannot follow the integrand's e-folds over [0, ucut]
+    # here (or ucut overflows); the error estimate reports that
+    with pytest.raises(AccuracyError):
+        s1_contour(4, x)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
