@@ -10,12 +10,19 @@ import locale  # noqa: F401
 import math
 import re
 import sys
+import warnings
 from typing import Dict, List, Optional, Sequence
 
 from . import acceptance
 from .crown import build_crown, q_mid_lower, u_star_profile
 from .energy import default_config, minimize_psi
-from .errors import AccuracyError, DomainError, NotFoundError, UnsupportedError
+from .errors import (
+    AccuracyError,
+    DomainError,
+    NotFoundError,
+    RegimeWarning,
+    UnsupportedError,
+)
 from .geometry import Point3, SectorConfig
 from .kernels import gamma_bb, h0e_bb
 from .nodal import nodal_mesh
@@ -156,7 +163,13 @@ def _cmd_sums(args) -> int:
         except (DomainError, UnsupportedError):
             asym = math.nan
     elif args.variant == "alt":
-        asym = s_asym(args.k, args.n, args.x)
+        # an estimate outside its regime is still printed, with one
+        # "warning:" line on stderr in place of Python's warning report
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RegimeWarning)
+            asym = s_asym(args.k, args.n, args.x)
+        for w in caught:
+            sys.stderr.write(f"warning: {w.message}\n")
     rel = abs(asym / direct - 1.0) if (direct != 0.0 and not math.isnan(asym)) else math.nan
     _emit([{
         "variant": args.variant, "k": args.k, "n": args.n, "x": args.x,

@@ -14,7 +14,14 @@ import numpy as np
 
 from ._forms import a_gamma, a_gamma_quad, c0, c2
 from ._quad import gl_panels, leggauss
-from .crown import ProfileHandle, build_crown, fd_gradient, u_star_profile
+from .crown import (
+    _BLOCK,
+    ProfileHandle,
+    _sq_norm,
+    build_crown,
+    fd_gradient,
+    u_star_profile,
+)
 from .errors import AccuracyError, DomainError
 from .geometry import Point3, SectorConfig
 from .kernels import (
@@ -179,6 +186,13 @@ def _near_cores(dirs: np.ndarray, lo: float, hi: float, cores):
     return near
 
 
+def _reaches(r: float, R: float, w: float) -> bool:
+    """Whether the shell |y| = r can come within w of a core at radius R:
+    the test is widened by a relative 1e-9 on w and 1e-12 (r + R)^2 for
+    its own rounding."""
+    return (r - R) ** 2 < (w * (1.0 + 1e-9)) ** 2 + 1e-12 * (r + R) ** 2
+
+
 def _bump_factor(y: np.ndarray, r: float, near) -> np.ndarray:
     """prod over cores of 1 - _smooth_cut(2|y - c|/w - 1) at points ``y`` of
     the shell |y| = r, for the directions ``y`` / r that ``_near_cores``
@@ -192,12 +206,24 @@ def _bump_factor(y: np.ndarray, r: float, near) -> np.ndarray:
     """
     fac = np.ones(y.shape[:-1])
     for c, R, w, rows in near:
-        reach = (w * (1.0 + 1e-9)) ** 2 + 1e-12 * (r + R) ** 2
-        if (r - R) ** 2 >= reach:
+        if not _reaches(r, R, w):
             continue
-        rho = np.linalg.norm(y[rows] - c, axis=-1)
+        # np.linalg.norm's bits, without its per-call overhead
+        rho = np.sqrt(_sq_norm(y[rows] - c))
         fac[rows] *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
     return fac
+
+
+def _shifted(y: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
+    """y + x for points ``y`` (..., 3) and ``x_rows``, x repeated in _BLOCK
+    rows: the same sums, added block by block without NumPy's slow
+    broadcast over a trailing axis of length 3."""
+    flat = y.reshape(-1, 3)
+    out = np.empty_like(flat)
+    for lo in range(0, len(flat), _BLOCK):
+        hi = min(lo + _BLOCK, len(flat))
+        np.add(flat[lo:hi], x_rows[: hi - lo], out=out[lo:hi])
+    return out.reshape(y.shape)
 
 
 def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
@@ -222,10 +248,19 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
             "otherwise non-integrable at the origin"
         )
 
+    xi_rows = np.tile(xiv, (_BLOCK, 1))
+
     def integrand(y: np.ndarray) -> np.ndarray:
-        q = np.asarray(profile.fn(y + xiv), dtype=float)
-        r2 = np.sum(y * y, axis=-1)
-        return q * q / (4.0 * np.pi * r2 * r2)
+        # q * q / (4 pi r2 * r2), the same operations in the same order, with
+        # fewer full-size temporaries; r2 is formed after the profile call so
+        # that it is not held during it
+        q = np.asarray(profile.fn(_shifted(y, xi_rows)), dtype=float)
+        r2 = _sq_norm(y)
+        den = 4.0 * np.pi * r2
+        den *= r2
+        q = q * q
+        q /= den
+        return q
 
     cores = _cores(profile, xi)
     n = lambda base: max(2, int(math.ceil(base * scale)))
@@ -272,6 +307,9 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     )
     glx, glw = leggauss(8)
     outer_total = 0.0
+    # neighbouring panels mostly share an angular rule: it is rebuilt only
+    # when its (panels, n_p) changes
+    rule = None
     for lo, hi in zip(edges[:-1], edges[1:]):
         r_nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * glx
         r_weights = 0.5 * (hi - lo) * glw
@@ -282,7 +320,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
                 sigma = min(sigma, 0.5 * w / R)
         if math.isinf(sigma):
             n_p = n(32)
-            dirs_s, dweights_s = _sphere_rule([(-1.0, 1.0, n(16))], n_p)
+            panels = [(-1.0, 1.0, n(16))]
         else:
             n_p = n(min(640.0, max(48.0, 20.0 / sigma)))
             if even_z3:
@@ -290,18 +328,25 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
                 # an equatorial band, keeping its order even so the
                 # half-sphere restriction is exact
                 n_feat = max(16, n_p // 2)
-                dirs_s, dweights_s = _sphere_rule(
-                    [(-1.0, -0.25, 16), (-0.25, 0.25, n_feat + n_feat % 2),
-                     (0.25, 1.0, 16)], n_p)
+                panels = [(-1.0, -0.25, 16), (-0.25, 0.25, n_feat + n_feat % 2),
+                          (0.25, 1.0, 16)]
             else:
-                dirs_s, dweights_s = _sphere_rule([(-1.0, 1.0, n_p)], n_p)
-        if even_z3:
-            keep = dirs_s[:, 2] > 0.0
-            dirs_s, dweights_s = dirs_s[keep], 2.0 * dweights_s[keep]
+                panels = [(-1.0, 1.0, n_p)]
+        if rule != (panels, n_p):
+            rule = (panels, n_p)
+            # drop the old rule first, so that two are never held at once
+            dirs_s = dweights_s = None
+            dirs_s, dweights_s = _sphere_rule(panels, n_p)
+            if even_z3:
+                keep = dirs_s[:, 2] > 0.0
+                dirs_s, dweights_s = dirs_s[keep], 2.0 * dweights_s[keep]
         near = _near_cores(dirs_s, lo, hi, cores)
         for rv, rw in zip(r_nodes, r_weights):
             pts = rv * dirs_s
-            vals = integrand(pts) * _bump_factor(pts, rv, near)
+            vals = integrand(pts)
+            # the bump factor is exactly 1.0 on a shell no near core reaches
+            if any(_reaches(rv, R, w) for _c, R, w, _rows in near):
+                vals *= _bump_factor(pts, rv, near)
             outer_total += float((vals @ dweights_s) * rw * rv * rv)
 
     # far field: measured 1/|z| coefficient on the cutoff sphere

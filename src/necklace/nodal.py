@@ -193,20 +193,32 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
 
     a = np.concatenate([s[0] for s in segs])
     b = np.concatenate([s[1] for s in segs])
-    fa = profile.fn(a)
+    # each edge runs along one axis: bisect that coordinate [lo, hi] only
+    # (the others' midpoint 0.5 (x + x) is x)
+    rows = np.arange(len(a))
+    axis = np.argmax(a != b, axis=1)
+    lo, hi = a[rows, axis], b[rows, axis]
+    del b
+    fa = np.array(profile.fn(a), dtype=float)
+    live = rows
     for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        # once every row's midpoint equals one of its ends, further steps
-        # change nothing: mid == a gives fm == fa, and mid == b gives f(b),
-        # whose sign always differs from fa's
-        if np.all(np.all(mid == a, axis=1) | np.all(mid == b, axis=1)):
+        # a row whose midpoint equals one of its ends is fixed from then on:
+        # mid == lo gives fm == fa, and mid == hi gives f(hi), whose sign
+        # always differs from fa's.  Only the other rows are evaluated.
+        m = 0.5 * (lo[live] + hi[live])
+        moving = (m != lo[live]) & (m != hi[live])
+        live, m = live[moving], m[moving]
+        if not len(live):
             break
-        fm = profile.fn(mid)
-        left = (fa < 0) == (fm < 0)
-        a = np.where(left[:, None], mid, a)
-        fa = np.where(left, fm, fa)
-        b = np.where(left[:, None], b, mid)
-    mid = 0.5 * (a + b)
+        mids = a[live]
+        mids[np.arange(len(live)), axis[live]] = m
+        fm = profile.fn(mids)
+        left = (fa[live] < 0) == (fm < 0)
+        lo[live[left]] = m[left]
+        fa[live[left]] = fm[left]
+        hi[live[~left]] = m[~left]
+    mid = a
+    mid[rows, axis] = 0.5 * (lo + hi)
     residual = np.abs(profile.fn(mid))
     keep = residual <= _RESIDUAL_TOL
     points = mid[keep]

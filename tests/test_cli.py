@@ -9,7 +9,8 @@ import pytest
 from necklace import acceptance, cli, energy
 from necklace.cli import build_parser, run
 from necklace.errors import AccuracyError, DomainError, NotFoundError, UnsupportedError
-from necklace.trigsums import SumSpec, sum_direct
+from necklace.errors import RegimeWarning
+from necklace.trigsums import SumSpec, s_asym, sum_direct
 
 
 def _read(path):
@@ -66,6 +67,30 @@ class TestSums:
         cols = dict(zip(header.split(","), row.split(",")))
         assert cols["asymptotic"] == "nan"
         assert float(cols["direct"]) == sum_direct(SumSpec("odd", 1, 64))
+
+    @pytest.mark.parametrize("repeat", [1, 2])
+    def test_outside_regime_is_one_warning_line(self, tmp_path, capsys, repeat):
+        # every run reports it, as one line without Python's file and source
+        out = tmp_path / "row.csv"
+        for _ in range(repeat):
+            code = run(["sums", "--variant", "alt", "--x", "0.01", "--n", "64",
+                        "--out", str(out)])
+            assert code == 0
+            err = capsys.readouterr().err
+            assert err == "warning: n*x = 0.64 < 5: outside the asymptotic regime\n"
+        header, row = _read(out).strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        with pytest.warns(RegimeWarning):
+            expected = s_asym(1, 64, 0.01)
+        assert float(cols["asymptotic"]) == expected
+
+    def test_inside_regime_writes_no_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["sums", "--variant", "alt", "--k", "3", "--n", "50",
+                        "--x", "0.2", "--out", str(tmp_path / "row.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

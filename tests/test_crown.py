@@ -4,10 +4,13 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from necklace.crown import (
     _BLOCK,
     M_MAX,
+    _sq_norm,
     TALENTI_AMP,
     build_crown,
     fd_gradient,
@@ -177,6 +180,25 @@ class TestUStarBlocks:
             assert u_star(z[i], crown16) == batch[i]
             assert u_star(z[i:i + 1], crown16)[0] == batch[i]
             assert u_star(z[i:i + 2], crown16)[0] == batch[i]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hnp.arrays(
+        np.float64,
+        st.one_of(st.tuples(st.integers(0, 40), st.just(3)),
+                  st.tuples(st.integers(0, 8), st.integers(0, 8), st.just(3))),
+        elements=st.one_of(
+            st.floats(-1e150, 1e150, allow_subnormal=True),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             -1e-310, 1e150, -1e150, 9.999999999999999e149]),
+        ),
+    ), st.booleans())
+    def test_sq_norm_is_np_sum(self, y, fortran):
+        # the column adds give np.sum's bits, in either memory order
+        if fortran:
+            y = np.asfortranarray(y)
+        got, ref = _sq_norm(y), np.sum(y * y, axis=-1)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
     def test_empty(self, crown16):
         got = u_star(np.empty((0, 3)), crown16)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from necklace import energy
-from necklace.crown import talenti_profile
+from necklace.crown import _BLOCK, talenti_profile
 from necklace.energy import (
     _ORDER,
     ReducedConfig,
@@ -18,6 +18,7 @@ from necklace.energy import (
     _grid_start,
     _grid_values,
     _search_bounds,
+    _shifted,
     _smooth_cut,
     a_gamma,
     c0,
@@ -382,9 +383,9 @@ class TestCStar:
                 c_star(profile, xi, scale=scale)
 
     def test_model_constant(self):
-        # the m=16 value the benchmark reference pins, at its tolerance
+        # the m=16 value the benchmark reference pins, to the last bit
         _profile, _xi, _gnorm, cstar = default_model()
-        assert cstar == pytest.approx(0.23348704238119866, rel=1e-13)
+        assert cstar == 0.23348704238119866
 
     def test_pruned_bump_factor_is_exact(self):
         profile, xi, _gnorm, _cstar = default_model()
@@ -415,6 +416,17 @@ class TestCStar:
                 crossed += int(np.any((ref > 0.0) & (ref < 1.0)))
         assert crossed >= 8
 
+    @pytest.mark.parametrize("shape", [
+        (0, 3), (1, 3), (_BLOCK - 1, 3), (_BLOCK, 3), (_BLOCK + 1, 3),
+        (2 * _BLOCK + 5, 3), (240, 288, 3)])
+    def test_shifted_is_broadcast_add(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        y = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        x = np.array([0.6712345678901234, -1e-17, 0.0])
+        got = _shifted(y, np.tile(x, (_BLOCK, 1)))
+        assert got.shape == y.shape
+        assert got.tobytes() == (y + x).tobytes()
+
     def test_value_and_tail(self):
         _profile, _xi, gnorm, cstar = default_model()
         assert cstar > 0.0
@@ -427,6 +439,7 @@ class TestCStar:
     def test_halving_steps(self):
         profile, xi, _gnorm, cstar = default_model()
         refined = c_star(profile, xi, scale=2.0)
+        assert refined == 0.23348691414482722
         assert abs(refined - cstar) / refined <= 1e-6
 
 

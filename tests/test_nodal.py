@@ -183,6 +183,28 @@ def _counting(profile):
     return replace(profile, fn=fn), seen
 
 
+def test_bisection_evaluates_only_moving_rows(crown16, star16):
+    # after the scan's one-slab calls come the crossing starts, the
+    # halvings and the residual call, each of the starts' row count; the
+    # halvings skip every row whose midpoint has stopped moving
+    sizes = []
+
+    def fn(a):
+        a3 = np.reshape(a, (-1, 3))
+        if sizes or not np.all(a3[:, 2] == a3[0, 2]):
+            sizes.append(len(a3))
+        return star16.fn(a)
+
+    mesh = nodal_mesh(crown16, replace(star16, fn=fn), 2.5, 96)
+    rows = len(mesh) + mesh.dropped
+    grads = -(-len(mesh) // (_BLOCK // 6))
+    halvings = sizes[1:-1 - grads]
+    assert sizes[0] == sizes[-1 - grads] == rows
+    assert sum(sizes[-grads:]) == 6 * len(mesh)
+    assert max(halvings) == rows
+    assert sum(halvings) < rows * len(halvings)
+
+
 class TestCertifiedScan:
     @pytest.mark.parametrize("res", [48, 96])
     def test_same_mesh_as_full_scan(self, crown16, star16, res):
