@@ -10,7 +10,7 @@ from necklace import acceptance, cli, energy
 from necklace.cli import build_parser, run
 from necklace.errors import AccuracyError, DomainError, NotFoundError, UnsupportedError
 from necklace.errors import RegimeWarning
-from necklace.trigsums import SumSpec, s_asym, sum_direct
+from necklace.trigsums import N_MAX, SumSpec, s_asym, sum_direct
 
 
 def _read(path):
@@ -387,4 +387,13 @@ def test_ansatz_rejects_huge_m(capsys, m):
     assert run(["ansatz", "--m", m]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: m must be at most 4096, got {m}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n", [str(2 * N_MAX), "1000000000"])
+def test_sums_rejects_huge_n(capsys, n):
+    # rejected before any O(n) work: sum_direct would hold n terms
+    assert run(["sums", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: n must be at most {N_MAX}, got {n}\n"
     assert captured.out == ""

@@ -1,3 +1,4 @@
+import logging
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -6,11 +7,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from mpmath.ctx_mp import MPContext
 
+from necklace import trigsums
 from necklace.errors import AccuracyError, DomainError, RegimeWarning, UnsupportedError
 from necklace.trigsums import (
     EULER_GAMMA,
+    N_MAX,
     ZETA3,
     ZETA5,
     SumSpec,
@@ -78,6 +82,12 @@ class TestSumSpec:
         with pytest.raises(DomainError):
             SumSpec(**bad)
 
+    def test_n_bound(self):
+        assert SumSpec("alt", 1, N_MAX, 0.5).n == N_MAX
+        for n in (N_MAX + 2, 10**9):
+            with pytest.raises(DomainError, match=f"at most {N_MAX}"):
+                SumSpec("alt", 1, n, 0.5)
+
 
 def test_alt_hat_n4_closed_value():
     # 1/sin(pi/4) - 1/sin(pi/2) + 1/sin(3 pi/4) = 2 sqrt(2) - 1
@@ -119,6 +129,64 @@ def test_extreme_cancellation_uses_high_precision():
         for j in range(200):
             ref += (-1) ** j * (1 + mp.sin(j * mp.pi / 200) ** 2) ** mp.mpf("-0.5")
     assert val == pytest.approx(float(ref), rel=1e-10)
+
+
+def _sum_mp_operators(ctx, spec):
+    """The multiprecision loop on mpmath's mpf operators, as the reference
+    for trigsums._sum_mp's raw-libmp loop and its sin^2 table."""
+    x2 = ctx.mpf(spec.x) ** 2
+    step = ctx.pi / spec.n
+    khalf = ctx.mpf(spec.k) / 2
+    total = ctx.mpf(0)
+    abssum = ctx.mpf(0)
+    for j, sign in trigsums._term_indices(spec):
+        t = (x2 + ctx.sin(j * step) ** 2) ** (-khalf)
+        total += sign * t
+        abssum += t
+    return total, abssum
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(trigsums.VARIANTS),
+    st.sampled_from([1, 3, 5]),
+    st.integers(2, 128).map(lambda h: 2 * h),
+    st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+    st.sampled_from([40, 80]),
+)
+def test_sum_mp_bits_equal_operator_loop(variant, k, n, x, dps):
+    assume(x > 0.0 or variant not in ("even", "alt"))
+    spec = SumSpec(variant, k, n, x)
+    ctx, ref_ctx = MPContext(), MPContext()
+    ctx.dps = ref_ctx.dps = dps
+    got = trigsums._sum_mp(ctx, spec)
+    want = _sum_mp_operators(ref_ctx, spec)
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+    assert ctx.dps == dps
+
+
+def test_sin2_table_cache_is_bounded():
+    ctx = trigsums._mp_context()
+    ctx.prec = 77
+    table = trigsums._sin2_table
+    size = table.cache_info().maxsize
+    for n in range(4, 2 * size + 12, 2):
+        assert len(table(n, 136)) == n
+    assert table.cache_info().currsize <= size
+    # the tables are filled at their own precision, leaving the caller's
+    assert ctx.prec == 77
+
+
+def test_escalation_is_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="necklace.trigsums")
+    spec = SumSpec("alt", 1, 200, 0.2)  # n x = 40
+    sum_direct(spec)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"sum_direct {spec}: resolved at 40 dps"
+    ]
+    caplog.clear()
+    sum_direct(SumSpec("alt", 1, 16, 0.2))  # resolved in double precision
+    assert caplog.records == []
 
 
 @pytest.mark.parametrize("n", [10, 50, 200])
@@ -242,9 +310,13 @@ def test_appendix_h_sum_matches_brute():
 
 def test_sum_direct_thread_safe():
     # every spec escalates to multiprecision, ending at 40, 80 or 160 digits,
-    # so threads sharing one process-wide precision would use each other's
-    specs = [SumSpec("alt", k, 200, x) for k in (1, 3, 5) for x in (0.15, 0.5, 1.0, 1.6)]
+    # so threads sharing one process-wide precision would use each other's;
+    # from a cold sin^2 cache, the threads also race to fill and evict tables
+    specs = [SumSpec("alt", k, n, x) for k in (1, 3, 5)
+             for n, x in ((200, 0.15), (64, 0.5), (200, 0.5), (64, 1.0),
+                          (200, 1.0), (64, 1.6), (200, 1.6))]
     serial = [sum_direct(spec) for spec in specs]
+    trigsums._sin2_table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
