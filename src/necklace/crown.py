@@ -210,8 +210,12 @@ class ProfileHandle:
     gradient at one point, as ``u_star_derivs`` does.  ``bubbles``, where
     the field is a sum of bubbles, is (x, c, A): (n, 3) centres and (n,)
     c > 0 and A such that fn(z) = sum_i A_i (c_i + |z - x_i|^2)^{-1/2}
-    exactly, up to the round-off of evaluating it.  Without it (None) the
-    field is treated as a black box.
+    exactly, up to the round-off of evaluating it.  That round-off must stay
+    within half the bound E of ``nodal._edge_bounds``, which nodal_mesh
+    relies on: each c_i + |z - x_i|^2 within 16u (c_i + |x_i|^2 + |z|^2),
+    u = 2^-53, each term's power within 2u relative, and the terms summed
+    in any order.  u_star and u_bubble meet it.  Without ``bubbles`` (None)
+    the field is treated as a black box.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]

@@ -5,17 +5,26 @@ minimum, so it is stable under grid refinement).
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .crown import CrownParams, ProfileHandle, _as_array, fd_gradient
+from .crown import _BLOCK, CrownParams, ProfileHandle, _as_array, _sq_norm, fd_gradient
 from .errors import DomainError, NotFoundError, UnsupportedError
 from .geometry import Point3
 
+_log = logging.getLogger(__name__)
+
 _BISECT_ITERS = 60
+#: the largest resolution nodal_mesh accepts.  At RES_MAX the scan's slab
+#: arrays are 8 MB each and its brick bounds (256, 256, n + 1) for a ring of
+#: n; for m = 16 a mesh has 1.4 M points, and making it peaks at 300 MB of
+#: arrays (420 MB resident) and takes ~50 s.  Above it the memory grows as
+#: res^2 and the time faster
+RES_MAX = 1024
 #: grid points along each edge of a brick of the scan's sign certificate
 _BRICK = 4
 #: a brick whose bounds on u clear zero by this much has a certified sign.
@@ -23,6 +32,8 @@ _BRICK = 4
 #: ring centre, so every point of the brick evaluates to that sign
 _SIGN_MARGIN = 1e-6
 _RESIDUAL_TOL = 1e-8
+#: the unit round-off of a double
+_U = 2.0 ** -53
 #: lowest-gradient mesh points the polish starts from
 _POLISH_CANDIDATES = 24
 #: Newton steps a polish may take before its start counts as failed
@@ -140,6 +151,186 @@ def _certified_signs(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, bubbles):
                         axis=1)[:len(xs), :len(ys)]
 
 
+def _edge_bounds(a: np.ndarray, b: np.ndarray, axis: np.ndarray, bubbles):
+    """Per crossing edge from a to b, which differ in coordinate ``axis``
+    only, the constants of _certify: (curv, slack, margin), computed in
+    chunks of rows.
+
+    On the edge the field u = sum_i A_i s_i^{-1/2}, s_i = c_i + |z - x_i|^2,
+    has s_i >= S_i = c_i + dmin_i^2, where dmin_i is the distance from x_i
+    to the edge, and along the edge's axis t each term has
+    |d^2/dt^2 s^{-1/2}| = s^{-3/2} |3 (t - x_it)^2 / s - 1| <= 2 s^{-3/2} and
+    |d/dt s^{-1/2}| <= s^{-1}.  With u = 2^-53, n bubbles and |z|^2 <= Z on
+    the edge (its larger end), the profile's contract (``ProfileHandle``)
+    bounds its round-off.  u_star's operation order gives it:
+
+    - |z|^2 by squares and two adds: 3u Z;
+    - + rho^2 = 1 - mu^2 in place of |x_j|^2, which differs by < 2.5u:
+      u (Z + rho^2) + 2.5u rho^2;
+    - the gemm's z.x_j (any order, fused or not), doubled: 3u (Z + rho^2);
+    - the subtraction, whose exact result is <= 2 (Z + rho^2): 2u (Z + rho^2);
+    - the clamp at 0 moves s_i only towards its exact value >= 0;
+    - + mu^2: u (2 (Z + rho^2) + c);
+
+    so s_i is within sigma_i = 16u (c_i + |x_i|^2 + Z) (11u Z and 10.5u
+    |x_i|^2 are needed).  The origin term's 1 + |z|^2 is within 4u (1 + Z).
+    A computed s^ >= S_i - sigma_i = w_i then gives |s^{-1/2} - s^^{-1/2}|
+    <= sigma_i w_i^{-3/2} / 2.  ``pow`` (or sqrt and a divide) adds 2u
+    relative, the pairwise row sum of n terms, the amplitude product and the
+    origin term's add (n + 1)u of sum_i |A_i| w_i^{-1/2}.  So
+
+        E = 2 sum_i |A_i| ((n + 3)u w_i^{-1/2} + sigma_i w_i^{-3/2} / 2)
+
+    bounds |fl(u_star(z)) - u(z)| on the edge, with a factor 2 that covers
+    u_bubble (the same steps as the origin term) and second-order terms.  Next
+    to a ring centre sigma_i w_i^{-3/2} is what grows: at 2 mu from a centre
+    of the m = 16 ring E is 1.7e-9, above the 1.7e-10 that u_star differs
+    from a 30-digit sum there; in the zero set's tube it is ~1.4e-14.  Where
+    w_i <= 0 every bound is inf and the edge certifies nothing.
+
+    The returned constants, rounded up by (1 + 4 (n + 3) u):
+
+    - curv = M2 / 8 with M2 = 2 sum_i |A_i| w_i^{-3/2} >= |u''| on the edge;
+    - slack = u (G1 max(|lo|, |hi|) + U + E): a computed midpoint is within
+      u max(|lo|, |hi|) of the exact one, and G1 = sum_i |A_i| w_i^{-1}
+      bounds |u'|; U = sum_i |A_i| w_i^{-1/2} >= |u| bounds the rounding of
+      the interpolated midpoint value;
+    - margin = 3E."""
+    x, c, amp = bubbles
+    n = len(c)
+    weight = np.abs(amp)
+    base = c + _sq_norm(x)
+    up = 1.0 + 4 * (n + 3) * _U
+    curv, slack, margin = (np.empty(len(a)) for _ in range(3))
+    # (step, n) blocks the size of u_star's (_BLOCK, m) buffer for m = 16
+    step = max(1, 16 * _BLOCK // n)
+    for lo in range(0, len(a), step):
+        sl = slice(lo, lo + step)
+        pa, pb, ax = a[sl], b[sl], axis[sl]
+        rows = np.arange(len(ax))
+        t_lo, t_hi = pa[rows, ax], pb[rows, ax]
+        # the squared distance from each centre to the nearest point of the
+        # edge: the off-axis coordinates are a's, the axis one is clipped
+        xt = x.T[ax]
+        s = np.clip(xt, t_lo[:, None], t_hi[:, None]) - xt
+        s *= s
+        for k in range(3):
+            d = pa[:, k, None] - x[:, k]
+            d *= d
+            d[ax == k] = 0.0
+            s += d
+        s += c
+        sigma = np.maximum(_sq_norm(pa), _sq_norm(pb))[:, None] + base
+        sigma *= 16 * _U
+        s -= sigma
+        inv = np.divide(1.0, s, out=np.full_like(s, np.inf), where=s > 0)
+        root = np.sqrt(inv)
+        total = root @ weight
+        e = (sigma * inv * root) @ weight
+        e += 2 * (n + 3) * _U * total
+        curv[sl] = (inv * root) @ weight
+        curv[sl] *= up / 4
+        slack[sl] = (inv @ weight) * np.maximum(np.abs(t_lo), np.abs(t_hi))
+        slack[sl] += total
+        slack[sl] += e
+        slack[sl] *= _U * up
+        margin[sl] = 3 * up * e
+    return curv, slack, margin
+
+
+def _certify(ends, vals, errs, curv, slack, margin):
+    """For (lo, hi) ``ends`` with values ``vals`` within ``errs`` + E of u
+    (0 where a value was evaluated, E the profile's round-off, see
+    _edge_bounds): the interpolated midpoint values p = (vlo + vhi) / 2,
+    bounds err and the mask of the rows whose midpoint sign is not certified.
+
+    |p - u(mid)| <= err + E with err = ((elo + ehi) / 2 + curv h^2 + slack)
+    (1 + 2^-48), h = hi - lo: linear interpolation's error, the offset of the
+    computed midpoint and the rounding of p, with a factor that covers the
+    rounding of err itself.  Where |p| > err + margin = err + 3E, fl(u(mid))
+    is within err + 2E of p and has p's sign, so ``p`` may stand for it."""
+    p = vals[:, 0] + vals[:, 1]
+    p *= 0.5
+    err = ends[:, 1] - ends[:, 0]
+    err *= err
+    err *= curv
+    tmp = errs[:, 0] + errs[:, 1]
+    tmp *= 0.5
+    err += tmp
+    err += slack
+    err *= 1.0 + 2.0 ** -48
+    np.add(err, margin, out=tmp)
+    return p, err, np.abs(p) <= tmp
+
+
+def _bisect(fn, a, axis, ends, vals, bounds):
+    """Bisect coordinate ``axis`` of each point of ``a`` on the (lo, hi)
+    ``ends``, where fn's value at lo is vals[:, 0] and its sign at hi
+    differs, until the midpoint equals an end, and write that midpoint into
+    ``a``.  Returns how many halvings were evaluated and certified.
+
+    A row whose midpoint equals one of its ends is fixed from then on: mid
+    == lo gives fm == fa, and mid == hi gives f(hi), whose sign always
+    differs from fa's.  So it leaves the live state, which is compacted only
+    then and otherwise updated in place.  With ``bounds`` = (curv, slack,
+    margin) (see _edge_bounds) and fn's values at hi in vals[:, 1], a halving
+    takes each live midpoint's sign from _certify where it can and evaluates
+    fn at the other midpoints only; without, every live midpoint is
+    evaluated.  Either way each row takes the branches that evaluating every
+    midpoint takes."""
+    n = len(ends)
+    # the live rows' ids, (lo, hi) ends and values at them and, with bounds,
+    # the values' error bounds and the rows' constants.  The pairs are
+    # C-ordered (n, 2) arrays, so that row i's lo and hi are entries 2i and
+    # 2i + 1 of their reshape(-1) view
+    state = [np.arange(n), ends, vals]
+    if bounds is not None:
+        state += [np.zeros((n, 2)), *bounds]
+    evaluated = certified = 0
+    for _ in range(_BISECT_ITERS):
+        ends = state[1]
+        m = ends[:, 0] + ends[:, 1]
+        m *= 0.5
+        moving = (m != ends[:, 0]) & (m != ends[:, 1])
+        if not moving.all():
+            done = state[0][~moving]
+            a[done, axis[done]] = m[~moving]
+            # compact in place, one array's copy alive at a time
+            k = np.count_nonzero(moving)
+            for v in state:
+                v[:k] = v[moving]
+            state, m = [v[:k] for v in state], m[moving]
+            if not k:
+                break
+        live, ends, vals = state[:3]
+        if bounds is None:
+            val, pick = np.empty(len(m)), slice(None)
+        else:
+            val, err, need = _certify(*state[1:])
+            pick = np.flatnonzero(need)
+        rows = live[pick]
+        evaluated += len(rows)
+        certified += len(m) - len(rows)
+        if len(rows):
+            mids = a[rows]
+            mids[np.arange(len(rows)), axis[rows]] = m[pick]
+            del rows
+            val[pick] = fn(mids)
+            del mids
+        # the midpoint replaces lo where its sign is lo's, else hi
+        at = np.arange(0, 2 * len(m), 2)
+        at += (vals[:, 0] < 0) != (val < 0)
+        ends.reshape(-1)[at] = m
+        vals.reshape(-1)[at] = val
+        if bounds is not None:
+            err[pick] = 0.0
+            state[3].reshape(-1)[at] = err
+    else:
+        ends = state[1]
+        a[state[0], axis[state[0]]] = 0.5 * (ends[:, 0] + ends[:, 1])
+    return evaluated, certified
+
+
 def _crossings(sign_a, sign_b, xs, ys, za, zb, di, dj, segs):
     """The grid edges from (xs[i], ys[j], za) to (xs[i + di], ys[j + dj], zb)
     whose end signs differ, in C order of (i, j)."""
@@ -157,19 +348,26 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     _BRICK^3 grid points whose bounds on the field clear zero keeps its
     certified sign (see ``_certified_signs``), and the field is evaluated
     only at the points of the other bricks.  The crossings depend on the
-    signs alone, so the mesh is the one a full scan gives.  A profile
+    signs alone, so the mesh is the one a full scan gives.  The bisection
+    likewise takes a midpoint's sign from interpolation bounds where they
+    prove it (see ``_bisect``) and ends at the same points.  A profile
     without bubbles certifies nothing and is evaluated everywhere.
+
+    The resolution is 16 to RES_MAX.  One DEBUG record on this module's
+    logger gives the scan points evaluated, the crossings, the halvings
+    evaluated and certified, and the crossings dropped.
 
     An empty result is returned as an empty mesh, not an error."""
     bbox = _normalize_bbox(bbox)
-    if resolution < 16:
-        raise DomainError("resolution must be >= 16 per axis")
+    if not 16 <= resolution <= RES_MAX:
+        raise DomainError(f"resolution must be 16 to {RES_MAX} per axis, got {resolution}")
     xs = np.linspace(*bbox[0], resolution)
     ys = np.linspace(*bbox[1], resolution)
     zs = np.linspace(*bbox[2], resolution)
     layers = _certified_signs(xs, ys, zs, profile.bubbles)
     segs = []
     prev_sign = None
+    scanned = 0
     # slab-by-slab scan in deterministic z order, evaluating the field only
     # where the sign is not certified
     for k, z in enumerate(zs):
@@ -180,6 +378,7 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
         if len(ui):
             pts = np.stack([xs[ui], ys[uj], np.full(len(ui), z)], axis=-1)
             sign[ui, uj] = np.sign(profile.fn(pts))
+            scanned += len(ui)
         _crossings(sign[:-1, :], sign[1:, :], xs, ys, z, z, 1, 0, segs)
         _crossings(sign[:, :-1], sign[:, 1:], xs, ys, z, z, 0, 1, segs)
         if prev_sign is not None:
@@ -187,46 +386,44 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
         prev_sign = sign
 
     if not segs:
+        _log_mesh(resolution, scanned, 0, 0, 0, 0)
         empty = np.empty((0, 3))
         return NodalMesh(points=empty, values=np.empty(0), gradients=np.empty(0),
                          bbox=bbox, resolution=resolution)
 
     a = np.concatenate([s[0] for s in segs])
     b = np.concatenate([s[1] for s in segs])
+    del segs
     # each edge runs along one axis: bisect that coordinate [lo, hi] only
     # (the others' midpoint 0.5 (x + x) is x)
-    rows = np.arange(len(a))
-    axis = np.argmax(a != b, axis=1)
-    lo, hi = a[rows, axis], b[rows, axis]
+    axis = np.argmax(a != b, axis=1).astype(np.int8)
+    ends = np.stack([np.take_along_axis(e, axis[:, None], axis=1)[:, 0]
+                     for e in (a, b)], axis=1)
+    vals = np.empty((len(a), 2))
+    vals[:, 0] = profile.fn(a)
+    bounds = None
+    if profile.bubbles is not None:
+        vals[:, 1] = profile.fn(b)
+        bounds = _edge_bounds(a, b, axis, profile.bubbles)
     del b
-    fa = np.array(profile.fn(a), dtype=float)
-    live = rows
-    for _ in range(_BISECT_ITERS):
-        # a row whose midpoint equals one of its ends is fixed from then on:
-        # mid == lo gives fm == fa, and mid == hi gives f(hi), whose sign
-        # always differs from fa's.  Only the other rows are evaluated.
-        m = 0.5 * (lo[live] + hi[live])
-        moving = (m != lo[live]) & (m != hi[live])
-        live, m = live[moving], m[moving]
-        if not len(live):
-            break
-        mids = a[live]
-        mids[np.arange(len(live)), axis[live]] = m
-        fm = profile.fn(mids)
-        left = (fa[live] < 0) == (fm < 0)
-        lo[live[left]] = m[left]
-        fa[live[left]] = fm[left]
-        hi[live[~left]] = m[~left]
+    evaluated, certified = _bisect(profile.fn, a, axis, ends, vals, bounds)
+    del ends, vals, bounds
     mid = a
-    mid[rows, axis] = 0.5 * (lo + hi)
     residual = np.abs(profile.fn(mid))
     keep = residual <= _RESIDUAL_TOL
     points = mid[keep]
     residual = residual[keep]
+    dropped = int(np.count_nonzero(~keep))
+    _log_mesh(resolution, scanned, len(mid), evaluated, certified, dropped)
     grads = gradient_norms(profile, points) if len(points) else np.empty(0)
     return NodalMesh(points=points, values=residual, gradients=grads,
-                     bbox=bbox, resolution=resolution,
-                     dropped=int(np.count_nonzero(~keep)))
+                     bbox=bbox, resolution=resolution, dropped=dropped)
+
+
+def _log_mesh(res, scanned, crossings, evaluated, certified, dropped) -> None:
+    _log.debug("nodal_mesh res %d: scan evaluated %d of %d points, %d crossings, "
+               "halvings evaluated %d and certified %d, %d dropped",
+               res, scanned, res ** 3, crossings, evaluated, certified, dropped)
 
 
 def _polish_min(profile: ProfileHandle, start: np.ndarray) -> float:

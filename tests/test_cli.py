@@ -229,6 +229,13 @@ class TestSubcommands:
         assert run(["nodal", "--res", "8"]) == 2
         capsys.readouterr()
 
+    def test_nodal_res_above_max(self, capsys):
+        # refused before the scan allocates its arrays
+        assert run(["nodal", "--res", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: resolution must be 16 to 1024 per axis, got 100000\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("bbox", ["nan", "inf", "-inf", "-1", "0", "1e200",
                                       "7.8e153"])
     def test_nodal_bad_bbox(self, capsys, bbox):

@@ -1,6 +1,9 @@
+import logging
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,8 +22,11 @@ from necklace.nodal import (
     _BRICK,
     _POLISH_CANDIDATES,
     _SIGN_MARGIN,
+    RES_MAX,
     _axis_bounds,
     _certified_signs,
+    _certify,
+    _edge_bounds,
     _polish_min,
     gradient_min_on_nodal,
     gradient_norms,
@@ -126,6 +132,13 @@ class TestNodalMesh:
         with pytest.raises(DomainError):
             nodal_mesh(crown16, star16, bbox, 16)
 
+    def test_resolution_above_res_max(self, crown16, star16):
+        # refused before any grid array is made
+        with pytest.raises(DomainError, match=f"resolution must be 16 to {RES_MAX}"):
+            nodal_mesh(crown16, star16, 2.5, RES_MAX + 1)
+        with pytest.raises(DomainError):
+            nodal_mesh(crown16, star16, 2.5, 100_000)
+
     def test_scalar_bbox_normalized(self, crown16, star16):
         mesh = nodal_mesh(crown16, star16, 1.5, 16)
         assert mesh.bbox == ((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5))
@@ -169,40 +182,246 @@ class TestNodalMesh:
         assert np.max(mesh.values) <= 1e-8
 
 
-def _counting(profile):
-    """``profile`` with a field that counts the points of the calls that
-    evaluate one z slab, as the grid scan's calls do."""
-    seen = [0]
+_BOX = ((-2.5, 2.5),) * 3
+#: a box that is neither cubic nor centred
+_SKEW_BOX = ((-2.1, 2.4), (-1.7, 2.9), (-0.8, 1.3))
+
+
+def _old_mesh(profile, bbox, res):
+    """nodal_mesh as it was before its halvings were certified: a full scan,
+    then each halving evaluates the midpoint of every row that still moves.
+    Returns the mesh's points, values, gradients and dropped count, and the
+    rows each halving evaluated."""
+    xs, ys, zs = axes = [np.linspace(lo, hi, res) for lo, hi in bbox]
+    sign = np.sign(profile.fn(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)))
+    segs = []
+
+    def cross(sa, sb, za, zb, di, dj):
+        i, j = np.nonzero(sa * sb < 0)
+        segs.append((np.stack([xs[i], ys[j], np.full(len(i), za)], axis=-1),
+                     np.stack([xs[i + di], ys[j + dj], np.full(len(i), zb)], axis=-1)))
+
+    for k in range(res):
+        cross(sign[:-1, :, k], sign[1:, :, k], zs[k], zs[k], 1, 0)
+        cross(sign[:, :-1, k], sign[:, 1:, k], zs[k], zs[k], 0, 1)
+        if k:
+            cross(sign[:, :, k - 1], sign[:, :, k], zs[k - 1], zs[k], 0, 0)
+    a = np.concatenate([s[0] for s in segs])
+    b = np.concatenate([s[1] for s in segs])
+    rows = np.arange(len(a))
+    axis = np.argmax(a != b, axis=1)
+    lo, hi = a[rows, axis], b[rows, axis]
+    fa = np.array(profile.fn(a), dtype=float)
+    live, sizes = rows, []
+    for _ in range(60):
+        m = 0.5 * (lo[live] + hi[live])
+        moving = (m != lo[live]) & (m != hi[live])
+        live, m = live[moving], m[moving]
+        if not len(live):
+            break
+        sizes.append(len(live))
+        mids = a[live]
+        mids[np.arange(len(live)), axis[live]] = m
+        fm = profile.fn(mids)
+        left = (fa[live] < 0) == (fm < 0)
+        lo[live[left]] = m[left]
+        fa[live[left]] = fm[left]
+        hi[live[~left]] = m[~left]
+    mid = a
+    mid[rows, axis] = 0.5 * (lo + hi)
+    residual = np.abs(profile.fn(mid))
+    keep = residual <= 1e-8
+    points = mid[keep]
+    return (points, residual[keep], gradient_norms(profile, points),
+            int(np.count_nonzero(~keep)), sizes)
+
+
+def _recording(profile):
+    """``profile`` with a field that records each call's point count and
+    whether all its points share one z, as the grid scan's calls do."""
+    calls = []
 
     def fn(a):
         a3 = np.reshape(a, (-1, 3))
-        if np.all(a3[:, 2] == a3[0, 2]):
-            seen[0] += len(a3)
+        calls.append((len(a3), bool(np.all(a3[:, 2] == a3[0, 2]))))
         return profile.fn(a)
 
-    return replace(profile, fn=fn), seen
+    return replace(profile, fn=fn), calls
 
 
-def test_bisection_evaluates_only_moving_rows(crown16, star16):
-    # after the scan's one-slab calls come the crossing starts, the
-    # halvings and the residual call, each of the starts' row count; the
-    # halvings skip every row whose midpoint has stopped moving
-    sizes = []
+def _after_scan(calls):
+    """The point counts of the calls after the scan's one-slab calls: the
+    crossing starts, then the ends, the halvings, the residual and the
+    gradient stencils."""
+    first = next((i for i, (_, slab) in enumerate(calls) if not slab), len(calls))
+    return sum(n for n, _ in calls[:first]), [n for n, _ in calls[first:]]
 
-    def fn(a):
-        a3 = np.reshape(a, (-1, 3))
-        if sizes or not np.all(a3[:, 2] == a3[0, 2]):
-            sizes.append(len(a3))
-        return star16.fn(a)
 
-    mesh = nodal_mesh(crown16, replace(star16, fn=fn), 2.5, 96)
+def test_halvings_evaluate_only_uncertified_moving_rows(crown16, star16, caplog):
+    # a halving evaluates the rows whose midpoint still moves and whose sign
+    # the interpolation bounds leave open: with the certified ones they are
+    # the rows the old loop evaluated, and under half of rows x halvings
+    caplog.set_level(logging.DEBUG, logger="necklace.nodal")
+    recording, calls = _recording(star16)
+    mesh = nodal_mesh(crown16, recording, 2.5, 96)
+    _, sizes = _after_scan(calls)
     rows = len(mesh) + mesh.dropped
     grads = -(-len(mesh) // (_BLOCK // 6))
-    halvings = sizes[1:-1 - grads]
-    assert sizes[0] == sizes[-1 - grads] == rows
+    halvings = sizes[2:-1 - grads]
+    assert sizes[0] == sizes[1] == sizes[-1 - grads] == rows
     assert sum(sizes[-grads:]) == 6 * len(mesh)
-    assert max(halvings) == rows
-    assert sum(halvings) < rows * len(halvings)
+    [record] = caplog.records
+    evaluated, certified = record.args[4:6]
+    assert sum(halvings) == evaluated and max(halvings) <= rows
+    old = _old_mesh(star16, _BOX, 96)[-1]
+    assert evaluated + certified == sum(old)
+    assert evaluated < 0.5 * rows * len(old)
+
+
+@pytest.mark.parametrize("bbox", [_BOX, _SKEW_BOX], ids=["cube", "skew"])
+@pytest.mark.parametrize("res", [16, 33, 48])
+def test_mesh_equals_old_bisection(crown16, star16, res, bbox):
+    old = _old_mesh(star16, bbox, res)
+    mesh = nodal_mesh(crown16, star16, bbox, res)
+    assert len(mesh) > 0
+    for new, ref in zip((mesh.points, mesh.values, mesh.gradients), old):
+        assert np.array_equal(new, ref)
+    assert mesh.dropped == old[3]
+
+
+def test_mesh_is_logged(crown16, star16, caplog):
+    caplog.set_level(logging.DEBUG, logger="necklace.nodal")
+    recording, calls = _recording(star16)
+    mesh = nodal_mesh(crown16, recording, 2.5, 48)
+    scanned, sizes = _after_scan(calls)
+    rows = len(mesh) + mesh.dropped
+    evaluated = sum(sizes) - 3 * rows - 6 * len(mesh)
+    certified = sum(_old_mesh(star16, _BOX, 48)[-1]) - evaluated
+    assert 0 < scanned < 48**3 and evaluated > 0 and certified > 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"nodal_mesh res 48: scan evaluated {scanned} of {48**3} points, "
+        f"{rows} crossings, halvings evaluated {evaluated} and certified "
+        f"{certified}, {mesh.dropped} dropped"
+    ]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    caplog.clear()
+    nodal_mesh(crown16, talenti_profile(), 2.5, 16)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"nodal_mesh res 16: scan evaluated 0 of {16**3} points, 0 crossings, "
+        "halvings evaluated 0 and certified 0, 0 dropped"
+    ]
+    # a DEBUG record only, on a logger the package gives no handler
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="necklace.nodal")
+    nodal_mesh(crown16, star16, 2.5, 16)
+    assert caplog.records == []
+    assert logging.getLogger("necklace.nodal").handlers == []
+
+
+class TestCertifiedHalvings:
+    @staticmethod
+    def _edges(crown16, mesh48, rng, region, n):
+        """n edges along random axes, of lengths from 1e-4 to 0.05, through
+        points of ``region``."""
+        x = crown16._bubbles[0]
+        if region == "centre":
+            pts = x[rng.integers(1, 17, n)] + rng.normal(0.0, 3 * crown16.mu, (n, 3))
+        elif region == "origin":
+            pts = rng.normal(0.0, 0.05, (n, 3))
+        elif region == "tube":
+            pts = mesh48.points[rng.integers(len(mesh48), size=n)]
+        else:
+            pts = rng.uniform(-2.5, 2.5, (n, 3))
+            pts *= (2.0 / np.linalg.norm(pts, axis=1))[:, None]
+        axis = rng.integers(0, 3, n).astype(np.int8)
+        step = np.eye(3)[axis] * (10.0 ** rng.uniform(-4, np.log10(0.05), n))[:, None]
+        a = pts - rng.uniform(0, 1, (n, 1)) * step
+        return a, a + step, axis
+
+    @pytest.mark.parametrize("region", ["centre", "origin", "tube", "far"])
+    def test_certified_signs_are_sound(self, crown16, mesh48, region):
+        # every midpoint of every halving is evaluated: the certificate's
+        # bound holds for each, and a certified sign is the evaluated one
+        rng = np.random.default_rng(["centre", "origin", "tube", "far"].index(region))
+        a, b, axis = self._edges(crown16, mesh48, rng, region, 400)
+        curv, slack, margin = _edge_bounds(a, b, axis, crown16._bubbles)
+        rows = np.arange(len(a))
+        ends = np.stack([a[rows, axis], b[rows, axis]], axis=1)
+        vals = np.stack([u_star(a, crown16), u_star(b, crown16)], axis=1)
+        errs = np.zeros_like(ends)
+        counts = [0, 0]  # evaluated, certified
+        while len(rows):
+            m = 0.5 * (ends[:, 0] + ends[:, 1])
+            moving = (m != ends[:, 0]) & (m != ends[:, 1])
+            rows, m, ends, vals, errs, curv, slack, margin = (
+                v[moving] for v in (rows, m, ends, vals, errs, curv, slack, margin))
+            mids = a[rows]
+            mids[np.arange(len(rows)), axis[rows]] = m
+            fm = u_star(mids, crown16)
+            p, err, need = _certify(ends, vals, errs, curv, slack, margin)
+            assert np.all(np.abs(fm - p) <= err + 2.0 * margin / 3.0)
+            assert np.array_equal(np.sign(p[~need]), np.sign(fm[~need]))
+            assert np.all(p[~need] != 0.0)
+            counts[0] += np.count_nonzero(need)
+            counts[1] += np.count_nonzero(~need)
+            val, err = np.where(need, fm, p), np.where(need, 0.0, err)
+            side = ((vals[:, 0] < 0) != (val < 0)).astype(int)
+            at = np.arange(len(rows)), side
+            ends[at], vals[at], errs[at] = m, val, err
+        # only the tube holds roots, where the last halvings stay open
+        assert counts[1] > 10000
+        assert counts[0] > 1000 if region == "tube" else counts[0] < 200
+
+    def test_roundoff_bound_exceeds_measured_error(self, crown16):
+        # 2-4 mu from a ring centre u_star's |z|^2 + rho^2 - 2 z.xi cancels:
+        # E bounds its distance from a 30-digit sum there
+        x, c, amp = crown16._bubbles
+        exact = [(mp.mpf(A), mp.mpf(ci), [mp.mpf(v) for v in xi])
+                 for xi, ci, A in zip(x, c, amp)]
+
+        def true_u(z):
+            with mp.workdps(30):
+                zs = [mp.mpf(v) for v in z]
+                return mp.fsum(A / mp.sqrt(ci + mp.fsum((zk - xk) ** 2 for zk, xk in zip(zs, xi)))
+                               for A, ci, xi in exact)
+
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(24):
+            d = rng.normal(size=3)
+            z = x[rng.integers(1, 17)] + rng.uniform(2, 4) * crown16.mu * d / np.linalg.norm(d)
+            axis = rng.integers(0, 3, 1).astype(np.int8)
+            a, b = z[None], z[None] + 1e-6 * np.eye(3)[axis]
+            e = _edge_bounds(a, b, axis, crown16._bubbles)[2][0] / 3.0
+            for pt in (a[0], b[0], 0.5 * (a[0] + b[0])):
+                err = abs(u_star(pt, crown16) - float(true_u(pt)))
+                worst = max(worst, err)
+                assert err < e
+            assert e > 2e-10
+        assert worst > 1e-11
+
+    @pytest.mark.parametrize("m", [8, 16, 256])
+    def test_ring_radius_rounding(self, m):
+        # u_star adds rho^2 = 1 - mu^2 where the exact sum has |x_j|^2: the
+        # two differ by less than the 2.5u that _edge_bounds allows for
+        ring = build_crown(m)
+        rho2 = Fraction(1.0 - ring._bubbles[1][1])
+        worst = max(abs(rho2 - sum(Fraction(float(v)) ** 2 for v in xj))
+                    for xj in ring._bubbles[0][1:])
+        assert worst < Fraction(5, 2) * Fraction(2.0 ** -53)
+
+    def test_no_bubbles_certifies_nothing(self, crown16, caplog):
+        caplog.set_level(logging.DEBUG, logger="necklace.nodal")
+        blind = replace(u_star_profile(crown16), bubbles=None)
+        recording, calls = _recording(blind)
+        mesh = nodal_mesh(crown16, recording, 2.5, 33)
+        _, sizes = _after_scan(calls)
+        old = _old_mesh(blind, _BOX, 33)
+        grads = -(-len(mesh) // (_BLOCK // 6))
+        # no ends call: the starts, one call per halving and the residual
+        assert sizes[1:-1 - grads] == old[-1]
+        assert caplog.records[0].args[4:6] == (sum(old[-1]), 0)
+        assert np.array_equal(mesh.points, old[0])
 
 
 class TestCertifiedScan:
@@ -298,16 +517,16 @@ class TestCertifiedScan:
             assert not np.any(layer)
 
     def test_scan_evaluates_under_a_quarter(self, crown16, star16):
-        counting, seen = _counting(star16)
-        mesh = nodal_mesh(crown16, counting, 2.5, 96)
+        recording, calls = _recording(star16)
+        mesh = nodal_mesh(crown16, recording, 2.5, 96)
         assert len(mesh) > 0
-        assert 0 < seen[0] < 0.25 * 96**3
+        assert 0 < _after_scan(calls)[0] < 0.25 * 96**3
 
     def test_talenti_scan_evaluates_nothing(self, crown16):
-        counting, seen = _counting(talenti_profile())
-        mesh = nodal_mesh(crown16, counting, 2.5, 48)
+        recording, calls = _recording(talenti_profile())
+        mesh = nodal_mesh(crown16, recording, 2.5, 48)
         assert len(mesh) == 0
-        assert seen[0] == 0
+        assert calls == []
 
     def test_largest_bbox_runs_without_warnings(self, crown16, star16):
         half = 0.999999 * np.sqrt(np.finfo(float).max / 3.0)
