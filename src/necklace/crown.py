@@ -63,13 +63,6 @@ class CrownParams:
         return np.array([p.as_array() for p in self.xi])
 
     @cached_property
-    def _centers_t(self) -> np.ndarray:
-        """The (3, m) transposed centers, built once and read-only."""
-        ct = self.centers_array().T
-        ct.flags.writeable = False
-        return ct
-
-    @cached_property
     def _bubbles(self) -> Bubbles:
         """u_star as a sum of m + 1 bubbles A (c + |z - x|^2)^{-1/2}: the
         (m + 1, 3) centres x (the origin, then the ring), c and A, built once
@@ -142,8 +135,8 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
     if len(pts) == 1:
         pts = np.repeat(pts, 2, axis=0)
     n = len(pts)
-    # the ring bubbles' c = mu^2 and A < 0 after the origin's row
-    _, c, amp = p._bubbles
+    # the ring bubbles' centres, c = mu^2 and A < 0 after the origin's row
+    x, c, amp = p._bubbles
     rho2 = 1.0 - c[1]
     out = np.empty(n)
     buf = np.empty((min(n, _BLOCK), p.m))
@@ -154,7 +147,7 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
         r2 = _sq_norm(blk)
         # |z - xi_j|^2 expanded through a matmul; all |xi_j| are equal, and
         # mu^2 >> the round-off of the expansion, so adding mu^2 keeps this safe
-        d2 = np.matmul(blk, p._centers_t, out=buf[: hi - lo])
+        d2 = np.matmul(blk, x[1:].T, out=buf[: hi - lo])
         d2 *= 2.0
         np.subtract((r2 + rho2)[:, None], d2, out=d2)
         np.maximum(d2, 0.0, out=d2)
@@ -202,26 +195,22 @@ def u_star_derivs(z: PointLike, p: CrownParams) -> Derivs:
 class ProfileHandle:
     """A scalar field on R^3 with a tag describing its construction.
 
-    ``fn`` is vectorized over trailing (..., 3) point arrays.  ``features``
-    lists points near which the field has sharp concentration (used by
-    quadrature routines to adapt), ``singularities`` lists genuine poles.
-    ``derivs(z)``, where the field has closed-form derivatives, returns its
-    value, gradient, Hessian and third derivative contracted with the
-    gradient at one point, as ``u_star_derivs`` does.  ``bubbles``, where
-    the field is a sum of bubbles, is (x, c, A): (n, 3) centres and (n,)
-    c > 0 and A such that fn(z) = sum_i A_i (c_i + |z - x_i|^2)^{-1/2}
-    exactly, up to the round-off of evaluating it.  That round-off must stay
-    within half the bound E of ``nodal._edge_bounds``, which nodal_mesh
-    relies on: each c_i + |z - x_i|^2 within 16u (c_i + |x_i|^2 + |z|^2),
-    u = 2^-53, each term's power within 2u relative, and the terms summed
-    in any order.  u_star and u_bubble meet it.  Without ``bubbles`` (None)
-    the field is treated as a black box.
+    ``fn`` is vectorized over trailing (..., 3) point arrays.  ``derivs(z)``,
+    where the field has closed-form derivatives, returns its value, gradient,
+    Hessian and third derivative contracted with the gradient at one point,
+    as ``u_star_derivs`` does.  ``bubbles``, where the field is a sum of
+    bubbles, is (x, c, A): (n, 3) centres and (n,) c > 0 and A such that
+    fn(z) = sum_i A_i (c_i + |z - x_i|^2)^{-1/2} exactly, up to the round-off
+    of evaluating it.  That round-off must stay within half the bound E of
+    ``nodal._edge_bounds``, which nodal_mesh relies on: each
+    c_i + |z - x_i|^2 within 16u (c_i + |x_i|^2 + |z|^2), u = 2^-53, each
+    term's power within 2u relative, and the terms summed in any order.
+    u_star and u_bubble meet it.  c_star excises the bubbles with c < 1.
+    Without ``bubbles`` (None) the field is treated as a black box.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     tag: str  # talenti | u_star | u_star_corrected
-    features: Tuple[Point3, ...] = ()
-    singularities: Tuple[Point3, ...] = ()
     derivs: Optional[Callable[[np.ndarray], Derivs]] = None
     # out of __eq__ and __hash__, which arrays would break
     bubbles: Optional[Bubbles] = field(default=None, compare=False)
@@ -241,21 +230,15 @@ def talenti_profile() -> ProfileHandle:
 
 def u_star_profile(p: CrownParams) -> ProfileHandle:
     return ProfileHandle(
-        fn=lambda arr: u_star(arr, p), tag="u_star", features=p.xi,
+        fn=lambda arr: u_star(arr, p), tag="u_star",
         derivs=lambda z: u_star_derivs(z, p), bubbles=p._bubbles,
     )
 
 
 def u_star_corrected_profile(p: CrownParams) -> ProfileHandle:
     """u_star plus the explicit ring correction (poles on the unit circle)."""
-    sing = tuple(Point3.from_array(row) for row in p.unit_centers_array())
-
-    def fn(arr: np.ndarray) -> np.ndarray:
-        return u_star(arr, p) + psi_d1(arr, p)
-
-    return ProfileHandle(
-        fn=fn, tag="u_star_corrected", features=p.xi, singularities=sing
-    )
+    return ProfileHandle(fn=lambda arr: u_star(arr, p) + psi_d1(arr, p),
+                         tag="u_star_corrected")
 
 
 def psi_d11(z: PointLike) -> Union[float, np.ndarray]:

@@ -22,7 +22,7 @@ from .crown import (
     fd_gradient,
     u_star_profile,
 )
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import Point3, SectorConfig
 from .kernels import (
     _gamma_bb_closed,
@@ -49,8 +49,7 @@ class ReducedConfig:
     delta: float = 0.1
 
     def __post_init__(self):
-        if self.K < 4 or self.K % 2 != 0:
-            raise DomainError(f"K must be an even integer >= 4, got {self.K}")
+        SectorConfig(self.K)
         if not all(map(math.isfinite, (self.lam, self.gnorm, self.cstar, self.delta))):
             raise DomainError("lam, gnorm, cstar and delta must be finite")
         if self.lam <= 0 or self.gnorm <= 0 or self.cstar <= 0:
@@ -149,21 +148,21 @@ def _sphere_rule(panels, n_p: int) -> Tuple[np.ndarray, np.ndarray]:
     return dirs, weights
 
 
+#: inner log-radial cutoff of c_star's core balls
+_RHO0 = 1e-6
+
+
 def _cores(profile: ProfileHandle, xi: Point3):
-    """The concentration cores of ``profile`` relative to ``xi``: per feature
-    and singularity, its center c, radius R = |c|, bump width w and inner
-    log-radial cutoff rho0."""
-    xiv = xi.as_array()
-    sing = {(s.z1, s.z2, s.z3) for s in profile.singularities}
+    """The concentration cores of ``profile`` relative to ``xi``: per bubble
+    with c < 1, in order, its center c, radius R = |c| and bump width w."""
+    x, conc, _amp = profile.bubbles
     cores = []
-    for pt in tuple(profile.features) + tuple(profile.singularities):
-        c = pt.as_array() - xiv
+    for c in x[conc < 1.0] - xi.as_array():
         R = float(np.linalg.norm(c))
         if R < 1e-9:
             raise DomainError("a concentration core coincides with xi")
         w = min(0.15, 0.6 * R, max(0.03, 0.2 * R), 0.19)
-        rho0 = 1e-9 if (pt.z1, pt.z2, pt.z3) in sing else 1e-6
-        cores.append((c, R, w, rho0))
+        cores.append((c, R, w))
     return cores
 
 
@@ -178,7 +177,7 @@ def _near_cores(dirs: np.ndarray, lo: float, hi: float, cores):
     are a superset of those within w.
     """
     near = []
-    for c, R, w, _rho0 in cores:
+    for c, R, w in cores:
         wide = w * (1.0 + 1e-9)
         if lo - wide <= R <= hi + wide:
             cos_min = math.sqrt(1.0 - (wide / R) ** 2) - 1e-9
@@ -231,15 +230,17 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     """The constant int q(z + xi)^2 / (4 pi |z|^4) dz for a profile vanishing
     at xi.
 
-    The sharp concentration cores listed on the profile are excised by smooth
-    radial bumps and integrated in local log-radial spherical coordinates; the
-    remainder is integrated on shells around the origin with the angular order
-    adapted to the nearest feature, and the far field beyond R = 10^3 is added
-    from the measured 1/|z| coefficient.  ``scale`` multiplies every node
-    count (scale=2 halves all steps).
+    The profile's bubbles with c < 1 are its sharp concentration cores,
+    excised by smooth radial bumps and integrated in local log-radial
+    spherical coordinates; the remainder is integrated on shells around the
+    origin with the angular order adapted to the nearest core, and the far
+    field beyond R = 10^3 is added from the measured 1/|z| coefficient.
+    ``scale`` multiplies every node count (scale=2 halves all steps).
     """
     if not (math.isfinite(scale) and scale > 0):
         raise DomainError("scale must be finite and positive")
+    if profile.bubbles is None:
+        raise UnsupportedError(f"c_star needs the bubbles of the {profile.tag!r} profile")
     xiv = xi.as_array()
     q0 = float(np.asarray(profile.fn(xiv)))
     if abs(q0) > 1e-8:
@@ -268,9 +269,9 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     # core balls, log-radial around each center
     core_total = 0.0
     dirs, dweights = _sphere_rule([(-1.0, 1.0, n(12))], n(24))
-    for c, _R, w, rho0 in cores:
+    for c, _R, w in cores:
         s_nodes, s_weights = gl_panels(
-            np.linspace(math.log(rho0), math.log(w), n(30) + 1), 8
+            np.linspace(math.log(_RHO0), math.log(w), n(30) + 1), 8
         )
         rho = np.exp(s_nodes)
         pts = c + rho[:, None, None] * dirs
@@ -291,7 +292,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     edge_set.update(
         np.exp(np.linspace(math.log(r_lin), math.log(R_far), n(70) + 1))
     )
-    for _c, R, w, _rho0 in cores:
+    for _c, R, w in cores:
         for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
             edge_set.add(R + s * w)
         band = np.arange(R - w, R + w + 1e-12, w / (4.0 * max(1.0, scale)))
@@ -299,12 +300,8 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     edges = np.array(sorted(e for e in edge_set if 0.0 <= e <= R_far))
     edges = np.concatenate([[0.0], edges[np.diff(np.concatenate([[0.0], edges])) > 1e-9]])
 
-    even_z3 = (
-        profile.tag in ("talenti", "u_star", "u_star_corrected")
-        and abs(xi.z3) < 1e-12
-        and all(abs(pt.z3) < 1e-12
-                for pt in tuple(profile.features) + tuple(profile.singularities))
-    )
+    # a sum of radial bubbles is even in z3 when all its centres are
+    even_z3 = abs(xi.z3) < 1e-12 and bool(np.all(abs(profile.bubbles[0][:, 2]) < 1e-12))
     glx, glw = leggauss(8)
     outer_total = 0.0
     # neighbouring panels mostly share an angular rule: it is rebuilt only
@@ -313,9 +310,9 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     for lo, hi in zip(edges[:-1], edges[1:]):
         r_nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * glx
         r_weights = 0.5 * (hi - lo) * glw
-        # smallest angular footprint among features this panel touches
+        # smallest angular footprint among cores this panel touches
         sigma = math.inf
-        for _c, R, w, _rho0 in cores:
+        for _c, R, w in cores:
             if lo - w <= R <= hi + w:
                 sigma = min(sigma, 0.5 * w / R)
         if math.isinf(sigma):

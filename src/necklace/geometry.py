@@ -15,9 +15,12 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import DomainError
+from .trigsums import N_MAX
 
 #: tolerance for the half-open angular sector membership test
 ANGULAR_TOL = 1e-12
+#: the largest K SectorConfig accepts: the sums over a sector have n = K terms
+K_MAX = N_MAX
 
 
 @dataclass(frozen=True)
@@ -42,13 +45,15 @@ class Point3:
 
 @dataclass(frozen=True)
 class SectorConfig:
-    """An angular sector of opening 2*pi/K, K even."""
+    """An angular sector of opening 2*pi/K, K even, 4 <= K <= K_MAX."""
 
     K: int
 
     def __post_init__(self):
         if self.K < 4 or self.K % 2 != 0:
             raise DomainError(f"K must be an even integer >= 4, got {self.K}")
+        if self.K > K_MAX:
+            raise DomainError(f"K must be at most {K_MAX}, got {self.K}")
 
     @property
     def theta0(self) -> float:

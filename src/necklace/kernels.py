@@ -185,8 +185,8 @@ def _in_plane(b: Point3) -> Tuple[float, float]:
 
 def _gamma_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
     """The exact cosecant resummation of gamma(b, b)."""
-    if babs <= 0.5:
-        raise DomainError("|b| must exceed 1/2")
+    if not 0.5 < babs < 1.0:
+        raise DomainError("|b| must lie in (1/2, 1)")
     t0 = cfg.theta0
     if abs(alpha_b) >= t0 / 2.0:
         raise DomainError("|alpha_b| must be below theta0/2")

@@ -31,7 +31,6 @@ def test_traced_profile():
     params = build_crown(16)
     profile = workloads._profile(params, spans.NullTracer())
     assert profile.tag == "u_star"
-    assert profile.features == params.xi
     assert profile.derivs is not None
     assert profile.bubbles is params._bubbles
     z = np.array([[0.3, 0.1, 0.2], [0.9, 0.05, 0.0]])

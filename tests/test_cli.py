@@ -1,15 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import threading
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necklace import acceptance, cli, energy
 from necklace.cli import build_parser, run
 from necklace.errors import AccuracyError, DomainError, NotFoundError, UnsupportedError
 from necklace.errors import RegimeWarning
+from necklace.geometry import K_MAX
 from necklace.trigsums import N_MAX, SumSpec, s_asym, sum_direct
 
 
@@ -404,3 +409,56 @@ def test_sums_rejects_huge_n(capsys, n):
     captured = capsys.readouterr()
     assert captured.err == f"error: n must be at most {N_MAX}, got {n}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["kernels", "energy"])
+def test_k_above_max_is_rejected_first(monkeypatch, capsys, command):
+    # named as K, and for energy before the model is built
+    monkeypatch.setattr(energy, "default_model", lambda *a, **k: pytest.fail("model built"))
+    K = str(2 * K_MAX)
+    assert run([command, "--K", K]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: K must be at most {K_MAX}, got {K}\n"
+    assert captured.out == ""
+
+
+def test_kernels_huge_b_abs_is_one_error_line(capsys):
+    # |b| is checked before the direct image sum computes with it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["kernels", "--b-abs", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: |b| must lie in (1/2, 1)\n"
+    assert captured.out == ""
+
+
+def _kernel_floats(*near):
+    """Any finite float, an edge value, or one drawn near the kernels' domain."""
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         0.0, -0.0, 0.5, 1.0]),
+        *near,
+    )
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(2, 128).map(lambda h: 2 * h), st.just(2 * K_MAX)),
+       # |b| in (1/2, 1), or past 1 up to where |b|^2 overflows
+       _kernel_floats(st.floats(0.5, 1.0), st.floats(1.0, 1e300)),
+       _kernel_floats(st.floats(-0.01, 0.01)))
+def test_kernels_exits_cleanly(K, b_abs, alpha_b):
+    # any finite input: exit 0 or 2, at most one "error:" line, no warning
+    argv = ["kernels", "--K", str(K), f"--b-abs={b_abs!r}", f"--alpha-b={alpha_b!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(argv)
+    assert code in (0, 2)
+    lines = err.getvalue().splitlines(keepends=True)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].endswith("\n")

@@ -1,11 +1,18 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from necklace import energy
-from necklace.crown import _BLOCK, talenti_profile
+from necklace.crown import (
+    _BLOCK,
+    build_crown,
+    talenti_profile,
+    u_star_corrected_profile,
+    u_star_profile,
+)
 from necklace.energy import (
     _ORDER,
     ReducedConfig,
@@ -35,7 +42,7 @@ from necklace.energy import (
     psi_leading,
     u6_integral,
 )
-from necklace.errors import AccuracyError, DomainError
+from necklace.errors import AccuracyError, DomainError, UnsupportedError
 from necklace.geometry import Point3, SectorConfig
 from necklace.kernels import (
     PlacedBubble,
@@ -382,6 +389,39 @@ class TestCStar:
             with pytest.raises(DomainError):
                 c_star(profile, xi, scale=scale)
 
+    def test_cores_are_the_ring_bubbles(self):
+        # the ring's bubbles in ring order, bit for bit the cores that were
+        # once listed point by point on the profile; talenti's one bubble
+        # (c = 1) is no core
+        p = build_crown(16)
+        _profile, xi, _gnorm, _cstar = default_model()
+        cores = _cores(u_star_profile(p), xi)
+        assert len(cores) == p.m
+        for (c, R, w), pt in zip(cores, p.xi):
+            old = pt.as_array() - xi.as_array()
+            old_R = float(np.linalg.norm(old))
+            assert c.tobytes() == old.tobytes()
+            assert R == old_R
+            assert w == min(0.15, 0.6 * old_R, max(0.03, 0.2 * old_R), 0.19)
+        assert _cores(talenti_profile(), xi) == []
+
+    @pytest.mark.parametrize("make", [
+        u_star_corrected_profile,
+        lambda p: replace(u_star_profile(p), bubbles=None),
+    ], ids=["corrected", "bubbles_none"])
+    def test_no_bubbles_is_unsupported(self, make):
+        # rejected before the profile is evaluated even once
+        profile = make(build_crown(16))
+        calls = []
+
+        def fn(arr):
+            calls.append(arr)
+            return profile.fn(arr)
+
+        with pytest.raises(UnsupportedError):
+            c_star(replace(profile, fn=fn), Point3(0.9, 0.0, 0.0))
+        assert calls == []
+
     def test_model_constant(self):
         # the m=16 value the benchmark reference pins, to the last bit
         _profile, _xi, _gnorm, cstar = default_model()
@@ -394,13 +434,13 @@ class TestCStar:
 
         def unpruned(y):
             fac = np.ones(len(y))
-            for c, _R, w, _rho0 in cores:
+            for c, _R, w in cores:
                 rho = np.linalg.norm(y - c, axis=-1)
                 fac *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
             return fac
 
         crossed = 0
-        for c, R, w, _rho0 in cores[:: max(1, len(cores) // 4)]:
+        for c, R, w in cores[:: max(1, len(cores) // 4)]:
             # random directions plus a cluster around the core's direction
             dirs = rng.normal(size=(4000, 3))
             dirs[:2000] = c / R + 0.5 * w / R * dirs[:2000]
