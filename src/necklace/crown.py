@@ -163,9 +163,10 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
 Derivs = Tuple[float, np.ndarray, np.ndarray, np.ndarray]
 
 
-def u_star_derivs(z: PointLike, p: CrownParams) -> Derivs:
-    """u_star, its gradient g, its Hessian and its third derivative
-    contracted with the gradient, T[g], at one point, in closed form.
+def bubble_derivs(z: PointLike, bubbles: Bubbles) -> Derivs:
+    """The sum of ``bubbles``, its gradient g, its Hessian and its third
+    derivative contracted with the gradient, T[g], at one point, in closed
+    form.
 
     With r = z - x and s = c + |r|^2, each bubble A s^{-1/2} contributes
     grad -A r s^{-3/2}, Hessian -A (I s^{-3/2} - 3 r r^T s^{-5/2}) and
@@ -173,8 +174,8 @@ def u_star_derivs(z: PointLike, p: CrownParams) -> Derivs:
     """
     zv = _as_array(z)
     if zv.shape != (3,):
-        raise DomainError(f"u_star_derivs takes a single point, got shape {zv.shape}")
-    x, c, amp = p._bubbles
+        raise DomainError(f"bubble_derivs takes a single point, got shape {zv.shape}")
+    x, c, amp = bubbles
     r = zv - x
     s = c + np.einsum("ij,ij->i", r, r)
     a1 = amp / np.sqrt(s)
@@ -195,23 +196,20 @@ def u_star_derivs(z: PointLike, p: CrownParams) -> Derivs:
 class ProfileHandle:
     """A scalar field on R^3 with a tag describing its construction.
 
-    ``fn`` is vectorized over trailing (..., 3) point arrays.  ``derivs(z)``,
-    where the field has closed-form derivatives, returns its value, gradient,
-    Hessian and third derivative contracted with the gradient at one point,
-    as ``u_star_derivs`` does.  ``bubbles``, where the field is a sum of
-    bubbles, is (x, c, A): (n, 3) centres and (n,) c > 0 and A such that
-    fn(z) = sum_i A_i (c_i + |z - x_i|^2)^{-1/2} exactly, up to the round-off
-    of evaluating it.  That round-off must stay within half the bound E of
-    ``nodal._edge_bounds``, which nodal_mesh relies on: each
-    c_i + |z - x_i|^2 within 16u (c_i + |x_i|^2 + |z|^2), u = 2^-53, each
-    term's power within 2u relative, and the terms summed in any order.
-    u_star and u_bubble meet it.  c_star excises the bubbles with c < 1.
+    ``fn`` is vectorized over trailing (..., 3) point arrays.  ``bubbles``,
+    where the field is a sum of bubbles, is (x, c, A): (n, 3) centres and
+    (n,) c > 0 and A such that fn(z) = sum_i A_i (c_i + |z - x_i|^2)^{-1/2}
+    exactly, up to the round-off of evaluating it.  That round-off must stay
+    within half the bound E of ``nodal._edge_bounds``, which nodal_mesh
+    relies on: each c_i + |z - x_i|^2 within 16u (c_i + |x_i|^2 + |z|^2),
+    u = 2^-53, each term's power within 2u relative, and the terms summed in
+    any order.  u_star and u_bubble meet it.  c_star excises the bubbles
+    with c < 1, and ``bubble_derivs`` gives the field's derivatives.
     Without ``bubbles`` (None) the field is treated as a black box.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     tag: str  # talenti | u_star | u_star_corrected
-    derivs: Optional[Callable[[np.ndarray], Derivs]] = None
     # out of __eq__ and __hash__, which arrays would break
     bubbles: Optional[Bubbles] = field(default=None, compare=False)
 
@@ -229,10 +227,7 @@ def talenti_profile() -> ProfileHandle:
 
 
 def u_star_profile(p: CrownParams) -> ProfileHandle:
-    return ProfileHandle(
-        fn=lambda arr: u_star(arr, p), tag="u_star",
-        derivs=lambda z: u_star_derivs(z, p), bubbles=p._bubbles,
-    )
+    return ProfileHandle(fn=lambda arr: u_star(arr, p), tag="u_star", bubbles=p._bubbles)
 
 
 def u_star_corrected_profile(p: CrownParams) -> ProfileHandle:

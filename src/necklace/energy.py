@@ -56,6 +56,13 @@ class ReducedConfig:
             raise DomainError("lam, gnorm and cstar must be positive")
         if not 0.0 < self.delta < 1.0:
             raise DomainError("delta must lie in (0, 1)")
+        # Psi's coefficients are under K^5 (A_gamma's), and its monomials under
+        # 2 eps^3 s^2 + lam cstar eps^2 at the box's far corner eps = 1/(delta K^3)
+        K, eps = self.K, 1.0 / (self.delta * self.K**3)
+        s = (1.0 + math.log(K) / self.delta) * max(1.0, self.gnorm)
+        bound = 8.0 * K**5 * eps * eps * (2.0 * eps * s * s + self.lam * self.cstar)
+        if not math.isfinite(bound):
+            raise DomainError(f"Psi overflows on the box of delta={self.delta!r} and K={K}")
 
 
 @dataclass(frozen=True)
@@ -192,25 +199,28 @@ def _reaches(r: float, R: float, w: float) -> bool:
     return (r - R) ** 2 < (w * (1.0 + 1e-9)) ** 2 + 1e-12 * (r + R) ** 2
 
 
-def _bump_factor(y: np.ndarray, r: float, near) -> np.ndarray:
-    """prod over cores of 1 - _smooth_cut(2|y - c|/w - 1) at points ``y`` of
-    the shell |y| = r, for the directions ``y`` / r that ``_near_cores``
-    took ``near`` from.
+def _apply_bumps(vals: np.ndarray, y: np.ndarray, r: float, near, fac: np.ndarray):
+    """Multiply ``vals`` at points ``y`` of the shell |y| = r, in the
+    directions ``_near_cores`` took ``near`` from, by the product over cores,
+    in order, of 1 - _smooth_cut(2|y - c|/w - 1).  ``fac`` is a buffer of
+    len(y) ones, and is left so.
 
-    A core's factor is exactly 1.0 wherever |y - c| >= w, so it is applied
-    only to the rows ``_near_cores`` picked, and not at all on a shell
-    farther than w from R (with a margin covering the rounding of the
-    test).  A picked row beyond w gets exactly 1.0 too, so the values are
-    bit-identical to the product over all cores at every point.
-    """
-    fac = np.ones(y.shape[:-1])
-    for c, R, w, rows in near:
-        if not _reaches(r, R, w):
-            continue
+    A core's factor is exactly 1.0 wherever |y - c| >= w: on the rows
+    ``_near_cores`` did not pick and on a shell farther than w from R (with
+    a margin covering the rounding of the test).  So only the picked rows
+    are multiplied, each once by its product: the bits of multiplying every
+    value by the product over all cores."""
+    reach = [(c, w, picked) for c, R, w, picked in near if _reaches(r, R, w)]
+    if not reach:
+        return
+    for c, w, picked in reach:
         # np.linalg.norm's bits, without its per-call overhead
-        rho = np.sqrt(_sq_norm(y[rows] - c))
-        fac[rows] *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
-    return fac
+        rho = np.sqrt(_sq_norm(y[picked] - c))
+        fac[picked] *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
+    # a row picked twice is gathered and set twice, to the same product
+    rows = np.concatenate([picked for *_, picked in reach])
+    vals[rows] *= fac[rows]
+    fac[rows] = 1.0
 
 
 def _shifted(y: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
@@ -332,18 +342,17 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
         if rule != (panels, n_p):
             rule = (panels, n_p)
             # drop the old rule first, so that two are never held at once
-            dirs_s = dweights_s = None
+            dirs_s = dweights_s = bump = None
             dirs_s, dweights_s = _sphere_rule(panels, n_p)
             if even_z3:
                 keep = dirs_s[:, 2] > 0.0
                 dirs_s, dweights_s = dirs_s[keep], 2.0 * dweights_s[keep]
+            bump = np.ones(len(dirs_s))
         near = _near_cores(dirs_s, lo, hi, cores)
         for rv, rw in zip(r_nodes, r_weights):
             pts = rv * dirs_s
             vals = integrand(pts)
-            # the bump factor is exactly 1.0 on a shell no near core reaches
-            if any(_reaches(rv, R, w) for _c, R, w, _rows in near):
-                vals *= _bump_factor(pts, rv, near)
+            _apply_bumps(vals, pts, rv, near, bump)
             outer_total += float((vals @ dweights_s) * rw * rv * rv)
 
     # far field: measured 1/|z| coefficient on the cutoff sphere

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._forms import a_gamma_quad, s_alt, s_hat
 from .crown import ProfileHandle, fd_gradient, fd_hessian
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
 
 _COINCIDENT_TOL = 1e-13
@@ -211,10 +211,15 @@ def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
 
 
 def _h0_rad(v: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """The radicand 1 - 2 v.p + |v|^2 |p|^2 of h0, per row of ``v``."""
-    rad = 1.0 - 2.0 * np.vecdot(v, pv) + np.vecdot(v, v) * np.vecdot(pv, pv)
+    """The radicand 1 - 2 v.p + |v|^2 |p|^2 = |p|^2 |v - p/|p|^2|^2 of h0, per
+    row of ``v``: 0 only at p's Kelvin image p/|p|^2 (as rounded), a
+    DomainError, and <= 0 anywhere else only by round-off, an AccuracyError."""
+    pp = np.vecdot(pv, pv)
+    rad = 1.0 - 2.0 * np.vecdot(v, pv) + np.vecdot(v, v) * pp
     if np.any(rad <= 0.0):
-        raise DomainError("nonpositive radicand in h0")
+        if np.any((rad <= 0.0) & np.all(v == pv / pp, axis=-1)):
+            raise DomainError("h0 is singular at the Kelvin image of its second point")
+        raise AccuracyError("the radicand of h0 cancelled to <= 0 in round-off")
     return rad
 
 

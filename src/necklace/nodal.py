@@ -12,7 +12,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .crown import _BLOCK, CrownParams, ProfileHandle, _as_array, _sq_norm, fd_gradient
+from .crown import (_BLOCK, CrownParams, ProfileHandle, _as_array, _sq_norm,
+                    bubble_derivs, fd_gradient)
 from .errors import DomainError, NotFoundError, UnsupportedError
 from .geometry import Point3
 
@@ -248,7 +249,8 @@ def _certify(ends, vals, errs, curv, slack, margin):
     (1 + 2^-48), h = hi - lo: linear interpolation's error, the offset of the
     computed midpoint and the rounding of p, with a factor that covers the
     rounding of err itself.  Where |p| > err + margin = err + 3E, fl(u(mid))
-    is within err + 2E of p and has p's sign, so ``p`` may stand for it."""
+    is within err + 2E of p and has p's sign, so ``p`` may stand for it.  A
+    nan in p or in the bound never certifies a sign."""
     p = vals[:, 0] + vals[:, 1]
     p *= 0.5
     err = ends[:, 1] - ends[:, 0]
@@ -260,32 +262,29 @@ def _certify(ends, vals, errs, curv, slack, margin):
     err += slack
     err *= 1.0 + 2.0 ** -48
     np.add(err, margin, out=tmp)
-    return p, err, np.abs(p) <= tmp
+    return p, err, ~(np.abs(p) > tmp)
 
 
 def _bisect(fn, a, axis, ends, vals, bounds):
     """Bisect coordinate ``axis`` of each point of ``a`` on the (lo, hi)
-    ``ends``, where fn's value at lo is vals[:, 0] and its sign at hi
-    differs, until the midpoint equals an end, and write that midpoint into
+    ``ends``, where fn's values are ``vals`` and its signs at lo and hi
+    differ, until the midpoint equals an end, and write that midpoint into
     ``a``.  Returns how many halvings were evaluated and certified.
 
     A row whose midpoint equals one of its ends is fixed from then on: mid
     == lo gives fm == fa, and mid == hi gives f(hi), whose sign always
     differs from fa's.  So it leaves the live state, which is compacted only
-    then and otherwise updated in place.  With ``bounds`` = (curv, slack,
-    margin) (see _edge_bounds) and fn's values at hi in vals[:, 1], a halving
-    takes each live midpoint's sign from _certify where it can and evaluates
-    fn at the other midpoints only; without, every live midpoint is
-    evaluated.  Either way each row takes the branches that evaluating every
+    then and otherwise updated in place.  A halving takes each live
+    midpoint's sign from _certify, with ``bounds`` = (curv, slack, margin)
+    (see _edge_bounds), where it can, and evaluates fn at the other
+    midpoints only.  Each row takes the branches that evaluating every
     midpoint takes."""
     n = len(ends)
-    # the live rows' ids, (lo, hi) ends and values at them and, with bounds,
-    # the values' error bounds and the rows' constants.  The pairs are
-    # C-ordered (n, 2) arrays, so that row i's lo and hi are entries 2i and
-    # 2i + 1 of their reshape(-1) view
-    state = [np.arange(n), ends, vals]
-    if bounds is not None:
-        state += [np.zeros((n, 2)), *bounds]
+    # the live rows' ids, (lo, hi) ends, values at them and the values'
+    # error bounds, and the rows' constants.  The pairs are C-ordered (n, 2)
+    # arrays, so that row i's lo and hi are entries 2i and 2i + 1 of their
+    # reshape(-1) view
+    state = [np.arange(n), ends, vals, np.zeros((n, 2)), *bounds]
     evaluated = certified = 0
     for _ in range(_BISECT_ITERS):
         ends = state[1]
@@ -303,11 +302,8 @@ def _bisect(fn, a, axis, ends, vals, bounds):
             if not k:
                 break
         live, ends, vals = state[:3]
-        if bounds is None:
-            val, pick = np.empty(len(m)), slice(None)
-        else:
-            val, err, need = _certify(*state[1:])
-            pick = np.flatnonzero(need)
+        val, err, need = _certify(*state[1:])
+        pick = np.flatnonzero(need)
         rows = live[pick]
         evaluated += len(rows)
         certified += len(m) - len(rows)
@@ -322,9 +318,8 @@ def _bisect(fn, a, axis, ends, vals, bounds):
         at += (vals[:, 0] < 0) != (val < 0)
         ends.reshape(-1)[at] = m
         vals.reshape(-1)[at] = val
-        if bounds is not None:
-            err[pick] = 0.0
-            state[3].reshape(-1)[at] = err
+        err[pick] = 0.0
+        state[3].reshape(-1)[at] = err
     else:
         ends = state[1]
         a[state[0], axis[state[0]]] = 0.5 * (ends[:, 0] + ends[:, 1])
@@ -351,7 +346,8 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     signs alone, so the mesh is the one a full scan gives.  The bisection
     likewise takes a midpoint's sign from interpolation bounds where they
     prove it (see ``_bisect``) and ends at the same points.  A profile
-    without bubbles certifies nothing and is evaluated everywhere.
+    without bubbles certifies nothing (an infinite margin): every point is
+    evaluated, and no far end.
 
     The resolution is 16 to RES_MAX.  One DEBUG record on this module's
     logger gives the scan points evaluated, the crossings, the halvings
@@ -361,9 +357,7 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     bbox = _normalize_bbox(bbox)
     if not 16 <= resolution <= RES_MAX:
         raise DomainError(f"resolution must be 16 to {RES_MAX} per axis, got {resolution}")
-    xs = np.linspace(*bbox[0], resolution)
-    ys = np.linspace(*bbox[1], resolution)
-    zs = np.linspace(*bbox[2], resolution)
+    xs, ys, zs = (np.linspace(lo, hi, resolution) for lo, hi in bbox)
     layers = _certified_signs(xs, ys, zs, profile.bubbles)
     segs = []
     prev_sign = None
@@ -399,22 +393,22 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     axis = np.argmax(a != b, axis=1).astype(np.int8)
     ends = np.stack([np.take_along_axis(e, axis[:, None], axis=1)[:, 0]
                      for e in (a, b)], axis=1)
-    vals = np.empty((len(a), 2))
+    vals = np.full((len(a), 2), np.nan)
     vals[:, 0] = profile.fn(a)
-    bounds = None
-    if profile.bubbles is not None:
+    if profile.bubbles is None:
+        bounds = np.zeros(len(a)), np.zeros(len(a)), np.full(len(a), np.inf)
+    else:
         vals[:, 1] = profile.fn(b)
         bounds = _edge_bounds(a, b, axis, profile.bubbles)
     del b
     evaluated, certified = _bisect(profile.fn, a, axis, ends, vals, bounds)
     del ends, vals, bounds
-    mid = a
-    residual = np.abs(profile.fn(mid))
+    # a now holds the bisected crossings
+    residual = np.abs(profile.fn(a))
     keep = residual <= _RESIDUAL_TOL
-    points = mid[keep]
-    residual = residual[keep]
+    points, residual = a[keep], residual[keep]
     dropped = int(np.count_nonzero(~keep))
-    _log_mesh(resolution, scanned, len(mid), evaluated, certified, dropped)
+    _log_mesh(resolution, scanned, len(a), evaluated, certified, dropped)
     grads = gradient_norms(profile, points) if len(points) else np.empty(0)
     return NodalMesh(points=points, values=residual, gradients=grads,
                      bbox=bbox, resolution=resolution, dropped=dropped)
@@ -426,18 +420,18 @@ def _log_mesh(res, scanned, crossings, evaluated, certified, dropped) -> None:
                res, scanned, res ** 3, crossings, evaluated, certified, dropped)
 
 
-def _polish_min(profile: ProfileHandle, start: np.ndarray) -> float:
+def _polish_min(derivs, start: np.ndarray) -> float:
     """Minimize |grad u| constrained to u = 0 from a mesh candidate: Newton's
     method on the KKT system of min |g|^2 / 2 subject to u = 0,
 
         [H g - lam g; u] = 0,  Jacobian [[T[g] + H^2 - lam H, -g]; [g^T, 0]],
 
-    with g, H and T[g] from ``profile.derivs``.  Once a step is at most
-    1e-12 max(1, |z|) it takes one more step, which brings z to round-off,
-    and returns |g| there.  A start that does not get there within
-    _NEWTON_ITERS steps, or ends with |u| > 1e-6, gives inf."""
+    with u, g, H and T[g] from ``derivs(z)`` (see ``bubble_derivs``).  Once
+    a step is at most 1e-12 max(1, |z|) it takes one more step, which brings
+    z to round-off, and returns |g| there.  A start that does not get there
+    within _NEWTON_ITERS steps, or ends with |u| > 1e-6, gives inf."""
     z = np.array(start, dtype=float)
-    u, g, hess, tg = profile.derivs(z)
+    u, g, hess, tg = derivs(z)
     lam = float(g @ hess @ g) / float(g @ g)
     jac = np.zeros((4, 4))
     converged = False
@@ -452,7 +446,7 @@ def _polish_min(profile: ProfileHandle, start: np.ndarray) -> float:
             break
         z += step[:3]
         lam += float(step[3])
-        u, g, hess, tg = profile.derivs(z)
+        u, g, hess, tg = derivs(z)
         if converged:
             return float(np.linalg.norm(g)) if abs(u) <= 1e-6 else math.inf
         converged = np.linalg.norm(step[:3]) <= 1e-12 * max(1.0, np.linalg.norm(z))
@@ -464,18 +458,14 @@ def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle) -> float:
 
     The raw grid minimum is polished by a surface-constrained local
     minimization from the lowest-gradient candidates, which makes the result
-    independent of the grid resolution.  The polish needs the profile's
-    closed-form derivatives: a profile without ``derivs`` raises
-    UnsupportedError."""
+    independent of the grid resolution.  The polish takes the closed-form
+    derivatives of the profile's bubbles: a profile without ``bubbles``
+    raises UnsupportedError."""
     if len(mesh) == 0:
         raise DomainError("empty mesh has no gradient minimum")
-    if profile.derivs is None:
-        raise UnsupportedError(f"the {profile.tag!r} profile has no closed-form "
-                               "derivatives to polish the gradient minimum with")
-    order = np.argsort(mesh.gradients)[:_POLISH_CANDIDATES]
-    best = float(np.min(mesh.gradients))
-    for idx in order:
-        val = _polish_min(profile, mesh.points[idx])
-        if val < best:
-            best = val
-    return best
+    if profile.bubbles is None:
+        raise UnsupportedError(f"the {profile.tag!r} profile has no bubbles to "
+                               "polish the gradient minimum with")
+    derivs = lambda z: bubble_derivs(z, profile.bubbles)
+    starts = mesh.points[np.argsort(mesh.gradients)[:_POLISH_CANDIDATES]]
+    return min([float(np.min(mesh.gradients))] + [_polish_min(derivs, z) for z in starts])

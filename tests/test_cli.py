@@ -320,6 +320,9 @@ def test_typed_errors_map_to_exit_codes(monkeypatch, capsys, exc, code):
 
 @pytest.mark.parametrize("flags", [
     ["--lam", "nan"], ["--lam", "-1"], ["--delta", "2"], ["--K", "3"],
+    # Psi would overflow on the box, or its smallest eps underflow
+    *([*mode, "--delta", delta] for mode in ([], ["--mode", "full"])
+      for delta in ("1e-100", "1e-300", "5e-324")),
 ])
 def test_energy_validates_before_model(monkeypatch, capsys, flags):
     def no_model(*args, **kwargs):
@@ -429,6 +432,16 @@ def test_kernels_huge_b_abs_is_one_error_line(capsys):
         assert run(["kernels", "--b-abs", "1e300"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: |b| must lie in (1/2, 1)\n"
+    assert captured.out == ""
+
+
+def test_kernels_round_off_radicand_is_a_numerical_failure(capsys):
+    # |b| < 1 is in the domain, but (1 - |b|^2)^2 cancels to 0 in h0's radicand
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["kernels", "--b-abs", "0.999999999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the radicand of h0 cancelled to <= 0 in round-off\n"
     assert captured.out == ""
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -12,6 +13,8 @@ from necklace.crown import (
     M_MAX,
     _sq_norm,
     TALENTI_AMP,
+    ProfileHandle,
+    bubble_derivs,
     build_crown,
     fd_gradient,
     fd_hessian,
@@ -25,7 +28,6 @@ from necklace.crown import (
     u_bubble,
     u_star,
     u_star_corrected_profile,
-    u_star_derivs,
     u_star_profile,
 )
 from necklace.errors import DomainError, NearPoleWarning
@@ -262,7 +264,7 @@ def _derivs_points(p):
 class TestUStarDerivs:
     def test_against_mpmath(self, crown16):
         for z in _derivs_points(crown16):
-            u, g, hess, tg = u_star_derivs(z, crown16)
+            u, g, hess, tg = bubble_derivs(z, crown16._bubbles)
             u_ref, g_ref, hess_ref, tg_ref = _derivs_mp(z, crown16)
             # grad u vanishes at the origin by symmetry; the scale there is 1
             scale = max(np.linalg.norm(g_ref), 1.0)
@@ -275,18 +277,18 @@ class TestUStarDerivs:
         centers = crown16.centers_array()
         # T[g] = |g| T[g/|g|]; the origin, where g = 0, is left out
         for z in _derivs_points(crown16)[1:]:
-            _, g, _, tg = u_star_derivs(z, crown16)
+            _, g, _, tg = bubble_derivs(z, crown16._bubbles)
             gnorm = np.linalg.norm(g)
             v = g / gnorm
             h = 1e-4 * min(1.0, np.min(np.linalg.norm(z - centers, axis=1)))
-            diff = (u_star_derivs(z + h * v, crown16)[2]
-                    - u_star_derivs(z - h * v, crown16)[2]) * (gnorm / (2.0 * h))
+            diff = (bubble_derivs(z + h * v, crown16._bubbles)[2]
+                    - bubble_derivs(z - h * v, crown16._bubbles)[2]) * (gnorm / (2.0 * h))
             assert np.abs(diff - tg).max() <= 1e-6 * max(np.abs(tg).max(), gnorm)
 
     def test_against_finite_differences(self, crown16):
         prof = u_star_profile(crown16)
         for z in _points((12, 3), seed=34):
-            u, g, hess, _ = u_star_derivs(z, crown16)
+            u, g, hess, _ = bubble_derivs(z, crown16._bubbles)
             assert u == pytest.approx(u_star(z, crown16), abs=1e-14)
             # the central differences' round-off floors: eps/h at h = 1e-6
             # for the gradient, eps/h^2 at h = 1e-4 for the Hessian
@@ -295,22 +297,25 @@ class TestUStarDerivs:
             assert np.abs(fd_h - hess).max() <= 1e-6 * max(np.abs(hess).max(), 1.0)
 
     def test_second_and_third_derivatives_are_symmetric(self, crown16):
-        _, _, hess, tg = u_star_derivs(np.array([0.5, 0.2, -0.1]), crown16)
+        _, _, hess, tg = bubble_derivs(np.array([0.5, 0.2, -0.1]), crown16._bubbles)
         assert np.array_equal(hess, hess.T)
         assert np.array_equal(tg, tg.T)
 
     @pytest.mark.parametrize("shape", [(2,), (1, 3), (17, 3)])
     def test_rejects_anything_but_one_point(self, crown16, shape):
         with pytest.raises(DomainError):
-            u_star_derivs(np.zeros(shape), crown16)
+            bubble_derivs(np.zeros(shape), crown16._bubbles)
 
     def test_profile_carries_derivs(self, crown16):
-        z = np.array([0.5, 0.2, -0.1])
-        got = u_star_profile(crown16).derivs(z)
-        for a, b in zip(got, u_star_derivs(z, crown16)):
-            assert np.array_equal(a, b)
-        assert talenti_profile().derivs is None
-        assert u_star_corrected_profile(crown16).derivs is None
+        # a profile's derivatives are those of its bubbles, the only field
+        # that states its structure
+        assert [f.name for f in dataclasses.fields(ProfileHandle)] == ["fn", "tag", "bubbles"]
+        assert u_star_profile(crown16).bubbles is crown16._bubbles
+        for z in _points((6, 3), seed=35):
+            u, g, _, _ = bubble_derivs(z, talenti_profile().bubbles)
+            assert u == pytest.approx(u_bubble(z), rel=1e-15)
+            assert np.allclose(g, -u_bubble(z) ** 3 / np.sqrt(3.0) * z, rtol=1e-14, atol=0.0)
+        assert u_star_corrected_profile(crown16).bubbles is None
         assert not any(a.flags.writeable for a in crown16._bubbles)
 
 

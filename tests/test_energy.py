@@ -18,8 +18,8 @@ from necklace.energy import (
     ReducedConfig,
     ReducedPoint,
     _a_half_width,
+    _apply_bumps,
     _box,
-    _bump_factor,
     _cores,
     _near_cores,
     _grid_start,
@@ -73,6 +73,8 @@ class TestConfigs:
         {"cstar": 0.0}, {"delta": 0.0}, {"delta": 1.0},
         {"lam": math.nan}, {"gnorm": math.inf}, {"cstar": math.inf},
         {"cstar": math.nan}, {"lam": -math.inf}, {"delta": math.nan},
+        # Psi would overflow on the box, or its smallest eps underflow
+        {"delta": 1e-100}, {"delta": 1e-300}, {"delta": 5e-324},
     ])
     def test_rejects(self, kwargs):
         base = dict(K=64, lam=1.0, gnorm=1.0, cstar=0.25, delta=0.1)
@@ -428,33 +430,42 @@ class TestCStar:
         assert cstar == 0.23348704238119866
 
     def test_pruned_bump_factor_is_exact(self):
-        profile, xi, _gnorm, _cstar = default_model()
-        cores = _cores(profile, xi)
+        # multiplying only the picked rows by the product of their cores'
+        # factors gives the bits of multiplying every value by the product
+        # over all cores, also where the core balls of the m = 32 ring overlap
+        _profile, xi, _gnorm, _cstar = default_model()
         rng = np.random.default_rng(7)
+        crossed = shared = 0
+        for m in (16, 32):
+            cores = _cores(u_star_profile(build_crown(m)), xi)
 
-        def unpruned(y):
-            fac = np.ones(len(y))
-            for c, _R, w in cores:
-                rho = np.linalg.norm(y - c, axis=-1)
-                fac *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
-            return fac
+            def unpruned(y):
+                facs = [1.0 - _smooth_cut(2.0 * np.linalg.norm(y - c, axis=-1) / w - 1.0)
+                        for c, _R, w in cores]
+                fac = np.ones(len(y))
+                for f in facs:
+                    fac *= f
+                return fac, np.sum(np.array(facs) < 1.0, axis=0)
 
-        crossed = 0
-        for c, R, w in cores[:: max(1, len(cores) // 4)]:
-            # random directions plus a cluster around the core's direction
-            dirs = rng.normal(size=(4000, 3))
-            dirs[:2000] = c / R + 0.5 * w / R * dirs[:2000]
-            dirs /= np.linalg.norm(dirs, axis=-1)[:, None]
-            for r in (R - 3.0 * w, R + 2.5 * w,
-                      R - w - 1e-12, R - w, R - w + 1e-12,
-                      R + w - 1e-12, R + w, R + w + 1e-12,
-                      R - 0.7 * w, R - 0.2 * w, R, R + 0.6 * w):
-                y = r * dirs
-                ref = unpruned(y)
-                near = _near_cores(dirs, r, r, cores)
-                assert np.array_equal(_bump_factor(y, r, near), ref)
-                crossed += int(np.any((ref > 0.0) & (ref < 1.0)))
-        assert crossed >= 8
+            for c, R, w in cores[:: max(1, len(cores) // 4)]:
+                # random directions plus a cluster around the core's direction
+                dirs = rng.normal(size=(4000, 3))
+                dirs[:2000] = c / R + 0.5 * w / R * dirs[:2000]
+                dirs /= np.linalg.norm(dirs, axis=-1)[:, None]
+                for r in (R - 3.0 * w, R + 2.5 * w,
+                          R - w - 1e-12, R - w, R - w + 1e-12,
+                          R + w - 1e-12, R + w, R + w + 1e-12,
+                          R - 0.7 * w, R - 0.2 * w, R, R + 0.6 * w):
+                    y = r * dirs
+                    ref, touching = unpruned(y)
+                    vals, buf = rng.normal(size=len(y)), np.ones(len(y))
+                    got = vals.copy()
+                    _apply_bumps(got, y, r, _near_cores(dirs, r, r, cores), buf)
+                    assert np.array_equal(got, vals * ref)
+                    assert np.all(buf == 1.0)
+                    crossed += int(np.any((ref > 0.0) & (ref < 1.0)))
+                    shared += int(np.count_nonzero(touching > 1))
+        assert crossed >= 16 and shared > 0
 
     @pytest.mark.parametrize("shape", [
         (0, 3), (1, 3), (_BLOCK - 1, 3), (_BLOCK, 3), (_BLOCK + 1, 3),

@@ -5,7 +5,7 @@ import pytest
 
 from necklace import kernels
 from necklace.crown import build_crown, u_star_profile
-from necklace.errors import DomainError
+from necklace.errors import AccuracyError, DomainError
 from necklace.geometry import (
     CONJ_MATRIX,
     Point3,
@@ -177,6 +177,15 @@ class TestH0:
         q = Point3(1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             h0(q, q)
+
+    @pytest.mark.parametrize("b", [0.999999999, 0.9999999999])
+    def test_radicand_lost_to_round_off(self, b):
+        # (1 - b^2)^2 > 0 cancels to 0: inside the domain, a numerical failure
+        q = Point3(b, 0.0, 0.0)
+        with pytest.raises(AccuracyError, match="round-off"):
+            h0(q, q)
+        with pytest.raises(AccuracyError):
+            h0e(q, q, CFG)
 
     def test_extension_alternates(self):
         z = Point3(0.85, 0.02, 0.0)

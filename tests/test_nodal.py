@@ -1,4 +1,5 @@
 import logging
+import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -6,15 +7,17 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necklace.crown import (
     _BLOCK,
     ProfileHandle,
+    bubble_derivs,
     build_crown,
     talenti_profile,
     u_star,
     u_star_corrected_profile,
-    u_star_derivs,
     u_star_profile,
 )
 from necklace.errors import DomainError, NotFoundError, UnsupportedError
@@ -536,6 +539,39 @@ class TestCertifiedScan:
                 assert len(nodal_mesh(crown16, prof, half, 16)) == 0
 
 
+#: a box coordinate: any float or an edge value (past sqrt(max / 3) the
+#: field's squared distances overflow)
+_COORD = st.one_of(st.floats(), st.sampled_from(
+    [np.nan, np.inf, -np.inf, 0.0, 1e150, -1e150, 7.7e153, -7.7e153, 1e300]))
+#: a box axis: one that meets the ring or any pair of coordinates
+_AXIS = st.one_of(st.tuples(st.floats(-3.0, -0.2), st.floats(0.2, 3.0)),
+                  st.tuples(_COORD, _COORD))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(st.floats(0.2, 3.0), _COORD, st.tuples(_AXIS, _AXIS, _AXIS)),
+       st.integers(16, 24))
+def test_mesh_does_not_depend_on_bubbles(crown16, star16, bbox, res):
+    # with or without bubbles: the same mesh, or DomainError from both,
+    # and no warning either way
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for prof in (star16, replace(star16, bubbles=None)):
+            try:
+                outcomes.append(nodal_mesh(crown16, prof, bbox, res))
+            except DomainError:
+                outcomes.append(None)
+    certified, full = outcomes
+    if certified is None or full is None:
+        assert certified is full
+        return
+    for name in ("points", "values", "gradients"):
+        assert np.array_equal(getattr(certified, name), getattr(full, name))
+    assert (certified.dropped, certified.bbox) == (full.dropped, full.bbox)
+    assert np.all(certified.values <= 1e-8)
+
+
 class TestGradientMin:
     def test_positive_and_stable_under_refinement(self, crown16, star16):
         coarse = nodal_mesh(crown16, star16, 2.5, 48)
@@ -563,32 +599,52 @@ class TestGradientMin:
 
         def derivs(z):
             seen.append(z.copy())
-            return star16.derivs(z)
+            return bubble_derivs(z, star16.bubbles)
 
-        recording = replace(star16, derivs=derivs)
         order = np.argsort(mesh48.gradients)[:_POLISH_CANDIDATES]
         for idx in order:
             start = mesh48.points[idx].copy()
-            val = _polish_min(recording, mesh48.points[idx])
+            val = _polish_min(derivs, mesh48.points[idx])
             z = seen[-1]
             assert np.array_equal(mesh48.points[idx], start)
             assert abs(u_star(z, crown16)) <= 1e-12
-            assert val == np.linalg.norm(u_star_derivs(z, crown16)[1])
+            assert val == np.linalg.norm(bubble_derivs(z, crown16._bubbles)[1])
             assert val == pytest.approx(gradient_norms(star16, z)[0], rel=1e-8)
 
     def test_failed_start_gives_inf(self, star16):
         # from a start far outside the zero set the Newton steps run off to
         # infinity, and the start does not converge within the step budget
-        assert _polish_min(star16, np.array([40.0, 30.0, 20.0])) == np.inf
+        derivs = lambda z: bubble_derivs(z, star16.bubbles)
+        assert _polish_min(derivs, np.array([40.0, 30.0, 20.0])) == np.inf
 
     def test_stalled_start_off_the_zero_set_gives_inf(self):
         # a field so steep that the Newton step to u = 0 is below the step
         # bound: the polish stops, but at |u| = 1e-3, off the zero set
-        steep = ProfileHandle(
-            fn=lambda a: a[..., 0], tag="steep",
-            derivs=lambda z: (1e-3, np.array([1e20, 0.0, 0.0]),
-                              np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3))))
+        def steep(z):
+            return 1e-3, np.array([1e20, 0.0, 0.0]), np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3))
+
         assert _polish_min(steep, np.zeros(3)) == np.inf
+
+    def test_polishes_any_bubble_sum(self, crown16):
+        # (1 + |z|^2)^{-1/2} - (0.1 + |z - x|^2)^{-1/2} / 2, x = (0.2, 0, 0):
+        # its zero set is a closed surface around x, and |grad u| on it is
+        # least where it crosses the axis at t = 11/15
+        x = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]])
+
+        def fn(a):
+            return ((1.0 + np.sum(a * a, axis=-1)) ** -0.5
+                    - 0.5 * (0.1 + np.sum((a - x[1]) ** 2, axis=-1)) ** -0.5)
+
+        pair = ProfileHandle(fn=fn, tag="pair", bubbles=(
+            x, np.array([1.0, 0.1]), np.array([1.0, -0.5])))
+        t = 11.0 / 15.0
+        exact = (0.5 * (t - 0.2) * (0.1 + (t - 0.2) ** 2) ** -1.5
+                 - t * (1.0 + t * t) ** -1.5)
+        for res in (16, 32):
+            mesh = nodal_mesh(crown16, pair, 1.0, res)
+            got = gradient_min_on_nodal(mesh, pair)
+            assert got < mesh.gradients.min() - 1e-4
+            assert got == pytest.approx(exact, rel=1e-14)
 
     def test_needs_closed_form_derivatives(self, crown16):
         prof = u_star_corrected_profile(crown16)
