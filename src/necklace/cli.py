@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import acceptance
 from .crown import build_crown, q_mid_lower, u_star_profile
-from .energy import default_config, minimize_psi
+from .energy import ReducedConfig, check_full_mode, default_config, minimize_psi
 from .errors import (
     AccuracyError,
     DomainError,
@@ -225,6 +225,9 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    if args.mode == "full":
+        # the bound depends on K and delta alone: checked before the model
+        check_full_mode(ReducedConfig(args.K, args.lam, 1.0, 1.0, args.delta))
     cfg = default_config(args.K, lam=args.lam, delta=args.delta)
     argmin, diag = minimize_psi(cfg, mode=args.mode)
     _emit([{

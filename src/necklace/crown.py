@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NearPoleWarning
+from .errors import DomainError, NearPoleWarning, UnsupportedError
 from .geometry import Point3, rotation_matrix
 from .trigsums import csc_full_sum
 
@@ -24,8 +24,6 @@ _BLOCK = 2048
 #: the largest ring build_crown accepts: u_star's (_BLOCK, m) buffer is then
 #: 64 MB, and the ring radius sqrt(1 - mu^2) already rounds to 1
 M_MAX = 4096
-#: central-difference step of fd_hessian
-_FD_HESSIAN_STEP = 1e-4
 _EYE = np.eye(3)
 
 PointLike = Union[Point3, np.ndarray]
@@ -350,29 +348,6 @@ def fd_gradient(profile: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
     return grad.reshape(pts.shape)
 
 
-def fd_hessian(profile: Callable[[np.ndarray], np.ndarray],
-               point: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian of a vectorized scalar field, from one call
-    on the 19 stencil points."""
-    h = _FD_HESSIAN_STEP
-    point = np.asarray(point, dtype=float)
-    eye = np.eye(3)
-    pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
-    stencil = [point] + [point + h * e for e in eye] + [point - h * e for e in eye]
-    for i, j in pairs:
-        stencil += [point + h * eye[i] + h * eye[j], point + h * eye[i] - h * eye[j],
-                    point - h * eye[i] + h * eye[j], point - h * eye[i] - h * eye[j]]
-    vals = np.asarray(profile(np.array(stencil)), dtype=float).tolist()
-    f0, fp, fm, mixed = vals[0], vals[1:4], vals[4:7], vals[7:]
-    hess = np.empty((3, 3))
-    for i in range(3):
-        hess[i, i] = (fp[i] - 2.0 * f0 + fm[i]) / (h * h)
-    for k, (i, j) in enumerate(pairs):
-        fpp, fpm, fmp, fmm = mixed[4 * k: 4 * k + 4]
-        hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return hess
-
-
 def kernel_z(j: int, y: PointLike, profile: ProfileHandle, xi: Point3,
              theta_star: float) -> float:
     """The six linearization kernels of the placed-bubble family at the base
@@ -380,17 +355,21 @@ def kernel_z(j: int, y: PointLike, profile: ProfileHandle, xi: Point3,
 
     Z0: scale derivative, Z1/Z2: in-plane frame derivatives,
     Z3/Z4: center derivatives, Z5: rotation derivative.
+
+    q and its gradient at the inner point are those of the profile's
+    bubbles, in closed form: a profile without bubbles is unsupported.
     """
     if j not in range(6):
         raise DomainError(f"kernel index must be 0..5, got {j}")
+    if profile.bubbles is None:
+        raise UnsupportedError("kernel_z needs a profile with bubbles")
     yv = _as_array(y)
     norm = float(np.linalg.norm(yv))
     if norm == 0.0:
         raise DomainError("kernels are undefined at the origin")
     rot = rotation_matrix(theta_star)
     inner = rot @ (yv / norm**2) + xi.as_array()
-    grad = fd_gradient(profile, inner)
-    qv = float(np.asarray(profile(inner)))
+    qv, grad, _, _ = bubble_derivs(inner, profile.bubbles)
     z0 = qv / (2.0 * norm) + float(grad @ (rot @ yv)) / norm**3
     z1 = float(grad @ rot[:, 0]) / norm
     z2 = float(grad @ rot[:, 1]) / norm

@@ -24,18 +24,12 @@ from .crown import (
 )
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import Point3, SectorConfig
-from .kernels import (
-    _gamma_bb_closed,
-    _h0e_bb_closed,
-    _h0e_derivs,
-    _in_plane,
-    _newton_derivs,
-)
+from .kernels import full_kernels
 from .nodal import radial_nodal_root
 
 __all__ = [
     "ReducedConfig", "ReducedPoint", "c_star", "c0", "c2", "a_gamma",
-    "psi_full", "psi_leading", "minimize_psi", "j_reduced",
+    "psi_full", "psi_leading", "minimize_psi", "check_full_mode", "j_reduced",
     "default_model", "default_model_parts", "u6_integral",
 ]
 
@@ -379,29 +373,9 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
 # the energy
 
 
-def _full_kernels(cfg: ReducedConfig, d: float, alpha_b: float,
-                  alpha_w: float) -> Tuple[float, float, float]:
-    """H(b,b), w.(grad_z + grad_p)H(b,b) and w^T (mixed Hessian of H)(b,b) w
-    of psi_full, with w = gnorm (cos alpha_w, sin alpha_w, 0)."""
-    sector = SectorConfig(cfg.K)
-    b_abs = _b_abs(d)
-    b = Point3(b_abs * math.cos(alpha_b), b_abs * math.sin(alpha_b), 0.0)
-    # |b| and arg b read back from the point, as gamma_bb and h0e_bb do: the
-    # round trip moves the last bits of H
-    babs, alpha_b = _in_plane(b)
-    h_val = (_gamma_bb_closed(babs, alpha_b, sector)
-             + _h0e_bb_closed(babs, alpha_b, sector))
-    bv = b.as_array()
-    w = cfg.gnorm * np.array([math.cos(alpha_w), math.sin(alpha_w), 0.0])
-    newton = _newton_derivs(bv, w, sector)
-    ext = _h0e_derivs(bv, w, sector)
-    return (h_val, newton[0] + newton[1] + ext[0] + ext[1],
-            newton[2] + ext[2])
-
-
 def _psi(cfg: ReducedConfig, e, e3, qhat, coef, mode: str):
     """Psi from eps, eps^3, qhat = a gnorm and the mode's coefficients: (C0,
-    |b|, C2, |b|^3, the A_gamma form) in leading mode, the _full_kernels
+    |b|, C2, |b|^3, the A_gamma form) in leading mode, the kernels.full_kernels
     triple in full mode.  Floats or broadcasting tables alike: + - * / round
     correctly, so a table entry equals the scalar value at its inputs."""
     lam_term = cfg.lam * e * e * cfg.cstar
@@ -419,7 +393,7 @@ def psi_full(A: ReducedPoint, cfg: ReducedConfig) -> float:
     + eps^3 w^T (mixed Hessian of H)(b,b) w - lam eps^2 cstar, where H is the
     sum of the ball-kernel extension and the alternating image sum, evaluated
     through the exact closed-form resummations."""
-    coef = _full_kernels(cfg, A.d, A.alpha_b, A.alpha_w)
+    coef = full_kernels(cfg.K, cfg.gnorm, _b_abs(A.d), A.alpha_b, A.alpha_w)
     return _psi(cfg, A.eps, A.eps**3, A.a * cfg.gnorm, coef, "full")
 
 
@@ -489,6 +463,16 @@ def _search_bounds(cfg: ReducedConfig) -> Dict[str, Tuple[float, float]]:
     }
 
 
+def check_full_mode(cfg: ReducedConfig) -> None:
+    """Full mode evaluates the closed forms, which need |alpha_b| < theta0/2,
+    on the whole alpha_b box |alpha_b| <= log K/(sqrt(delta) K^2), so delta
+    must exceed (2 log K/(pi K))^2: about 1.71e-3 at K = 64."""
+    if _box(cfg)["alpha_b"][1] >= SectorConfig(cfg.K).theta0 / 2.0:
+        floor = (2.0 * math.log(cfg.K) / (math.pi * cfg.K)) ** 2
+        raise DomainError(f"full mode needs delta > (2 log K/(pi K))^2 = {floor:.4g} "
+                          f"at K={cfg.K}, got delta={cfg.delta!r}")
+
+
 def _grid_values(cfg: ReducedConfig, axes: Dict[str, np.ndarray],
                  mode: str) -> np.ndarray:
     """Psi at every point of the product grid of ``axes``, an array indexed
@@ -520,8 +504,8 @@ def _grid_values(cfg: ReducedConfig, axes: Dict[str, np.ndarray],
                 table([[a_gamma_quad(cfg.K, w, ab) for w in alpha_w]
                        for ab in alpha_b], 3, 4))
     else:
-        kern = np.array([[[_full_kernels(cfg, dv, ab, w) for w in alpha_w]
-                          for ab in alpha_b] for dv in d])
+        kern = np.array([[[full_kernels(cfg.K, cfg.gnorm, _b_abs(dv), ab, w)
+                           for w in alpha_w] for ab in alpha_b] for dv in d])
         coef = tuple(table(kern[..., i], 1, 3, 4) for i in range(3))
     return _psi(cfg, table(eps, 0), table([v**3 for v in eps], 0), qhat, coef,
                 mode)
@@ -549,8 +533,11 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     (as a fraction of the box width), the scaling ratios of the minimizer,
     the sweeps used, whether the descent converged before the sweep cap, the
     number of grid points and the scalar objective calls of the descent.
+    Full mode raises DomainError before the grid if check_full_mode does.
     """
     objective = _objective(mode)
+    if mode == "full":
+        check_full_mode(cfg)
     box = _box(cfg)
     bounds = _search_bounds(cfg)
 

@@ -25,11 +25,17 @@ K_MAX = N_MAX
 
 @dataclass(frozen=True)
 class Point3:
-    """A point of R^3 (dimensionless; the domain of interest is the unit ball)."""
+    """A point of R^3 (dimensionless; the domain of interest is the unit
+    ball) with finite coordinates."""
 
     z1: float
     z2: float
     z3: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.z1) and math.isfinite(self.z2)
+                and math.isfinite(self.z3)):
+            raise DomainError(f"point coordinates must be finite, got {self}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.z1, self.z2, self.z3], dtype=float)

@@ -12,11 +12,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._forms import a_gamma_quad, s_alt, s_hat
-from .crown import ProfileHandle, fd_gradient, fd_hessian
-from .errors import AccuracyError, DomainError
+from .crown import ProfileHandle, bubble_derivs
+from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
 
 _COINCIDENT_TOL = 1e-13
+#: the largest |z|, |p| and |z||p| of h0 and h0e: beyond it the terms of the
+#: radicand 1 - 2 z.p + |z|^2 |p|^2 overflow
+_H0_MAX = 1e150
 #: central-difference step of kernel_grad's direct derivative
 _GRAD_STEP = 1e-6
 #: second-difference step of kernel_hess; the differences at this step and
@@ -40,13 +43,6 @@ def _pow(a: np.ndarray, e: float) -> np.ndarray:
 
 def _norm(r: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(r, r))
-
-
-def _check_finite(*pts: Point3) -> None:
-    for pt in pts:
-        if not (math.isfinite(pt.z1) and math.isfinite(pt.z2)
-                and math.isfinite(pt.z3)):
-            raise DomainError(f"point coordinates must be finite, got {pt}")
 
 
 @dataclass(frozen=True)
@@ -137,23 +133,27 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
     The frame rotation beta = theta_star + beta_hat is derived from the
     profile: theta_star is chosen so that the rotated gradient w = R_beta^T
     grad q(xi_hat) points along the in-plane angle beta_hat, which is the
-    convention the PlacedBubble scalars encode (alpha_w == beta_hat)."""
+    convention the PlacedBubble scalars encode (alpha_w == beta_hat).
+
+    The value, gradient and Hessian are those of the profile's bubbles, in
+    closed form: a profile without bubbles is unsupported."""
+    if profile.bubbles is None:
+        raise UnsupportedError("place_bubble needs a profile with bubbles")
     xi_arr = xi.as_array()
-    g0 = fd_gradient(profile.fn, xi_arr)
+    g0 = bubble_derivs(xi_arr, profile.bubbles)[1]
     n0 = float(np.linalg.norm(g0))
     if n0 == 0.0:
         raise DomainError("profile gradient vanishes at the anchor")
     xi_hat_arr = xi_arr + a * g0 / n0
-    grad = fd_gradient(profile.fn, xi_hat_arr)
+    q_hat, grad, hess, _ = bubble_derivs(xi_hat_arr, profile.bubbles)
     beta = math.atan2(grad[1], grad[0]) - beta_hat
     theta_star = beta - beta_hat
     rot = rotation_matrix(beta)
     w = rot.T @ grad
-    hess = fd_hessian(profile.fn, xi_hat_arr)
     W = rot.T @ hess @ rot
     W = 0.5 * (W + W.T)
     return PlacedBubble(
-        eps=eps, a=a, q_hat=float(np.asarray(profile.fn(xi_hat_arr))),
+        eps=eps, a=a, q_hat=q_hat,
         w_abs=float(np.hypot(w[0], w[1])), alpha_w=beta_hat,
         b_abs=b_abs, alpha_b=alpha_b, beta_hat=beta_hat, W=W,
         profile=profile, xi_hat=Point3.from_array(xi_hat_arr),
@@ -168,7 +168,6 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
 def gamma_direct(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """1/|zbar e^{2i t0} - p| - sum_{j=1}^{K/2-1} (1/|z e^{4ij t0} - p|
     - 1/|zbar e^{(4j+2)i t0} - p|): the image-interaction kernel."""
-    _check_finite(z, p)
     mats, signs = _tail(cfg)
     r = _norm(mats @ z.as_array() - p.as_array())
     if np.any(r < _COINCIDENT_TOL):
@@ -198,7 +197,6 @@ def _gamma_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
 def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     """Diagonal value gamma(b, b) with its exact cosecant resummation and the
     alpha_b = 0 asymptotic Shat_1(K)/(2|b|)."""
-    _check_finite(b)
     babs, alpha_b = _in_plane(b)
     closed = _gamma_bb_closed(babs, alpha_b, cfg)
     direct = gamma_direct(b, b, cfg)
@@ -223,15 +221,21 @@ def _h0_rad(v: np.ndarray, pv: np.ndarray) -> np.ndarray:
     return rad
 
 
+def _check_h0_scale(z: Point3, p: Point3) -> None:
+    nz, npn = z.norm(), p.norm()
+    if max(nz, npn, nz * npn) > _H0_MAX:
+        raise DomainError(f"h0 takes |z|, |p| and |z||p| up to {_H0_MAX:g}")
+
+
 def h0(z: Point3, p: Point3) -> float:
-    """(1 - 2 z.p + |z|^2 |p|^2)^{-1/2}."""
-    _check_finite(z, p)
+    """(1 - 2 z.p + |z|^2 |p|^2)^{-1/2}, for |z|, |p| and |z||p| up to _H0_MAX."""
+    _check_h0_scale(z, p)
     return float(_h0_rad(z.as_array(), p.as_array())) ** -0.5
 
 
 def h0e(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """The alternating extension of h0 in its first slot."""
-    _check_finite(z, p)
+    _check_h0_scale(z, p)
     mats, signs = sector_images(cfg.K)
     return math.fsum(signs * _pow(_h0_rad(mats @ z.as_array(), p.as_array()), -0.5))
 
@@ -254,7 +258,6 @@ def _h0e_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
 def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     """Diagonal value h0e(b, b) with its exact shifted-sum closed form and the
     alpha_b = 0 asymptotic S_1(K, d)/(2|b|), d = (1 - |b|^2)/(2|b|)."""
-    _check_finite(b)
     babs, alpha_b = _in_plane(b)
     closed = _h0e_bb_closed(babs, alpha_b, cfg)
     direct = h0e(b, b, cfg)
@@ -301,6 +304,26 @@ def _h0e_derivs(bv: np.ndarray, w: np.ndarray,
         math.fsum(signs * (3.0 * F5 * gz * gp + F3 * (
             np.vecdot(mw, w) - 2.0 * np.vecdot(v, mw) * np.vecdot(bv, w)))),
     )
+
+
+def full_kernels(K: int, gnorm: float, b_abs: float, alpha_b: float,
+                 alpha_w: float) -> Tuple[float, float, float]:
+    """H(b,b), w.(grad_z + grad_p)H(b,b) and w^T (mixed Hessian of H)(b,b) w,
+    H = gamma + h0e, at b = b_abs (cos alpha_b, sin alpha_b, 0) and
+    w = gnorm (cos alpha_w, sin alpha_w, 0): the coefficients of psi_full."""
+    sector = SectorConfig(K)
+    b = Point3(b_abs * math.cos(alpha_b), b_abs * math.sin(alpha_b), 0.0)
+    # |b| and arg b read back from the point, as gamma_bb and h0e_bb do: the
+    # round trip moves the last bits of H
+    babs, alpha_b = _in_plane(b)
+    h_val = (_gamma_bb_closed(babs, alpha_b, sector)
+             + _h0e_bb_closed(babs, alpha_b, sector))
+    bv = b.as_array()
+    w = gnorm * np.array([math.cos(alpha_w), math.sin(alpha_w), 0.0])
+    newton = _newton_derivs(bv, w, sector)
+    ext = _h0e_derivs(bv, w, sector)
+    return (h_val, newton[0] + newton[1] + ext[0] + ext[1],
+            newton[2] + ext[2])
 
 
 def _direct_fn(kind: str, cfg: SectorConfig):
@@ -430,7 +453,6 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     eps^{1/2} q_hat gamma + eps^{3/2} w.grad_p gamma
     + (1/6) eps^{5/2} W : d2_p gamma
     as the closed form, and the first two orders as the asymptotic."""
-    _check_finite(z)
     mats, signs = _tail(cfg)
     v = mats @ z.as_array()
     if A.profile is not None and A.xi_hat is not None:

@@ -25,6 +25,7 @@ from necklace.energy import (  # noqa: E402
     psi_full,
 )
 from necklace.geometry import SectorConfig  # noqa: E402
+from necklace.kernels import place_bubble  # noqa: E402
 
 
 def test_traced_profile():
@@ -34,6 +35,22 @@ def test_traced_profile():
     assert profile.bubbles is params._bubbles
     z = np.array([[0.3, 0.1, 0.2], [0.9, 0.05, 0.0]])
     assert np.array_equal(profile.fn(z), u_star(z, params))
+
+
+def test_identities_placement():
+    # the identities workload places its bubble on the traced profile, which
+    # must keep the bubbles place_bubble reads its derivatives from
+    params = build_crown(16)
+    tracer = spans.NullTracer()
+    profile = workloads._profile(params, tracer)
+    xi = workloads._anchor(params, profile, tracer)
+    K = workloads.IDENT_K
+    logK = math.log(K)
+    dval = (logK - 0.5 * math.log(logK)) / K
+    babs = math.sqrt(1.0 + dval * dval) - dval
+    A = place_bubble(K**-3.0, 0.0, babs, 0.0, 0.0, profile, xi)
+    assert A.profile is profile
+    assert math.isfinite(A.q_hat) and A.w_abs > 0.0
 
 
 def test_sample_bubble():

@@ -336,6 +336,20 @@ def test_energy_validates_before_model(monkeypatch, capsys, flags):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("K, delta", [("64", "1e-3"), ("64", "1.71e-3"), ("128", "5e-4")])
+def test_energy_full_mode_delta_before_model(monkeypatch, capsys, K, delta):
+    # full mode's delta bound depends on K and delta alone
+    def no_model(*args, **kwargs):
+        raise AssertionError("default_model called before the delta check")
+
+    monkeypatch.setattr(energy, "default_model", no_model)
+    assert run(["energy", "--mode", "full", "--K", K, "--delta", delta]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: full mode needs delta > ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_verify_runs_serially(monkeypatch, capsys, tmp_path):
     """verify runs its criteria one after another on the calling thread,
     whatever NECKLACE_THREADS says: mpmath's working precision is

@@ -17,7 +17,6 @@ from necklace.crown import (
     bubble_derivs,
     build_crown,
     fd_gradient,
-    fd_hessian,
     h_param,
     kernel_z,
     psi_d1,
@@ -30,7 +29,7 @@ from necklace.crown import (
     u_star_corrected_profile,
     u_star_profile,
 )
-from necklace.errors import DomainError, NearPoleWarning
+from necklace.errors import DomainError, NearPoleWarning, UnsupportedError
 from necklace.geometry import Point3
 from necklace.trigsums import csc_full_sum
 
@@ -292,7 +291,7 @@ class TestUStarDerivs:
             assert u == pytest.approx(u_star(z, crown16), abs=1e-14)
             # the central differences' round-off floors: eps/h at h = 1e-6
             # for the gradient, eps/h^2 at h = 1e-4 for the Hessian
-            fd_g, fd_h = fd_gradient(prof.fn, z), fd_hessian(prof.fn, z)
+            fd_g, fd_h = fd_gradient(prof.fn, z), _fd_hessian_loop(prof.fn, z)
             assert np.abs(fd_g - g).max() <= 1e-8 * max(np.abs(g).max(), 1.0)
             assert np.abs(fd_h - hess).max() <= 1e-6 * max(np.abs(hess).max(), 1.0)
 
@@ -398,7 +397,7 @@ class TestFiniteDifferences:
         f = lambda y: 0.5 * np.einsum("...i,ij,...j->...", y, A, y) + y @ b
         x = np.array([0.3, 0.7, -0.2])
         assert fd_gradient(f, x) == pytest.approx(A @ x + b, abs=1e-8)
-        assert fd_hessian(f, x) == pytest.approx(A, abs=1e-6)
+        assert _fd_hessian_loop(f, x) == pytest.approx(A, abs=1e-6)
 
 
 def _fd_hessian_loop(profile, point, h=1e-4):
@@ -420,11 +419,6 @@ def _fd_hessian_loop(profile, point, h=1e-4):
 
 
 class TestFiniteDifferenceBatching:
-    def test_hessian_matches_loop(self, crown16):
-        prof = u_star_profile(crown16)
-        for z in _near_ring(12, 5):
-            assert np.array_equal(fd_hessian(prof.fn, z), _fd_hessian_loop(prof.fn, z))
-
     def test_gradient_matches_loop(self, crown16):
         prof = u_star_profile(crown16)
         h, eye = 1e-6, np.eye(3)
@@ -452,6 +446,41 @@ class TestKernelZ:
             kernel_z(6, np.array([0.5, 0.2, 0.1]), prof, Point3(0, 0, 0), 0.0)
         with pytest.raises(DomainError):
             kernel_z(0, np.array([0.0, 0.0, 0.0]), prof, Point3(0, 0, 0), 0.0)
+
+    @pytest.mark.parametrize("make", [
+        u_star_corrected_profile,
+        lambda p: dataclasses.replace(u_star_profile(p), bubbles=None),
+    ], ids=["corrected", "bubbles_none"])
+    def test_no_bubbles_is_unsupported(self, crown16, make):
+        # rejected before the profile is evaluated even once
+        profile = make(crown16)
+        calls = []
+
+        def fn(arr):
+            calls.append(arr)
+            return profile.fn(arr)
+
+        traced = dataclasses.replace(profile, fn=fn)
+        for j in range(6):
+            with pytest.raises(UnsupportedError):
+                kernel_z(j, np.array([0.7, 0.4, -0.3]), traced, Point3(0.6, 0.0, 0.0), 0.0)
+        assert calls == []
+
+    def test_closed_form_derivatives(self, crown16):
+        """Z0, Z1 and Z2 read q and its gradient at the inner point from
+        bubble_derivs, here of u_star."""
+        prof = u_star_profile(crown16)
+        xi, theta = Point3(0.6, 0.05, 0.0), 0.4
+        y = np.array([0.7, 0.4, -0.3])
+        ny = np.linalg.norm(y)
+        rot = np.array([[math.cos(theta), -math.sin(theta), 0.0],
+                        [math.sin(theta), math.cos(theta), 0.0], [0.0, 0.0, 1.0]])
+        inner = rot @ (y / ny**2) + xi.as_array()
+        q, g, _, _ = bubble_derivs(inner, crown16._bubbles)
+        # a central difference would be off by ~1e-10
+        expect = (q / (2 * ny) + g @ (rot @ y) / ny**3, g @ rot[:, 0] / ny, g @ rot[:, 1] / ny)
+        for j, ref in enumerate(expect):
+            assert kernel_z(j, y, prof, xi, theta) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     def test_scale_derivative(self):
         """Z0 equals the eps-derivative of eps^{1/2} q(eps R y/|y|^2 + xi)/|y|."""

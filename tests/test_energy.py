@@ -31,6 +31,7 @@ from necklace.energy import (
     c0,
     c2,
     c_star,
+    check_full_mode,
     default_config,
     default_model,
     default_model_parts,
@@ -296,6 +297,28 @@ class TestMinimization:
         assert in_box(argmin, cfg)
         assert diag["mode"] == "full"
         assert diag["converged"] is True
+
+    @pytest.mark.parametrize("K, delta", [(64, 1e-3), (64, 1.71e-3), (128, 5e-4)])
+    def test_full_mode_delta_bound(self, monkeypatch, K, delta):
+        # below delta = (2 log K/(pi K))^2 the alpha_b box reaches past
+        # theta0/2, where the closed forms stop: full mode is rejected before
+        # its grid, and leading mode still runs
+        assert delta < (2.0 * math.log(K) / (math.pi * K)) ** 2
+        cfg = ReducedConfig(K=K, lam=1.0, gnorm=1.0, cstar=0.25, delta=delta)
+
+        def no_grid(*args):
+            raise AssertionError("the grid ran before the delta check")
+
+        monkeypatch.setattr(energy, "_grid_values", no_grid)
+        with pytest.raises(DomainError, match="full mode needs delta"):
+            minimize_psi(cfg, mode="full")
+        monkeypatch.undo()
+        assert math.isfinite(minimize_psi(cfg, mode="leading")[1]["value"])
+
+    def test_full_mode_just_above_delta_bound(self):
+        cfg = ReducedConfig(K=64, lam=1.0, gnorm=1.0, cstar=0.25, delta=1.72e-3)
+        check_full_mode(cfg)
+        assert math.isfinite(minimize_psi(cfg, mode="full")[1]["value"])
 
     def test_j_reduced_affine_in_psi(self):
         cfg = _cfg()

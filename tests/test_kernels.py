@@ -1,17 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from necklace import kernels
-from necklace.crown import build_crown, u_star_profile
-from necklace.errors import AccuracyError, DomainError
+from necklace.crown import build_crown, u_star_corrected_profile, u_star_profile
+from necklace.errors import AccuracyError, DomainError, UnsupportedError
 from necklace.geometry import (
     CONJ_MATRIX,
     Point3,
     SectorConfig,
     conj,
     extend_odd,
+    in_sector,
+    kelvin,
     rotate,
     rotation_matrix,
     sector_images,
@@ -118,6 +122,24 @@ class TestPlacedBubble:
         # shifting along the gradient direction changes q_hat linearly
         B = place_bubble(1e-5, 1e-4, 0.97, 0.0, 0.0, prof, xi)
         assert B.q_hat == pytest.approx(1e-4 * A.w_abs, rel=1e-3)
+
+    @pytest.mark.parametrize("make", [
+        u_star_corrected_profile,
+        lambda p: replace(u_star_profile(p), bubbles=None),
+    ], ids=["corrected", "bubbles_none"])
+    def test_place_bubble_needs_bubbles(self, make):
+        # rejected before the profile is evaluated even once
+        profile = make(build_crown(16))
+        calls = []
+
+        def fn(arr):
+            calls.append(arr)
+            return profile.fn(arr)
+
+        with pytest.raises(UnsupportedError):
+            place_bubble(1e-5, 0.0, 0.97, 0.0, 0.0, replace(profile, fn=fn),
+                         Point3(0.6038943129964425, 0.0, 0.0))
+        assert calls == []
 
 
 class TestGamma:
@@ -445,3 +467,52 @@ class TestSectorImages:
         ref = math.fsum(s * u(Point3.from_array(M @ z.as_array()))
                         for M, s in _ref_images(K))
         assert extend_odd(u, z, cfg) == pytest.approx(ref, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# any drawn point: rejected when non-finite, finite output or a typed error
+
+
+_COORD = st.one_of(
+    st.floats(),  # finite, nan and +-inf
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e155, 5e-324,
+                     -5e-324, 1e-160, 0.0, -0.0]),
+    st.floats(-1.0, 1.0),
+    st.floats(-0.05, 0.05),
+)
+
+
+def _all_finite(out):
+    if isinstance(out, KernelReport):
+        out = (out.direct, out.closed_form, out.asymptotic)
+    elif isinstance(out, Point3):
+        out = out.as_array()
+    return bool(np.isfinite(out).all())
+
+
+_POINT_CALLS = {
+    "gamma_bb": lambda z: gamma_bb(z, CFG),
+    "h0e_bb": lambda z: h0e_bb(z, CFG),
+    "h0_z": lambda z: h0(z, Point3(0.3, 0.1, 0.0)),
+    "h0_p": lambda z: h0(Point3(0.3, 0.1, 0.0), z),
+    "h0_zz": lambda z: h0(z, z),
+    "kelvin": kelvin,
+    "in_sector": lambda z: in_sector(z, CFG),
+    "rotate": lambda z: rotate(z, 0.3),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_COORD, _COORD, _COORD)
+def test_point_entries_finite_or_typed(z1, z2, z3):
+    if not all(map(math.isfinite, (z1, z2, z3))):
+        with pytest.raises(DomainError):
+            Point3(z1, z2, z3)
+        return
+    z = Point3(z1, z2, z3)
+    for name, call in _POINT_CALLS.items():
+        try:
+            out = call(z)
+        except (DomainError, AccuracyError):
+            continue
+        assert _all_finite(out), (name, out)
