@@ -9,11 +9,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NearPoleWarning, UnsupportedError
+from .errors import DomainError, NearPoleWarning
 from .geometry import Point3, rotation_matrix
 from .trigsums import csc_full_sum
 
@@ -194,22 +194,33 @@ def bubble_derivs(z: PointLike, bubbles: Bubbles) -> Derivs:
 class ProfileHandle:
     """A scalar field on R^3 with a tag describing its construction.
 
-    ``fn`` is vectorized over trailing (..., 3) point arrays.  ``bubbles``,
-    where the field is a sum of bubbles, is (x, c, A): (n, 3) centres and
+    ``fn`` is vectorized over trailing (..., 3) point arrays.  The field is
+    the sum of its ``bubbles`` (x, c, A): finite (n, 3) centres, n >= 1, and
     (n,) c > 0 and A such that fn(z) = sum_i A_i (c_i + |z - x_i|^2)^{-1/2}
     exactly, up to the round-off of evaluating it.  That round-off must stay
     within half the bound E of ``nodal._edge_bounds``, which nodal_mesh
     relies on: each c_i + |z - x_i|^2 within 16u (c_i + |x_i|^2 + |z|^2),
     u = 2^-53, each term's power within 2u relative, and the terms summed in
     any order.  u_star and u_bubble meet it.  c_star excises the bubbles
-    with c < 1, and ``bubble_derivs`` gives the field's derivatives.
-    Without ``bubbles`` (None) the field is treated as a black box.
+    with c < 1, and ``bubble_derivs`` gives the field's derivatives.  The
+    handle keeps the arrays it is given, uncopied, and raises DomainError
+    for any other ``bubbles``.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    tag: str  # talenti | u_star | u_star_corrected
+    tag: str  # talenti | u_star
     # out of __eq__ and __hash__, which arrays would break
-    bubbles: Optional[Bubbles] = field(default=None, compare=False)
+    bubbles: Bubbles = field(compare=False)
+
+    def __post_init__(self):
+        b = self.bubbles
+        ok = (isinstance(b, tuple) and len(b) == 3
+              and all(isinstance(v, np.ndarray) and v.dtype.kind in "fiu" for v in b))
+        if not (ok and b[1].ndim == 1 and len(b[1]) >= 1 and b[0].shape == (len(b[1]), 3)
+                and b[2].shape == b[1].shape and (b[1] > 0).all()
+                and all(np.isfinite(v).all() for v in b)):
+            raise DomainError("bubbles must be (x, c, A): finite real arrays of shapes "
+                              "(n, 3), (n,) and (n,), n >= 1, with c > 0")
 
     def __call__(self, z: PointLike) -> Union[float, np.ndarray]:
         val = self.fn(_as_array(z))
@@ -226,12 +237,6 @@ def talenti_profile() -> ProfileHandle:
 
 def u_star_profile(p: CrownParams) -> ProfileHandle:
     return ProfileHandle(fn=lambda arr: u_star(arr, p), tag="u_star", bubbles=p._bubbles)
-
-
-def u_star_corrected_profile(p: CrownParams) -> ProfileHandle:
-    """u_star plus the explicit ring correction (poles on the unit circle)."""
-    return ProfileHandle(fn=lambda arr: u_star(arr, p) + psi_d1(arr, p),
-                         tag="u_star_corrected")
 
 
 def psi_d11(z: PointLike) -> Union[float, np.ndarray]:
@@ -357,12 +362,10 @@ def kernel_z(j: int, y: PointLike, profile: ProfileHandle, xi: Point3,
     Z3/Z4: center derivatives, Z5: rotation derivative.
 
     q and its gradient at the inner point are those of the profile's
-    bubbles, in closed form: a profile without bubbles is unsupported.
+    bubbles, in closed form.
     """
     if j not in range(6):
         raise DomainError(f"kernel index must be 0..5, got {j}")
-    if profile.bubbles is None:
-        raise UnsupportedError("kernel_z needs a profile with bubbles")
     yv = _as_array(y)
     norm = float(np.linalg.norm(yv))
     if norm == 0.0:
@@ -380,7 +383,7 @@ def kernel_z(j: int, y: PointLike, profile: ProfileHandle, xi: Point3,
     if j == 2:
         return z2
     if j == 3:
-        return 2.0 * yv[0] / norm**2 * z0 - z1 / norm**2
+        return float(2.0 * yv[0] / norm**2 * z0 - z1 / norm**2)
     if j == 4:
-        return 2.0 * yv[1] / norm**2 * z0 - z2 / norm**2
-    return (yv[0] * z2 - yv[1] * z1) / norm**2
+        return float(2.0 * yv[1] / norm**2 * z0 - z2 / norm**2)
+    return float((yv[0] * z2 - yv[1] * z1) / norm**2)

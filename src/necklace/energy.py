@@ -22,7 +22,7 @@ from .crown import (
     fd_gradient,
     u_star_profile,
 )
-from .errors import AccuracyError, DomainError, UnsupportedError
+from .errors import AccuracyError, DomainError
 from .geometry import Point3, SectorConfig
 from .kernels import full_kernels
 from .nodal import radial_nodal_root
@@ -243,8 +243,6 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     """
     if not (math.isfinite(scale) and scale > 0):
         raise DomainError("scale must be finite and positive")
-    if profile.bubbles is None:
-        raise UnsupportedError(f"c_star needs the bubbles of the {profile.tag!r} profile")
     xiv = xi.as_array()
     q0 = float(np.asarray(profile.fn(xiv)))
     if abs(q0) > 1e-8:

@@ -17,8 +17,8 @@ from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
 
 _COINCIDENT_TOL = 1e-13
-#: the largest |z|, |p| and |z||p| of h0 and h0e: beyond it the terms of the
-#: radicand 1 - 2 z.p + |z|^2 |p|^2 overflow
+#: the largest |z| and |p| of gamma_direct, h0 and h0e, and |z||p| of h0 and
+#: h0e: beyond it squared distances and h0's radicand 1 - 2 z.p + |z|^2 |p|^2 overflow
 _H0_MAX = 1e150
 #: central-difference step of kernel_grad's direct derivative
 _GRAD_STEP = 1e-6
@@ -136,9 +136,7 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
     convention the PlacedBubble scalars encode (alpha_w == beta_hat).
 
     The value, gradient and Hessian are those of the profile's bubbles, in
-    closed form: a profile without bubbles is unsupported."""
-    if profile.bubbles is None:
-        raise UnsupportedError("place_bubble needs a profile with bubbles")
+    closed form."""
     xi_arr = xi.as_array()
     g0 = bubble_derivs(xi_arr, profile.bubbles)[1]
     n0 = float(np.linalg.norm(g0))
@@ -167,7 +165,10 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
 
 def gamma_direct(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """1/|zbar e^{2i t0} - p| - sum_{j=1}^{K/2-1} (1/|z e^{4ij t0} - p|
-    - 1/|zbar e^{(4j+2)i t0} - p|): the image-interaction kernel."""
+    - 1/|zbar e^{(4j+2)i t0} - p|): the image-interaction kernel, for |z|
+    and |p| up to _H0_MAX."""
+    if max(z.norm(), p.norm()) > _H0_MAX:
+        raise DomainError(f"gamma takes |z| and |p| up to {_H0_MAX:g}")
     mats, signs = _tail(cfg)
     r = _norm(mats @ z.as_array() - p.as_array())
     if np.any(r < _COINCIDENT_TOL):
@@ -407,7 +408,11 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
 
 def _q_a_profile(v: np.ndarray, A: PlacedBubble) -> np.ndarray:
     """q_a through the attached profile at each row of ``v``, from one
-    profile call."""
+    profile call: a bubble without one (not from place_bubble) is
+    unsupported."""
+    if A.profile is None or A.xi_hat is None:
+        raise UnsupportedError("q_a and t_a need a bubble from place_bubble, "
+                               "with its profile and xi_hat")
     r = v - A.b_point.as_array()
     rn = _norm(r)
     if np.any(rn < _COINCIDENT_TOL):
@@ -420,13 +425,9 @@ def _q_a_profile(v: np.ndarray, A: PlacedBubble) -> np.ndarray:
 
 
 def q_a(z: Point3, A: PlacedBubble) -> float:
-    """The placed bubble eps^{1/2}/|z-b| q(eps R_beta (z-b)/|z-b|^2 + xi_hat).
-
-    Uses the attached profile when available, otherwise the second-order
-    far-field expansion in the stored scalars."""
-    if A.profile is not None and A.xi_hat is not None:
-        return float(_q_a_profile(z.as_array()[None, :], A)[0])
-    return q_a_expansion(z, A)
+    """The placed bubble eps^{1/2}/|z-b| q(eps R_beta (z-b)/|z-b|^2 + xi_hat),
+    through the profile that place_bubble attached."""
+    return float(_q_a_profile(z.as_array()[None, :], A)[0])
 
 
 def q_a_expansion(z: Point3, A: PlacedBubble) -> float:
@@ -455,11 +456,7 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     as the closed form, and the first two orders as the asymptotic."""
     mats, signs = _tail(cfg)
     v = mats @ z.as_array()
-    if A.profile is not None and A.xi_hat is not None:
-        direct = math.fsum(signs * _q_a_profile(v, A))
-    else:
-        direct = math.fsum(s * q_a_expansion(Point3.from_array(u), A)
-                           for u, s in zip(v, signs.tolist()))
+    direct = math.fsum(signs * _q_a_profile(v, A))
     W = np.asarray(A.W, dtype=float)
     r = v - A.b_point.as_array()
     rn = _norm(r)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .crown import (_BLOCK, CrownParams, ProfileHandle, _as_array, _sq_norm,
                     bubble_derivs, fd_gradient)
-from .errors import DomainError, NotFoundError, UnsupportedError
+from .errors import DomainError, NotFoundError
 from .geometry import Point3
 
 _log = logging.getLogger(__name__)
@@ -137,10 +137,7 @@ def _certified_signs(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, bubbles):
 
     Each bubble's term is monotone in its distance, so the farthest and
     nearest squared distances over a brick, sums of the per-axis ones, bound
-    the field from below and above.  Without bubbles (None) every sign is
-    unknown."""
-    if bubbles is None:
-        bubbles = (np.empty((0, 3)), np.empty(0), np.empty(0))
+    the field from below and above."""
     centres, c, amp = bubbles
     (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = (
         _axis_bounds(ax, centres[:, i], amp) for i, ax in enumerate((xs, ys, zs)))
@@ -339,15 +336,13 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     """Scan a resolution^3 grid for sign changes along the axis edges and
     refine each crossing by bisection until the residual is at most 1e-8.
 
-    Where the profile is a sum of bubbles (``profile.bubbles``), a brick of
-    _BRICK^3 grid points whose bounds on the field clear zero keeps its
-    certified sign (see ``_certified_signs``), and the field is evaluated
-    only at the points of the other bricks.  The crossings depend on the
-    signs alone, so the mesh is the one a full scan gives.  The bisection
-    likewise takes a midpoint's sign from interpolation bounds where they
-    prove it (see ``_bisect``) and ends at the same points.  A profile
-    without bubbles certifies nothing (an infinite margin): every point is
-    evaluated, and no far end.
+    A brick of _BRICK^3 grid points whose bounds on the profile's bubbles
+    clear zero keeps its certified sign (see ``_certified_signs``), and the
+    field is evaluated only at the points of the other bricks.  The
+    crossings depend on the signs alone, so the mesh is the one a full scan
+    gives.  The bisection likewise takes a midpoint's sign from
+    interpolation bounds where they prove it (see ``_bisect``) and ends at
+    the same points.
 
     The resolution is 16 to RES_MAX.  One DEBUG record on this module's
     logger gives the scan points evaluated, the crossings, the halvings
@@ -393,13 +388,8 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     axis = np.argmax(a != b, axis=1).astype(np.int8)
     ends = np.stack([np.take_along_axis(e, axis[:, None], axis=1)[:, 0]
                      for e in (a, b)], axis=1)
-    vals = np.full((len(a), 2), np.nan)
-    vals[:, 0] = profile.fn(a)
-    if profile.bubbles is None:
-        bounds = np.zeros(len(a)), np.zeros(len(a)), np.full(len(a), np.inf)
-    else:
-        vals[:, 1] = profile.fn(b)
-        bounds = _edge_bounds(a, b, axis, profile.bubbles)
+    vals = np.stack([profile.fn(a), profile.fn(b)], axis=1)
+    bounds = _edge_bounds(a, b, axis, profile.bubbles)
     del b
     evaluated, certified = _bisect(profile.fn, a, axis, ends, vals, bounds)
     del ends, vals, bounds
@@ -459,13 +449,9 @@ def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle) -> float:
     The raw grid minimum is polished by a surface-constrained local
     minimization from the lowest-gradient candidates, which makes the result
     independent of the grid resolution.  The polish takes the closed-form
-    derivatives of the profile's bubbles: a profile without ``bubbles``
-    raises UnsupportedError."""
+    derivatives of the profile's bubbles."""
     if len(mesh) == 0:
         raise DomainError("empty mesh has no gradient minimum")
-    if profile.bubbles is None:
-        raise UnsupportedError(f"the {profile.tag!r} profile has no bubbles to "
-                               "polish the gradient minimum with")
     derivs = lambda z: bubble_derivs(z, profile.bubbles)
     starts = mesh.points[np.argsort(mesh.gradients)[:_POLISH_CANDIDATES]]
     return min([float(np.min(mesh.gradients))] + [_polish_min(derivs, z) for z in starts])

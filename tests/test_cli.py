@@ -489,3 +489,54 @@ def test_kernels_exits_cleanly(K, b_abs, alpha_b):
     else:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert lines[0].endswith("\n")
+
+
+#: any float the flags parse, nan and +-inf included
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([1e300, 5e-324, 0.0, -0.0]))
+_EVEN_M = st.integers(4, 32).map(lambda h: 2 * h)
+_ANY_M = st.one_of(_EVEN_M, st.integers(-2, 9), st.sampled_from([15, 17, 4096, 2**40]))
+
+
+def _sums(k, n, x):
+    return st.builds(lambda v, k, n, x: ["sums", "--variant", v, "--k", str(k), "--n", str(n),
+                                         f"--x={x!r}"],
+                     st.sampled_from(["odd", "even", "even_hat", "alt", "alt_hat"]), k, n, x)
+
+
+def _nodal(m, bbox):
+    return st.builds(lambda m, b, res: ["nodal", "--m", str(m), f"--bbox={b!r}", "--res", str(res)],
+                     m, bbox, st.integers(16, 20))
+
+
+#: per command, argv in its domain or anywhere around it
+_ARGV = {
+    "sums": st.one_of(
+        _sums(st.sampled_from([1, 3, 5]), st.integers(2, 256).map(lambda h: 2 * h),
+              st.floats(0.0, 2.0)),
+        _sums(st.integers(-1, 6), st.one_of(st.integers(-4, 514), st.just(N_MAX + 2)),
+              _ANY_FLOAT)),
+    "ansatz": st.builds(lambda m: ["ansatz", "--m", str(m)], st.one_of(_EVEN_M, _ANY_M)),
+    "nodal": st.one_of(_nodal(_EVEN_M, st.floats(0.2, 3.0)), _nodal(_ANY_M, _ANY_FLOAT)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_subcommands_exit_cleanly(command, data):
+    # exit 0, 1 or 2 with no traceback and no Python warning: stderr holds
+    # at most one "error:" line, only on failure, and `sums`' "warning:" lines
+    argv = data.draw(_ARGV[command])
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines(keepends=True)
+    errors = [ln for ln in lines if ln.startswith("error: ")]
+    assert len(errors) == (code != 0)
+    assert all(ln.endswith("\n") for ln in lines)
+    assert all(ln.startswith("warning: ") for ln in lines if ln not in errors)
+    if code:
+        assert out.getvalue() == ""

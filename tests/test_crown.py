@@ -26,10 +26,9 @@ from necklace.crown import (
     talenti_profile,
     u_bubble,
     u_star,
-    u_star_corrected_profile,
     u_star_profile,
 )
-from necklace.errors import DomainError, NearPoleWarning, UnsupportedError
+from necklace.errors import DomainError, NearPoleWarning
 from necklace.geometry import Point3
 from necklace.trigsums import csc_full_sum
 
@@ -105,7 +104,39 @@ class TestBubbles:
             direct = (amp / np.sqrt(c + r2)).sum(axis=-1)
             assert np.max(np.abs(prof.fn(z) - direct)) < 1e-9
             assert not any(arr.flags.writeable for arr in prof.bubbles)
-        assert u_star_corrected_profile(crown16).bubbles is None
+
+    def test_profile_rejects_bad_bubbles(self, crown16):
+        # a profile is its bubbles: the handle checks them once, when it is
+        # built, and keeps the arrays it is given
+        x, c, amp = crown16._bubbles
+        bad = [
+            None, (), (x, c), (x, c, amp, amp), [x, c, amp],
+            (x.tolist(), c, amp), (x.astype(str), c, amp), (x + 0j, c, amp),
+            (x[:, :2], c, amp), (x.T, c, amp), (x[1:], c, amp), (x, c[1:], amp),
+            (x, c, amp[1:]), (x, c[:, None], amp), (x.reshape(-1), c, amp),
+            (x[:0], c[:0], amp[:0]), (np.zeros(3), np.ones(()), np.ones(())),
+        ]
+        for k, at in enumerate([(3, 1), 5, 0]):
+            for v in (np.nan, np.inf, -np.inf):
+                b = [x, c, amp]
+                b[k] = b[k].copy()
+                b[k][at] = v
+                bad.append(tuple(b))
+        for v in (0.0, -0.0, -1e-300, -1.0):
+            c_bad = c.copy()
+            c_bad[4] = v
+            bad.append((x, c_bad, amp))
+        for b in bad:
+            with pytest.raises(DomainError):
+                ProfileHandle(fn=u_bubble, tag="u_star", bubbles=b)
+        with pytest.raises(DomainError):
+            dataclasses.replace(u_star_profile(crown16), bubbles=None)
+        with pytest.raises(TypeError):
+            ProfileHandle(fn=u_bubble, tag="talenti")
+        # one bubble, integer arrays and the least positive c pass, uncopied
+        ok = (np.zeros((1, 3), dtype=int), np.array([5e-324]), np.array([2]))
+        assert all(got is arr for got, arr in zip(
+            ProfileHandle(fn=u_bubble, tag="talenti", bubbles=ok).bubbles, ok))
 
 
 def _u_star_reference(z, p):
@@ -214,10 +245,8 @@ class TestUStarBlocks:
         z = units[rng.integers(0, 16, 3000)] + rng.normal(0.0, 0.05, (3000, 3))
         z = z[np.min(np.linalg.norm(z[:, None] - units, axis=-1), axis=-1) > 1e-3]
         assert np.array_equal(u_star(z, crown16), _u_star_reference(z, crown16))
-        profile = u_star_corrected_profile(crown16)
-        assert np.array_equal(
-            profile(z), _u_star_reference(z, crown16) + psi_d1(z, crown16)
-        )
+        # the corrected field u_star + psi_d1 is finite off the poles
+        assert np.isfinite(u_star(z, crown16) + psi_d1(z, crown16)).all()
 
     @pytest.mark.parametrize("shape", [(2,), (4, 2), (3, 6), ()])
     def test_rejects_bad_trailing_axis(self, crown16, shape):
@@ -314,7 +343,6 @@ class TestUStarDerivs:
             u, g, _, _ = bubble_derivs(z, talenti_profile().bubbles)
             assert u == pytest.approx(u_bubble(z), rel=1e-15)
             assert np.allclose(g, -u_bubble(z) ** 3 / np.sqrt(3.0) * z, rtol=1e-14, atol=0.0)
-        assert u_star_corrected_profile(crown16).bubbles is None
         assert not any(a.flags.writeable for a in crown16._bubbles)
 
 
@@ -447,24 +475,11 @@ class TestKernelZ:
         with pytest.raises(DomainError):
             kernel_z(0, np.array([0.0, 0.0, 0.0]), prof, Point3(0, 0, 0), 0.0)
 
-    @pytest.mark.parametrize("make", [
-        u_star_corrected_profile,
-        lambda p: dataclasses.replace(u_star_profile(p), bubbles=None),
-    ], ids=["corrected", "bubbles_none"])
-    def test_no_bubbles_is_unsupported(self, crown16, make):
-        # rejected before the profile is evaluated even once
-        profile = make(crown16)
-        calls = []
-
-        def fn(arr):
-            calls.append(arr)
-            return profile.fn(arr)
-
-        traced = dataclasses.replace(profile, fn=fn)
+    def test_returns_float(self, crown16):
+        prof = u_star_profile(crown16)
         for j in range(6):
-            with pytest.raises(UnsupportedError):
-                kernel_z(j, np.array([0.7, 0.4, -0.3]), traced, Point3(0.6, 0.0, 0.0), 0.0)
-        assert calls == []
+            val = kernel_z(j, np.array([0.7, 0.4, -0.3]), prof, Point3(0.6, 0.0, 0.0), 0.3)
+            assert type(val) is float
 
     def test_closed_form_derivatives(self, crown16):
         """Z0, Z1 and Z2 read q and its gradient at the inner point from

@@ -1,6 +1,5 @@
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from necklace.crown import (
     _BLOCK,
     build_crown,
     talenti_profile,
-    u_star_corrected_profile,
     u_star_profile,
 )
 from necklace.energy import (
@@ -43,7 +41,7 @@ from necklace.energy import (
     psi_leading,
     u6_integral,
 )
-from necklace.errors import AccuracyError, DomainError, UnsupportedError
+from necklace.errors import AccuracyError, DomainError
 from necklace.geometry import Point3, SectorConfig
 from necklace.kernels import (
     PlacedBubble,
@@ -429,23 +427,6 @@ class TestCStar:
             assert R == old_R
             assert w == min(0.15, 0.6 * old_R, max(0.03, 0.2 * old_R), 0.19)
         assert _cores(talenti_profile(), xi) == []
-
-    @pytest.mark.parametrize("make", [
-        u_star_corrected_profile,
-        lambda p: replace(u_star_profile(p), bubbles=None),
-    ], ids=["corrected", "bubbles_none"])
-    def test_no_bubbles_is_unsupported(self, make):
-        # rejected before the profile is evaluated even once
-        profile = make(build_crown(16))
-        calls = []
-
-        def fn(arr):
-            calls.append(arr)
-            return profile.fn(arr)
-
-        with pytest.raises(UnsupportedError):
-            c_star(replace(profile, fn=fn), Point3(0.9, 0.0, 0.0))
-        assert calls == []
 
     def test_model_constant(self):
         # the m=16 value the benchmark reference pins, to the last bit

@@ -1,12 +1,12 @@
 import math
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from necklace import kernels
-from necklace.crown import build_crown, u_star_corrected_profile, u_star_profile
+from necklace.crown import build_crown, u_star_profile
 from necklace.errors import AccuracyError, DomainError, UnsupportedError
 from necklace.geometry import (
     CONJ_MATRIX,
@@ -123,24 +123,6 @@ class TestPlacedBubble:
         B = place_bubble(1e-5, 1e-4, 0.97, 0.0, 0.0, prof, xi)
         assert B.q_hat == pytest.approx(1e-4 * A.w_abs, rel=1e-3)
 
-    @pytest.mark.parametrize("make", [
-        u_star_corrected_profile,
-        lambda p: replace(u_star_profile(p), bubbles=None),
-    ], ids=["corrected", "bubbles_none"])
-    def test_place_bubble_needs_bubbles(self, make):
-        # rejected before the profile is evaluated even once
-        profile = make(build_crown(16))
-        calls = []
-
-        def fn(arr):
-            calls.append(arr)
-            return profile.fn(arr)
-
-        with pytest.raises(UnsupportedError):
-            place_bubble(1e-5, 0.0, 0.97, 0.0, 0.0, replace(profile, fn=fn),
-                         Point3(0.6038943129964425, 0.0, 0.0))
-        assert calls == []
-
 
 class TestGamma:
     def test_symmetric_in_arguments(self):
@@ -157,6 +139,19 @@ class TestGamma:
         p = Point3.from_array(mats[1] @ z.as_array())
         with pytest.raises(DomainError):
             gamma_direct(z, p, CFG)
+
+    def test_huge_points_rejected(self):
+        # past _H0_MAX the squared distances overflow; up to it they do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                gamma_direct(Point3(1e200, 0, 0), Point3(0.8, 0, 0), SectorConfig(32))
+            with pytest.raises(DomainError):
+                gamma_direct(Point3(0.8, 0, 0), Point3(0, -1e151, 0), CFG)
+            for z, p in [(Point3(1e150, 0, 0), Point3(0.8, 0, 0)),
+                         (Point3(0, 0, -1e150), Point3(1e150, 0, 0)),
+                         (Point3(0.8, 0, 0), Point3(0, 1e150, 0))]:
+                assert math.isfinite(gamma_direct(z, p, CFG))
 
     def test_diagonal_report(self):
         rep = gamma_bb(_b_point(0.96, 0.04 * CFG.theta0), CFG)
@@ -283,9 +278,18 @@ class TestDerivatives:
 
 class TestPlacedBubbleField:
     def test_singular_at_placement(self):
-        A = _bubble()
+        A = place_bubble(1e-6, 0.0, 0.97, 0.01, 0.02, u_star_profile(build_crown(16)),
+                         Point3(0.6038943129964425, 0.0, 0.0))
         with pytest.raises(DomainError):
             q_a(A.b_point, A)
+
+    def test_needs_a_placed_bubble(self):
+        # the stored scalars alone do not define q_a: its profile does
+        A = _bubble()
+        with pytest.raises(UnsupportedError):
+            q_a(Point3(0.3, 0.25, 0.1), A)
+        with pytest.raises(UnsupportedError):
+            t_a(Point3(0.3, 0.25, 0.1), A, CFG)
 
     def test_expansion_matches_profile_pathway(self):
         crown = build_crown(16)

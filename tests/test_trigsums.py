@@ -1,6 +1,7 @@
 import logging
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -106,6 +107,32 @@ def test_alt_hat_n4_closed_value():
 def test_sum_direct_matches_brute(variant, k, n, x):
     spec = SumSpec(variant, k, n, x)
     assert sum_direct(spec) == pytest.approx(brute(spec), rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.sampled_from(trigsums.VARIANTS), st.just("plain")),
+    st.one_of(st.sampled_from([1, 3, 5]), st.integers(-1, 6)),
+    st.one_of(st.integers(2, 256).map(lambda h: 2 * h), st.integers(-4, 514),
+              st.just(N_MAX + 2)),
+    st.one_of(st.floats(0.0, 2.0), st.floats(),
+              st.sampled_from([5e-324, 1e-160, 1e-100, 30.0, 1e300])),
+)
+def test_sum_direct_finite_or_domain_error(variant, k, n, x):
+    # bad input raises DomainError, from SumSpec; valid input sums to a
+    # finite float, except that an alternating sum whose exact value is
+    # below e^-700 (it cancels past the 640 digits of the escalation)
+    # raises AccuracyError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            spec = SumSpec(variant, k, n, x)
+        except DomainError:
+            return
+        try:
+            assert math.isfinite(sum_direct(spec))
+        except AccuracyError:
+            assert variant == "alt" and n * math.asinh(x) > 700
 
 
 def test_combination_identities():
