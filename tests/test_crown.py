@@ -475,6 +475,26 @@ class TestKernelZ:
         with pytest.raises(DomainError):
             kernel_z(0, np.array([0.0, 0.0, 0.0]), prof, Point3(0, 0, 0), 0.0)
 
+    @pytest.mark.parametrize("field", [
+        lambda arr, p: u_star(arr, p) + psi_d1(arr, p),
+        u_star,
+    ], ids=["corrected", "bubbles_none"])
+    def test_no_bubbles_is_unsupported(self, crown16, field):
+        # a profile without bubbles never reaches kernel_z: its handle raises
+        # when built, before the field is evaluated even once
+        calls = []
+
+        def fn(arr):
+            calls.append(arr)
+            return field(arr, crown16)
+
+        for j in range(6):
+            with pytest.raises(DomainError):
+                kernel_z(j, np.array([0.7, 0.4, -0.3]),
+                         ProfileHandle(fn=fn, tag="u_star", bubbles=None),
+                         Point3(0.6, 0.0, 0.0), 0.0)
+        assert calls == []
+
     def test_returns_float(self, crown16):
         prof = u_star_profile(crown16)
         for j in range(6):

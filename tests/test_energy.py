@@ -7,8 +7,11 @@ import pytest
 from necklace import energy
 from necklace.crown import (
     _BLOCK,
+    ProfileHandle,
     build_crown,
+    psi_d1,
     talenti_profile,
+    u_star,
     u_star_profile,
 )
 from necklace.energy import (
@@ -427,6 +430,24 @@ class TestCStar:
             assert R == old_R
             assert w == min(0.15, 0.6 * old_R, max(0.03, 0.2 * old_R), 0.19)
         assert _cores(talenti_profile(), xi) == []
+
+    @pytest.mark.parametrize("field", [
+        lambda arr, p: u_star(arr, p) + psi_d1(arr, p),
+        u_star,
+    ], ids=["corrected", "bubbles_none"])
+    def test_no_bubbles_is_unsupported(self, field):
+        # a profile without bubbles never reaches c_star: its handle raises
+        # when built, before the field is evaluated even once
+        p = build_crown(16)
+        calls = []
+
+        def fn(arr):
+            calls.append(arr)
+            return field(arr, p)
+
+        with pytest.raises(DomainError):
+            c_star(ProfileHandle(fn=fn, tag="u_star", bubbles=None), Point3(0.9, 0.0, 0.0))
+        assert calls == []
 
     def test_model_constant(self):
         # the m=16 value the benchmark reference pins, to the last bit

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from necklace import kernels
-from necklace.crown import build_crown, u_star_profile
+from necklace.crown import ProfileHandle, build_crown, psi_d1, u_star, u_star_profile
 from necklace.errors import AccuracyError, DomainError, UnsupportedError
 from necklace.geometry import (
     CONJ_MATRIX,
@@ -122,6 +122,26 @@ class TestPlacedBubble:
         # shifting along the gradient direction changes q_hat linearly
         B = place_bubble(1e-5, 1e-4, 0.97, 0.0, 0.0, prof, xi)
         assert B.q_hat == pytest.approx(1e-4 * A.w_abs, rel=1e-3)
+
+    @pytest.mark.parametrize("field", [
+        lambda arr, p: u_star(arr, p) + psi_d1(arr, p),
+        u_star,
+    ], ids=["corrected", "bubbles_none"])
+    def test_place_bubble_needs_bubbles(self, field):
+        # a profile without bubbles never reaches place_bubble: its handle
+        # raises when built, before the field is evaluated even once
+        p = build_crown(16)
+        calls = []
+
+        def fn(arr):
+            calls.append(arr)
+            return field(arr, p)
+
+        with pytest.raises(DomainError):
+            place_bubble(1e-5, 0.0, 0.97, 0.0, 0.0,
+                         ProfileHandle(fn=fn, tag="u_star", bubbles=None),
+                         Point3(0.6038943129964425, 0.0, 0.0))
+        assert calls == []
 
 
 class TestGamma:

@@ -415,6 +415,19 @@ class TestCertifiedHalvings:
 
 
 class TestCertifiedScan:
+    @pytest.mark.parametrize("res", [48])
+    def test_same_mesh_as_full_scan(self, crown16, star16, res):
+        # the certified scan skips the nodes whose sign the bubbles settle,
+        # yet gives the mesh of a full scan and full bisection
+        recording, calls = _recording(star16)
+        certified = nodal_mesh(crown16, recording, 2.5, res)
+        full = _old_mesh(star16, certified.bbox, res)
+        assert len(certified) > 0
+        assert 0 < _after_scan(calls)[0] < (res + 1) ** 3
+        for new, ref in zip((certified.points, certified.values, certified.gradients), full):
+            assert np.array_equal(new, ref)
+        assert certified.dropped == full[3]
+
     def test_certificate_is_sound(self, crown16, mesh48):
         # grids of several spacings around a ring centre, the origin, a point
         # of the zero set or anywhere in the box: one brick centred on the
