@@ -11,11 +11,12 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
-from . import acceptance
+from . import acceptance, energy
 from .crown import build_crown, q_mid_lower, u_star_profile
-from .energy import ReducedConfig, check_full_mode, default_config, minimize_psi
+from .energy import ReducedConfig, check_full_mode, minimize_psi
 from .errors import (
     AccuracyError,
     DomainError,
@@ -225,10 +226,12 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    # the flags are checked with placeholder constants before the model is built
+    cfg = ReducedConfig(args.K, args.lam, 1.0, 1.0, args.delta)
     if args.mode == "full":
-        # the bound depends on K and delta alone: checked before the model
-        check_full_mode(ReducedConfig(args.K, args.lam, 1.0, 1.0, args.delta))
-    cfg = default_config(args.K, lam=args.lam, delta=args.delta)
+        check_full_mode(cfg)
+    _, _, gnorm, cstar = energy.default_model()
+    cfg = replace(cfg, gnorm=gnorm, cstar=cstar)
     argmin, diag = minimize_psi(cfg, mode=args.mode)
     _emit([{
         "K": args.K, "lam": args.lam, "delta": args.delta, "mode": args.mode,

@@ -45,17 +45,37 @@ def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class CrownParams:
-    """Ring data: m bubbles of concentration mu on the circle of radius
-    sqrt(1 - mu^2), equally spaced in the z1 z2 plane."""
+    """Ring data for m bubbles, m even, 8 <= m <= M_MAX, all derived from m:
+    d = sqrt(2) m log m / sum_{j<m} csc(j pi/m), the concentration
+    mu = d^2/(m log m)^2, and the centres xi, equally spaced on the circle of
+    radius sqrt(1 - mu^2) in the z1 z2 plane."""
 
     m: int
-    mu: float
-    d: float
-    xi: Tuple[Point3, ...]
+
+    def __post_init__(self):
+        if self.m < 8 or self.m % 2 != 0:
+            raise DomainError(f"m must be an even integer >= 8, got {self.m}")
+        if self.m > M_MAX:
+            raise DomainError(f"m must be at most {M_MAX}, got {self.m}")
+
+    @cached_property
+    def d(self) -> float:
+        return math.sqrt(2.0) * self.m * math.log(self.m) / csc_full_sum(self.m)
+
+    @cached_property
+    def mu(self) -> float:
+        return self.d * self.d / (self.m * math.log(self.m)) ** 2
 
     @property
     def ring_radius(self) -> float:
         return math.sqrt(1.0 - self.mu * self.mu)
+
+    @cached_property
+    def xi(self) -> Tuple[Point3, ...]:
+        m, rr = self.m, self.ring_radius
+        return tuple(Point3(rr * math.cos(2.0 * math.pi * j / m),
+                            rr * math.sin(2.0 * math.pi * j / m), 0.0)
+                     for j in range(m))
 
     def centers_array(self) -> np.ndarray:
         return np.array([p.as_array() for p in self.xi])
@@ -77,25 +97,8 @@ class CrownParams:
 
 
 def build_crown(m: int) -> CrownParams:
-    """Ring parameters for m bubbles:
-    d = sqrt(2) m log m / sum_{j<m} csc(j pi/m), mu = d^2/(m log m)^2.
-    m must be even, 8 <= m <= M_MAX."""
-    if m < 8 or m % 2 != 0:
-        raise DomainError(f"m must be an even integer >= 8, got {m}")
-    if m > M_MAX:
-        raise DomainError(f"m must be at most {M_MAX}, got {m}")
-    d = math.sqrt(2.0) * m * math.log(m) / csc_full_sum(m)
-    mu = d * d / (m * math.log(m)) ** 2
-    rr = math.sqrt(1.0 - mu * mu)
-    xi = tuple(
-        Point3(
-            rr * math.cos(2.0 * math.pi * j / m),
-            rr * math.sin(2.0 * math.pi * j / m),
-            0.0,
-        )
-        for j in range(m)
-    )
-    return CrownParams(m=m, mu=mu, d=d, xi=xi)
+    """The ring parameters for m bubbles, CrownParams(m)."""
+    return CrownParams(m)
 
 
 def _sq_norm(y: np.ndarray) -> np.ndarray:
@@ -192,7 +195,7 @@ def bubble_derivs(z: PointLike, bubbles: Bubbles) -> Derivs:
 
 @dataclass(frozen=True)
 class ProfileHandle:
-    """A scalar field on R^3 with a tag describing its construction.
+    """A scalar field on R^3 and its decomposition into bubbles.
 
     ``fn`` is vectorized over trailing (..., 3) point arrays.  The field is
     the sum of its ``bubbles`` (x, c, A): finite (n, 3) centres, n >= 1, and
@@ -208,7 +211,6 @@ class ProfileHandle:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    tag: str  # talenti | u_star
     # out of __eq__ and __hash__, which arrays would break
     bubbles: Bubbles = field(compare=False)
 
@@ -222,21 +224,17 @@ class ProfileHandle:
             raise DomainError("bubbles must be (x, c, A): finite real arrays of shapes "
                               "(n, 3), (n,) and (n,), n >= 1, with c > 0")
 
-    def __call__(self, z: PointLike) -> Union[float, np.ndarray]:
-        val = self.fn(_as_array(z))
-        return float(val) if np.ndim(val) == 0 else val
-
 
 #: u_bubble as the one bubble at the origin with c = 1
 _TALENTI_BUBBLES = _read_only(np.zeros((1, 3)), np.ones(1), np.array([TALENTI_AMP]))
 
 
 def talenti_profile() -> ProfileHandle:
-    return ProfileHandle(fn=u_bubble, tag="talenti", bubbles=_TALENTI_BUBBLES)
+    return ProfileHandle(fn=u_bubble, bubbles=_TALENTI_BUBBLES)
 
 
 def u_star_profile(p: CrownParams) -> ProfileHandle:
-    return ProfileHandle(fn=lambda arr: u_star(arr, p), tag="u_star", bubbles=p._bubbles)
+    return ProfileHandle(fn=lambda arr: u_star(arr, p), bubbles=p._bubbles)
 
 
 def psi_d11(z: PointLike) -> Union[float, np.ndarray]:

@@ -6,9 +6,9 @@ reproduces the parameter scaling laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -71,9 +71,12 @@ class ReducedPoint:
     alpha_w: float
 
     def __post_init__(self):
-        if not (all(map(math.isfinite, (self.eps, self.a, self.d, self.alpha_b,
-                                        self.alpha_w))) and self.eps > 0):
-            raise DomainError("eps, a, d, alpha_b, alpha_w must be finite, eps > 0")
+        # 1e100 is past every box (eps below ~1e60, |alpha| below ~1e31) and
+        # keeps eps**3 and the alpha form from overflowing
+        if not (math.isfinite(self.a) and math.isfinite(self.d) and 0 < self.eps < 1e100
+                and abs(self.alpha_b) < 1e100 and abs(self.alpha_w) < 1e100):
+            raise DomainError("a and d must be finite, 0 < eps < 1e100 and "
+                              "|alpha_b|, |alpha_w| < 1e100")
         if not 0.0 < self.b_abs < 1.0:
             raise DomainError(f"d must be positive with |b| in (0, 1), got d={self.d}")
 
@@ -88,10 +91,16 @@ def _b_abs(d: float) -> float:
 
 
 def _box(cfg: ReducedConfig) -> Dict[str, Tuple[float, float]]:
+    """The admissible box, with eps also as log_eps and a as a_rel, a over
+    its eps-dependent half-width: minimize_psi searches log_eps, a_rel, d,
+    alpha_b and alpha_w."""
     K, delta = cfg.K, cfg.delta
     logK = math.log(K)
+    eps = (delta / K**3, 1.0 / (delta * K**3))
     return {
-        "eps": (delta / K**3, 1.0 / (delta * K**3)),
+        "eps": eps,
+        "log_eps": (math.log(eps[0]), math.log(eps[1])),
+        "a_rel": (-1.0, 1.0),
         "d": ((logK - math.log(logK)) / K, logK / K),
         "alpha_b": (-logK / (math.sqrt(delta) * K * K),
                     logK / (math.sqrt(delta) * K * K)),
@@ -162,7 +171,7 @@ def _cores(profile: ProfileHandle, xi: Point3):
         R = float(np.linalg.norm(c))
         if R < 1e-9:
             raise DomainError("a concentration core coincides with xi")
-        w = min(0.15, 0.6 * R, max(0.03, 0.2 * R), 0.19)
+        w = min(0.15, 0.6 * R, max(0.03, 0.2 * R))
         cores.append((c, R, w))
     return cores
 
@@ -449,18 +458,6 @@ def _golden(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _search_bounds(cfg: ReducedConfig) -> Dict[str, Tuple[float, float]]:
-    """The box in minimize_psi's search coordinates."""
-    box = _box(cfg)
-    return {
-        "log_eps": (math.log(box["eps"][0]), math.log(box["eps"][1])),
-        "a_rel": (-1.0, 1.0),
-        "d": box["d"],
-        "alpha_b": box["alpha_b"],
-        "alpha_w": box["alpha_w"],
-    }
-
-
 def check_full_mode(cfg: ReducedConfig) -> None:
     """Full mode evaluates the closed forms, which need |alpha_b| < theta0/2,
     on the whole alpha_b box |alpha_b| <= log K/(sqrt(delta) K^2), so delta
@@ -509,11 +506,11 @@ def _grid_values(cfg: ReducedConfig, axes: Dict[str, np.ndarray],
                 mode)
 
 
-def _grid_start(cfg: ReducedConfig, bounds: Dict[str, Tuple[float, float]],
+def _grid_start(cfg: ReducedConfig, box: Dict[str, Tuple[float, float]],
                 mode: str) -> Dict[str, float]:
-    """The point of the _GRID_POINTS^5 grid over ``bounds`` with the smallest
-    Psi, NaN values skipped and the first in C order on ties."""
-    axes = {k: np.linspace(*bounds[k], _GRID_POINTS) for k in _ORDER}
+    """The point of the _GRID_POINTS^5 grid over ``box``'s _ORDER axes with
+    the smallest Psi, NaN values skipped and the first in C order on ties."""
+    axes = {k: np.linspace(*box[k], _GRID_POINTS) for k in _ORDER}
     grid = _grid_values(cfg, axes, mode)
     if np.isnan(grid).all():
         raise AccuracyError("Psi is NaN at every grid point", best=math.nan)
@@ -537,7 +534,6 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     if mode == "full":
         check_full_mode(cfg)
     box = _box(cfg)
-    bounds = _search_bounds(cfg)
 
     def to_point(x: Dict[str, float]) -> ReducedPoint:
         eps = math.exp(x["log_eps"])
@@ -553,11 +549,11 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
         return objective(to_point(x), cfg)
 
     # cyclic golden-section refinement from the best grid point
-    x = _grid_start(cfg, bounds, mode)
+    x = _grid_start(cfg, box, mode)
     for sweeps_used in range(1, _SWEEPS + 1):
         moved = 0.0
         for k in _ORDER:
-            lo, hi = bounds[k]
+            lo, hi = box[k]
             tol = 1e-4 * (hi - lo)
             cur = x[k]
 
@@ -581,7 +577,7 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     K = cfg.K
     boundary_dist = {}
     for k in _ORDER:
-        lo, hi = bounds[k]
+        lo, hi = box[k]
         boundary_dist[k] = min(x[k] - lo, hi - x[k]) / (hi - lo)
     on_boundary = [k for k, fr in boundary_dist.items() if fr < 1e-3]
     es = eps_star(cfg, argmin.d)
@@ -661,11 +657,3 @@ def default_model_parts() -> Dict[str, float]:
     """The outer/cores/tail parts and the tail fraction of default_model's
     cstar, from the same quadrature."""
     return dict(_model()[4])
-
-
-def default_config(K: int, lam: float = 1.0, delta: float = 0.1) -> ReducedConfig:
-    # validate K, lam and delta with placeholder constants before paying for
-    # the model quadrature
-    cfg = ReducedConfig(K=K, lam=lam, gnorm=1.0, cstar=1.0, delta=delta)
-    _, _, gnorm, cstar = default_model()
-    return replace(cfg, gnorm=gnorm, cstar=cstar)

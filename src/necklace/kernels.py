@@ -92,17 +92,18 @@ class PlacedBubble:
         for name in ("a", "q_hat", "alpha_w", "alpha_b", "beta_hat", "theta_star"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-        if not 0.0 < self.b_abs < 1.0:
-            raise DomainError("|b| must lie in (0, 1)")
+        if not (0.0 < self.b_abs < 1.0 and math.isfinite(self.d)):
+            raise DomainError("|b| must lie in (0, 1), with d = (1 - |b|^2)/(2|b|) finite")
         if abs(self.alpha_w - self.beta_hat) > 1e-12:
             raise DomainError("alpha_w must equal beta_hat by the frame convention")
         W = np.asarray(self.W, dtype=float)
         if W.shape != (3, 3) or not np.isfinite(W).all():
             raise DomainError("W must be a finite 3x3 matrix")
         # the exact test is far cheaper than allclose, and every W it
-        # accepts allclose accepts too
-        if not np.array_equal(W, W.T) and not np.allclose(W, W.T, atol=1e-10):
-            raise DomainError("W must be a symmetric 3x3 matrix")
+        # accepts allclose accepts too; a W - W.T that overflows is rejected
+        with np.errstate(over="ignore"):
+            if not np.array_equal(W, W.T) and not np.allclose(W, W.T, atol=1e-10):
+                raise DomainError("W must be a symmetric 3x3 matrix")
 
     @property
     def b_point(self) -> Point3:

@@ -149,9 +149,11 @@ def sum_direct(spec: SumSpec) -> float:
     When the alternating cancellation exceeds what double precision can
     resolve (|sum| below 1e-8 of the term magnitude), the sum is recomputed
     in multiprecision with doubling working precision until the result is
-    resolved, then rounded back to float.  The multiprecision pathway uses a
-    private context per thread, so concurrent calls do not interfere; each
-    precision tried is logged at DEBUG on this module's logger.
+    resolved, then rounded back to float, or until the sum and its error
+    bound lie below 2^-1075, where any value it may have rounds to 0.0.
+    The multiprecision pathway uses a private context per thread, so
+    concurrent calls do not interfere; each precision tried is logged at
+    DEBUG on this module's logger.
     """
     x2 = spec.x * spec.x
     step = math.pi / spec.n
@@ -171,11 +173,13 @@ def sum_direct(spec: SumSpec) -> float:
         total_mp, abs_mp = _sum_mp(ctx, spec)
         # the resolution test runs in double precision
         ctx.prec = 53
-        resolved = abs(total_mp) > abs_mp * ctx.mpf(10) ** (-(dps - 15))
+        err = abs_mp * ctx.mpf(10) ** (-(dps - 15))
+        resolved = abs(total_mp) > err
+        underflows = abs(total_mp) + err < ctx.ldexp(1, -1075)
         _log.debug("sum_direct %s: %s at %d dps", spec,
-                   "resolved" if resolved else "unresolved", dps)
-        if resolved:
-            return float(total_mp)
+                   "resolved" if resolved or underflows else "unresolved", dps)
+        if resolved or underflows:
+            return float(total_mp) if resolved else 0.0
         dps *= 2
     raise AccuracyError(
         "alternating sum unresolved at 640 digits", best=float(total_mp)
@@ -306,7 +310,10 @@ def csc_full_sum_asym(m: int) -> float:
 class RoughBoundReport:
     total: float
     denominator: float
-    ratio: float
+
+    @property
+    def ratio(self) -> float:
+        return self.total / self.denominator
 
 
 def rough_bound_check(k: int, n: int, x: float) -> RoughBoundReport:
@@ -319,7 +326,7 @@ def rough_bound_check(k: int, n: int, x: float) -> RoughBoundReport:
         denom = n * max(abs(math.log(x)), 1.0)
     else:
         denom = n * x ** (1 - k)
-    return RoughBoundReport(total=total, denominator=denom, ratio=total / denom)
+    return RoughBoundReport(total=total, denominator=denom)
 
 
 def appendix_h_sum(m: int, theta: float, h: float) -> float:

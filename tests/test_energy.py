@@ -3,10 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from necklace import energy
 from necklace.crown import (
     _BLOCK,
+    TALENTI_AMP,
     ProfileHandle,
     build_crown,
     psi_d1,
@@ -25,7 +27,6 @@ from necklace.energy import (
     _near_cores,
     _grid_start,
     _grid_values,
-    _search_bounds,
     _shifted,
     _smooth_cut,
     a_gamma,
@@ -33,7 +34,6 @@ from necklace.energy import (
     c2,
     c_star,
     check_full_mode,
-    default_config,
     default_model,
     default_model_parts,
     eps_star,
@@ -44,8 +44,8 @@ from necklace.energy import (
     psi_leading,
     u6_integral,
 )
-from necklace.errors import AccuracyError, DomainError
-from necklace.geometry import Point3, SectorConfig
+from necklace.errors import AccuracyError, DomainError, UnsupportedError
+from necklace.geometry import K_MAX, Point3, SectorConfig
 from necklace.kernels import (
     PlacedBubble,
     _gamma_bb_closed,
@@ -256,6 +256,53 @@ def test_psi_equals_oracles(K, lam, gnorm, cstar, delta):
         assert psi_full(A, cfg) == _oracle_psi_full(A, cfg)
 
 
+#: any float: finite, tiny, huge, nan or +-inf
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]))
+
+
+_CFG_ARGS = st.one_of(
+    st.tuples(st.integers(2, 128).map(lambda h: 2 * h), st.floats(0.01, 10.0),
+              st.floats(0.01, 10.0), st.floats(1e-4, 10.0), st.floats(0.002, 0.9)),
+    st.tuples(st.one_of(st.integers(-2, 9), st.just(K_MAX + 2)), *[_ANY_FLOAT] * 4))
+
+
+@settings(max_examples=100)
+@given(_CFG_ARGS, st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+       st.one_of(st.none(), st.tuples(st.integers(0, 4), _ANY_FLOAT)))
+# an eps whose cube overflowed, and an alpha_w whose form overflowed
+@example((64, 1.0, 1.0, 0.25, 0.1), [0.5] * 5, (0, 1e300))
+@example((64, 1.0, 1.0, 0.25, 0.1), [0.5] * 5, (4, 1e300))
+def test_psi_finite_or_typed(cfg_args, fractions, moved):
+    # a config, and a point of its box with at most one coordinate moved
+    # anywhere, give a value, finite on the box, or raise DomainError or
+    # UnsupportedError
+    try:
+        cfg = ReducedConfig(*cfg_args)
+    except DomainError:
+        return
+    box = _box(cfg)
+    x = {k: box[k][0] + t * (box[k][1] - box[k][0]) for k, t in zip(_ORDER, fractions)}
+    eps = math.exp(x["log_eps"])
+    coords = [eps, x["a_rel"] * _a_half_width(cfg, eps), x["d"], x["alpha_b"], x["alpha_w"]]
+    if moved is not None:
+        coords[moved[0]] = moved[1]
+    try:
+        A = ReducedPoint(*coords)
+    except DomainError:
+        return
+    inside = in_box(A, cfg)
+    for psi in (psi_leading, psi_full):
+        try:
+            value = psi(A, cfg)
+        except (DomainError, UnsupportedError):
+            continue
+        except AccuracyError:
+            # a numerical failure, typed, far from the box only
+            assert not inside
+            continue
+        assert math.isfinite(value) or not inside
+
+
 class TestMinimization:
     def test_deterministic(self):
         cfg = _cfg()
@@ -289,7 +336,8 @@ class TestMinimization:
         assert capped["converged"] is False
 
     def test_full_mode(self):
-        cfg = default_config(64)  # the model quadrature, cached, untimed
+        _, _, gnorm, cstar = default_model()  # the model quadrature, cached, untimed
+        cfg = ReducedConfig(K=64, lam=1.0, gnorm=gnorm, cstar=cstar)
         t0 = time.perf_counter()
         argmin, diag = minimize_psi(cfg, mode="full")
         assert time.perf_counter() - t0 < 5.0
@@ -335,8 +383,8 @@ def _loop_grid(cfg, mode):
     each meshgrid row through the scalar objective, and the index and
     coordinates of the first row with the strictly smallest value."""
     objective = energy.psi_leading if mode == "leading" else psi_full
-    bounds = _search_bounds(cfg)
-    axes = {k: np.linspace(*bounds[k], 9) for k in _ORDER}
+    box = _box(cfg)
+    axes = {k: np.linspace(*box[k], 9) for k in _ORDER}
     mesh = np.meshgrid(*(axes[k] for k in _ORDER), indexing="ij")
     flat = np.stack([m.ravel() for m in mesh], axis=-1)
     values, best_i, best_x, best_v = [], None, None, math.inf
@@ -365,12 +413,12 @@ class TestGridTables:
         assert grid.shape == (9,) * 5
         assert np.array_equal(grid.ravel(), ref)
         assert np.nanargmin(grid) == best
-        assert _grid_start(cfg, _search_bounds(cfg), "leading") == best_x
+        assert _grid_start(cfg, _box(cfg), "leading") == best_x
 
     def test_full_equals_psi_full(self):
         cfg = ReducedConfig(K=64, lam=1.0, gnorm=0.7, cstar=0.25, delta=0.1)
-        bounds = _search_bounds(cfg)
-        axes = {k: np.linspace(*bounds[k], 9) for k in _ORDER}
+        box = _box(cfg)
+        axes = {k: np.linspace(*box[k], 9) for k in _ORDER}
         grid = _grid_values(cfg, axes, "full")
         rng = np.random.default_rng(11)
         for idx in rng.integers(0, 9, size=(500, 5)):
@@ -394,7 +442,7 @@ class TestGridTables:
         assert np.array_equal(grid.ravel(), ref, equal_nan=True)
         assert best_nan != best
         assert np.nanargmin(grid) == best_nan
-        assert _grid_start(cfg, _search_bounds(cfg), "leading") == best_nan_x
+        assert _grid_start(cfg, _box(cfg), "leading") == best_nan_x
 
     def test_all_nan_grid_raises(self, monkeypatch):
         monkeypatch.setattr(energy, "c0", lambda K, d: math.nan)
@@ -446,8 +494,32 @@ class TestCStar:
             return field(arr, p)
 
         with pytest.raises(DomainError):
-            c_star(ProfileHandle(fn=fn, tag="u_star", bubbles=None), Point3(0.9, 0.0, 0.0))
+            c_star(ProfileHandle(fn=fn, bubbles=None), Point3(0.9, 0.0, 0.0))
         assert calls == []
+
+    def test_general_angular_rule(self):
+        # a profile not even in z3 gets the full-sphere angular rule: an
+        # origin bubble and a core at (0.8, 0, 0) with mu = 0.05, turned
+        # 0.7 rad about the z2 axis, keeps the planar pair's constant
+        mu = 0.05
+        conc = np.array([1.0, mu * mu])
+        amp = np.array([TALENTI_AMP, -TALENTI_AMP * math.sqrt(mu)])
+        # the zero between the centres: (1 - mu) t^2 - 1.6 t + 0.64 + mu^2 - mu = 0
+        qa, qc = 1.0 - mu, 0.64 + mu * mu - mu
+        t = (1.6 - math.sqrt(1.6**2 - 4.0 * qa * qc)) / (2.0 * qa)
+        s, c = math.sin(0.7), math.cos(0.7)
+        values = []
+        for rot in (np.eye(3), np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])):
+            x = np.array([[0.0, 0.0, 0.0], rot @ [0.8, 0.0, 0.0]])
+
+            def fn(arr, x=x):
+                return sum(A / np.sqrt(cb + np.einsum("...i,...i->...", arr - xb, arr - xb))
+                           for xb, cb, A in zip(x, conc, amp))
+
+            xi = Point3.from_array(rot @ [t, 0.0, 0.0])
+            values.append(c_star(ProfileHandle(fn=fn, bubbles=(x, conc, amp)), xi))
+        assert abs(xi.z3) > 0.1
+        assert values[1] == pytest.approx(values[0], rel=1e-6)
 
     def test_model_constant(self):
         # the m=16 value the benchmark reference pins, to the last bit

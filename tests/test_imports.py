@@ -2,9 +2,11 @@
 command, loads no scipy module (the tests use scipy only as an independent
 reference).  Each case runs in a fresh interpreter, since this one has
 imported scipy for other tests."""
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +40,30 @@ def test_import_loads_the_legendre_rule():
     # numpy loads numpy.polynomial lazily; the package imports it up front,
     # so the first quadrature does not pay for it
     assert "numpy.polynomial.legendre" in _modules_after("import necklace")
+
+
+def _unused_imports(path):
+    """The names a module imports and never reads: a name listed in its
+    ``__all__`` counts as read, and an import on a ``# noqa: F401`` line is
+    skipped."""
+    text = path.read_text()
+    tree, lines = ast.parse(text), text.splitlines()
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            imported.update((a.asname or a.name.split(".")[0]) for a in node.names
+                            if "# noqa: F401" not in lines[a.lineno - 1])
+    return sorted(imported - read)
+
+
+# __init__.py imports only to re-export
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in Path(necklace.__file__).parent.glob("*.py") if p.name != "__init__.py"))
+def test_no_unused_import(name):
+    assert _unused_imports(Path(necklace.__file__).parent / name) == []
