@@ -10,7 +10,7 @@ from .errors import (
     RegimeWarning,
     UnsupportedError,
 )
-from .geometry import Point3, SectorConfig, conj, extend_odd, in_sector, kelvin, rotate
+from .geometry import Point3, SectorConfig
 from .trigsums import (
     SumSpec,
     csc_asym,
@@ -23,7 +23,6 @@ from .crown import (
     CrownParams,
     ProfileHandle,
     build_crown,
-    kernel_z,
     psi_d1,
     psi_d11,
     q_mid_lower,
@@ -38,13 +37,11 @@ from .kernels import (
     PlacedBubble,
     gamma_bb,
     gamma_direct,
-    h0,
     h0e,
     h0e_bb,
     kernel_grad,
     kernel_hess,
     place_bubble,
-    q_a,
     t_a,
 )
 from .energy import (
@@ -54,7 +51,6 @@ from .energy import (
     c0,
     c2,
     c_star,
-    j_reduced,
     minimize_psi,
     psi_full,
     psi_leading,

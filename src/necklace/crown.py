@@ -1,7 +1,6 @@
 """The crown approximate solution: a positive bubble at the origin crowned by
 m negative bubbles on a ring, its explicit first correction, the midpoint
-positivity estimate, and the six linearization-kernel evaluators of the
-placed-bubble family.
+positivity estimate, and the closed-form derivatives of a bubble sum.
 """
 from __future__ import annotations
 
@@ -281,18 +280,6 @@ def psi_d1(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
     return float(val) if np.ndim(val) == 0 else val
 
 
-def psi_d1_mid_closed(p: CrownParams) -> float:
-    """Closed cosecant form of psi_d1 at the ring midpoint direction
-    (cos(pi/m), sin(pi/m), 0)."""
-    m = p.m
-    total = 0.0
-    for j in range(1, m // 2 + 1):
-        a = (2 * j - 3) * math.pi / m
-        total += (1.0 - 2.0 * math.cos(a) ** 2) / abs(math.sin(a))
-        total += 1.0 / math.sin((2 * j - 1) * math.pi / (2 * m))
-    return TALENTI_AMP * math.sqrt(p.mu) * total
-
-
 class MidpointReport(NamedTuple):
     value: float
     lower_bound: float
@@ -309,20 +296,6 @@ def q_mid_lower(p: CrownParams) -> MidpointReport:
     value = float(u_star(xi0, p)) + float(psi_d1(xihat0, p))
     bound = TALENTI_AMP * p.d / (2.0 * math.pi * math.log(m))
     return MidpointReport(value=value, lower_bound=bound)
-
-
-def h_param(z: PointLike, p: CrownParams) -> float:
-    """Scaled distance to the ring circle:
-    h = sqrt(((r - rho)^2 + z3^2) / (4 r rho)), rho = sqrt(1 - mu^2), so that
-    |z - xi_j|^2 = 4 r rho (h^2 + sin^2((j-1) pi/m - theta/2)) for every j."""
-    arr = _as_array(z)
-    if arr.ndim != 1:
-        raise DomainError("h_param takes a single point")
-    r = math.hypot(arr[0], arr[1])
-    if r == 0.0:
-        raise DomainError("h_param is undefined on the z3 axis")
-    rho = p.ring_radius
-    return math.sqrt(((r - rho) ** 2 + arr[2] ** 2) / (4.0 * r * rho))
 
 
 def fd_gradient(profile: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
@@ -349,39 +322,3 @@ def fd_gradient(profile: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
         vals = profile(st)
         grad[lo:lo + chunk] = (vals[0::2] - vals[1::2]).T / (2.0 * hb)
     return grad.reshape(pts.shape)
-
-
-def kernel_z(j: int, y: PointLike, profile: ProfileHandle, xi: Point3,
-             theta_star: float) -> float:
-    """The six linearization kernels of the placed-bubble family at the base
-    parameters (scale 1, no offsets, rotation theta_star):
-
-    Z0: scale derivative, Z1/Z2: in-plane frame derivatives,
-    Z3/Z4: center derivatives, Z5: rotation derivative.
-
-    q and its gradient at the inner point are those of the profile's
-    bubbles, in closed form.
-    """
-    if j not in range(6):
-        raise DomainError(f"kernel index must be 0..5, got {j}")
-    yv = _as_array(y)
-    norm = float(np.linalg.norm(yv))
-    if norm == 0.0:
-        raise DomainError("kernels are undefined at the origin")
-    rot = rotation_matrix(theta_star)
-    inner = rot @ (yv / norm**2) + xi.as_array()
-    qv, grad, _, _ = bubble_derivs(inner, profile.bubbles)
-    z0 = qv / (2.0 * norm) + float(grad @ (rot @ yv)) / norm**3
-    z1 = float(grad @ rot[:, 0]) / norm
-    z2 = float(grad @ rot[:, 1]) / norm
-    if j == 0:
-        return z0
-    if j == 1:
-        return z1
-    if j == 2:
-        return z2
-    if j == 3:
-        return float(2.0 * yv[0] / norm**2 * z0 - z1 / norm**2)
-    if j == 4:
-        return float(2.0 * yv[1] / norm**2 * z0 - z2 / norm**2)
-    return float((yv[0] * z2 - yv[1] * z1) / norm**2)

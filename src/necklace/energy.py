@@ -29,8 +29,8 @@ from .nodal import radial_nodal_root
 
 __all__ = [
     "ReducedConfig", "ReducedPoint", "c_star", "c0", "c2", "a_gamma",
-    "psi_full", "psi_leading", "minimize_psi", "check_full_mode", "j_reduced",
-    "default_model", "default_model_parts", "u6_integral",
+    "psi_full", "psi_leading", "minimize_psi", "check_full_mode",
+    "default_model", "default_model_parts",
 ]
 
 
@@ -600,39 +600,8 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     return argmin, diagnostics
 
 
-def j_reduced(A: ReducedPoint, cfg: ReducedConfig, q6_const: float,
-              mode: str = "leading") -> float:
-    """q6_const/3 + 2 pi Psi(A)."""
-    return q6_const / 3.0 + 2.0 * math.pi * _objective(mode)(A, cfg)
-
-
 # ---------------------------------------------------------------------------
 # default model constants from the m = 16 ring profile
-
-
-#: u6_integral's rule: outer radius, log-radial panels, Gauss order in
-#: cos(theta) and uniform nodes in phi
-_U6_RADIUS = 50.0
-_U6_RADIAL_PANELS = 400
-_U6_POLAR_ORDER = 24
-_U6_AZIMUTH_NODES = 48
-
-
-def u6_integral(profile: ProfileHandle) -> float:
-    """int profile^6 over R^3 by log-radial spherical quadrature plus the
-    measured 1/|z|^6 tail."""
-    R = _U6_RADIUS
-    dirs, dweights = _sphere_rule([(-1.0, 1.0, _U6_POLAR_ORDER)], _U6_AZIMUTH_NODES)
-    s_nodes, s_weights = gl_panels(
-        np.linspace(math.log(1e-6), math.log(R), _U6_RADIAL_PANELS + 1), 8
-    )
-    r = np.exp(s_nodes)
-    pts = r[:, None, None] * dirs
-    vals = np.asarray(profile.fn(pts), dtype=float) ** 6
-    main = float(np.sum((vals @ dweights) * s_weights * r**3))
-    qR = np.asarray(profile.fn(R * dirs), dtype=float)
-    tail = float(((qR * R) ** 6) @ dweights) / (3.0 * R**3)
-    return main + tail
 
 
 @lru_cache(maxsize=1)

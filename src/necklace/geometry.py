@@ -1,5 +1,5 @@
-"""Points of R^3, planar rotations, conjugation, Kelvin transform, and the
-alternating odd-extension operator over an even-order angular sector.
+"""Points of R^3, planar rotations and conjugation as matrices, and the
+images of the alternating odd extension over an even-order angular sector.
 
 The first two coordinates are viewed as a complex number z1 + i z2 when a
 rotation or conjugation is applied; points themselves are stored as three
@@ -10,15 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DomainError
 from .trigsums import N_MAX
 
-#: tolerance for the half-open angular sector membership test
-ANGULAR_TOL = 1e-12
 #: the largest K SectorConfig accepts: the sums over a sector have n = K terms
 K_MAX = N_MAX
 
@@ -67,36 +65,6 @@ class SectorConfig:
         return math.pi / self.K
 
 
-def rotate(z: Point3, theta: float) -> Point3:
-    """Rotate (z1, z2) by ``theta`` radians; z3 is unchanged."""
-    c, s = math.cos(theta), math.sin(theta)
-    return Point3(c * z.z1 - s * z.z2, s * z.z1 + c * z.z2, z.z3)
-
-
-def conj(z: Point3) -> Point3:
-    """Complex conjugation of the in-plane part: (z1, -z2, z3)."""
-    return Point3(z.z1, -z.z2, z.z3)
-
-
-def kelvin(z: Point3) -> Point3:
-    """The inversion z -> z/|z|^2.  The origin is outside the domain."""
-    n2 = z.z1 * z.z1 + z.z2 * z.z2 + z.z3 * z.z3
-    if n2 == 0.0:
-        raise DomainError("kelvin transform is undefined at the origin")
-    return Point3(z.z1 / n2, z.z2 / n2, z.z3 / n2)
-
-
-def in_sector(z: Point3, cfg: SectorConfig) -> bool:
-    """Membership in the open wedge -theta0 < arg(z1+iz2) < theta0, 0 < |z| < 1."""
-    r = math.hypot(z.z1, z.z2)
-    if r == 0.0:
-        return False
-    ang = math.atan2(z.z2, z.z1)
-    if abs(ang) >= cfg.theta0 - ANGULAR_TOL:
-        return False
-    return 0.0 < z.norm() < 1.0
-
-
 def rotation_matrix(theta: float) -> np.ndarray:
     """The in-plane rotation matrix acting on (z1, z2, z3) column vectors."""
     c, s = math.cos(theta), math.sin(theta)
@@ -120,14 +88,3 @@ def sector_images(K: int) -> Tuple[np.ndarray, np.ndarray]:
     signs = np.tile([1.0, -1.0], K // 2)
     mats.flags.writeable = signs.flags.writeable = False
     return mats, signs
-
-
-def extend_odd(u: Callable[[Point3], float], z: Point3, cfg: SectorConfig) -> float:
-    """Alternating extension sum_{j=0}^{K/2-1} [u(z e^{4ij t0}) - u(zbar e^{(4j+2)i t0})].
-
-    The result vanishes on the rays arg = j*theta0 with j odd and is odd across
-    them.  Evaluation failures of ``u`` propagate.
-    """
-    mats, signs = sector_images(cfg.K)
-    return math.fsum(s * u(Point3.from_array(v))
-                     for v, s in zip(mats @ z.as_array(), signs.tolist()))

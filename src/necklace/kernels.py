@@ -1,6 +1,6 @@
 """Sector interaction functions: the alternating Newtonian image sum, the
-regular part of the ball Green's function and its alternating extension, the
-placed rescaled bubble and its image-bubble sum, with exact closed forms and
+regular part of the ball Green's function and its alternating extension, and
+the image-bubble sum of a placed rescaled bubble, with exact closed forms and
 ring asymptotics for each.
 """
 from __future__ import annotations
@@ -17,8 +17,8 @@ from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
 
 _COINCIDENT_TOL = 1e-13
-#: the largest |z| and |p| of gamma_direct, h0 and h0e, and |z||p| of h0 and
-#: h0e: beyond it squared distances and h0's radicand 1 - 2 z.p + |z|^2 |p|^2 overflow
+#: the largest |z| and |p| of gamma_direct and h0e, and |z||p| of h0e: beyond
+#: it squared distances and h0's radicand 1 - 2 z.p + |z|^2 |p|^2 overflow
 _H0_MAX = 1e150
 #: central-difference step of kernel_grad's direct derivative
 _GRAD_STEP = 1e-6
@@ -226,17 +226,13 @@ def _h0_rad(v: np.ndarray, pv: np.ndarray) -> np.ndarray:
 def _check_h0_scale(z: Point3, p: Point3) -> None:
     nz, npn = z.norm(), p.norm()
     if max(nz, npn, nz * npn) > _H0_MAX:
-        raise DomainError(f"h0 takes |z|, |p| and |z||p| up to {_H0_MAX:g}")
-
-
-def h0(z: Point3, p: Point3) -> float:
-    """(1 - 2 z.p + |z|^2 |p|^2)^{-1/2}, for |z|, |p| and |z||p| up to _H0_MAX."""
-    _check_h0_scale(z, p)
-    return float(_h0_rad(z.as_array(), p.as_array())) ** -0.5
+        raise DomainError(f"h0e takes |z|, |p| and |z||p| up to {_H0_MAX:g}")
 
 
 def h0e(z: Point3, p: Point3, cfg: SectorConfig) -> float:
-    """The alternating extension of h0 in its first slot."""
+    """The alternating extension in its first slot of
+    h0(z, p) = (1 - 2 z.p + |z|^2 |p|^2)^{-1/2}, for |z|, |p| and |z||p| up
+    to _H0_MAX."""
     _check_h0_scale(z, p)
     mats, signs = sector_images(cfg.K)
     return math.fsum(signs * _pow(_h0_rad(mats @ z.as_array(), p.as_array()), -0.5))
@@ -404,15 +400,15 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
 
 
 # ---------------------------------------------------------------------------
-# the placed bubble and its image sum
+# the image sum of the placed bubble
 
 
 def _q_a_profile(v: np.ndarray, A: PlacedBubble) -> np.ndarray:
-    """q_a through the attached profile at each row of ``v``, from one
-    profile call: a bubble without one (not from place_bubble) is
-    unsupported."""
+    """The placed bubble eps^{1/2}/|v-b| q(eps R_beta (v-b)/|v-b|^2 + xi_hat)
+    at each row of ``v``, from one call of the profile that place_bubble
+    attached: a bubble without one is unsupported."""
     if A.profile is None or A.xi_hat is None:
-        raise UnsupportedError("q_a and t_a need a bubble from place_bubble, "
+        raise UnsupportedError("t_a needs a bubble from place_bubble, "
                                "with its profile and xi_hat")
     r = v - A.b_point.as_array()
     rn = _norm(r)
@@ -423,30 +419,6 @@ def _q_a_profile(v: np.ndarray, A: PlacedBubble) -> np.ndarray:
     inner = (A.eps * np.matmul(rot, r[:, :, None])[:, :, 0] / _pow(rn, 2)[:, None]
              + A.xi_hat.as_array())
     return math.sqrt(A.eps) / rn * A.profile.fn(inner)
-
-
-def q_a(z: Point3, A: PlacedBubble) -> float:
-    """The placed bubble eps^{1/2}/|z-b| q(eps R_beta (z-b)/|z-b|^2 + xi_hat),
-    through the profile that place_bubble attached."""
-    return float(_q_a_profile(z.as_array()[None, :], A)[0])
-
-
-def q_a_expansion(z: Point3, A: PlacedBubble) -> float:
-    """Far-field expansion (eps^{1/2}/|z-b|)[q_hat + eps w.(z-b)/|z-b|^2
-    + eps^2 (z-b)^T W (z-b)/(2 |z-b|^4)], valid for |z-b| >= eps."""
-    zv = z.as_array()
-    bv = A.b_point.as_array()
-    r = zv - bv
-    rn = float(np.linalg.norm(r))
-    if rn < _COINCIDENT_TOL:
-        raise DomainError("expansion undefined at the placement point")
-    W = np.asarray(A.W, dtype=float)
-    bracket = (
-        A.q_hat
-        + A.eps * float(A.w_vec @ r) / rn**2
-        + A.eps**2 * float(r @ W @ r) / (2.0 * rn**4)
-    )
-    return math.sqrt(A.eps) / rn * bracket
 
 
 def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:

@@ -1,6 +1,6 @@
 """Finite cosecant-power sums: direct evaluation, the contour-integral
 representation of the alternating k=1 sum, exponential asymptotics, and the
-leading cosecant-sum constants, plus two auxiliary bounded sums.
+leading cosecant-sum constants.
 
 Variants, each over offsets x >= 0 with n even:
 
@@ -251,8 +251,8 @@ def s_asym(k: int, n: int, x: float) -> float:
         raise DomainError(f"k must be one of 1, 3, 5, got {k}")
     if n < 4 or n % 2 != 0:
         raise DomainError(f"n must be an even integer >= 4, got {n}")
-    if x <= 0.0:
-        raise DomainError("s_asym requires x > 0")
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError("s_asym requires finite x > 0")
     nx = n * x
     if nx < 5.0:
         warnings.warn(
@@ -266,11 +266,10 @@ def s_asym(k: int, n: int, x: float) -> float:
     return pref / 3.0 * n**5 * nx ** -2.5 * math.exp(-nx)
 
 
-# zeta(3), zeta(5) and Euler's gamma; the test suite reproduces each one from
-# its defining series, so a wrong digit here fails loudly
+# zeta(3) and zeta(5); the test suite reproduces each one from its defining
+# series, so a wrong digit here fails loudly
 ZETA3 = 1.2020569031595942854
 ZETA5 = 1.0369277551433699263
-EULER_GAMMA = 0.5772156649015328606
 
 _CSC_LEADING = {
     ("odd", 3): lambda n: 7.0 * ZETA3 * n**3 / (4.0 * math.pi**3),
@@ -299,50 +298,3 @@ def csc_full_sum(m: int) -> float:
     if m < 2:
         raise DomainError(f"m must be >= 2, got {m}")
     return math.fsum(1.0 / math.sin(j * math.pi / m) for j in range(1, m))
-
-
-def csc_full_sum_asym(m: int) -> float:
-    """The (2m/pi)(log(2m/pi) + gamma0) approximation of csc_full_sum."""
-    return 2.0 * m / math.pi * (math.log(2.0 * m / math.pi) + EULER_GAMMA)
-
-
-@dataclass(frozen=True)
-class RoughBoundReport:
-    total: float
-    denominator: float
-
-    @property
-    def ratio(self) -> float:
-        return self.total / self.denominator
-
-
-def rough_bound_check(k: int, n: int, x: float) -> RoughBoundReport:
-    """Ratio of S^o_k + S^e_k against its coarse bound n|log x| (k=1) or
-    n x^{1-k} (k >= 2), for x in (0, 1].  The caller asserts boundedness."""
-    if not 0.0 < x <= 1.0:
-        raise DomainError("rough_bound_check requires x in (0, 1]")
-    total = sum_direct(SumSpec("odd", k, n, x)) + sum_direct(SumSpec("even", k, n, x))
-    if k == 1:
-        denom = n * max(abs(math.log(x)), 1.0)
-    else:
-        denom = n * x ** (1 - k)
-    return RoughBoundReport(total=total, denominator=denom)
-
-
-def appendix_h_sum(m: int, theta: float, h: float) -> float:
-    """sum_{j=0}^{m-1} (h^2 + sin^2(j pi/m - theta/2))^{-1/2}.
-
-    Intended for h in (m^{-1/2}, 1/3) and theta in (0, pi/m), where it is
-    bounded by a constant times m log(1/h); other inputs get a warning."""
-    if h <= 0.0:
-        raise DomainError("appendix_h_sum requires h > 0")
-    if not (m ** -0.5 < h < 1.0 / 3.0) or not (0.0 < theta < math.pi / m):
-        warnings.warn(
-            "outside the intended range h in (m^{-1/2}, 1/3), theta in (0, pi/m)",
-            RegimeWarning,
-        )
-    h2 = h * h
-    return math.fsum(
-        (h2 + math.sin(j * math.pi / m - theta / 2.0) ** 2) ** -0.5
-        for j in range(m)
-    )

@@ -18,10 +18,7 @@ from necklace.crown import (
     bubble_derivs,
     build_crown,
     fd_gradient,
-    h_param,
-    kernel_z,
     psi_d1,
-    psi_d1_mid_closed,
     psi_d11,
     q_mid_lower,
     talenti_profile,
@@ -360,6 +357,18 @@ class TestUStarDerivs:
         assert not any(a.flags.writeable for a in crown16._bubbles)
 
 
+def _psi_d1_mid_closed(p):
+    """Closed cosecant form of psi_d1 at the ring midpoint direction
+    (cos(pi/m), sin(pi/m), 0)."""
+    m = p.m
+    total = 0.0
+    for j in range(1, m // 2 + 1):
+        a = (2 * j - 3) * math.pi / m
+        total += (1.0 - 2.0 * math.cos(a) ** 2) / abs(math.sin(a))
+        total += 1.0 / math.sin((2 * j - 1) * math.pi / (2 * m))
+    return TALENTI_AMP * math.sqrt(p.mu) * total
+
+
 class TestCorrection:
     def test_origin_value(self):
         assert psi_d11(Point3(0.0, 0.0, 0.0)) == pytest.approx(math.sqrt(2.0))
@@ -404,32 +413,13 @@ class TestCorrection:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             val = psi_d1(direction, crown16)
-        assert val == pytest.approx(psi_d1_mid_closed(crown16), rel=1e-10)
+        assert val == pytest.approx(_psi_d1_mid_closed(crown16), rel=1e-10)
 
     @pytest.mark.parametrize("m", [64, 128, 256])
     def test_midpoint_lower_bound(self, m):
         rep = q_mid_lower(build_crown(m))
         assert rep.value > 0.0
         assert rep.value >= 0.5 * rep.lower_bound
-
-
-class TestHParam:
-    def test_identity_validated(self, crown16):
-        z = np.array([0.9, 0.2, 0.3])
-        h = h_param(z, crown16)
-        assert h > 0.0
-        # |z - xi_j|^2 = 4 r rho (h^2 + sin^2(j pi/m - theta/2)) for every j
-        r, theta = math.hypot(z[0], z[1]), math.atan2(z[1], z[0])
-        rho = crown16.ring_radius
-        for j, center in enumerate(crown16.centers_array()):
-            lhs = float(np.sum((z - center) ** 2))
-            ang = j * math.pi / crown16.m - theta / 2.0
-            rhs = 4.0 * r * rho * (h * h + math.sin(ang) ** 2)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), j
-
-    def test_axis_rejected(self, crown16):
-        with pytest.raises(DomainError):
-            h_param(np.array([0.0, 0.0, 1.0]), crown16)
 
 
 class TestFiniteDifferences:
@@ -479,101 +469,3 @@ class TestFiniteDifferenceBatching:
         assert np.array_equal(rows, [fd_gradient(prof.fn, z) for z in pts])
         assert np.array_equal(fd_gradient(prof.fn, pts, steps),
                               [fd_gradient(prof.fn, z, h) for z, h in zip(pts, steps)])
-
-
-class TestKernelZ:
-    def test_index_validation(self):
-        prof = talenti_profile()
-        with pytest.raises(DomainError):
-            kernel_z(6, np.array([0.5, 0.2, 0.1]), prof, Point3(0, 0, 0), 0.0)
-        with pytest.raises(DomainError):
-            kernel_z(0, np.array([0.0, 0.0, 0.0]), prof, Point3(0, 0, 0), 0.0)
-
-    @pytest.mark.parametrize("field", [
-        lambda arr, p: u_star(arr, p) + psi_d1(arr, p),
-        u_star,
-    ], ids=["corrected", "bubbles_none"])
-    def test_no_bubbles_is_unsupported(self, crown16, field):
-        # a profile without bubbles never reaches kernel_z: its handle raises
-        # when built, before the field is evaluated even once
-        calls = []
-
-        def fn(arr):
-            calls.append(arr)
-            return field(arr, crown16)
-
-        for j in range(6):
-            with pytest.raises(DomainError):
-                kernel_z(j, np.array([0.7, 0.4, -0.3]),
-                         ProfileHandle(fn=fn, bubbles=None),
-                         Point3(0.6, 0.0, 0.0), 0.0)
-        assert calls == []
-
-    def test_returns_float(self, crown16):
-        prof = u_star_profile(crown16)
-        for j in range(6):
-            val = kernel_z(j, np.array([0.7, 0.4, -0.3]), prof, Point3(0.6, 0.0, 0.0), 0.3)
-            assert type(val) is float
-
-    def test_closed_form_derivatives(self, crown16):
-        """Z0, Z1 and Z2 read q and its gradient at the inner point from
-        bubble_derivs, here of u_star."""
-        prof = u_star_profile(crown16)
-        xi, theta = Point3(0.6, 0.05, 0.0), 0.4
-        y = np.array([0.7, 0.4, -0.3])
-        ny = np.linalg.norm(y)
-        rot = np.array([[math.cos(theta), -math.sin(theta), 0.0],
-                        [math.sin(theta), math.cos(theta), 0.0], [0.0, 0.0, 1.0]])
-        inner = rot @ (y / ny**2) + xi.as_array()
-        q, g, _, _ = bubble_derivs(inner, crown16._bubbles)
-        # a central difference would be off by ~1e-10
-        expect = (q / (2 * ny) + g @ (rot @ y) / ny**3, g @ rot[:, 0] / ny, g @ rot[:, 1] / ny)
-        for j, ref in enumerate(expect):
-            assert kernel_z(j, y, prof, xi, theta) == pytest.approx(ref, rel=1e-14, abs=0.0)
-
-    def test_scale_derivative(self):
-        """Z0 equals the eps-derivative of eps^{1/2} q(eps R y/|y|^2 + xi)/|y|."""
-        prof = talenti_profile()
-        xi = Point3(0.2, -0.1, 0.0)
-        theta = 0.3
-        y = np.array([0.7, 0.4, -0.3])
-        ny = np.linalg.norm(y)
-        c, s = math.cos(theta), math.sin(theta)
-        rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-
-        def family(eps):
-            inner = eps * (rot @ y) / ny**2 + xi.as_array()
-            return math.sqrt(eps) / ny * prof.fn(inner)
-
-        h = 1e-6
-        fd = (family(1 + h) - family(1 - h)) / (2 * h)
-        assert kernel_z(0, y, prof, xi, theta) == pytest.approx(fd, abs=1e-7)
-
-    def test_frame_derivatives(self):
-        prof = talenti_profile()
-        xi = Point3(0.1, 0.25, 0.0)
-        theta = -0.2
-        y = np.array([0.5, -0.6, 0.2])
-        ny = np.linalg.norm(y)
-        c, s = math.cos(theta), math.sin(theta)
-        rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-        inner = (rot @ y) / ny**2 + xi.as_array()
-        h = 1e-6
-        for j, e in ((1, rot[:, 0]), (2, rot[:, 1])):
-            fd = (prof.fn(inner + h * e) - prof.fn(inner - h * e)) / (2 * h) / ny
-            assert kernel_z(j, y, prof, xi, theta) == pytest.approx(fd, abs=1e-7)
-
-    def test_rotation_derivative(self):
-        prof = talenti_profile()
-        xi = Point3(0.15, 0.0, 0.0)
-        y = np.array([0.6, 0.3, 0.4])
-        ny = np.linalg.norm(y)
-
-        def at_angle(beta):
-            c, s = math.cos(beta), math.sin(beta)
-            rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-            return prof.fn(rot @ y / ny**2 + xi.as_array()) / ny
-
-        h = 1e-6
-        fd = (at_angle(h) - at_angle(-h)) / (2 * h)
-        assert kernel_z(5, y, prof, xi, 0.0) == pytest.approx(fd, abs=1e-7)

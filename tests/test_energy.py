@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from necklace import energy
+from necklace._quad import gl_panels
 from necklace.crown import (
     _BLOCK,
     TALENTI_AMP,
@@ -29,6 +30,7 @@ from necklace.energy import (
     _grid_values,
     _shifted,
     _smooth_cut,
+    _sphere_rule,
     a_gamma,
     c0,
     c2,
@@ -38,11 +40,9 @@ from necklace.energy import (
     default_model_parts,
     eps_star,
     in_box,
-    j_reduced,
     minimize_psi,
     psi_full,
     psi_leading,
-    u6_integral,
 )
 from necklace.errors import AccuracyError, DomainError, UnsupportedError
 from necklace.geometry import K_MAX, Point3, SectorConfig
@@ -181,8 +181,6 @@ class TestPsi:
     def test_full_rejects_bad_mode(self):
         with pytest.raises(DomainError):
             minimize_psi(_cfg(), mode="exact")
-        with pytest.raises(DomainError):
-            j_reduced(_mid_point(_cfg()), _cfg(), 1.0, mode="bogus")
 
     @pytest.mark.parametrize("field, bad", [
         *((f, v) for f in ("eps", "a", "d", "alpha_b", "alpha_w")
@@ -195,8 +193,7 @@ class TestPsi:
         cfg = _cfg()
         fields = dict(eps=1e-6, a=1e-7, d=0.05, alpha_b=1e-4, alpha_w=1e-2)
         fields[field] = bad
-        for evaluate in (psi_leading, psi_full,
-                         lambda A, c: j_reduced(A, c, 1.0, mode="full")):
+        for evaluate in (psi_leading, psi_full):
             with pytest.raises(DomainError):
                 evaluate(ReducedPoint(**fields), cfg)
 
@@ -368,14 +365,6 @@ class TestMinimization:
         cfg = ReducedConfig(K=64, lam=1.0, gnorm=1.0, cstar=0.25, delta=1.72e-3)
         check_full_mode(cfg)
         assert math.isfinite(minimize_psi(cfg, mode="full")[1]["value"])
-
-    def test_j_reduced_affine_in_psi(self):
-        cfg = _cfg()
-        A = _mid_point(cfg)
-        q6 = 3.0**1.5 * math.pi**2 / 4.0
-        assert j_reduced(A, cfg, q6) == pytest.approx(
-            q6 / 3.0 + 2.0 * math.pi * psi_leading(A, cfg), rel=1e-14
-        )
 
 
 def _loop_grid(cfg, mode):
@@ -591,7 +580,33 @@ class TestCStar:
         assert abs(refined - cstar) / refined <= 1e-6
 
 
+#: _u6_integral's rule: outer radius, log-radial panels, Gauss order in
+#: cos(theta) and uniform nodes in phi
+_U6_RADIUS = 50.0
+_U6_RADIAL_PANELS = 400
+_U6_POLAR_ORDER = 24
+_U6_AZIMUTH_NODES = 48
+
+
+def _u6_integral(profile):
+    """int profile^6 over R^3 by log-radial spherical quadrature plus the
+    measured 1/|z|^6 tail: a closed-form check of _sphere_rule and gl_panels,
+    the rules c_star uses."""
+    R = _U6_RADIUS
+    dirs, dweights = _sphere_rule([(-1.0, 1.0, _U6_POLAR_ORDER)], _U6_AZIMUTH_NODES)
+    s_nodes, s_weights = gl_panels(
+        np.linspace(math.log(1e-6), math.log(R), _U6_RADIAL_PANELS + 1), 8
+    )
+    r = np.exp(s_nodes)
+    pts = r[:, None, None] * dirs
+    vals = np.asarray(profile.fn(pts), dtype=float) ** 6
+    main = float(np.sum((vals @ dweights) * s_weights * r**3))
+    qR = np.asarray(profile.fn(R * dirs), dtype=float)
+    tail = float(((qR * R) ** 6) @ dweights) / (3.0 * R**3)
+    return main + tail
+
+
 class TestU6:
     def test_talenti_closed_form(self):
-        val = u6_integral(talenti_profile())
+        val = _u6_integral(talenti_profile())
         assert val == pytest.approx(3.0**1.5 * math.pi**2 / 4.0, rel=1e-6)

@@ -9,15 +9,23 @@ from necklace.geometry import (
     CONJ_MATRIX,
     Point3,
     SectorConfig,
-    conj,
-    extend_odd,
-    in_sector,
-    kelvin,
-    rotate,
     rotation_matrix,
+    sector_images,
 )
 
 finite = st.floats(-10, 10, allow_nan=False)
+
+
+def _rotate(z: Point3, theta: float) -> Point3:
+    """Rotate (z1, z2) by ``theta`` radians; z3 is unchanged: the scalar
+    reference for rotation_matrix and sector_images."""
+    c, s = math.cos(theta), math.sin(theta)
+    return Point3(c * z.z1 - s * z.z2, s * z.z1 + c * z.z2, z.z3)
+
+
+def _conj(z: Point3) -> Point3:
+    """Complex conjugation of the in-plane part: (z1, -z2, z3)."""
+    return Point3(z.z1, -z.z2, z.z3)
 
 
 def test_point3_arithmetic():
@@ -40,65 +48,33 @@ def test_sector_config_theta0():
 @given(finite, finite, finite, st.floats(-math.pi, math.pi))
 def test_rotate_preserves_norm_and_z3(z1, z2, z3, theta):
     p = Point3(z1, z2, z3)
-    r = rotate(p, theta)
+    r = _rotate(p, theta)
     assert r.norm() == pytest.approx(p.norm(), abs=1e-9)
     assert r.z3 == p.z3
 
 
 def test_conj_is_plane_reflection():
     p = Point3(1.0, 2.0, 3.0)
-    assert conj(p) == Point3(1.0, -2.0, 3.0)
-    assert np.allclose(CONJ_MATRIX @ p.as_array(), conj(p).as_array())
-
-
-def test_kelvin_involution():
-    p = Point3(0.3, -1.2, 0.7)
-    assert kelvin(kelvin(p)).as_array() == pytest.approx(p.as_array())
-    assert kelvin(p).norm() == pytest.approx(1.0 / p.norm())
-    with pytest.raises(DomainError):
-        kelvin(Point3(0.0, 0.0, 0.0))
-
-
-def test_in_sector_half_open_boundary():
-    cfg = SectorConfig(8)
-    t0 = cfg.theta0
-    assert in_sector(Point3(0.5, 0.0, 0.0), cfg)
-    upper = Point3(0.9 * math.cos(t0), 0.9 * math.sin(t0), 0.0)
-    lower = Point3(0.9 * math.cos(-t0), 0.9 * math.sin(-t0), 0.0)
-    assert not in_sector(upper, cfg)
-    assert not in_sector(lower, cfg)
-    inside = Point3(0.9 * math.cos(t0 * 0.999), 0.9 * math.sin(t0 * 0.999), 0.0)
-    assert in_sector(inside, cfg)
-    # membership is restricted to the punctured unit ball
-    assert not in_sector(Point3(1.5, 0.0, 0.0), cfg)
-    assert not in_sector(Point3(0.0, 0.0, 0.0), cfg)
+    assert _conj(p) == Point3(1.0, -2.0, 3.0)
+    assert np.allclose(CONJ_MATRIX @ p.as_array(), _conj(p).as_array())
 
 
 def test_rotation_matrix_matches_rotate():
     theta = 0.37
     p = Point3(0.2, -0.4, 1.1)
     assert np.allclose(rotation_matrix(theta) @ p.as_array(),
-                       rotate(p, theta).as_array())
+                       _rotate(p, theta).as_array())
 
 
-def test_extend_odd_explicit_K4():
-    cfg = SectorConfig(4)
-    u = lambda q: 1.0 / (1.0 + (q.z1 - 0.3) ** 2 + q.z2**2 + q.z3**2)
+@pytest.mark.parametrize("K", [4, 32, 256])
+def test_sector_images_are_rotations(K):
+    # the images are the rotations of z and of conj(z) by multiples of 2 theta0
+    mats, _signs = sector_images(K)
     z = Point3(0.4, 0.1, -0.2)
-    t0 = cfg.theta0
-    expected = 0.0
-    for j in range(2):
-        expected += u(rotate(z, 4 * j * t0))
-        expected -= u(rotate(conj(z), (4 * j + 2) * t0))
-    assert extend_odd(u, z, cfg) == pytest.approx(expected, rel=1e-14)
-
-
-def test_extend_odd_antisymmetry():
-    """The extension is odd across the sector wall z -> conj(z) e^{2 i theta0}."""
-    cfg = SectorConfig(8)
-    u = lambda q: math.exp(-((q.z1 - 0.5) ** 2) - q.z2**2 - q.z3**2)
-    z = Point3(0.3, 0.05, 0.4)
-    mirrored = rotate(conj(z), 2 * cfg.theta0)
-    assert extend_odd(u, mirrored, cfg) == pytest.approx(
-        -extend_odd(u, z, cfg), rel=1e-12
-    )
+    for j in range(K // 2):
+        t = 4 * j * math.pi / K
+        assert np.allclose(mats[2 * j] @ z.as_array(),
+                           _rotate(z, t).as_array(), rtol=0.0, atol=1e-15)
+        assert np.allclose(mats[2 * j + 1] @ z.as_array(),
+                           _rotate(_conj(z), t + 2 * math.pi / K).as_array(),
+                           rtol=0.0, atol=1e-15)

@@ -1,7 +1,9 @@
 """The package runs on numpy and mpmath alone: importing it, or running a
 command, loads no scipy module (the tests use scipy only as an independent
 reference).  Each case runs in a fresh interpreter, since this one has
-imported scipy for other tests."""
+imported scipy for other tests.  The package and the tests import nothing
+they do not read, and the package holds no definition that only the tests
+reach."""
 import ast
 import os
 import subprocess
@@ -13,6 +15,9 @@ import pytest
 import necklace
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(necklace.__file__)))
+_PKG = Path(necklace.__file__).parent
+_TESTS = Path(__file__).resolve().parent
+_BENCH = _TESTS.parent / "bench"
 
 _SUMS = ("from necklace.cli import run; "
          "assert run(['sums', '--variant', 'alt', '--k', '1', '--n', '50', '--x', '0.2']) == 0")
@@ -63,7 +68,60 @@ def _unused_imports(path):
 
 
 # __init__.py imports only to re-export
-@pytest.mark.parametrize("name", sorted(
-    p.name for p in Path(necklace.__file__).parent.glob("*.py") if p.name != "__init__.py"))
-def test_no_unused_import(name):
-    assert _unused_imports(Path(necklace.__file__).parent / name) == []
+@pytest.mark.parametrize(
+    "path", [*(p for p in sorted(_PKG.glob("*.py")) if p.name != "__init__.py"),
+             *sorted(_TESTS.glob("*.py"))],
+    ids=lambda p: p.name if p.parent == _PKG else f"tests/{p.name}")
+def test_no_unused_import(path):
+    assert _unused_imports(path) == []
+
+
+def _identifiers(nodes):
+    """Every name and attribute name that ``nodes`` read."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _unreached():
+    """The package's top-level functions and classes that nothing the system
+    runs reaches: the roots are cli.py, acceptance.py, the benchmark's
+    bench/*.py and every module's import-time statements, imports aside.  A
+    definition reached is followed into its body.  Names are matched by
+    identifier alone, so a local of the same name counts as a read; a
+    definition read only through a string would count as unreached."""
+    defs, roots = {}, []
+    for path in sorted(_PKG.glob("*.py")):
+        entry = path.name in ("cli.py", "acceptance.py")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+                if not entry:
+                    continue
+            roots.append(node)
+    for path in sorted(_BENCH.glob("*.py")):
+        roots += [node for node in ast.parse(path.read_text()).body
+                  if not isinstance(node, (ast.Import, ast.ImportFrom))]
+    reached, todo = set(), _identifiers(roots)
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo |= _identifiers(defs[name])
+    return sorted(set(defs) - reached)
+
+
+#: kept although only the tests reach them: the tests' one-bubble profile,
+#: the minimiser tests' box check, and the parts of the model's cstar
+_TEST_ONLY = ["default_model_parts", "in_box", "talenti_profile"]
+
+
+def test_package_reached_from_its_entry_points():
+    assert _unreached() == _TEST_ONLY

@@ -12,11 +12,6 @@ from necklace.geometry import (
     CONJ_MATRIX,
     Point3,
     SectorConfig,
-    conj,
-    extend_odd,
-    in_sector,
-    kelvin,
-    rotate,
     rotation_matrix,
     sector_images,
 )
@@ -27,14 +22,11 @@ from necklace.kernels import (
     _newton_derivs,
     gamma_bb,
     gamma_direct,
-    h0,
     h0e,
     h0e_bb,
     kernel_grad,
     kernel_hess,
     place_bubble,
-    q_a,
-    q_a_expansion,
     t_a,
 )
 
@@ -206,22 +198,23 @@ class TestH0:
     def test_value(self):
         z = Point3(0.3, 0.1, -0.2)
         p = Point3(-0.4, 0.2, 0.5)
-        zv, pv = z.as_array(), p.as_array()
-        rad = 1 - 2 * zv @ pv + (zv @ zv) * (pv @ pv)
-        assert h0(z, p) == pytest.approx(rad**-0.5)
+        mats, signs = sector_images(CFG.K)
+        pv = p.as_array()
+        rad = [1 - 2 * v @ pv + (v @ v) * (pv @ pv) for v in mats @ z.as_array()]
+        expected = math.fsum(s * r**-0.5 for s, r in zip(signs.tolist(), rad))
+        assert h0e(z, p, CFG) == pytest.approx(expected)
 
     def test_rejects_boundary_diagonal(self):
+        # the identity image of q is q's own Kelvin image
         q = Point3(1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
-            h0(q, q)
+            h0e(q, q, CFG)
 
     @pytest.mark.parametrize("b", [0.999999999, 0.9999999999])
     def test_radicand_lost_to_round_off(self, b):
         # (1 - b^2)^2 > 0 cancels to 0: inside the domain, a numerical failure
         q = Point3(b, 0.0, 0.0)
         with pytest.raises(AccuracyError, match="round-off"):
-            h0(q, q)
-        with pytest.raises(AccuracyError):
             h0e(q, q, CFG)
 
     def test_extension_alternates(self):
@@ -231,7 +224,7 @@ class TestH0:
         assert np.isfinite(val)
         # the extension of a first-slot-even function picks up h0 itself
         # as the identity-image term
-        assert abs(val) < 2.0 * CFG.K * h0(z, p)
+        assert abs(val) < 2.0 * CFG.K * _ref_h0(z.as_array(), p.as_array())
 
     def test_diagonal_report(self):
         rep = h0e_bb(_b_point(0.97, 0.1 * CFG.theta0), CFG)
@@ -300,31 +293,21 @@ class TestPlacedBubbleField:
     def test_singular_at_placement(self):
         A = place_bubble(1e-6, 0.0, 0.97, 0.01, 0.02, u_star_profile(build_crown(16)),
                          Point3(0.6038943129964425, 0.0, 0.0))
-        with pytest.raises(DomainError):
-            q_a(A.b_point, A)
+        # a point whose first tail image is the placement point b
+        mats = sector_images(CFG.K)[0]
+        z = Point3.from_array(mats[1].T @ A.b_point.as_array())
+        with pytest.raises(DomainError, match="placement point"):
+            t_a(z, A, CFG)
 
     def test_needs_a_placed_bubble(self):
         # the stored scalars alone do not define q_a: its profile does
         A = _bubble()
         with pytest.raises(UnsupportedError):
-            q_a(Point3(0.3, 0.25, 0.1), A)
-        with pytest.raises(UnsupportedError):
             t_a(Point3(0.3, 0.25, 0.1), A, CFG)
-
-    def test_expansion_matches_profile_pathway(self):
-        crown = build_crown(16)
-        prof = u_star_profile(crown)
-        xi = Point3(0.6038943129964425, 0.0, 0.0)
-        A = place_bubble(1e-6, 1e-7, 0.97, 0.01, 0.02, prof, xi)
-        z = Point3(0.3, 0.25, 0.1)
-        full = q_a(z, A)
-        approx = q_a_expansion(z, A)
-        scale = math.sqrt(A.eps) * A.eps**2
-        assert abs(full - approx) < 100.0 * scale
 
     def test_batched_image_sum_matches_per_image_loop(self):
         # t_a makes one profile call for all its images; each image's term
-        # must still be the value of a lone q_a call and of the one-image code
+        # must still be the value of the one-image code
         def one_image(u, A):
             r = u - A.b_point.as_array()
             rn = float(np.linalg.norm(r))
@@ -346,7 +329,6 @@ class TestPlacedBubbleField:
             z = Point3(r * math.cos(ang), r * math.sin(ang), rng.uniform(-0.5, 0.5))
             images = list(zip(mats[1:] @ z.as_array(), (-signs[1:]).tolist()))
             direct = t_a(z, A, cfg).direct
-            assert direct == math.fsum(s * q_a(Point3.from_array(u), A) for u, s in images)
             assert direct == math.fsum(s * one_image(u, A) for u, s in images)
 
     def test_image_sum_report(self):
@@ -365,8 +347,8 @@ class TestPlacedBubbleField:
 _KERNEL_ENTRIES = {
     "gamma_direct_z": lambda pt: gamma_direct(pt, Point3(0.8, 0.0, 0.0), CFG),
     "gamma_direct_p": lambda pt: gamma_direct(Point3(0.8, 0.0, 0.0), pt, CFG),
-    "h0_z": lambda pt: h0(pt, Point3(0.3, 0.1, 0.0)),
-    "h0_p": lambda pt: h0(Point3(0.3, 0.1, 0.0), pt),
+    "h0_z": lambda pt: h0e(pt, Point3(0.3, 0.1, 0.0), CFG),
+    "h0_p": lambda pt: h0e(Point3(0.3, 0.1, 0.0), pt, CFG),
     "h0e_z": lambda pt: h0e(pt, Point3(0.8, 0.0, 0.0), CFG),
     "h0e_p": lambda pt: h0e(Point3(0.8, 0.0, 0.0), pt, CFG),
     "gamma_bb": lambda pt: gamma_bb(pt, CFG),
@@ -459,15 +441,6 @@ class TestSectorImages:
         assert np.array_equal(np.sign(np.linalg.det(mats)), signs)
         assert not (mats.flags.writeable or signs.flags.writeable)
         assert sector_images(K)[0] is mats
-        # the images are the rotations of z and of conj(z) by multiples of 2 theta0
-        z = Point3(0.4, 0.1, -0.2)
-        for j in range(K // 2):
-            t = 4 * j * math.pi / K
-            assert np.allclose(mats[2 * j] @ z.as_array(),
-                               rotate(z, t).as_array(), rtol=0.0, atol=1e-15)
-            assert np.allclose(mats[2 * j + 1] @ z.as_array(),
-                               rotate(conj(z), t + 2 * math.pi / K).as_array(),
-                               rtol=0.0, atol=1e-15)
 
     def test_kernel_sums(self, K):
         cfg = SectorConfig(K)
@@ -483,14 +456,6 @@ class TestSectorImages:
         for got, ref in ((_newton_derivs(bv, w, cfg), _ref_newton_derivs(A, K)),
                          (_h0e_derivs(bv, w, cfg), _ref_h0e_derivs(A, K))):
             assert got == pytest.approx(ref, rel=1e-14)
-
-    def test_extend_odd(self, K):
-        cfg = SectorConfig(K)
-        z = Point3(0.4, 0.1, -0.2)
-        u = lambda q: math.exp(-4.0 * ((q.z1 - 0.3) ** 2 + q.z2**2 + q.z3**2))
-        ref = math.fsum(s * u(Point3.from_array(M @ z.as_array()))
-                        for M, s in _ref_images(K))
-        assert extend_odd(u, z, cfg) == pytest.approx(ref, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -509,20 +474,15 @@ _COORD = st.one_of(
 def _all_finite(out):
     if isinstance(out, KernelReport):
         out = (out.direct, out.closed_form, out.asymptotic)
-    elif isinstance(out, Point3):
-        out = out.as_array()
     return bool(np.isfinite(out).all())
 
 
 _POINT_CALLS = {
     "gamma_bb": lambda z: gamma_bb(z, CFG),
     "h0e_bb": lambda z: h0e_bb(z, CFG),
-    "h0_z": lambda z: h0(z, Point3(0.3, 0.1, 0.0)),
-    "h0_p": lambda z: h0(Point3(0.3, 0.1, 0.0), z),
-    "h0_zz": lambda z: h0(z, z),
-    "kelvin": kelvin,
-    "in_sector": lambda z: in_sector(z, CFG),
-    "rotate": lambda z: rotate(z, 0.3),
+    "h0_z": lambda z: h0e(z, Point3(0.3, 0.1, 0.0), CFG),
+    "h0_p": lambda z: h0e(Point3(0.3, 0.1, 0.0), z, CFG),
+    "h0_zz": lambda z: h0e(z, z, CFG),
 }
 
 

@@ -1,5 +1,4 @@
 import logging
-import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
