@@ -1,7 +1,9 @@
 """Closed-form sum assemblies shared by the interaction kernels and the
 reduced-energy model: the ring-interaction coefficients C0(K, d), C2(K, d)
-and the 2x2 angular quadratic form built from pure cosecant sums.  Each is
-cached, as the minimization revisits the same (K, d).
+and the 2x2 angular quadratic form built from pure cosecant sums.  The sums
+s_hat and s_alt are cached, as the minimization revisits the same (K, d) and
+C0 and C2 share S_1(K, d); a_gamma caches its form.  C0 and C2 are a few
+float operations on the cached sums and are not cached themselves.
 """
 from __future__ import annotations
 
@@ -13,23 +15,23 @@ import numpy as np
 from .trigsums import SumSpec, sum_direct
 
 
+@lru_cache(maxsize=64)
 def s_hat(k: int, n: int) -> float:
     """Shat_k(n) = sum_{j=1}^{n-1} (-1)^{j+1} csc^k(j pi/n)."""
     return sum_direct(SumSpec("alt_hat", k, n, 0.0))
 
 
+@lru_cache(maxsize=1024)
 def s_alt(k: int, n: int, x: float) -> float:
     """S_k(n, x) = sum_{j=0}^{n-1} (-1)^j (x^2 + sin^2(j pi/n))^{-k/2}."""
     return sum_direct(SumSpec("alt", k, n, x))
 
 
-@lru_cache(maxsize=256)
 def c0(K: int, d: float) -> float:
     """Shat_1(K) + S_1(K, d): the coefficient of the first-order ring term."""
     return s_hat(1, K) + s_alt(1, K, d)
 
 
-@lru_cache(maxsize=256)
 def c2(K: int, d: float) -> float:
     """Shat_1 + Shat_3 + S_1 - (d + sqrt(1+d^2))^2 S_3 + 3(d^2 + d^4) S_5,
     the coefficient of the third-order ring term."""

@@ -236,18 +236,45 @@ def u_star_profile(p: CrownParams) -> ProfileHandle:
     return ProfileHandle(fn=lambda arr: u_star(arr, p), bubbles=p._bubbles)
 
 
+#: the largest |coordinate| psi_d11 and psi_d1 take, the bound h0e uses
+_COORD_MAX = 1e150
+# up to this 1 + |z|^2 its square is finite; past it psi_d11 is
+# sqrt(2) (1+|z|^2)^{-1/2} to double precision, as z1^2/(1+|z|^2)^2 < 1e-154
+_S_FAR = 1e154
+
+
+def _check_points(arr: np.ndarray, name: str) -> None:
+    if arr.shape[-1:] != (3,):
+        raise DomainError(f"points must have a trailing axis of length 3, got {arr.shape}")
+    if not (np.isfinite(arr).all() and (np.abs(arr) <= _COORD_MAX).all()):
+        raise DomainError(f"{name} takes finite coordinates up to {_COORD_MAX:g}")
+
+
 def psi_d11(z: PointLike) -> Union[float, np.ndarray]:
     """The explicit correction with unit poles at +-(1, 0, 0):
 
     -sqrt(2) (1+|z|^2)^{-1/2} (8 z1^2 - (1+|z|^2)^2) / ((1+|z|^2) sqrt((1+|z|^2)^2 - 4 z1^2))
+
+    Raises DomainError at a pole, for points without a trailing axis of
+    length 3, and for a non-finite coordinate or one above 1e150 in magnitude.
     """
     arr = _as_array(z)
-    z1 = arr[..., 0]
+    _check_points(arr, "psi_d11")
+    return _psi_d11(arr)
+
+
+def _psi_d11(arr: np.ndarray) -> Union[float, np.ndarray]:
+    """psi_d11 at any point whose 1 + |z|^2 is finite."""
     s = 1.0 + np.sum(arr * arr, axis=-1)
-    disc = s * s - 4.0 * z1 * z1
+    # far points take (s, z1) = (1, 0), where the ratio of the two
+    # polynomials below is -1, their limit
+    far = s > _S_FAR
+    z1 = np.where(far, 0.0, arr[..., 0])
+    sn = np.where(far, 1.0, s)
+    disc = sn * sn - 4.0 * z1 * z1
     if np.any(disc <= 1e-24):
         raise DomainError("psi_d11 evaluated at (or numerically on) a pole")
-    val = -math.sqrt(2.0) * s**-0.5 * (8.0 * z1 * z1 - s * s) / (s * np.sqrt(disc))
+    val = -math.sqrt(2.0) * s**-0.5 * (8.0 * z1 * z1 - sn * sn) / (sn * np.sqrt(disc))
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -260,13 +287,18 @@ def psi_d1(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
     where xihat_j are the unit-circle ring positions.  The rotated-correction
     poles cancel the Newtonian terms analytically; evaluation closer than
     1e-6 to a unit-circle position is flagged with a warning because the
-    cancellation degrades numerically there.
+    cancellation degrades numerically there.  Raises DomainError at a
+    unit-circle position, for points without a trailing axis of length 3,
+    and for a non-finite coordinate or one above 1e150 in magnitude.
     """
     arr = _as_array(z)
+    _check_points(arr, "psi_d1")
     m = p.m
     units = p.unit_centers_array()
     diff = arr[..., None, :] - units
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    if np.any(dist == 0.0):
+        raise DomainError("psi_d1 evaluated at a unit-circle pole")
     if np.any(dist < 1e-6):
         warnings.warn(
             "evaluation within 1e-6 of a cancelling pole pair", NearPoleWarning
@@ -275,7 +307,7 @@ def psi_d1(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
     rotated = np.zeros(arr.shape[:-1])
     for j in range(1, m // 2 + 1):
         rot = rotation_matrix(-2.0 * math.pi * (j - 1) / m)
-        rotated = rotated + psi_d11(arr @ rot.T)
+        rotated = rotated + _psi_d11(arr @ rot.T)
     val = TALENTI_AMP * math.sqrt(p.mu) * (rotated + newton)
     return float(val) if np.ndim(val) == 0 else val
 

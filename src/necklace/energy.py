@@ -5,6 +5,7 @@ reproduces the parameter scaling laws.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,6 +27,8 @@ from .errors import AccuracyError, DomainError
 from .geometry import Point3, SectorConfig
 from .kernels import full_kernels
 from .nodal import radial_nodal_root
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "ReducedConfig", "ReducedPoint", "c_star", "c0", "c2", "a_gamma",
@@ -528,6 +531,8 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     (as a fraction of the box width), the scaling ratios of the minimizer,
     the sweeps used, whether the descent converged before the sweep cap, the
     number of grid points and the scalar objective calls of the descent.
+    K, the mode, the grid points, the sweeps, the evaluations and the axes on
+    the boundary are logged in one DEBUG record on this module's logger.
     Full mode raises DomainError before the grid if check_full_mode does.
     """
     objective = _objective(mode)
@@ -597,6 +602,10 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
         "grid_points": _GRID_POINTS ** len(_ORDER),
         "evaluations": evaluations,
     }
+    _log.debug("minimize_psi K=%d mode %s: %d grid points, %d sweeps, "
+               "%d evaluations, on boundary %s", K, mode,
+               diagnostics["grid_points"], sweeps_used, evaluations,
+               diagnostics["on_boundary"])
     return argmin, diagnostics
 
 

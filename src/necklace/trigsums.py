@@ -20,6 +20,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Tuple
 
 import numpy as np
@@ -143,9 +144,37 @@ def _sum_mp(ctx: MPContext, spec: SumSpec):
     return ctx.make_mpf(total), ctx.make_mpf(abssum)
 
 
+# each variant's + and - terms as slices of the sin^2(j pi/n) table, j = 0..n-1
+# (slice(0) is empty)
+_FLOAT_SLICES = {
+    "odd": (slice(1, None, 2), slice(0)),
+    "even": (slice(0, None, 2), slice(0)),
+    "even_hat": (slice(2, None, 2), slice(0)),
+    "alt": (slice(0, None, 2), slice(1, None, 2)),
+    "alt_hat": (slice(1, None, 2), slice(2, None, 2)),
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _sin2_float(n: int) -> np.ndarray:
+    """sin^2(j pi/n) for j = 0..n-1 as a read-only float array, each entry
+    s * s from s = math.sin(j * step), step = pi/n.  A table takes 8n bytes:
+    at most 512 KB at n = N_MAX, and the 64 cached tables at most 32 MB."""
+    step = math.pi / n
+    sines = np.array([math.sin(j * step) for j in range(n)])
+    table = sines * sines
+    table.flags.writeable = False
+    return table
+
+
 def sum_direct(spec: SumSpec) -> float:
     """The finite sum, by compensated summation.
 
+    In double precision the terms come from a cached table of sin^2(j pi/n)
+    per n (_sin2_float): each variant's positive and negative terms are fixed
+    slices of it, raised to -k/2 by Python's float power, and summed by
+    math.fsum, whose correct rounding makes the result independent of the
+    order of the terms.
     When the alternating cancellation exceeds what double precision can
     resolve (|sum| below 1e-8 of the term magnitude), the sum is recomputed
     in multiprecision with doubling working precision until the result is
@@ -156,14 +185,12 @@ def sum_direct(spec: SumSpec) -> float:
     DEBUG on this module's logger.
     """
     x2 = spec.x * spec.x
-    step = math.pi / spec.n
-    khalf = spec.k / 2.0
-    terms = []
-    for j, sign in _term_indices(spec):
-        s = math.sin(j * step)
-        terms.append(sign * (x2 + s * s) ** (-khalf))
-    total = math.fsum(terms)
-    abssum = math.fsum(abs(t) for t in terms)
+    nkhalf = -(spec.k / 2.0)
+    table = _sin2_float(spec.n)
+    plus, minus = (list(map(pow, (x2 + table[sl]).tolist(), repeat(nkhalf)))
+                   for sl in _FLOAT_SLICES[spec.variant])
+    total = math.fsum(plus + [-t for t in minus])
+    abssum = math.fsum(plus + minus)
     if abs(total) >= _CANCEL_THRESHOLD * abssum:
         return total
     ctx = _mp_context()

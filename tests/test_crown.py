@@ -402,6 +402,13 @@ class TestCorrection:
             assert abs(lap + 5.0 * u_bubble(z) ** 4 * psi_d11(z)) < 1e-5
             checked += 1
 
+    @pytest.mark.parametrize("shape", [(2,), (4, 2), (3, 6), ()])
+    def test_rejects_bad_trailing_axis(self, crown16, shape):
+        with pytest.raises(DomainError, match="trailing axis"):
+            psi_d11(np.full(shape, 0.3))
+        with pytest.raises(DomainError, match="trailing axis"):
+            psi_d1(np.full(shape, 0.3), crown16)
+
     def test_psi_d1_near_pole_warns(self, crown16):
         target = np.array([1.0 + 5e-7, 0.0, 0.0])
         with pytest.warns(NearPoleWarning):
@@ -420,6 +427,47 @@ class TestCorrection:
         rep = q_mid_lower(build_crown(m))
         assert rep.value > 0.0
         assert rep.value >= 0.5 * rep.lower_bound
+
+
+#: a coordinate: near the unit poles, any float, or an edge value around
+#: the 1e150 bound and where (1 + |z|^2)^2 overflows
+_PSI_COORD = st.one_of(
+    st.floats(-2.0, 2.0), st.floats(),
+    st.sampled_from([0.0, 1.0, -1.0, 1e77, 1e150, -1e150, 1.0000000000000002e150,
+                     1e200, math.nan, math.inf, -math.inf]),
+)
+
+
+def _assert_finite_or_domain_error(call, z):
+    # an in-range point gives a finite value or, at a pole, DomainError;
+    # anything else raises DomainError, and no RuntimeWarning escapes
+    in_range = bool(np.isfinite(z).all() and (np.abs(z) <= 1e150).all())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", NearPoleWarning)
+        try:
+            val = call(z)
+        except DomainError as err:
+            assert not in_range or "pole" in str(err)
+            return
+    assert in_range
+    assert np.isfinite(val).all()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_PSI_COORD, _PSI_COORD, _PSI_COORD), min_size=1,
+                max_size=3), st.booleans())
+def test_psi_d11_finite_or_domain_error(points, single):
+    z = np.array(points[0] if single else points, dtype=float)
+    _assert_finite_or_domain_error(psi_d11, z)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(_PSI_COORD, _PSI_COORD, _PSI_COORD), min_size=1,
+                max_size=3), st.booleans())
+def test_psi_d1_finite_or_domain_error(crown16, points, single):
+    z = np.array(points[0] if single else points, dtype=float)
+    _assert_finite_or_domain_error(lambda arr: psi_d1(arr, crown16), z)
 
 
 class TestFiniteDifferences:

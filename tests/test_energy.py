@@ -1,3 +1,4 @@
+import logging
 import math
 import time
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from necklace import energy
+from necklace._forms import s_alt, s_hat
 from necklace._quad import gl_panels
 from necklace.crown import (
     _BLOCK,
@@ -54,7 +56,7 @@ from necklace.kernels import (
     _in_plane,
     _newton_derivs,
 )
-from necklace.trigsums import ZETA3, ZETA5
+from necklace.trigsums import ZETA3, ZETA5, SumSpec, sum_direct
 
 
 def _cfg(K=64):
@@ -118,6 +120,39 @@ class TestLeadingForms:
         r22 = A[1, 1] * 8.0 * math.pi**5 / (93.0 * ZETA5 * K**5)
         assert abs(r11 - 1.0) <= 0.05
         assert abs(r22 - 1.0) <= 0.05
+
+    @pytest.mark.parametrize("K", [64, 128])
+    def test_forms_cold_and_warm_cache(self, K):
+        # the sums, not the forms, are cached: C0, C2 and A_gamma from a cold
+        # cache, then a warm one, equal the forms of the uncached sums
+        def shat(k):
+            return sum_direct(SumSpec("alt_hat", k, K, 0.0))
+
+        def salt(k, d):
+            return sum_direct(SumSpec("alt", k, K, d))
+
+        ds = [0.01 * i for i in range(1, 6)]
+        want = []
+        for d in ds:
+            root = d + math.sqrt(1.0 + d * d)
+            want.append((shat(1) + salt(1, d),
+                         shat(1) + shat(3) + salt(1, d) - root * root * salt(3, d)
+                         + 3.0 * (d * d + d**4) * salt(5, d)))
+        want_form = a_gamma(K).copy()
+        for cache in (s_hat, s_alt, a_gamma):
+            cache.cache_clear()
+        for _warm in range(2):
+            assert [(c0(K, d), c2(K, d)) for d in ds] == want
+            assert a_gamma(K).tobytes() == want_form.tobytes()
+        assert s_alt.cache_info().hits >= 3 * len(ds)
+
+    def test_sum_caches_are_bounded(self):
+        for i in range(s_alt.cache_info().maxsize + 10):
+            s_alt(1, 8, 0.5 + i / 4096)
+        for n in range(4, 2 * s_hat.cache_info().maxsize + 12, 2):
+            s_hat(1, n)
+        for cache in (s_hat, s_alt):
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
     @pytest.mark.parametrize("K", [128, 256])
     def test_a_gamma_positive_definite(self, K):
@@ -331,6 +366,16 @@ class TestMinimization:
         _, capped = minimize_psi(slow, mode="leading")
         assert capped["sweeps_used"] == 1
         assert capped["converged"] is False
+
+    def test_is_logged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="necklace.energy")
+        _, diag = minimize_psi(_cfg(), mode="leading")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"minimize_psi K=64 mode leading: {9**5} grid points, "
+            f"{diag['sweeps_used']} sweeps, {diag['evaluations']} evaluations, "
+            f"on boundary {diag['on_boundary']}"
+        ]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
 
     def test_full_mode(self):
         _, _, gnorm, cstar = default_model()  # the model quadrature, cached, untimed

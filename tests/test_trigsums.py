@@ -190,6 +190,53 @@ def test_sum_mp_bits_equal_operator_loop(variant, k, n, x, dps):
     assert ctx.dps == dps
 
 
+def _sum_float_loop(spec):
+    """The double-precision pathway as a loop over the terms, as the
+    reference for sum_direct's table slices: the sum and the sum of the
+    term magnitudes."""
+    x2 = spec.x * spec.x
+    step = math.pi / spec.n
+    khalf = spec.k / 2.0
+    terms = []
+    for j, sign in trigsums._term_indices(spec):
+        s = math.sin(j * step)
+        terms.append(sign * (x2 + s * s) ** (-khalf))
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(trigsums.VARIANTS),
+    st.sampled_from([1, 3, 5]),
+    st.integers(2, 1024).map(lambda h: 2 * h),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 0.05),
+              st.sampled_from([5e-324, 1e-150, 1e-60, 1e-8])),
+)
+def test_sum_float_bits_equal_term_loop(variant, k, n, x):
+    # the specs the loop resolves in double precision, from a cold and a
+    # warm sin^2 table
+    try:
+        spec = SumSpec(variant, k, n, x)
+    except DomainError:
+        assume(False)
+    total, abssum = _sum_float_loop(spec)
+    assume(abs(total) >= trigsums._CANCEL_THRESHOLD * abssum)
+    trigsums._sin2_float.cache_clear()
+    assert sum_direct(spec) == total
+    assert sum_direct(spec) == total
+
+
+def test_sin2_float_cache_is_bounded():
+    table = trigsums._sin2_float
+    size = table.cache_info().maxsize
+    assert size is not None
+    for n in range(4, 2 * size + 12, 2):
+        arr = table(n)
+        assert arr.shape == (n,)
+        assert not arr.flags.writeable
+    assert table.cache_info().currsize <= size
+
+
 def test_sin2_table_cache_is_bounded():
     ctx = trigsums._mp_context()
     ctx.prec = 77
