@@ -12,7 +12,9 @@ import re
 import sys
 import warnings
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from . import acceptance, energy
 from .crown import build_crown, q_mid_lower, u_star_profile
@@ -32,28 +34,30 @@ from .trigsums import SumSpec, csc_asym, s_asym, sum_direct
 _FMT = "{:.17g}"
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return _FMT.format(v)
-    return str(v)
+def _csv_line(row: Sequence[object]) -> str:
+    """One CSV row by one % operation: %.17g (the digits of _FMT) for a
+    float, %s for anything else."""
+    row = tuple(row)
+    return ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % row
 
 
-def _emit(rows: List[Dict[str, object]], fmt: str, out: Optional[str]) -> None:
+def _emit(columns: Sequence[str], rows: List[Sequence[object]], fmt: str,
+          out: Optional[str]) -> None:
+    """Write ``rows``, each one value per column, as CSV with a header line
+    (nothing at all without rows) or as a JSON list of objects."""
     if fmt == "json":
         payload = [
             {k: (float(_FMT.format(v)) if isinstance(v, float) else v)
-             for k, v in row.items()}
+             for k, v in zip(columns, row)}
             for row in rows
         ]
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif rows:
+        lines = [",".join(columns)]
+        lines += map(_csv_line, rows)
+        text = "\n".join(lines) + "\n"
     else:
-        if not rows:
-            text = ""
-        else:
-            header = list(rows[0].keys())
-            lines = [",".join(header)]
-            lines += [",".join(_fmt(row[k]) for k in header) for row in rows]
-            text = "\n".join(lines) + "\n"
+        text = ""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -172,21 +176,19 @@ def _cmd_sums(args) -> int:
         for w in caught:
             sys.stderr.write(f"warning: {w.message}\n")
     rel = abs(asym / direct - 1.0) if (direct != 0.0 and not math.isnan(asym)) else math.nan
-    _emit([{
-        "variant": args.variant, "k": args.k, "n": args.n, "x": args.x,
-        "direct": direct, "asymptotic": asym, "rel_err": rel,
-    }], args.format, args.out)
+    _emit(("variant", "k", "n", "x", "direct", "asymptotic", "rel_err"),
+          [(args.variant, args.k, args.n, args.x, direct, asym, rel)],
+          args.format, args.out)
     return 0
 
 
 def _cmd_ansatz(args) -> int:
     params = build_crown(args.m)
     rep = q_mid_lower(params)
-    _emit([{
-        "m": params.m, "mu": params.mu, "d": params.d,
-        "ring_radius": params.ring_radius,
-        "mid_value": rep.value, "mid_lower_bound": rep.lower_bound,
-    }], args.format, args.out)
+    _emit(("m", "mu", "d", "ring_radius", "mid_value", "mid_lower_bound"),
+          [(params.m, params.mu, params.d, params.ring_radius, rep.value,
+            rep.lower_bound)],
+          args.format, args.out)
     return 0
 
 
@@ -194,14 +196,8 @@ def _cmd_nodal(args) -> int:
     params = build_crown(args.m)
     profile = u_star_profile(params)
     mesh = nodal_mesh(params, profile, args.bbox, args.res)
-    rows = [
-        {
-            "z1": float(pt[0]), "z2": float(pt[1]), "z3": float(pt[2]),
-            "value": float(val), "grad_norm": float(g),
-        }
-        for pt, val, g in zip(mesh.points, mesh.values, mesh.gradients)
-    ]
-    _emit(rows, args.format, args.out)
+    rows = np.column_stack((mesh.points, mesh.values, mesh.gradients)).tolist()
+    _emit(("z1", "z2", "z3", "value", "grad_norm"), rows, args.format, args.out)
     return 0
 
 
@@ -215,13 +211,11 @@ def _cmd_kernels(args) -> int:
     rows = []
     for name, fn in (("gamma_bb", gamma_bb), ("h0e_bb", h0e_bb)):
         rep = fn(b, cfg)
-        rows.append({
-            "kernel": name, "K": args.K, "b_abs": args.b_abs,
-            "alpha_b": args.alpha_b, "direct": rep.direct,
-            "closed_form": rep.closed_form, "asymptotic": rep.asymptotic,
-            "abs_err_dc": rep.abs_err_dc, "abs_err_ca": rep.abs_err_ca,
-        })
-    _emit(rows, args.format, args.out)
+        rows.append((name, args.K, args.b_abs, args.alpha_b, rep.direct,
+                     rep.closed_form, rep.asymptotic, rep.abs_err_dc,
+                     rep.abs_err_ca))
+    _emit(("kernel", "K", "b_abs", "alpha_b", "direct", "closed_form",
+           "asymptotic", "abs_err_dc", "abs_err_ca"), rows, args.format, args.out)
     return 0
 
 
@@ -233,29 +227,24 @@ def _cmd_energy(args) -> int:
     _, _, gnorm, cstar = energy.default_model()
     cfg = replace(cfg, gnorm=gnorm, cstar=cstar)
     argmin, diag = minimize_psi(cfg, mode=args.mode)
-    _emit([{
-        "K": args.K, "lam": args.lam, "delta": args.delta, "mode": args.mode,
-        "eps": argmin.eps, "a": argmin.a, "d": argmin.d,
-        "alpha_b": argmin.alpha_b, "alpha_w": argmin.alpha_w,
-        "value": float(diag["value"]), "eps_ratio": float(diag["eps_ratio"]),
-        "d_scaling": float(diag["d_scaling"]),
-        "on_boundary": ";".join(diag["on_boundary"]),
-    }], args.format, args.out)
+    _emit(("K", "lam", "delta", "mode", "eps", "a", "d", "alpha_b", "alpha_w",
+           "value", "eps_ratio", "d_scaling", "on_boundary"),
+          [(args.K, args.lam, args.delta, args.mode, argmin.eps, argmin.a,
+            argmin.d, argmin.alpha_b, argmin.alpha_w, float(diag["value"]),
+            float(diag["eps_ratio"]), float(diag["d_scaling"]),
+            ";".join(diag["on_boundary"]))],
+          args.format, args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     results = acceptance.run_all(quick=args.quick)
-    rows = [
-        {"criterion": i + 1, "name": r.name,
-         "status": "pass" if r.passed else "FAIL",
-         "elapsed_s": r.elapsed}
-        for i, r in enumerate(results)
-    ]
-    _emit(rows, args.format, args.out)
+    rows = [(i + 1, r.name, "pass" if r.passed else "FAIL", r.elapsed)
+            for i, r in enumerate(results)]
+    _emit(("criterion", "name", "status", "elapsed_s"), rows, args.format, args.out)
     if args.out:
-        for row in rows:
-            sys.stdout.write(f"{row['criterion']:>2} {row['name']:<28} {row['status']}\n")
+        for criterion, name, status, _ in rows:
+            sys.stdout.write(f"{criterion:>2} {name:<28} {status}\n")
     return 0 if all(r.passed for r in results) else 1
 
 

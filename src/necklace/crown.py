@@ -236,7 +236,8 @@ def u_star_profile(p: CrownParams) -> ProfileHandle:
     return ProfileHandle(fn=lambda arr: u_star(arr, p), bubbles=p._bubbles)
 
 
-#: the largest |coordinate| psi_d11 and psi_d1 take, the bound h0e uses
+#: the largest |coordinate| psi_d11, psi_d1 and the finite differences
+#: take, the bound h0e uses
 _COORD_MAX = 1e150
 # up to this 1 + |z|^2 its square is finite; past it psi_d11 is
 # sqrt(2) (1+|z|^2)^{-1/2} to double precision, as z1^2/(1+|z|^2)^2 < 1e-154
@@ -336,9 +337,26 @@ def fd_gradient(profile: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
     point or at each row of (N, 3) points, with step ``h``: a scalar or one
     step per point.
 
+    Raises DomainError for points without a trailing axis of length 3, for
+    a non-finite coordinate or one above 1e150 in magnitude, and for a step
+    that is not finite and positive, is above 1e150, or is neither one
+    value nor one per point."""
+    pts = np.asarray(points, dtype=float)
+    _check_points(pts, "fd_gradient")
+    h = np.asarray(h, dtype=float)
+    if not (h.size in (1, pts.size // 3) and np.isfinite(h).all()
+            and (h > 0.0).all() and (h <= _COORD_MAX).all()):
+        raise DomainError(f"fd_gradient takes one step, or one per point, in "
+                          f"(0, {_COORD_MAX:g}]")
+    return _fd_gradient(profile, pts, h)
+
+
+def _fd_gradient(profile: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
+                 h: Union[float, np.ndarray]) -> np.ndarray:
+    """fd_gradient without its checks.
+
     Each chunk of points makes one profile call on its six stencil points,
     small enough to be one block of u_star."""
-    pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 3)
     h = np.asarray(h, dtype=float).reshape(-1, 1)
     grad = np.empty_like(flat)

@@ -12,8 +12,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .crown import (_BLOCK, CrownParams, ProfileHandle, _as_array, _sq_norm,
-                    bubble_derivs, fd_gradient)
+from .crown import (_BLOCK, CrownParams, ProfileHandle, _as_array,
+                    _check_points, _fd_gradient, _sq_norm, bubble_derivs)
 from .errors import DomainError, NotFoundError
 from .geometry import Point3
 
@@ -75,10 +75,14 @@ class NodalMesh:
 
 
 def gradient_norms(profile: ProfileHandle, points: np.ndarray) -> np.ndarray:
-    """Central-difference |grad u| with scale-aware step h = 1e-5 max(1, |z|)."""
+    """Central-difference |grad u| with scale-aware step h = 1e-5 max(1, |z|).
+
+    Raises DomainError for points without a trailing axis of length 3 and
+    for a non-finite coordinate or one above 1e150 in magnitude."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    _check_points(pts, "gradient_norms")
     h = 1e-5 * np.maximum(1.0, np.linalg.norm(pts, axis=-1))
-    return np.linalg.norm(fd_gradient(profile.fn, pts, h), axis=-1)
+    return np.linalg.norm(_fd_gradient(profile.fn, pts, h), axis=-1)
 
 
 def radial_nodal_root(p: CrownParams, profile: ProfileHandle, j: int,
@@ -129,6 +133,11 @@ def _axis_bounds(axis: np.ndarray, centres: np.ndarray, amp: np.ndarray):
     return np.where(amp > 0, far, near), np.where(amp > 0, near, far)
 
 
+def _signs(positive: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """1, -1 or 0 as int8 where the masks say positive, negative or neither."""
+    return positive.view(np.int8) - negative.view(np.int8)
+
+
 def _certified_signs(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, bubbles):
     """Per layer of _BRICK z slabs, the certified sign of the sum of
     ``bubbles`` at the grid points (xs[i], ys[j], z) of each of its slabs:
@@ -144,7 +153,7 @@ def _certified_signs(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, bubbles):
     for zl, zh in zip(z_lo + c, z_hi + c):
         lower = np.power(x_lo[:, None] + (y_lo + zl), -0.5) @ amp
         upper = np.power(x_hi[:, None] + (y_hi + zh), -0.5) @ amp
-        brick = np.where(lower > _SIGN_MARGIN, 1.0, 0.0) - (upper < -_SIGN_MARGIN)
+        brick = _signs(lower > _SIGN_MARGIN, upper < -_SIGN_MARGIN)
         yield np.repeat(np.repeat(brick, _BRICK, axis=0), _BRICK,
                         axis=1)[:len(xs), :len(ys)]
 
@@ -292,10 +301,11 @@ def _bisect(fn, a, axis, ends, vals, bounds):
             done = state[0][~moving]
             a[done, axis[done]] = m[~moving]
             # compact in place, one array's copy alive at a time
-            k = np.count_nonzero(moving)
+            keep = np.flatnonzero(moving)
+            k = len(keep)
             for v in state:
-                v[:k] = v[moving]
-            state, m = [v[:k] for v in state], m[moving]
+                v[:k] = v.take(keep, axis=0)
+            state, m = [v[:k] for v in state], m.take(keep)
             if not k:
                 break
         live, ends, vals = state[:3]
@@ -305,8 +315,10 @@ def _bisect(fn, a, axis, ends, vals, bounds):
         evaluated += len(rows)
         certified += len(m) - len(rows)
         if len(rows):
-            mids = a[rows]
-            mids[np.arange(len(rows)), axis[rows]] = m[pick]
+            mids = a.take(rows, axis=0)
+            at = np.arange(0, 3 * len(rows), 3)
+            at += axis.take(rows)
+            mids.reshape(-1)[at] = m[pick]
             del rows
             val[pick] = fn(mids)
             del mids
@@ -323,13 +335,34 @@ def _bisect(fn, a, axis, ends, vals, bounds):
     return evaluated, certified
 
 
-def _crossings(sign_a, sign_b, xs, ys, za, zb, di, dj, segs):
-    """The grid edges from (xs[i], ys[j], za) to (xs[i + di], ys[j + dj], zb)
-    whose end signs differ, in C order of (i, j)."""
-    i, j = np.nonzero(sign_a * sign_b < 0)
-    if len(i):
-        segs.append((np.stack([xs[i], ys[j], np.full(len(i), za)], axis=-1),
-                     np.stack([xs[i + di], ys[j + dj], np.full(len(i), zb)], axis=-1)))
+def _crossings(products, k, kind, found):
+    """Record the grid edges whose products of end signs are negative, from
+    ``products`` per flat point f of their a ends: their f in increasing
+    order, the z index ``k`` of their a ends and their ``kind``.  Below
+    RES_MAX, f fits an int32 and k an int16."""
+    f = np.flatnonzero(products < 0)
+    if len(f):
+        found.append((f.astype(np.int32), k, kind))
+
+
+def _crossing_ends(found, res, xs, ys, zs):
+    """The ends a and b of the ``found`` crossings in the scan's order, the
+    axis each edge runs along and its (lo, hi) coordinates on that axis.
+    Kind 0 goes from (i, j) to (i + 1, j), kind 1 to (i, j + 1) and kind 2
+    from slab k to slab k + 1."""
+    counts = [len(f) for f, _, _ in found]
+    i, j = divmod(np.concatenate([f for f, _, _ in found]), res)
+    k = np.repeat(np.array([k for _, k, _ in found], dtype=np.int16), counts)
+    axis = np.repeat(np.array([kind for _, _, kind in found], dtype=np.int8), counts)
+    # indices into the coordinates xs, ys and zs laid end to end
+    coords = np.concatenate([xs, ys, zs])
+    at = np.stack([i, j + res, k + 2 * res], axis=-1)
+    del i, j, k
+    a = coords[at]
+    rows = np.arange(len(at))
+    lo = at[rows, axis]
+    at[rows, axis] += 1
+    return a, coords[at], axis, coords[lo[:, None] + (0, 1)]
 
 
 def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) -> NodalMesh:
@@ -353,41 +386,47 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     if not 16 <= resolution <= RES_MAX:
         raise DomainError(f"resolution must be 16 to {RES_MAX} per axis, got {resolution}")
     xs, ys, zs = (np.linspace(lo, hi, resolution) for lo, hi in bbox)
+    res = resolution
     layers = _certified_signs(xs, ys, zs, profile.bubbles)
-    segs = []
+    found = []
     prev_sign = None
     scanned = 0
     # slab-by-slab scan in deterministic z order, evaluating the field only
-    # where the sign is not certified
+    # where the sign is not certified.  A slab's signs are a flat array in C
+    # order of (i, j): point (i, j) is entry f = i res + j
     for k, z in enumerate(zs):
         if k % _BRICK == 0:
-            certified = next(layers)
-            ui, uj = np.nonzero(certified == 0.0)
+            certified = next(layers).reshape(-1)
+            todo = np.flatnonzero(certified == 0)
+            ui, uj = divmod(todo, res)
+            pts = np.empty((len(todo), 3))
+            pts[:, 0], pts[:, 1] = xs[ui], ys[uj]
+            del ui, uj
         sign = certified.copy()
-        if len(ui):
-            pts = np.stack([xs[ui], ys[uj], np.full(len(ui), z)], axis=-1)
-            sign[ui, uj] = np.sign(profile.fn(pts))
-            scanned += len(ui)
-        _crossings(sign[:-1, :], sign[1:, :], xs, ys, z, z, 1, 0, segs)
-        _crossings(sign[:, :-1], sign[:, 1:], xs, ys, z, z, 0, 1, segs)
+        if len(todo):
+            pts[:, 2] = z
+            u = profile.fn(pts)
+            sign[todo] = _signs(u > 0.0, u < 0.0)
+            scanned += len(todo)
+        _crossings(sign[:-res] * sign[res:], k, 0, found)
+        along_y = sign[:-1] * sign[1:]
+        # the pairs (i, res - 1), (i + 1, 0) are no edges
+        along_y[res - 1::res] = 0
+        _crossings(along_y, k, 1, found)
         if prev_sign is not None:
-            _crossings(prev_sign, sign, xs, ys, zs[k - 1], z, 0, 0, segs)
+            _crossings(prev_sign * sign, k - 1, 2, found)
         prev_sign = sign
 
-    if not segs:
+    if not found:
         _log_mesh(resolution, scanned, 0, 0, 0, 0)
         empty = np.empty((0, 3))
         return NodalMesh(points=empty, values=np.empty(0), gradients=np.empty(0),
                          bbox=bbox, resolution=resolution)
 
-    a = np.concatenate([s[0] for s in segs])
-    b = np.concatenate([s[1] for s in segs])
-    del segs
     # each edge runs along one axis: bisect that coordinate [lo, hi] only
     # (the others' midpoint 0.5 (x + x) is x)
-    axis = np.argmax(a != b, axis=1).astype(np.int8)
-    ends = np.stack([np.take_along_axis(e, axis[:, None], axis=1)[:, 0]
-                     for e in (a, b)], axis=1)
+    a, b, axis, ends = _crossing_ends(found, res, xs, ys, zs)
+    del found
     vals = np.stack([profile.fn(a), profile.fn(b)], axis=1)
     bounds = _edge_bounds(a, b, axis, profile.bubbles)
     del b

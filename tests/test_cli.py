@@ -8,6 +8,7 @@ import tempfile
 import threading
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,6 +237,25 @@ class TestSubcommands:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "041889c5292b67000e51e715a87211fbd46fba1d6d81f50e2b85c7275f8e5188"
+        )
+
+    @pytest.mark.parametrize("command, digest", [
+        ("sums", "0cc710613d238bc6ff7c447a2af15fd7c032b8bddbbcaac59b72a7010871fbfe"),
+        ("ansatz", "7ca59ec223f69a732288f087bb50a37b3a0c72b8c34425132746b138dd47d5d8"),
+        ("kernels", "5cd56e73c819a96364bd8fcf2dd6bce2080ab3651a20955be654180e20e7b0e3"),
+    ])
+    def test_defaults_bytes(self, tmp_path, capsys, command, digest):
+        out = tmp_path / f"{command}.csv"
+        assert run([command, "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_nodal_res192_bytes(self, tmp_path, capsys):
+        out = tmp_path / "nodal.csv"
+        assert run(["nodal", "--res", "192", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "aeb9c06d5e3b74ed858e801ab37ac8a762450e2f2f023d4bc9d8ea2960f93113"
         )
 
     def test_nodal_domain_error(self, capsys):
@@ -582,3 +602,24 @@ def test_verify_exits_cleanly(tokens, passed, config):
         assert not all(passed)
     assert sum("error:" in ln for ln in err.getvalue().splitlines()) == (code == 2)
     assert "Traceback" not in err.getvalue()
+
+
+#: a CSV value: any float, an edge float, a numpy float64 or a non-float
+_CSV_VALUE = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats().map(np.float64),
+    st.integers(), st.text(max_size=5), st.booleans(), st.none(),
+)
+
+
+@settings(max_examples=300)
+@given(st.floats(allow_subnormal=True) | st.floats().map(np.float64),
+       st.lists(_CSV_VALUE, min_size=1, max_size=6))
+def test_csv_line_matches_per_value_format(value, row):
+    # one % per row gives "{:.17g}" for each float (np.float64 included) and
+    # str for anything else, joined by commas
+    assert cli._csv_line([value]) == "{:.17g}".format(value)
+    assert cli._csv_line(row) == ",".join(
+        "{:.17g}".format(v) if isinstance(v, float) else str(v) for v in row)

@@ -470,6 +470,36 @@ def test_psi_d1_finite_or_domain_error(crown16, points, single):
     _assert_finite_or_domain_error(lambda arr: psi_d1(arr, crown16), z)
 
 
+#: a finite-difference step: any float, or an edge value of its range
+_FD_STEP = st.one_of(
+    st.floats(),
+    st.sampled_from([1e-6, 5e-324, 1e150, 1.0000000000000002e150, 0.0, -1e-6,
+                     math.nan, math.inf]),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_PSI_COORD, _PSI_COORD, _PSI_COORD), min_size=1,
+                max_size=3), st.booleans(), st.lists(_FD_STEP, min_size=1, max_size=3))
+def test_fd_gradient_finite_or_domain_error(crown16, points, single, steps):
+    # in-range points and steps, one or one per point, give a finite
+    # gradient; anything else raises DomainError, and no RuntimeWarning escapes
+    z = np.array(points[0] if single else points, dtype=float)
+    h = np.array(steps[0] if len(steps) == 1 else steps)
+    in_range = bool(np.isfinite(z).all() and (np.abs(z) <= 1e150).all()
+                    and h.size in (1, z.size // 3) and np.isfinite(h).all()
+                    and (h > 0.0).all() and (h <= 1e150).all())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            grad = fd_gradient(u_star_profile(crown16).fn, z, h)
+        except DomainError:
+            assert not in_range
+            return
+    assert in_range
+    assert grad.shape == z.shape and np.isfinite(grad).all()
+
+
 class TestFiniteDifferences:
     def test_gradient_and_hessian_on_quadratic(self):
         A = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 4.0]])

@@ -104,6 +104,34 @@ def _gradient_norms_loop(profile, pts):
     return np.linalg.norm(acc, axis=-1)
 
 
+#: a coordinate: near the ring, any float, or an edge value around the
+#: 1e150 bound
+_COORD = st.one_of(
+    st.floats(-1.5, 1.5), st.floats(),
+    st.sampled_from([0.0, 1e150, -1e150, 1.0000000000000002e150, 1e200,
+                     np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=3),
+       st.booleans())
+def test_gradient_norms_finite_or_domain_error(star16, points, single):
+    # in-range points give finite norms; anything else raises DomainError,
+    # and no RuntimeWarning escapes
+    z = np.array(points[0] if single else points, dtype=float)
+    in_range = bool(np.isfinite(z).all() and (np.abs(z) <= 1e150).all())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            norms = gradient_norms(star16, z)
+        except DomainError:
+            assert not in_range
+            return
+    assert in_range
+    assert norms.shape == (len(np.atleast_2d(z)),) and np.isfinite(norms).all()
+
+
 @pytest.mark.parametrize("n", [_BLOCK // 6 - 1, _BLOCK // 6, _BLOCK // 6 + 1])
 def test_chunked_gradient_norms_match_loop(crown16, star16, n):
     rng = np.random.default_rng(n)
@@ -187,6 +215,9 @@ class TestNodalMesh:
 _BOX = ((-2.5, 2.5),) * 3
 #: a box that is neither cubic nor centred
 _SKEW_BOX = ((-2.1, 2.4), (-1.7, 2.9), (-0.8, 1.3))
+#: a box whose y faces cut the zero set: the last point of a row of a slab
+#: and the first of the next row differ in sign, yet no edge joins them
+_Y_FACE_BOX = ((0.4, 0.8), (-0.3, 0.0), (-0.1, 0.1))
 
 
 def _old_mesh(profile, bbox, res):
@@ -280,7 +311,8 @@ def test_halvings_evaluate_only_uncertified_moving_rows(crown16, star16, caplog)
     assert evaluated < 0.5 * rows * len(old)
 
 
-@pytest.mark.parametrize("bbox", [_BOX, _SKEW_BOX], ids=["cube", "skew"])
+@pytest.mark.parametrize("bbox", [_BOX, _SKEW_BOX, _Y_FACE_BOX],
+                         ids=["cube", "skew", "yface"])
 @pytest.mark.parametrize("res", [16, 33, 48, 96])
 def test_mesh_equals_old_bisection(crown16, star16, res, bbox):
     old = _old_mesh(star16, bbox, res)
