@@ -31,12 +31,9 @@ from .kernels import gamma_bb, h0e_bb
 from .nodal import nodal_mesh
 from .trigsums import SumSpec, csc_asym, s_asym, sum_direct
 
-_FMT = "{:.17g}"
-
-
 def _csv_line(row: Sequence[object]) -> str:
-    """One CSV row by one % operation: %.17g (the digits of _FMT) for a
-    float, %s for anything else."""
+    """One CSV row by one % operation: %.17g for a float, %s for anything
+    else."""
     row = tuple(row)
     return ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % row
 
@@ -46,11 +43,7 @@ def _emit(columns: Sequence[str], rows: List[Sequence[object]], fmt: str,
     """Write ``rows``, each one value per column, as CSV with a header line
     (nothing at all without rows) or as a JSON list of objects."""
     if fmt == "json":
-        payload = [
-            {k: (float(_FMT.format(v)) if isinstance(v, float) else v)
-             for k, v in zip(columns, row)}
-            for row in rows
-        ]
+        payload = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif rows:
         lines = [",".join(columns)]
@@ -239,11 +232,16 @@ def _cmd_energy(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = acceptance.run_all(quick=args.quick)
+    columns = ("criterion", "name", "status", "elapsed_s")
     rows = [(i + 1, r.name, "pass" if r.passed else "FAIL", r.elapsed)
             for i, r in enumerate(results)]
-    _emit(("criterion", "name", "status", "elapsed_s"), rows, args.format, args.out)
+    if args.format == "json":
+        columns += ("checks", "error")
+        rows = [row + ([{**c._asdict(), "margin": c.margin} for c in r.checks], r.error)
+                for row, r in zip(rows, results)]
+    _emit(columns, rows, args.format, args.out)
     if args.out:
-        for criterion, name, status, _ in rows:
+        for criterion, name, status, *_ in rows:
             sys.stdout.write(f"{criterion:>2} {name:<28} {status}\n")
     return 0 if all(r.passed for r in results) else 1
 

@@ -36,6 +36,18 @@ def _as_array(z: PointLike) -> np.ndarray:
     return np.asarray(z, dtype=float)
 
 
+#: the largest |coordinate| of a point the crown functions take, and of |z|,
+#: |p| and |z||p| in the kernels: past it squared distances overflow
+_COORD_MAX = 1e150
+
+
+def _check_points(arr: np.ndarray, name: str) -> None:
+    if arr.shape[-1:] != (3,):
+        raise DomainError(f"points must have a trailing axis of length 3, got {arr.shape}")
+    if not (np.isfinite(arr).all() and (np.abs(arr) <= _COORD_MAX).all()):
+        raise DomainError(f"{name} takes finite coordinates up to {_COORD_MAX:g}")
+
+
 def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.flags.writeable = False
@@ -111,8 +123,17 @@ def _sq_norm(y: np.ndarray) -> np.ndarray:
 
 
 def u_bubble(z: PointLike) -> Union[float, np.ndarray]:
-    """The standard bubble 3^{1/4} (1 + |z|^2)^{-1/2}."""
+    """The standard bubble 3^{1/4} (1 + |z|^2)^{-1/2}.
+
+    Raises DomainError for points without a trailing axis of length 3, and
+    for a non-finite coordinate or one above 1e150 in magnitude."""
     arr = _as_array(z)
+    _check_points(arr, "u_bubble")
+    return _u_bubble(arr)
+
+
+def _u_bubble(arr: np.ndarray) -> Union[float, np.ndarray]:
+    """u_bubble without its checks, for points built from checked input."""
     val = TALENTI_AMP / np.sqrt(1.0 + np.sum(arr * arr, axis=-1))
     return float(val) if np.ndim(val) == 0 else val
 
@@ -123,10 +144,16 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
     The points are walked in blocks of at most _BLOCK rows through one reused
     (block, m) buffer, every step in place, so no (N, m) temporary is made.
     A point's value does not depend on how many points share the call.
+    Raises DomainError for points without a trailing axis of length 3, and
+    for a non-finite coordinate or one above 1e150 in magnitude.
     """
     arr = _as_array(z)
-    if arr.shape[-1:] != (3,):
-        raise DomainError(f"points must have a trailing axis of length 3, got {arr.shape}")
+    _check_points(arr, "u_star")
+    return _u_star(arr, p)
+
+
+def _u_star(arr: np.ndarray, p: CrownParams) -> Union[float, np.ndarray]:
+    """u_star without its checks, for points built from checked input."""
     pts = arr.reshape(-1, 3)
     # a lone row would go through BLAS's matrix-vector product, which rounds
     # differently from the matrix-matrix product of a batch; as a 2-row batch
@@ -229,26 +256,16 @@ _TALENTI_BUBBLES = _read_only(np.zeros((1, 3)), np.ones(1), np.array([TALENTI_AM
 
 
 def talenti_profile() -> ProfileHandle:
-    return ProfileHandle(fn=u_bubble, bubbles=_TALENTI_BUBBLES)
+    return ProfileHandle(fn=_u_bubble, bubbles=_TALENTI_BUBBLES)
 
 
 def u_star_profile(p: CrownParams) -> ProfileHandle:
-    return ProfileHandle(fn=lambda arr: u_star(arr, p), bubbles=p._bubbles)
+    return ProfileHandle(fn=lambda arr: _u_star(arr, p), bubbles=p._bubbles)
 
 
-#: the largest |coordinate| psi_d11, psi_d1 and the finite differences
-#: take, the bound h0e uses
-_COORD_MAX = 1e150
 # up to this 1 + |z|^2 its square is finite; past it psi_d11 is
 # sqrt(2) (1+|z|^2)^{-1/2} to double precision, as z1^2/(1+|z|^2)^2 < 1e-154
 _S_FAR = 1e154
-
-
-def _check_points(arr: np.ndarray, name: str) -> None:
-    if arr.shape[-1:] != (3,):
-        raise DomainError(f"points must have a trailing axis of length 3, got {arr.shape}")
-    if not (np.isfinite(arr).all() and (np.abs(arr) <= _COORD_MAX).all()):
-        raise DomainError(f"{name} takes finite coordinates up to {_COORD_MAX:g}")
 
 
 def psi_d11(z: PointLike) -> Union[float, np.ndarray]:

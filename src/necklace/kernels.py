@@ -12,14 +12,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._forms import a_gamma_quad, s_alt, s_hat
-from .crown import ProfileHandle, bubble_derivs
+from .crown import _COORD_MAX, ProfileHandle, bubble_derivs
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
 
 _COINCIDENT_TOL = 1e-13
-#: the largest |z| and |p| of gamma_direct and h0e, and |z||p| of h0e: beyond
-#: it squared distances and h0's radicand 1 - 2 z.p + |z|^2 |p|^2 overflow
-_H0_MAX = 1e150
 #: central-difference step of kernel_grad's direct derivative
 _GRAD_STEP = 1e-6
 #: second-difference step of kernel_hess; the differences at this step and
@@ -167,9 +164,9 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
 def gamma_direct(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """1/|zbar e^{2i t0} - p| - sum_{j=1}^{K/2-1} (1/|z e^{4ij t0} - p|
     - 1/|zbar e^{(4j+2)i t0} - p|): the image-interaction kernel, for |z|
-    and |p| up to _H0_MAX."""
-    if max(z.norm(), p.norm()) > _H0_MAX:
-        raise DomainError(f"gamma takes |z| and |p| up to {_H0_MAX:g}")
+    and |p| up to _COORD_MAX."""
+    if max(z.norm(), p.norm()) > _COORD_MAX:
+        raise DomainError(f"gamma takes |z| and |p| up to {_COORD_MAX:g}")
     mats, signs = _tail(cfg)
     r = _norm(mats @ z.as_array() - p.as_array())
     if np.any(r < _COINCIDENT_TOL):
@@ -225,14 +222,14 @@ def _h0_rad(v: np.ndarray, pv: np.ndarray) -> np.ndarray:
 
 def _check_h0_scale(z: Point3, p: Point3) -> None:
     nz, npn = z.norm(), p.norm()
-    if max(nz, npn, nz * npn) > _H0_MAX:
-        raise DomainError(f"h0e takes |z|, |p| and |z||p| up to {_H0_MAX:g}")
+    if max(nz, npn, nz * npn) > _COORD_MAX:
+        raise DomainError(f"h0e takes |z|, |p| and |z||p| up to {_COORD_MAX:g}")
 
 
 def h0e(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """The alternating extension in its first slot of
     h0(z, p) = (1 - 2 z.p + |z|^2 |p|^2)^{-1/2}, for |z|, |p| and |z||p| up
-    to _H0_MAX."""
+    to _COORD_MAX."""
     _check_h0_scale(z, p)
     mats, signs = sector_images(cfg.K)
     return math.fsum(signs * _pow(_h0_rad(mats @ z.as_array(), p.as_array()), -0.5))

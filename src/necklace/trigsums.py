@@ -30,8 +30,6 @@ from mpmath.libmp import fzero, mpf_add, mpf_neg, mpf_pow
 from ._quad import gl_panels
 from .errors import AccuracyError, DomainError, RegimeWarning, UnsupportedError
 
-VARIANTS = ("odd", "even", "even_hat", "alt", "alt_hat")
-
 # Alternating sums are exponentially small in n*x while their terms are O(1);
 # below this cancellation level the float pathway is recomputed in escalating
 # multiprecision (see sum_direct).
@@ -42,6 +40,17 @@ _CANCEL_THRESHOLD = 1e-8
 N_MAX = 2**16
 
 _log = logging.getLogger(__name__)
+
+# each variant's + and - terms (x^2 + sin^2(j pi/n))^{-k/2} as slices of
+# j = 0..n-1 (slice(0) is empty)
+_FLOAT_SLICES = {
+    "odd": (slice(1, None, 2), slice(0)),
+    "even": (slice(0, None, 2), slice(0)),
+    "even_hat": (slice(2, None, 2), slice(0)),
+    "alt": (slice(0, None, 2), slice(1, None, 2)),
+    "alt_hat": (slice(1, None, 2), slice(2, None, 2)),
+}
+VARIANTS = tuple(_FLOAT_SLICES)
 
 
 @dataclass(frozen=True)
@@ -74,26 +83,6 @@ class SumSpec:
                     f"variant {self.variant!r}: the j=0 term (x^2)^(-k/2) is not "
                     f"a finite double at x={self.x!r}, k={self.k}"
                 )
-
-
-def _term_indices(spec: SumSpec):
-    """Yield (j, sign) pairs where the term is (x^2 + sin^2(j pi/n))^{-k/2}."""
-    n = spec.n
-    if spec.variant == "odd":
-        for j in range(0, n, 2):
-            yield j + 1, 1.0
-    elif spec.variant == "even":
-        for j in range(0, n, 2):
-            yield j, 1.0
-    elif spec.variant == "even_hat":
-        for j in range(2, n, 2):
-            yield j, 1.0
-    elif spec.variant == "alt":
-        for j in range(n):
-            yield j, 1.0 if j % 2 == 0 else -1.0
-    else:  # alt_hat
-        for j in range(1, n):
-            yield j, 1.0 if j % 2 == 1 else -1.0
 
 
 # one private mpmath context per thread: mpmath's global context keeps one
@@ -135,24 +124,15 @@ def _sum_mp(ctx: MPContext, spec: SumSpec):
     nkhalf = (-(ctx.mpf(spec.k) / 2))._mpf_
     prec, rnd = ctx._prec_rounding
     s2 = _sin2_table(spec.n, prec)
+    js = range(spec.n)
+    plus, minus = (js[sl] for sl in _FLOAT_SLICES[spec.variant])
     total = abssum = fzero
-    for j, sign in _term_indices(spec):
+    # in increasing j: the rounded sums depend on the order of their terms
+    for j in sorted([*plus, *minus]):
         t = mpf_pow(mpf_add(x2, s2[j], prec, rnd), nkhalf, prec, rnd)
-        # sign * t is exact: t itself or its negation
-        total = mpf_add(total, t if sign > 0 else mpf_neg(t), prec, rnd)
+        total = mpf_add(total, mpf_neg(t) if j in minus else t, prec, rnd)
         abssum = mpf_add(abssum, t, prec, rnd)
     return ctx.make_mpf(total), ctx.make_mpf(abssum)
-
-
-# each variant's + and - terms as slices of the sin^2(j pi/n) table, j = 0..n-1
-# (slice(0) is empty)
-_FLOAT_SLICES = {
-    "odd": (slice(1, None, 2), slice(0)),
-    "even": (slice(0, None, 2), slice(0)),
-    "even_hat": (slice(2, None, 2), slice(0)),
-    "alt": (slice(0, None, 2), slice(1, None, 2)),
-    "alt_hat": (slice(1, None, 2), slice(2, None, 2)),
-}
 
 
 @functools.lru_cache(maxsize=64)

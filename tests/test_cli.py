@@ -387,14 +387,16 @@ def test_verify_runs_serially(monkeypatch, capsys, tmp_path):
         seen = []
 
         def fake(name):
-            def criterion(quick):
+            def body(quick):
                 assert quick is True
                 seen.append((name, threading.get_ident()))
-                return acceptance.Result(name, name != failing, 0.0)
-            return criterion
+                return [acceptance.Check("x", 2.0 if name == failing else 0.5, "<=", 1.0)]
+            return name, body, None
 
         names = ("first", "second", "third")
         monkeypatch.setattr(acceptance, "CRITERIA", tuple(map(fake, names)))
+        # the model is built once before the criteria; not paid here
+        monkeypatch.setattr(acceptance, "default_model", lambda: None)
         out = tmp_path / "verify.json"
         assert run(["verify", "--quick", "--format", "json",
                     "--out", str(out)]) == code
@@ -405,6 +407,10 @@ def test_verify_runs_serially(monkeypatch, capsys, tmp_path):
             (1, "first"), (2, "second"), (3, "third")]
         assert [r["status"] for r in rows] == [
             "FAIL" if n == failing else "pass" for n in names]
+        assert [(r["checks"], r["error"]) for r in rows] == [
+            ([{"quantity": "x", "measured": 2.0 if n == failing else 0.5, "op": "<=",
+               "bound": 1.0, "margin": -1.0 if n == failing else 0.5}], None)
+            for n in names]
 
 
 @pytest.mark.parametrize("argv, flag, value, code", [

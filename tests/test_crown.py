@@ -470,6 +470,22 @@ def test_psi_d1_finite_or_domain_error(crown16, points, single):
     _assert_finite_or_domain_error(lambda arr: psi_d1(arr, crown16), z)
 
 
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_PSI_COORD, _PSI_COORD, _PSI_COORD), min_size=1,
+                max_size=3), st.booleans())
+def test_u_bubble_finite_or_domain_error(points, single):
+    z = np.array(points[0] if single else points, dtype=float)
+    _assert_finite_or_domain_error(u_bubble, z)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_PSI_COORD, _PSI_COORD, _PSI_COORD), min_size=1,
+                max_size=3), st.booleans())
+def test_u_star_finite_or_domain_error(crown16, points, single):
+    z = np.array(points[0] if single else points, dtype=float)
+    _assert_finite_or_domain_error(lambda arr: u_star(arr, crown16), z)
+
+
 #: a finite-difference step: any float, or an edge value of its range
 _FD_STEP = st.one_of(
     st.floats(),

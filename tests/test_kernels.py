@@ -153,7 +153,7 @@ class TestGamma:
             gamma_direct(z, p, CFG)
 
     def test_huge_points_rejected(self):
-        # past _H0_MAX the squared distances overflow; up to it they do not
+        # past _COORD_MAX the squared distances overflow; up to it they do not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):

@@ -156,6 +156,28 @@ def test_extreme_cancellation_uses_high_precision():
     assert val == pytest.approx(float(ref), rel=1e-10)
 
 
+def _term_indices(spec):
+    """Yield (j, sign) pairs where the term is (x^2 + sin^2(j pi/n))^{-k/2},
+    in increasing j: each variant's definition, as the reference for the
+    index slices of trigsums._FLOAT_SLICES."""
+    n = spec.n
+    if spec.variant == "odd":
+        for j in range(0, n, 2):
+            yield j + 1, 1.0
+    elif spec.variant == "even":
+        for j in range(0, n, 2):
+            yield j, 1.0
+    elif spec.variant == "even_hat":
+        for j in range(2, n, 2):
+            yield j, 1.0
+    elif spec.variant == "alt":
+        for j in range(n):
+            yield j, 1.0 if j % 2 == 0 else -1.0
+    else:  # alt_hat
+        for j in range(1, n):
+            yield j, 1.0 if j % 2 == 1 else -1.0
+
+
 def _sum_mp_operators(ctx, spec):
     """The multiprecision loop on mpmath's mpf operators, as the reference
     for trigsums._sum_mp's raw-libmp loop and its sin^2 table."""
@@ -164,7 +186,7 @@ def _sum_mp_operators(ctx, spec):
     khalf = ctx.mpf(spec.k) / 2
     total = ctx.mpf(0)
     abssum = ctx.mpf(0)
-    for j, sign in trigsums._term_indices(spec):
+    for j, sign in _term_indices(spec):
         t = (x2 + ctx.sin(j * step) ** 2) ** (-khalf)
         total += sign * t
         abssum += t
@@ -198,7 +220,7 @@ def _sum_float_loop(spec):
     step = math.pi / spec.n
     khalf = spec.k / 2.0
     terms = []
-    for j, sign in trigsums._term_indices(spec):
+    for j, sign in _term_indices(spec):
         s = math.sin(j * step)
         terms.append(sign * (x2 + s * s) ** (-khalf))
     return math.fsum(terms), math.fsum(abs(t) for t in terms)
