@@ -1,18 +1,20 @@
 """Closed-form sum assemblies shared by the interaction kernels and the
 reduced-energy model: the ring-interaction coefficients C0(K, d), C2(K, d)
 and the 2x2 angular quadratic form built from pure cosecant sums.  The sums
-s_hat and s_alt are cached, as the minimization revisits the same (K, d) and
-C0 and C2 share S_1(K, d); a_gamma caches its form.  C0 and C2 are a few
-float operations on the cached sums and are not cached themselves.
+are cached, as the minimization revisits the same (K, d): s_hat per (k, K),
+s_alt per (k, K, d), and the S_1, S_3 and S_5 that C0 and C2 read as one
+entry per (K, d); a_gamma caches its form.  C0 and C2 are a few float
+operations on the cached sums and are not cached themselves.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
-from .trigsums import SumSpec, sum_direct
+from .trigsums import SumSpec, alt_sums, sum_direct
 
 
 @lru_cache(maxsize=64)
@@ -27,21 +29,29 @@ def s_alt(k: int, n: int, x: float) -> float:
     return sum_direct(SumSpec("alt", k, n, x))
 
 
+@lru_cache(maxsize=1024)
+def s_alt_135(K: int, d: float) -> Tuple[float, float, float]:
+    """(S_1, S_3, S_5)(K, d), each equal to s_alt(k, K, d): the sums C0 and
+    C2 read, from one list of d^2 + sin^2(j pi/K)."""
+    return alt_sums(K, d)
+
+
 def c0(K: int, d: float) -> float:
     """Shat_1(K) + S_1(K, d): the coefficient of the first-order ring term."""
-    return s_hat(1, K) + s_alt(1, K, d)
+    return s_hat(1, K) + s_alt_135(K, d)[0]
 
 
 def c2(K: int, d: float) -> float:
     """Shat_1 + Shat_3 + S_1 - (d + sqrt(1+d^2))^2 S_3 + 3(d^2 + d^4) S_5,
     the coefficient of the third-order ring term."""
+    s1, s3, s5 = s_alt_135(K, d)
     root = d + math.sqrt(1.0 + d * d)
     return (
         s_hat(1, K)
         + s_hat(3, K)
-        + s_alt(1, K, d)
-        - root * root * s_alt(3, K, d)
-        + 3.0 * (d * d + d**4) * s_alt(5, K, d)
+        + s1
+        - root * root * s3
+        + 3.0 * (d * d + d**4) * s5
     )
 
 

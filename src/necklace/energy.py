@@ -205,11 +205,11 @@ def _reaches(r: float, R: float, w: float) -> bool:
     return (r - R) ** 2 < (w * (1.0 + 1e-9)) ** 2 + 1e-12 * (r + R) ** 2
 
 
-def _apply_bumps(vals: np.ndarray, y: np.ndarray, r: float, near, fac: np.ndarray):
+def _apply_bumps(vals: np.ndarray, y: np.ndarray, r: float, near, fac: np.ndarray) -> bool:
     """Multiply ``vals`` at points ``y`` of the shell |y| = r, in the
     directions ``_near_cores`` took ``near`` from, by the product over cores,
     in order, of 1 - _smooth_cut(2|y - c|/w - 1).  ``fac`` is a buffer of
-    len(y) ones, and is left so.
+    len(y) ones, and is left so.  Returns whether a core reached the shell.
 
     A core's factor is exactly 1.0 wherever |y - c| >= w: on the rows
     ``_near_cores`` did not pick and on a shell farther than w from R (with
@@ -218,7 +218,7 @@ def _apply_bumps(vals: np.ndarray, y: np.ndarray, r: float, near, fac: np.ndarra
     value by the product over all cores."""
     reach = [(c, w, picked) for c, R, w, picked in near if _reaches(r, R, w)]
     if not reach:
-        return
+        return False
     for c, w, picked in reach:
         # np.linalg.norm's bits, without its per-call overhead
         rho = np.sqrt(_sq_norm(y[picked] - c))
@@ -227,6 +227,7 @@ def _apply_bumps(vals: np.ndarray, y: np.ndarray, r: float, near, fac: np.ndarra
     rows = np.concatenate([picked for *_, picked in reach])
     vals[rows] *= fac[rows]
     fac[rows] = 1.0
+    return True
 
 
 def _shifted(y: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
@@ -252,6 +253,9 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     origin with the angular order adapted to the nearest core, and the far
     field beyond R = 10^3 is added from the measured 1/|z| coefficient.
     ``scale`` multiplies every node count (scale=2 halves all steps).
+    The part totals, the number of points the profile was evaluated at and
+    the shells a core's bump reached are logged in one DEBUG record on this
+    module's logger.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise DomainError("scale must be finite and positive")
@@ -264,11 +268,14 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
         )
 
     xi_rows = np.tile(xiv, (_BLOCK, 1))
+    points = 1
 
     def integrand(y: np.ndarray) -> np.ndarray:
         # q * q / (4 pi r2 * r2), the same operations in the same order, with
         # fewer full-size temporaries; r2 is formed after the profile call so
         # that it is not held during it
+        nonlocal points
+        points += y.size // 3
         q = np.asarray(profile.fn(_shifted(y, xi_rows)), dtype=float)
         r2 = _sq_norm(y)
         den = 4.0 * np.pi * r2
@@ -318,6 +325,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     even_z3 = abs(xi.z3) < 1e-12 and bool(np.all(abs(profile.bubbles[0][:, 2]) < 1e-12))
     glx, glw = leggauss(8)
     outer_total = 0.0
+    shells = bumped = 0
     # neighbouring panels mostly share an angular rule: it is rebuilt only
     # when its (panels, n_p) changes
     rule = None
@@ -356,16 +364,21 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
         for rv, rw in zip(r_nodes, r_weights):
             pts = rv * dirs_s
             vals = integrand(pts)
-            _apply_bumps(vals, pts, rv, near, bump)
+            bumped += _apply_bumps(vals, pts, rv, near, bump)
             outer_total += float((vals @ dweights_s) * rw * rv * rv)
+        shells += len(r_nodes)
 
     # far field: measured 1/|z| coefficient on the cutoff sphere
     dirs_t, dweights_t = _sphere_rule([(-1.0, 1.0, n(16))], n(32))
     qR = np.asarray(profile.fn(R_far * dirs_t + xiv), dtype=float)
+    points += len(dirs_t)
     coeff2 = float(((qR * R_far) ** 2) @ dweights_t) / (4.0 * np.pi)
     tail = coeff2 / (3.0 * R_far**3)
 
     total = outer_total + core_total + tail
+    _log.debug("c_star scale %r: outer %r, cores %r, tail %r; %d profile points, "
+               "%d of %d shells bumped", scale, outer_total, core_total, tail,
+               points, bumped, shells)
     if total <= 0.0:
         raise AccuracyError("quadrature produced a nonpositive value",
                             best=total)
@@ -402,7 +415,11 @@ def psi_full(A: ReducedPoint, cfg: ReducedConfig) -> float:
     """eps qhat^2 H(b,b) + eps^2 qhat w.(grad_z + grad_p)H(b,b)
     + eps^3 w^T (mixed Hessian of H)(b,b) w - lam eps^2 cstar, where H is the
     sum of the ball-kernel extension and the alternating image sum, evaluated
-    through the exact closed-form resummations."""
+    through the exact closed-form resummations.
+
+    At a tiny d off the box (d = 1e-9 at K = 4, say) h0's radicand
+    (1 - |b|^2)^2 cancels to <= 0 in round-off and this raises AccuracyError,
+    where psi_leading, built from the sums alone, returns a value."""
     coef = full_kernels(cfg.K, cfg.gnorm, _b_abs(A.d), A.alpha_b, A.alpha_w)
     return _psi(cfg, A.eps, A.eps**3, A.a * cfg.gnorm, coef, "full")
 

@@ -1,5 +1,5 @@
-"""Points of R^3, planar rotations and conjugation as matrices, and the
-images of the alternating odd extension over an even-order angular sector.
+"""Points of R^3, planar rotations as matrices, and the images of the
+alternating odd extension over an even-order angular sector.
 
 The first two coordinates are viewed as a complex number z1 + i z2 when a
 rotation or conjugation is applied; points themselves are stored as three
@@ -71,20 +71,28 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-#: reflection of the in-plane imaginary part, as a matrix
-CONJ_MATRIX = np.diag([1.0, -1.0, 1.0])
-
-
 @lru_cache(maxsize=64)
 def sector_images(K: int) -> Tuple[np.ndarray, np.ndarray]:
     """The images of the alternating extension over the sector of opening
     2 pi/K, as read-only ``(K, 3, 3)`` matrices and ``(K,)`` signs: + for the
     rotations by 4j theta0, - for conjugation followed by the rotations by
-    (4j+2) theta0, j < K/2.  Row 0 is the identity."""
+    (4j+2) theta0, j < K/2.  Row 0 is the identity.
+
+    Row i rotates by the angle 2i theta0, with c and s its math.cos and
+    math.sin: [[c, -s, 0], [s, c, 0], [0, 0, 1]] for a rotation and
+    [[c, s, 0], [s, -c, 0], [0, 0, 1]] for a conjugation followed by one,
+    the bits of rotation_matrix and of its product with diag(1, -1, 1),
+    down to the -0.0 at row 0."""
     t0 = SectorConfig(K).theta0
-    mats = np.array([m for j in range(K // 2)
-                     for m in (rotation_matrix(4 * j * t0),
-                               rotation_matrix((4 * j + 2) * t0) @ CONJ_MATRIX)])
+    angles = (np.arange(0.0, 2.0 * K, 2.0) * t0).tolist()
+    c = np.fromiter(map(math.cos, angles), float, K)
+    s = np.fromiter(map(math.sin, angles), float, K)
     signs = np.tile([1.0, -1.0], K // 2)
+    mats = np.zeros((K, 3, 3))
+    mats[:, 0, 0] = c
+    mats[:, 0, 1] = -signs * s
+    mats[:, 1, 0] = s
+    mats[:, 1, 1] = signs * c
+    mats[:, 2, 2] = 1.0
     mats.flags.writeable = signs.flags.writeable = False
     return mats, signs

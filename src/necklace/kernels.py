@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from functools import lru_cache
+from itertools import repeat
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,10 +34,14 @@ def _tail(cfg: SectorConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _pow(a: np.ndarray, e: float) -> np.ndarray:
-    # Python float ** per element, not np.power: NumPy's SIMD power loop is
-    # off by one ulp on a few percent of elements, which moves printed values
-    # (the default `necklace kernels` h0e_bb direct sum among them).
-    return np.array([x ** e for x in a.tolist()])
+    # C's pow per element through math.pow (Python's float ** makes the same
+    # call), not np.power: on CPUs with AVX-512 NumPy's power loop runs SVML,
+    # which differs from pow by an ulp on about 5% of elements (9 862 to
+    # 10 684 of 200 000 uniform values at e = -0.5, numpy 2.4.6 on an AVX-512
+    # Xeon), and that moves printed values (the default `necklace kernels`
+    # h0e_bb direct sum among them).  An int e is converted once, not per
+    # element.
+    return np.fromiter(map(math.pow, a.tolist(), repeat(float(e))), float, a.size)
 
 
 def _norm(r: np.ndarray) -> np.ndarray:
@@ -171,7 +177,7 @@ def gamma_direct(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     r = _norm(mats @ z.as_array() - p.as_array())
     if np.any(r < _COINCIDENT_TOL):
         raise DomainError("evaluation point coincides with an image point")
-    return math.fsum(signs / r)
+    return math.fsum((signs / r).tolist())
 
 
 def _in_plane(b: Point3) -> Tuple[float, float]:
@@ -181,16 +187,26 @@ def _in_plane(b: Point3) -> Tuple[float, float]:
     return math.hypot(b.z1, b.z2), math.atan2(b.z2, b.z1)
 
 
+@lru_cache(maxsize=64)
+def _closed_tables(K: int) -> Tuple[List[float], List[float], List[float]]:
+    """What the two closed forms take from K alone, j < K/2: the odd angles
+    (2j+1) theta0, the -csc(2j theta0) for j > 0 and the sin^2(2j theta0),
+    each as the closed forms' loops computed it."""
+    t0 = SectorConfig(K).theta0
+    odd = [(2 * j + 1) * t0 for j in range(K // 2)]
+    neg_csc = [-1.0 / math.sin(2 * j * t0) for j in range(1, K // 2)]
+    sin2 = [math.sin(2 * j * t0) ** 2 for j in range(K // 2)]
+    return odd, neg_csc, sin2
+
+
 def _gamma_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
     """The exact cosecant resummation of gamma(b, b)."""
     if not 0.5 < babs < 1.0:
         raise DomainError("|b| must lie in (1/2, 1)")
-    t0 = cfg.theta0
-    if abs(alpha_b) >= t0 / 2.0:
+    if abs(alpha_b) >= cfg.theta0 / 2.0:
         raise DomainError("|alpha_b| must be below theta0/2")
-    terms = [1.0 / math.sin((2 * j + 1) * t0 - alpha_b) for j in range(cfg.K // 2)]
-    terms += [-1.0 / math.sin(2 * j * t0) for j in range(1, cfg.K // 2)]
-    return math.fsum(terms) / (2.0 * babs)
+    odd, neg_csc, _ = _closed_tables(cfg.K)
+    return math.fsum([1.0 / math.sin(a - alpha_b) for a in odd] + neg_csc) / (2.0 * babs)
 
 
 def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
@@ -232,21 +248,21 @@ def h0e(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     to _COORD_MAX."""
     _check_h0_scale(z, p)
     mats, signs = sector_images(cfg.K)
-    return math.fsum(signs * _pow(_h0_rad(mats @ z.as_array(), p.as_array()), -0.5))
+    rad = _h0_rad(mats @ z.as_array(), p.as_array())
+    return math.fsum((signs * _pow(rad, -0.5)).tolist())
 
 
 def _h0e_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
     """The exact shifted-sum closed form of h0e(b, b)."""
     if not 0.0 < babs < 1.0:
         raise DomainError("|b| must lie in (0, 1)")
-    t0 = cfg.theta0
-    if abs(alpha_b) > t0 / 2.0:
+    if abs(alpha_b) > cfg.theta0 / 2.0:
         raise DomainError("|alpha_b| must be at most theta0/2")
     d = (1.0 - babs * babs) / (2.0 * babs)
-    terms = []
-    for j in range(cfg.K // 2):
-        terms.append((d * d + math.sin(2 * j * t0) ** 2) ** -0.5)
-        terms.append(-((d * d + math.sin((2 * j + 1) * t0 - alpha_b) ** 2) ** -0.5))
+    d2 = d * d
+    odd, _, sin2 = _closed_tables(cfg.K)
+    terms = [(d2 + s2) ** -0.5 for s2 in sin2]
+    terms += [-((d2 + math.sin(a - alpha_b) ** 2) ** -0.5) for a in odd]
     return math.fsum(terms) / (2.0 * babs)
 
 
@@ -276,9 +292,9 @@ def _newton_derivs(bv: np.ndarray, w: np.ndarray,
     rn3, rn5 = _pow(rn, 3), _pow(rn, 5)
     rw, rmw = np.vecdot(r, w), np.vecdot(r, mw)
     return (
-        math.fsum(-signs * rmw / rn3),
-        math.fsum(signs * rw / rn3),
-        math.fsum(signs * (np.vecdot(mw, w) / rn3 - 3.0 * rmw * rw / rn5)),
+        math.fsum((-signs * rmw / rn3).tolist()),
+        math.fsum((signs * rw / rn3).tolist()),
+        math.fsum((signs * (np.vecdot(mw, w) / rn3 - 3.0 * rmw * rw / rn5)).tolist()),
     )
 
 
@@ -294,10 +310,10 @@ def _h0e_derivs(bv: np.ndarray, w: np.ndarray,
     gz = np.vecdot(bv - v2 * v, mw)
     gp = np.vecdot(v - v2 * bv, w)
     return (
-        math.fsum(signs * F3 * gz),
-        math.fsum(signs * F3 * gp),
-        math.fsum(signs * (3.0 * F5 * gz * gp + F3 * (
-            np.vecdot(mw, w) - 2.0 * np.vecdot(v, mw) * np.vecdot(bv, w)))),
+        math.fsum((signs * F3 * gz).tolist()),
+        math.fsum((signs * F3 * gp).tolist()),
+        math.fsum((signs * (3.0 * F5 * gz * gp + F3 * (
+            np.vecdot(mw, w) - 2.0 * np.vecdot(v, mw) * np.vecdot(bv, w)))).tolist()),
     )
 
 
@@ -426,16 +442,16 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     as the closed form, and the first two orders as the asymptotic."""
     mats, signs = _tail(cfg)
     v = mats @ z.as_array()
-    direct = math.fsum(signs * _q_a_profile(v, A))
+    direct = math.fsum((signs * _q_a_profile(v, A)).tolist())
     W = np.asarray(A.W, dtype=float)
     r = v - A.b_point.as_array()
     rn = _norm(r)
     rn3, rn5 = _pow(rn, 3), _pow(rn, 5)
     g2 = -float(np.trace(W)) / rn3 + 3.0 * np.vecdot(r @ W, r) / rn5
     e = A.eps
-    lead = math.sqrt(e) * A.q_hat * math.fsum(signs / rn)
-    grad_term = e**1.5 * math.fsum(signs * np.vecdot(r, A.w_vec) / rn3)
-    hess_term = e**2.5 / 6.0 * math.fsum(signs * g2)
+    lead = math.sqrt(e) * A.q_hat * math.fsum((signs / rn).tolist())
+    grad_term = e**1.5 * math.fsum((signs * np.vecdot(r, A.w_vec) / rn3).tolist())
+    hess_term = e**2.5 / 6.0 * math.fsum((signs * g2).tolist())
     closed = lead + grad_term + hess_term
     asym = lead + grad_term
     return KernelReport(direct, closed, asym)

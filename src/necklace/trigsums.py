@@ -21,6 +21,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
+from operator import neg
 from typing import Tuple
 
 import numpy as np
@@ -147,14 +148,50 @@ def _sin2_float(n: int) -> np.ndarray:
     return table
 
 
+#: the plain sum of at most N_MAX positive doubles lies within N_MAX 2^-53
+#: (< 1e-11) of their exact sum, relative, so math.fsum's correctly rounded
+#: value lies within these factors of it (for a normal, finite plain sum)
+_LOW, _HIGH = 1.0 - 1e-9, 1.0 + 1e-9
+
+
+def _resolved(total: float, plus: list, minus: list) -> bool:
+    """|total| >= _CANCEL_THRESHOLD * math.fsum(plus + minus), for terms
+    ``plus`` and ``minus`` >= 0: decided from the plain sum and its error
+    bound, with the fsum run only when the bound straddles the threshold."""
+    approx = sum(plus) + sum(minus)
+    if 1e-290 < approx < math.inf:
+        if abs(total) >= _CANCEL_THRESHOLD * (approx * _HIGH):
+            return True
+        if abs(total) < _CANCEL_THRESHOLD * (approx * _LOW):
+            return False
+    return abs(total) >= _CANCEL_THRESHOLD * math.fsum(plus + minus)
+
+
+def _sum_float(spec: SumSpec, bases: list) -> float:
+    """sum_direct of ``spec`` from the list x^2 + sin^2(j pi/n), j < n."""
+    nkhalf = -(spec.k / 2.0)
+    plus_slice, minus_slice = _FLOAT_SLICES[spec.variant]
+    plus = list(map(math.pow, bases[plus_slice], repeat(nkhalf)))
+    minus = list(map(math.pow, bases[minus_slice], repeat(nkhalf)))
+    total = math.fsum(plus + list(map(neg, minus)))
+    if _resolved(total, plus, minus):
+        return total
+    return _sum_escalated(spec)
+
+
+def _bases(n: int, x: float) -> list:
+    """x^2 + sin^2(j pi/n) for j = 0..n-1: the bases of every variant's terms."""
+    return (x * x + _sin2_float(n)).tolist()
+
+
 def sum_direct(spec: SumSpec) -> float:
     """The finite sum, by compensated summation.
 
     In double precision the terms come from a cached table of sin^2(j pi/n)
     per n (_sin2_float): each variant's positive and negative terms are fixed
-    slices of it, raised to -k/2 by Python's float power, and summed by
-    math.fsum, whose correct rounding makes the result independent of the
-    order of the terms.
+    slices of it, raised to -k/2 by math.pow (C's pow, as Python's float
+    power for these finite positive bases), and summed by math.fsum, whose
+    correct rounding makes the result independent of the order of the terms.
     When the alternating cancellation exceeds what double precision can
     resolve (|sum| below 1e-8 of the term magnitude), the sum is recomputed
     in multiprecision with doubling working precision until the result is
@@ -164,15 +201,19 @@ def sum_direct(spec: SumSpec) -> float:
     concurrent calls do not interfere; each precision tried is logged at
     DEBUG on this module's logger.
     """
-    x2 = spec.x * spec.x
-    nkhalf = -(spec.k / 2.0)
-    table = _sin2_float(spec.n)
-    plus, minus = (list(map(pow, (x2 + table[sl]).tolist(), repeat(nkhalf)))
-                   for sl in _FLOAT_SLICES[spec.variant])
-    total = math.fsum(plus + [-t for t in minus])
-    abssum = math.fsum(plus + minus)
-    if abs(total) >= _CANCEL_THRESHOLD * abssum:
-        return total
+    return _sum_float(spec, _bases(spec.n, spec.x))
+
+
+def alt_sums(n: int, x: float) -> Tuple[float, float, float]:
+    """The alternating sums S_1, S_3 and S_5 (n, x), each equal to
+    sum_direct(SumSpec("alt", k, n, x)), from one list of x^2 + sin^2."""
+    specs = [SumSpec("alt", k, n, x) for k in (1, 3, 5)]
+    bases = _bases(n, x)
+    return tuple(_sum_float(spec, bases) for spec in specs)
+
+
+def _sum_escalated(spec: SumSpec) -> float:
+    """The sum in multiprecision at 40, 80, ... 640 digits (see sum_direct)."""
     ctx = _mp_context()
     dps = 40
     while dps <= 640:

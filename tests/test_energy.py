@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from necklace import energy
-from necklace._forms import s_alt, s_hat
+from necklace._forms import s_alt, s_alt_135, s_hat
 from necklace._quad import gl_panels
 from necklace.crown import (
     _BLOCK,
@@ -139,19 +139,22 @@ class TestLeadingForms:
                          shat(1) + shat(3) + salt(1, d) - root * root * salt(3, d)
                          + 3.0 * (d * d + d**4) * salt(5, d)))
         want_form = a_gamma(K).copy()
-        for cache in (s_hat, s_alt, a_gamma):
+        for cache in (s_hat, s_alt_135, a_gamma):
             cache.cache_clear()
         for _warm in range(2):
             assert [(c0(K, d), c2(K, d)) for d in ds] == want
             assert a_gamma(K).tobytes() == want_form.tobytes()
-        assert s_alt.cache_info().hits >= 3 * len(ds)
+        # one (K, d) entry holds C0's and C2's S_1, S_3 and S_5
+        assert s_alt_135.cache_info().hits >= 3 * len(ds)
 
     def test_sum_caches_are_bounded(self):
         for i in range(s_alt.cache_info().maxsize + 10):
             s_alt(1, 8, 0.5 + i / 4096)
+        for i in range(s_alt_135.cache_info().maxsize + 10):
+            s_alt_135(8, 0.5 + i / 4096)
         for n in range(4, 2 * s_hat.cache_info().maxsize + 12, 2):
             s_hat(1, n)
-        for cache in (s_hat, s_alt):
+        for cache in (s_hat, s_alt, s_alt_135):
             assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
     @pytest.mark.parametrize("K", [128, 256])
@@ -333,6 +336,18 @@ def test_psi_finite_or_typed(cfg_args, fractions, moved):
             assert not inside
             continue
         assert math.isfinite(value) or not inside
+
+
+def test_psi_full_tiny_d_is_an_accuracy_error():
+    # off the box, at |b| = 1 - 1e-9, h0's radicand (1 - |b|^2)^2 cancels in
+    # round-off: psi_full raises the typed error where psi_leading, built
+    # from the sums alone, still has a value
+    cfg = ReducedConfig(K=4, lam=1.0, gnorm=1.0, cstar=0.25, delta=0.1)
+    A = ReducedPoint(eps=1e-3, a=0.0, d=1e-9, alpha_b=0.0, alpha_w=0.0)
+    assert not in_box(A, cfg)
+    with pytest.raises(AccuracyError, match="radicand of h0"):
+        psi_full(A, cfg)
+    assert math.isfinite(psi_leading(A, cfg))
 
 
 class TestMinimization:
@@ -554,6 +569,35 @@ class TestCStar:
             values.append(c_star(ProfileHandle(fn=fn, bubbles=(x, conc, amp)), xi))
         assert abs(xi.z3) > 0.1
         assert values[1] == pytest.approx(values[0], rel=1e-6)
+
+    def test_is_logged(self, caplog, monkeypatch):
+        # one DEBUG record: the parts of detail=True, every point the
+        # profile was called at, and the shells _apply_bumps found a core on
+        mu = 0.05
+        x = np.array([[0.0, 0.0, 0.0], [0.8, 0.0, 0.0]])
+        conc = np.array([1.0, mu * mu])
+        amp = np.array([TALENTI_AMP, -TALENTI_AMP * math.sqrt(mu)])
+        qa, qc = 1.0 - mu, 0.64 + mu * mu - mu
+        xi = Point3((1.6 - math.sqrt(1.6**2 - 4.0 * qa * qc)) / (2.0 * qa), 0.0, 0.0)
+        points = []
+
+        def fn(arr):
+            points.append(np.asarray(arr).size // 3)
+            return sum(A / np.sqrt(cb + np.einsum("...i,...i->...", arr - xb, arr - xb))
+                       for xb, cb, A in zip(x, conc, amp))
+
+        shells = []
+        real = energy._apply_bumps
+        monkeypatch.setattr(energy, "_apply_bumps",
+                            lambda *args: shells.append(real(*args)) or shells[-1])
+        caplog.set_level(logging.DEBUG, logger="necklace.energy")
+        total, parts = c_star(ProfileHandle(fn=fn, bubbles=(x, conc, amp)), xi,
+                              scale=0.5, detail=True)
+        assert 0 < sum(shells) < len(shells)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"c_star scale 0.5: outer {parts['outer']!r}, cores {parts['cores']!r}, "
+            f"tail {parts['tail']!r}; {sum(points)} profile points, "
+            f"{sum(shells)} of {len(shells)} shells bumped"]
 
     def test_model_constant(self):
         # the m=16 value the benchmark reference pins, to the last bit

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from necklace.errors import DomainError
 from necklace.geometry import (
-    CONJ_MATRIX,
     Point3,
     SectorConfig,
     rotation_matrix,
@@ -56,7 +55,14 @@ def test_rotate_preserves_norm_and_z3(z1, z2, z3, theta):
 def test_conj_is_plane_reflection():
     p = Point3(1.0, 2.0, 3.0)
     assert _conj(p) == Point3(1.0, -2.0, 3.0)
-    assert np.allclose(CONJ_MATRIX @ p.as_array(), _conj(p).as_array())
+    # the first conjugating image reflects in the line at angle theta0
+    K = 8
+    M = sector_images(K)[0][1]
+    t0 = math.pi / K
+    on_axis = np.array([math.cos(t0), math.sin(t0), 3.0])
+    assert np.allclose(M @ on_axis, on_axis, rtol=0.0, atol=1e-15)
+    assert np.allclose(M @ p.as_array(), _rotate(_conj(p), 2 * t0).as_array(),
+                       rtol=0.0, atol=1e-15)
 
 
 def test_rotation_matrix_matches_rotate():

@@ -9,7 +9,6 @@ from necklace import kernels
 from necklace.crown import ProfileHandle, build_crown, psi_d1, u_star, u_star_profile
 from necklace.errors import AccuracyError, DomainError, UnsupportedError
 from necklace.geometry import (
-    CONJ_MATRIX,
     Point3,
     SectorConfig,
     rotation_matrix,
@@ -18,8 +17,11 @@ from necklace.geometry import (
 from necklace.kernels import (
     KernelReport,
     PlacedBubble,
+    _gamma_bb_closed,
+    _h0e_bb_closed,
     _h0e_derivs,
     _newton_derivs,
+    full_kernels,
     gamma_bb,
     gamma_direct,
     h0e,
@@ -29,6 +31,7 @@ from necklace.kernels import (
     place_bubble,
     t_a,
 )
+from necklace.trigsums import SumSpec, sum_direct
 
 CFG = SectorConfig(K=32)
 
@@ -371,15 +374,31 @@ def test_nonfinite_point_rejected(entry, bad, coord):
 # the sector-image table against a plain per-image loop
 
 
+#: reflection of the in-plane imaginary part, as a matrix
+_CONJ_MATRIX = np.diag([1.0, -1.0, 1.0])
+
+
 def _ref_images(K):
     """(matrix, sign) pairs of the alternating extension, identity first,
-    built one image at a time."""
+    built one image at a time as products of rotation_matrix and the
+    conjugation matrix."""
     t0 = math.pi / K
     out = []
     for j in range(K // 2):
         out.append((rotation_matrix(4 * j * t0), 1.0))
-        out.append((rotation_matrix((4 * j + 2) * t0) @ CONJ_MATRIX, -1.0))
+        out.append((rotation_matrix((4 * j + 2) * t0) @ _CONJ_MATRIX, -1.0))
     return out
+
+
+@pytest.mark.parametrize("K", [4, 6, 10, 32, 64, 126, 1000, 4096, 2**16])
+def test_sector_images_bits_equal_matrix_products(K):
+    # every entry, and the sign of every zero, of the per-image products
+    mats, signs = sector_images(K)
+    ref = _ref_images(K)
+    want = np.array([M for M, _ in ref])
+    assert np.array_equal(mats, want)
+    assert np.array_equal(np.signbit(mats), np.signbit(want))
+    assert signs.tolist() == [s for _, s in ref]
 
 
 def _dot(a, b):
@@ -456,6 +475,133 @@ class TestSectorImages:
         for got, ref in ((_newton_derivs(bv, w, cfg), _ref_newton_derivs(A, K)),
                          (_h0e_derivs(bv, w, cfg), _ref_h0e_derivs(A, K))):
             assert got == pytest.approx(ref, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the per-K tables and list sums against the loops they replaced
+
+
+def _pow_loop(a, e):
+    """kernels._pow as Python's float ** per element."""
+    return np.array([x ** e for x in a.tolist()])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e100),
+                          st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 2.0, 1e150])),
+                max_size=300),
+       st.sampled_from([-0.5, 2, 3, 5, 3.0]))
+def test_pow_bits_equal_float_power(values, e):
+    # the same bits, or the same OverflowError past the largest double
+    a = np.array(values, dtype=float)
+    if e < 0:
+        a = a[a > 0.0]
+    try:
+        want = _pow_loop(a, e)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            kernels._pow(a, e)
+        return
+    assert kernels._pow(a, e).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("e", [-0.5, 3, 5])
+def test_pow_bits_equal_float_power_on_many(e):
+    # 200 000 values, where np.power differs from C's pow on some CPUs
+    a = np.random.default_rng(5).uniform(1e-3, 4.0, 200_000)
+    assert kernels._pow(a, e).tobytes() == _pow_loop(a, e).tobytes()
+
+
+def _gamma_bb_closed_loop(babs, alpha_b, K):
+    """_gamma_bb_closed with its angles and cosecants computed per term."""
+    t0 = math.pi / K
+    terms = [1.0 / math.sin((2 * j + 1) * t0 - alpha_b) for j in range(K // 2)]
+    terms += [-1.0 / math.sin(2 * j * t0) for j in range(1, K // 2)]
+    return math.fsum(terms) / (2.0 * babs)
+
+
+def _h0e_bb_closed_loop(babs, alpha_b, K):
+    """_h0e_bb_closed with its angles and sines computed per term."""
+    t0 = math.pi / K
+    d = (1.0 - babs * babs) / (2.0 * babs)
+    terms = []
+    for j in range(K // 2):
+        terms.append((d * d + math.sin(2 * j * t0) ** 2) ** -0.5)
+        terms.append(-((d * d + math.sin((2 * j + 1) * t0 - alpha_b) ** 2) ** -0.5))
+    return math.fsum(terms) / (2.0 * babs)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([4, 6, 8, 32, 64, 126, 256, 1024]),
+       st.one_of(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+                 st.sampled_from([0.5 + 2**-52, 0.97, 1.0 - 1e-9, 1.0 - 2**-53])),
+       st.one_of(st.floats(-0.5, 0.5), st.sampled_from([-0.5, 0.5, 0.0, -0.0])))
+def test_closed_forms_bits_equal_term_loops(K, babs, frac):
+    # alpha_b from 0 to the bound theta0/2 of h0e's closed form, which
+    # gamma's rejects
+    cfg = SectorConfig(K)
+    alpha_b = frac * cfg.theta0
+    assert _h0e_bb_closed(babs, alpha_b, cfg) == _h0e_bb_closed_loop(babs, alpha_b, K)
+    if abs(frac) == 0.5:
+        with pytest.raises(DomainError):
+            _gamma_bb_closed(babs, alpha_b, cfg)
+    else:
+        assert _gamma_bb_closed(babs, alpha_b, cfg) == _gamma_bb_closed_loop(babs, alpha_b, K)
+
+
+@st.composite
+def _edge_placement(draw):
+    """K and a point b = |b| e^{i alpha} at an edge: |b| at or next to 1/2
+    and 1, alpha on a reflection axis (an odd multiple of theta0), at the
+    closed forms' bound +-theta0/2, or anywhere in the sector."""
+    K = draw(st.sampled_from([4, 6, 32, 64]))
+    t0 = math.pi / K
+    babs = draw(st.one_of(
+        st.sampled_from([1.0, 1.0 - 2**-53, 1.0 - 1e-15, 1.0 - 1e-12, 1.0 - 1e-9,
+                         0.5, 0.5 + 2**-53, 1e-300]),
+        st.floats(0.5, 1.0)))
+    kind = draw(st.sampled_from(["axis", "bound", "free"]))
+    if kind == "axis":
+        alpha = (2 * draw(st.integers(-K // 2, K // 2 - 1)) + 1) * t0
+    elif kind == "bound":
+        alpha = draw(st.sampled_from([-0.5, 0.5])) * t0
+    else:
+        alpha = draw(st.floats(-t0, t0))
+    return K, babs, alpha
+
+
+_PROFILE = u_star_profile(build_crown(16))
+
+
+@settings(max_examples=150)
+@given(_edge_placement(), st.integers(0, 63), st.sampled_from([1, 3, 5]),
+       st.one_of(st.floats(0.1, 10.0), st.just(1e-300)),
+       st.floats(-0.1, 0.1))
+def test_edge_inputs_raise_only_typed_errors(placement, image, k, gnorm, alpha_w):
+    # coincident images: z is a point that the image of index ``image`` maps
+    # onto b; the sums, kernels and image sum raise DomainError or
+    # AccuracyError there, never ZeroDivisionError, ValueError or
+    # OverflowError
+    K, babs, alpha = placement
+    cfg = SectorConfig(K)
+    b = Point3(babs * math.cos(alpha), babs * math.sin(alpha), 0.0)
+    z = Point3.from_array(sector_images(K)[0][image % K].T @ b.as_array())
+    d = (1.0 - babs * babs) / (2.0 * babs)
+    calls = [
+        lambda: sum_direct(SumSpec("alt", k, K, d)),
+        lambda: gamma_direct(b, b, cfg),
+        lambda: gamma_direct(z, b, cfg),
+        lambda: h0e(b, b, cfg),
+        lambda: h0e(z, b, cfg),
+        lambda: full_kernels(K, gnorm, babs, alpha, alpha_w),
+        lambda: t_a(z, place_bubble(K**-3.0, 0.0, babs, alpha, alpha_w, _PROFILE,
+                                    Point3(0.6038943129964425, 0.0, 0.0)), cfg),
+    ]
+    for call in calls:
+        try:
+            call()
+        except (DomainError, AccuracyError):
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import logging
 import math
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 
 import mpmath as mp
 import numpy as np
@@ -246,6 +248,83 @@ def test_sum_float_bits_equal_term_loop(variant, k, n, x):
     trigsums._sin2_float.cache_clear()
     assert sum_direct(spec) == total
     assert sum_direct(spec) == total
+
+
+def _sum_two_fsum(spec):
+    """sum_direct's double-precision pathway as it was written before the
+    plain-sum cancellation test: Python's float power on the table slices,
+    then one math.fsum for the sum and one for the sum of the magnitudes."""
+    x2 = spec.x * spec.x
+    nkhalf = -(spec.k / 2.0)
+    table = trigsums._sin2_float(spec.n)
+    plus, minus = (list(map(pow, (x2 + table[sl]).tolist(), repeat(nkhalf)))
+                   for sl in trigsums._FLOAT_SLICES[spec.variant])
+    return math.fsum(plus + [-t for t in minus]), math.fsum(plus + minus), plus, minus
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(trigsums.VARIANTS),
+    st.sampled_from([1, 3, 5]),
+    st.integers(2, 1024).map(lambda h: 2 * h),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 0.05),
+              st.sampled_from([5e-324, 1e-150, 1e-60, 1e-8, 1e20, 1e70, 1e300])),
+)
+def test_sum_float_bits_equal_two_fsum_path(variant, k, n, x):
+    # the terms, the sum and the cancellation test of the two-fsum pathway:
+    # its resolved sums are sum_direct's, and the plain-sum test decides as
+    # the fsum of the magnitudes does
+    try:
+        spec = SumSpec(variant, k, n, x)
+    except DomainError:
+        assume(False)
+    total, abssum, plus, minus = _sum_two_fsum(spec)
+    resolved = abs(total) >= trigsums._CANCEL_THRESHOLD * abssum
+    assert trigsums._resolved(total, plus, minus) == resolved
+    if resolved:
+        assert sum_direct(spec) == total
+
+
+@pytest.mark.parametrize("x, resolved", [(1.3240990911529305, True),
+                                         (1.3240990911529307, False)])
+def test_cancellation_test_at_the_threshold(caplog, x, resolved):
+    # at these adjacent doubles S_1(16, x) crosses 1e-8 of its term sum:
+    # |total| and 1e-8 abssum differ by 9e-17 and 2e-17, below an ulp of
+    # the largest terms, inside the relative 1e-9 band where the plain sum
+    # cannot decide and the fsum of the magnitudes does
+    caplog.set_level(logging.DEBUG, logger="necklace.trigsums")
+    spec = SumSpec("alt", 1, 16, x)
+    total, abssum, plus, minus = _sum_two_fsum(spec)
+    threshold = trigsums._CANCEL_THRESHOLD * abssum
+    assert abs(abs(total) - threshold) < 1e-16
+    assert abs(abs(total) - threshold) < 1e-9 * threshold
+    assert (abs(total) >= threshold) == resolved
+    assert trigsums._resolved(total, plus, minus) == resolved
+    got = sum_direct(spec)
+    if resolved:
+        assert got == total and caplog.records == []
+    else:
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sum_direct {spec}: resolved at 40 dps"]
+        assert got == pytest.approx(brute(spec), rel=1e-12)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 128).map(lambda h: 2 * h),
+       st.one_of(st.floats(0.0, 0.2), st.floats(0.2, 2.0),
+                 st.sampled_from([0.0, 5e-324, 1e-160, 1e-62, 1e-8, 1e300])))
+def test_alt_sums_equal_sum_direct(n, x):
+    # S_1, S_3 and S_5 from one list of x^2 + sin^2, escalations included,
+    # or the DomainError of the first spec that rejects x
+    want = []
+    for k in (1, 3, 5):
+        try:
+            want.append(sum_direct(SumSpec("alt", k, n, x)))
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                trigsums.alt_sums(n, x)
+            return
+    assert trigsums.alt_sums(n, x) == tuple(want)
 
 
 def test_sin2_float_cache_is_bounded():
