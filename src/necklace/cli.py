@@ -29,7 +29,7 @@ from .errors import (
 from .geometry import Point3, SectorConfig
 from .kernels import gamma_bb, h0e_bb
 from .nodal import nodal_mesh
-from .trigsums import SumSpec, csc_asym, s_asym, sum_direct
+from .trigsums import VARIANTS, SumSpec, csc_asym, s_asym, sum_direct
 
 def _csv_line(row: Sequence[object]) -> str:
     """One CSV row by one % operation: %.17g for a float, %s for anything
@@ -115,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sums", help="trigonometric sums and their asymptotics")
-    p.add_argument("--variant", choices=("odd", "even", "even_hat", "alt", "alt_hat"),
-                   default="alt_hat")
+    p.add_argument("--variant", choices=VARIANTS, default="alt_hat")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--x", type=float, default=0.0)

@@ -190,7 +190,7 @@ def _u_star(arr: np.ndarray, p: CrownParams) -> Union[float, np.ndarray]:
 Derivs = Tuple[float, np.ndarray, np.ndarray, np.ndarray]
 
 
-def bubble_derivs(z: PointLike, bubbles: Bubbles) -> Derivs:
+def _bubble_derivs(z: PointLike, bubbles: Bubbles) -> Derivs:
     """The sum of ``bubbles``, its gradient g, its Hessian and its third
     derivative contracted with the gradient, T[g], at one point, in closed
     form.
@@ -201,7 +201,7 @@ def bubble_derivs(z: PointLike, bubbles: Bubbles) -> Derivs:
     """
     zv = _as_array(z)
     if zv.shape != (3,):
-        raise DomainError(f"bubble_derivs takes a single point, got shape {zv.shape}")
+        raise DomainError(f"_bubble_derivs takes a single point, got shape {zv.shape}")
     x, c, amp = bubbles
     r = zv - x
     s = c + np.einsum("ij,ij->i", r, r)
@@ -231,7 +231,7 @@ class ProfileHandle:
     relies on: each c_i + |z - x_i|^2 within 16u (c_i + |x_i|^2 + |z|^2),
     u = 2^-53, each term's power within 2u relative, and the terms summed in
     any order.  u_star and u_bubble meet it.  c_star excises the bubbles
-    with c < 1, and ``bubble_derivs`` gives the field's derivatives.  The
+    with c < 1, and ``_bubble_derivs`` gives the field's derivatives.  The
     handle keeps the arrays it is given, uncopied, and raises DomainError
     for any other ``bubbles``.
     """
@@ -348,29 +348,22 @@ def q_mid_lower(p: CrownParams) -> MidpointReport:
     return MidpointReport(value=value, lower_bound=bound)
 
 
-def fd_gradient(profile: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
-                h: Union[float, np.ndarray] = 1e-6) -> np.ndarray:
+def fd_gradient(profile: Callable[[np.ndarray], np.ndarray],
+                points: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a vectorized scalar field at a (3,)
-    point or at each row of (N, 3) points, with step ``h``: a scalar or one
-    step per point.
+    point or at each row of (N, 3) points, with step 1e-6.
 
-    Raises DomainError for points without a trailing axis of length 3, for
-    a non-finite coordinate or one above 1e150 in magnitude, and for a step
-    that is not finite and positive, is above 1e150, or is neither one
-    value nor one per point."""
+    Raises DomainError for points without a trailing axis of length 3, and
+    for a non-finite coordinate or one above 1e150 in magnitude."""
     pts = np.asarray(points, dtype=float)
     _check_points(pts, "fd_gradient")
-    h = np.asarray(h, dtype=float)
-    if not (h.size in (1, pts.size // 3) and np.isfinite(h).all()
-            and (h > 0.0).all() and (h <= _COORD_MAX).all()):
-        raise DomainError(f"fd_gradient takes one step, or one per point, in "
-                          f"(0, {_COORD_MAX:g}]")
-    return _fd_gradient(profile, pts, h)
+    return _fd_gradient(profile, pts, 1e-6)
 
 
 def _fd_gradient(profile: Callable[[np.ndarray], np.ndarray], pts: np.ndarray,
                  h: Union[float, np.ndarray]) -> np.ndarray:
-    """fd_gradient without its checks.
+    """fd_gradient without its checks, with step ``h``: a scalar or one
+    step per point.
 
     Each chunk of points makes one profile call on its six stencil points,
     small enough to be one block of u_star."""

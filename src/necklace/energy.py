@@ -33,7 +33,7 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "ReducedConfig", "ReducedPoint", "c_star", "c0", "c2", "a_gamma",
     "psi_full", "psi_leading", "minimize_psi", "check_full_mode",
-    "default_model", "default_model_parts",
+    "default_model",
 ]
 
 
@@ -242,8 +242,7 @@ def _shifted(y: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
     return out.reshape(y.shape)
 
 
-def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
-           detail: bool = False):
+def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
     """The constant int q(z + xi)^2 / (4 pi |z|^4) dz for a profile vanishing
     at xi.
 
@@ -382,13 +381,6 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0,
     if total <= 0.0:
         raise AccuracyError("quadrature produced a nonpositive value",
                             best=total)
-    if detail:
-        return total, {
-            "outer": outer_total,
-            "cores": core_total,
-            "tail": tail,
-            "tail_fraction": tail / total,
-        }
     return total
 
 
@@ -431,15 +423,6 @@ def psi_leading(A: ReducedPoint, cfg: ReducedConfig) -> float:
     coef = (c0(cfg.K, A.d), b, c2(cfg.K, A.d), b**3,
             a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b))
     return _psi(cfg, A.eps, A.eps**3, A.a * cfg.gnorm, coef, "leading")
-
-
-def _objective(mode: str):
-    """The scalar Psi of ``mode``, looked up when called."""
-    if mode == "leading":
-        return psi_leading
-    if mode == "full":
-        return psi_full
-    raise DomainError(f"mode must be 'leading' or 'full', got {mode!r}")
 
 
 def eps_star(cfg: ReducedConfig, d: float) -> float:
@@ -544,17 +527,21 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     Coordinates: log eps, the a-axis normalized by its eps-dependent
     half-width, d, alpha_b, alpha_w.  The grid is evaluated from tables
     (_grid_values); the descent calls the scalar objective.  Returns (argmin,
-    diagnostics) where the diagnostics report the boundary distance per axis
-    (as a fraction of the box width), the scaling ratios of the minimizer,
-    the sweeps used, whether the descent converged before the sweep cap, the
-    number of grid points and the scalar objective calls of the descent.
-    K, the mode, the grid points, the sweeps, the evaluations and the axes on
-    the boundary are logged in one DEBUG record on this module's logger.
-    Full mode raises DomainError before the grid if check_full_mode does.
+    diagnostics) where the diagnostics report the value, the axes within
+    1e-3 of the box width of a face, the scaling ratios of the minimizer,
+    the sweeps used, whether the descent converged before the sweep cap and
+    the scalar objective calls of the descent.  K, the mode, the grid
+    points, the sweeps, the evaluations and the axes on the boundary are
+    logged in one DEBUG record on this module's logger.  Full mode raises
+    DomainError before the grid if check_full_mode does.
     """
-    objective = _objective(mode)
-    if mode == "full":
+    if mode == "leading":
+        objective = psi_leading
+    elif mode == "full":
         check_full_mode(cfg)
+        objective = psi_full
+    else:
+        raise DomainError(f"mode must be 'leading' or 'full', got {mode!r}")
     box = _box(cfg)
 
     def to_point(x: Dict[str, float]) -> ReducedPoint:
@@ -597,32 +584,24 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     argmin = to_point(x)
     val = value(x)
     K = cfg.K
-    boundary_dist = {}
-    for k in _ORDER:
-        lo, hi = box[k]
-        boundary_dist[k] = min(x[k] - lo, hi - x[k]) / (hi - lo)
-    on_boundary = [k for k, fr in boundary_dist.items() if fr < 1e-3]
-    es = eps_star(cfg, argmin.d)
+    on_boundary = tuple(k for k in _ORDER
+                        if min(x[k] - box[k][0], box[k][1] - x[k])
+                        / (box[k][1] - box[k][0]) < 1e-3)
     diagnostics = {
         "value": val,
-        "mode": mode,
-        "boundary_distance": boundary_dist,
-        "on_boundary": tuple(on_boundary),
-        "eps_ratio": argmin.eps / es,
-        "eps_times_K3": argmin.eps * K**3,
+        "on_boundary": on_boundary,
+        "eps_ratio": argmin.eps / eps_star(cfg, argmin.d),
         "d_scaling": K * argmin.d - math.log(K) + 0.5 * math.log(math.log(K)),
         "a_rel": x["a_rel"],
         "alpha_b_rel": argmin.alpha_b / box["alpha_b"][1],
         "alpha_w_rel": argmin.alpha_w / box["alpha_w"][1],
         "sweeps_used": sweeps_used,
         "converged": converged,
-        "grid_points": _GRID_POINTS ** len(_ORDER),
         "evaluations": evaluations,
     }
     _log.debug("minimize_psi K=%d mode %s: %d grid points, %d sweeps, "
                "%d evaluations, on boundary %s", K, mode,
-               diagnostics["grid_points"], sweeps_used, evaluations,
-               diagnostics["on_boundary"])
+               _GRID_POINTS ** len(_ORDER), sweeps_used, evaluations, on_boundary)
     return argmin, diagnostics
 
 
@@ -631,24 +610,14 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
 
 
 @lru_cache(maxsize=1)
-def _model():
+def default_model():
+    """Model constants from the m = 16 ring profile: the in-plane zero on the
+    outward ray from the first core, the gradient modulus there, and the
+    decay constant.  Returns (profile, xi, gnorm, cstar), computed once;
+    c_star's DEBUG record holds the parts of cstar."""
     params = build_crown(16)
     profile = u_star_profile(params)
     t = radial_nodal_root(params, profile, 0, (-1.0, 0.0, 0.0))
     xi = Point3.from_array(params.xi[0].as_array() - t * np.array([1.0, 0.0, 0.0]))
     gnorm = float(np.linalg.norm(fd_gradient(profile.fn, xi.as_array())))
-    cstar, parts = c_star(profile, xi, detail=True)
-    return profile, xi, gnorm, cstar, parts
-
-
-def default_model():
-    """Model constants from the m = 16 ring profile: the in-plane zero on the
-    outward ray from the first core, the gradient modulus there, and the
-    decay constant.  Returns (profile, xi, gnorm, cstar), computed once."""
-    return _model()[:4]
-
-
-def default_model_parts() -> Dict[str, float]:
-    """The outer/cores/tail parts and the tail fraction of default_model's
-    cstar, from the same quadrature."""
-    return dict(_model()[4])
+    return profile, xi, gnorm, c_star(profile, xi)

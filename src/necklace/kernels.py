@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ._forms import a_gamma_quad, s_alt, s_hat
-from .crown import _COORD_MAX, ProfileHandle, bubble_derivs
+from .crown import _COORD_MAX, ProfileHandle, _bubble_derivs
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
 
@@ -142,12 +142,12 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
     The value, gradient and Hessian are those of the profile's bubbles, in
     closed form."""
     xi_arr = xi.as_array()
-    g0 = bubble_derivs(xi_arr, profile.bubbles)[1]
+    g0 = _bubble_derivs(xi_arr, profile.bubbles)[1]
     n0 = float(np.linalg.norm(g0))
     if n0 == 0.0:
         raise DomainError("profile gradient vanishes at the anchor")
     xi_hat_arr = xi_arr + a * g0 / n0
-    q_hat, grad, hess, _ = bubble_derivs(xi_hat_arr, profile.bubbles)
+    q_hat, grad, hess, _ = _bubble_derivs(xi_hat_arr, profile.bubbles)
     beta = math.atan2(grad[1], grad[0]) - beta_hat
     theta_star = beta - beta_hat
     rot = rotation_matrix(beta)
@@ -321,7 +321,12 @@ def full_kernels(K: int, gnorm: float, b_abs: float, alpha_b: float,
                  alpha_w: float) -> Tuple[float, float, float]:
     """H(b,b), w.(grad_z + grad_p)H(b,b) and w^T (mixed Hessian of H)(b,b) w,
     H = gamma + h0e, at b = b_abs (cos alpha_b, sin alpha_b, 0) and
-    w = gnorm (cos alpha_w, sin alpha_w, 0): the coefficients of psi_full."""
+    w = gnorm (cos alpha_w, sin alpha_w, 0): the coefficients of psi_full.
+
+    Raises DomainError for a gnorm that is not finite and positive, or so
+    large that a sum of the w-derivatives could overflow."""
+    if not (math.isfinite(gnorm) and gnorm > 0.0):
+        raise DomainError(f"gnorm must be finite and positive, got {gnorm!r}")
     sector = SectorConfig(K)
     b = Point3(b_abs * math.cos(alpha_b), b_abs * math.sin(alpha_b), 0.0)
     # |b| and arg b read back from the point, as gamma_bb and h0e_bb do: the
@@ -329,6 +334,18 @@ def full_kernels(K: int, gnorm: float, b_abs: float, alpha_b: float,
     babs, alpha_b = _in_plane(b)
     h_val = (_gamma_bb_closed(babs, alpha_b, sector)
              + _h0e_bb_closed(babs, alpha_b, sector))
+    # With 1/2 < |b| < 1 and |alpha_b| < theta0/2, as the closed forms just
+    # checked, b's Newton images lie at least 2|b| sin(theta0/2) > r =
+    # sin(theta0/2) from b, and h0's radicand is at least (1 - |b|^2)^2.  So
+    # every term and partial product of the K-term sums is under
+    # (1 + gnorm)^2 times 4/r^3 (Newton) or 15/(1 - |b|^2)^5 (h0e), and twice
+    # K times their sum bounds each sum with room for round-off
+    r = math.sin(sector.theta0 / 2.0)
+    g1 = 1.0 + gnorm
+    bound = 2.0 * K * g1 * g1 * (4.0 / r**3 + 15.0 / (1.0 - babs * babs) ** 5)
+    if not math.isfinite(bound):
+        raise DomainError(f"the w-derivative sums overflow at gnorm={gnorm!r} "
+                          f"and |b|={babs!r}")
     bv = b.as_array()
     w = gnorm * np.array([math.cos(alpha_w), math.sin(alpha_w), 0.0])
     newton = _newton_derivs(bv, w, sector)

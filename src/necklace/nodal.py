@@ -13,7 +13,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .crown import (_BLOCK, CrownParams, ProfileHandle, _as_array,
-                    _check_points, _fd_gradient, _sq_norm, bubble_derivs)
+                    _bubble_derivs, _check_points, _fd_gradient, _sq_norm)
 from .errors import DomainError, NotFoundError
 from .geometry import Point3
 
@@ -66,8 +66,6 @@ class NodalMesh:
     points: np.ndarray      # (N, 3)
     values: np.ndarray      # (N,) residuals |u|
     gradients: np.ndarray   # (N,) |grad u|
-    bbox: BBox
-    resolution: int
     dropped: int = 0        # crossings removed for residual > 1e-8
 
     def __len__(self) -> int:
@@ -420,8 +418,7 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     if not found:
         _log_mesh(resolution, scanned, 0, 0, 0, 0)
         empty = np.empty((0, 3))
-        return NodalMesh(points=empty, values=np.empty(0), gradients=np.empty(0),
-                         bbox=bbox, resolution=resolution)
+        return NodalMesh(points=empty, values=np.empty(0), gradients=np.empty(0))
 
     # each edge runs along one axis: bisect that coordinate [lo, hi] only
     # (the others' midpoint 0.5 (x + x) is x)
@@ -439,8 +436,7 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     dropped = int(np.count_nonzero(~keep))
     _log_mesh(resolution, scanned, len(a), evaluated, certified, dropped)
     grads = gradient_norms(profile, points) if len(points) else np.empty(0)
-    return NodalMesh(points=points, values=residual, gradients=grads,
-                     bbox=bbox, resolution=resolution, dropped=dropped)
+    return NodalMesh(points=points, values=residual, gradients=grads, dropped=dropped)
 
 
 def _log_mesh(res, scanned, crossings, evaluated, certified, dropped) -> None:
@@ -455,7 +451,7 @@ def _polish_min(derivs, start: np.ndarray) -> float:
 
         [H g - lam g; u] = 0,  Jacobian [[T[g] + H^2 - lam H, -g]; [g^T, 0]],
 
-    with u, g, H and T[g] from ``derivs(z)`` (see ``bubble_derivs``).  Once
+    with u, g, H and T[g] from ``derivs(z)`` (see ``_bubble_derivs``).  Once
     a step is at most 1e-12 max(1, |z|) it takes one more step, which brings
     z to round-off, and returns |g| there.  A start that does not get there
     within _NEWTON_ITERS steps, or ends with |u| > 1e-6, gives inf."""
@@ -491,6 +487,6 @@ def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle) -> float:
     derivatives of the profile's bubbles."""
     if len(mesh) == 0:
         raise DomainError("empty mesh has no gradient minimum")
-    derivs = lambda z: bubble_derivs(z, profile.bubbles)
+    derivs = lambda z: _bubble_derivs(z, profile.bubbles)
     starts = mesh.points[np.argsort(mesh.gradients)[:_POLISH_CANDIDATES]]
     return min([float(np.min(mesh.gradients))] + [_polish_min(derivs, z) for z in starts])

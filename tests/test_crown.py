@@ -15,7 +15,8 @@ from necklace.crown import (
     _sq_norm,
     TALENTI_AMP,
     ProfileHandle,
-    bubble_derivs,
+    _bubble_derivs,
+    _fd_gradient,
     build_crown,
     fd_gradient,
     psi_d1,
@@ -303,7 +304,7 @@ def _derivs_points(p):
 class TestUStarDerivs:
     def test_against_mpmath(self, crown16):
         for z in _derivs_points(crown16):
-            u, g, hess, tg = bubble_derivs(z, crown16._bubbles)
+            u, g, hess, tg = _bubble_derivs(z, crown16._bubbles)
             u_ref, g_ref, hess_ref, tg_ref = _derivs_mp(z, crown16)
             # grad u vanishes at the origin by symmetry; the scale there is 1
             scale = max(np.linalg.norm(g_ref), 1.0)
@@ -316,18 +317,18 @@ class TestUStarDerivs:
         centers = crown16.centers_array()
         # T[g] = |g| T[g/|g|]; the origin, where g = 0, is left out
         for z in _derivs_points(crown16)[1:]:
-            _, g, _, tg = bubble_derivs(z, crown16._bubbles)
+            _, g, _, tg = _bubble_derivs(z, crown16._bubbles)
             gnorm = np.linalg.norm(g)
             v = g / gnorm
             h = 1e-4 * min(1.0, np.min(np.linalg.norm(z - centers, axis=1)))
-            diff = (bubble_derivs(z + h * v, crown16._bubbles)[2]
-                    - bubble_derivs(z - h * v, crown16._bubbles)[2]) * (gnorm / (2.0 * h))
+            diff = (_bubble_derivs(z + h * v, crown16._bubbles)[2]
+                    - _bubble_derivs(z - h * v, crown16._bubbles)[2]) * (gnorm / (2.0 * h))
             assert np.abs(diff - tg).max() <= 1e-6 * max(np.abs(tg).max(), gnorm)
 
     def test_against_finite_differences(self, crown16):
         prof = u_star_profile(crown16)
         for z in _points((12, 3), seed=34):
-            u, g, hess, _ = bubble_derivs(z, crown16._bubbles)
+            u, g, hess, _ = _bubble_derivs(z, crown16._bubbles)
             assert u == pytest.approx(u_star(z, crown16), abs=1e-14)
             # the central differences' round-off floors: eps/h at h = 1e-6
             # for the gradient, eps/h^2 at h = 1e-4 for the Hessian
@@ -336,14 +337,14 @@ class TestUStarDerivs:
             assert np.abs(fd_h - hess).max() <= 1e-6 * max(np.abs(hess).max(), 1.0)
 
     def test_second_and_third_derivatives_are_symmetric(self, crown16):
-        _, _, hess, tg = bubble_derivs(np.array([0.5, 0.2, -0.1]), crown16._bubbles)
+        _, _, hess, tg = _bubble_derivs(np.array([0.5, 0.2, -0.1]), crown16._bubbles)
         assert np.array_equal(hess, hess.T)
         assert np.array_equal(tg, tg.T)
 
     @pytest.mark.parametrize("shape", [(2,), (1, 3), (17, 3)])
     def test_rejects_anything_but_one_point(self, crown16, shape):
         with pytest.raises(DomainError):
-            bubble_derivs(np.zeros(shape), crown16._bubbles)
+            _bubble_derivs(np.zeros(shape), crown16._bubbles)
 
     def test_profile_carries_derivs(self, crown16):
         # a profile's derivatives are those of its bubbles, the only field
@@ -351,7 +352,7 @@ class TestUStarDerivs:
         assert [f.name for f in dataclasses.fields(ProfileHandle)] == ["fn", "bubbles"]
         assert u_star_profile(crown16).bubbles is crown16._bubbles
         for z in _points((6, 3), seed=35):
-            u, g, _, _ = bubble_derivs(z, talenti_profile().bubbles)
+            u, g, _, _ = _bubble_derivs(z, talenti_profile().bubbles)
             assert u == pytest.approx(u_bubble(z), rel=1e-15)
             assert np.allclose(g, -u_bubble(z) ** 3 / np.sqrt(3.0) * z, rtol=1e-14, atol=0.0)
         assert not any(a.flags.writeable for a in crown16._bubbles)
@@ -486,29 +487,18 @@ def test_u_star_finite_or_domain_error(crown16, points, single):
     _assert_finite_or_domain_error(lambda arr: u_star(arr, crown16), z)
 
 
-#: a finite-difference step: any float, or an edge value of its range
-_FD_STEP = st.one_of(
-    st.floats(),
-    st.sampled_from([1e-6, 5e-324, 1e150, 1.0000000000000002e150, 0.0, -1e-6,
-                     math.nan, math.inf]),
-)
-
-
 @settings(max_examples=300)
 @given(st.lists(st.tuples(_PSI_COORD, _PSI_COORD, _PSI_COORD), min_size=1,
-                max_size=3), st.booleans(), st.lists(_FD_STEP, min_size=1, max_size=3))
-def test_fd_gradient_finite_or_domain_error(crown16, points, single, steps):
-    # in-range points and steps, one or one per point, give a finite
-    # gradient; anything else raises DomainError, and no RuntimeWarning escapes
+                max_size=3), st.booleans())
+def test_fd_gradient_finite_or_domain_error(crown16, points, single):
+    # in-range points give a finite gradient; any other raises DomainError,
+    # and no RuntimeWarning escapes
     z = np.array(points[0] if single else points, dtype=float)
-    h = np.array(steps[0] if len(steps) == 1 else steps)
-    in_range = bool(np.isfinite(z).all() and (np.abs(z) <= 1e150).all()
-                    and h.size in (1, z.size // 3) and np.isfinite(h).all()
-                    and (h > 0.0).all() and (h <= 1e150).all())
+    in_range = bool(np.isfinite(z).all() and (np.abs(z) <= 1e150).all())
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            grad = fd_gradient(u_star_profile(crown16).fn, z, h)
+            grad = fd_gradient(u_star_profile(crown16).fn, z)
         except DomainError:
             assert not in_range
             return
@@ -561,5 +551,5 @@ class TestFiniteDifferenceBatching:
         rows = fd_gradient(prof.fn, pts)
         assert rows.shape == pts.shape
         assert np.array_equal(rows, [fd_gradient(prof.fn, z) for z in pts])
-        assert np.array_equal(fd_gradient(prof.fn, pts, steps),
-                              [fd_gradient(prof.fn, z, h) for z, h in zip(pts, steps)])
+        assert np.array_equal(_fd_gradient(prof.fn, pts, steps),
+                              [_fd_gradient(prof.fn, z, h) for z, h in zip(pts, steps)])

@@ -1,6 +1,8 @@
+import itertools
 import logging
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +41,6 @@ from necklace.energy import (
     c_star,
     check_full_mode,
     default_model,
-    default_model_parts,
     eps_star,
     in_box,
     minimize_psi,
@@ -350,6 +351,42 @@ def test_psi_full_tiny_d_is_an_accuracy_error():
     assert math.isfinite(psi_leading(A, cfg))
 
 
+def _largest_gnorm(K, delta):
+    """The largest gnorm ReducedConfig accepts at K and delta, by bisection."""
+    lo, hi = 1.0, 1e300  # accepted, rejected
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        try:
+            ReducedConfig(K=K, lam=1.0, gnorm=mid, cstar=0.25, delta=delta)
+            lo = mid
+        except DomainError:
+            hi = mid
+
+
+@pytest.mark.parametrize("K, delta", [(64, 0.1), (4, 0.999), (65536, 0.999),
+                                      (65536, 0.1), (65536, 0.01)])
+def test_psi_full_at_largest_gnorm(K, delta):
+    # ReducedConfig's bound lets through a gnorm at which the kernels'
+    # w-derivative sums overflow: psi_full at each corner of the box gives a
+    # finite value or raises DomainError, and no warning
+    cfg = ReducedConfig(K=K, lam=1.0, gnorm=_largest_gnorm(K, delta), cstar=0.25,
+                        delta=delta)
+    box = _box(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for corner in itertools.product((0, 1), repeat=len(_ORDER)):
+            x = {k: box[k][i] for k, i in zip(_ORDER, corner)}
+            eps = math.exp(x["log_eps"])
+            A = ReducedPoint(eps=eps, a=x["a_rel"] * _a_half_width(cfg, eps), d=x["d"],
+                             alpha_b=x["alpha_b"], alpha_w=x["alpha_w"])
+            try:
+                assert math.isfinite(psi_full(A, cfg))
+            except DomainError:
+                pass
+
+
 class TestMinimization:
     def test_deterministic(self):
         cfg = _cfg()
@@ -370,7 +407,9 @@ class TestMinimization:
         monkeypatch.undo()
         assert diag["converged"] is True
         assert 1 <= diag["sweeps_used"] < energy._SWEEPS
-        assert diag["grid_points"] == 9**5
+        assert sorted(diag) == sorted([
+            "value", "on_boundary", "eps_ratio", "d_scaling", "a_rel", "alpha_b_rel",
+            "alpha_w_rel", "sweeps_used", "converged", "evaluations"])
         # the descent's calls, then one for the reported value; the grid
         # makes none
         assert diag["evaluations"] == len(calls) - 1 > 0
@@ -401,7 +440,6 @@ class TestMinimization:
         assert math.isfinite(diag["value"])
         assert diag["value"] == psi_full(argmin, cfg)
         assert in_box(argmin, cfg)
-        assert diag["mode"] == "full"
         assert diag["converged"] is True
 
     @pytest.mark.parametrize("K, delta", [(64, 1e-3), (64, 1.71e-3), (128, 5e-4)])
@@ -571,8 +609,9 @@ class TestCStar:
         assert values[1] == pytest.approx(values[0], rel=1e-6)
 
     def test_is_logged(self, caplog, monkeypatch):
-        # one DEBUG record: the parts of detail=True, every point the
-        # profile was called at, and the shells _apply_bumps found a core on
+        # one DEBUG record: the parts, which sum to the returned total, every
+        # point the profile was called at, and the shells _apply_bumps found
+        # a core on
         mu = 0.05
         x = np.array([[0.0, 0.0, 0.0], [0.8, 0.0, 0.0]])
         conc = np.array([1.0, mu * mu])
@@ -591,13 +630,15 @@ class TestCStar:
         monkeypatch.setattr(energy, "_apply_bumps",
                             lambda *args: shells.append(real(*args)) or shells[-1])
         caplog.set_level(logging.DEBUG, logger="necklace.energy")
-        total, parts = c_star(ProfileHandle(fn=fn, bubbles=(x, conc, amp)), xi,
-                              scale=0.5, detail=True)
+        total = c_star(ProfileHandle(fn=fn, bubbles=(x, conc, amp)), xi, scale=0.5)
         assert 0 < sum(shells) < len(shells)
-        assert [r.getMessage() for r in caplog.records] == [
-            f"c_star scale 0.5: outer {parts['outer']!r}, cores {parts['cores']!r}, "
-            f"tail {parts['tail']!r}; {sum(points)} profile points, "
-            f"{sum(shells)} of {len(shells)} shells bumped"]
+        [record] = caplog.records
+        _scale, outer, cores, tail = record.args[:4]
+        assert outer + cores + tail == total
+        assert record.getMessage() == (
+            f"c_star scale 0.5: outer {outer!r}, cores {cores!r}, "
+            f"tail {tail!r}; {sum(points)} profile points, "
+            f"{sum(shells)} of {len(shells)} shells bumped")
 
     def test_model_constant(self):
         # the m=16 value the benchmark reference pins, to the last bit
@@ -653,20 +694,20 @@ class TestCStar:
         assert got.shape == y.shape
         assert got.tobytes() == (y + x).tobytes()
 
-    def test_value_and_tail(self):
-        _profile, _xi, gnorm, cstar = default_model()
-        assert cstar > 0.0
+    def test_halving_steps(self, caplog):
+        profile, xi, gnorm, cstar = default_model()
         assert gnorm > 0.0
-        parts = default_model_parts()
-        total = parts["outer"] + parts["cores"] + parts["tail"]
-        assert total == pytest.approx(cstar, rel=1e-12)
-        assert parts["tail_fraction"] <= 1e-8
-
-    def test_halving_steps(self):
-        profile, xi, _gnorm, cstar = default_model()
+        caplog.set_level(logging.DEBUG, logger="necklace.energy")
+        caplog.clear()
         refined = c_star(profile, xi, scale=2.0)
         assert refined == 0.23348691414482722
         assert abs(refined - cstar) / refined <= 1e-6
+        # the parts in the call's DEBUG record make up the total, and the far
+        # field's is negligible
+        [record] = caplog.records
+        _scale, outer, cores, tail = record.args[:4]
+        assert outer + cores + tail == pytest.approx(refined, rel=1e-12)
+        assert tail / refined <= 1e-8
 
 
 #: _u6_integral's rule: outer radius, log-radial panels, Gauss order in

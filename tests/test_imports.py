@@ -118,9 +118,9 @@ def _unreached():
     return sorted(set(defs) - reached)
 
 
-#: kept although only the tests reach them: the tests' one-bubble profile,
-#: the minimiser tests' box check, and the parts of the model's cstar
-_TEST_ONLY = ["default_model_parts", "in_box", "talenti_profile"]
+#: kept although only the tests reach them: the tests' one-bubble profile
+#: and the minimiser tests' box check
+_TEST_ONLY = ["in_box", "talenti_profile"]
 
 
 def test_package_reached_from_its_entry_points():

@@ -604,6 +604,26 @@ def test_edge_inputs_raise_only_typed_errors(placement, image, k, gnorm, alpha_w
             pass
 
 
+@settings(max_examples=100)
+@given(st.sampled_from([4, 64, 1024]), st.floats(0.51, 0.999), st.floats(-0.49, 0.49),
+       st.one_of(st.floats(), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+       st.floats(-3.0, 3.0))
+@example(64, 0.95, 0.0, 1e154, 0.0)
+@example(64, 0.95, 0.0, math.nan, 0.0)
+def test_full_kernels_finite_or_domain_error(K, babs, frac, gnorm, alpha_w):
+    # a gnorm that is not finite and positive, or past the bound where the
+    # w-derivative sums can overflow (above 1e100 here), is a DomainError;
+    # any other gives finite kernels, and no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = full_kernels(K, gnorm, babs, frac * math.pi / K, alpha_w)
+        except DomainError:
+            assert not 0.0 < gnorm <= 1e100
+            return
+    assert all(map(math.isfinite, out))
+
+
 # ---------------------------------------------------------------------------
 # any drawn point: rejected when non-finite, finite output or a typed error
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from necklace.crown import (
     _BLOCK,
     ProfileHandle,
-    bubble_derivs,
+    _bubble_derivs,
     build_crown,
     talenti_profile,
     u_star,
@@ -28,6 +28,7 @@ from necklace.nodal import (
     _certified_signs,
     _certify,
     _edge_bounds,
+    _normalize_bbox,
     _polish_min,
     gradient_min_on_nodal,
     gradient_norms,
@@ -168,9 +169,8 @@ class TestNodalMesh:
         with pytest.raises(DomainError):
             nodal_mesh(crown16, star16, 2.5, 100_000)
 
-    def test_scalar_bbox_normalized(self, crown16, star16):
-        mesh = nodal_mesh(crown16, star16, 1.5, 16)
-        assert mesh.bbox == ((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5))
+    def test_scalar_bbox_normalized(self):
+        assert _normalize_bbox(1.5) == ((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5))
 
     def test_empty_for_positive_profile(self, crown16):
         mesh = nodal_mesh(crown16, talenti_profile(), 2.0, 16)
@@ -182,10 +182,7 @@ class TestNodalMesh:
         mesh = nodal_mesh(crown16, star16, 2.5, 48)
         assert len(mesh) > 0
         assert np.max(mesh.values) <= 1e-8
-        lo = np.array([ax[0] for ax in mesh.bbox])
-        hi = np.array([ax[1] for ax in mesh.bbox])
-        assert np.all(mesh.points >= lo - 1e-12)
-        assert np.all(mesh.points <= hi + 1e-12)
+        assert np.all(np.abs(mesh.points) <= 2.5 + 1e-12)
 
     def test_dropped_count(self, crown16, star16):
         # kept + dropped is every sign-changing grid edge
@@ -452,7 +449,7 @@ class TestCertifiedScan:
         # yet gives the mesh of a full scan and full bisection
         recording, calls = _recording(star16)
         certified = nodal_mesh(crown16, recording, 2.5, res)
-        full = _old_mesh(star16, certified.bbox, res)
+        full = _old_mesh(star16, _normalize_bbox(2.5), res)
         assert len(certified) > 0
         assert 0 < _after_scan(calls)[0] < (res + 1) ** 3
         for new, ref in zip((certified.points, certified.values, certified.gradients), full):
@@ -577,7 +574,7 @@ def test_mesh_does_not_depend_on_bubbles(crown16, star16, bbox, res):
             mesh = nodal_mesh(crown16, star16, bbox, res)
         except DomainError:
             reject()
-        full = _old_mesh(star16, mesh.bbox, res)
+        full = _old_mesh(star16, _normalize_bbox(bbox), res)
     for new, ref in zip((mesh.points, mesh.values, mesh.gradients), full):
         assert np.array_equal(new, ref)
     assert mesh.dropped == full[3]
@@ -611,7 +608,7 @@ class TestGradientMin:
 
         def derivs(z):
             seen.append(z.copy())
-            return bubble_derivs(z, star16.bubbles)
+            return _bubble_derivs(z, star16.bubbles)
 
         order = np.argsort(mesh48.gradients)[:_POLISH_CANDIDATES]
         for idx in order:
@@ -620,13 +617,13 @@ class TestGradientMin:
             z = seen[-1]
             assert np.array_equal(mesh48.points[idx], start)
             assert abs(u_star(z, crown16)) <= 1e-12
-            assert val == np.linalg.norm(bubble_derivs(z, crown16._bubbles)[1])
+            assert val == np.linalg.norm(_bubble_derivs(z, crown16._bubbles)[1])
             assert val == pytest.approx(gradient_norms(star16, z)[0], rel=1e-8)
 
     def test_failed_start_gives_inf(self, star16):
         # from a start far outside the zero set the Newton steps run off to
         # infinity, and the start does not converge within the step budget
-        derivs = lambda z: bubble_derivs(z, star16.bubbles)
+        derivs = lambda z: _bubble_derivs(z, star16.bubbles)
         assert _polish_min(derivs, np.array([40.0, 30.0, 20.0])) == np.inf
 
     def test_stalled_start_off_the_zero_set_gives_inf(self):
