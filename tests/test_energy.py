@@ -694,20 +694,42 @@ class TestCStar:
         assert got.shape == y.shape
         assert got.tobytes() == (y + x).tobytes()
 
-    def test_halving_steps(self, caplog):
-        profile, xi, gnorm, cstar = default_model()
+    def test_value_and_tail(self, refined_c_star):
+        _profile, _xi, gnorm, cstar = default_model()
+        assert cstar > 0.0
         assert gnorm > 0.0
-        caplog.set_level(logging.DEBUG, logger="necklace.energy")
-        caplog.clear()
-        refined = c_star(profile, xi, scale=2.0)
-        assert refined == 0.23348691414482722
-        assert abs(refined - cstar) / refined <= 1e-6
-        # the parts in the call's DEBUG record make up the total, and the far
+        # the parts in c_star's DEBUG record make up the total, and the far
         # field's is negligible
-        [record] = caplog.records
-        _scale, outer, cores, tail = record.args[:4]
+        refined, (outer, cores, tail) = refined_c_star
         assert outer + cores + tail == pytest.approx(refined, rel=1e-12)
         assert tail / refined <= 1e-8
+
+    def test_halving_steps(self, refined_c_star):
+        _profile, _xi, _gnorm, cstar = default_model()
+        refined, _parts = refined_c_star
+        assert refined == 0.23348691414482722
+        assert abs(refined - cstar) / refined <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def refined_c_star():
+    """c_star of the m = 16 model at scale 2, and the outer, core and tail
+    parts of its one DEBUG record."""
+    profile, xi, _gnorm, _cstar = default_model()
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    logger = logging.getLogger("necklace.energy")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        refined = c_star(profile, xi, scale=2.0)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    [record] = records
+    return refined, record.args[1:4]
 
 
 #: _u6_integral's rule: outer radius, log-radial panels, Gauss order in
