@@ -317,6 +317,36 @@ def _h0e_derivs(bv: np.ndarray, w: np.ndarray,
     )
 
 
+def _check_w_sums(K: int, gnorm: float, babs: float, alpha_b: float) -> None:
+    """Raise DomainError unless gnorm is finite and positive and no sum of
+    the w-derivatives at b = |b| e^{i alpha_b} (_newton_derivs and
+    _h0e_derivs), with |w| = gnorm, can overflow.
+
+    b's tail images lie at least r = min(1, 2|b|) sin(min(delta, theta0/2))
+    from b, delta the angle from alpha_b to the nearest odd multiple of
+    theta0: the rotations move b by 2|b| sin(2j theta0) >= 2|b| sin(2 theta0),
+    and the reflections by 2|b| sin of at least delta.  h0's radicand is at
+    least (1 - |b|^2)^2.  So every term and partial product of the K-term
+    sums is under (1 + gnorm)^2 times 4/r^3 (Newton) or 15/(1 - |b|^2)^5
+    (h0e), and twice K times their sum bounds each sum with room for
+    round-off.  With 1/2 < |b| < 1 and |alpha_b| < theta0/2, which the
+    closed forms check, r = sin(theta0/2).
+    """
+    if not (math.isfinite(gnorm) and gnorm > 0.0):
+        raise DomainError(f"gnorm must be finite and positive, got {gnorm!r}")
+    theta0 = math.pi / K
+    # alpha_b as the angle of the point b, in [-pi, pi]
+    alpha = math.atan2(math.sin(alpha_b), math.cos(alpha_b))
+    delta = abs(math.remainder(alpha - theta0, 2.0 * theta0))
+    r = min(1.0, 2.0 * babs) * math.sin(min(delta, theta0 / 2.0))
+    g1 = 1.0 + gnorm
+    bound = (2.0 * K * g1 * g1 * (4.0 / r**3 + 15.0 / (1.0 - babs * babs) ** 5)
+             if r > 0.0 else math.inf)
+    if not math.isfinite(bound):
+        raise DomainError(f"the w-derivative sums can overflow at |w|={gnorm!r}, "
+                          f"|b|={babs!r} and alpha_b={alpha_b!r}")
+
+
 def full_kernels(K: int, gnorm: float, b_abs: float, alpha_b: float,
                  alpha_w: float) -> Tuple[float, float, float]:
     """H(b,b), w.(grad_z + grad_p)H(b,b) and w^T (mixed Hessian of H)(b,b) w,
@@ -324,9 +354,7 @@ def full_kernels(K: int, gnorm: float, b_abs: float, alpha_b: float,
     w = gnorm (cos alpha_w, sin alpha_w, 0): the coefficients of psi_full.
 
     Raises DomainError for a gnorm that is not finite and positive, or so
-    large that a sum of the w-derivatives could overflow."""
-    if not (math.isfinite(gnorm) and gnorm > 0.0):
-        raise DomainError(f"gnorm must be finite and positive, got {gnorm!r}")
+    large that a sum of the w-derivatives could overflow (_check_w_sums)."""
     sector = SectorConfig(K)
     b = Point3(b_abs * math.cos(alpha_b), b_abs * math.sin(alpha_b), 0.0)
     # |b| and arg b read back from the point, as gamma_bb and h0e_bb do: the
@@ -334,18 +362,7 @@ def full_kernels(K: int, gnorm: float, b_abs: float, alpha_b: float,
     babs, alpha_b = _in_plane(b)
     h_val = (_gamma_bb_closed(babs, alpha_b, sector)
              + _h0e_bb_closed(babs, alpha_b, sector))
-    # With 1/2 < |b| < 1 and |alpha_b| < theta0/2, as the closed forms just
-    # checked, b's Newton images lie at least 2|b| sin(theta0/2) > r =
-    # sin(theta0/2) from b, and h0's radicand is at least (1 - |b|^2)^2.  So
-    # every term and partial product of the K-term sums is under
-    # (1 + gnorm)^2 times 4/r^3 (Newton) or 15/(1 - |b|^2)^5 (h0e), and twice
-    # K times their sum bounds each sum with room for round-off
-    r = math.sin(sector.theta0 / 2.0)
-    g1 = 1.0 + gnorm
-    bound = 2.0 * K * g1 * g1 * (4.0 / r**3 + 15.0 / (1.0 - babs * babs) ** 5)
-    if not math.isfinite(bound):
-        raise DomainError(f"the w-derivative sums overflow at gnorm={gnorm!r} "
-                          f"and |b|={babs!r}")
+    _check_w_sums(K, gnorm, babs, alpha_b)
     bv = b.as_array()
     w = gnorm * np.array([math.cos(alpha_w), math.sin(alpha_w), 0.0])
     newton = _newton_derivs(bv, w, sector)
@@ -373,6 +390,7 @@ def kernel_grad(kind: str, slot: str, A: PlacedBubble,
     if slot not in ("z", "p"):
         raise DomainError(f"slot must be 'z' or 'p', got {slot!r}")
     f = _direct_fn(kind, cfg)
+    _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
     bv = A.b_point.as_array()
     w = A.w_vec
     what = w / np.linalg.norm(w)
@@ -407,6 +425,7 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     """w^T (mixed z/p Hessian) w at (b, b): Richardson-combined second
     differences vs exact analytic sum vs the ring asymptotic."""
     f = _direct_fn(kind, cfg)
+    _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
     bv = A.b_point.as_array()
     w = A.w_vec
     what = w / np.linalg.norm(w)

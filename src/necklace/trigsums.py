@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -25,19 +24,19 @@ from operator import neg
 from typing import Tuple
 
 import numpy as np
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import fzero, mpf_add, mpf_neg, mpf_pow
+from mpmath.libmp import from_rational, mpf_cos_sin, mpf_shift, round_nearest, to_int
 
 from ._quad import gl_panels
 from .errors import AccuracyError, DomainError, RegimeWarning, UnsupportedError
 
 # Alternating sums are exponentially small in n*x while their terms are O(1);
-# below this cancellation level the float pathway is recomputed in escalating
-# multiprecision (see sum_direct).
+# below this cancellation level the float pathway is recomputed in exact
+# integers at escalating scales (see sum_direct).
 _CANCEL_THRESHOLD = 1e-8
 
-#: the largest n SumSpec accepts: sum_direct holds n float terms and a
-#: multiprecision sin^2 table of n entries (11-15 MB at 40-160 digits)
+#: the largest n SumSpec accepts: sum_direct holds n float terms and, when
+#: it escalates, an integer sin^2 table of n/2 + 1 entries per scale 2^q
+#: (1.7 MB at n = N_MAX and q = 136 bits, 10.6 MB at the largest q, 2 176)
 N_MAX = 2**16
 
 _log = logging.getLogger(__name__)
@@ -86,56 +85,6 @@ class SumSpec:
                 )
 
 
-# one private mpmath context per thread: mpmath's global context keeps one
-# working precision for the whole process, which concurrent callers would race on
-_MP = threading.local()
-
-
-def _mp_context() -> MPContext:
-    ctx = getattr(_MP, "ctx", None)
-    if ctx is None:
-        ctx = _MP.ctx = MPContext()
-    return ctx
-
-
-@functools.lru_cache(maxsize=4)
-def _sin2_table(n: int, prec: int) -> Tuple[tuple, ...]:
-    """sin^2(j pi/n) for j = 0..n-1, as libmp tuples rounded to prec bits.
-
-    An entry takes about 170 B at 40 digits, 225 B at 160 and 440 B at 640
-    (measured with tracemalloc), so a table of n = N_MAX entries takes
-    11-15 MB at 40-160 digits and 29 MB at 640, and the four cached tables
-    at most 115 MB.  The calling thread's context computes the table at prec
-    bits and then gets its own precision back.
-    """
-    ctx = _mp_context()
-    with ctx.workprec(prec):
-        step = ctx.pi / n
-        return tuple((ctx.sin(j * step) ** 2)._mpf_ for j in range(n))
-
-
-def _sum_mp(ctx: MPContext, spec: SumSpec):
-    """The sum and the sum of the term magnitudes at ctx's precision.
-
-    The terms run on raw libmp tuples, making the same mpf_add/mpf_pow calls
-    as mpmath's mpf operators without their per-operation wrappers, so the
-    result has the bits of the operator-level loop.
-    """
-    x2 = (ctx.mpf(spec.x) ** 2)._mpf_
-    nkhalf = (-(ctx.mpf(spec.k) / 2))._mpf_
-    prec, rnd = ctx._prec_rounding
-    s2 = _sin2_table(spec.n, prec)
-    js = range(spec.n)
-    plus, minus = (js[sl] for sl in _FLOAT_SLICES[spec.variant])
-    total = abssum = fzero
-    # in increasing j: the rounded sums depend on the order of their terms
-    for j in sorted([*plus, *minus]):
-        t = mpf_pow(mpf_add(x2, s2[j], prec, rnd), nkhalf, prec, rnd)
-        total = mpf_add(total, mpf_neg(t) if j in minus else t, prec, rnd)
-        abssum = mpf_add(abssum, t, prec, rnd)
-    return ctx.make_mpf(total), ctx.make_mpf(abssum)
-
-
 @functools.lru_cache(maxsize=64)
 def _sin2_float(n: int) -> np.ndarray:
     """sin^2(j pi/n) for j = 0..n-1 as a read-only float array, each entry
@@ -176,7 +125,7 @@ def _sum_float(spec: SumSpec, bases: list) -> float:
     total = math.fsum(plus + list(map(neg, minus)))
     if _resolved(total, plus, minus):
         return total
-    return _sum_escalated(spec)
+    return _sum_exact(spec)
 
 
 def _bases(n: int, x: float) -> list:
@@ -194,12 +143,14 @@ def sum_direct(spec: SumSpec) -> float:
     correct rounding makes the result independent of the order of the terms.
     When the alternating cancellation exceeds what double precision can
     resolve (|sum| below 1e-8 of the term magnitude), the sum is recomputed
-    in multiprecision with doubling working precision until the result is
-    resolved, then rounded back to float, or until the sum and its error
-    bound lie below 2^-1075, where any value it may have rounds to 0.0.
-    The multiprecision pathway uses a private context per thread, so
-    concurrent calls do not interfere; each precision tried is logged at
-    DEBUG on this module's logger.
+    in exact integers at the scale 2^q with a proven error bound, q doubling
+    from 136 bits until the bound fixes the rounding (_sum_exact).  The
+    result is then the correctly rounded double of the exact sum, +0.0 when
+    that underflows; past q = 2 176 bits the call raises AccuracyError.  The
+    exact pathway keeps no process-wide precision, so concurrent calls do
+    not interfere.  Each q tried is logged at DEBUG on this module's logger,
+    with the number of terms computed, the error bound in ulps of the result
+    and whether it resolved, underflowed or stayed unresolved.
     """
     return _sum_float(spec, _bases(spec.n, spec.x))
 
@@ -212,26 +163,137 @@ def alt_sums(n: int, x: float) -> Tuple[float, float, float]:
     return tuple(_sum_float(spec, bases) for spec in specs)
 
 
-def _sum_escalated(spec: SumSpec) -> float:
-    """The sum in multiprecision at 40, 80, ... 640 digits (see sum_direct)."""
-    ctx = _mp_context()
-    dps = 40
-    while dps <= 640:
-        ctx.dps = dps
-        total_mp, abs_mp = _sum_mp(ctx, spec)
-        # the resolution test runs in double precision
-        ctx.prec = 53
-        err = abs_mp * ctx.mpf(10) ** (-(dps - 15))
-        resolved = abs(total_mp) > err
-        underflows = abs(total_mp) + err < ctx.ldexp(1, -1075)
-        _log.debug("sum_direct %s: %s at %d dps", spec,
-                   "resolved" if resolved or underflows else "unresolved", dps)
-        if resolved or underflows:
-            return float(total_mp) if resolved else 0.0
-        dps *= 2
-    raise AccuracyError(
-        "alternating sum unresolved at 640 digits", best=float(total_mp)
-    )
+#: the exact pathway's scales 2^q: q doubles from _Q_FIRST up to _Q_CEILING
+#: bits, past the 2 126 bits of 640 decimal digits
+_Q_FIRST = 136
+_Q_CEILING = 2176
+
+#: guard bits of the rotation that builds _sin2_fixed's tables
+_GUARD = 24
+
+
+@functools.lru_cache(maxsize=4)
+def _sin2_fixed(n: int, q: int) -> Tuple[int, ...]:
+    """2^q sin^2(j pi/n) for j = 0..n/2 as integers, each within 0.51 of it
+    (for n <= N_MAX).
+
+    The table rotates z_j ~ 2^p e^{ij pi/n} in integers at the scale 2^p,
+    p = q + _GUARD: z_{j+1} = floor(z_j (C + iS) / 2^p) per component, from
+    z_0 = 2^p.  C and S are libmp's cos and sin of pi/n at p + 8 bits (1/n
+    rounded there, the functions within an ulp) rounded to integers, each
+    within 1/2 + 2^-6 of 2^p (cos, sin)(pi/n), so C + iS is within 0.74 of
+    2^p e^{i pi/n}.  The error e_j of z_j obeys
+        |e_{j+1}| <= |e_j| |C + iS| / 2^p + 0.74 + sqrt(2)
+                  <  |e_j| (1 + 2^-p) + 2.16,
+    the sqrt(2) from the two floors, so |e_j| < 2.2 j for j <= 2^15.  The
+    entry, s_j^2 / 2^(2p-q) rounded to the nearest integer (s_j = Im z_j),
+    is then off by at most
+        1/2 + |e_j| (2^(p+1) + |e_j|) 2^(q-2p) < 1/2 + 4.4 j 2^-_GUARD + 2^-100,
+    below 0.51 for j <= n/2 <= 2^15.  A table holds n/2 + 1 ints: at
+    n = N_MAX and q = _Q_CEILING it takes 10.6 MB (tracemalloc), so the four
+    cached tables take at most 43 MB.
+    """
+    p = q + _GUARD
+    C, S = (to_int(mpf_shift(v, p), round_nearest) for v in mpf_cos_sin(
+        from_rational(1, n, p + 8, round_nearest), p + 8, round_nearest, pi=True))
+    shift = 2 * p - q
+    half = 1 << (shift - 1)
+    c, s, table = 1 << p, 0, [0]
+    for _ in range(n // 2):
+        c, s = (c * C - s * S) >> p, (s * C + c * S) >> p
+        table.append((s * s + half) >> shift)
+    return tuple(table)
+
+
+def _scaled_sum(spec: SumSpec, q: int):
+    """(S, E, terms): the sum at the scale 2^q as an int S with |S - 2^q sum|
+    < E, and the number of terms computed; E is None when a base is below 8.
+
+    At the scale 2^q a term b^(-k/2), b = x^2 + sin^2(j pi/n), is
+    tau(B) = (2^(q(2+k)) / B^k)^(1/2) with B = 2^q b.  It is computed as
+    T = isqrt(2^(q(2+k)) // v^k) from the integer base v = X + s_j, where
+    X = floor(2^q x^2), exact from x's integer ratio, and s_j is within 1 of
+    2^q sin^2(j pi/n) (_sin2_fixed).  So v - 1 < B < v + 2, and for v >= 8:
+    - the floors: tau(v) - 2 < T <= tau(v), since a - 1 < floor(a) moves
+      sqrt(a) by at most 1 (an a below 1 floors to 0), and isqrt moves it
+      by less than 1;
+    - the base: tau and tau(xi)/xi decrease, so by the mean value theorem,
+      with xi between v and B, both above v - 1,
+          |tau(v) - tau(B)| < 2 (k/2) tau(v-1)/(v-1)
+                            = k (tau(v)/v) (v/(v-1))^((k+2)/2)
+                            < 2k tau(v)/v < 2k (T + 2)/v,
+      as (8/7)^3.5 < 2;
+    so |T - tau(B)| < 2 + 2k (T + 2)/v <= 3 + 2k (T + 2) // v.  A term of
+    0 < j < n/2 equals the term of n - j, which has its sign (n is even), so
+    the terms run over j <= n/2, and inside they and their bounds count
+    twice.  The only base that can be below 8 is x^2 at j = 0, and that
+    term then dominates the sum, which the float path resolves.
+    """
+    k, n = spec.k, spec.n
+    half_n = n // 2
+    num, den = spec.x.as_integer_ratio()
+    X = (num * num << q) // (den * den)
+    table = _sin2_fixed(n, q)
+    numer, two_k = 1 << q * (2 + k), 2 * k
+    S = E = count = 0
+    for sign, sl in zip((1, -1), _FLOAT_SLICES[spec.variant]):
+        js = range(half_n + 1)[sl]
+        bases = [X + s for s in table[sl]]
+        if not bases:
+            continue
+        if min(bases) < 8:
+            return 0, None, 0
+        terms = [math.isqrt(numer // v**k) for v in bases]
+        errs = [3 + two_k * (t + 2) // v for t, v in zip(terms, bases)]
+        total, err = 2 * sum(terms), 2 * sum(errs)
+        for i in {0, len(js) - 1}:
+            if js[i] in (0, half_n):
+                total -= terms[i]
+                err -= errs[i]
+        S += sign * total
+        E += err
+        count += len(terms)
+    return S, E, count
+
+
+def _ulps(E, q: int, value: float) -> float:
+    """E / 2^q in units of the ulp of ``value``: inf for no bound (None) or
+    past the double range."""
+    if E is None:
+        return math.inf
+    try:
+        return math.ldexp(E, 1 - q - math.frexp(math.ulp(value))[1])
+    except OverflowError:
+        return math.inf
+
+
+def _sum_exact(spec: SumSpec) -> float:
+    """The sum correctly rounded to a double, from exact integers at the
+    scales 2^q, q = _Q_FIRST, 2 _Q_FIRST, ... _Q_CEILING (see sum_direct).
+
+    The sum lies strictly between (S - E)/2^q and (S + E)/2^q (_scaled_sum).
+    Rounding to nearest is monotone and Python's int/int division rounds
+    correctly, so when both ends give one double, that double is the sum's
+    correctly rounded value; a zero at both ends, of either sign, is an
+    underflow and returns +0.0.  Otherwise q doubles, and past _Q_CEILING
+    the sum raises AccuracyError with the midpoint as ``best``.
+    """
+    q = _Q_FIRST
+    while True:
+        S, E, count = _scaled_sum(spec, q)
+        scale = 1 << q
+        mid = S / scale
+        if E is not None and (S - E) / scale == (S + E) / scale:
+            status = "resolved" if mid else "underflow"
+        else:
+            status = "unresolved"
+        _log.debug("sum_direct %s: %s at q=%d bits, %d terms, E=%.3g ulp",
+                   spec, status, q, count, _ulps(E, q, mid))
+        if status != "unresolved":
+            return mid if mid else 0.0
+        if q >= _Q_CEILING:
+            raise AccuracyError(f"alternating sum unresolved at {q} bits", best=mid)
+        q *= 2
 
 
 # s1_contour's two composite Gauss-Legendre rules on [0, 1], order 24 on 4

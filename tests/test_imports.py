@@ -1,6 +1,7 @@
-"""The package runs on numpy and mpmath alone: importing it, or running a
-command, loads no scipy module (the tests use scipy only as an independent
-reference).  Each case runs in a fresh interpreter, since this one has
+"""The package runs on numpy and mpmath alone, and of mpmath it uses only
+libmp, for the cos and sin that seed the exact sums' sin^2 tables: importing
+it, or running a command, loads no scipy module (the tests use scipy, and
+mpmath's high-precision arithmetic, only as independent references).  Each case runs in a fresh interpreter, since this one has
 imported scipy for other tests.  The package and the tests import nothing
 they do not read, and the package holds no definition that only the tests
 reach."""

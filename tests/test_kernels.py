@@ -624,6 +624,34 @@ def test_full_kernels_finite_or_domain_error(K, babs, frac, gnorm, alpha_w):
     assert all(map(math.isfinite, out))
 
 
+@settings(max_examples=60)
+@given(st.sampled_from([4, 32, 64, 1024]), st.floats(0.05, 0.999),
+       st.floats(-0.49, 0.49), st.floats(-3.0, 3.0),
+       st.one_of(st.floats(0.0, 300.0).map(lambda e: 10.0**e),
+                 st.floats(1.0, 1.7e308)),
+       st.sampled_from([("grad", "z"), ("grad", "p"), ("hess", None)]),
+       st.sampled_from(["gamma", "h0e"]))
+@example(32, 0.97, 0.01 * 32 / math.pi, 0.02, 1e200, ("hess", None), "gamma")
+@example(32, 0.97, 0.01 * 32 / math.pi, 0.02, 1e200, ("grad", "z"), "h0e")
+def test_kernel_derivatives_finite_or_domain_error(K, babs, frac, alpha_w, w_abs,
+                                                   which, kind):
+    # a |w| past the bound where the w-derivative sums can overflow is a
+    # DomainError, as in full_kernels; below it the reports are finite, and
+    # no warning escapes
+    A = _bubble(b_abs=babs, alpha_b=frac * math.pi / K, alpha_w=alpha_w, w_abs=w_abs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if which[0] == "grad":
+                rep = kernel_grad(kind, which[1], A, SectorConfig(K))
+            else:
+                rep = kernel_hess(kind, A, SectorConfig(K))
+        except DomainError:
+            assert w_abs > 1e100
+            return
+    assert all(map(math.isfinite, (rep.direct, rep.closed_form, rep.asymptotic)))
+
+
 # ---------------------------------------------------------------------------
 # any drawn point: rejected when non-finite, finite output or a typed error
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import assume, given, settings, strategies as st
-from mpmath.ctx_mp import MPContext
 
 from necklace import trigsums
 from necklace.errors import AccuracyError, DomainError, RegimeWarning, UnsupportedError
@@ -130,9 +129,10 @@ def test_sum_direct_finite_or_domain_error(variant, k, n, x):
 
 @pytest.mark.parametrize("n, x", [(512, 100.0), (512, 13.0), (256, 1e3)])
 def test_sum_direct_underflow_is_zero(n, x):
-    # S_1 is about e^{-n x}, cancelled past the 640 digits of the
-    # escalation, where the sum and its error bound lie below 2^-1075
-    assert sum_direct(SumSpec("alt", 1, n, x)) == 0.0
+    # S_1 is about e^{-n asinh x}, below half the least subnormal: the exact
+    # pathway's bounds round to a zero, returned as +0.0
+    total = sum_direct(SumSpec("alt", 1, n, x))
+    assert total == 0.0 and math.copysign(1.0, total) == 1.0
 
 
 def test_combination_identities():
@@ -178,40 +178,6 @@ def _term_indices(spec):
     else:  # alt_hat
         for j in range(1, n):
             yield j, 1.0 if j % 2 == 1 else -1.0
-
-
-def _sum_mp_operators(ctx, spec):
-    """The multiprecision loop on mpmath's mpf operators, as the reference
-    for trigsums._sum_mp's raw-libmp loop and its sin^2 table."""
-    x2 = ctx.mpf(spec.x) ** 2
-    step = ctx.pi / spec.n
-    khalf = ctx.mpf(spec.k) / 2
-    total = ctx.mpf(0)
-    abssum = ctx.mpf(0)
-    for j, sign in _term_indices(spec):
-        t = (x2 + ctx.sin(j * step) ** 2) ** (-khalf)
-        total += sign * t
-        abssum += t
-    return total, abssum
-
-
-@settings(max_examples=80)
-@given(
-    st.sampled_from(trigsums.VARIANTS),
-    st.sampled_from([1, 3, 5]),
-    st.integers(2, 128).map(lambda h: 2 * h),
-    st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
-    st.sampled_from([40, 80]),
-)
-def test_sum_mp_bits_equal_operator_loop(variant, k, n, x, dps):
-    assume(x > 0.0 or variant not in ("even", "alt"))
-    spec = SumSpec(variant, k, n, x)
-    ctx, ref_ctx = MPContext(), MPContext()
-    ctx.dps = ref_ctx.dps = dps
-    got = trigsums._sum_mp(ctx, spec)
-    want = _sum_mp_operators(ref_ctx, spec)
-    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
-    assert ctx.dps == dps
 
 
 def _sum_float_loop(spec):
@@ -305,7 +271,7 @@ def test_cancellation_test_at_the_threshold(caplog, x, resolved):
         assert got == total and caplog.records == []
     else:
         assert [r.getMessage() for r in caplog.records] == [
-            f"sum_direct {spec}: resolved at 40 dps"]
+            f"sum_direct {spec}: resolved at q=136 bits, 9 terms, E=4.16e-17 ulp"]
         assert got == pytest.approx(brute(spec), rel=1e-12)
 
 
@@ -338,16 +304,64 @@ def test_sin2_float_cache_is_bounded():
     assert table.cache_info().currsize <= size
 
 
-def test_sin2_table_cache_is_bounded():
-    ctx = trigsums._mp_context()
-    ctx.prec = 77
-    table = trigsums._sin2_table
+def test_sin2_fixed_cache_is_bounded():
+    table = trigsums._sin2_fixed
     size = table.cache_info().maxsize
+    assert size is not None
     for n in range(4, 2 * size + 12, 2):
-        assert len(table(n, 136)) == n
+        assert len(table(n, 136)) == n // 2 + 1
     assert table.cache_info().currsize <= size
-    # the tables are filled at their own precision, leaving the caller's
-    assert ctx.prec == 77
+
+
+def _sin2_oracle(n, j, q):
+    """2^q sin^2(j pi/n) at 60 digits past the table's q bits."""
+    with mp.workprec(q + 200):
+        return mp.ldexp(mp.sin(j * mp.pi / n) ** 2, q)
+
+
+@pytest.mark.parametrize("n", [4, 6, 200])
+@pytest.mark.parametrize("q", [136, 272])
+def test_sin2_fixed_within_its_bound(n, q):
+    table = trigsums._sin2_fixed(n, q)
+    assert len(table) == n // 2 + 1 and table[0] == 0
+    assert max(abs(t - _sin2_oracle(n, j, q)) for j, t in enumerate(table)) <= 0.51
+
+
+@pytest.mark.parametrize("q", [136, 2176])
+def test_sin2_fixed_within_its_bound_at_n_max(q):
+    # the rotation's error grows with j: the last entries, where it is
+    # largest, and a spread of others
+    table = trigsums._sin2_fixed(N_MAX, q)
+    half = N_MAX // 2
+    js = [1, 2, 3, *range(5, half, 4093), half - 2, half - 1, half]
+    assert max(abs(table[j] - _sin2_oracle(N_MAX, j, q)) for j in js) <= 0.51
+
+
+def _alt_oracle(spec, dps):
+    """The alternating sum term by term at dps digits."""
+    with mp.workdps(dps):
+        x2 = mp.mpf(spec.x) ** 2
+        return mp.fsum(sign * (x2 + mp.sin(j * mp.pi / spec.n) ** 2) ** (-mp.mpf(spec.k) / 2)
+                       for j, sign in _term_indices(spec))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["alt", "alt_hat"]), st.sampled_from([1, 3, 5]),
+       st.integers(2, 512).map(lambda h: 2 * h), st.floats(10.0, 120.0))
+def test_sum_exact_is_correctly_rounded(variant, k, n, nx):
+    # the exact pathway returns the double nearest the sum, whether or not
+    # the float pathway escalates to it; S_k(n, x) cancels to about e^{-n x}
+    spec = SumSpec(variant, k, n, nx / n)
+    assert trigsums._sum_exact(spec) == float(_alt_oracle(spec, 320))
+
+
+@pytest.mark.parametrize("k, n, x", [(3, 666, "0x1.6d706d0a2eda4p-4"),
+                                     (1, 1016, "0x1.af5bf035e3e24p-5")])
+def test_sum_direct_correctly_rounded_where_40_digits_were_not(k, n, x):
+    # the 40-digit multiprecision rung that the exact pathway replaced
+    # returned a double one ulp off these two sums
+    spec = SumSpec("alt", k, n, float.fromhex(x))
+    assert sum_direct(spec) == float(_alt_oracle(spec, 320))
 
 
 def test_escalation_is_logged(caplog):
@@ -355,11 +369,31 @@ def test_escalation_is_logged(caplog):
     spec = SumSpec("alt", 1, 200, 0.2)  # n x = 40
     sum_direct(spec)
     assert [r.getMessage() for r in caplog.records] == [
-        f"sum_direct {spec}: resolved at 40 dps"
+        f"sum_direct {spec}: resolved at q=136 bits, 101 terms, E=1.64e-06 ulp"
     ]
     caplog.clear()
     sum_direct(SumSpec("alt", 1, 16, 0.2))  # resolved in double precision
     assert caplog.records == []
+    # an underflow, after one scale per doubling of q
+    spec = SumSpec("alt", 1, 512, 13.0)
+    assert sum_direct(spec) == 0.0
+    assert [(r.args[1], r.args[2], r.args[3]) for r in caplog.records] == [
+        ("unresolved", 136, 257), ("unresolved", 272, 257),
+        ("unresolved", 544, 257), ("underflow", 1088, 257)]
+    assert caplog.records[-1].args[4] < 0.5
+
+
+def test_accuracy_error_past_the_ceiling(monkeypatch):
+    # S_1(512, 0.5) is about e^{-n asinh x} = e^{-246}, far below the
+    # bound E 2^-136 of the first scale; with the ceiling at that scale, the
+    # sum raises
+    spec = SumSpec("alt", 1, 512, 0.5)
+    want = sum_direct(spec)
+    assert 0.0 < want < 2.0**-300
+    monkeypatch.setattr(trigsums, "_Q_CEILING", trigsums._Q_FIRST)
+    with pytest.raises(AccuracyError, match="unresolved at 136 bits") as info:
+        sum_direct(spec)
+    assert math.isfinite(info.value.best)
 
 
 @pytest.mark.parametrize("n", [10, 50, 200])
@@ -475,14 +509,15 @@ def test_csc_full_sum():
 
 
 def test_sum_direct_thread_safe():
-    # every spec escalates to multiprecision, ending at 40, 80 or 160 digits,
-    # so threads sharing one process-wide precision would use each other's;
-    # from a cold sin^2 cache, the threads also race to fill and evict tables
+    # every spec escalates to the exact pathway and ends at q = 136, 272 or
+    # 544 bits; from a cold cache, the threads race to fill and evict the
+    # integer sin^2 tables (six of them, n = 64 and 200 at three scales, for
+    # a cache of four)
     specs = [SumSpec("alt", k, n, x) for k in (1, 3, 5)
              for n, x in ((200, 0.15), (64, 0.5), (200, 0.5), (64, 1.0),
                           (200, 1.0), (64, 1.6), (200, 1.6))]
     serial = [sum_direct(spec) for spec in specs]
-    trigsums._sin2_table.cache_clear()
+    trigsums._sin2_fixed.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
