@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import List, Optional, Tuple
 
@@ -26,11 +26,14 @@ _GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
 
 
-def _tail(cfg: SectorConfig) -> Tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)
+def _tail(K: int) -> Tuple[np.ndarray, np.ndarray]:
     """The extension images without the identity; signs flipped so that
-    sum_s s u(Mz) equals u(z) - extension(u)(z)."""
-    mats, signs = sector_images(cfg.K)
-    return mats[1:], -signs[1:]
+    sum_s s u(Mz) equals u(z) - extension(u)(z).  Read-only."""
+    mats, signs = sector_images(K)
+    signs = -signs[1:]
+    signs.flags.writeable = False
+    return mats[1:], signs
 
 
 def _pow(a: np.ndarray, e: float) -> np.ndarray:
@@ -40,8 +43,9 @@ def _pow(a: np.ndarray, e: float) -> np.ndarray:
     # 10 684 of 200 000 uniform values at e = -0.5, numpy 2.4.6 on an AVX-512
     # Xeon), and that moves printed values (the default `necklace kernels`
     # h0e_bb direct sum among them).  An int e is converted once, not per
-    # element.
-    return np.fromiter(map(math.pow, a.tolist(), repeat(float(e))), float, a.size)
+    # element; an array of any shape keeps its shape.
+    return np.fromiter(map(math.pow, a.ravel().tolist(), repeat(float(e))),
+                       float, a.size).reshape(a.shape)
 
 
 def _norm(r: np.ndarray) -> np.ndarray:
@@ -127,6 +131,15 @@ class PlacedBubble:
     def beta(self) -> float:
         return self.theta_star + self.beta_hat
 
+    @cached_property
+    def _arrays(self) -> Tuple[np.ndarray, ...]:
+        """b_point.as_array(), w_vec, w_vec/norm(w_vec), rotation_matrix(beta),
+        xi_hat.as_array() (None without xi_hat) and W, built once."""
+        w = self.w_vec
+        xi = None if self.xi_hat is None else self.xi_hat.as_array()
+        return (self.b_point.as_array(), w, w / np.linalg.norm(w),
+                rotation_matrix(self.beta), xi, np.asarray(self.W, dtype=float))
+
 
 def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
                  beta_hat: float, profile: ProfileHandle,
@@ -167,17 +180,29 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
 # alternating Newtonian image sum
 
 
+def _direct(kind: str, Z: np.ndarray, P: np.ndarray, K: int) -> List[float]:
+    """gamma_direct or h0e (``kind``) at each row pair (Z[i], P[i]) of two
+    (n, 3) stacks in one pass over the images: row for row the bits of a
+    one-row call, and the error of the first row that raises one."""
+    mats, signs = _tail(K) if kind == "gamma" else sector_images(K)
+    v = (mats @ Z[:, None, :, None])[..., 0]
+    if kind == "gamma":
+        r = _norm(v - P[:, None])
+        if (r < _COINCIDENT_TOL).any():
+            raise DomainError("evaluation point coincides with an image point")
+        terms = signs / r
+    else:
+        terms = signs * _pow(_h0_rad(v, P[:, None]), -0.5)
+    return list(map(math.fsum, terms.tolist()))
+
+
 def gamma_direct(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """1/|zbar e^{2i t0} - p| - sum_{j=1}^{K/2-1} (1/|z e^{4ij t0} - p|
     - 1/|zbar e^{(4j+2)i t0} - p|): the image-interaction kernel, for |z|
     and |p| up to _COORD_MAX."""
     if max(z.norm(), p.norm()) > _COORD_MAX:
         raise DomainError(f"gamma takes |z| and |p| up to {_COORD_MAX:g}")
-    mats, signs = _tail(cfg)
-    r = _norm(mats @ z.as_array() - p.as_array())
-    if np.any(r < _COINCIDENT_TOL):
-        raise DomainError("evaluation point coincides with an image point")
-    return math.fsum((signs / r).tolist())
+    return _direct("gamma", z.as_array()[None], p.as_array()[None], cfg.K)[0]
 
 
 def _in_plane(b: Point3) -> Tuple[float, float]:
@@ -224,32 +249,29 @@ def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
 
 
 def _h0_rad(v: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """The radicand 1 - 2 v.p + |v|^2 |p|^2 = |p|^2 |v - p/|p|^2|^2 of h0, per
-    row of ``v``: 0 only at p's Kelvin image p/|p|^2 (as rounded), a
-    DomainError, and <= 0 anywhere else only by round-off, an AccuracyError."""
+    """The (n, K) radicands 1 - 2 v.p + |v|^2 |p|^2 = |p|^2 |v - p/|p|^2|^2
+    of h0 at (n, K, 3) points ``v`` and (n, 1, 3) ``pv``: 0 only at p's
+    Kelvin image p/|p|^2 (as rounded), a DomainError, and <= 0 elsewhere only
+    by round-off, an AccuracyError; the first row holding one decides."""
     pp = np.vecdot(pv, pv)
     rad = 1.0 - 2.0 * np.vecdot(v, pv) + np.vecdot(v, v) * pp
-    if np.any(rad <= 0.0):
-        if np.any((rad <= 0.0) & np.all(v == pv / pp, axis=-1)):
+    bad = rad <= 0.0
+    if bad.any():
+        i = bad.any(axis=1).argmax()
+        if np.any(bad[i] & np.all(v[i] == pv[i] / pp[i], axis=-1)):
             raise DomainError("h0 is singular at the Kelvin image of its second point")
         raise AccuracyError("the radicand of h0 cancelled to <= 0 in round-off")
     return rad
-
-
-def _check_h0_scale(z: Point3, p: Point3) -> None:
-    nz, npn = z.norm(), p.norm()
-    if max(nz, npn, nz * npn) > _COORD_MAX:
-        raise DomainError(f"h0e takes |z|, |p| and |z||p| up to {_COORD_MAX:g}")
 
 
 def h0e(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """The alternating extension in its first slot of
     h0(z, p) = (1 - 2 z.p + |z|^2 |p|^2)^{-1/2}, for |z|, |p| and |z||p| up
     to _COORD_MAX."""
-    _check_h0_scale(z, p)
-    mats, signs = sector_images(cfg.K)
-    rad = _h0_rad(mats @ z.as_array(), p.as_array())
-    return math.fsum((signs * _pow(rad, -0.5)).tolist())
+    nz, npn = z.norm(), p.norm()
+    if max(nz, npn, nz * npn) > _COORD_MAX:
+        raise DomainError(f"h0e takes |z|, |p| and |z||p| up to {_COORD_MAX:g}")
+    return _direct("h0e", z.as_array()[None], p.as_array()[None], cfg.K)[0]
 
 
 def _h0e_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
@@ -281,46 +303,55 @@ def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
 # first and second derivatives along the placement direction
 
 
-def _newton_derivs(bv: np.ndarray, w: np.ndarray,
-                   cfg: SectorConfig) -> Tuple[float, float, float]:
-    """Exact image sums of the Newtonian kernel's w-derivatives at (b, b):
-    the z-slot and p-slot gradients and the mixed Hessian."""
-    mats, signs = _tail(cfg)
-    mw = mats @ w
-    r = mats @ bv - bv
+@lru_cache(maxsize=256)
+def _w_sums(K: int, b_abs: float, alpha_b: float, w_abs: float, alpha_w: float):
+    """The exact image sums of the w-derivatives at (b, b), b = b_abs e^{i
+    alpha_b} and w = w_abs e^{i alpha_w}, from one set of image vectors M b
+    and M w: the z-slot and p-slot gradients and the mixed Hessian of gamma
+    (entry 0) and of h0e (entry 1, or the typed error of h0's radicand)."""
+    mats, signs = sector_images(K)
+    bv = np.array([b_abs * math.cos(alpha_b), b_abs * math.sin(alpha_b), 0.0])
+    w = w_abs * np.array([math.cos(alpha_w), math.sin(alpha_w), 0.0])
+    v, mw = mats @ bv, mats @ w
+    mww = np.vecdot(mw, w)
+    r = v[1:] - bv
     rn = _norm(r)
     rn3, rn5 = _pow(rn, 3), _pow(rn, 5)
-    rw, rmw = np.vecdot(r, w), np.vecdot(r, mw)
-    return (
-        math.fsum((-signs * rmw / rn3).tolist()),
-        math.fsum((signs * rw / rn3).tolist()),
-        math.fsum((signs * (np.vecdot(mw, w) / rn3 - 3.0 * rmw * rw / rn5)).tolist()),
+    rw, rmw = np.vecdot(r, w), np.vecdot(r, mw[1:])
+    newton = (
+        math.fsum((signs[1:] * rmw / rn3).tolist()),
+        math.fsum((-signs[1:] * rw / rn3).tolist()),
+        math.fsum((-signs[1:] * (mww[1:] / rn3 - 3.0 * rmw * rw / rn5)).tolist()),
     )
-
-
-def _h0e_derivs(bv: np.ndarray, w: np.ndarray,
-                cfg: SectorConfig) -> Tuple[float, float, float]:
-    """Exact image sums of h0e's w-derivatives at (b, b): the z-slot and
-    p-slot gradients and the mixed Hessian."""
-    mats, signs = sector_images(cfg.K)
-    v, mw = mats @ bv, mats @ w
+    try:
+        F = _pow(_h0_rad(v[None], bv[None, None])[0], -0.5)
+    except (DomainError, AccuracyError) as exc:
+        return newton, exc.with_traceback(None)
     v2 = np.vecdot(v, v)[:, None]
-    F = _pow(_h0_rad(v, bv), -0.5)
     F3, F5 = _pow(F, 3), _pow(F, 5)
     gz = np.vecdot(bv - v2 * v, mw)
     gp = np.vecdot(v - v2 * bv, w)
-    return (
+    return newton, (
         math.fsum((signs * F3 * gz).tolist()),
         math.fsum((signs * F3 * gp).tolist()),
         math.fsum((signs * (3.0 * F5 * gz * gp + F3 * (
-            np.vecdot(mw, w) - 2.0 * np.vecdot(v, mw) * np.vecdot(bv, w)))).tolist()),
+            mww - 2.0 * np.vecdot(v, mw) * np.vecdot(bv, w)))).tolist()),
     )
+
+
+def _exact(kind: str, K: int, b_abs: float, alpha_b: float, w_abs: float,
+           alpha_w: float) -> Tuple[float, float, float]:
+    """_w_sums' entry for ``kind``, or a fresh copy of its cached error raised."""
+    sums = _w_sums(K, b_abs, alpha_b, w_abs, alpha_w)[kind == "h0e"]
+    if isinstance(sums, Exception):
+        raise type(sums)(*sums.args)
+    return sums
 
 
 def _check_w_sums(K: int, gnorm: float, babs: float, alpha_b: float) -> None:
     """Raise DomainError unless gnorm is finite and positive and no sum of
-    the w-derivatives at b = |b| e^{i alpha_b} (_newton_derivs and
-    _h0e_derivs), with |w| = gnorm, can overflow.
+    the w-derivatives at b = |b| e^{i alpha_b} (_w_sums), with |w| = gnorm,
+    can overflow.
 
     b's tail images lie at least r = min(1, 2|b|) sin(min(delta, theta0/2))
     from b, delta the angle from alpha_b to the nearest odd multiple of
@@ -351,99 +382,77 @@ def full_kernels(K: int, gnorm: float, b_abs: float, alpha_b: float,
                  alpha_w: float) -> Tuple[float, float, float]:
     """H(b,b), w.(grad_z + grad_p)H(b,b) and w^T (mixed Hessian of H)(b,b) w,
     H = gamma + h0e, at b = b_abs (cos alpha_b, sin alpha_b, 0) and
-    w = gnorm (cos alpha_w, sin alpha_w, 0): the coefficients of psi_full.
-
-    Raises DomainError for a gnorm that is not finite and positive, or so
-    large that a sum of the w-derivatives could overflow (_check_w_sums)."""
+    w = gnorm (cos alpha_w, sin alpha_w, 0): the coefficients of psi_full,
+    the derivatives from _w_sums (cached for 256 (K, b, w), shared with
+    kernel_grad and kernel_hess).  DomainError for a gnorm not finite and
+    positive, or so large that a w-derivative sum could overflow."""
     sector = SectorConfig(K)
     b = Point3(b_abs * math.cos(alpha_b), b_abs * math.sin(alpha_b), 0.0)
     # |b| and arg b read back from the point, as gamma_bb and h0e_bb do: the
     # round trip moves the last bits of H
-    babs, alpha_b = _in_plane(b)
-    h_val = (_gamma_bb_closed(babs, alpha_b, sector)
-             + _h0e_bb_closed(babs, alpha_b, sector))
-    _check_w_sums(K, gnorm, babs, alpha_b)
-    bv = b.as_array()
-    w = gnorm * np.array([math.cos(alpha_w), math.sin(alpha_w), 0.0])
-    newton = _newton_derivs(bv, w, sector)
-    ext = _h0e_derivs(bv, w, sector)
-    return (h_val, newton[0] + newton[1] + ext[0] + ext[1],
-            newton[2] + ext[2])
-
-
-def _direct_fn(kind: str, cfg: SectorConfig):
-    if kind == "gamma":
-        return lambda zv, pv: gamma_direct(
-            Point3.from_array(zv), Point3.from_array(pv), cfg
-        )
-    if kind == "h0e":
-        return lambda zv, pv: h0e(
-            Point3.from_array(zv), Point3.from_array(pv), cfg
-        )
-    raise DomainError(f"unknown kernel kind {kind!r}")
+    babs, alpha_b_in = _in_plane(b)
+    h_val = (_gamma_bb_closed(babs, alpha_b_in, sector)
+             + _h0e_bb_closed(babs, alpha_b_in, sector))
+    _check_w_sums(K, gnorm, babs, alpha_b_in)
+    newton = _exact("gamma", K, b_abs, alpha_b, gnorm, alpha_w)
+    ext = _exact("h0e", K, b_abs, alpha_b, gnorm, alpha_w)
+    return h_val, newton[0] + newton[1] + ext[0] + ext[1], newton[2] + ext[2]
 
 
 def kernel_grad(kind: str, slot: str, A: PlacedBubble,
                 cfg: SectorConfig) -> KernelReport:
     """w-directional derivative of the kernel in the chosen slot at (b, b):
-    finite difference vs exact analytic sum vs the alpha = 0 cosecant form."""
+    finite difference (its two points one _direct call) vs exact analytic
+    sum vs the alpha = 0 cosecant form.  The exact sums of both slots and
+    kinds and of kernel_hess are one _w_sums evaluation, cached for the
+    last 256 (K, b, w)."""
     if slot not in ("z", "p"):
         raise DomainError(f"slot must be 'z' or 'p', got {slot!r}")
-    f = _direct_fn(kind, cfg)
+    if kind not in ("gamma", "h0e"):
+        raise DomainError(f"unknown kernel kind {kind!r}")
     _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
-    bv = A.b_point.as_array()
-    w = A.w_vec
-    what = w / np.linalg.norm(w)
-    h = _GRAD_STEP
-    if slot == "z":
-        direct = A.w_abs * (f(bv + h * what, bv) - f(bv - h * what, bv)) / (2 * h)
-    else:
-        direct = A.w_abs * (f(bv, bv + h * what) - f(bv, bv - h * what)) / (2 * h)
+    bv, _, what = A._arrays[:3]
+    pair = np.array([bv + _GRAD_STEP * what, bv - _GRAD_STEP * what])
+    fixed = np.array([bv, bv])
+    fp, fm = _direct(kind, *((pair, fixed) if slot == "z" else (fixed, pair)), cfg.K)
+    direct = A.w_abs * (fp - fm) / (2 * _GRAD_STEP)
+    closed = _exact(kind, cfg.K, A.b_abs, A.alpha_b, A.w_abs, A.alpha_w)[slot == "p"]
     if kind == "gamma":
-        closed = _newton_derivs(bv, w, cfg)[("z", "p").index(slot)]
         asym = -A.w_abs * s_hat(1, cfg.K) / (4.0 * A.b_abs**2)
     else:
-        closed = _h0e_derivs(bv, w, cfg)[("z", "p").index(slot)]
         d = A.d
         s1, s3 = s_alt(1, cfg.K, d), s_alt(3, cfg.K, d)
-        asym = A.w_abs / (4.0 * A.b_abs**2) * (
-            -s1 + d * math.sqrt(1.0 + d * d) * s3
-        )
+        asym = A.w_abs / (4.0 * A.b_abs**2) * (-s1 + d * math.sqrt(1.0 + d * d) * s3)
     return KernelReport(direct, closed, asym)
-
-
-def _mixed_second_difference(f, bv, what, h: float) -> float:
-    return (
-        f(bv + h * what, bv + h * what)
-        - f(bv + h * what, bv - h * what)
-        - f(bv - h * what, bv + h * what)
-        + f(bv - h * what, bv - h * what)
-    ) / (4.0 * h * h)
 
 
 def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     """w^T (mixed z/p Hessian) w at (b, b): Richardson-combined second
-    differences vs exact analytic sum vs the ring asymptotic."""
-    f = _direct_fn(kind, cfg)
+    differences (their eight points one _direct call) vs exact analytic sum
+    (kernel_grad's _w_sums, cached for 256 (K, b, w)) vs the ring asymptotic."""
+    if kind not in ("gamma", "h0e"):
+        raise DomainError(f"unknown kernel kind {kind!r}")
     _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
-    bv = A.b_point.as_array()
-    w = A.w_vec
-    what = w / np.linalg.norm(w)
+    closed = _exact(kind, cfg.K, A.b_abs, A.alpha_b, A.w_abs, A.alpha_w)[2]
     if kind == "gamma":
-        closed = _newton_derivs(bv, w, cfg)[2]
         s1h, s3h = s_hat(1, cfg.K), s_hat(3, cfg.K)
         quad = a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (s1h + s3h + quad)
     else:
-        closed = _h0e_derivs(bv, w, cfg)[2]
         d = A.d
         s1, s3, s5 = (s_alt(k, cfg.K, d) for k in (1, 3, 5))
         root = d + math.sqrt(1.0 + d * d)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (
-            s1 - root * root * s3 + 3.0 * (d * d + d**4) * s5
-        )
-    coarse = A.w_abs**2 * _mixed_second_difference(f, bv, what, _HESS_STEP)
-    finer = A.w_abs**2 * _mixed_second_difference(f, bv, what, _HESS_STEP / 2.0)
+            s1 - root * root * s3 + 3.0 * (d * d + d**4) * s5)
+    bv, _, what = A._arrays[:3]
+    Z, P = [], []
+    for h in (_HESS_STEP, _HESS_STEP / 2.0):
+        plus, minus = bv + h * what, bv - h * what
+        Z += [plus, plus, minus, minus]
+        P += [plus, minus, plus, minus]
+    f = _direct(kind, np.array(Z), np.array(P), cfg.K)
+    coarse, finer = (A.w_abs**2 * ((f[i] - f[i + 1] - f[i + 2] + f[i + 3]) / (4.0 * h * h))
+                     for i, h in ((0, _HESS_STEP), (4, _HESS_STEP / 2.0)))
     direct = (4.0 * finer - coarse) / 3.0
     return KernelReport(direct, closed, asym)
 
@@ -452,41 +461,32 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
 # the image sum of the placed bubble
 
 
-def _q_a_profile(v: np.ndarray, A: PlacedBubble) -> np.ndarray:
-    """The placed bubble eps^{1/2}/|v-b| q(eps R_beta (v-b)/|v-b|^2 + xi_hat)
-    at each row of ``v``, from one call of the profile that place_bubble
-    attached: a bubble without one is unsupported."""
-    if A.profile is None or A.xi_hat is None:
-        raise UnsupportedError("t_a needs a bubble from place_bubble, "
-                               "with its profile and xi_hat")
-    r = v - A.b_point.as_array()
-    rn = _norm(r)
-    if np.any(rn < _COINCIDENT_TOL):
-        raise DomainError("q_a is undefined at the placement point")
-    rot = rotation_matrix(A.beta)
-    # stacked matvecs, each rounded as rot @ r_i is
-    inner = (A.eps * np.matmul(rot, r[:, :, None])[:, :, 0] / _pow(rn, 2)[:, None]
-             + A.xi_hat.as_array())
-    return math.sqrt(A.eps) / rn * A.profile.fn(inner)
-
-
 def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     """The image-bubble sum of q_a over the sector reflections, with its
     kernel expansion
     eps^{1/2} q_hat gamma + eps^{3/2} w.grad_p gamma
     + (1/6) eps^{5/2} W : d2_p gamma
-    as the closed form, and the first two orders as the asymptotic."""
-    mats, signs = _tail(cfg)
-    v = mats @ z.as_array()
-    direct = math.fsum((signs * _q_a_profile(v, A)).tolist())
-    W = np.asarray(A.W, dtype=float)
-    r = v - A.b_point.as_array()
+    as the closed form, and the first two orders as the asymptotic.  Both
+    sums share r = M z - b and the powers of |r|; q_a = eps^{1/2}/|r|
+    q(eps R_beta r/|r|^2 + xi_hat) is one call of the profile that
+    place_bubble attached, and b, w, R_beta, xi_hat are A's cached arrays."""
+    if A.profile is None or A.xi_hat is None:
+        raise UnsupportedError("t_a needs a bubble from place_bubble, "
+                               "with its profile and xi_hat")
+    mats, signs = _tail(cfg.K)
+    b, w, _, rot, xi, W = A._arrays
+    r = mats @ z.as_array() - b
     rn = _norm(r)
-    rn3, rn5 = _pow(rn, 3), _pow(rn, 5)
-    g2 = -float(np.trace(W)) / rn3 + 3.0 * np.vecdot(r @ W, r) / rn5
+    if (rn < _COINCIDENT_TOL).any():
+        raise DomainError("q_a is undefined at the placement point")
+    rn2, rn3, rn5 = _pow(rn, 2), _pow(rn, 3), _pow(rn, 5)
     e = A.eps
+    # stacked matvecs, each rounded as rot @ r_i is
+    inner = e * np.matmul(rot, r[:, :, None])[:, :, 0] / rn2[:, None] + xi
+    direct = math.fsum((signs * (math.sqrt(e) / rn * A.profile.fn(inner))).tolist())
+    g2 = -float(np.trace(W)) / rn3 + 3.0 * np.vecdot(r @ W, r) / rn5
     lead = math.sqrt(e) * A.q_hat * math.fsum((signs / rn).tolist())
-    grad_term = e**1.5 * math.fsum((signs * np.vecdot(r, A.w_vec) / rn3).tolist())
+    grad_term = e**1.5 * math.fsum((signs * np.vecdot(r, w) / rn3).tolist())
     hess_term = e**2.5 / 6.0 * math.fsum((signs * g2).tolist())
     closed = lead + grad_term + hess_term
     asym = lead + grad_term

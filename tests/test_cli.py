@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from necklace import acceptance, cli, energy
 from necklace.cli import build_parser, run
+from necklace.crown import build_crown, u_star_profile
 from necklace.errors import AccuracyError, DomainError, NotFoundError, UnsupportedError
 from necklace.errors import RegimeWarning
-from necklace.geometry import K_MAX
+from necklace.geometry import K_MAX, Point3
 from necklace.trigsums import N_MAX, SumSpec, s_asym, sum_direct
 
 
@@ -610,6 +611,49 @@ def test_verify_exits_cleanly(tokens, passed, config):
         assert not all(passed)
     assert sum("error:" in ln for ln in err.getvalue().splitlines()) == (code == 2)
     assert "Traceback" not in err.getvalue()
+
+
+#: the m = 16 model as default_model computes it: profile, xi, gnorm, cstar
+_MODEL = (u_star_profile(build_crown(16)),
+          Point3(float.fromhex("0x1.3531a2a91ec68p-1"), 0.0, 0.0),
+          float.fromhex("0x1.01b255b74ed60p+0"), float.fromhex("0x1.de2e7458893ecp-3"))
+#: energy's options, each in its domain or anywhere around it; K stays at
+#: or below 256 in the domain, where full mode takes well under a second
+_ENERGY_OPTIONS = {
+    "K": st.one_of(st.sampled_from([4, 6, 8, 32, 64, 128, 256]),
+                   st.sampled_from([-4, 0, 2, 3, 7, 2 * K_MAX])),
+    "lam": st.one_of(st.floats(0.01, 10.0), _ANY_FLOAT),
+    "delta": st.one_of(st.floats(0.001, 0.99), _ANY_FLOAT),
+    "mode": st.sampled_from(["leading", "full", "bogus"]),
+    "format": st.sampled_from(["csv", "json", "xml"]),
+}
+
+
+@settings(max_examples=60)
+@given(st.fixed_dictionaries({}, optional=_ENERGY_OPTIONS),
+       st.fixed_dictionaries({}, optional=_ENERGY_OPTIONS))
+def test_energy_exits_cleanly(flags, config):
+    # flags and a config file: exit 0, 1 or 2 with at most one "error:"
+    # line, no traceback and no RuntimeWarning; the model is the recorded one
+    argv = ["energy", *(f"--{k}={v!r}" if isinstance(v, float) else f"--{k}={v}"
+                        for k, v in flags.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        mp.setattr(energy, "default_model", lambda: _MODEL)
+        if config:
+            cfgfile = os.path.join(tmp, "energy.cfg")
+            with open(cfgfile, "w") as fh:
+                fh.write("".join(f"{k}={v!r}\n" if isinstance(v, float) else f"{k}={v}\n"
+                                 for k, v in config.items()))
+            argv += ["--config", cfgfile]
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert sum("error:" in ln for ln in err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
+    assert (out.getvalue() != "") == (code == 0)
 
 
 #: a CSV value: any float, an edge float, a numpy float64 or a non-float

@@ -53,11 +53,11 @@ from necklace.kernels import (
     PlacedBubble,
     _gamma_bb_closed,
     _h0e_bb_closed,
-    _h0e_derivs,
     _in_plane,
-    _newton_derivs,
+    _w_sums,
 )
 from necklace.trigsums import ZETA3, ZETA5, SumSpec, sum_direct
+from test_kernels import _old_h0e_derivs, _old_newton_derivs
 
 
 def _cfg(K=64):
@@ -155,7 +155,9 @@ class TestLeadingForms:
             s_alt_135(8, 0.5 + i / 4096)
         for n in range(4, 2 * s_hat.cache_info().maxsize + 12, 2):
             s_hat(1, n)
-        for cache in (s_hat, s_alt, s_alt_135):
+        for i in range(_w_sums.cache_info().maxsize + 10):
+            _w_sums(8, 0.9, 0.0, 1.0 + i / 4096, 0.0)
+        for cache in (s_hat, s_alt, s_alt_135, _w_sums):
             assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
     @pytest.mark.parametrize("K", [128, 256])
@@ -264,8 +266,8 @@ def _oracle_psi_full(A, cfg):
     h_val = (_gamma_bb_closed(babs, alpha_b, sector)
              + _h0e_bb_closed(babs, alpha_b, sector))
     bv, w = P.b_point.as_array(), P.w_vec
-    newton = _newton_derivs(bv, w, sector)
-    ext = _h0e_derivs(bv, w, sector)
+    newton = _old_newton_derivs(bv, w, cfg.K)
+    ext = _old_h0e_derivs(bv, w, cfg.K)
     grad = newton[0] + newton[1] + ext[0] + ext[1]
     hess = newton[2] + ext[2]
     qhat = A.a * cfg.gnorm

@@ -42,6 +42,12 @@ def test_no_scipy_module(code):
     assert [k for k in modules if k.split(".")[0] == "scipy"] == []
 
 
+def test_cli_import_leaves_out_the_acceptance_checks():
+    # only `necklace verify` imports them; every other command and each
+    # benchmark worker skip compiling and running acceptance.py
+    assert "necklace.acceptance" not in _modules_after("import necklace.cli")
+
+
 def test_import_loads_the_legendre_rule():
     # numpy loads numpy.polynomial lazily; the package imports it up front,
     # so the first quadrature does not pay for it

@@ -1,12 +1,22 @@
 import math
 import warnings
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from necklace import kernels
-from necklace.crown import ProfileHandle, build_crown, psi_d1, u_star, u_star_profile
+from necklace._forms import a_gamma_quad, s_alt, s_hat
+from necklace.crown import (
+    _COORD_MAX,
+    ProfileHandle,
+    build_crown,
+    psi_d1,
+    u_star,
+    u_star_profile,
+)
 from necklace.errors import AccuracyError, DomainError, UnsupportedError
 from necklace.geometry import (
     Point3,
@@ -17,10 +27,9 @@ from necklace.geometry import (
 from necklace.kernels import (
     KernelReport,
     PlacedBubble,
+    _check_w_sums,
     _gamma_bb_closed,
     _h0e_bb_closed,
-    _h0e_derivs,
-    _newton_derivs,
     full_kernels,
     gamma_bb,
     gamma_direct,
@@ -261,10 +270,13 @@ class TestDerivatives:
 
     def test_hess_direct_ignores_closed_form(self, monkeypatch):
         A = _bubble(b_abs=0.965, alpha_b=0.1 * CFG.theta0, alpha_w=0.07)
+        real = kernels._w_sums
+        real.cache_clear()
         before = kernel_hess("gamma", A, CFG)
-        real = kernels._newton_derivs
-        monkeypatch.setattr(kernels, "_newton_derivs",
-                            lambda *args: tuple(v + 1.0 for v in real(*args)))
+        # the shared evaluation's Newtonian part shifted, its cache cleared
+        real.cache_clear()
+        monkeypatch.setattr(kernels, "_w_sums", lambda *args: (
+            tuple(v + 1.0 for v in real(*args)[0]), real(*args)[1]))
         after = kernel_hess("gamma", A, CFG)
         assert after.closed_form == before.closed_form + 1.0
         assert after.direct == before.direct
@@ -471,9 +483,8 @@ class TestSectorImages:
     def test_closed_forms(self, K):
         cfg = SectorConfig(K)
         A = _bubble(b_abs=0.965, alpha_b=0.1 * cfg.theta0, alpha_w=0.07)
-        bv, w = A.b_point.as_array(), A.w_vec
-        for got, ref in ((_newton_derivs(bv, w, cfg), _ref_newton_derivs(A, K)),
-                         (_h0e_derivs(bv, w, cfg), _ref_h0e_derivs(A, K))):
+        sums = kernels._w_sums(K, A.b_abs, A.alpha_b, A.w_abs, A.alpha_w)
+        for got, ref in zip(sums, (_ref_newton_derivs(A, K), _ref_h0e_derivs(A, K))):
             assert got == pytest.approx(ref, rel=1e-14)
 
 
@@ -732,3 +743,358 @@ def test_placed_bubble_finite_or_domain_error(eps, a, q_hat, w_abs, alpha_w, b_a
         return
     assert np.isfinite(A.b_point.as_array()).all() and np.isfinite(A.w_vec).all()
     assert math.isfinite(A.d) and math.isfinite(A.beta)
+
+
+# ---------------------------------------------------------------------------
+# the per-call kernel layer that the shared exact sums and the one-call
+# stencils replaced, kept as bit-for-bit oracles
+
+
+def _old_tail(K):
+    mats, signs = sector_images(K)
+    return mats[1:], -signs[1:]
+
+
+def _old_pow(a, e):
+    return np.fromiter(map(math.pow, a.tolist(), repeat(float(e))), float, a.size)
+
+
+def _old_norm(r):
+    return np.sqrt(np.vecdot(r, r))
+
+
+def _old_h0_rad(v, pv):
+    pp = np.vecdot(pv, pv)
+    rad = 1.0 - 2.0 * np.vecdot(v, pv) + np.vecdot(v, v) * pp
+    if np.any(rad <= 0.0):
+        if np.any((rad <= 0.0) & np.all(v == pv / pp, axis=-1)):
+            raise DomainError("h0 is singular at the Kelvin image of its second point")
+        raise AccuracyError("the radicand of h0 cancelled to <= 0 in round-off")
+    return rad
+
+
+def _old_gamma_direct(z, p, K):
+    if max(z.norm(), p.norm()) > _COORD_MAX:
+        raise DomainError(f"gamma takes |z| and |p| up to {_COORD_MAX:g}")
+    mats, signs = _old_tail(K)
+    r = _old_norm(mats @ z.as_array() - p.as_array())
+    if np.any(r < 1e-13):
+        raise DomainError("evaluation point coincides with an image point")
+    return math.fsum((signs / r).tolist())
+
+
+def _old_h0e(z, p, K):
+    nz, npn = z.norm(), p.norm()
+    if max(nz, npn, nz * npn) > _COORD_MAX:
+        raise DomainError(f"h0e takes |z|, |p| and |z||p| up to {_COORD_MAX:g}")
+    mats, signs = sector_images(K)
+    rad = _old_h0_rad(mats @ z.as_array(), p.as_array())
+    return math.fsum((signs * _old_pow(rad, -0.5)).tolist())
+
+
+def _old_newton_derivs(bv, w, K):
+    mats, signs = _old_tail(K)
+    mw = mats @ w
+    r = mats @ bv - bv
+    rn = _old_norm(r)
+    rn3, rn5 = _old_pow(rn, 3), _old_pow(rn, 5)
+    rw, rmw = np.vecdot(r, w), np.vecdot(r, mw)
+    return (
+        math.fsum((-signs * rmw / rn3).tolist()),
+        math.fsum((signs * rw / rn3).tolist()),
+        math.fsum((signs * (np.vecdot(mw, w) / rn3 - 3.0 * rmw * rw / rn5)).tolist()),
+    )
+
+
+def _old_h0e_derivs(bv, w, K):
+    mats, signs = sector_images(K)
+    v, mw = mats @ bv, mats @ w
+    v2 = np.vecdot(v, v)[:, None]
+    F = _old_pow(_old_h0_rad(v, bv), -0.5)
+    F3, F5 = _old_pow(F, 3), _old_pow(F, 5)
+    gz = np.vecdot(bv - v2 * v, mw)
+    gp = np.vecdot(v - v2 * bv, w)
+    return (
+        math.fsum((signs * F3 * gz).tolist()),
+        math.fsum((signs * F3 * gp).tolist()),
+        math.fsum((signs * (3.0 * F5 * gz * gp + F3 * (
+            np.vecdot(mw, w) - 2.0 * np.vecdot(v, mw) * np.vecdot(bv, w)))).tolist()),
+    )
+
+
+def _old_direct_fn(kind, K):
+    if kind not in ("gamma", "h0e"):
+        raise DomainError(f"unknown kernel kind {kind!r}")
+    f = _old_gamma_direct if kind == "gamma" else _old_h0e
+    return lambda zv, pv: f(Point3.from_array(zv), Point3.from_array(pv), K)
+
+
+def _old_kernel_grad(kind, slot, A, cfg):
+    if slot not in ("z", "p"):
+        raise DomainError(f"slot must be 'z' or 'p', got {slot!r}")
+    f = _old_direct_fn(kind, cfg.K)
+    _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
+    bv, w = A.b_point.as_array(), A.w_vec
+    what = w / np.linalg.norm(w)
+    h = 1e-6
+    if slot == "z":
+        direct = A.w_abs * (f(bv + h * what, bv) - f(bv - h * what, bv)) / (2 * h)
+    else:
+        direct = A.w_abs * (f(bv, bv + h * what) - f(bv, bv - h * what)) / (2 * h)
+    if kind == "gamma":
+        closed = _old_newton_derivs(bv, w, cfg.K)[("z", "p").index(slot)]
+        asym = -A.w_abs * s_hat(1, cfg.K) / (4.0 * A.b_abs**2)
+    else:
+        closed = _old_h0e_derivs(bv, w, cfg.K)[("z", "p").index(slot)]
+        d = A.d
+        s1, s3 = s_alt(1, cfg.K, d), s_alt(3, cfg.K, d)
+        asym = A.w_abs / (4.0 * A.b_abs**2) * (-s1 + d * math.sqrt(1.0 + d * d) * s3)
+    return KernelReport(direct, closed, asym)
+
+
+def _old_mixed_second_difference(f, bv, what, h):
+    return (
+        f(bv + h * what, bv + h * what)
+        - f(bv + h * what, bv - h * what)
+        - f(bv - h * what, bv + h * what)
+        + f(bv - h * what, bv - h * what)
+    ) / (4.0 * h * h)
+
+
+def _old_kernel_hess(kind, A, cfg):
+    f = _old_direct_fn(kind, cfg.K)
+    _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
+    bv, w = A.b_point.as_array(), A.w_vec
+    what = w / np.linalg.norm(w)
+    if kind == "gamma":
+        closed = _old_newton_derivs(bv, w, cfg.K)[2]
+        quad = a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b)
+        asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (s_hat(1, cfg.K) + s_hat(3, cfg.K) + quad)
+    else:
+        closed = _old_h0e_derivs(bv, w, cfg.K)[2]
+        d = A.d
+        s1, s3, s5 = (s_alt(k, cfg.K, d) for k in (1, 3, 5))
+        root = d + math.sqrt(1.0 + d * d)
+        asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (
+            s1 - root * root * s3 + 3.0 * (d * d + d**4) * s5)
+    coarse = A.w_abs**2 * _old_mixed_second_difference(f, bv, what, 1e-4)
+    finer = A.w_abs**2 * _old_mixed_second_difference(f, bv, what, 1e-4 / 2.0)
+    return KernelReport((4.0 * finer - coarse) / 3.0, closed, asym)
+
+
+def _old_full_kernels(K, gnorm, b_abs, alpha_b, alpha_w):
+    sector = SectorConfig(K)
+    b = Point3(b_abs * math.cos(alpha_b), b_abs * math.sin(alpha_b), 0.0)
+    babs, alpha_b = kernels._in_plane(b)
+    h_val = _gamma_bb_closed(babs, alpha_b, sector) + _h0e_bb_closed(babs, alpha_b, sector)
+    _check_w_sums(K, gnorm, babs, alpha_b)
+    bv = b.as_array()
+    w = gnorm * np.array([math.cos(alpha_w), math.sin(alpha_w), 0.0])
+    newton, ext = _old_newton_derivs(bv, w, K), _old_h0e_derivs(bv, w, K)
+    return h_val, newton[0] + newton[1] + ext[0] + ext[1], newton[2] + ext[2]
+
+
+def _old_gamma_bb(b, cfg):
+    babs, alpha_b = kernels._in_plane(b)
+    closed = _gamma_bb_closed(babs, alpha_b, cfg)
+    return KernelReport(_old_gamma_direct(b, b, cfg.K), closed,
+                        s_hat(1, cfg.K) / (2.0 * babs))
+
+
+def _old_h0e_bb(b, cfg):
+    babs, alpha_b = kernels._in_plane(b)
+    closed = _h0e_bb_closed(babs, alpha_b, cfg)
+    direct = _old_h0e(b, b, cfg.K)
+    d = (1.0 - babs * babs) / (2.0 * babs)
+    return KernelReport(direct, closed, s_alt(1, cfg.K, d) / (2.0 * babs))
+
+
+def _old_t_a(z, A, cfg):
+    mats, signs = _old_tail(cfg.K)
+    v = mats @ z.as_array()
+    if A.profile is None or A.xi_hat is None:
+        raise UnsupportedError("t_a needs a bubble from place_bubble, "
+                               "with its profile and xi_hat")
+    r = v - A.b_point.as_array()
+    rn = _old_norm(r)
+    if np.any(rn < 1e-13):
+        raise DomainError("q_a is undefined at the placement point")
+    inner = (A.eps * np.matmul(rotation_matrix(A.beta), r[:, :, None])[:, :, 0]
+             / _old_pow(rn, 2)[:, None] + A.xi_hat.as_array())
+    direct = math.fsum((signs * (math.sqrt(A.eps) / rn * A.profile.fn(inner))).tolist())
+    W = np.asarray(A.W, dtype=float)
+    rn3, rn5 = _old_pow(rn, 3), _old_pow(rn, 5)
+    g2 = -float(np.trace(W)) / rn3 + 3.0 * np.vecdot(r @ W, r) / rn5
+    e = A.eps
+    lead = math.sqrt(e) * A.q_hat * math.fsum((signs / rn).tolist())
+    grad_term = e**1.5 * math.fsum((signs * np.vecdot(r, A.w_vec) / rn3).tolist())
+    hess_term = e**2.5 / 6.0 * math.fsum((signs * g2).tolist())
+    return KernelReport(direct, lead + grad_term + hess_term, lead + grad_term)
+
+
+def _outcome(call):
+    """call()'s values as an array, or the type and text of what it raised."""
+    try:
+        out = call()
+    except Exception as exc:  # any error, a RuntimeWarning made one included
+        return type(exc), str(exc)
+    if isinstance(out, KernelReport):
+        out = (out.direct, out.closed_form, out.asymptotic)
+    return np.atleast_1d(np.array(out, dtype=float))
+
+
+def _assert_same(new, old):
+    """new() returns old()'s values bit for bit, the sign of a zero
+    included, or raises an error of the same type and text."""
+    got, want = _outcome(new), _outcome(old)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want, equal_nan=True), (got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _w_cut(K, b_abs, alpha_b):
+    """About the largest |w| that _check_w_sums accepts at b, or 1."""
+    t0 = math.pi / K
+    alpha = math.atan2(math.sin(alpha_b), math.cos(alpha_b))
+    r = min(1.0, 2.0 * b_abs) * math.sin(min(abs(math.remainder(alpha - t0, 2 * t0)), t0 / 2))
+    if r <= 0.0:
+        return 1.0
+    cut = math.sqrt(1.79e308 / (2.0 * K * (4.0 / r**3 + 15.0 / (1.0 - b_abs * b_abs) ** 5)))
+    return cut if math.isfinite(cut) and cut > 2.0 else 1.0
+
+
+_K_DRAWN = st.sampled_from([4, 32, 64, 256])
+#: |b| anywhere in (0, 1), at 1/2, and within an ulp to 1e-9 of 1
+_B_ABS = st.one_of(st.floats(0.01, 1.0, exclude_max=True),
+                   st.sampled_from([1.0 - 2**-53, 1.0 - 1e-15, 1.0 - 1e-12, 1.0 - 1e-9,
+                                    0.5, 0.5 + 2**-53, 0.97]))
+#: alpha_b / theta0: inside the sector, at the closed forms' bound +-1/2,
+#: a signed zero, and on a reflection axis
+_FRAC = st.one_of(st.floats(-0.5, 0.5), st.sampled_from([0.5, -0.5, 0.0, -0.0, 1.0, 3.0]))
+
+
+@st.composite
+def _drawn_bubble(draw):
+    K = draw(_K_DRAWN)
+    b_abs = draw(_B_ABS)
+    alpha_b = draw(_FRAC) * math.pi / K
+    alpha_w = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0])))
+    cut = _w_cut(K, b_abs, alpha_b)
+    w_abs = draw(st.one_of(st.floats(0.1, 10.0),
+                           st.sampled_from([0.5, 0.999, 1.001, 2.0]).map(lambda m: m * cut)))
+    return K, PlacedBubble(eps=K**-3.0, a=0.0, q_hat=0.5, w_abs=w_abs, alpha_w=alpha_w,
+                           b_abs=b_abs, alpha_b=alpha_b, beta_hat=alpha_w)
+
+
+@settings(max_examples=150)
+@given(_drawn_bubble())
+@example((64, _bubble(b_abs=0.97, alpha_b=0.0, alpha_w=0.0)))
+@example((64, _bubble(b_abs=0.97, alpha_b=-0.0, alpha_w=-0.0)))
+@example((32, _bubble(b_abs=1.0 - 2**-53, alpha_b=0.0)))
+def test_kernel_layer_bits_equal_per_call_oracles(drawn):
+    # every value of the kernel layer, in the order the bench and verify
+    # call it (so the later calls read the shared sums), is the per-call
+    # code's, or raises its error
+    K, A = drawn
+    cfg = SectorConfig(K)
+    for kind in ("gamma", "h0e"):
+        for slot in ("z", "p"):
+            _assert_same(lambda: kernel_grad(kind, slot, A, cfg),
+                         lambda: _old_kernel_grad(kind, slot, A, cfg))
+        _assert_same(lambda: kernel_hess(kind, A, cfg), lambda: _old_kernel_hess(kind, A, cfg))
+    _assert_same(lambda: full_kernels(K, A.w_abs, A.b_abs, A.alpha_b, A.alpha_w),
+                 lambda: _old_full_kernels(K, A.w_abs, A.b_abs, A.alpha_b, A.alpha_w))
+    for fn, old in ((gamma_bb, _old_gamma_bb), (h0e_bb, _old_h0e_bb)):
+        _assert_same(lambda: fn(A.b_point, cfg), lambda: old(A.b_point, cfg))
+
+
+def test_signed_zero_angles_share_no_wrong_bits():
+    # 0.0 and -0.0 are one key of the shared sums' cache; every value read
+    # through it must still be the per-call code's for both
+    kernels._w_sums.cache_clear()
+    for ab, aw in ((0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)):
+        A = _bubble(b_abs=0.97, alpha_b=ab, alpha_w=aw)
+        for kind in ("gamma", "h0e"):
+            _assert_same(lambda: kernel_grad(kind, "p", A, CFG),
+                         lambda: _old_kernel_grad(kind, "p", A, CFG))
+            _assert_same(lambda: kernel_hess(kind, A, CFG), lambda: _old_kernel_hess(kind, A, CFG))
+
+
+_XI = Point3(0.6038943129964425, 0.0, 0.0)
+
+
+@settings(max_examples=60)
+@given(_K_DRAWN, _B_ABS, _FRAC, st.floats(-0.5, 0.5), st.sampled_from([1e-6, 1e-4, 0.01]),
+       st.lists(st.tuples(st.floats(0.0, 1.2), st.floats(-1.0, 1.0), st.floats(-0.6, 0.6)),
+                min_size=1, max_size=4),
+       st.sampled_from(["points", "coincident", "huge"]))
+def test_t_a_bits_equal_per_call_oracle(K, b_abs, frac, beta_hat, eps, polar, extra):
+    # t_a at drawn sector points, at a point whose image is b (coincident),
+    # and at |z| = 1e200 is the per-call code's, or raises its error
+    try:
+        A = place_bubble(eps, 0.0, b_abs, frac * math.pi / K, beta_hat, _PROFILE, _XI)
+    except DomainError:
+        return
+    cfg = SectorConfig(K)
+    t0 = math.pi / K
+    points = [Point3(r * math.cos(a * t0), r * math.sin(a * t0), z3) for r, a, z3 in polar]
+    if extra == "coincident":
+        points.append(Point3.from_array(sector_images(K)[0][1].T @ A.b_point.as_array()))
+    elif extra == "huge":
+        points.append(Point3(1e200, 0.0, 0.0))
+    for z in points:
+        _assert_same(lambda: t_a(z, A, cfg), lambda: _old_t_a(z, A, cfg))
+    bare = _bubble()
+    _assert_same(lambda: t_a(points[0], bare, cfg), lambda: _old_t_a(points[0], bare, cfg))
+
+
+@pytest.mark.parametrize("K", [4, 32, 64, 256])
+def test_point_kernels_raise_the_per_call_errors(K):
+    # a coincident image, the Kelvin image, |z| past 1e150 and a radicand
+    # cancelled in round-off: the same error, type and text
+    cfg = SectorConfig(K)
+    z = Point3(0.9, 0.0, 0.0)
+    image = Point3.from_array(sector_images(K)[0][1] @ z.as_array())
+    q = Point3(0.999999999, 0.0, 0.0)
+    cases = [(z, image), (Point3(2.0, 0.0, 0.0), Point3(0.5, 0.0, 0.0)),
+             (Point3(1e151, 0.0, 0.0), z), (z, Point3(0.0, -1e151, 0.0)), (q, q),
+             (Point3(0.3, 0.1, -0.2), Point3(-0.4, 0.2, 0.5))]
+    for a, b in cases:
+        _assert_same(lambda: gamma_direct(a, b, cfg), lambda: _old_gamma_direct(a, b, K))
+        _assert_same(lambda: h0e(a, b, cfg), lambda: _old_h0e(a, b, K))
+    _assert_same(lambda: h0e_bb(q, cfg), lambda: _old_h0e_bb(q, cfg))
+
+
+def test_stencil_raises_the_first_rows_error():
+    # a one-call stencil raises what the per-point loop raised first: here
+    # a radicand lost to round-off (row q) and the Kelvin image (row k)
+    q = np.array([0.999999999, 0.0, 0.0])
+    k = (np.array([2.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]))
+    for Z, P, err in (([q, k[0]], [q, k[1]], AccuracyError),
+                      ([k[0], q], [k[1], q], DomainError)):
+        with pytest.raises(err):
+            kernels._direct("h0e", np.array(Z), np.array(P), 32)
+        with pytest.raises(err):
+            for zv, pv in zip(Z, P):
+                _old_h0e(Point3.from_array(zv), Point3.from_array(pv), 32)
+
+
+def test_one_exact_evaluation_and_one_direct_call_per_stencil(monkeypatch):
+    # the six kernel_grad/kernel_hess calls on one bubble evaluate the exact
+    # sums once, and each stencil is one direct-sum call
+    evaluations, stencils = [], []
+    body = kernels._w_sums.__wrapped__
+    monkeypatch.setattr(kernels, "_w_sums", lru_cache(maxsize=256)(
+        lambda *key: evaluations.append(key) or body(*key)))
+    direct = kernels._direct
+    monkeypatch.setattr(kernels, "_direct",
+                        lambda kind, Z, P, K: stencils.append(len(Z)) or direct(kind, Z, P, K))
+    A = _bubble(b_abs=0.965, alpha_b=0.1 * CFG.theta0, alpha_w=0.07)
+    for kind in ("gamma", "h0e"):
+        for slot in ("z", "p"):
+            kernel_grad(kind, slot, A, CFG)
+        kernel_hess(kind, A, CFG)
+    assert len(evaluations) == 1
+    assert stencils == [2, 2, 8, 2, 2, 8]
