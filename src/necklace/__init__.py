@@ -26,7 +26,6 @@ from .crown import (
     psi_d1,
     psi_d11,
     q_mid_lower,
-    talenti_profile,
     u_bubble,
     u_star,
     u_star_profile,

@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nodal", help="zero-set point cloud of the ring profile")
     p.add_argument("--m", type=int, default=16)
-    p.add_argument("--bbox", type=float, default=2.5)
+    p.add_argument("--bbox", type=float, default=2.5,
+                   help="half-width of the cubic box")
     p.add_argument("--res", type=int, default=96)
     _add_common(p)
 

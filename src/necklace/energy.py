@@ -116,20 +116,6 @@ def _a_half_width(cfg: ReducedConfig, eps: float) -> float:
     return eps * math.log(cfg.K) / cfg.delta
 
 
-#: how far outside the box in_box still accepts a point, per axis
-_BOX_SLACK = 1e-12
-
-
-def in_box(A: ReducedPoint, cfg: ReducedConfig) -> bool:
-    box = _box(cfg)
-    for name in ("eps", "d", "alpha_b", "alpha_w"):
-        lo, hi = box[name]
-        v = getattr(A, name)
-        if not lo - _BOX_SLACK <= v <= hi + _BOX_SLACK:
-            return False
-    return abs(A.a) <= _a_half_width(cfg, A.eps) + _BOX_SLACK
-
-
 # ---------------------------------------------------------------------------
 # the quadratic-decay constant of the shifted profile
 
@@ -248,9 +234,10 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
 
     The profile's bubbles with c < 1 are its sharp concentration cores,
     excised by smooth radial bumps and integrated in local log-radial
-    spherical coordinates; the remainder is integrated on shells around the
-    origin with the angular order adapted to the nearest core, and the far
-    field beyond R = 10^3 is added from the measured 1/|z| coefficient.
+    spherical coordinates; the remainder (all of it for a profile with no
+    such bubble) is integrated on shells around the origin with the angular
+    order adapted to the nearest core, and the far field beyond R = 10^3 is
+    added from the measured 1/|z| coefficient.
     ``scale`` multiplies every node count (scale=2 halves all steps).
     The part totals, the number of points the profile was evaluated at and
     the shells a core's bump reached are logged in one DEBUG record on this

@@ -24,6 +24,8 @@ _GRAD_STEP = 1e-6
 #: second-difference step of kernel_hess; the differences at this step and
 #: at half of it are Richardson-combined
 _HESS_STEP = 1e-4
+#: the largest |z| t_a takes: for |b| < 1, |r|^5 <= (|z| + 1)^5 stays finite
+_T_A_MAX = 1e61
 
 
 @lru_cache(maxsize=64)
@@ -469,10 +471,13 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     as the closed form, and the first two orders as the asymptotic.  Both
     sums share r = M z - b and the powers of |r|; q_a = eps^{1/2}/|r|
     q(eps R_beta r/|r|^2 + xi_hat) is one call of the profile that
-    place_bubble attached, and b, w, R_beta, xi_hat are A's cached arrays."""
+    place_bubble attached, and b, w, R_beta, xi_hat are A's cached arrays.
+    |z| is at most _T_A_MAX."""
     if A.profile is None or A.xi_hat is None:
         raise UnsupportedError("t_a needs a bubble from place_bubble, "
                                "with its profile and xi_hat")
+    if z.norm() > _T_A_MAX:
+        raise DomainError(f"t_a takes |z| up to {_T_A_MAX:g}")
     mats, signs = _tail(cfg.K)
     b, w, _, rot, xi, W = A._arrays
     r = mats @ z.as_array() - b

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -39,25 +40,6 @@ _U = 2.0 ** -53
 _POLISH_CANDIDATES = 24
 #: Newton steps a polish may take before its start counts as failed
 _NEWTON_ITERS = 50
-
-BBox = Tuple[Tuple[float, float], Tuple[float, float], Tuple[float, float]]
-
-
-def _normalize_bbox(bbox) -> BBox:
-    if np.isscalar(bbox):
-        b = float(bbox)
-        bbox = ((-b, b),) * 3
-    bbox = tuple(tuple(float(v) for v in ax) for ax in bbox)
-    # 3 v^2 bounds |z|^2 over the box: beyond it the field's squared
-    # distances overflow
-    if len(bbox) != 3 or not all(len(ax) == 2 and ax[0] < ax[1]
-                                 and all(math.isfinite(3.0 * v * v) for v in ax)
-                                 for ax in bbox):
-        raise DomainError("bbox must be a positive half-width or three (lo, hi) "
-                          "pairs with lo < hi, with 3 v^2 finite for every "
-                          "coordinate v")
-    return bbox  # type: ignore[return-value]
-
 
 @dataclass(frozen=True)
 class NodalMesh:
@@ -136,10 +118,10 @@ def _signs(positive: np.ndarray, negative: np.ndarray) -> np.ndarray:
     return positive.view(np.int8) - negative.view(np.int8)
 
 
-def _certified_signs(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, bubbles):
+def _certified_signs(axis: np.ndarray, bubbles):
     """Per layer of _BRICK z slabs, the certified sign of the sum of
-    ``bubbles`` at the grid points (xs[i], ys[j], z) of each of its slabs:
-    +1 or -1 where the bounds over the point's brick clear zero by
+    ``bubbles`` at the grid points (axis[i], axis[j], z) of each of its
+    slabs: +1 or -1 where the bounds over the point's brick clear zero by
     _SIGN_MARGIN, 0 where the sign is unknown.
 
     Each bubble's term is monotone in its distance, so the farthest and
@@ -147,13 +129,13 @@ def _certified_signs(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray, bubbles):
     the field from below and above."""
     centres, c, amp = bubbles
     (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = (
-        _axis_bounds(ax, centres[:, i], amp) for i, ax in enumerate((xs, ys, zs)))
+        _axis_bounds(axis, centres[:, i], amp) for i in range(3))
     for zl, zh in zip(z_lo + c, z_hi + c):
         lower = np.power(x_lo[:, None] + (y_lo + zl), -0.5) @ amp
         upper = np.power(x_hi[:, None] + (y_hi + zh), -0.5) @ amp
         brick = _signs(lower > _SIGN_MARGIN, upper < -_SIGN_MARGIN)
         yield np.repeat(np.repeat(brick, _BRICK, axis=0), _BRICK,
-                        axis=1)[:len(xs), :len(ys)]
+                        axis=1)[:len(axis), :len(axis)]
 
 
 def _edge_bounds(a: np.ndarray, b: np.ndarray, axis: np.ndarray, bubbles):
@@ -343,18 +325,16 @@ def _crossings(products, k, kind, found):
         found.append((f.astype(np.int32), k, kind))
 
 
-def _crossing_ends(found, res, xs, ys, zs):
+def _crossing_ends(found, coords):
     """The ends a and b of the ``found`` crossings in the scan's order, the
-    axis each edge runs along and its (lo, hi) coordinates on that axis.
-    Kind 0 goes from (i, j) to (i + 1, j), kind 1 to (i, j + 1) and kind 2
-    from slab k to slab k + 1."""
+    axis each edge runs along and its (lo, hi) coordinates on that axis, on
+    the grid with ``coords`` along each axis.  Kind 0 goes from (i, j) to
+    (i + 1, j), kind 1 to (i, j + 1) and kind 2 from slab k to slab k + 1."""
     counts = [len(f) for f, _, _ in found]
-    i, j = divmod(np.concatenate([f for f, _, _ in found]), res)
+    i, j = divmod(np.concatenate([f for f, _, _ in found]), len(coords))
     k = np.repeat(np.array([k for _, k, _ in found], dtype=np.int16), counts)
     axis = np.repeat(np.array([kind for _, _, kind in found], dtype=np.int8), counts)
-    # indices into the coordinates xs, ys and zs laid end to end
-    coords = np.concatenate([xs, ys, zs])
-    at = np.stack([i, j + res, k + 2 * res], axis=-1)
+    at = np.stack([i, j, k], axis=-1)
     del i, j, k
     a = coords[at]
     rows = np.arange(len(at))
@@ -363,9 +343,11 @@ def _crossing_ends(found, res, xs, ys, zs):
     return a, coords[at], axis, coords[lo[:, None] + (0, 1)]
 
 
-def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) -> NodalMesh:
-    """Scan a resolution^3 grid for sign changes along the axis edges and
-    refine each crossing by bisection until the residual is at most 1e-8.
+def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
+               resolution: int) -> NodalMesh:
+    """Scan a resolution^3 grid on the cube [-bbox, bbox]^3 for sign
+    changes along the axis edges and refine each crossing by bisection until
+    the residual is at most 1e-8.
 
     A brick of _BRICK^3 grid points whose bounds on the profile's bubbles
     clear zero keeps its certified sign (see ``_certified_signs``), and the
@@ -375,30 +357,39 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
     interpolation bounds where they prove it (see ``_bisect``) and ends at
     the same points.
 
-    The resolution is 16 to RES_MAX.  One DEBUG record on this module's
-    logger gives the scan points evaluated, the crossings, the halvings
-    evaluated and certified, and the crossings dropped.
+    The half-width bbox is a real number h > 0 with 3 h^2 finite (h up to
+    about 7.7e153), so no squared distance over the box overflows; anything
+    else is a DomainError.  The resolution is 16 to RES_MAX.  One DEBUG
+    record on this module's logger gives the scan points evaluated, the
+    crossings, the halvings evaluated and certified, and the crossings
+    dropped.
 
     An empty result is returned as an empty mesh, not an error."""
-    bbox = _normalize_bbox(bbox)
+    try:  # a bool is an int, and not a half-width
+        h = (float(bbox) if isinstance(bbox, numbers.Real) and not isinstance(bbox, bool)
+             else math.nan)
+    except OverflowError:  # an int too large for a float
+        h = math.inf
+    if not (h > 0.0 and math.isfinite(3.0 * h * h)):
+        raise DomainError("bbox must be a positive half-width h with 3 h^2 finite")
     if not 16 <= resolution <= RES_MAX:
         raise DomainError(f"resolution must be 16 to {RES_MAX} per axis, got {resolution}")
-    xs, ys, zs = (np.linspace(lo, hi, resolution) for lo, hi in bbox)
+    axis = np.linspace(-h, h, resolution)
     res = resolution
-    layers = _certified_signs(xs, ys, zs, profile.bubbles)
+    layers = _certified_signs(axis, profile.bubbles)
     found = []
     prev_sign = None
     scanned = 0
     # slab-by-slab scan in deterministic z order, evaluating the field only
     # where the sign is not certified.  A slab's signs are a flat array in C
     # order of (i, j): point (i, j) is entry f = i res + j
-    for k, z in enumerate(zs):
+    for k, z in enumerate(axis):
         if k % _BRICK == 0:
             certified = next(layers).reshape(-1)
             todo = np.flatnonzero(certified == 0)
             ui, uj = divmod(todo, res)
             pts = np.empty((len(todo), 3))
-            pts[:, 0], pts[:, 1] = xs[ui], ys[uj]
+            pts[:, 0], pts[:, 1] = axis[ui], axis[uj]
             del ui, uj
         sign = certified.copy()
         if len(todo):
@@ -422,12 +413,12 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox, resolution: int) ->
 
     # each edge runs along one axis: bisect that coordinate [lo, hi] only
     # (the others' midpoint 0.5 (x + x) is x)
-    a, b, axis, ends = _crossing_ends(found, res, xs, ys, zs)
+    a, b, along, ends = _crossing_ends(found, axis)
     del found
     vals = np.stack([profile.fn(a), profile.fn(b)], axis=1)
-    bounds = _edge_bounds(a, b, axis, profile.bubbles)
+    bounds = _edge_bounds(a, b, along, profile.bubbles)
     del b
-    evaluated, certified = _bisect(profile.fn, a, axis, ends, vals, bounds)
+    evaluated, certified = _bisect(profile.fn, a, along, ends, vals, bounds)
     del ends, vals, bounds
     # a now holds the bisected crossings
     residual = np.abs(profile.fn(a))

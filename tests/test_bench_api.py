@@ -25,6 +25,7 @@ from necklace.energy import (  # noqa: E402
 )
 from necklace.geometry import SectorConfig  # noqa: E402
 from necklace.kernels import place_bubble  # noqa: E402
+from necklace.nodal import nodal_mesh  # noqa: E402
 
 
 def test_traced_profile():
@@ -49,6 +50,14 @@ def test_identities_placement():
     A = place_bubble(K**-3.0, 0.0, babs, 0.0, 0.0, profile, xi)
     assert A.profile is profile
     assert math.isfinite(A.q_hat) and A.w_abs > 0.0
+
+
+def test_nodal_mesh_call():
+    # the nodal workload's call, with its box, at the lowest resolution
+    params = build_crown(16)
+    profile = workloads._profile(params, spans.NullTracer())
+    mesh = nodal_mesh(params, profile, workloads.NODAL_BBOX, 16)
+    assert len(mesh) > 0
 
 
 def test_sample_bubble():

@@ -22,7 +22,6 @@ from necklace.crown import (
     psi_d1,
     psi_d11,
     q_mid_lower,
-    talenti_profile,
     u_bubble,
     u_star,
     u_star_profile,
@@ -30,6 +29,8 @@ from necklace.crown import (
 from necklace.errors import DomainError, NearPoleWarning
 from necklace.geometry import Point3
 from necklace.trigsums import csc_full_sum
+
+from conftest import talenti_profile
 
 
 @pytest.fixture(scope="module")

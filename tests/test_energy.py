@@ -17,7 +17,6 @@ from necklace.crown import (
     ProfileHandle,
     build_crown,
     psi_d1,
-    talenti_profile,
     u_star,
     u_star_profile,
 )
@@ -42,7 +41,6 @@ from necklace.energy import (
     check_full_mode,
     default_model,
     eps_star,
-    in_box,
     minimize_psi,
     psi_full,
     psi_leading,
@@ -57,6 +55,7 @@ from necklace.kernels import (
     _w_sums,
 )
 from necklace.trigsums import ZETA3, ZETA5, SumSpec, sum_direct
+from conftest import talenti_profile
 from test_kernels import _old_h0e_derivs, _old_newton_derivs
 
 
@@ -70,6 +69,20 @@ def _mid_point(cfg):
     e_lo, e_hi = _box(cfg)["eps"]
     eps = min(max(eps_star(cfg, d), e_lo), e_hi)
     return ReducedPoint(eps=eps, a=0.0, d=d, alpha_b=0.0, alpha_w=0.0)
+
+
+#: how far outside the box in_box still accepts a point, per axis
+_BOX_SLACK = 1e-12
+
+
+def in_box(A: ReducedPoint, cfg: ReducedConfig) -> bool:
+    box = _box(cfg)
+    for name in ("eps", "d", "alpha_b", "alpha_w"):
+        lo, hi = box[name]
+        v = getattr(A, name)
+        if not lo - _BOX_SLACK <= v <= hi + _BOX_SLACK:
+            return False
+    return abs(A.a) <= _a_half_width(cfg, A.eps) + _BOX_SLACK
 
 
 class TestConfigs:

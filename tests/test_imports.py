@@ -95,21 +95,37 @@ def _identifiers(nodes):
     return out
 
 
+def _defined(node):
+    """The name a top-level function, class or single-name assignment
+    defines, or None.  A dunder such as ``__version__`` is read by name
+    from outside, so its assignment defines nothing."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    if len(targets) == 1 and isinstance(targets[0], ast.Name):
+        name = targets[0].id
+        return None if name.startswith("__") else name
+    return None
+
+
 def _unreached():
-    """The package's top-level functions and classes that nothing the system
-    runs reaches: the roots are cli.py, acceptance.py, the benchmark's
-    bench/*.py and every module's import-time statements, imports aside.  A
-    definition reached is followed into its body.  Names are matched by
-    identifier alone, so a local of the same name counts as a read; a
-    definition read only through a string would count as unreached."""
+    """The package's top-level functions, classes and module constants that
+    nothing the system runs reaches: the roots are cli.py, acceptance.py,
+    the benchmark's bench/*.py and every module's other import-time
+    statements, imports aside.  A definition reached is followed into its
+    body, a constant into its value.  Names are matched by identifier alone,
+    so a local of the same name counts as a read; a definition read only
+    through a string would count as unreached."""
     defs, roots = {}, []
     for path in sorted(_PKG.glob("*.py")):
         entry = path.name in ("cli.py", "acceptance.py")
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(node)
+            name = _defined(node)
+            if name:
+                defs.setdefault(name, []).append(node)
                 if not entry:
                     continue
             roots.append(node)
@@ -125,10 +141,5 @@ def _unreached():
     return sorted(set(defs) - reached)
 
 
-#: kept although only the tests reach them: the tests' one-bubble profile
-#: and the minimiser tests' box check
-_TEST_ONLY = ["in_box", "talenti_profile"]
-
-
 def test_package_reached_from_its_entry_points():
-    assert _unreached() == _TEST_ONLY
+    assert _unreached() == []

@@ -346,6 +346,20 @@ class TestPlacedBubbleField:
             direct = t_a(z, A, cfg).direct
             assert direct == math.fsum(s * one_image(u, A) for u, s in images)
 
+    def test_bounded_point(self):
+        # |r|^5 overflows past 1e61: t_a raises DomainError there, with no
+        # RuntimeWarning, and is finite just under its bound
+        A = place_bubble(64**-3.0, 0.0, 0.95, 0.0, 0.0, u_star_profile(build_crown(16)),
+                         Point3(0.6038943129964425, 0.0, 0.0))
+        cfg = SectorConfig(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (1e62, 1e150, 1e200):
+                with pytest.raises(DomainError, match="t_a takes"):
+                    t_a(Point3(z, 0.0, 0.0), A, cfg)
+            rep = t_a(Point3(0.0, 0.0, 0.999e61), A, cfg)
+        assert all(math.isfinite(v) for v in (rep.direct, rep.closed_form, rep.asymptotic))
+
     def test_image_sum_report(self):
         crown = build_crown(16)
         prof = u_star_profile(crown)
@@ -1031,8 +1045,10 @@ _XI = Point3(0.6038943129964425, 0.0, 0.0)
                 min_size=1, max_size=4),
        st.sampled_from(["points", "coincident", "huge"]))
 def test_t_a_bits_equal_per_call_oracle(K, b_abs, frac, beta_hat, eps, polar, extra):
-    # t_a at drawn sector points, at a point whose image is b (coincident),
-    # and at |z| = 1e200 is the per-call code's, or raises its error
+    # t_a at drawn sector points and at a point whose image is b
+    # (coincident) is the per-call code's, or raises its error; at
+    # |z| = 1e200, where the per-call code's |r|^2 overflows, it raises
+    # DomainError
     try:
         A = place_bubble(eps, 0.0, b_abs, frac * math.pi / K, beta_hat, _PROFILE, _XI)
     except DomainError:
@@ -1043,7 +1059,8 @@ def test_t_a_bits_equal_per_call_oracle(K, b_abs, frac, beta_hat, eps, polar, ex
     if extra == "coincident":
         points.append(Point3.from_array(sector_images(K)[0][1].T @ A.b_point.as_array()))
     elif extra == "huge":
-        points.append(Point3(1e200, 0.0, 0.0))
+        with pytest.raises(DomainError, match="t_a takes"):
+            t_a(Point3(1e200, 0.0, 0.0), A, cfg)
     for z in points:
         _assert_same(lambda: t_a(z, A, cfg), lambda: _old_t_a(z, A, cfg))
     bare = _bubble()

@@ -14,7 +14,6 @@ from necklace.crown import (
     ProfileHandle,
     _bubble_derivs,
     build_crown,
-    talenti_profile,
     u_star,
     u_star_profile,
 )
@@ -28,13 +27,14 @@ from necklace.nodal import (
     _certified_signs,
     _certify,
     _edge_bounds,
-    _normalize_bbox,
     _polish_min,
     gradient_min_on_nodal,
     gradient_norms,
     nodal_mesh,
     radial_nodal_root,
 )
+
+from conftest import talenti_profile
 
 
 @pytest.fixture(scope="module")
@@ -157,8 +157,12 @@ class TestNodalMesh:
         ((0.0, 1.0), (0.0, 1.0), (0.0, np.inf)),
         1e200,
         ((0.0, 1.0), (-8e153, 1.0), (0.0, 1.0)),
+        ((-2.5, 2.5),) * 3, (-2.5, 2.5), np.array(2.5), np.array([2.5]),
+        "2.5", True, np.bool_(True), pytest.param(10**400, id="int1e400"),
     ])
     def test_bbox_nonfinite_or_reversed(self, crown16, star16, bbox):
+        # the box is a half-width alone: a pair, even of a valid cube, an
+        # array, a string or a bool is a DomainError, not a TypeError
         with pytest.raises(DomainError):
             nodal_mesh(crown16, star16, bbox, 16)
 
@@ -169,8 +173,13 @@ class TestNodalMesh:
         with pytest.raises(DomainError):
             nodal_mesh(crown16, star16, 2.5, 100_000)
 
-    def test_scalar_bbox_normalized(self):
-        assert _normalize_bbox(1.5) == ((-1.5, 1.5), (-1.5, 1.5), (-1.5, 1.5))
+    def test_scalar_bbox_normalized(self, crown16, star16):
+        # a half-width of any real type is its float
+        ref = nodal_mesh(crown16, star16, 2.0, 16)
+        assert len(ref) > 0
+        for bbox in (2, np.int64(2), np.float32(2.0), Fraction(2)):
+            mesh = nodal_mesh(crown16, star16, bbox, 16)
+            assert np.array_equal(mesh.points, ref.points)
 
     def test_empty_for_positive_profile(self, crown16):
         mesh = nodal_mesh(crown16, talenti_profile(), 2.0, 16)
@@ -209,20 +218,13 @@ class TestNodalMesh:
         assert (len(jump), jump.dropped) == (0, 6)
 
 
-_BOX = ((-2.5, 2.5),) * 3
-#: a box that is neither cubic nor centred
-_SKEW_BOX = ((-2.1, 2.4), (-1.7, 2.9), (-0.8, 1.3))
-#: a box whose y faces cut the zero set: the last point of a row of a slab
-#: and the first of the next row differ in sign, yet no edge joins them
-_Y_FACE_BOX = ((0.4, 0.8), (-0.3, 0.0), (-0.1, 0.1))
-
-
-def _old_mesh(profile, bbox, res):
-    """nodal_mesh as it was before its halvings were certified: a full scan,
-    then each halving evaluates the midpoint of every row that still moves.
-    Returns the mesh's points, values, gradients and dropped count, and the
-    rows each halving evaluated."""
-    xs, ys, zs = axes = [np.linspace(lo, hi, res) for lo, hi in bbox]
+def _old_mesh(profile, half, res):
+    """nodal_mesh as it was before its halvings were certified: a full scan
+    of the cube [-half, half]^3, then each halving evaluates the midpoint of
+    every row that still moves.  Returns the mesh's points, values,
+    gradients and dropped count, and the rows each halving evaluated."""
+    xs = ys = zs = np.linspace(-half, half, res)
+    axes = [xs] * 3
     sign = np.sign(profile.fn(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)))
     segs = []
 
@@ -303,13 +305,15 @@ def test_halvings_evaluate_only_uncertified_moving_rows(crown16, star16, caplog)
     [record] = caplog.records
     evaluated, certified = record.args[4:6]
     assert sum(halvings) == evaluated and max(halvings) <= rows
-    old = _old_mesh(star16, _BOX, 96)[-1]
+    old = _old_mesh(star16, 2.5, 96)[-1]
     assert evaluated + certified == sum(old)
     assert evaluated < 0.5 * rows * len(old)
 
 
-@pytest.mark.parametrize("bbox", [_BOX, _SKEW_BOX, _Y_FACE_BOX],
-                         ids=["cube", "skew", "yface"])
+#: at half-width 1.3 the box's y faces cut the zero set: the last point of a
+#: row of a slab and the first of the next row differ in sign at 12, 26 and
+#: 36 such pairs for res 16, 33 and 48, yet no edge joins them (at 2.5, none)
+@pytest.mark.parametrize("bbox", [2.5, 1.3], ids=["cube", "yface"])
 @pytest.mark.parametrize("res", [16, 33, 48, 96])
 def test_mesh_equals_old_bisection(crown16, star16, res, bbox):
     old = _old_mesh(star16, bbox, res)
@@ -327,7 +331,7 @@ def test_mesh_is_logged(crown16, star16, caplog):
     scanned, sizes = _after_scan(calls)
     rows = len(mesh) + mesh.dropped
     evaluated = sum(sizes) - 3 * rows - 6 * len(mesh)
-    certified = sum(_old_mesh(star16, _BOX, 48)[-1]) - evaluated
+    certified = sum(_old_mesh(star16, 2.5, 48)[-1]) - evaluated
     assert 0 < scanned < 48**3 and evaluated > 0 and certified > 0
     assert [r.getMessage() for r in caplog.records] == [
         f"nodal_mesh res 48: scan evaluated {scanned} of {48**3} points, "
@@ -449,7 +453,7 @@ class TestCertifiedScan:
         # yet gives the mesh of a full scan and full bisection
         recording, calls = _recording(star16)
         certified = nodal_mesh(crown16, recording, 2.5, res)
-        full = _old_mesh(star16, _normalize_bbox(2.5), res)
+        full = _old_mesh(star16, 2.5, res)
         assert len(certified) > 0
         assert 0 < _after_scan(calls)[0] < (res + 1) ** 3
         for new, ref in zip((certified.points, certified.values, certified.gradients), full):
@@ -457,30 +461,31 @@ class TestCertifiedScan:
         assert certified.dropped == full[3]
 
     def test_certificate_is_sound(self, crown16, mesh48):
-        # grids of several spacings around a ring centre, the origin, a point
-        # of the zero set or anywhere in the box: one brick centred on the
-        # anchor, and a grid placed at random whose lengths, not multiples of
-        # the brick, leave partial bricks at the ends
+        # cube grids of several spacings around a ring centre, the origin, a
+        # point of the zero set or anywhere in the box, as u_star's bubbles
+        # moved by minus that anchor around a grid at the origin: one brick
+        # centred on the anchor, and a grid placed at random whose length,
+        # not a multiple of the brick, leaves partial bricks at the ends
         rng = np.random.default_rng(11)
-        x, _c, _amp = crown16._bubbles
+        x, c, amp = crown16._bubbles
         counts = {1.0: 0, -1.0: 0, 0.0: 0}
         for trial in range(64):
             h = (1e-3, 0.01, 0.05, 0.2)[trial % 4]
             anchor = (x[rng.integers(1, 17)], np.zeros(3), rng.uniform(-2.0, 2.0, 3),
                       mesh48.points[rng.integers(len(mesh48))])[trial // 4 % 4]
-            n = rng.integers(_BRICK + 1, 4 * _BRICK + 3, 3)
-            for axes in ([anchor[i] + h * (np.arange(_BRICK) - 0.5 * (_BRICK - 1))
-                          for i in range(3)],
-                         [anchor[i] + h * (np.arange(n[i]) - rng.uniform(0, n[i] - 1))
-                          for i in range(3)]):
-                grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-                sign = np.sign(u_star(grid, crown16))
-                layers = list(_certified_signs(*axes, crown16._bubbles))
-                assert len(layers) == -(-len(axes[2]) // _BRICK)
+            bubbles = (x - anchor, c, amp)
+            n = rng.integers(_BRICK + 1, 4 * _BRICK + 3)
+            for axis in (h * (np.arange(_BRICK) - 0.5 * (_BRICK - 1)),
+                         h * (np.arange(n) - rng.uniform(0, n - 1))):
+                grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+                r2 = np.sum((grid[..., None, :] - bubbles[0]) ** 2, axis=-1)
+                sign = np.sign(np.sum(amp / np.sqrt(c + r2), axis=-1))
+                layers = list(_certified_signs(axis, bubbles))
+                assert len(layers) == -(-len(axis) // _BRICK)
                 for k, layer in enumerate(layers):
                     assert layer.shape == sign.shape[:2]
                     known = layer != 0.0
-                    for kz in range(k * _BRICK, min((k + 1) * _BRICK, len(axes[2]))):
+                    for kz in range(k * _BRICK, min((k + 1) * _BRICK, len(axis))):
                         assert np.array_equal(sign[:, :, kz][known], layer[known])
                     for v in counts:
                         counts[v] += int(np.count_nonzero(layer == v))
@@ -518,7 +523,7 @@ class TestCertifiedScan:
         r2 = np.sum(grid * grid, axis=-1)[..., None]
         vals = np.sum(bubbles[2] / np.sqrt(bubbles[1] + r2), axis=-1)
         assert vals[0, 0, 0] > 0.0 > vals[1, 1, 1]
-        layers = list(_certified_signs(axis, axis, axis, bubbles))
+        layers = list(_certified_signs(axis, bubbles))
         assert len(layers) == 1 and not np.any(layers[0])
 
     @pytest.mark.parametrize("amp, sign", [
@@ -529,7 +534,7 @@ class TestCertifiedScan:
         # a bubble of height amp: certified only where it clears the margin
         bubbles = (np.zeros((1, 3)), np.ones(1), np.array([amp]))
         axis = np.linspace(-1e-3, 1e-3, _BRICK)
-        layers = list(_certified_signs(axis, axis, axis, bubbles))
+        layers = list(_certified_signs(axis, bubbles))
         assert len(layers) == 1 and np.all(layers[0] == sign)
 
     def test_scan_evaluates_under_a_quarter(self, crown16, star16):
@@ -552,29 +557,27 @@ class TestCertifiedScan:
                 assert len(nodal_mesh(crown16, prof, half, 16)) == 0
 
 
-#: a box coordinate: any float or an edge value (past sqrt(max / 3) the
-#: field's squared distances overflow)
-_COORD = st.one_of(st.floats(), st.sampled_from(
+#: a half-width: any float or an edge value (past sqrt(max / 3) the field's
+#: squared distances overflow)
+_HALF = st.one_of(st.floats(0.2, 3.0), st.floats(), st.sampled_from(
     [np.nan, np.inf, -np.inf, 0.0, 1e150, -1e150, 7.7e153, -7.7e153, 1e300]))
-#: a box axis: one that meets the ring or any pair of coordinates
-_AXIS = st.one_of(st.tuples(st.floats(-3.0, -0.2), st.floats(0.2, 3.0)),
-                  st.tuples(_COORD, _COORD))
 
 
 @settings(max_examples=80)
-@given(st.one_of(st.floats(0.2, 3.0), _COORD, st.tuples(_AXIS, _AXIS, _AXIS)),
-       st.integers(16, 24))
+@given(_HALF, st.integers(16, 24))
 def test_mesh_does_not_depend_on_bubbles(crown16, star16, bbox, res):
     # the certified scan and halvings give the mesh of a full scan and full
     # bisection, with no warning either way; a box nodal_mesh rejects is no
-    # example
+    # example, and the same box as three (lo, hi) pairs is always rejected
+    with pytest.raises(DomainError):
+        nodal_mesh(crown16, star16, ((-bbox, bbox),) * 3, res)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             mesh = nodal_mesh(crown16, star16, bbox, res)
         except DomainError:
             reject()
-        full = _old_mesh(star16, _normalize_bbox(bbox), res)
+        full = _old_mesh(star16, bbox, res)
     for new, ref in zip((mesh.points, mesh.values, mesh.gradients), full):
         assert np.array_equal(new, ref)
     assert mesh.dropped == full[3]
