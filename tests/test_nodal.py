@@ -310,14 +310,36 @@ def test_halvings_evaluate_only_uncertified_moving_rows(crown16, star16, caplog)
     assert evaluated < 0.5 * rows * len(old)
 
 
+def _moved(profile, shift):
+    """``profile``'s bubble sum with every centre moved by ``shift``,
+    evaluated term by term in blocks of 4096 points."""
+    x, c, amp = profile.bubbles
+    x = x + np.asarray(shift)
+
+    def fn(a):
+        pts = a.reshape(-1, 3)
+        out = np.empty(len(pts))
+        for i in range(0, len(pts), 4096):
+            d = pts[i:i + 4096, None, :] - x
+            out[i:i + 4096] = np.sum(amp / np.sqrt(c + np.sum(d * d, axis=-1)), axis=-1)
+        return out.reshape(a.shape[:-1])
+
+    return ProfileHandle(fn=fn, bubbles=(x, c, amp))
+
+
 #: at half-width 1.3 the box's y faces cut the zero set: the last point of a
 #: row of a slab and the first of the next row differ in sign at 12, 26 and
-#: 36 such pairs for res 16, 33 and 48, yet no edge joins them (at 2.5, none)
-@pytest.mark.parametrize("bbox", [2.5, 1.3], ids=["cube", "yface"])
+#: 36 such pairs for res 16, 33 and 48, yet no edge joins them (at 2.5, none).
+#: "skew" moves the crown by -(0.15, 0.6, 0.25), so the half-width-2.3 cube
+#: is off-centre on it, and no grid plane is a plane of its symmetry
+@pytest.mark.parametrize("bbox, shift", [
+    (2.5, None), (2.3, (-0.15, -0.6, -0.25)), (1.3, None),
+], ids=["cube", "skew", "yface"])
 @pytest.mark.parametrize("res", [16, 33, 48, 96])
-def test_mesh_equals_old_bisection(crown16, star16, res, bbox):
-    old = _old_mesh(star16, bbox, res)
-    mesh = nodal_mesh(crown16, star16, bbox, res)
+def test_mesh_equals_old_bisection(crown16, star16, res, bbox, shift):
+    profile = star16 if shift is None else _moved(star16, shift)
+    old = _old_mesh(profile, bbox, res)
+    mesh = nodal_mesh(crown16, profile, bbox, res)
     assert len(mesh) > 0
     for new, ref in zip((mesh.points, mesh.values, mesh.gradients), old):
         assert np.array_equal(new, ref)
