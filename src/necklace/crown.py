@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NearPoleWarning
+from .errors import DomainError, NearPoleWarning, counted
 from .geometry import Point3, rotation_matrix
 from .trigsums import csc_full_sum
 
@@ -57,18 +57,15 @@ def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class CrownParams:
-    """Ring data for m bubbles, m even, 8 <= m <= M_MAX, all derived from m:
-    d = sqrt(2) m log m / sum_{j<m} csc(j pi/m), the concentration
+    """Ring data for m bubbles, m an even int, 8 <= m <= M_MAX, all derived
+    from m: d = sqrt(2) m log m / sum_{j<m} csc(j pi/m), the concentration
     mu = d^2/(m log m)^2, and the centres xi, equally spaced on the circle of
     radius sqrt(1 - mu^2) in the z1 z2 plane."""
 
     m: int
 
     def __post_init__(self):
-        if self.m < 8 or self.m % 2 != 0:
-            raise DomainError(f"m must be an even integer >= 8, got {self.m}")
-        if self.m > M_MAX:
-            raise DomainError(f"m must be at most {M_MAX}, got {self.m}")
+        counted("m", self.m, 8, M_MAX, parity=0, owner=self)
 
     @cached_property
     def d(self) -> float:

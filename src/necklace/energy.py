@@ -23,7 +23,7 @@ from .crown import (
     fd_gradient,
     u_star_profile,
 )
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, real
 from .geometry import Point3, SectorConfig
 from .kernels import full_kernels
 from .nodal import radial_nodal_root
@@ -46,12 +46,10 @@ class ReducedConfig:
     delta: float = 0.1
 
     def __post_init__(self):
-        SectorConfig(self.K)
-        if not all(map(math.isfinite, (self.lam, self.gnorm, self.cstar, self.delta))):
-            raise DomainError("lam, gnorm, cstar and delta must be finite")
-        if self.lam <= 0 or self.gnorm <= 0 or self.cstar <= 0:
-            raise DomainError("lam, gnorm and cstar must be positive")
-        if not 0.0 < self.delta < 1.0:
+        object.__setattr__(self, "K", SectorConfig(self.K).K)
+        for f in ("lam", "gnorm", "cstar", "delta"):
+            real(f, getattr(self, f), positive=True, owner=self)
+        if not self.delta < 1.0:
             raise DomainError("delta must lie in (0, 1)")
         # Psi's coefficients are under K^5 (A_gamma's), and its monomials under
         # 2 eps^3 s^2 + lam cstar eps^2 at the box's far corner eps = 1/(delta K^3)
@@ -238,13 +236,12 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
     such bubble) is integrated on shells around the origin with the angular
     order adapted to the nearest core, and the far field beyond R = 10^3 is
     added from the measured 1/|z| coefficient.
-    ``scale`` multiplies every node count (scale=2 halves all steps).
+    ``scale`` > 0 multiplies every node count (scale=2 halves all steps).
     The part totals, the number of points the profile was evaluated at and
     the shells a core's bump reached are logged in one DEBUG record on this
     module's logger.
     """
-    if not (math.isfinite(scale) and scale > 0):
-        raise DomainError("scale must be finite and positive")
+    scale = real("scale", scale, positive=True)
     xiv = xi.as_array()
     q0 = float(np.asarray(profile.fn(xiv)))
     if abs(q0) > 1e-8:

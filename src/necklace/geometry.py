@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, counted
 from .trigsums import N_MAX
 
 #: the largest K SectorConfig accepts: the sums over a sector have n = K terms
@@ -49,15 +49,12 @@ class Point3:
 
 @dataclass(frozen=True)
 class SectorConfig:
-    """An angular sector of opening 2*pi/K, K even, 4 <= K <= K_MAX."""
+    """An angular sector of opening 2*pi/K, K even, 4 <= K <= K_MAX, an int."""
 
     K: int
 
     def __post_init__(self):
-        if self.K < 4 or self.K % 2 != 0:
-            raise DomainError(f"K must be an even integer >= 4, got {self.K}")
-        if self.K > K_MAX:
-            raise DomainError(f"K must be at most {K_MAX}, got {self.K}")
+        counted("K", self.K, 4, K_MAX, parity=0, owner=self)
 
     @property
     def theta0(self) -> float:

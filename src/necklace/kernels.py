@@ -15,7 +15,7 @@ import numpy as np
 
 from ._forms import a_gamma_quad, s_alt, s_hat
 from .crown import _COORD_MAX, ProfileHandle, _bubble_derivs
-from .errors import AccuracyError, DomainError, UnsupportedError
+from .errors import AccuracyError, DomainError, UnsupportedError, real
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
 
 _COINCIDENT_TOL = 1e-13
@@ -26,16 +26,6 @@ _GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
 #: the largest |z| t_a takes: for |b| < 1, |r|^5 <= (|z| + 1)^5 stays finite
 _T_A_MAX = 1e61
-
-
-@lru_cache(maxsize=64)
-def _tail(K: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The extension images without the identity; signs flipped so that
-    sum_s s u(Mz) equals u(z) - extension(u)(z).  Read-only."""
-    mats, signs = sector_images(K)
-    signs = -signs[1:]
-    signs.flags.writeable = False
-    return mats[1:], signs
 
 
 def _pow(a: np.ndarray, e: float) -> np.ndarray:
@@ -77,7 +67,8 @@ class PlacedBubble:
     anchor, the rotated gradient ``w`` (stored as modulus and angle; third
     component is zero), and the rotated Hessian ``W``.  The placement is the
     in-plane point ``b`` (modulus and angle) with the frame rotation offset
-    ``beta_hat``; the construction forces alpha_w == beta_hat.
+    ``beta_hat``; the construction forces alpha_w == beta_hat.  The real
+    fields are finite, eps and w_abs > 0, and stored as floats.
     """
 
     eps: float
@@ -94,13 +85,9 @@ class PlacedBubble:
     theta_star: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise DomainError("eps must be finite and positive")
-        if not (math.isfinite(self.w_abs) and self.w_abs > 0):
-            raise DomainError("w_abs must be finite and positive")
-        for name in ("a", "q_hat", "alpha_w", "alpha_b", "beta_hat", "theta_star"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        for f in ("eps", "a", "q_hat", "w_abs", "alpha_w", "b_abs", "alpha_b",
+                  "beta_hat", "theta_star"):
+            real(f, getattr(self, f), positive=f in ("eps", "w_abs"), owner=self)
         if not (0.0 < self.b_abs < 1.0 and math.isfinite(self.d)):
             raise DomainError("|b| must lie in (0, 1), with d = (1 - |b|^2)/(2|b|) finite")
         if abs(self.alpha_w - self.beta_hat) > 1e-12:
@@ -186,14 +173,15 @@ def _direct(kind: str, Z: np.ndarray, P: np.ndarray, K: int) -> List[float]:
     """gamma_direct or h0e (``kind``) at each row pair (Z[i], P[i]) of two
     (n, 3) stacks in one pass over the images: row for row the bits of a
     one-row call, and the error of the first row that raises one."""
-    mats, signs = _tail(K) if kind == "gamma" else sector_images(K)
-    v = (mats @ Z[:, None, :, None])[..., 0]
+    mats, signs = sector_images(K)
     if kind == "gamma":
-        r = _norm(v - P[:, None])
+        # u(z) - extension(u)(z): the images but the identity, signs negated
+        r = _norm((mats[1:] @ Z[:, None, :, None])[..., 0] - P[:, None])
         if (r < _COINCIDENT_TOL).any():
             raise DomainError("evaluation point coincides with an image point")
-        terms = signs / r
+        terms = -signs[1:] / r
     else:
+        v = (mats @ Z[:, None, :, None])[..., 0]
         terms = signs * _pow(_h0_rad(v, P[:, None]), -0.5)
     return list(map(math.fsum, terms.tolist()))
 
@@ -218,12 +206,11 @@ def _in_plane(b: Point3) -> Tuple[float, float]:
 def _closed_tables(K: int) -> Tuple[List[float], List[float], List[float]]:
     """What the two closed forms take from K alone, j < K/2: the odd angles
     (2j+1) theta0, the -csc(2j theta0) for j > 0 and the sin^2(2j theta0),
-    each as the closed forms' loops computed it."""
-    t0 = SectorConfig(K).theta0
-    odd = [(2 * j + 1) * t0 for j in range(K // 2)]
-    neg_csc = [-1.0 / math.sin(2 * j * t0) for j in range(1, K // 2)]
-    sin2 = [math.sin(2 * j * t0) ** 2 for j in range(K // 2)]
-    return odd, neg_csc, sin2
+    from sector_images' sines, squared by pow as float ** is (x * x is an
+    ulp off for some)."""
+    t0, s = SectorConfig(K).theta0, sector_images(K)[0][:K // 2, 1, 0]
+    return ([(2 * j + 1) * t0 for j in range(K // 2)], (-1.0 / s[1:]).tolist(),
+            _pow(s, 2).tolist())
 
 
 def _gamma_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
@@ -365,8 +352,7 @@ def _check_w_sums(K: int, gnorm: float, babs: float, alpha_b: float) -> None:
     round-off.  With 1/2 < |b| < 1 and |alpha_b| < theta0/2, which the
     closed forms check, r = sin(theta0/2).
     """
-    if not (math.isfinite(gnorm) and gnorm > 0.0):
-        raise DomainError(f"gnorm must be finite and positive, got {gnorm!r}")
+    real("gnorm", gnorm, positive=True)
     theta0 = math.pi / K
     # alpha_b as the angle of the point b, in [-pi, pi]
     alpha = math.atan2(math.sin(alpha_b), math.cos(alpha_b))
@@ -478,7 +464,8 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
                                "with its profile and xi_hat")
     if z.norm() > _T_A_MAX:
         raise DomainError(f"t_a takes |z| up to {_T_A_MAX:g}")
-    mats, signs = _tail(cfg.K)
+    mats, signs = sector_images(cfg.K)
+    mats, signs = mats[1:], -signs[1:]
     b, w, _, rot, xi, W = A._arrays
     r = mats @ z.as_array() - b
     rn = _norm(r)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .crown import (_BLOCK, CrownParams, ProfileHandle, _as_array,
                     _bubble_derivs, _check_points, _fd_gradient, _sq_norm)
-from .errors import DomainError, NotFoundError
+from .errors import DomainError, NotFoundError, counted, real
 from .geometry import Point3
 
 _log = logging.getLogger(__name__)
@@ -68,15 +67,14 @@ def gradient_norms(profile: ProfileHandle, points: np.ndarray) -> np.ndarray:
 def radial_nodal_root(p: CrownParams, profile: ProfileHandle, j: int,
                       direction: Union[Point3, Sequence[float]]) -> float:
     """The first sign-change radius t of profile(xi_j + t * direction) inside
-    the bracket [1e-3/m, 0.5], refined by bisection to 1e-12."""
-    if not 0 <= j < p.m:
-        raise DomainError(f"bubble index out of range: {j}")
-    d = _as_array(direction).astype(float)
+    the bracket [1e-3/m, 0.5], refined by bisection to 1e-12, for an integer
+    0 <= j < m and a nonzero in-plane direction with coordinates up to 1e150."""
+    j = counted("j", j, 0, p.m - 1)
+    d = _as_array(direction)
+    _check_points(d, "radial_nodal_root")
     norm = float(np.linalg.norm(d))
-    if not (np.isfinite(d).all() and 0.0 < norm < math.inf):
-        raise DomainError(f"direction must be finite and nonzero, got {d}")
-    if abs(d[2]) > 1e-12:
-        raise DomainError("direction must lie in the z1 z2 plane")
+    if d.shape != (3,) or norm == 0.0 or abs(d[2]) > 1e-12:
+        raise DomainError(f"direction must be a nonzero vector of the z1 z2 plane, got {d}")
     d = d / norm
     center = p.xi[j].as_array()
     lo, hi = 1e-3 / p.m, 0.5
@@ -359,23 +357,17 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
 
     The half-width bbox is a real number h > 0 with 3 h^2 finite (h up to
     about 7.7e153), so no squared distance over the box overflows; anything
-    else is a DomainError.  The resolution is 16 to RES_MAX.  One DEBUG
-    record on this module's logger gives the scan points evaluated, the
-    crossings, the halvings evaluated and certified, and the crossings
-    dropped.
+    else is a DomainError.  The resolution is an int or a NumPy integer
+    from 16 to RES_MAX.  One DEBUG record on this module's logger gives the
+    scan points evaluated, the crossings, the halvings evaluated and
+    certified, and the crossings dropped.
 
     An empty result is returned as an empty mesh, not an error."""
-    try:  # a bool is an int, and not a half-width
-        h = (float(bbox) if isinstance(bbox, numbers.Real) and not isinstance(bbox, bool)
-             else math.nan)
-    except OverflowError:  # an int too large for a float
-        h = math.inf
-    if not (h > 0.0 and math.isfinite(3.0 * h * h)):
+    h = real("bbox", bbox, positive=True)
+    if not math.isfinite(3.0 * h * h):
         raise DomainError("bbox must be a positive half-width h with 3 h^2 finite")
-    if not 16 <= resolution <= RES_MAX:
-        raise DomainError(f"resolution must be 16 to {RES_MAX} per axis, got {resolution}")
-    axis = np.linspace(-h, h, resolution)
-    res = resolution
+    res = counted("resolution", resolution, 16, RES_MAX)
+    axis = np.linspace(-h, h, res)
     layers = _certified_signs(axis, profile.bubbles)
     found = []
     prev_sign = None
@@ -407,7 +399,7 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
         prev_sign = sign
 
     if not found:
-        _log_mesh(resolution, scanned, 0, 0, 0, 0)
+        _log_mesh(res, scanned, 0, 0, 0, 0)
         empty = np.empty((0, 3))
         return NodalMesh(points=empty, values=np.empty(0), gradients=np.empty(0))
 
@@ -425,7 +417,7 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
     keep = residual <= _RESIDUAL_TOL
     points, residual = a[keep], residual[keep]
     dropped = int(np.count_nonzero(~keep))
-    _log_mesh(resolution, scanned, len(a), evaluated, certified, dropped)
+    _log_mesh(res, scanned, len(a), evaluated, certified, dropped)
     grads = gradient_norms(profile, points) if len(points) else np.empty(0)
     return NodalMesh(points=points, values=residual, gradients=grads, dropped=dropped)
 

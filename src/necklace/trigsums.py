@@ -27,7 +27,8 @@ import numpy as np
 from mpmath.libmp import from_rational, mpf_cos_sin, mpf_shift, round_nearest, to_int
 
 from ._quad import gl_panels
-from .errors import AccuracyError, DomainError, RegimeWarning, UnsupportedError
+from .errors import (AccuracyError, DomainError, RegimeWarning, UnsupportedError,
+                     counted, real)
 
 # Alternating sums are exponentially small in n*x while their terms are O(1);
 # below this cancellation level the float pathway is recomputed in exact
@@ -63,14 +64,12 @@ class SumSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}")
-        if self.k not in (1, 3, 5):
-            raise DomainError(f"k must be one of 1, 3, 5, got {self.k}")
-        if self.n < 4 or self.n % 2 != 0:
-            raise DomainError(f"n must be an even integer >= 4, got {self.n}")
-        if self.n > N_MAX:
-            raise DomainError(f"n must be at most {N_MAX}, got {self.n}")
-        if not (math.isfinite(self.x) and self.x >= 0):
-            raise DomainError("x must be finite and >= 0")
+        # parity and owner positional: CPython leaves keyword calls unspecialized
+        counted("k", self.k, 1, 5, 1, self)
+        counted("n", self.n, 4, N_MAX, 0, self)
+        real("x", self.x, False, self)
+        if not self.x >= 0:
+            raise DomainError(f"x must be >= 0, got {self.x!r}")
         if self.variant in ("even", "alt"):
             # sum_direct's j = 0 term; x = 0, or an x whose square
             # underflows, divides by zero
@@ -326,12 +325,10 @@ def s1_contour(n: int, x: float) -> float:
     integrand has decayed by e^{-45}.  The rule is composite Gauss-Legendre
     of order 24 on 8 equal panels of [0, ucut]; the same rule on 4 panels
     gives the error estimate |I_8 - I_4|, and an estimate above 1e-9 of the
-    value raises AccuracyError.
+    value raises AccuracyError.  n is even, 4 <= n <= N_MAX (an int or a
+    NumPy integer), and x > 0 is finite.
     """
-    if n < 4 or n % 2 != 0:
-        raise DomainError(f"n must be an even integer >= 4, got {n}")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError("s1_contour requires finite x > 0")
+    n, x = counted("n", n, 4, N_MAX, parity=0), real("x", x, positive=True)
     y0 = n * math.asinh(x)
     if y0 > 700.0:
         # below double-precision underflow; the value is indistinguishable from 0
@@ -356,24 +353,17 @@ def s_asym(k: int, n: int, x: float) -> float:
     S_1 ~ sqrt(8/pi) n (nx)^{-1/2} e^{-nx}
     S_3 ~ sqrt(8/pi) n^3 (nx)^{-3/2} e^{-nx}
     S_5 ~ (1/3) sqrt(8/pi) n^5 (nx)^{-5/2} e^{-nx}
+    for even 4 <= n <= N_MAX (an int or a NumPy integer) and finite x > 0.
     """
-    if k not in (1, 3, 5):
-        raise DomainError(f"k must be one of 1, 3, 5, got {k}")
-    if n < 4 or n % 2 != 0:
-        raise DomainError(f"n must be an even integer >= 4, got {n}")
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError("s_asym requires finite x > 0")
+    k, n = counted("k", k, 1, 5, parity=1), counted("n", n, 4, N_MAX, parity=0)
+    x = real("x", x, positive=True)
     nx = n * x
     if nx < 5.0:
         warnings.warn(
             f"n*x = {nx:.3g} < 5: outside the asymptotic regime", RegimeWarning
         )
-    pref = math.sqrt(8.0 / math.pi)
-    if k == 1:
-        return pref * n * nx ** -0.5 * math.exp(-nx)
-    if k == 3:
-        return pref * n**3 * nx ** -1.5 * math.exp(-nx)
-    return pref / 3.0 * n**5 * nx ** -2.5 * math.exp(-nx)
+    pref = math.sqrt(8.0 / math.pi) / (3.0 if k == 5 else 1.0)
+    return pref * n**k * nx ** (-k / 2.0) * math.exp(-nx)
 
 
 # zeta(3) and zeta(5); the test suite reproduces each one from its defining
@@ -391,20 +381,19 @@ _CSC_LEADING = {
 
 def csc_asym(variant: str, k: int, n: int) -> float:
     """Leading term of the pure cosecant sums (x = 0) for the four supported
-    (variant, k) pairs."""
+    (variant, k) pairs; n is even, 4 <= n <= N_MAX (an int or a NumPy integer)."""
+    k, n = counted("k", k, 1, 5), counted("n", n, 4, N_MAX, parity=0)
     try:
         fn = _CSC_LEADING[(variant, k)]
     except KeyError:
         raise UnsupportedError(
             f"no leading constant provided for ({variant!r}, k={k})"
         ) from None
-    if n < 4 or n % 2 != 0:
-        raise DomainError(f"n must be an even integer >= 4, got {n}")
     return fn(n)
 
 
 def csc_full_sum(m: int) -> float:
-    """sum_{j=1}^{m-1} csc(j pi / m); approaches (2m/pi)(log(2m/pi) + gamma0)."""
-    if m < 2:
-        raise DomainError(f"m must be >= 2, got {m}")
+    """sum_{j=1}^{m-1} csc(j pi / m), 2 <= m <= N_MAX; approaches
+    (2m/pi)(log(2m/pi) + gamma0)."""
+    m = counted("m", m, 2, N_MAX)
     return math.fsum(1.0 / math.sin(j * math.pi / m) for j in range(1, m))

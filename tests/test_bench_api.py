@@ -26,6 +26,7 @@ from necklace.energy import (  # noqa: E402
 from necklace.geometry import SectorConfig  # noqa: E402
 from necklace.kernels import place_bubble  # noqa: E402
 from necklace.nodal import nodal_mesh  # noqa: E402
+from necklace.trigsums import s1_contour  # noqa: E402
 
 
 def test_traced_profile():
@@ -50,6 +51,22 @@ def test_identities_placement():
     A = place_bubble(K**-3.0, 0.0, babs, 0.0, 0.0, profile, xi)
     assert A.profile is profile
     assert math.isfinite(A.q_hat) and A.w_abs > 0.0
+
+
+def test_workload_inputs_are_admitted(tmp_path):
+    # the SumSpec, ReducedConfig, ReducedPoint and PlacedBubble inputs the
+    # reduced and identities workloads build, their s1_contour calls and
+    # the anchor's radial_nodal_root call: a rule tightened past any of
+    # them fails here, not first in the benchmark
+    cases = workloads.reduced_prepare(1, str(tmp_path))
+    assert [len(c.points) for c in cases] == [workloads.REDUCED_BATCH] * len(workloads.KS)
+    inp = workloads.identities_prepare(1, str(tmp_path))
+    assert len(inp.bubbles) == 12 and len(inp.float_sums) == len(inp.mp_sums) == 12
+    assert all(s1_contour(n, x) > 0.0 for n, x in inp.contour)
+    params = build_crown(workloads.M)
+    tracer = spans.NullTracer()
+    xi = workloads._anchor(params, workloads._profile(params, tracer), tracer)
+    assert abs(u_star(xi.as_array(), params)) < 1e-9
 
 
 def test_nodal_mesh_call():

@@ -1,0 +1,203 @@
+"""The two input checks, counted and real, and every entry point that states
+its parameters through them: any value either passes the check or is a
+DomainError, never a TypeError, OverflowError or IndexError, and a NumPy
+integer acts as the equal int."""
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from necklace.crown import CrownParams, ProfileHandle, build_crown
+from necklace.energy import ReducedConfig, c_star
+from necklace.errors import AccuracyError, DomainError, UnsupportedError, counted, real
+from necklace.geometry import K_MAX, Point3, SectorConfig
+from necklace.kernels import PlacedBubble, _check_w_sums, full_kernels
+from necklace.nodal import nodal_mesh, radial_nodal_root
+from necklace.trigsums import (N_MAX, SumSpec, csc_asym, csc_full_sum, s1_contour, s_asym,
+                               sum_direct)
+
+_PARAMS = build_crown(16)
+
+
+class _Reached(Exception):
+    """Raised by the profile below: the call got past its checks."""
+
+
+def _reach(_arr):
+    raise _Reached
+
+
+# a field that stops the call the first time it is evaluated, with one bubble
+# of amplitude 0, which certifies no sign: nodal_mesh evaluates its first slab
+_STOP = ProfileHandle(fn=_reach, bubbles=(np.zeros((1, 3)), np.ones(1), np.zeros(1)))
+
+
+def _placed(field, v):
+    kw = dict(eps=1e-4, a=0.0, q_hat=1.0, w_abs=1.0, alpha_w=0.02, b_abs=0.97,
+              alpha_b=0.01, beta_hat=0.02)
+    if field == "alpha_w":
+        kw["beta_hat"] = v
+    return PlacedBubble(**{**kw, field: v})
+
+
+def _reduced(field, v):
+    kw = dict(K=64, lam=1.0, gnorm=1.0, cstar=1.0, delta=0.1)
+    return ReducedConfig(**{**kw, field: v})
+
+
+#: each site that takes a counted or a real parameter, as a call of the value
+COUNTED = {
+    "SectorConfig.K": SectorConfig,
+    "CrownParams.m": CrownParams,
+    "build_crown.m": build_crown,
+    "SumSpec.k": lambda v: SumSpec("alt", v, 64, 0.5),
+    "SumSpec.n": lambda v: SumSpec("alt", 1, v, 0.5),
+    "s1_contour.n": lambda v: s1_contour(v, 0.5),
+    "s_asym.k": lambda v: s_asym(v, 64, 0.5),
+    "s_asym.n": lambda v: s_asym(1, v, 0.5),
+    "csc_asym.k": lambda v: csc_asym("odd", v, 64),
+    "csc_asym.n": lambda v: csc_asym("odd", 3, v),
+    "csc_full_sum.m": csc_full_sum,
+    "nodal_mesh.resolution": lambda v: nodal_mesh(_PARAMS, _STOP, 2.5, v),
+    "radial_nodal_root.j": lambda v: radial_nodal_root(_PARAMS, _STOP, v, (-1.0, 0.0, 0.0)),
+    "ReducedConfig.K": lambda v: _reduced("K", v),
+}
+REAL = {
+    "SumSpec.x": lambda v: SumSpec("alt", 1, 64, v),
+    "s1_contour.x": lambda v: s1_contour(64, v),
+    "s_asym.x": lambda v: s_asym(1, 64, v),
+    "nodal_mesh.bbox": lambda v: nodal_mesh(_PARAMS, _STOP, v, 16),
+    "c_star.scale": lambda v: c_star(_STOP, Point3(0.5, 0.0, 0.0), v),
+    **{f"ReducedConfig.{f}": (lambda v, f=f: _reduced(f, v))
+       for f in ("lam", "gnorm", "cstar", "delta")},
+    **{f"PlacedBubble.{f}": (lambda v, f=f: _placed(f, v))
+       for f in ("eps", "a", "q_hat", "w_abs", "alpha_w", "b_abs", "alpha_b",
+                 "beta_hat", "theta_star")},
+    "_check_w_sums.gnorm": lambda v: _check_w_sums(64, v, 0.97, 0.01),
+    "full_kernels.gnorm": lambda v: full_kernels(64, v, 0.97, 0.01, 0.02),
+}
+
+_NUMPY_INTS = st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint16,
+                               np.uint64]).flatmap(lambda t: st.one_of(
+    st.integers(0, 70), st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max))).map(t))
+
+VALUES = st.one_of(
+    st.integers(-10**400, 10**400),
+    st.integers(-100, 2 * N_MAX + 2),
+    _NUMPY_INTS,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-100, 100).map(float),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([np.bool_(True), np.float64(64.0), np.float32(0.5), None,
+                     math.nan, math.inf, -math.inf, 10**400, -10**400, 1.5]),
+)
+
+
+def _outcome(call, v):
+    """What the call does with v: ("value", repr) or ("raised", type, message)
+    for the errors that may follow the checks; a DomainError is ("domain",
+    message).  Any other error, or a RuntimeWarning, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return ("value", repr(call(v)))
+        except DomainError as exc:
+            return ("domain", str(exc))
+        except (_Reached, AccuracyError, UnsupportedError) as exc:
+            return ("raised", type(exc).__name__, str(exc))
+
+
+def _admissible(site, v):
+    """Whether v is of the site's kind: a Python or NumPy integer for a
+    counted parameter, a real number with a finite float for a real one,
+    and never a bool."""
+    if isinstance(v, (bool, np.bool_)):
+        return False
+    if site in COUNTED:
+        return isinstance(v, (int, np.integer))
+    try:
+        return isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+@pytest.mark.parametrize("site", [*COUNTED, *REAL])
+@settings(max_examples=60)
+@given(v=VALUES)
+def test_every_site_returns_or_raises_domain_error(site, v):
+    call = {**COUNTED, **REAL}[site]
+    got = _outcome(call, v)
+    if not _admissible(site, v):
+        assert got[0] == "domain", got
+    if isinstance(v, np.integer):
+        # the same bits, error or admitted state as the equal int
+        assert got == _outcome(call, int(v))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SectorConfig(64.0),
+    lambda: ReducedConfig(64.0, 1.0, 1.0, 1.0),
+    lambda: SumSpec("alt", 1, 64.0, 0.5),
+    lambda: SumSpec("alt", True, 64, 0.5),
+    lambda: SumSpec("alt", 1, 64, 10**400),
+    lambda: build_crown(16.0),
+    lambda: nodal_mesh(_PARAMS, _STOP, 2.5, 16.5),
+    lambda: radial_nodal_root(_PARAMS, _STOP, 0.5, (-1.0, 0.0, 0.0)),
+    lambda: radial_nodal_root(_PARAMS, _STOP, True, (-1.0, 0.0, 0.0)),
+    lambda: c_star(_STOP, Point3(0.5, 0.0, 0.0), True),
+    lambda: c_star(_STOP, Point3(0.5, 0.0, 0.0), 10**400),
+    lambda: s_asym(1, 64.0, 0.5),
+    lambda: s_asym(3.0, 64, 0.5),
+    lambda: s_asym(5, 10**70, 1e-60),
+    lambda: csc_asym("odd", 5, 10**70),
+    lambda: s1_contour(64, 10**400),
+    lambda: csc_full_sum(2.5),
+    lambda: csc_full_sum(10**9),
+    lambda: ReducedConfig(64, 10**400, 1.0, 1.0),
+])
+def test_rejected_calls(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_numpy_integers_are_ints():
+    for K in (np.int64(64), np.uint16(64), np.int32(64)):
+        cfg = SectorConfig(K)
+        assert cfg == SectorConfig(64) and hash(cfg) == hash(SectorConfig(64))
+        assert type(cfg.K) is int
+    assert type(ReducedConfig(np.int64(65536), 1.0, 1.0, 1.0).K) is int
+    assert type(build_crown(np.int64(16)).d) is float
+    assert build_crown(np.int64(16)).d == build_crown(16).d
+    spec = SumSpec("alt", np.int64(3), np.int32(64), np.float64(0.5))
+    assert spec == SumSpec("alt", 3, 64, 0.5)
+    assert [type(v) for v in (spec.k, spec.n, spec.x)] == [int, int, float]
+    assert sum_direct(spec).hex() == sum_direct(SumSpec("alt", 3, 64, 0.5)).hex()
+    assert s_asym(np.int64(3), np.int64(64), 0.5) == s_asym(3, 64, 0.5)
+
+
+def test_counted():
+    assert counted("K", np.int64(8), 4, 8, parity=0) == 8
+    assert counted("k", 3, 1, 5, parity=1) == 3
+    for v in (True, 6.0, "6", None, np.bool_(True), 5, 2):
+        with pytest.raises(DomainError, match=r"^K must be an even integer >= 4, got "):
+            counted("K", v, 4, 8, parity=0)
+    with pytest.raises(DomainError, match=r"^k must be an odd integer >= 1, got 4$"):
+        counted("k", 4, 1, 5, parity=1)
+    with pytest.raises(DomainError, match=f"^K must be at most {K_MAX}, got {2 * K_MAX}$"):
+        counted("K", 2 * K_MAX, 4, K_MAX, parity=0)
+
+
+def test_real():
+    for v, want in ((2, 2.0), (np.float32(0.5), 0.5), (np.int64(3), 3.0), (1e308, 1e308)):
+        got = real("x", v)
+        assert got == want and type(got) is float
+    x = 0.25
+    assert real("x", x) is x
+    for v in (True, np.bool_(False), "1", None, math.nan, -math.inf, 10**400,
+              np.array([1.0]), 1j):
+        with pytest.raises(DomainError, match="^x must be a finite real number"):
+            real("x", v)

@@ -574,6 +574,22 @@ def test_closed_forms_bits_equal_term_loops(K, babs, frac):
         assert _gamma_bb_closed(babs, alpha_b, cfg) == _gamma_bb_closed_loop(babs, alpha_b, K)
 
 
+def _tables_loop(K):
+    """_closed_tables' three lists as per-term loops compute them."""
+    t0 = math.pi / K
+    return ([(2 * j + 1) * t0 for j in range(K // 2)],
+            [-1.0 / math.sin(2 * j * t0) for j in range(1, K // 2)],
+            [math.sin(2 * j * t0) ** 2 for j in range(K // 2)])
+
+
+def test_closed_tables_bits_equal_term_loops():
+    # the sines read from sector_images, and squared by pow as float ** does:
+    # glibc 2.36's pow(x, 2) and x * x differ by an ulp at K = 1024, j = 395
+    for K in [*range(4, 2049, 2), *(2**q for q in range(12, 17))]:
+        got, want = kernels._closed_tables(K), _tables_loop(K)
+        assert [np.array(v).tobytes() for v in got] == [np.array(v).tobytes() for v in want], K
+
+
 @st.composite
 def _edge_placement(draw):
     """K and a point b = |b| e^{i alpha} at an edge: |b| at or next to 1/2
