@@ -31,9 +31,13 @@ Bubbles = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _as_array(z: PointLike) -> np.ndarray:
+    """``z`` as a float array; what does not convert is a DomainError."""
     if isinstance(z, Point3):
         return z.as_array()
-    return np.asarray(z, dtype=float)
+    try:
+        return np.asarray(z, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"points must be arrays of real numbers: {exc}") from None
 
 
 #: the largest |coordinate| of a point the crown functions take, and of |z|,
@@ -228,7 +232,10 @@ class ProfileHandle:
     within half the bound E of ``nodal._edge_bounds``, which nodal_mesh
     relies on: each c_i + |z - x_i|^2 within 16u (c_i + |x_i|^2 + |z|^2),
     u = 2^-53, each term's power within 2u relative, and the terms summed in
-    any order.  u_star and u_bubble meet it.  c_star excises the bubbles
+    any order.  The value at a point must not depend on which other points
+    share the call: nodal_mesh evaluates only the points whose sign it cannot
+    prove and reuses each value it evaluated.  u_star and u_bubble meet both
+    conditions.  c_star excises the bubbles
     with c < 1, and ``_bubble_derivs`` gives the field's derivatives.  The
     handle keeps the arrays it is given, uncopied, and raises DomainError
     for any other ``bubbles``.

@@ -21,13 +21,18 @@ _log = logging.getLogger(__name__)
 
 _BISECT_ITERS = 60
 #: the largest resolution nodal_mesh accepts.  At RES_MAX the scan's slab
-#: arrays are 8 MB each and its brick bounds (256, 256, n + 1) for a ring of
-#: n; for m = 16 a mesh has 1.4 M points, and making it peaks at 300 MB of
-#: arrays (420 MB resident) and takes ~50 s.  Above it the memory grows as
-#: res^2 and the time faster
+#: arrays are 8 MB each; for m = 16 a mesh has 1.4 M points, and making it
+#: on one core of a shared Xeon peaks at 260 MiB of arrays (330 MiB
+#: resident) and takes ~20 s.  Above it the memory grows as res^2 and the
+#: time faster
 RES_MAX = 1024
-#: grid points along each edge of a brick of the scan's sign certificate
-_BRICK = 4
+#: grid points along each edge of the bricks of the scan's sign certificate,
+#: coarse to fine: a brick whose sign is left open is split into the bricks
+#: of the next size, and the points of an open brick of the last size are
+#: evaluated
+_BRICKS = (8, 4, 2)
+#: bricks whose bounds one matrix product gathers
+_CHUNK = 1024
 #: a brick whose bounds on u clear zero by this much has a certified sign.
 #: The margin is over 5000 times u_star's round-off, ~2e-10 even next to a
 #: ring centre, so every point of the brick evaluates to that sign
@@ -97,13 +102,14 @@ def radial_nodal_root(p: CrownParams, profile: ProfileHandle, j: int,
     return 0.5 * (a + b)
 
 
-def _axis_bounds(axis: np.ndarray, centres: np.ndarray, amp: np.ndarray):
-    """Per brick of grid points along ``axis`` and per bubble, the squared
-    coordinate distances to the bubble's centre that give the lowest (lo)
-    and the highest (hi) value of its term: the farthest and the nearest for
-    A > 0, and the other way round for A < 0."""
-    first = axis[::_BRICK, None]
-    last = np.append(axis[_BRICK - 1::_BRICK], axis[-1])[:len(first), None]
+def _axis_bounds(axis: np.ndarray, centres: np.ndarray, amp: np.ndarray, size: int):
+    """Per brick of ``size`` grid points along ``axis`` (the last one may be
+    shorter) and per bubble, the squared coordinate distances to the
+    bubble's centre that give the lowest (lo) and the highest (hi) value of
+    its term: the farthest and the nearest for A > 0, and the other way
+    round for A < 0."""
+    first = axis[::size, None]
+    last = np.append(axis[size - 1::size], axis[-1])[:len(first), None]
     d_first, d_last = (first - centres) ** 2, (last - centres) ** 2
     far = np.maximum(d_first, d_last)
     near = np.where((first <= centres) & (centres <= last), 0.0,
@@ -116,24 +122,42 @@ def _signs(positive: np.ndarray, negative: np.ndarray) -> np.ndarray:
     return positive.view(np.int8) - negative.view(np.int8)
 
 
-def _certified_signs(axis: np.ndarray, bubbles):
-    """Per layer of _BRICK z slabs, the certified sign of the sum of
+def _certified_signs(axis, bubbles, sizes=_BRICKS):
+    """Per layer of sizes[-1] z slabs, the certified sign of the sum of
     ``bubbles`` at the grid points (axis[i], axis[j], z) of each of its
     slabs: +1 or -1 where the bounds over the point's brick clear zero by
     _SIGN_MARGIN, 0 where the sign is unknown.
 
     Each bubble's term is monotone in its distance, so the farthest and
     nearest squared distances over a brick, sums of the per-axis ones, bound
-    the field from below and above."""
+    the field from below and above.  Each layer of sizes[0] slabs is
+    certified coarse to fine: every brick of sizes[0]^3 points is bounded,
+    then each brick left open is split into the bricks of the next size,
+    which divides it, and only those are bounded, _CHUNK bricks at a time."""
     centres, c, amp = bubbles
-    (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = (
-        _axis_bounds(axis, centres[:, i], amp) for i in range(3))
-    for zl, zh in zip(z_lo + c, z_hi + c):
-        lower = np.power(x_lo[:, None] + (y_lo + zl), -0.5) @ amp
-        upper = np.power(x_hi[:, None] + (y_hi + zh), -0.5) @ amp
-        brick = _signs(lower > _SIGN_MARGIN, upper < -_SIGN_MARGIN)
-        yield np.repeat(np.repeat(brick, _BRICK, axis=0), _BRICK,
-                        axis=1)[:len(axis), :len(axis)]
+    n = len(axis)
+    levels = []
+    for size in sizes:
+        (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = (
+            _axis_bounds(axis, centres[:, i], amp, size) for i in range(3))
+        levels.append((size, (z_lo + c, x_lo, y_lo), (z_hi + c, x_hi, y_hi)))
+    for z0 in range(0, n, sizes[0]):
+        # the layer's brick signs at the current size, indexed (z, x, y)
+        brick, parent = np.zeros((1,) + (-(-n // sizes[0]),) * 2, np.int8), sizes[0]
+        for size, lower, upper in levels:
+            if size < parent:
+                r, nz, nb = parent // size, -(-min(sizes[0], n - z0) // size), -(-n // size)
+                brick = brick.repeat(r, 0)[:nz].repeat(r, 1)[:, :nb].repeat(r, 2)[:, :, :nb]
+                parent = size
+            at = np.nonzero(brick == 0)
+            for lo in range(0, len(at[0]), _CHUNK):
+                z, x, y = (v[lo:lo + _CHUNK] for v in at)
+                zk = z + z0 // size
+                low = np.power(lower[0][zk] + lower[1][x] + lower[2][y], -0.5) @ amp
+                high = np.power(upper[0][zk] + upper[1][x] + upper[2][y], -0.5) @ amp
+                brick[z, x, y] = _signs(low > _SIGN_MARGIN, high < -_SIGN_MARGIN)
+        for layer in brick:
+            yield layer.repeat(parent, 0).repeat(parent, 1)[:n, :n]
 
 
 def _edge_bounds(a: np.ndarray, b: np.ndarray, axis: np.ndarray, bubbles):
@@ -234,7 +258,8 @@ def _certify(ends, vals, errs, curv, slack, margin):
     computed midpoint and the rounding of p, with a factor that covers the
     rounding of err itself.  Where |p| > err + margin = err + 3E, fl(u(mid))
     is within err + 2E of p and has p's sign, so ``p`` may stand for it.  A
-    nan in p or in the bound never certifies a sign."""
+    nan in p or in the bound never certifies a sign.  err is at least the
+    least normal double, so a bound of 0 marks an evaluated value."""
     p = vals[:, 0] + vals[:, 1]
     p *= 0.5
     err = ends[:, 1] - ends[:, 0]
@@ -245,6 +270,7 @@ def _certify(ends, vals, errs, curv, slack, margin):
     err += tmp
     err += slack
     err *= 1.0 + 2.0 ** -48
+    np.maximum(err, 2.0 ** -1022, out=err)
     np.add(err, margin, out=tmp)
     return p, err, ~(np.abs(p) > tmp)
 
@@ -253,7 +279,9 @@ def _bisect(fn, a, axis, ends, vals, bounds):
     """Bisect coordinate ``axis`` of each point of ``a`` on the (lo, hi)
     ``ends``, where fn's values are ``vals`` and its signs at lo and hi
     differ, until the midpoint equals an end, and write that midpoint into
-    ``a``.  Returns how many halvings were evaluated and certified.
+    ``a``.  Returns how many halvings were evaluated and certified, and per
+    row fn's value at its final point where that end's value was evaluated,
+    nan elsewhere.
 
     A row whose midpoint equals one of its ends is fixed from then on: mid
     == lo gives fm == fa, and mid == hi gives f(hi), whose sign always
@@ -267,8 +295,11 @@ def _bisect(fn, a, axis, ends, vals, bounds):
     # the live rows' ids, (lo, hi) ends, values at them and the values'
     # error bounds, and the rows' constants.  The pairs are C-ordered (n, 2)
     # arrays, so that row i's lo and hi are entries 2i and 2i + 1 of their
-    # reshape(-1) view
-    state = [np.arange(n), ends, vals, np.zeros((n, 2)), *bounds]
+    # reshape(-1) view.  The ids take the least signed type that holds -n
+    state = [np.arange(n, dtype=np.min_scalar_type(-n)), ends, vals, np.zeros((n, 2)), *bounds]
+    # the final values, made when the first rows finish: the widest halvings,
+    # which evaluate the most rows, run without them
+    final = None
     evaluated = certified = 0
     for _ in range(_BISECT_ITERS):
         ends = state[1]
@@ -276,8 +307,15 @@ def _bisect(fn, a, axis, ends, vals, bounds):
         m *= 0.5
         moving = (m != ends[:, 0]) & (m != ends[:, 1])
         if not moving.all():
-            done = state[0][~moving]
-            a[done, axis[done]] = m[~moving]
+            if final is None:
+                final = np.full(n, np.nan)
+            gone = np.flatnonzero(~moving)
+            done = state[0][gone]
+            a[done, axis[done]] = m[gone]
+            # the end the final midpoint equals, and its value if evaluated
+            at = 2 * gone + (m[gone] != ends[gone, 0])
+            final[done] = np.where(state[3].reshape(-1)[at] == 0.0,
+                                   state[2].reshape(-1)[at], np.nan)
             # compact in place, one array's copy alive at a time
             keep = np.flatnonzero(moving)
             k = len(keep)
@@ -310,35 +348,56 @@ def _bisect(fn, a, axis, ends, vals, bounds):
     else:
         ends = state[1]
         a[state[0], axis[state[0]]] = 0.5 * (ends[:, 0] + ends[:, 1])
-    return evaluated, certified
+    return evaluated, certified, np.full(n, np.nan) if final is None else final
 
 
-def _crossings(products, k, kind, found):
-    """Record the grid edges whose products of end signs are negative, from
-    ``products`` per flat point f of their a ends: their f in increasing
-    order, the z index ``k`` of their a ends and their ``kind``.  Below
-    RES_MAX, f fits an int32 and k an int16."""
-    f = np.flatnonzero(products < 0)
-    if len(f):
-        found.append((f.astype(np.int32), k, kind))
+class _Crossings:
+    """The sign-changing grid edges a scan finds, in its order: per batch
+    the flat indices f of their a ends in increasing order (below RES_MAX f
+    fits an int32), the z index k of those ends and the edges' kind, and per
+    edge the values at its (a, b) ends, nan where a sign was certified.  The
+    values fill one buffer that doubles when full, so the scan keeps few
+    long-lived allocations."""
+
+    def __init__(self, capacity: int):
+        self.batches = []
+        self.vals = np.empty((capacity, 2))
+        self.count = 0
+
+    def add(self, products, va, vb, k, kind):
+        """Record the edges whose products of end signs are negative, from
+        ``products`` per flat point of their a ends, with the values ``va``
+        at their a ends and ``vb`` at their b ends."""
+        f = np.flatnonzero(products < 0)
+        if len(f):
+            end = self.count + len(f)
+            if end > len(self.vals):
+                grown = np.empty((max(2 * len(self.vals), end), 2))
+                grown[:self.count] = self.vals[:self.count]
+                self.vals = grown
+            self.vals[self.count:end, 0] = va[f]
+            self.vals[self.count:end, 1] = vb[f]
+            self.count = end
+            self.batches.append((f.astype(np.int32), k, kind))
 
 
 def _crossing_ends(found, coords):
     """The ends a and b of the ``found`` crossings in the scan's order, the
-    axis each edge runs along and its (lo, hi) coordinates on that axis, on
-    the grid with ``coords`` along each axis.  Kind 0 goes from (i, j) to
-    (i + 1, j), kind 1 to (i, j + 1) and kind 2 from slab k to slab k + 1."""
-    counts = [len(f) for f, _, _ in found]
-    i, j = divmod(np.concatenate([f for f, _, _ in found]), len(coords))
-    k = np.repeat(np.array([k for _, k, _ in found], dtype=np.int16), counts)
-    axis = np.repeat(np.array([kind for _, _, kind in found], dtype=np.int8), counts)
+    axis each edge runs along, its (lo, hi) coordinates on that axis and the
+    values recorded at its (a, b) ends, on the grid with ``coords`` along
+    each axis.  Kind 0 goes from (i, j) to (i + 1, j), kind 1 to (i, j + 1)
+    and kind 2 from slab k to slab k + 1."""
+    counts = [len(f) for f, _, _ in found.batches]
+    i, j = divmod(np.concatenate([f for f, _, _ in found.batches]), len(coords))
+    k = np.repeat(np.array([k for _, k, _ in found.batches], dtype=np.int16), counts)
+    axis = np.repeat(np.array([kind for _, _, kind in found.batches], dtype=np.int8), counts)
     at = np.stack([i, j, k], axis=-1)
     del i, j, k
     a = coords[at]
     rows = np.arange(len(at))
     lo = at[rows, axis]
     at[rows, axis] += 1
-    return a, coords[at], axis, coords[lo[:, None] + (0, 1)]
+    return a, coords[at], axis, coords[lo[:, None] + (0, 1)], found.vals[:found.count]
 
 
 def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
@@ -347,20 +406,26 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
     changes along the axis edges and refine each crossing by bisection until
     the residual is at most 1e-8.
 
-    A brick of _BRICK^3 grid points whose bounds on the profile's bubbles
-    clear zero keeps its certified sign (see ``_certified_signs``), and the
-    field is evaluated only at the points of the other bricks.  The
-    crossings depend on the signs alone, so the mesh is the one a full scan
-    gives.  The bisection likewise takes a midpoint's sign from
-    interpolation bounds where they prove it (see ``_bisect``) and ends at
-    the same points.
+    Bricks of 8^3, then 4^3, then 2^3 grid points whose bounds on the
+    profile's bubbles clear zero keep their certified sign (see
+    ``_certified_signs``), and the field is evaluated only at the points of
+    the other bricks.  The crossings depend on the signs alone, so the mesh
+    is the one a full scan gives.  The bisection likewise takes a midpoint's
+    sign from interpolation bounds where they prove it (see ``_bisect``) and
+    ends at the same points.  Each value evaluated at a crossing's end or at
+    the final point of its bisection is kept, and the field is evaluated
+    only at the crossing ends whose sign was certified and at the final
+    points whose value was interpolated: since a point's value does not
+    depend on the call (see ``ProfileHandle``), the residuals are those of
+    evaluating every point.
 
     The half-width bbox is a real number h > 0 with 3 h^2 finite (h up to
     about 7.7e153), so no squared distance over the box overflows; anything
     else is a DomainError.  The resolution is an int or a NumPy integer
     from 16 to RES_MAX.  One DEBUG record on this module's logger gives the
-    scan points evaluated, the crossings, the halvings evaluated and
-    certified, and the crossings dropped.
+    scan points evaluated, the crossings, the crossing-end values evaluated
+    and reused, the halvings evaluated and certified, the final values
+    evaluated and reused, and the crossings dropped.
 
     An empty result is returned as an empty mesh, not an error."""
     h = real("bbox", bbox, positive=True)
@@ -369,14 +434,15 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
     res = counted("resolution", resolution, 16, RES_MAX)
     axis = np.linspace(-h, h, res)
     layers = _certified_signs(axis, profile.bubbles)
-    found = []
-    prev_sign = None
+    found = _Crossings(res * res)
+    prev_sign = prev_value = None
     scanned = 0
     # slab-by-slab scan in deterministic z order, evaluating the field only
-    # where the sign is not certified.  A slab's signs are a flat array in C
-    # order of (i, j): point (i, j) is entry f = i res + j
+    # where the sign is not certified and keeping the values it evaluates
+    # (nan elsewhere).  A slab's signs and values are flat arrays in C order
+    # of (i, j): point (i, j) is entry f = i res + j
     for k, z in enumerate(axis):
-        if k % _BRICK == 0:
+        if k % _BRICKS[-1] == 0:
             certified = next(layers).reshape(-1)
             todo = np.flatnonzero(certified == 0)
             ui, uj = divmod(todo, res)
@@ -384,48 +450,66 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
             pts[:, 0], pts[:, 1] = axis[ui], axis[uj]
             del ui, uj
         sign = certified.copy()
+        value = np.full(res * res, np.nan)
         if len(todo):
             pts[:, 2] = z
             u = profile.fn(pts)
+            value[todo] = u
             sign[todo] = _signs(u > 0.0, u < 0.0)
             scanned += len(todo)
-        _crossings(sign[:-res] * sign[res:], k, 0, found)
+        found.add(sign[:-res] * sign[res:], value[:-res], value[res:], k, 0)
         along_y = sign[:-1] * sign[1:]
         # the pairs (i, res - 1), (i + 1, 0) are no edges
         along_y[res - 1::res] = 0
-        _crossings(along_y, k, 1, found)
+        found.add(along_y, value[:-1], value[1:], k, 1)
         if prev_sign is not None:
-            _crossings(prev_sign * sign, k - 1, 2, found)
-        prev_sign = sign
+            found.add(prev_sign * sign, prev_value, value, k - 1, 2)
+        prev_sign, prev_value = sign, value
+    del layers, prev_value, value
 
-    if not found:
-        _log_mesh(res, scanned, 0, 0, 0, 0)
+    if not found.count:
+        _log_mesh(res, scanned, 0, 0, 0, 0, 0, 0)
         empty = np.empty((0, 3))
         return NodalMesh(points=empty, values=np.empty(0), gradients=np.empty(0))
 
     # each edge runs along one axis: bisect that coordinate [lo, hi] only
-    # (the others' midpoint 0.5 (x + x) is x)
-    a, b, along, ends = _crossing_ends(found, axis)
+    # (the others' midpoint 0.5 (x + x) is x).  An end whose sign was
+    # certified has no value yet
+    a, b, along, ends, vals = _crossing_ends(found, axis)
     del found
-    vals = np.stack([profile.fn(a), profile.fn(b)], axis=1)
+    ends_evaluated = 0
+    for side in range(2):
+        miss = np.flatnonzero(np.isnan(vals[:, side]))
+        if len(miss):
+            vals[miss, side] = profile.fn((a, b)[side][miss])
+        ends_evaluated += len(miss)
     bounds = _edge_bounds(a, b, along, profile.bubbles)
     del b
-    evaluated, certified = _bisect(profile.fn, a, along, ends, vals, bounds)
+    evaluated, certified, residual = _bisect(profile.fn, a, along, ends, vals, bounds)
     del ends, vals, bounds
-    # a now holds the bisected crossings
-    residual = np.abs(profile.fn(a))
+    # a now holds the bisected crossings, and residual the values the
+    # bisection evaluated at them
+    miss = np.flatnonzero(np.isnan(residual))
+    if len(miss):
+        residual[miss] = profile.fn(a[miss])
+    np.abs(residual, out=residual)
     keep = residual <= _RESIDUAL_TOL
     points, residual = a[keep], residual[keep]
     dropped = int(np.count_nonzero(~keep))
-    _log_mesh(res, scanned, len(a), evaluated, certified, dropped)
+    _log_mesh(res, scanned, len(a), ends_evaluated, evaluated, certified,
+              len(miss), dropped)
     grads = gradient_norms(profile, points) if len(points) else np.empty(0)
     return NodalMesh(points=points, values=residual, gradients=grads, dropped=dropped)
 
 
-def _log_mesh(res, scanned, crossings, evaluated, certified, dropped) -> None:
+def _log_mesh(res, scanned, crossings, ends_evaluated, evaluated, certified,
+              final_evaluated, dropped) -> None:
     _log.debug("nodal_mesh res %d: scan evaluated %d of %d points, %d crossings, "
-               "halvings evaluated %d and certified %d, %d dropped",
-               res, scanned, res ** 3, crossings, evaluated, certified, dropped)
+               "ends evaluated %d and reused %d, halvings evaluated %d and "
+               "certified %d, final values evaluated %d and reused %d, %d dropped",
+               res, scanned, res ** 3, crossings, ends_evaluated,
+               2 * crossings - ends_evaluated, evaluated, certified,
+               final_evaluated, crossings - final_evaluated, dropped)
 
 
 def _polish_min(derivs, start: np.ndarray) -> float:

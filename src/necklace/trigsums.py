@@ -354,16 +354,28 @@ def s_asym(k: int, n: int, x: float) -> float:
     S_3 ~ sqrt(8/pi) n^3 (nx)^{-3/2} e^{-nx}
     S_5 ~ (1/3) sqrt(8/pi) n^5 (nx)^{-5/2} e^{-nx}
     for even 4 <= n <= N_MAX (an int or a NumPy integer) and finite x > 0.
+
+    With c_k the constant in front, S_3 and S_5 overflow a double for
+    n x < (c_k n^k / DBL_MAX)^{2/k}: below about 2e-196 (k = 3) and 2e-114
+    (k = 5) at n = N_MAX, and 7e-205 and 6e-123 at n = 4.  There s_asym
+    raises DomainError; S_1 is finite for every x > 0.
     """
     k, n = counted("k", k, 1, 5, parity=1), counted("n", n, 4, N_MAX, parity=0)
     x = real("x", x, positive=True)
     nx = n * x
+    pref = math.sqrt(8.0 / math.pi) / (3.0 if k == 5 else 1.0)
+    try:
+        value = pref * n**k * nx ** (-k / 2.0) * math.exp(-nx)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"S_{k} overflows at n*x = {nx:.3g}, below "
+                          f"(c_k n^k / DBL_MAX)^(2/k)")
     if nx < 5.0:
         warnings.warn(
             f"n*x = {nx:.3g} < 5: outside the asymptotic regime", RegimeWarning
         )
-    pref = math.sqrt(8.0 / math.pi) / (3.0 if k == 5 else 1.0)
-    return pref * n**k * nx ** (-k / 2.0) * math.exp(-nx)
+    return value
 
 
 # zeta(3) and zeta(5); the test suite reproduces each one from its defining

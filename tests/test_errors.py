@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from necklace.crown import CrownParams, ProfileHandle, build_crown
+from necklace.crown import CrownParams, ProfileHandle, build_crown, u_star
 from necklace.energy import ReducedConfig, c_star
 from necklace.errors import AccuracyError, DomainError, UnsupportedError, counted, real
 from necklace.geometry import K_MAX, Point3, SectorConfig
@@ -158,6 +158,10 @@ def test_every_site_returns_or_raises_domain_error(site, v):
     lambda: csc_full_sum(2.5),
     lambda: csc_full_sum(10**9),
     lambda: ReducedConfig(64, 10**400, 1.0, 1.0),
+    lambda: s_asym(3, 4, 1e-300),
+    lambda: u_star([[1, 2, "x"]], _PARAMS),
+    lambda: u_star([[1, 2, 3], [4, 5]], _PARAMS),
+    lambda: u_star([1j, 0, 0], _PARAMS),
 ])
 def test_rejected_calls(call):
     with pytest.raises(DomainError):

@@ -2,6 +2,7 @@ import logging
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +20,7 @@ from necklace.crown import (
 )
 from necklace.errors import DomainError, NotFoundError
 from necklace.nodal import (
-    _BRICK,
+    _BRICKS,
     _POLISH_CANDIDATES,
     _SIGN_MARGIN,
     RES_MAX,
@@ -284,29 +285,57 @@ def _recording(profile):
     return replace(profile, fn=fn), calls
 
 
-def _after_scan(calls):
-    """The point counts of the calls after the scan's one-slab calls: the
-    crossing starts, then the ends, the halvings, the residual and the
-    gradient stencils."""
-    first = next((i for i, (_, slab) in enumerate(calls) if not slab), len(calls))
-    return sum(n for n, _ in calls[:first]), [n for n, _ in calls[first:]]
+def _phases(calls, record):
+    """The point counts of ``calls``, a nodal_mesh run's profile calls, split
+    by the counts of its DEBUG ``record`` into the scan's one-slab calls, the
+    crossing ends', the halvings', the final values' and the gradient
+    stencils'.  Each count must end a call."""
+    _, scanned, _, _, ends, _, halvings, _, finals, _, _ = record.args
+    sizes = [n for n, _ in calls]
+    bounds = list(accumulate(sizes, initial=0))
+    cuts = [0]
+    for total in (scanned, ends, halvings, finals):
+        cuts.append(bounds.index(bounds[cuts[-1]] + total))
+    assert all(slab for _, slab in calls[:cuts[1]])
+    return [sizes[lo:hi] for lo, hi in zip(cuts, cuts[1:] + [len(sizes)])]
+
+
+def _certificate_counts(profile, half, res):
+    """The grid points of the cube [-half, half]^3 whose sign the scan's
+    certificate leaves open, and the ends of sign-changing grid edges whose
+    sign it settles."""
+    axis = np.linspace(-half, half, res)
+    sign = np.sign(profile.fn(np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)))
+    known = np.stack([layer for layer in _certified_signs(axis, profile.bubbles)
+                      for _ in range(_BRICKS[-1])][:res], axis=-1) != 0
+    ends = 0
+    for ax in range(3):
+        first, rest = range(res - 1), range(1, res)
+        cross = np.take(sign, first, axis=ax) * np.take(sign, rest, axis=ax) < 0
+        ends += int(np.count_nonzero(cross & np.take(known, first, axis=ax)))
+        ends += int(np.count_nonzero(cross & np.take(known, rest, axis=ax)))
+    return int(np.count_nonzero(~known)), ends
 
 
 def test_halvings_evaluate_only_uncertified_moving_rows(crown16, star16, caplog):
-    # a halving evaluates the rows whose midpoint still moves and whose sign
+    # the mesh evaluates the crossing ends whose sign the scan certified,
+    # then per halving the rows whose midpoint still moves and whose sign
     # the interpolation bounds leave open: with the certified ones they are
-    # the rows the old loop evaluated, and under half of rows x halvings
+    # the rows the old loop evaluated, and under half of rows x halvings.
+    # The final points' values are the ones last evaluated there
     caplog.set_level(logging.DEBUG, logger="necklace.nodal")
     recording, calls = _recording(star16)
     mesh = nodal_mesh(crown16, recording, 2.5, 96)
-    _, sizes = _after_scan(calls)
-    rows = len(mesh) + mesh.dropped
-    grads = -(-len(mesh) // (_BLOCK // 6))
-    halvings = sizes[2:-1 - grads]
-    assert sizes[0] == sizes[1] == sizes[-1 - grads] == rows
-    assert sum(sizes[-grads:]) == 6 * len(mesh)
     [record] = caplog.records
-    evaluated, certified = record.args[4:6]
+    scan, ends, halvings, finals, grads = _phases(calls, record)
+    rows = len(mesh) + mesh.dropped
+    assert record.args[3] == rows
+    assert (sum(scan), sum(ends)) == _certificate_counts(star16, 2.5, 96)
+    assert (sum(ends), sum(finals)) == (32, 0) and len(ends) <= 2
+    assert record.args[4:6] == (32, 2 * rows - 32)
+    assert record.args[8:10] == (0, rows)
+    assert sum(grads) == 6 * len(mesh) and max(grads) <= 6 * (_BLOCK // 6)
+    evaluated, certified = record.args[6:8]
     assert sum(halvings) == evaluated and max(halvings) <= rows
     old = _old_mesh(star16, 2.5, 96)[-1]
     assert evaluated + certified == sum(old)
@@ -350,25 +379,34 @@ def test_mesh_equals_old_bisection(crown16, star16, res, bbox, shift):
 
 
 def test_mesh_is_logged(crown16, star16, caplog):
+    # the scan count and the crossing ends evaluated are the certificate's,
+    # the halvings' total is the old loop's, and every profile call is
+    # counted once
     caplog.set_level(logging.DEBUG, logger="necklace.nodal")
     recording, calls = _recording(star16)
     mesh = nodal_mesh(crown16, recording, 2.5, 48)
-    scanned, sizes = _after_scan(calls)
+    [record] = caplog.records
+    scan, ends, halvings, finals, grads = _phases(calls, record)
+    scanned, ended = _certificate_counts(star16, 2.5, 48)
     rows = len(mesh) + mesh.dropped
-    evaluated = sum(sizes) - 3 * rows - 6 * len(mesh)
+    evaluated, final = sum(halvings), sum(finals)
     certified = sum(_old_mesh(star16, 2.5, 48)[-1]) - evaluated
+    assert sum(scan) == scanned and sum(ends) == ended
+    assert sum(grads) == 6 * len(mesh) and len(finals) <= 1
     assert 0 < scanned < 48**3 and evaluated > 0 and certified > 0
     assert [r.getMessage() for r in caplog.records] == [
         f"nodal_mesh res 48: scan evaluated {scanned} of {48**3} points, "
-        f"{rows} crossings, halvings evaluated {evaluated} and certified "
-        f"{certified}, {mesh.dropped} dropped"
+        f"{rows} crossings, ends evaluated {ended} and reused {2 * rows - ended}, "
+        f"halvings evaluated {evaluated} and certified {certified}, final values "
+        f"evaluated {final} and reused {rows - final}, {mesh.dropped} dropped"
     ]
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
     caplog.clear()
     nodal_mesh(crown16, talenti_profile(), 2.5, 16)
     assert [r.getMessage() for r in caplog.records] == [
         f"nodal_mesh res 16: scan evaluated 0 of {16**3} points, 0 crossings, "
-        "halvings evaluated 0 and certified 0, 0 dropped"
+        "ends evaluated 0 and reused 0, halvings evaluated 0 and certified 0, "
+        "final values evaluated 0 and reused 0, 0 dropped"
     ]
     # a DEBUG record only, on a logger the package gives no handler
     caplog.clear()
@@ -473,14 +511,15 @@ class TestCertifiedHalvings:
 
 class TestCertifiedScan:
     @pytest.mark.parametrize("res", [48])
-    def test_same_mesh_as_full_scan(self, crown16, star16, res):
+    def test_same_mesh_as_full_scan(self, crown16, star16, res, caplog):
         # the certified scan skips the nodes whose sign the bubbles settle,
         # yet gives the mesh of a full scan and full bisection
+        caplog.set_level(logging.DEBUG, logger="necklace.nodal")
         recording, calls = _recording(star16)
         certified = nodal_mesh(crown16, recording, 2.5, res)
         full = _old_mesh(star16, 2.5, res)
         assert len(certified) > 0
-        assert 0 < _after_scan(calls)[0] < (res + 1) ** 3
+        assert 0 < sum(_phases(calls, caplog.records[0])[0]) < (res + 1) ** 3
         for new, ref in zip((certified.points, certified.values, certified.gradients), full):
             assert np.array_equal(new, ref)
         assert certified.dropped == full[3]
@@ -489,67 +528,78 @@ class TestCertifiedScan:
         # cube grids of several spacings around a ring centre, the origin, a
         # point of the zero set or anywhere in the box, as u_star's bubbles
         # moved by minus that anchor around a grid at the origin: one brick
-        # centred on the anchor, and a grid placed at random whose length,
-        # not a multiple of the brick, leaves partial bricks at the ends
+        # of the first size centred on the anchor, and a grid placed at
+        # random whose length leaves partial bricks of every size at the
+        # ends.  Each brick size alone, and the sizes coarse to fine
         rng = np.random.default_rng(11)
         x, c, amp = crown16._bubbles
-        counts = {1.0: 0, -1.0: 0, 0.0: 0}
+        counts = {sizes: {1.0: 0, -1.0: 0, 0.0: 0}
+                  for sizes in [(size,) for size in _BRICKS] + [_BRICKS]}
         for trial in range(64):
             h = (1e-3, 0.01, 0.05, 0.2)[trial % 4]
             anchor = (x[rng.integers(1, 17)], np.zeros(3), rng.uniform(-2.0, 2.0, 3),
                       mesh48.points[rng.integers(len(mesh48))])[trial // 4 % 4]
             bubbles = (x - anchor, c, amp)
-            n = rng.integers(_BRICK + 1, 4 * _BRICK + 3)
-            for axis in (h * (np.arange(_BRICK) - 0.5 * (_BRICK - 1)),
+            # n % 8 runs through 1, 3, 5, 7 (a partial brick of each size)
+            # and 2, 6 (of sizes 8 and 4) and 4 (of size 8)
+            n = 8 * (1 + trial % 3) + (1, 2, 3, 4, 5, 6, 7)[trial % 7]
+            for axis in (h * (np.arange(_BRICKS[0]) - 0.5 * (_BRICKS[0] - 1)),
                          h * (np.arange(n) - rng.uniform(0, n - 1))):
                 grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
                 r2 = np.sum((grid[..., None, :] - bubbles[0]) ** 2, axis=-1)
                 sign = np.sign(np.sum(amp / np.sqrt(c + r2), axis=-1))
-                layers = list(_certified_signs(axis, bubbles))
-                assert len(layers) == -(-len(axis) // _BRICK)
-                for k, layer in enumerate(layers):
-                    assert layer.shape == sign.shape[:2]
-                    known = layer != 0.0
-                    for kz in range(k * _BRICK, min((k + 1) * _BRICK, len(axis))):
-                        assert np.array_equal(sign[:, :, kz][known], layer[known])
-                    for v in counts:
-                        counts[v] += int(np.count_nonzero(layer == v))
-        assert min(counts.values()) > 1000
+                for sizes, count in counts.items():
+                    depth = sizes[-1]
+                    layers = list(_certified_signs(axis, bubbles, sizes))
+                    assert len(layers) == -(-len(axis) // depth)
+                    for k, layer in enumerate(layers):
+                        assert layer.shape == sign.shape[:2]
+                        known = layer != 0.0
+                        for kz in range(k * depth, min((k + 1) * depth, len(axis))):
+                            assert np.array_equal(sign[:, :, kz][known], layer[known])
+                        for v in count:
+                            count[v] += int(np.count_nonzero(layer == v))
+        for count in counts.values():
+            assert min(count.values()) > 1000
 
     def test_axis_bounds(self, crown16):
-        # per brick, the far bound is the largest squared coordinate distance
-        # over the brick's points and the near bound at most the smallest:
-        # the term of a bubble with A > 0 is lowest far away, one with A < 0
-        # closest in
+        # per brick of each size, the far bound is the largest squared
+        # coordinate distance over the brick's points and the near bound at
+        # most the smallest: the term of a bubble with A > 0 is lowest far
+        # away, one with A < 0 closest in
         rng = np.random.default_rng(5)
         x, _c, amp = crown16._bubbles
-        for n in (_BRICK, 2 * _BRICK + 1, 3 * _BRICK - 1):
-            for axis in (np.linspace(-1.2, 1.3, n), np.sort(rng.uniform(-1.5, 1.5, n))):
-                for ax in range(3):
-                    lo, hi = _axis_bounds(axis, x[:, ax], amp)
-                    assert lo.shape == hi.shape == (-(-n // _BRICK), 17)
-                    for b in range(len(lo)):
-                        d = (axis[b * _BRICK:(b + 1) * _BRICK, None] - x[:, ax]) ** 2
-                        far = np.where(amp > 0, lo[b], hi[b])
-                        near = np.where(amp > 0, hi[b], lo[b])
-                        assert np.array_equal(far, d.max(axis=0))
-                        assert np.all(near <= d.min(axis=0))
-                        inside = (axis[b * _BRICK] <= x[:, ax]) & (
-                            x[:, ax] <= axis[min((b + 1) * _BRICK, n) - 1])
-                        assert np.all(near[inside] == 0.0)
-                        assert np.array_equal(near[~inside], d.min(axis=0)[~inside])
+        for size in _BRICKS:
+            for n in (size, 2 * size + 1, 3 * size - 1):
+                for axis in (np.linspace(-1.2, 1.3, n), np.sort(rng.uniform(-1.5, 1.5, n))):
+                    for ax in range(3):
+                        lo, hi = _axis_bounds(axis, x[:, ax], amp, size)
+                        assert lo.shape == hi.shape == (-(-n // size), 17)
+                        for b in range(len(lo)):
+                            d = (axis[b * size:(b + 1) * size, None] - x[:, ax]) ** 2
+                            far = np.where(amp > 0, lo[b], hi[b])
+                            near = np.where(amp > 0, hi[b], lo[b])
+                            assert np.array_equal(far, d.max(axis=0))
+                            assert np.all(near <= d.min(axis=0))
+                            inside = (axis[b * size] <= x[:, ax]) & (
+                                x[:, ax] <= axis[min((b + 1) * size, n) - 1])
+                            assert np.all(near[inside] == 0.0)
+                            assert np.array_equal(near[~inside], d.min(axis=0)[~inside])
 
     def test_well_inside_a_brick_is_not_certified(self):
         # a broad positive bubble with a narrow negative well at the origin:
-        # the brick's corners are positive, the points next to the well not
+        # a brick's corners are positive, the points next to the well not.
+        # No brick size certifies them, and split into bricks of 2 points
+        # each brick holds a point next to the well
         bubbles = (np.zeros((2, 3)), np.array([1.0, 1e-4]), np.array([1.0, -0.1]))
         axis = np.array([-0.3, -0.01, 0.01, 0.3])
         grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
         r2 = np.sum(grid * grid, axis=-1)[..., None]
         vals = np.sum(bubbles[2] / np.sqrt(bubbles[1] + r2), axis=-1)
         assert vals[0, 0, 0] > 0.0 > vals[1, 1, 1]
-        layers = list(_certified_signs(axis, bubbles))
-        assert len(layers) == 1 and not np.any(layers[0])
+        for sizes in [(size,) for size in _BRICKS] + [_BRICKS]:
+            layers = list(_certified_signs(axis, bubbles, sizes))
+            assert len(layers) == -(-4 // sizes[-1]) and not np.any(layers)
 
     @pytest.mark.parametrize("amp, sign", [
         (0.9 * _SIGN_MARGIN, 0.0), (-0.9 * _SIGN_MARGIN, 0.0),
@@ -558,15 +608,18 @@ class TestCertifiedScan:
     def test_margin(self, amp, sign):
         # a bubble of height amp: certified only where it clears the margin
         bubbles = (np.zeros((1, 3)), np.ones(1), np.array([amp]))
-        axis = np.linspace(-1e-3, 1e-3, _BRICK)
+        axis = np.linspace(-1e-3, 1e-3, _BRICKS[0])
         layers = list(_certified_signs(axis, bubbles))
-        assert len(layers) == 1 and np.all(layers[0] == sign)
+        assert len(layers) == _BRICKS[0] // _BRICKS[-1]
+        assert np.all(np.array(layers) == sign)
 
-    def test_scan_evaluates_under_a_quarter(self, crown16, star16):
+    def test_scan_evaluates_under_a_quarter(self, crown16, star16, caplog):
+        # coarse to fine, the scan evaluates 4.7% of the grid
+        caplog.set_level(logging.DEBUG, logger="necklace.nodal")
         recording, calls = _recording(star16)
         mesh = nodal_mesh(crown16, recording, 2.5, 96)
         assert len(mesh) > 0
-        assert 0 < _after_scan(calls)[0] < 0.25 * 96**3
+        assert 0 < sum(_phases(calls, caplog.records[0])[0]) < 0.06 * 96**3
 
     def test_talenti_scan_evaluates_nothing(self, crown16):
         recording, calls = _recording(talenti_profile())

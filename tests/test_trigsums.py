@@ -473,6 +473,29 @@ def test_s_asym_warns_outside_regime():
         s_asym(1, 100, 0.01)
 
 
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("n", [4, N_MAX])
+def test_s_asym_overflow_is_domain_error(k, n):
+    # finite just above the docstring's n x = (c_k n^k / DBL_MAX)^{2/k}, a
+    # DomainError (and no RegimeWarning) just below it, not an OverflowError
+    pref = math.sqrt(8.0 / math.pi) / (3.0 if k == 5 else 1.0)
+    edge = (pref * n**k / sys.float_info.max) ** (2.0 / k)
+    assert edge < {3: 2e-196, 5: 2e-114}[k]
+    with pytest.warns(RegimeWarning):
+        assert math.isfinite(s_asym(k, n, 1.01 * edge / n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^S_{k} overflows at n\\*x = "):
+            s_asym(k, n, 0.99 * edge / n)
+        with pytest.raises(DomainError):
+            s_asym(k, n, 5e-324)
+
+
+def test_s_asym_first_order_never_overflows():
+    with pytest.warns(RegimeWarning):
+        assert math.isfinite(s_asym(1, N_MAX, 5e-324)) and math.isfinite(s_asym(1, 4, 5e-324))
+
+
 def test_csc_asym_pairs():
     n = 512
     assert csc_asym("odd", 3, n) == pytest.approx(7 * ZETA3 * n**3 / (4 * math.pi**3))
