@@ -3,6 +3,7 @@ ansatz, nodal, kernel and energy modules, plus the verification suite."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 # argparse's messages go through gettext, which imports locale on the first
 # parser; importing it with the module keeps that out of the first command
@@ -12,7 +13,7 @@ import re
 import sys
 import warnings
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,31 +32,43 @@ from .kernels import gamma_bb, h0e_bb
 from .nodal import nodal_mesh
 from .trigsums import VARIANTS, SumSpec, csc_asym, s_asym, sum_direct
 
-def _csv_line(row: Sequence[object]) -> str:
-    """One CSV row by one % operation: %.17g for a float, %s for anything
-    else."""
-    row = tuple(row)
-    return ",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % row
+#: rows of the nodal table converted to Python values and written at a time
+_ROWS = 2048
 
 
-def _emit(columns: Sequence[str], rows: List[Sequence[object]], fmt: str,
+def _csv_lines(rows: Iterable[Sequence[object]], formats: Dict[tuple, str]) -> str:
+    """The CSV lines of ``rows``, each ended by a newline and made by one %
+    operation: %.17g for a float, %s for anything else.  ``formats`` holds
+    the format of each tuple of value types met so far, and gains the new
+    ones."""
+    lines = []
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                ["%.17g" if isinstance(v, float) else "%s" for v in row]) + "\n"
+        lines.append(fmt % row)
+    return "".join(lines)
+
+
+def _emit(columns: Sequence[str], batches: Iterable[List[Sequence[object]]], fmt: str,
           out: Optional[str]) -> None:
-    """Write ``rows``, each one value per column, as CSV with a header line
-    (nothing at all without rows) or as a JSON list of objects."""
-    if fmt == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif rows:
-        lines = [",".join(columns)]
-        lines += map(_csv_line, rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        text = ""
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the rows of ``batches``, lists of rows each one value per
+    column, as CSV with a header line (nothing at all without rows), a batch
+    at a time, or as a JSON list of objects."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            payload = [dict(zip(columns, row)) for rows in batches for row in rows]
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            return
+        header, formats = ",".join(columns) + "\n", {}
+        for rows in batches:
+            if rows and header:
+                fh.write(header)
+                header = ""
+            fh.write(_csv_lines(rows, formats))
 
 
 def _config_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> List[str]:
@@ -170,7 +183,7 @@ def _cmd_sums(args) -> int:
             sys.stderr.write(f"warning: {w.message}\n")
     rel = abs(asym / direct - 1.0) if (direct != 0.0 and not math.isnan(asym)) else math.nan
     _emit(("variant", "k", "n", "x", "direct", "asymptotic", "rel_err"),
-          [(args.variant, args.k, args.n, args.x, direct, asym, rel)],
+          [[(args.variant, args.k, args.n, args.x, direct, asym, rel)]],
           args.format, args.out)
     return 0
 
@@ -179,8 +192,8 @@ def _cmd_ansatz(args) -> int:
     params = build_crown(args.m)
     rep = q_mid_lower(params)
     _emit(("m", "mu", "d", "ring_radius", "mid_value", "mid_lower_bound"),
-          [(params.m, params.mu, params.d, params.ring_radius, rep.value,
-            rep.lower_bound)],
+          [[(params.m, params.mu, params.d, params.ring_radius, rep.value,
+             rep.lower_bound)]],
           args.format, args.out)
     return 0
 
@@ -189,8 +202,10 @@ def _cmd_nodal(args) -> int:
     params = build_crown(args.m)
     profile = u_star_profile(params)
     mesh = nodal_mesh(params, profile, args.bbox, args.res)
-    rows = np.column_stack((mesh.points, mesh.values, mesh.gradients)).tolist()
-    _emit(("z1", "z2", "z3", "value", "grad_norm"), rows, args.format, args.out)
+    batches = (np.column_stack((mesh.points[lo:lo + _ROWS], mesh.values[lo:lo + _ROWS],
+                                mesh.gradients[lo:lo + _ROWS])).tolist()
+               for lo in range(0, len(mesh), _ROWS))
+    _emit(("z1", "z2", "z3", "value", "grad_norm"), batches, args.format, args.out)
     return 0
 
 
@@ -208,7 +223,7 @@ def _cmd_kernels(args) -> int:
                      rep.closed_form, rep.asymptotic, rep.abs_err_dc,
                      rep.abs_err_ca))
     _emit(("kernel", "K", "b_abs", "alpha_b", "direct", "closed_form",
-           "asymptotic", "abs_err_dc", "abs_err_ca"), rows, args.format, args.out)
+           "asymptotic", "abs_err_dc", "abs_err_ca"), [rows], args.format, args.out)
     return 0
 
 
@@ -222,10 +237,10 @@ def _cmd_energy(args) -> int:
     argmin, diag = minimize_psi(cfg, mode=args.mode)
     _emit(("K", "lam", "delta", "mode", "eps", "a", "d", "alpha_b", "alpha_w",
            "value", "eps_ratio", "d_scaling", "on_boundary"),
-          [(args.K, args.lam, args.delta, args.mode, argmin.eps, argmin.a,
-            argmin.d, argmin.alpha_b, argmin.alpha_w, float(diag["value"]),
-            float(diag["eps_ratio"]), float(diag["d_scaling"]),
-            ";".join(diag["on_boundary"]))],
+          [[(args.K, args.lam, args.delta, args.mode, argmin.eps, argmin.a,
+             argmin.d, argmin.alpha_b, argmin.alpha_w, float(diag["value"]),
+             float(diag["eps_ratio"]), float(diag["d_scaling"]),
+             ";".join(diag["on_boundary"]))]],
           args.format, args.out)
     return 0
 
@@ -242,7 +257,7 @@ def _cmd_verify(args) -> int:
         columns += ("checks", "error")
         rows = [row + ([{**c._asdict(), "margin": c.margin} for c in r.checks], r.error)
                 for row, r in zip(rows, results)]
-    _emit(columns, rows, args.format, args.out)
+    _emit(columns, [rows], args.format, args.out)
     if args.out:
         for criterion, name, status, *_ in rows:
             sys.stdout.write(f"{criterion:>2} {name:<28} {status}\n")

@@ -103,6 +103,13 @@ class CrownParams:
         amp = np.array([TALENTI_AMP] + [-TALENTI_AMP * math.sqrt(self.mu)] * self.m)
         return _read_only(x, c, amp)
 
+    @cached_property
+    def _ring_neg2(self) -> np.ndarray:
+        """-2 times the ring's (m, 3) centres, read-only: u_star's matmul
+        with it gives -2 z.xi_j, the bits of doubling and negating z.xi_j,
+        since scaling by -2 is exact."""
+        return _read_only(-2.0 * self._bubbles[0][1:])[0]
+
     def unit_centers_array(self) -> np.ndarray:
         """The centers pushed out to the unit circle (the mu -> 0 positions)."""
         ang = 2.0 * np.pi * np.arange(self.m) / self.m
@@ -164,8 +171,9 @@ def _u_star(arr: np.ndarray, p: CrownParams) -> Union[float, np.ndarray]:
     if len(pts) == 1:
         pts = np.repeat(pts, 2, axis=0)
     n = len(pts)
-    # the ring bubbles' centres, c = mu^2 and A < 0 after the origin's row
-    x, c, amp = p._bubbles
+    # the ring bubbles' c = mu^2 and A < 0 after the origin's row
+    _, c, amp = p._bubbles
+    neg2xi = p._ring_neg2.T
     rho2 = 1.0 - c[1]
     out = np.empty(n)
     buf = np.empty((min(n, _BLOCK), p.m))
@@ -174,11 +182,11 @@ def _u_star(arr: np.ndarray, p: CrownParams) -> Union[float, np.ndarray]:
         lo, hi = i * n // nblk, (i + 1) * n // nblk
         blk = pts[lo:hi]
         r2 = _sq_norm(blk)
-        # |z - xi_j|^2 expanded through a matmul; all |xi_j| are equal, and
-        # mu^2 >> the round-off of the expansion, so adding mu^2 keeps this safe
-        d2 = np.matmul(blk, x[1:].T, out=buf[: hi - lo])
-        d2 *= 2.0
-        np.subtract((r2 + rho2)[:, None], d2, out=d2)
+        # |z - xi_j|^2 = |z|^2 + |xi_j|^2 - 2 z.xi_j with the product from a
+        # matmul; all |xi_j| are equal, and mu^2 >> the round-off of the
+        # expansion, so adding mu^2 keeps this safe
+        d2 = np.matmul(blk, neg2xi, out=buf[: hi - lo])
+        d2 += (r2 + rho2)[:, None]
         np.maximum(d2, 0.0, out=d2)
         d2 += c[1]
         np.power(d2, -0.5, out=d2)

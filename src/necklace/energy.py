@@ -24,7 +24,7 @@ from .crown import (
     u_star_profile,
 )
 from .errors import AccuracyError, DomainError, real
-from .geometry import Point3, SectorConfig
+from .geometry import Point3, SectorConfig, _point
 from .kernels import full_kernels
 from .nodal import radial_nodal_root
 
@@ -62,8 +62,9 @@ class ReducedConfig:
 
 @dataclass(frozen=True)
 class ReducedPoint:
-    """The free parameters with the anchor curve frozen out; the placement
-    modulus is the derived |b| = sqrt(1 + d^2) - d."""
+    """The free parameters with the anchor curve frozen out, real numbers
+    but bools, each stored as a float; the placement modulus is the derived
+    |b| = sqrt(1 + d^2) - d."""
 
     eps: float
     a: float
@@ -72,6 +73,10 @@ class ReducedPoint:
     alpha_w: float
 
     def __post_init__(self):
+        if not (type(self.eps) is float and type(self.a) is float and type(self.d) is float
+                and type(self.alpha_b) is float and type(self.alpha_w) is float):
+            for f in ("eps", "a", "d", "alpha_b", "alpha_w"):
+                real(f, getattr(self, f), owner=self)
         # 1e100 is past every box (eps below ~1e60, |alpha| below ~1e31) and
         # keeps eps**3 and the alpha form from overflowing
         if not (math.isfinite(self.a) and math.isfinite(self.d) and 0 < self.eps < 1e100
@@ -147,6 +152,9 @@ def _sphere_rule(panels, n_p: int) -> Tuple[np.ndarray, np.ndarray]:
 
 #: inner log-radial cutoff of c_star's core balls
 _RHO0 = 1e-6
+#: points c_star's integrand evaluates at a time: it bounds the working
+#: memory of a shell or core ball to one value per point
+_BATCH = 8 * _BLOCK
 
 
 def _cores(profile: ProfileHandle, xi: Point3):
@@ -237,12 +245,16 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
     order adapted to the nearest core, and the far field beyond R = 10^3 is
     added from the measured 1/|z| coefficient.
     ``scale`` > 0 multiplies every node count (scale=2 halves all steps).
-    The part totals, the number of points the profile was evaluated at and
-    the shells a core's bump reached are logged in one DEBUG record on this
-    module's logger.
+    Each shell and core ball is evaluated _BATCH points at a time into one
+    value array: a point's value does not depend on its batch, so the
+    result has the bits of evaluating the shell at once, and no temporary
+    is larger than a batch.  ``xi`` is a Point3; anything else is a
+    DomainError.  The part totals, the number of points the profile was
+    evaluated at and the shells a core's bump reached are logged in one
+    DEBUG record on this module's logger.
     """
     scale = real("scale", scale, positive=True)
-    xiv = xi.as_array()
+    xiv = _point("xi", xi).as_array()
     q0 = float(np.asarray(profile.fn(xiv)))
     if abs(q0) > 1e-8:
         raise DomainError(
@@ -254,18 +266,23 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
     points = 1
 
     def integrand(y: np.ndarray) -> np.ndarray:
-        # q * q / (4 pi r2 * r2), the same operations in the same order, with
-        # fewer full-size temporaries; r2 is formed after the profile call so
-        # that it is not held during it
+        # q * q / (4 pi r2 * r2), the same operations in the same order, _BATCH
+        # rows at a time into one value array, so that no temporary is
+        # full-size; r2 is formed after the profile call so that it is not
+        # held during it
         nonlocal points
-        points += y.size // 3
-        q = np.asarray(profile.fn(_shifted(y, xi_rows)), dtype=float)
-        r2 = _sq_norm(y)
-        den = 4.0 * np.pi * r2
-        den *= r2
-        q = q * q
-        q /= den
-        return q
+        flat = y.reshape(-1, 3)
+        points += len(flat)
+        out = np.empty(len(flat))
+        for lo in range(0, len(flat), _BATCH):
+            blk = flat[lo:lo + _BATCH]
+            q = np.asarray(profile.fn(_shifted(blk, xi_rows)), dtype=float)
+            r2 = _sq_norm(blk)
+            den = 4.0 * np.pi * r2
+            den *= r2
+            val = np.multiply(q, q, out=out[lo:lo + len(blk)])
+            val /= den
+        return out.reshape(y.shape[:-1])
 
     cores = _cores(profile, xi)
     n = lambda base: max(2, int(math.ceil(base * scale)))
@@ -279,9 +296,8 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
         )
         rho = np.exp(s_nodes)
         pts = c + rho[:, None, None] * dirs
-        vals = integrand(pts) * _smooth_cut(
-            2.0 * rho[:, None] / w - 1.0
-        )
+        vals = integrand(pts)
+        vals *= _smooth_cut(2.0 * rho[:, None] / w - 1.0)
         core_total += float(
             np.sum((vals @ dweights) * s_weights * rho**3)
         )

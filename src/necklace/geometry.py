@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, counted
+from .errors import DomainError, counted, real
 from .trigsums import N_MAX
 
 #: the largest K SectorConfig accepts: the sums over a sector have n = K terms
@@ -24,13 +24,18 @@ K_MAX = N_MAX
 @dataclass(frozen=True)
 class Point3:
     """A point of R^3 (dimensionless; the domain of interest is the unit
-    ball) with finite coordinates."""
+    ball) with finite coordinates: real numbers but bools, each stored as a
+    float; anything else is a DomainError."""
 
     z1: float
     z2: float
     z3: float
 
     def __post_init__(self):
+        if not (type(self.z1) is float and type(self.z2) is float
+                and type(self.z3) is float):
+            for f in ("z1", "z2", "z3"):
+                real(f, getattr(self, f), owner=self)
         if not (math.isfinite(self.z1) and math.isfinite(self.z2)
                 and math.isfinite(self.z3)):
             raise DomainError(f"point coordinates must be finite, got {self}")
@@ -45,6 +50,13 @@ class Point3:
 
     def norm(self) -> float:
         return math.sqrt(self.z1 * self.z1 + self.z2 * self.z2 + self.z3 * self.z3)
+
+
+def _point(name: str, value) -> Point3:
+    """``value``, the parameter ``name``, if it is a Point3; else a DomainError."""
+    if not isinstance(value, Point3):
+        raise DomainError(f"{name} must be a Point3, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

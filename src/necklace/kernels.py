@@ -1,7 +1,8 @@
 """Sector interaction functions: the alternating Newtonian image sum, the
 regular part of the ball Green's function and its alternating extension, and
 the image-bubble sum of a placed rescaled bubble, with exact closed forms and
-ring asymptotics for each.
+ring asymptotics for each.  A point parameter (z, p, b, xi) is a Point3;
+anything else is a DomainError.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from ._forms import a_gamma_quad, s_alt, s_hat
 from .crown import _COORD_MAX, ProfileHandle, _bubble_derivs
 from .errors import AccuracyError, DomainError, UnsupportedError, real
-from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
+from .geometry import Point3, SectorConfig, _point, rotation_matrix, sector_images
 
 _COINCIDENT_TOL = 1e-13
 #: central-difference step of kernel_grad's direct derivative
@@ -143,7 +144,7 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
 
     The value, gradient and Hessian are those of the profile's bubbles, in
     closed form."""
-    xi_arr = xi.as_array()
+    xi_arr = _point("xi", xi).as_array()
     g0 = _bubble_derivs(xi_arr, profile.bubbles)[1]
     n0 = float(np.linalg.norm(g0))
     if n0 == 0.0:
@@ -190,14 +191,14 @@ def gamma_direct(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """1/|zbar e^{2i t0} - p| - sum_{j=1}^{K/2-1} (1/|z e^{4ij t0} - p|
     - 1/|zbar e^{(4j+2)i t0} - p|): the image-interaction kernel, for |z|
     and |p| up to _COORD_MAX."""
-    if max(z.norm(), p.norm()) > _COORD_MAX:
+    if max(_point("z", z).norm(), _point("p", p).norm()) > _COORD_MAX:
         raise DomainError(f"gamma takes |z| and |p| up to {_COORD_MAX:g}")
     return _direct("gamma", z.as_array()[None], p.as_array()[None], cfg.K)[0]
 
 
 def _in_plane(b: Point3) -> Tuple[float, float]:
     """|b| and arg b of a point of the z1 z2 plane."""
-    if abs(b.z3) > 1e-12:
+    if abs(_point("b", b).z3) > 1e-12:
         raise DomainError("b must lie in the z1 z2 plane")
     return math.hypot(b.z1, b.z2), math.atan2(b.z2, b.z1)
 
@@ -257,7 +258,7 @@ def h0e(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """The alternating extension in its first slot of
     h0(z, p) = (1 - 2 z.p + |z|^2 |p|^2)^{-1/2}, for |z|, |p| and |z||p| up
     to _COORD_MAX."""
-    nz, npn = z.norm(), p.norm()
+    nz, npn = _point("z", z).norm(), _point("p", p).norm()
     if max(nz, npn, nz * npn) > _COORD_MAX:
         raise DomainError(f"h0e takes |z|, |p| and |z||p| up to {_COORD_MAX:g}")
     return _direct("h0e", z.as_array()[None], p.as_array()[None], cfg.K)[0]
@@ -462,7 +463,7 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     if A.profile is None or A.xi_hat is None:
         raise UnsupportedError("t_a needs a bubble from place_bubble, "
                                "with its profile and xi_hat")
-    if z.norm() > _T_A_MAX:
+    if _point("z", z).norm() > _T_A_MAX:
         raise DomainError(f"t_a takes |z| up to {_T_A_MAX:g}")
     mats, signs = sector_images(cfg.K)
     mats, signs = mats[1:], -signs[1:]

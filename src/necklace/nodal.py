@@ -5,6 +5,7 @@ minimum, so it is stable under grid refinement).
 """
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -22,9 +23,10 @@ _log = logging.getLogger(__name__)
 _BISECT_ITERS = 60
 #: the largest resolution nodal_mesh accepts.  At RES_MAX the scan's slab
 #: arrays are 8 MB each; for m = 16 a mesh has 1.4 M points, and making it
-#: on one core of a shared Xeon peaks at 260 MiB of arrays (330 MiB
-#: resident) and takes ~20 s.  Above it the memory grows as res^2 and the
-#: time faster
+#: on one core of a shared Xeon takes ~21 s and peaks at 111 MiB of arrays
+#: (tracemalloc; 158 MB resident), mostly the crossings' record and the
+#: mesh itself; at res 512 it takes 3.7 s, 28 MiB and 70 MB.  Above it the
+#: memory grows as res^2 and the time faster
 RES_MAX = 1024
 #: grid points along each edge of the bricks of the scan's sign certificate,
 #: coarse to fine: a brick whose sign is left open is split into the bricks
@@ -33,6 +35,10 @@ RES_MAX = 1024
 _BRICKS = (8, 4, 2)
 #: bricks whose bounds one matrix product gathers
 _CHUNK = 1024
+#: crossings nodal_mesh refines at a time, from their ends to their gradient
+#: norms: it bounds the working memory after the scan, and each batch's
+#: arrays stay in the cache
+_BATCH = 4 * _BLOCK
 #: a brick whose bounds on u clear zero by this much has a certified sign.
 #: The margin is over 5000 times u_star's round-off, ~2e-10 even next to a
 #: ring centre, so every point of the brick evaluates to that sign
@@ -176,8 +182,9 @@ def _edge_bounds(a: np.ndarray, b: np.ndarray, axis: np.ndarray, bubbles):
     - |z|^2 by squares and two adds: 3u Z;
     - + rho^2 = 1 - mu^2 in place of |x_j|^2, which differs by < 2.5u:
       u (Z + rho^2) + 2.5u rho^2;
-    - the gemm's z.x_j (any order, fused or not), doubled: 3u (Z + rho^2);
-    - the subtraction, whose exact result is <= 2 (Z + rho^2): 2u (Z + rho^2);
+    - the gemm's z.x_j (any order, fused or not), doubled exactly by its
+      operand -2 x_j: 3u (Z + rho^2);
+    - the add, whose exact result is <= 2 (Z + rho^2): 2u (Z + rho^2);
     - the clamp at 0 moves s_i only towards its exact value >= 0;
     - + mu^2: u (2 (Z + rho^2) + c);
 
@@ -219,27 +226,39 @@ def _edge_bounds(a: np.ndarray, b: np.ndarray, axis: np.ndarray, bubbles):
         rows = np.arange(len(ax))
         t_lo, t_hi = pa[rows, ax], pb[rows, ax]
         # the squared distance from each centre to the nearest point of the
-        # edge: the off-axis coordinates are a's, the axis one is clipped
+        # edge: the off-axis coordinates are a's, the axis one is clipped.
+        # Each step is in place, so that at most three (step, n) arrays live
         xt = x.T[ax]
-        s = np.clip(xt, t_lo[:, None], t_hi[:, None]) - xt
+        s = np.clip(xt, t_lo[:, None], t_hi[:, None])
+        s -= xt
         s *= s
+        # xt's buffer, no longer needed, takes each axis' squared distances
+        d = xt
         for k in range(3):
-            d = pa[:, k, None] - x[:, k]
+            np.subtract(pa[:, k, None], x[:, k], out=d)
             d *= d
             d[ax == k] = 0.0
             s += d
+        del xt, d
         s += c
         sigma = np.maximum(_sq_norm(pa), _sq_norm(pb))[:, None] + base
         sigma *= 16 * _U
         s -= sigma
         inv = np.divide(1.0, s, out=np.full_like(s, np.inf), where=s > 0)
+        del s
         root = np.sqrt(inv)
         total = root @ weight
-        e = (sigma * inv * root) @ weight
+        g1 = inv @ weight
+        sigma *= inv
+        sigma *= root
+        e = sigma @ weight
+        del sigma
         e += 2 * (n + 3) * _U * total
-        curv[sl] = (inv * root) @ weight
+        inv *= root
+        curv[sl] = inv @ weight
+        del inv, root
         curv[sl] *= up / 4
-        slack[sl] = (inv @ weight) * np.maximum(np.abs(t_lo), np.abs(t_hi))
+        slack[sl] = g1 * np.maximum(np.abs(t_lo), np.abs(t_hi))
         slack[sl] += total
         slack[sl] += e
         slack[sl] *= _U * up
@@ -353,13 +372,14 @@ def _bisect(fn, a, axis, ends, vals, bounds):
 
 class _Crossings:
     """The sign-changing grid edges a scan finds, in its order: per batch
-    the flat indices f of their a ends in increasing order (below RES_MAX f
-    fits an int32), the z index k of those ends and the edges' kind, and per
-    edge the values at its (a, b) ends, nan where a sign was certified.  The
-    values fill one buffer that doubles when full, so the scan keeps few
-    long-lived allocations."""
+    its first row, the flat indices f of its edges' a ends in increasing
+    order (below RES_MAX f fits an int32), the z index k of those ends and
+    the edges' kind, and per edge the values at its (a, b) ends, nan where a
+    sign was certified.  The values fill one buffer that doubles when full,
+    so the scan keeps few long-lived allocations."""
 
     def __init__(self, capacity: int):
+        self.starts = []
         self.batches = []
         self.vals = np.empty((capacity, 2))
         self.count = 0
@@ -377,27 +397,66 @@ class _Crossings:
                 self.vals = grown
             self.vals[self.count:end, 0] = va[f]
             self.vals[self.count:end, 1] = vb[f]
-            self.count = end
+            self.starts.append(self.count)
             self.batches.append((f.astype(np.int32), k, kind))
+            self.count = end
 
 
-def _crossing_ends(found, coords):
-    """The ends a and b of the ``found`` crossings in the scan's order, the
-    axis each edge runs along, its (lo, hi) coordinates on that axis and the
-    values recorded at its (a, b) ends, on the grid with ``coords`` along
-    each axis.  Kind 0 goes from (i, j) to (i + 1, j), kind 1 to (i, j + 1)
-    and kind 2 from slab k to slab k + 1."""
-    counts = [len(f) for f, _, _ in found.batches]
-    i, j = divmod(np.concatenate([f for f, _, _ in found.batches]), len(coords))
-    k = np.repeat(np.array([k for _, k, _ in found.batches], dtype=np.int16), counts)
-    axis = np.repeat(np.array([kind for _, _, kind in found.batches], dtype=np.int8), counts)
+def _crossing_ends(found, coords, begin, end):
+    """The ends a and b of the ``found`` crossings begin to end - 1 in the
+    scan's order, the axis each edge runs along, its (lo, hi) coordinates on
+    that axis and the values recorded at its (a, b) ends (a view of
+    ``found``'s), on the grid with ``coords`` along each axis.  Kind 0 goes
+    from (i, j) to (i + 1, j), kind 1 to (i, j + 1) and kind 2 from slab k to
+    slab k + 1."""
+    first = bisect.bisect_right(found.starts, begin) - 1
+    last = bisect.bisect_left(found.starts, end)
+    batches = [(f[max(begin - start, 0):end - start], k, kind) for start, (f, k, kind)
+               in zip(found.starts[first:last], found.batches[first:last])]
+    counts = [len(f) for f, _, _ in batches]
+    i, j = divmod(np.concatenate([f for f, _, _ in batches]), len(coords))
+    k = np.repeat(np.array([k for _, k, _ in batches], dtype=np.int16), counts)
+    axis = np.repeat(np.array([kind for _, _, kind in batches], dtype=np.int8), counts)
     at = np.stack([i, j, k], axis=-1)
     del i, j, k
     a = coords[at]
     rows = np.arange(len(at))
-    lo = at[rows, axis]
+    ends = at[rows, axis]
     at[rows, axis] += 1
-    return a, coords[at], axis, coords[lo[:, None] + (0, 1)], found.vals[:found.count]
+    return a, coords[at], axis, coords[ends[:, None] + (0, 1)], found.vals[begin:end]
+
+
+def _refine(profile, found, coords, begin, end):
+    """Bisect the ``found`` crossings begin to end - 1 (see nodal_mesh): the
+    crossings with residual at most _RESIDUAL_TOL, their residuals and
+    gradient norms, and the counts of nodal_mesh's DEBUG record: crossing
+    ends evaluated, halvings evaluated and certified, final values evaluated
+    and crossings dropped."""
+    # each edge runs along one axis: bisect that coordinate [lo, hi] only
+    # (the others' midpoint 0.5 (x + x) is x).  An end whose sign was
+    # certified has no value yet
+    a, b, along, ends, vals = _crossing_ends(found, coords, begin, end)
+    ends_evaluated = 0
+    for side in range(2):
+        miss = np.flatnonzero(np.isnan(vals[:, side]))
+        if len(miss):
+            vals[miss, side] = profile.fn((a, b)[side][miss])
+        ends_evaluated += len(miss)
+    bounds = _edge_bounds(a, b, along, profile.bubbles)
+    del b
+    evaluated, certified, residual = _bisect(profile.fn, a, along, ends, vals, bounds)
+    del ends, vals, bounds
+    # a now holds the bisected crossings, and residual the values the
+    # bisection evaluated at them
+    miss = np.flatnonzero(np.isnan(residual))
+    if len(miss):
+        residual[miss] = profile.fn(a[miss])
+    np.abs(residual, out=residual)
+    keep = residual <= _RESIDUAL_TOL
+    points, residual = a[keep], residual[keep]
+    grads = gradient_norms(profile, points) if len(points) else np.empty(0)
+    counts = (ends_evaluated, evaluated, certified, len(miss), len(a) - len(points))
+    return points, residual, grads, counts
 
 
 def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
@@ -418,6 +477,14 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
     points whose value was interpolated: since a point's value does not
     depend on the call (see ``ProfileHandle``), the residuals are those of
     evaluating every point.
+
+    After the scan the crossings are refined _BATCH at a time, in the scan's
+    order: each batch's ends are built from the scan's record, its
+    certified ends evaluated, its edges bounded, bisected, and its final
+    values and gradient norms taken, and the batches' results are joined.
+    Rows are independent, so the mesh and every count are those of one
+    batch, while the memory after the scan is the record, the results and
+    one batch's arrays.
 
     The half-width bbox is a real number h > 0 with 3 h^2 finite (h up to
     about 7.7e153), so no squared distance over the box overflows; anything
@@ -472,34 +539,16 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
         empty = np.empty((0, 3))
         return NodalMesh(points=empty, values=np.empty(0), gradients=np.empty(0))
 
-    # each edge runs along one axis: bisect that coordinate [lo, hi] only
-    # (the others' midpoint 0.5 (x + x) is x).  An end whose sign was
-    # certified has no value yet
-    a, b, along, ends, vals = _crossing_ends(found, axis)
+    batches = [_refine(profile, found, axis, lo, min(lo + _BATCH, found.count))
+               for lo in range(0, found.count, _BATCH)]
+    crossings = found.count
     del found
-    ends_evaluated = 0
-    for side in range(2):
-        miss = np.flatnonzero(np.isnan(vals[:, side]))
-        if len(miss):
-            vals[miss, side] = profile.fn((a, b)[side][miss])
-        ends_evaluated += len(miss)
-    bounds = _edge_bounds(a, b, along, profile.bubbles)
-    del b
-    evaluated, certified, residual = _bisect(profile.fn, a, along, ends, vals, bounds)
-    del ends, vals, bounds
-    # a now holds the bisected crossings, and residual the values the
-    # bisection evaluated at them
-    miss = np.flatnonzero(np.isnan(residual))
-    if len(miss):
-        residual[miss] = profile.fn(a[miss])
-    np.abs(residual, out=residual)
-    keep = residual <= _RESIDUAL_TOL
-    points, residual = a[keep], residual[keep]
-    dropped = int(np.count_nonzero(~keep))
-    _log_mesh(res, scanned, len(a), ends_evaluated, evaluated, certified,
-              len(miss), dropped)
-    grads = gradient_norms(profile, points) if len(points) else np.empty(0)
-    return NodalMesh(points=points, values=residual, gradients=grads, dropped=dropped)
+    points, residual, grads, counts = zip(*batches)
+    ends_evaluated, evaluated, certified, final_evaluated, dropped = map(sum, zip(*counts))
+    _log_mesh(res, scanned, crossings, ends_evaluated, evaluated, certified,
+              final_evaluated, dropped)
+    return NodalMesh(points=np.concatenate(points), values=np.concatenate(residual),
+                     gradients=np.concatenate(grads), dropped=dropped)
 
 
 def _log_mesh(res, scanned, crossings, ends_evaluated, evaluated, certified,

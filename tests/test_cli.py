@@ -671,7 +671,66 @@ _CSV_VALUE = st.one_of(
        st.lists(_CSV_VALUE, min_size=1, max_size=6))
 def test_csv_line_matches_per_value_format(value, row):
     # one % per row gives "{:.17g}" for each float (np.float64 included) and
-    # str for anything else, joined by commas
-    assert cli._csv_line([value]) == "{:.17g}".format(value)
-    assert cli._csv_line(row) == ",".join(
-        "{:.17g}".format(v) if isinstance(v, float) else str(v) for v in row)
+    # str for anything else, joined by commas, also where the format of an
+    # earlier row's types is reused
+    expect = [",".join("{:.17g}".format(v) if isinstance(v, float) else str(v) for v in r)
+              + "\n" for r in ([value], row, [value], row)]
+    formats = {}
+    assert cli._csv_lines([[value], row], formats) == "".join(expect[:2])
+    assert cli._csv_lines([[value], row], formats) == "".join(expect[2:])
+    assert cli._csv_lines([], formats) == ""
+
+
+def _table_at_once(columns, rows):
+    """The CSV text of a table formatted in one piece, a format per row."""
+    lines = [",".join(columns)] + [
+        ",".join("%.17g" % v if isinstance(v, float) else "%s" % (v,) for v in row)
+        for row in rows]
+    return "\n".join(lines) + "\n" if rows else ""
+
+
+@pytest.mark.parametrize("sizes", [[], [0, 0], [1], [0, 1, 0], [7, 0, 2048, 1, 3]],
+                         ids=["none", "empty-batches", "one-row", "one-of-three", "several"])
+def test_streamed_csv_is_the_table_at_once(tmp_path, capsys, sizes):
+    # rows of mixed value types (an int or a float in one column, np.float64,
+    # None) written a batch at a time give the bytes of the whole table
+    # formatted at once, to a file and to stdout, and the same JSON
+    rng = np.random.default_rng(len(sizes))
+    rows = [(float(rng.normal()) if i % 3 else i, np.float64(rng.normal()),
+             None if i % 5 else "x", float(10.0 ** rng.integers(-300, 300)))
+            for i in range(sum(sizes))]
+    cuts = np.cumsum([0] + sizes)
+    columns = ("a", "b", "c", "d")
+
+    def batches():
+        return [list(rows[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+    out = tmp_path / "t.csv"
+    cli._emit(columns, batches(), "csv", str(out))
+    cli._emit(columns, batches(), "csv", None)
+    want = _table_at_once(columns, rows)
+    assert out.read_bytes() == want.encode() and capsys.readouterr().out == want
+    cli._emit(columns, batches(), "json", str(out))
+    assert json.loads(out.read_text()) == json.loads(
+        json.dumps([dict(zip(columns, row)) for row in rows]))
+
+
+def test_nodal_csv_does_not_depend_on_row_batch(tmp_path, capsys, monkeypatch):
+    # necklace nodal converts and writes _ROWS rows at a time; the bytes are
+    # the same for one row, 7 and more than the table's, in CSV and JSON,
+    # and an empty mesh writes nothing (CSV) or an empty list (JSON)
+    got = {}
+    for rows in (1, 7, 10**6):
+        monkeypatch.setattr(cli, "_ROWS", rows)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{rows}.{fmt}"
+            assert run(["nodal", "--res", "24", "--format", fmt, "--out", str(out)]) == 0
+            got.setdefault(fmt, set()).add(out.read_bytes())
+    assert len(got["csv"]) == len(got["json"]) == 1
+    assert got["csv"].pop().count(b"\n") > 7
+    for fmt, want in (("csv", b""), ("json", b"[]\n")):
+        out = tmp_path / f"empty.{fmt}"
+        assert run(["nodal", "--bbox", "0.1", "--res", "16", "--format", fmt,
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+    capsys.readouterr()

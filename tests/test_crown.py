@@ -267,6 +267,66 @@ class TestUStarBlocks:
             u_star(np.zeros(shape), crown16)
 
 
+def _u_star_doubled(arr, p):
+    """u_star as it was computed before the matmul took -2 xi: the product
+    with xi, doubled in place and subtracted from |z|^2 + rho^2."""
+    pts = arr.reshape(-1, 3)
+    if len(pts) == 1:
+        pts = np.repeat(pts, 2, axis=0)
+    n = len(pts)
+    x, c, amp = p._bubbles
+    rho2 = 1.0 - c[1]
+    out = np.empty(n)
+    buf = np.empty((min(n, _BLOCK), p.m))
+    nblk = -(-n // _BLOCK)
+    for i in range(nblk):
+        lo, hi = i * n // nblk, (i + 1) * n // nblk
+        blk = pts[lo:hi]
+        r2 = _sq_norm(blk)
+        d2 = np.matmul(blk, x[1:].T, out=buf[: hi - lo])
+        d2 *= 2.0
+        np.subtract((r2 + rho2)[:, None], d2, out=d2)
+        np.maximum(d2, 0.0, out=d2)
+        d2 += c[1]
+        np.power(d2, -0.5, out=d2)
+        ring = d2.sum(axis=-1)
+        ring *= amp[1]
+        np.add(amp[0] / np.sqrt(c[0] + r2), ring, out=out[lo:hi])
+    return out[: arr.size // 3].reshape(arr.shape[:-1])
+
+
+def _wide_points(p, n, seed):
+    """n points whose coordinates range from 1e-200 to 1e150 in magnitude,
+    each with its own exponent, every fifth on a ring centre and every
+    seventh in the ring's plane."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-200.0, 150.0, (n, 3))
+    pts[::7, 2] = 0.0
+    pts[3] = (1e150, -1e-200, -1e150)
+    pts[::5] = p._bubbles[0][1:][rng.integers(0, p.m, len(pts[::5]))]
+    return pts
+
+
+#: every even ring size up to 256, and four large ones
+_RINGS = list(range(8, 257, 2)) + [1000, 2048, 4094, 4096]
+
+
+def test_matmul_with_minus_two_xi_equals_doubling():
+    # scaling an operand of the matmul by -2 is exact, so the product gives
+    # the doubled product's bits, and adding it to |z|^2 + rho^2 gives the
+    # subtraction's.  Batches of 1 and 2 points take one block, 2049 two;
+    # 2047 and 4097 points (one block and three) run at a few ring sizes,
+    # where the four large rings' (block, m) buffers cost the most
+    for m in _RINGS:
+        p = build_crown(m)
+        pts = _wide_points(p, 4097, m)
+        sizes = (1, 2, 2047, 2049, 4097) if m in (16, 196, 254, 1000) else (1, 2, 2049)
+        ref = _u_star_doubled(pts[:max(sizes)], p)
+        for n in sizes:
+            assert np.array_equal(u_star(pts[:n], p), ref[:n]), (m, n)
+        assert p._ring_neg2.flags.writeable is False
+
+
 def _derivs_mp(z, p):
     """u_star, its gradient g, Hessian and T[g] summed bubble by bubble in
     mpmath at 30 digits, from the same float centres, c and A."""

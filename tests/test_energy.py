@@ -655,6 +655,31 @@ class TestCStar:
             f"tail {tail!r}; {sum(points)} profile points, "
             f"{sum(shells)} of {len(shells)} shells bumped")
 
+    def test_batches_give_the_same_bits(self, caplog, monkeypatch):
+        # the integrand is evaluated _BATCH points at a time into one value
+        # array: at scale 1 the constant and the DEBUG record are the same
+        # for batches that split most shells and core balls, and for one
+        # batch per shell or ball (each has fewer than 10^6 points here)
+        mu = 0.05
+        x = np.array([[0.0, 0.0, 0.0], [0.8, 0.0, 0.0]])
+        conc = np.array([1.0, mu * mu])
+        amp = np.array([TALENTI_AMP, -TALENTI_AMP * math.sqrt(mu)])
+        qa, qc = 1.0 - mu, 0.64 + mu * mu - mu
+        xi = Point3((1.6 - math.sqrt(1.6**2 - 4.0 * qa * qc)) / (2.0 * qa), 0.0, 0.0)
+
+        def fn(arr):
+            return sum(A / np.sqrt(cb + np.einsum("...i,...i->...", arr - xb, arr - xb))
+                       for xb, cb, A in zip(x, conc, amp))
+
+        profile = ProfileHandle(fn=fn, bubbles=(x, conc, amp))
+        caplog.set_level(logging.DEBUG, logger="necklace.energy")
+        values = [c_star(profile, xi).hex()]
+        for batch in (2047, 10**6):
+            monkeypatch.setattr(energy, "_BATCH", batch)
+            values.append(c_star(profile, xi).hex())
+        texts = [r.getMessage() for r in caplog.records]
+        assert len(set(values)) == 1 and len(texts) == 3 and len(set(texts)) == 1
+
     def test_model_constant(self):
         # the m=16 value the benchmark reference pins, to the last bit
         _profile, _xi, _gnorm, cstar = default_model()

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from necklace.crown import CrownParams, ProfileHandle, build_crown, u_star
-from necklace.energy import ReducedConfig, c_star
+from necklace.crown import CrownParams, ProfileHandle, build_crown, u_star, u_star_profile
+from necklace.energy import ReducedConfig, ReducedPoint, c_star
 from necklace.errors import AccuracyError, DomainError, UnsupportedError, counted, real
 from necklace.geometry import K_MAX, Point3, SectorConfig
-from necklace.kernels import PlacedBubble, _check_w_sums, full_kernels
+from necklace.kernels import (PlacedBubble, _check_w_sums, full_kernels, gamma_bb,
+                              gamma_direct, h0e, h0e_bb, place_bubble, t_a)
 from necklace.nodal import nodal_mesh, radial_nodal_root
 from necklace.trigsums import (N_MAX, SumSpec, csc_asym, csc_full_sum, s1_contour, s_asym,
                                sum_direct)
@@ -47,6 +48,11 @@ def _reduced(field, v):
     return ReducedConfig(**{**kw, field: v})
 
 
+def _reduced_point(field, v):
+    kw = dict(eps=1e-3, a=0.0, d=0.05, alpha_b=0.0, alpha_w=0.0)
+    return ReducedPoint(**{**kw, field: v})
+
+
 #: each site that takes a counted or a real parameter, as a call of the value
 COUNTED = {
     "SectorConfig.K": SectorConfig,
@@ -72,6 +78,11 @@ REAL = {
     "c_star.scale": lambda v: c_star(_STOP, Point3(0.5, 0.0, 0.0), v),
     **{f"ReducedConfig.{f}": (lambda v, f=f: _reduced(f, v))
        for f in ("lam", "gnorm", "cstar", "delta")},
+    **{f"ReducedPoint.{f}": (lambda v, f=f: _reduced_point(f, v))
+       for f in ("eps", "a", "d", "alpha_b", "alpha_w")},
+    "Point3.z1": lambda v: Point3(v, 0.0, 0.0),
+    "Point3.z2": lambda v: Point3(0.0, v, 0.0),
+    "Point3.z3": lambda v: Point3(0.0, 0.0, v),
     **{f"PlacedBubble.{f}": (lambda v, f=f: _placed(f, v))
        for f in ("eps", "a", "q_hat", "w_abs", "alpha_w", "b_abs", "alpha_b",
                  "beta_hat", "theta_star")},
@@ -162,10 +173,53 @@ def test_every_site_returns_or_raises_domain_error(site, v):
     lambda: u_star([[1, 2, "x"]], _PARAMS),
     lambda: u_star([[1, 2, 3], [4, 5]], _PARAMS),
     lambda: u_star([1j, 0, 0], _PARAMS),
+    lambda: Point3(10**400, 0, 0),
+    lambda: Point3(True, 0, 0),
+    lambda: Point3(0.5, "1", 0.0),
+    lambda: Point3(0.5, 0.0, None),
+    lambda: ReducedPoint(eps=1e-3, a=0.0, d=10**400, alpha_b=0.0, alpha_w=0.0),
+    lambda: ReducedPoint(eps="1e-3", a=0.0, d=0.05, alpha_b=0.0, alpha_w=0.0),
+    lambda: ReducedPoint(eps=1e-3, a=0.0, d=0.05, alpha_b=np.bool_(True), alpha_w=0.0),
 ])
 def test_rejected_calls(call):
     with pytest.raises(DomainError):
         call()
+
+
+_B = Point3(0.9, 0.0, 0.0)
+_BUBBLE = place_bubble(1e-4, 0.0, 0.97, 0.01, 0.02, u_star_profile(_PARAMS), _PARAMS.xi[0])
+
+
+@pytest.mark.parametrize("bad", [(0.1, 0.0, 0.0), np.array([0.1, 0.0, 0.0]), None, 0.5,
+                                 "0.1,0,0"], ids=["tuple", "array", "none", "float", "str"])
+@pytest.mark.parametrize("call", [
+    lambda z: gamma_direct(z, _B, SectorConfig(8)),
+    lambda p: gamma_direct(_B, p, SectorConfig(8)),
+    lambda z: h0e(z, _B, SectorConfig(8)),
+    lambda p: h0e(_B, p, SectorConfig(8)),
+    lambda b: gamma_bb(b, SectorConfig(8)),
+    lambda b: h0e_bb(b, SectorConfig(8)),
+    lambda z: t_a(z, _BUBBLE, SectorConfig(8)),
+    lambda xi: place_bubble(1e-4, 0.0, 0.97, 0.01, 0.02, u_star_profile(_PARAMS), xi),
+    lambda xi: c_star(_STOP, xi),
+], ids=["gamma_direct.z", "gamma_direct.p", "h0e.z", "h0e.p", "gamma_bb", "h0e_bb", "t_a",
+        "place_bubble", "c_star"])
+def test_point_parameters_take_only_a_point3(call, bad):
+    # a point parameter that is no Point3 is a DomainError, where it raised
+    # AttributeError from the first method call
+    with pytest.raises(DomainError, match="must be a Point3"):
+        call(bad)
+
+
+def test_point_values_are_floats():
+    # a real number of any type is stored as its float, with the float's bits
+    for v in (np.float64(0.1), np.float32(0.5), np.int64(3), 3, 2**70):
+        got = Point3(v, v, v)
+        assert all(type(c) is float and c == float(v) for c in (got.z1, got.z2, got.z3))
+        point = ReducedPoint(eps=v, a=v, d=0.05, alpha_b=0.0, alpha_w=0.0)
+        assert type(point.eps) is type(point.a) is float and point.eps == float(v)
+    x = 0.25
+    assert Point3(x, 0.0, 0.0).z1 is x
 
 
 def test_numpy_integers_are_ints():

@@ -1,8 +1,8 @@
 import logging
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from necklace import nodal
 from necklace.crown import (
     _BLOCK,
     ProfileHandle,
@@ -20,6 +21,7 @@ from necklace.crown import (
 )
 from necklace.errors import DomainError, NotFoundError
 from necklace.nodal import (
+    _BATCH,
     _BRICKS,
     _POLISH_CANDIDATES,
     _SIGN_MARGIN,
@@ -272,9 +274,12 @@ def _old_mesh(profile, half, res):
             int(np.count_nonzero(~keep)), sizes)
 
 
-def _recording(profile):
+def _recording(profile, monkeypatch):
     """``profile`` with a field that records each call's point count and
-    whether all its points share one z, as the grid scan's calls do."""
+    whether all its points share one z, as the grid scan's calls do, with
+    nodal_mesh's steps patched to record the marker "batch" as a batch of
+    crossings starts, "bisect" and "bisected" around its bisection and
+    "grads" before its gradient norms."""
     calls = []
 
     def fn(a):
@@ -282,22 +287,45 @@ def _recording(profile):
         calls.append((len(a3), bool(np.all(a3[:, 2] == a3[0, 2]))))
         return profile.fn(a)
 
+    def marked(name, step, after=None):
+        def call(*args):
+            calls.append(name)
+            out = step(*args)
+            if after:
+                calls.append(after)
+            return out
+        return call
+
+    monkeypatch.setattr(nodal, "_refine", marked("batch", nodal._refine))
+    monkeypatch.setattr(nodal, "_bisect", marked("bisect", nodal._bisect, "bisected"))
+    monkeypatch.setattr(nodal, "gradient_norms", marked("grads", nodal.gradient_norms))
     return replace(profile, fn=fn), calls
 
 
 def _phases(calls, record):
-    """The point counts of ``calls``, a nodal_mesh run's profile calls, split
-    by the counts of its DEBUG ``record`` into the scan's one-slab calls, the
-    crossing ends', the halvings', the final values' and the gradient
-    stencils'.  Each count must end a call."""
+    """The point counts of ``calls``, a nodal_mesh run's profile calls and
+    markers (see _recording): the scan's one-slab calls and, per batch of
+    crossings, the lists of its crossing ends', halvings', final values'
+    and gradient stencils' calls.  Each phase's total over the batches is
+    the DEBUG ``record``'s."""
     _, scanned, _, _, ends, _, halvings, _, finals, _, _ = record.args
-    sizes = [n for n, _ in calls]
-    bounds = list(accumulate(sizes, initial=0))
-    cuts = [0]
-    for total in (scanned, ends, halvings, finals):
-        cuts.append(bounds.index(bounds[cuts[-1]] + total))
-    assert all(slab for _, slab in calls[:cuts[1]])
-    return [sizes[lo:hi] for lo, hi in zip(cuts, cuts[1:] + [len(sizes)])]
+    starts = [i for i, c in enumerate(calls) if c == "batch"] + [len(calls)]
+    assert all(slab for _, slab in calls[:starts[0]])
+    batches = []
+    for lo, hi in zip(starts, starts[1:]):
+        part = calls[lo + 1:hi]
+        if "grads" not in part:
+            part.append("grads")
+        cuts = [-1, part.index("bisect"), part.index("bisected"), part.index("grads"), len(part)]
+        batches.append([[n for n, _ in part[a + 1:b]] for a, b in zip(cuts, cuts[1:])])
+    totals = [sum(sum(batch[i]) for batch in batches) for i in range(3)]
+    assert [sum(n for n, _ in calls[:starts[0]])] + totals == [scanned, ends, halvings, finals]
+    return [n for n, _ in calls[:starts[0]]], batches
+
+
+def _joined(batches):
+    """The per-batch phases of _phases joined over the batches."""
+    return [sum(phase, []) for phase in zip(*batches)]
 
 
 def _certificate_counts(profile, half, res):
@@ -317,26 +345,30 @@ def _certificate_counts(profile, half, res):
     return int(np.count_nonzero(~known)), ends
 
 
-def test_halvings_evaluate_only_uncertified_moving_rows(crown16, star16, caplog):
+def test_halvings_evaluate_only_uncertified_moving_rows(crown16, star16, caplog,
+                                                        monkeypatch):
     # the mesh evaluates the crossing ends whose sign the scan certified,
     # then per halving the rows whose midpoint still moves and whose sign
     # the interpolation bounds leave open: with the certified ones they are
     # the rows the old loop evaluated, and under half of rows x halvings.
     # The final points' values are the ones last evaluated there
     caplog.set_level(logging.DEBUG, logger="necklace.nodal")
-    recording, calls = _recording(star16)
+    recording, calls = _recording(star16, monkeypatch)
     mesh = nodal_mesh(crown16, recording, 2.5, 96)
     [record] = caplog.records
-    scan, ends, halvings, finals, grads = _phases(calls, record)
+    scan, batches = _phases(calls, record)
+    ends, halvings, finals, grads = _joined(batches)
     rows = len(mesh) + mesh.dropped
     assert record.args[3] == rows
+    assert len(batches) == -(-rows // _BATCH) > 1
     assert (sum(scan), sum(ends)) == _certificate_counts(star16, 2.5, 96)
-    assert (sum(ends), sum(finals)) == (32, 0) and len(ends) <= 2
+    assert (sum(ends), sum(finals)) == (32, 0)
+    assert all(len(batch[0]) <= 2 for batch in batches)
     assert record.args[4:6] == (32, 2 * rows - 32)
     assert record.args[8:10] == (0, rows)
     assert sum(grads) == 6 * len(mesh) and max(grads) <= 6 * (_BLOCK // 6)
     evaluated, certified = record.args[6:8]
-    assert sum(halvings) == evaluated and max(halvings) <= rows
+    assert sum(halvings) == evaluated and max(halvings) <= _BATCH
     old = _old_mesh(star16, 2.5, 96)[-1]
     assert evaluated + certified == sum(old)
     assert evaluated < 0.5 * rows * len(old)
@@ -378,21 +410,23 @@ def test_mesh_equals_old_bisection(crown16, star16, res, bbox, shift):
     assert mesh.dropped == old[3]
 
 
-def test_mesh_is_logged(crown16, star16, caplog):
+def test_mesh_is_logged(crown16, star16, caplog, monkeypatch):
     # the scan count and the crossing ends evaluated are the certificate's,
     # the halvings' total is the old loop's, and every profile call is
     # counted once
     caplog.set_level(logging.DEBUG, logger="necklace.nodal")
-    recording, calls = _recording(star16)
+    recording, calls = _recording(star16, monkeypatch)
     mesh = nodal_mesh(crown16, recording, 2.5, 48)
     [record] = caplog.records
-    scan, ends, halvings, finals, grads = _phases(calls, record)
+    scan, batches = _phases(calls, record)
+    ends, halvings, finals, grads = _joined(batches)
     scanned, ended = _certificate_counts(star16, 2.5, 48)
     rows = len(mesh) + mesh.dropped
     evaluated, final = sum(halvings), sum(finals)
     certified = sum(_old_mesh(star16, 2.5, 48)[-1]) - evaluated
     assert sum(scan) == scanned and sum(ends) == ended
-    assert sum(grads) == 6 * len(mesh) and len(finals) <= 1
+    assert sum(grads) == 6 * len(mesh)
+    assert all(len(batch[2]) <= 1 for batch in batches)
     assert 0 < scanned < 48**3 and evaluated > 0 and certified > 0
     assert [r.getMessage() for r in caplog.records] == [
         f"nodal_mesh res 48: scan evaluated {scanned} of {48**3} points, "
@@ -414,6 +448,46 @@ def test_mesh_is_logged(crown16, star16, caplog):
     nodal_mesh(crown16, star16, 2.5, 16)
     assert caplog.records == []
     assert logging.getLogger("necklace.nodal").handlers == []
+
+
+#: per resolution, batch sizes with one crossing a batch, a few, a partial
+#: last batch, and one batch above the crossings (None).  A batch of 1 takes
+#: ~3 ms, so the smallest run at res 16 only
+@pytest.mark.parametrize("res, batches", [
+    (16, (1, 7, None)), (33, (100, 4096, None)), (96, (1000, 4096, None)),
+])
+def test_mesh_does_not_depend_on_batch(crown16, star16, caplog, monkeypatch, res, batches):
+    # nodal_mesh refines the crossings _BATCH at a time; a row's points,
+    # values and gradients do not depend on its batch, and neither does any
+    # count of the DEBUG record
+    caplog.set_level(logging.DEBUG, logger="necklace.nodal")
+    ref = nodal_mesh(crown16, star16, 2.5, res)
+    for batch in batches:
+        monkeypatch.setattr(nodal, "_BATCH", batch or len(ref) + ref.dropped + 1)
+        mesh = nodal_mesh(crown16, star16, 2.5, res)
+        for new, old in zip((mesh.points, mesh.values, mesh.gradients),
+                            (ref.points, ref.values, ref.gradients)):
+            assert np.array_equal(new, old)
+        assert mesh.dropped == ref.dropped
+    texts = [r.getMessage() for r in caplog.records]
+    assert len(texts) == 1 + len(batches) and len(set(texts)) == 1
+
+
+def test_batches_bound_the_memory(crown16, star16, monkeypatch):
+    # after the scan the working memory is one batch's: a res-192 mesh (six
+    # batches) peaks at under 60% of the same mesh refined in one batch
+    def peak():
+        tracemalloc.start()
+        try:
+            mesh = nodal_mesh(crown16, star16, 2.5, 192)
+            return tracemalloc.get_traced_memory()[1], len(mesh) + mesh.dropped
+        finally:
+            tracemalloc.stop()
+
+    batched, rows = peak()
+    assert rows > 5 * _BATCH
+    monkeypatch.setattr(nodal, "_BATCH", rows + 1)
+    assert batched <= 0.6 * peak()[0]
 
 
 class TestCertifiedHalvings:
@@ -511,11 +585,11 @@ class TestCertifiedHalvings:
 
 class TestCertifiedScan:
     @pytest.mark.parametrize("res", [48])
-    def test_same_mesh_as_full_scan(self, crown16, star16, res, caplog):
+    def test_same_mesh_as_full_scan(self, crown16, star16, res, caplog, monkeypatch):
         # the certified scan skips the nodes whose sign the bubbles settle,
         # yet gives the mesh of a full scan and full bisection
         caplog.set_level(logging.DEBUG, logger="necklace.nodal")
-        recording, calls = _recording(star16)
+        recording, calls = _recording(star16, monkeypatch)
         certified = nodal_mesh(crown16, recording, 2.5, res)
         full = _old_mesh(star16, 2.5, res)
         assert len(certified) > 0
@@ -613,16 +687,16 @@ class TestCertifiedScan:
         assert len(layers) == _BRICKS[0] // _BRICKS[-1]
         assert np.all(np.array(layers) == sign)
 
-    def test_scan_evaluates_under_a_quarter(self, crown16, star16, caplog):
+    def test_scan_evaluates_under_a_quarter(self, crown16, star16, caplog, monkeypatch):
         # coarse to fine, the scan evaluates 4.7% of the grid
         caplog.set_level(logging.DEBUG, logger="necklace.nodal")
-        recording, calls = _recording(star16)
+        recording, calls = _recording(star16, monkeypatch)
         mesh = nodal_mesh(crown16, recording, 2.5, 96)
         assert len(mesh) > 0
         assert 0 < sum(_phases(calls, caplog.records[0])[0]) < 0.06 * 96**3
 
-    def test_talenti_scan_evaluates_nothing(self, crown16):
-        recording, calls = _recording(talenti_profile())
+    def test_talenti_scan_evaluates_nothing(self, crown16, monkeypatch):
+        recording, calls = _recording(talenti_profile(), monkeypatch)
         mesh = nodal_mesh(crown16, recording, 2.5, 48)
         assert len(mesh) == 0
         assert calls == []
