@@ -2,9 +2,9 @@
 reduced-energy model: the ring-interaction coefficients C0(K, d), C2(K, d)
 and the 2x2 angular quadratic form built from pure cosecant sums.  The sums
 are cached, as the minimization revisits the same (K, d): s_hat per (k, K),
-s_alt per (k, K, d), and the S_1, S_3 and S_5 that C0 and C2 read as one
-entry per (K, d); a_gamma caches its form.  C0 and C2 are a few float
-operations on the cached sums and are not cached themselves.
+and the S_1, S_3 and S_5 that C0, C2 and the h0e derivatives' asymptotics
+read as one entry per (K, d); a_gamma caches its form.  C0 and C2 are a
+few float operations on the cached sums and are not cached themselves.
 """
 from __future__ import annotations
 
@@ -24,15 +24,10 @@ def s_hat(k: int, n: int) -> float:
 
 
 @lru_cache(maxsize=1024)
-def s_alt(k: int, n: int, x: float) -> float:
-    """S_k(n, x) = sum_{j=0}^{n-1} (-1)^j (x^2 + sin^2(j pi/n))^{-k/2}."""
-    return sum_direct(SumSpec("alt", k, n, x))
-
-
-@lru_cache(maxsize=1024)
 def s_alt_135(K: int, d: float) -> Tuple[float, float, float]:
-    """(S_1, S_3, S_5)(K, d), each equal to s_alt(k, K, d): the sums C0 and
-    C2 read, from one list of d^2 + sin^2(j pi/K)."""
+    """(S_1, S_3, S_5)(K, d), S_k(n, x) = sum_{j=0}^{n-1} (-1)^j (x^2 +
+    sin^2(j pi/n))^{-k/2}, each equal to sum_direct(SumSpec("alt", k, K, d)),
+    from one list of d^2 + sin^2(j pi/K)."""
     return alt_sums(K, d)
 
 
@@ -45,6 +40,8 @@ def c2(K: int, d: float) -> float:
     """Shat_1 + Shat_3 + S_1 - (d + sqrt(1+d^2))^2 S_3 + 3(d^2 + d^4) S_5,
     the coefficient of the third-order ring term."""
     s1, s3, s5 = s_alt_135(K, d)
+    # d passed the sums' check: a real number, taken as its float
+    d = float(d)
     root = d + math.sqrt(1.0 + d * d)
     return (
         s_hat(1, K)

@@ -129,9 +129,11 @@ def _smooth_cut(t: np.ndarray) -> np.ndarray:
     return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def _sphere_rule(panels, n_p: int) -> Tuple[np.ndarray, np.ndarray]:
+def _sphere_rule(panels, n_p: int, upper: bool = False) -> Tuple[np.ndarray, np.ndarray]:
     """Product rule on the unit sphere: Gauss on each (lo, hi, order) panel
-    of cos(theta), uniform in phi."""
+    of cos(theta), uniform in phi.  With ``upper``, only the nodes with
+    cos(theta) > 0, at twice their weights: the rule for a function even in
+    z3, when the panels are symmetric about 0."""
     ct_parts, wt_parts = [], []
     for lo, hi, order in panels:
         x, w = leggauss(order)
@@ -140,6 +142,8 @@ def _sphere_rule(panels, n_p: int) -> Tuple[np.ndarray, np.ndarray]:
         wt_parts.append(half * w)
     ct = np.concatenate(ct_parts)
     wt = np.concatenate(wt_parts)
+    if upper:
+        ct, wt = ct[ct > 0.0], 2.0 * wt[ct > 0.0]
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     phi = 2.0 * np.pi * np.arange(n_p) / n_p
     dirs = np.empty((len(ct) * n_p, 3))
@@ -354,10 +358,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
             rule = (panels, n_p)
             # drop the old rule first, so that two are never held at once
             dirs_s = dweights_s = bump = None
-            dirs_s, dweights_s = _sphere_rule(panels, n_p)
-            if even_z3:
-                keep = dirs_s[:, 2] > 0.0
-                dirs_s, dweights_s = dirs_s[keep], 2.0 * dweights_s[keep]
+            dirs_s, dweights_s = _sphere_rule(panels, n_p, even_z3)
             bump = np.ones(len(dirs_s))
         near = _near_cores(dirs_s, lo, hi, cores)
         for rv, rw in zip(r_nodes, r_weights):

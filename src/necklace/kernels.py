@@ -14,10 +14,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._forms import a_gamma_quad, s_alt, s_hat
-from .crown import _COORD_MAX, ProfileHandle, _bubble_derivs
+from ._forms import a_gamma_quad, s_alt_135, s_hat
+from .crown import _COORD_MAX, ProfileHandle, _bubble_derivs, _check_points
 from .errors import AccuracyError, DomainError, UnsupportedError, real
 from .geometry import Point3, SectorConfig, _point, rotation_matrix, sector_images
+from .trigsums import SumSpec, sum_direct
 
 _COINCIDENT_TOL = 1e-13
 #: central-difference step of kernel_grad's direct derivative
@@ -143,13 +144,18 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
     convention the PlacedBubble scalars encode (alpha_w == beta_hat).
 
     The value, gradient and Hessian are those of the profile's bubbles, in
-    closed form."""
+    closed form.  The reals a and beta_hat, which it computes with, are
+    checked first, and PlacedBubble checks the others; xi and xi_hat must
+    have coordinates up to _COORD_MAX, else it is a DomainError."""
+    a, beta_hat = real("a", a), real("beta_hat", beta_hat)
     xi_arr = _point("xi", xi).as_array()
+    _check_points(xi_arr, "place_bubble")
     g0 = _bubble_derivs(xi_arr, profile.bubbles)[1]
     n0 = float(np.linalg.norm(g0))
     if n0 == 0.0:
         raise DomainError("profile gradient vanishes at the anchor")
     xi_hat_arr = xi_arr + a * g0 / n0
+    _check_points(xi_hat_arr, "place_bubble")
     q_hat, grad, hess, _ = _bubble_derivs(xi_hat_arr, profile.bubbles)
     beta = math.atan2(grad[1], grad[0]) - beta_hat
     theta_star = beta - beta_hat
@@ -285,7 +291,9 @@ def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     closed = _h0e_bb_closed(babs, alpha_b, cfg)
     direct = h0e(b, b, cfg)
     d = (1.0 - babs * babs) / (2.0 * babs)
-    asym = s_alt(1, cfg.K, d) / (2.0 * babs)
+    # S_1 alone: s_alt_135's three sums take ~2.6 times as long as one, and
+    # a diagonal point's d is seldom revisited
+    asym = sum_direct(SumSpec("alt", 1, cfg.K, d)) / (2.0 * babs)
     return KernelReport(direct, closed, asym)
 
 
@@ -410,7 +418,7 @@ def kernel_grad(kind: str, slot: str, A: PlacedBubble,
         asym = -A.w_abs * s_hat(1, cfg.K) / (4.0 * A.b_abs**2)
     else:
         d = A.d
-        s1, s3 = s_alt(1, cfg.K, d), s_alt(3, cfg.K, d)
+        s1, s3, _ = s_alt_135(cfg.K, d)
         asym = A.w_abs / (4.0 * A.b_abs**2) * (-s1 + d * math.sqrt(1.0 + d * d) * s3)
     return KernelReport(direct, closed, asym)
 
@@ -429,7 +437,7 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (s1h + s3h + quad)
     else:
         d = A.d
-        s1, s3, s5 = (s_alt(k, cfg.K, d) for k in (1, 3, 5))
+        s1, s3, s5 = s_alt_135(cfg.K, d)
         root = d + math.sqrt(1.0 + d * d)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (
             s1 - root * root * s3 + 3.0 * (d * d + d**4) * s5)

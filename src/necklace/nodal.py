@@ -5,7 +5,6 @@ minimum, so it is stable under grid refinement).
 """
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -23,10 +22,10 @@ _log = logging.getLogger(__name__)
 _BISECT_ITERS = 60
 #: the largest resolution nodal_mesh accepts.  At RES_MAX the scan's slab
 #: arrays are 8 MB each; for m = 16 a mesh has 1.4 M points, and making it
-#: on one core of a shared Xeon takes ~21 s and peaks at 111 MiB of arrays
-#: (tracemalloc; 158 MB resident), mostly the crossings' record and the
-#: mesh itself; at res 512 it takes 3.7 s, 28 MiB and 70 MB.  Above it the
-#: memory grows as res^2 and the time faster
+#: on one core of a shared Xeon takes ~19 s and peaks at 109 MiB of arrays
+#: (tracemalloc; 168 MB resident), mostly the mesh itself, held twice while
+#: its batches' results are joined; at res 512 it takes 3.8 s, 27 MiB and
+#: 70 MB.  Above it the memory grows as res^2 and the time faster
 RES_MAX = 1024
 #: grid points along each edge of the bricks of the scan's sign certificate,
 #: coarse to fine: a brick whose sign is left open is split into the bricks
@@ -35,9 +34,10 @@ RES_MAX = 1024
 _BRICKS = (8, 4, 2)
 #: bricks whose bounds one matrix product gathers
 _CHUNK = 1024
-#: crossings nodal_mesh refines at a time, from their ends to their gradient
-#: norms: it bounds the working memory after the scan, and each batch's
-#: arrays stay in the cache
+#: crossings nodal_mesh gathers before it refines them, from their ends to
+#: their gradient norms: a batch is the first whole slabs that reach it.  It
+#: bounds the working memory besides the mesh, and each batch's arrays stay
+#: in the cache
 _BATCH = 4 * _BLOCK
 #: a brick whose bounds on u clear zero by this much has a certified sign.
 #: The margin is over 5000 times u_star's round-off, ~2e-10 even next to a
@@ -316,9 +316,7 @@ def _bisect(fn, a, axis, ends, vals, bounds):
     # arrays, so that row i's lo and hi are entries 2i and 2i + 1 of their
     # reshape(-1) view.  The ids take the least signed type that holds -n
     state = [np.arange(n, dtype=np.min_scalar_type(-n)), ends, vals, np.zeros((n, 2)), *bounds]
-    # the final values, made when the first rows finish: the widest halvings,
-    # which evaluate the most rows, run without them
-    final = None
+    final = np.full(n, np.nan)
     evaluated = certified = 0
     for _ in range(_BISECT_ITERS):
         ends = state[1]
@@ -326,8 +324,6 @@ def _bisect(fn, a, axis, ends, vals, bounds):
         m *= 0.5
         moving = (m != ends[:, 0]) & (m != ends[:, 1])
         if not moving.all():
-            if final is None:
-                final = np.full(n, np.nan)
             gone = np.flatnonzero(~moving)
             done = state[0][gone]
             a[done, axis[done]] = m[gone]
@@ -367,75 +363,89 @@ def _bisect(fn, a, axis, ends, vals, bounds):
     else:
         ends = state[1]
         a[state[0], axis[state[0]]] = 0.5 * (ends[:, 0] + ends[:, 1])
-    return evaluated, certified, np.full(n, np.nan) if final is None else final
+    return evaluated, certified, final
 
 
-class _Crossings:
-    """The sign-changing grid edges a scan finds, in its order: per batch
-    its first row, the flat indices f of its edges' a ends in increasing
-    order (below RES_MAX f fits an int32), the z index k of those ends and
-    the edges' kind, and per edge the values at its (a, b) ends, nan where a
-    sign was certified.  The values fill one buffer that doubles when full,
-    so the scan keeps few long-lived allocations."""
+def _scan(profile, axis, pending):
+    """Scan the grid with ``axis`` along each axis slab by slab in z order:
+    append each slab's crossings to ``pending`` as the chunks (f, k, kind,
+    va, vb) that _crossing_ends takes, then yield the number of points the
+    slab evaluated.
 
-    def __init__(self, capacity: int):
-        self.starts = []
-        self.batches = []
-        self.vals = np.empty((capacity, 2))
-        self.count = 0
+    The field is evaluated only where the sign is not certified (see
+    _certified_signs), and the values it evaluates are kept (nan
+    elsewhere).  A slab's signs and values are flat arrays in C order of
+    (i, j): point (i, j) is entry f = i res + j."""
+    res = len(axis)
+    layers = _certified_signs(axis, profile.bubbles)
+    prev_sign = prev_value = None
+    for k, z in enumerate(axis):
+        if k % _BRICKS[-1] == 0:
+            certified = next(layers).reshape(-1)
+            todo = np.flatnonzero(certified == 0)
+            ui, uj = divmod(todo, res)
+            pts = np.empty((len(todo), 3))
+            pts[:, 0], pts[:, 1] = axis[ui], axis[uj]
+            del ui, uj
+        sign = certified.copy()
+        value = np.full(res * res, np.nan)
+        if len(todo):
+            pts[:, 2] = z
+            u = profile.fn(pts)
+            value[todo] = u
+            sign[todo] = _signs(u > 0.0, u < 0.0)
+        along_y = sign[:-1] * sign[1:]
+        # the pairs (i, res - 1), (i + 1, 0) are no edges
+        along_y[res - 1::res] = 0
+        edges = [(sign[:-res] * sign[res:], value[:-res], value[res:], k, 0),
+                 (along_y, value[:-1], value[1:], k, 1)]
+        if prev_sign is not None:
+            edges.append((prev_sign * sign, prev_value, value, k - 1, 2))
+        for products, va, vb, slab, kind in edges:
+            f = np.flatnonzero(products < 0)
+            if len(f):
+                pending.append((f, slab, kind, va[f], vb[f]))
+        # the products are not needed while a batch is refined
+        del edges, along_y, products
+        yield len(todo)
+        prev_sign, prev_value = sign, value
 
-    def add(self, products, va, vb, k, kind):
-        """Record the edges whose products of end signs are negative, from
-        ``products`` per flat point of their a ends, with the values ``va``
-        at their a ends and ``vb`` at their b ends."""
-        f = np.flatnonzero(products < 0)
-        if len(f):
-            end = self.count + len(f)
-            if end > len(self.vals):
-                grown = np.empty((max(2 * len(self.vals), end), 2))
-                grown[:self.count] = self.vals[:self.count]
-                self.vals = grown
-            self.vals[self.count:end, 0] = va[f]
-            self.vals[self.count:end, 1] = vb[f]
-            self.starts.append(self.count)
-            self.batches.append((f.astype(np.int32), k, kind))
-            self.count = end
 
-
-def _crossing_ends(found, coords, begin, end):
-    """The ends a and b of the ``found`` crossings begin to end - 1 in the
-    scan's order, the axis each edge runs along, its (lo, hi) coordinates on
-    that axis and the values recorded at its (a, b) ends (a view of
-    ``found``'s), on the grid with ``coords`` along each axis.  Kind 0 goes
-    from (i, j) to (i + 1, j), kind 1 to (i, j + 1) and kind 2 from slab k to
+def _crossing_ends(pending, coords):
+    """The ends a and b of the ``pending`` crossings, chunks (f, k, kind,
+    va, vb) in the scan's order, the axis each edge runs along, its (lo, hi)
+    coordinates on that axis and the values at its (a, b) ends, nan where a
+    sign was certified, on the grid with ``coords`` along each axis.  An
+    edge's a end is the flat point f = i res + j of slab k; kind 0 goes from
+    (i, j) to (i + 1, j), kind 1 to (i, j + 1) and kind 2 from slab k to
     slab k + 1."""
-    first = bisect.bisect_right(found.starts, begin) - 1
-    last = bisect.bisect_left(found.starts, end)
-    batches = [(f[max(begin - start, 0):end - start], k, kind) for start, (f, k, kind)
-               in zip(found.starts[first:last], found.batches[first:last])]
-    counts = [len(f) for f, _, _ in batches]
-    i, j = divmod(np.concatenate([f for f, _, _ in batches]), len(coords))
-    k = np.repeat(np.array([k for _, k, _ in batches], dtype=np.int16), counts)
-    axis = np.repeat(np.array([kind for _, _, kind in batches], dtype=np.int8), counts)
+    f, k, kind, va, vb = zip(*pending)
+    counts = [len(v) for v in f]
+    i, j = divmod(np.concatenate(f), len(coords))
+    k = np.repeat(np.array(k, dtype=np.int16), counts)
+    axis = np.repeat(np.array(kind, dtype=np.int8), counts)
     at = np.stack([i, j, k], axis=-1)
     del i, j, k
     a = coords[at]
     rows = np.arange(len(at))
     ends = at[rows, axis]
     at[rows, axis] += 1
-    return a, coords[at], axis, coords[ends[:, None] + (0, 1)], found.vals[begin:end]
+    vals = np.stack([np.concatenate(va), np.concatenate(vb)], axis=-1)
+    return a, coords[at], axis, coords[ends[:, None] + (0, 1)], vals
 
 
-def _refine(profile, found, coords, begin, end):
-    """Bisect the ``found`` crossings begin to end - 1 (see nodal_mesh): the
-    crossings with residual at most _RESIDUAL_TOL, their residuals and
-    gradient norms, and the counts of nodal_mesh's DEBUG record: crossing
-    ends evaluated, halvings evaluated and certified, final values evaluated
-    and crossings dropped."""
+def _refine(profile, pending, coords):
+    """Bisect the ``pending`` crossings (see _crossing_ends and nodal_mesh),
+    emptying the list: the crossings with residual at most _RESIDUAL_TOL,
+    their residuals and gradient norms, and the counts of nodal_mesh's DEBUG
+    record: crossings, crossing ends evaluated, halvings evaluated and
+    certified, final values evaluated and crossings dropped."""
     # each edge runs along one axis: bisect that coordinate [lo, hi] only
     # (the others' midpoint 0.5 (x + x) is x).  An end whose sign was
     # certified has no value yet
-    a, b, along, ends, vals = _crossing_ends(found, coords, begin, end)
+    a, b, along, ends, vals = _crossing_ends(pending, coords)
+    # the chunks' arrays are copied: free them before the bisection
+    pending.clear()
     ends_evaluated = 0
     for side in range(2):
         miss = np.flatnonzero(np.isnan(vals[:, side]))
@@ -455,7 +465,7 @@ def _refine(profile, found, coords, begin, end):
     keep = residual <= _RESIDUAL_TOL
     points, residual = a[keep], residual[keep]
     grads = gradient_norms(profile, points) if len(points) else np.empty(0)
-    counts = (ends_evaluated, evaluated, certified, len(miss), len(a) - len(points))
+    counts = (len(a), ends_evaluated, evaluated, certified, len(miss), len(a) - len(points))
     return points, residual, grads, counts
 
 
@@ -478,13 +488,16 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
     depend on the call (see ``ProfileHandle``), the residuals are those of
     evaluating every point.
 
-    After the scan the crossings are refined _BATCH at a time, in the scan's
-    order: each batch's ends are built from the scan's record, its
-    certified ends evaluated, its edges bounded, bisected, and its final
-    values and gradient norms taken, and the batches' results are joined.
-    Rows are independent, so the mesh and every count are those of one
-    batch, while the memory after the scan is the record, the results and
-    one batch's arrays.
+    The mesh is made in one pass over the z slabs.  Each slab's crossings
+    join a pending batch, and once it holds at least _BATCH crossings, or
+    after the last slab, the batch is refined: its certified ends are
+    evaluated, its edges bounded and bisected, and its final values and
+    gradient norms taken.  The batches' results are joined in the scan's
+    order.  Rows are independent, so the mesh and every count are those of
+    one batch, while the working memory is two slabs, one batch and the
+    results.  For m = 16 a res-192 mesh peaks at 4.8 MiB of arrays
+    (tracemalloc), and res 512 and 1024 at 27 and 109 MiB, the mesh held
+    twice while the results are joined.
 
     The half-width bbox is a real number h > 0 with 3 h^2 finite (h up to
     about 7.7e153), so no squared distance over the box overflows; anything
@@ -500,65 +513,23 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
         raise DomainError("bbox must be a positive half-width h with 3 h^2 finite")
     res = counted("resolution", resolution, 16, RES_MAX)
     axis = np.linspace(-h, h, res)
-    layers = _certified_signs(axis, profile.bubbles)
-    found = _Crossings(res * res)
-    prev_sign = prev_value = None
-    scanned = 0
-    # slab-by-slab scan in deterministic z order, evaluating the field only
-    # where the sign is not certified and keeping the values it evaluates
-    # (nan elsewhere).  A slab's signs and values are flat arrays in C order
-    # of (i, j): point (i, j) is entry f = i res + j
-    for k, z in enumerate(axis):
-        if k % _BRICKS[-1] == 0:
-            certified = next(layers).reshape(-1)
-            todo = np.flatnonzero(certified == 0)
-            ui, uj = divmod(todo, res)
-            pts = np.empty((len(todo), 3))
-            pts[:, 0], pts[:, 1] = axis[ui], axis[uj]
-            del ui, uj
-        sign = certified.copy()
-        value = np.full(res * res, np.nan)
-        if len(todo):
-            pts[:, 2] = z
-            u = profile.fn(pts)
-            value[todo] = u
-            sign[todo] = _signs(u > 0.0, u < 0.0)
-            scanned += len(todo)
-        found.add(sign[:-res] * sign[res:], value[:-res], value[res:], k, 0)
-        along_y = sign[:-1] * sign[1:]
-        # the pairs (i, res - 1), (i + 1, 0) are no edges
-        along_y[res - 1::res] = 0
-        found.add(along_y, value[:-1], value[1:], k, 1)
-        if prev_sign is not None:
-            found.add(prev_sign * sign, prev_value, value, k - 1, 2)
-        prev_sign, prev_value = sign, value
-    del layers, prev_value, value
-
-    if not found.count:
-        _log_mesh(res, scanned, 0, 0, 0, 0, 0, 0)
-        empty = np.empty((0, 3))
-        return NodalMesh(points=empty, values=np.empty(0), gradients=np.empty(0))
-
-    batches = [_refine(profile, found, axis, lo, min(lo + _BATCH, found.count))
-               for lo in range(0, found.count, _BATCH)]
-    crossings = found.count
-    del found
-    points, residual, grads, counts = zip(*batches)
-    ends_evaluated, evaluated, certified, final_evaluated, dropped = map(sum, zip(*counts))
-    _log_mesh(res, scanned, crossings, ends_evaluated, evaluated, certified,
-              final_evaluated, dropped)
-    return NodalMesh(points=np.concatenate(points), values=np.concatenate(residual),
-                     gradients=np.concatenate(grads), dropped=dropped)
-
-
-def _log_mesh(res, scanned, crossings, ends_evaluated, evaluated, certified,
-              final_evaluated, dropped) -> None:
+    # an empty part, so that a scan without crossings joins to an empty mesh
+    parts = [(np.empty((0, 3)), np.empty(0), np.empty(0), (0,) * 6)]
+    pending, scanned = [], 0
+    for k, n in enumerate(_scan(profile, axis, pending)):
+        scanned += n
+        if pending and (k == res - 1 or sum(len(f) for f, *_ in pending) >= _BATCH):
+            parts.append(_refine(profile, pending, axis))
+    points, residual, grads, counts = zip(*parts)
+    crossings, ends_evaluated, evaluated, certified, final_evaluated, dropped = map(sum, zip(*counts))
     _log.debug("nodal_mesh res %d: scan evaluated %d of %d points, %d crossings, "
                "ends evaluated %d and reused %d, halvings evaluated %d and "
                "certified %d, final values evaluated %d and reused %d, %d dropped",
                res, scanned, res ** 3, crossings, ends_evaluated,
                2 * crossings - ends_evaluated, evaluated, certified,
                final_evaluated, crossings - final_evaluated, dropped)
+    return NodalMesh(points=np.concatenate(points), values=np.concatenate(residual),
+                     gradients=np.concatenate(grads), dropped=dropped)
 
 
 def _polish_min(derivs, start: np.ndarray) -> float:

@@ -158,7 +158,8 @@ def alt_sums(n: int, x: float) -> Tuple[float, float, float]:
     """The alternating sums S_1, S_3 and S_5 (n, x), each equal to
     sum_direct(SumSpec("alt", k, n, x)), from one list of x^2 + sin^2."""
     specs = [SumSpec("alt", k, n, x) for k in (1, 3, 5)]
-    bases = _bases(n, x)
+    # the checked int and float, so that a NumPy integer x does not overflow
+    bases = _bases(specs[0].n, specs[0].x)
     return tuple(_sum_float(spec, bases) for spec in specs)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from necklace import energy
-from necklace._forms import s_alt, s_alt_135, s_hat
+from necklace._forms import s_alt_135, s_hat
 from necklace._quad import gl_panels
 from necklace.crown import (
     _BLOCK,
@@ -162,15 +162,13 @@ class TestLeadingForms:
         assert s_alt_135.cache_info().hits >= 3 * len(ds)
 
     def test_sum_caches_are_bounded(self):
-        for i in range(s_alt.cache_info().maxsize + 10):
-            s_alt(1, 8, 0.5 + i / 4096)
         for i in range(s_alt_135.cache_info().maxsize + 10):
             s_alt_135(8, 0.5 + i / 4096)
         for n in range(4, 2 * s_hat.cache_info().maxsize + 12, 2):
             s_hat(1, n)
         for i in range(_w_sums.cache_info().maxsize + 10):
             _w_sums(8, 0.9, 0.0, 1.0 + i / 4096, 0.0)
-        for cache in (s_hat, s_alt, s_alt_135, _w_sums):
+        for cache in (s_hat, s_alt_135, _w_sums):
             assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
     @pytest.mark.parametrize("K", [128, 256])

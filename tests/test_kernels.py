@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from necklace import kernels
-from necklace._forms import a_gamma_quad, s_alt, s_hat
+from necklace._forms import a_gamma_quad, s_hat
 from necklace.crown import (
     _COORD_MAX,
     ProfileHandle,
@@ -859,6 +859,11 @@ def _old_direct_fn(kind, K):
     return lambda zv, pv: f(Point3.from_array(zv), Point3.from_array(pv), K)
 
 
+def _s_alt(k, n, x):
+    """S_k(n, x), one direct alternating sum per call."""
+    return sum_direct(SumSpec("alt", k, n, x))
+
+
 def _old_kernel_grad(kind, slot, A, cfg):
     if slot not in ("z", "p"):
         raise DomainError(f"slot must be 'z' or 'p', got {slot!r}")
@@ -877,7 +882,7 @@ def _old_kernel_grad(kind, slot, A, cfg):
     else:
         closed = _old_h0e_derivs(bv, w, cfg.K)[("z", "p").index(slot)]
         d = A.d
-        s1, s3 = s_alt(1, cfg.K, d), s_alt(3, cfg.K, d)
+        s1, s3 = _s_alt(1, cfg.K, d), _s_alt(3, cfg.K, d)
         asym = A.w_abs / (4.0 * A.b_abs**2) * (-s1 + d * math.sqrt(1.0 + d * d) * s3)
     return KernelReport(direct, closed, asym)
 
@@ -903,7 +908,7 @@ def _old_kernel_hess(kind, A, cfg):
     else:
         closed = _old_h0e_derivs(bv, w, cfg.K)[2]
         d = A.d
-        s1, s3, s5 = (s_alt(k, cfg.K, d) for k in (1, 3, 5))
+        s1, s3, s5 = (_s_alt(k, cfg.K, d) for k in (1, 3, 5))
         root = d + math.sqrt(1.0 + d * d)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (
             s1 - root * root * s3 + 3.0 * (d * d + d**4) * s5)
@@ -936,7 +941,7 @@ def _old_h0e_bb(b, cfg):
     closed = _h0e_bb_closed(babs, alpha_b, cfg)
     direct = _old_h0e(b, b, cfg.K)
     d = (1.0 - babs * babs) / (2.0 * babs)
-    return KernelReport(direct, closed, s_alt(1, cfg.K, d) / (2.0 * babs))
+    return KernelReport(direct, closed, _s_alt(1, cfg.K, d) / (2.0 * babs))
 
 
 def _old_t_a(z, A, cfg):

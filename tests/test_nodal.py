@@ -277,9 +277,9 @@ def _old_mesh(profile, half, res):
 def _recording(profile, monkeypatch):
     """``profile`` with a field that records each call's point count and
     whether all its points share one z, as the grid scan's calls do, with
-    nodal_mesh's steps patched to record the marker "batch" as a batch of
-    crossings starts, "bisect" and "bisected" around its bisection and
-    "grads" before its gradient norms."""
+    nodal_mesh's steps patched to record the markers "batch" and "refined"
+    around the refinement of a batch of crossings, "bisect" and "bisected"
+    around its bisection and "grads" before its gradient norms."""
     calls = []
 
     def fn(a):
@@ -296,10 +296,27 @@ def _recording(profile, monkeypatch):
             return out
         return call
 
-    monkeypatch.setattr(nodal, "_refine", marked("batch", nodal._refine))
+    monkeypatch.setattr(nodal, "_refine", marked("batch", nodal._refine, "refined"))
     monkeypatch.setattr(nodal, "_bisect", marked("bisect", nodal._bisect, "bisected"))
     monkeypatch.setattr(nodal, "gradient_norms", marked("grads", nodal.gradient_norms))
     return replace(profile, fn=fn), calls
+
+
+def _split(calls):
+    """The positions in ``calls`` (see _recording) of the scan's calls, which
+    are the calls outside the batches, and each batch's calls and markers
+    between its "batch" and "refined"."""
+    scan, batches, inside = [], [], False
+    for i, c in enumerate(calls):
+        if c in ("batch", "refined"):
+            inside = c == "batch"
+            if inside:
+                batches.append([])
+        elif inside:
+            batches[-1].append(c)
+        else:
+            scan.append(i)
+    return scan, batches
 
 
 def _phases(calls, record):
@@ -309,18 +326,31 @@ def _phases(calls, record):
     and gradient stencils' calls.  Each phase's total over the batches is
     the DEBUG ``record``'s."""
     _, scanned, _, _, ends, _, halvings, _, finals, _, _ = record.args
-    starts = [i for i, c in enumerate(calls) if c == "batch"] + [len(calls)]
-    assert all(slab for _, slab in calls[:starts[0]])
+    at, parts = _split(calls)
+    scan = [calls[i] for i in at]
+    assert all(slab for _, slab in scan)
     batches = []
-    for lo, hi in zip(starts, starts[1:]):
-        part = calls[lo + 1:hi]
+    for part in parts:
         if "grads" not in part:
             part.append("grads")
         cuts = [-1, part.index("bisect"), part.index("bisected"), part.index("grads"), len(part)]
         batches.append([[n for n, _ in part[a + 1:b]] for a, b in zip(cuts, cuts[1:])])
     totals = [sum(sum(batch[i]) for batch in batches) for i in range(3)]
-    assert [sum(n for n, _ in calls[:starts[0]])] + totals == [scanned, ends, halvings, finals]
-    return [n for n, _ in calls[:starts[0]]], batches
+    assert [sum(n for n, _ in scan)] + totals == [scanned, ends, halvings, finals]
+    return [n for n, _ in scan], batches
+
+
+def _slabs(monkeypatch):
+    """A list to which each nodal_mesh batch appends, per chunk of its
+    crossings in order, the z slab whose scan found it and its length."""
+    slabs, refine = [], nodal._refine
+
+    def call(profile, pending, coords):
+        slabs.append([(k + (kind == 2), len(f)) for f, k, kind, _, _ in pending])
+        return refine(profile, pending, coords)
+
+    monkeypatch.setattr(nodal, "_refine", call)
+    return slabs
 
 
 def _joined(batches):
@@ -354,13 +384,21 @@ def test_halvings_evaluate_only_uncertified_moving_rows(crown16, star16, caplog,
     # The final points' values are the ones last evaluated there
     caplog.set_level(logging.DEBUG, logger="necklace.nodal")
     recording, calls = _recording(star16, monkeypatch)
+    slabs = _slabs(monkeypatch)
     mesh = nodal_mesh(crown16, recording, 2.5, 96)
     [record] = caplog.records
     scan, batches = _phases(calls, record)
     ends, halvings, finals, grads = _joined(batches)
     rows = len(mesh) + mesh.dropped
     assert record.args[3] == rows
-    assert len(batches) == -(-rows // _BATCH) > 1
+    # a batch is refined once its crossings reach _BATCH, or after the last
+    # slab, and holds every crossing of its slabs
+    sizes = [sum(n for _, n in batch) for batch in slabs]
+    assert len(batches) == len(slabs) > 1 and sum(sizes) == rows
+    assert all(size >= _BATCH for size in sizes[:-1])
+    assert all(size - sum(n for k, n in batch if k == batch[-1][0]) < _BATCH
+               for size, batch in zip(sizes, slabs))
+    assert all(a[-1][0] < b[0][0] for a, b in zip(slabs, slabs[1:]))
     assert (sum(scan), sum(ends)) == _certificate_counts(star16, 2.5, 96)
     assert (sum(ends), sum(finals)) == (32, 0)
     assert all(len(batch[0]) <= 2 for batch in batches)
@@ -368,7 +406,8 @@ def test_halvings_evaluate_only_uncertified_moving_rows(crown16, star16, caplog,
     assert record.args[8:10] == (0, rows)
     assert sum(grads) == 6 * len(mesh) and max(grads) <= 6 * (_BLOCK // 6)
     evaluated, certified = record.args[6:8]
-    assert sum(halvings) == evaluated and max(halvings) <= _BATCH
+    assert sum(halvings) == evaluated
+    assert all(max(batch[1]) <= size for batch, size in zip(batches, sizes))
     old = _old_mesh(star16, 2.5, 96)[-1]
     assert evaluated + certified == sum(old)
     assert evaluated < 0.5 * rows * len(old)
@@ -448,6 +487,19 @@ def test_mesh_is_logged(crown16, star16, caplog, monkeypatch):
     nodal_mesh(crown16, star16, 2.5, 16)
     assert caplog.records == []
     assert logging.getLogger("necklace.nodal").handlers == []
+
+
+def test_batches_are_refined_during_the_scan(crown16, star16, caplog, monkeypatch):
+    # a batch is refined as soon as the scan has found it: with batches of
+    # 1000 crossings at res 96 the first is refined before the scan's last
+    # slab, and the calls' totals are still the DEBUG record's
+    caplog.set_level(logging.DEBUG, logger="necklace.nodal")
+    monkeypatch.setattr(nodal, "_BATCH", 1000)
+    recording, calls = _recording(star16, monkeypatch)
+    nodal_mesh(crown16, recording, 2.5, 96)
+    scan, batches = _split(calls)
+    _phases(calls, caplog.records[0])
+    assert len(batches) > 1 and calls.index("batch") < scan[-1]
 
 
 #: per resolution, batch sizes with one crossing a batch, a few, a partial
