@@ -13,6 +13,7 @@ import re
 import sys
 import warnings
 from dataclasses import replace
+from itertools import chain, groupby
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -37,19 +38,20 @@ _ROWS = 2048
 
 
 def _csv_lines(rows: Iterable[Sequence[object]], formats: Dict[tuple, str]) -> str:
-    """The CSV lines of ``rows``, each ended by a newline and made by one %
-    operation: %.17g for a float, %s for anything else.  ``formats`` holds
-    the format of each tuple of value types met so far, and gains the new
+    """The CSV lines of ``rows``, each ended by a newline: %.17g for a
+    float, %s for anything else.  Each run of consecutive rows with the same
+    tuple of value types is made by one % operation, its row format
+    repeated once per row on the run's values.  ``formats`` holds the row
+    format of each tuple of value types met so far, and gains the new
     ones."""
     lines = []
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
+    for kinds, run in groupby(rows, lambda row: tuple(map(type, row))):
+        run = list(run)
         fmt = formats.get(kinds)
         if fmt is None:
             fmt = formats[kinds] = ",".join(
-                ["%.17g" if isinstance(v, float) else "%s" for v in row]) + "\n"
-        lines.append(fmt % row)
+                ["%.17g" if issubclass(t, float) else "%s" for t in kinds]) + "\n"
+        lines.append(fmt * len(run) % tuple(chain.from_iterable(run)))
     return "".join(lines)
 
 

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NearPoleWarning, counted
+from .errors import DomainError, NearPoleWarning, counted, typed
 from .geometry import Point3, rotation_matrix
 from .trigsums import csc_full_sum
 
@@ -156,6 +156,7 @@ def u_star(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
     Raises DomainError for points without a trailing axis of length 3, and
     for a non-finite coordinate or one above 1e150 in magnitude.
     """
+    typed("p", p, CrownParams)
     arr = _as_array(z)
     _check_points(arr, "u_star")
     return _u_star(arr, p)
@@ -197,36 +198,43 @@ def _u_star(arr: np.ndarray, p: CrownParams) -> Union[float, np.ndarray]:
     return float(val) if val.ndim == 0 else val
 
 
-Derivs = Tuple[float, np.ndarray, np.ndarray, np.ndarray]
+Derivs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _bubble_derivs(z: PointLike, bubbles: Bubbles) -> Derivs:
+def _bubble_derivs(z: np.ndarray, bubbles: Bubbles) -> Derivs:
     """The sum of ``bubbles``, its gradient g, its Hessian and its third
-    derivative contracted with the gradient, T[g], at one point, in closed
-    form.
+    derivative contracted with the gradient, T[g], in closed form, at each
+    point of the (k, 3) stack ``z``: arrays of shapes (k,), (k, 3),
+    (k, 3, 3) and (k, 3, 3).
 
     With r = z - x and s = c + |r|^2, each bubble A s^{-1/2} contributes
     grad -A r s^{-3/2}, Hessian -A (I s^{-3/2} - 3 r r^T s^{-5/2}) and
     T[g] = A (3 s^{-5/2} (I (r.g) + r g^T + g r^T) - 15 s^{-7/2} (r.g) r r^T).
-    """
+
+    A point's derivatives do not depend on the stack.  The products with
+    a point's own vectors, r.g and the weighted sums over the bubbles, are
+    stacked matmuls, which make per point the BLAS call of a lone point;
+    with an einsum over the stack for r.g, T[g] rounds differently."""
     zv = _as_array(z)
-    if zv.shape != (3,):
-        raise DomainError(f"_bubble_derivs takes a single point, got shape {zv.shape}")
+    if zv.ndim != 2 or zv.shape[1] != 3:
+        raise DomainError(f"_bubble_derivs takes a (k, 3) stack of points, got shape {zv.shape}")
     x, c, amp = bubbles
-    r = zv - x
-    s = c + np.einsum("ij,ij->i", r, r)
+    r = zv[:, None, :] - x
+    s = c + np.einsum("kij,kij->ki", r, r)
     a1 = amp / np.sqrt(s)
     a3 = a1 / s
     a5 = a3 / s
     a7 = a5 / s
-    grad = -(a3 @ r)
-    rr = r[:, :, None] * r[:, None, :]
-    hess = 3.0 * np.einsum("i,ijk->jk", a5, rr) - a3.sum() * _EYE
-    rg = r @ grad
-    w = a5 @ r
-    tg = (3.0 * ((a5 @ rg) * _EYE + np.outer(w, grad) + np.outer(grad, w))
-          - 15.0 * np.einsum("i,ijk->jk", a7 * rg, rr))
-    return float(a1.sum()), grad, hess, tg
+    grad = -(a3[:, None, :] @ r)[:, 0]
+    rr = r[..., :, None] * r[..., None, :]
+    hess = 3.0 * np.einsum("ki,kijl->kjl", a5, rr) - a3.sum(axis=-1)[:, None, None] * _EYE
+    rg = (r @ grad[:, :, None])[..., 0]
+    w = (a5[:, None, :] @ r)[:, 0]
+    a5rg = (a5[:, None, :] @ rg[:, :, None])[:, 0]
+    tg = (3.0 * (a5rg[:, :, None] * _EYE + w[:, :, None] * grad[:, None, :]
+                 + grad[:, :, None] * w[:, None, :])
+          - 15.0 * np.einsum("ki,kijl->kjl", a7 * rg, rr))
+    return a1.sum(axis=-1), grad, hess, tg
 
 
 @dataclass(frozen=True)
@@ -265,6 +273,7 @@ class ProfileHandle:
 
 
 def u_star_profile(p: CrownParams) -> ProfileHandle:
+    typed("p", p, CrownParams)
     return ProfileHandle(fn=lambda arr: _u_star(arr, p), bubbles=p._bubbles)
 
 
@@ -314,6 +323,7 @@ def psi_d1(z: PointLike, p: CrownParams) -> Union[float, np.ndarray]:
     unit-circle position, for points without a trailing axis of length 3,
     and for a non-finite coordinate or one above 1e150 in magnitude.
     """
+    typed("p", p, CrownParams)
     arr = _as_array(z)
     _check_points(arr, "psi_d1")
     m = p.m
@@ -343,7 +353,7 @@ class MidpointReport(NamedTuple):
 def q_mid_lower(p: CrownParams) -> MidpointReport:
     """u_star at the in-ring midpoint plus psi_d1 at the unit midpoint,
     reported alongside the asymptotic lower bound 3^{1/4} d / (2 pi log m)."""
-    m = p.m
+    m = typed("p", p, CrownParams).m
     ang = math.pi / m
     rr = p.ring_radius
     xi0 = np.array([rr * math.cos(ang), rr * math.sin(ang), 0.0])

@@ -23,8 +23,8 @@ from .crown import (
     fd_gradient,
     u_star_profile,
 )
-from .errors import AccuracyError, DomainError, real
-from .geometry import Point3, SectorConfig, _point
+from .errors import AccuracyError, DomainError, real, typed
+from .geometry import Point3, SectorConfig
 from .kernels import full_kernels
 from .nodal import radial_nodal_root
 
@@ -258,7 +258,8 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
     DEBUG record on this module's logger.
     """
     scale = real("scale", scale, positive=True)
-    xiv = _point("xi", xi).as_array()
+    typed("profile", profile, ProfileHandle)
+    xiv = typed("xi", xi, Point3).as_array()
     q0 = float(np.asarray(profile.fn(xiv)))
     if abs(q0) > 1e-8:
         raise DomainError(

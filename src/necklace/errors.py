@@ -1,4 +1,5 @@
-"""Shared exception and warning types, and the checks of counted and real inputs."""
+"""Shared exception and warning types, and the checks of counted, real and
+typed inputs."""
 import math
 import numbers
 
@@ -71,3 +72,10 @@ def real(name: str, value, positive: bool = False, owner=None) -> float:
         rule = "a finite real number > 0" if positive else "a finite real number"
         raise DomainError(f"{name} must be {rule}, got {value}")
     return x
+
+
+def typed(name: str, value, kind: type):
+    """``value``, the parameter ``name``, if it is a ``kind``; else a DomainError."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value

@@ -52,13 +52,6 @@ class Point3:
         return math.sqrt(self.z1 * self.z1 + self.z2 * self.z2 + self.z3 * self.z3)
 
 
-def _point(name: str, value) -> Point3:
-    """``value``, the parameter ``name``, if it is a Point3; else a DomainError."""
-    if not isinstance(value, Point3):
-        raise DomainError(f"{name} must be a Point3, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class SectorConfig:
     """An angular sector of opening 2*pi/K, K even, 4 <= K <= K_MAX, an int."""

@@ -16,8 +16,8 @@ import numpy as np
 
 from ._forms import a_gamma_quad, s_alt_135, s_hat
 from .crown import _COORD_MAX, ProfileHandle, _bubble_derivs, _check_points
-from .errors import AccuracyError, DomainError, UnsupportedError, real
-from .geometry import Point3, SectorConfig, _point, rotation_matrix, sector_images
+from .errors import AccuracyError, DomainError, UnsupportedError, real, typed
+from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
 from .trigsums import SumSpec, sum_direct
 
 _COINCIDENT_TOL = 1e-13
@@ -148,15 +148,17 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
     checked first, and PlacedBubble checks the others; xi and xi_hat must
     have coordinates up to _COORD_MAX, else it is a DomainError."""
     a, beta_hat = real("a", a), real("beta_hat", beta_hat)
-    xi_arr = _point("xi", xi).as_array()
+    typed("profile", profile, ProfileHandle)
+    xi_arr = typed("xi", xi, Point3).as_array()
     _check_points(xi_arr, "place_bubble")
-    g0 = _bubble_derivs(xi_arr, profile.bubbles)[1]
+    g0 = _bubble_derivs(xi_arr[None], profile.bubbles)[1][0]
     n0 = float(np.linalg.norm(g0))
     if n0 == 0.0:
         raise DomainError("profile gradient vanishes at the anchor")
     xi_hat_arr = xi_arr + a * g0 / n0
     _check_points(xi_hat_arr, "place_bubble")
-    q_hat, grad, hess, _ = _bubble_derivs(xi_hat_arr, profile.bubbles)
+    u, grad, hess, _ = _bubble_derivs(xi_hat_arr[None], profile.bubbles)
+    q_hat, grad, hess = float(u[0]), grad[0], hess[0]
     beta = math.atan2(grad[1], grad[0]) - beta_hat
     theta_star = beta - beta_hat
     rot = rotation_matrix(beta)
@@ -197,14 +199,15 @@ def gamma_direct(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """1/|zbar e^{2i t0} - p| - sum_{j=1}^{K/2-1} (1/|z e^{4ij t0} - p|
     - 1/|zbar e^{(4j+2)i t0} - p|): the image-interaction kernel, for |z|
     and |p| up to _COORD_MAX."""
-    if max(_point("z", z).norm(), _point("p", p).norm()) > _COORD_MAX:
+    typed("cfg", cfg, SectorConfig)
+    if max(typed("z", z, Point3).norm(), typed("p", p, Point3).norm()) > _COORD_MAX:
         raise DomainError(f"gamma takes |z| and |p| up to {_COORD_MAX:g}")
     return _direct("gamma", z.as_array()[None], p.as_array()[None], cfg.K)[0]
 
 
 def _in_plane(b: Point3) -> Tuple[float, float]:
     """|b| and arg b of a point of the z1 z2 plane."""
-    if abs(_point("b", b).z3) > 1e-12:
+    if abs(typed("b", b, Point3).z3) > 1e-12:
         raise DomainError("b must lie in the z1 z2 plane")
     return math.hypot(b.z1, b.z2), math.atan2(b.z2, b.z1)
 
@@ -233,6 +236,7 @@ def _gamma_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
 def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     """Diagonal value gamma(b, b) with its exact cosecant resummation and the
     alpha_b = 0 asymptotic Shat_1(K)/(2|b|)."""
+    typed("cfg", cfg, SectorConfig)
     babs, alpha_b = _in_plane(b)
     closed = _gamma_bb_closed(babs, alpha_b, cfg)
     direct = gamma_direct(b, b, cfg)
@@ -264,7 +268,8 @@ def h0e(z: Point3, p: Point3, cfg: SectorConfig) -> float:
     """The alternating extension in its first slot of
     h0(z, p) = (1 - 2 z.p + |z|^2 |p|^2)^{-1/2}, for |z|, |p| and |z||p| up
     to _COORD_MAX."""
-    nz, npn = _point("z", z).norm(), _point("p", p).norm()
+    typed("cfg", cfg, SectorConfig)
+    nz, npn = typed("z", z, Point3).norm(), typed("p", p, Point3).norm()
     if max(nz, npn, nz * npn) > _COORD_MAX:
         raise DomainError(f"h0e takes |z|, |p| and |z||p| up to {_COORD_MAX:g}")
     return _direct("h0e", z.as_array()[None], p.as_array()[None], cfg.K)[0]
@@ -287,6 +292,7 @@ def _h0e_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
 def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     """Diagonal value h0e(b, b) with its exact shifted-sum closed form and the
     alpha_b = 0 asymptotic S_1(K, d)/(2|b|), d = (1 - |b|^2)/(2|b|)."""
+    typed("cfg", cfg, SectorConfig)
     babs, alpha_b = _in_plane(b)
     closed = _h0e_bb_closed(babs, alpha_b, cfg)
     direct = h0e(b, b, cfg)
@@ -407,6 +413,8 @@ def kernel_grad(kind: str, slot: str, A: PlacedBubble,
         raise DomainError(f"slot must be 'z' or 'p', got {slot!r}")
     if kind not in ("gamma", "h0e"):
         raise DomainError(f"unknown kernel kind {kind!r}")
+    typed("A", A, PlacedBubble)
+    typed("cfg", cfg, SectorConfig)
     _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
     bv, _, what = A._arrays[:3]
     pair = np.array([bv + _GRAD_STEP * what, bv - _GRAD_STEP * what])
@@ -429,6 +437,8 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     (kernel_grad's _w_sums, cached for 256 (K, b, w)) vs the ring asymptotic."""
     if kind not in ("gamma", "h0e"):
         raise DomainError(f"unknown kernel kind {kind!r}")
+    typed("A", A, PlacedBubble)
+    typed("cfg", cfg, SectorConfig)
     _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
     closed = _exact(kind, cfg.K, A.b_abs, A.alpha_b, A.w_abs, A.alpha_w)[2]
     if kind == "gamma":
@@ -468,10 +478,12 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     q(eps R_beta r/|r|^2 + xi_hat) is one call of the profile that
     place_bubble attached, and b, w, R_beta, xi_hat are A's cached arrays.
     |z| is at most _T_A_MAX."""
+    typed("A", A, PlacedBubble)
+    typed("cfg", cfg, SectorConfig)
     if A.profile is None or A.xi_hat is None:
         raise UnsupportedError("t_a needs a bubble from place_bubble, "
                                "with its profile and xi_hat")
-    if _point("z", z).norm() > _T_A_MAX:
+    if typed("z", z, Point3).norm() > _T_A_MAX:
         raise DomainError(f"t_a takes |z| up to {_T_A_MAX:g}")
     mats, signs = sector_images(cfg.K)
     mats, signs = mats[1:], -signs[1:]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .crown import (_BLOCK, CrownParams, ProfileHandle, _as_array,
                     _bubble_derivs, _check_points, _fd_gradient, _sq_norm)
-from .errors import DomainError, NotFoundError, counted, real
+from .errors import DomainError, NotFoundError, counted, real, typed
 from .geometry import Point3
 
 _log = logging.getLogger(__name__)
@@ -80,7 +80,8 @@ def radial_nodal_root(p: CrownParams, profile: ProfileHandle, j: int,
     """The first sign-change radius t of profile(xi_j + t * direction) inside
     the bracket [1e-3/m, 0.5], refined by bisection to 1e-12, for an integer
     0 <= j < m and a nonzero in-plane direction with coordinates up to 1e150."""
-    j = counted("j", j, 0, p.m - 1)
+    typed("profile", profile, ProfileHandle)
+    j = counted("j", j, 0, typed("p", p, CrownParams).m - 1)
     d = _as_array(direction)
     _check_points(d, "radial_nodal_root")
     norm = float(np.linalg.norm(d))
@@ -139,7 +140,12 @@ def _certified_signs(axis, bubbles, sizes=_BRICKS):
     the field from below and above.  Each layer of sizes[0] slabs is
     certified coarse to fine: every brick of sizes[0]^3 points is bounded,
     then each brick left open is split into the bricks of the next size,
-    which divides it, and only those are bounded, _CHUNK bricks at a time."""
+    which divides it, and only those are bounded, _CHUNK bricks at a time.
+    The z + x parts of the distance sums are formed once per layer and
+    size.  A brick's lower bound is taken first, and its upper bound only
+    where the lower one does not certify it positive: the lower bound is at
+    most the upper one, so no brick certified positive could have been
+    certified negative."""
     centres, c, amp = bubbles
     n = len(axis)
     levels = []
@@ -156,12 +162,22 @@ def _certified_signs(axis, bubbles, sizes=_BRICKS):
                 brick = brick.repeat(r, 0)[:nz].repeat(r, 1)[:, :nb].repeat(r, 2)[:, :, :nb]
                 parent = size
             at = np.nonzero(brick == 0)
+            if not len(at[0]):
+                continue
+            # the (z brick, x brick, bubble) sums of the layer's bounds
+            zs = slice(z0 // size, z0 // size + len(brick))
+            zx_lo = lower[0][zs, None] + lower[1]
+            zx_hi = upper[0][zs, None] + upper[1]
             for lo in range(0, len(at[0]), _CHUNK):
                 z, x, y = (v[lo:lo + _CHUNK] for v in at)
-                zk = z + z0 // size
-                low = np.power(lower[0][zk] + lower[1][x] + lower[2][y], -0.5) @ amp
-                high = np.power(upper[0][zk] + upper[1][x] + upper[2][y], -0.5) @ amp
-                brick[z, x, y] = _signs(low > _SIGN_MARGIN, high < -_SIGN_MARGIN)
+                low = np.power(zx_lo[z, x] + lower[2][y], -0.5) @ amp
+                positive = low > _SIGN_MARGIN
+                brick[z, x, y] = positive.view(np.int8)
+                rest = np.flatnonzero(~positive)
+                if len(rest):
+                    z, x, y = z[rest], x[rest], y[rest]
+                    high = np.power(zx_hi[z, x] + upper[2][y], -0.5) @ amp
+                    brick[z, x, y] = -(high < -_SIGN_MARGIN).view(np.int8)
         for layer in brick:
             yield layer.repeat(parent, 0).repeat(parent, 1)[:n, :n]
 
@@ -508,6 +524,7 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
     evaluated and reused, and the crossings dropped.
 
     An empty result is returned as an empty mesh, not an error."""
+    typed("profile", profile, ProfileHandle)
     h = real("bbox", bbox, positive=True)
     if not math.isfinite(3.0 * h * h):
         raise DomainError("bbox must be a positive half-width h with 3 h^2 finite")
@@ -532,48 +549,90 @@ def nodal_mesh(p: CrownParams, profile: ProfileHandle, bbox: float,
                      gradients=np.concatenate(grads), dropped=dropped)
 
 
-def _polish_min(derivs, start: np.ndarray) -> float:
-    """Minimize |grad u| constrained to u = 0 from a mesh candidate: Newton's
-    method on the KKT system of min |g|^2 / 2 subject to u = 0,
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of the (k, 3) stack ``a`` with the same
+    row of ``b``: a stacked matmul, which makes per row the BLAS call of
+    np.dot on the lone rows, where a sum over the stack rounds differently."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _polish(derivs, starts: np.ndarray) -> np.ndarray:
+    """Minimize |grad u| constrained to u = 0 from each row of the (k, 3)
+    ``starts``: Newton's method on the KKT system of min |g|^2 / 2 subject
+    to u = 0,
 
         [H g - lam g; u] = 0,  Jacobian [[T[g] + H^2 - lam H, -g]; [g^T, 0]],
 
-    with u, g, H and T[g] from ``derivs(z)`` (see ``_bubble_derivs``).  Once
-    a step is at most 1e-12 max(1, |z|) it takes one more step, which brings
-    z to round-off, and returns |g| there.  A start that does not get there
-    within _NEWTON_ITERS steps, or ends with |u| > 1e-6, gives inf."""
-    z = np.array(start, dtype=float)
+    with u, g, H and T[g] from ``derivs`` of a stack of points (see
+    ``_bubble_derivs``).  Once a start's step is at most 1e-12 max(1, |z|)
+    it takes one more step, which brings z to round-off, and its value is
+    |g| there.  A start whose Jacobian is singular, that does not get there
+    within _NEWTON_ITERS steps, or that ends with |u| > 1e-6, gives inf.
+
+    The live starts share one derivs call and one solve per step, and leave
+    the stack as they finish.  Each start takes the steps of a lone polish,
+    to the bit: the products of its own vectors and matrices (H g, H^2,
+    g^T H g and the step and point norms) are stacked matmuls, which make
+    per start the BLAS call of the lone product.  A singular Jacobian fails
+    the stack's solve, which is then made start by start."""
+    z = np.array(starts, dtype=float)
+    best = np.full(len(z), math.inf)
+    live = np.arange(len(z))
     u, g, hess, tg = derivs(z)
-    lam = float(g @ hess @ g) / float(g @ g)
-    jac = np.zeros((4, 4))
-    converged = False
+    lam = _dot(g, (g[:, None, :] @ hess)[:, 0]) / _dot(g, g)
+    converged = np.zeros(len(z), dtype=bool)
     for _ in range(_NEWTON_ITERS):
-        hg = hess @ g
-        jac[:3, :3] = tg + hess @ hess - lam * hess
-        jac[:3, 3] = -g
-        jac[3, :3] = g
-        try:
-            step = np.linalg.solve(jac, -np.append(hg - lam * g, u))
-        except np.linalg.LinAlgError:
+        if not len(z):
             break
-        z += step[:3]
-        lam += float(step[3])
+        jac = np.zeros((len(z), 4, 4))
+        jac[:, :3, :3] = tg + hess @ hess - lam[:, None, None] * hess
+        jac[:, :3, 3] = -g
+        jac[:, 3, :3] = g
+        rhs = np.empty((len(z), 4, 1))
+        rhs[:, :3, 0] = -((hess @ g[:, :, None])[..., 0] - lam[:, None] * g)
+        rhs[:, 3, 0] = -u
+        try:
+            step = np.linalg.solve(jac, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            step, solved = np.zeros((len(z), 4)), np.ones(len(z), dtype=bool)
+            for i in range(len(z)):
+                try:
+                    step[i] = np.linalg.solve(jac[i], rhs[i])[:, 0]
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+            live, z, lam, converged, step = (
+                v[solved] for v in (live, z, lam, converged, step))
+        z += step[:, :3]
+        lam += step[:, 3]
         u, g, hess, tg = derivs(z)
-        if converged:
-            return float(np.linalg.norm(g)) if abs(u) <= 1e-6 else math.inf
-        converged = np.linalg.norm(step[:3]) <= 1e-12 * max(1.0, np.linalg.norm(z))
-    return math.inf
+        # the starts that converged a step ago are done
+        done = converged
+        best[live[done]] = np.where(np.abs(u[done]) <= 1e-6,
+                                    np.sqrt(_dot(g[done], g[done])), math.inf)
+        dz = step[:, :3]
+        converged = (np.sqrt(_dot(dz, dz))
+                     <= 1e-12 * np.maximum(1.0, np.sqrt(_dot(z, z))))
+        if done.any():
+            live, z, lam, converged, u, g, hess, tg = (
+                v[~done] for v in (live, z, lam, converged, u, g, hess, tg))
+    return best
 
 
 def gradient_min_on_nodal(mesh: NodalMesh, profile: ProfileHandle) -> float:
     """Minimum of |grad u| over the extracted zero set.
 
     The raw grid minimum is polished by a surface-constrained local
-    minimization from the lowest-gradient candidates, which makes the result
-    independent of the grid resolution.  The polish takes the closed-form
-    derivatives of the profile's bubbles."""
-    if len(mesh) == 0:
+    minimization from the _POLISH_CANDIDATES lowest-gradient mesh points,
+    all at once (see ``_polish``), which makes the result independent of
+    the grid resolution.  The polish takes the closed-form derivatives of
+    the profile's bubbles at the stack of live starts; each start's value
+    is the bits of polishing it alone.
+
+    A mesh that is no NodalMesh, a profile that is no ProfileHandle and an
+    empty mesh are DomainErrors."""
+    typed("profile", profile, ProfileHandle)
+    if len(typed("mesh", mesh, NodalMesh)) == 0:
         raise DomainError("empty mesh has no gradient minimum")
-    derivs = lambda z: _bubble_derivs(z, profile.bubbles)
     starts = mesh.points[np.argsort(mesh.gradients)[:_POLISH_CANDIDATES]]
-    return min([float(np.min(mesh.gradients))] + [_polish_min(derivs, z) for z in starts])
+    polished = _polish(lambda z: _bubble_derivs(z, profile.bubbles), starts)
+    return min([float(np.min(mesh.gradients))] + polished.tolist())

@@ -28,7 +28,7 @@ from mpmath.libmp import from_rational, mpf_cos_sin, mpf_shift, round_nearest, t
 
 from ._quad import gl_panels
 from .errors import (AccuracyError, DomainError, RegimeWarning, UnsupportedError,
-                     counted, real)
+                     counted, real, typed)
 
 # Alternating sums are exponentially small in n*x while their terms are O(1);
 # below this cancellation level the float pathway is recomputed in exact
@@ -394,7 +394,10 @@ _CSC_LEADING = {
 
 def csc_asym(variant: str, k: int, n: int) -> float:
     """Leading term of the pure cosecant sums (x = 0) for the four supported
-    (variant, k) pairs; n is even, 4 <= n <= N_MAX (an int or a NumPy integer)."""
+    (variant, k) pairs; n is even, 4 <= n <= N_MAX (an int or a NumPy integer).
+    A variant that is no str is a DomainError, one without a leading
+    constant an UnsupportedError."""
+    typed("variant", variant, str)
     k, n = counted("k", k, 1, 5), counted("n", n, 4, N_MAX, parity=0)
     try:
         fn = _CSC_LEADING[(variant, k)]

@@ -670,15 +670,62 @@ _CSV_VALUE = st.one_of(
 @given(st.floats(allow_subnormal=True) | st.floats().map(np.float64),
        st.lists(_CSV_VALUE, min_size=1, max_size=6))
 def test_csv_line_matches_per_value_format(value, row):
-    # one % per row gives "{:.17g}" for each float (np.float64 included) and
-    # str for anything else, joined by commas, also where the format of an
-    # earlier row's types is reused
+    # one % per run of rows gives "{:.17g}" for each float (np.float64
+    # included) and str for anything else, joined by commas, also where the
+    # format of an earlier row's types is reused
     expect = [",".join("{:.17g}".format(v) if isinstance(v, float) else str(v) for v in r)
               + "\n" for r in ([value], row, [value], row)]
     formats = {}
     assert cli._csv_lines([[value], row], formats) == "".join(expect[:2])
     assert cli._csv_lines([[value], row], formats) == "".join(expect[2:])
     assert cli._csv_lines([], formats) == ""
+
+
+def _csv_lines_per_row(rows, formats):
+    """The CSV lines of ``rows`` made by one % per row, as the package first
+    made them: the oracle of _csv_lines."""
+    lines = []
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                ["%.17g" if isinstance(v, float) else "%s" for v in row]) + "\n"
+        lines.append(fmt % row)
+    return "".join(lines)
+
+
+#: rows of one of four type signatures: floats only, and mixes of str, int,
+#: bool, None and np.float64
+_CSV_ROW = st.one_of(
+    st.lists(st.floats(allow_subnormal=True), min_size=5, max_size=5),
+    st.tuples(st.text(max_size=4), st.integers(), st.floats().map(np.float64), st.booleans()),
+    st.tuples(st.integers(), st.none(), st.floats()),
+    st.tuples(st.booleans(), st.floats().map(np.float64)),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(_CSV_ROW, max_size=12), max_size=4))
+def test_csv_runs_match_per_row_format(batches):
+    # batches of float-only rows, mixed rows and alternating signatures, or
+    # empty: one % per run gives the bytes and the formats of one % per row
+    formats, want = {}, {}
+    for rows in batches:
+        assert cli._csv_lines(rows, formats) == _csv_lines_per_row(rows, want)
+    assert formats == want
+
+
+@pytest.mark.parametrize("rows", [
+    [], [[0.1, -2.5e-300, math.inf]] * 3,
+    [("a", 1, np.float64(0.5), True), ("b", -2, np.float64(-0.0), False)],
+    [(1.5, 2), ("x", 2), (1.5, 3), (1.5, 4), (True, None)],
+], ids=["empty", "floats", "mixed", "alternating"])
+def test_csv_runs_examples(rows):
+    formats, want = {}, {}
+    assert cli._csv_lines(rows, formats) == _csv_lines_per_row(rows, want)
+    assert formats == want
 
 
 def _table_at_once(columns, rows):

@@ -30,7 +30,7 @@ from necklace.errors import DomainError, NearPoleWarning
 from necklace.geometry import Point3
 from necklace.trigsums import csc_full_sum
 
-from conftest import talenti_profile
+from conftest import bubble_derivs_one, talenti_profile
 
 
 @pytest.fixture(scope="module")
@@ -362,10 +362,15 @@ def _derivs_points(p):
     return [np.zeros(3)] + near + list(rng.uniform(-2.0, 2.0, (8, 3)))
 
 
+def _derivs_at(z, bubbles):
+    """_bubble_derivs at the one point z, as a stack of one."""
+    return tuple(v[0] for v in _bubble_derivs(np.asarray(z)[None], bubbles))
+
+
 class TestUStarDerivs:
     def test_against_mpmath(self, crown16):
         for z in _derivs_points(crown16):
-            u, g, hess, tg = _bubble_derivs(z, crown16._bubbles)
+            u, g, hess, tg = _derivs_at(z, crown16._bubbles)
             u_ref, g_ref, hess_ref, tg_ref = _derivs_mp(z, crown16)
             # grad u vanishes at the origin by symmetry; the scale there is 1
             scale = max(np.linalg.norm(g_ref), 1.0)
@@ -378,18 +383,18 @@ class TestUStarDerivs:
         centers = crown16.centers_array()
         # T[g] = |g| T[g/|g|]; the origin, where g = 0, is left out
         for z in _derivs_points(crown16)[1:]:
-            _, g, _, tg = _bubble_derivs(z, crown16._bubbles)
+            _, g, _, tg = _derivs_at(z, crown16._bubbles)
             gnorm = np.linalg.norm(g)
             v = g / gnorm
             h = 1e-4 * min(1.0, np.min(np.linalg.norm(z - centers, axis=1)))
-            diff = (_bubble_derivs(z + h * v, crown16._bubbles)[2]
-                    - _bubble_derivs(z - h * v, crown16._bubbles)[2]) * (gnorm / (2.0 * h))
+            diff = (_derivs_at(z + h * v, crown16._bubbles)[2]
+                    - _derivs_at(z - h * v, crown16._bubbles)[2]) * (gnorm / (2.0 * h))
             assert np.abs(diff - tg).max() <= 1e-6 * max(np.abs(tg).max(), gnorm)
 
     def test_against_finite_differences(self, crown16):
         prof = u_star_profile(crown16)
         for z in _points((12, 3), seed=34):
-            u, g, hess, _ = _bubble_derivs(z, crown16._bubbles)
+            u, g, hess, _ = _derivs_at(z, crown16._bubbles)
             assert u == pytest.approx(u_star(z, crown16), abs=1e-14)
             # the central differences' round-off floors: eps/h at h = 1e-6
             # for the gradient, eps/h^2 at h = 1e-4 for the Hessian
@@ -398,14 +403,30 @@ class TestUStarDerivs:
             assert np.abs(fd_h - hess).max() <= 1e-6 * max(np.abs(hess).max(), 1.0)
 
     def test_second_and_third_derivatives_are_symmetric(self, crown16):
-        _, _, hess, tg = _bubble_derivs(np.array([0.5, 0.2, -0.1]), crown16._bubbles)
+        _, _, hess, tg = _derivs_at(np.array([0.5, 0.2, -0.1]), crown16._bubbles)
         assert np.array_equal(hess, hess.T)
         assert np.array_equal(tg, tg.T)
 
-    @pytest.mark.parametrize("shape", [(2,), (1, 3), (17, 3)])
-    def test_rejects_anything_but_one_point(self, crown16, shape):
+    @pytest.mark.parametrize("shape", [(3,), (2,), (4, 2), (2, 4, 3)])
+    def test_rejects_anything_but_a_stack_of_points(self, crown16, shape):
         with pytest.raises(DomainError):
             _bubble_derivs(np.zeros(shape), crown16._bubbles)
+
+    def test_stack_gives_each_point_its_single_point_bits(self, crown16):
+        # stacks of 1 to 30 points, near the ring and anywhere in the box:
+        # every row's u, g, H and T[g] are those of the single-point oracle
+        rng = np.random.default_rng(36)
+        points = np.array(_derivs_points(crown16) + list(_points((200, 3), seed=37)))
+        for bubbles in (crown16._bubbles, talenti_profile().bubbles):
+            for lo in range(0, len(points), 30):
+                stack = points[lo:lo + rng.integers(1, 31)]
+                got = _bubble_derivs(stack, bubbles)
+                assert [v.shape for v in got] == [(len(stack),) + s
+                                                  for s in ((), (3,), (3, 3), (3, 3))]
+                for i, z in enumerate(stack):
+                    want = bubble_derivs_one(z, bubbles)
+                    assert all(np.array_equal(g[i], w) for g, w in zip(got, want))
+        assert all(v.shape[0] == 0 for v in _bubble_derivs(np.empty((0, 3)), crown16._bubbles))
 
     def test_profile_carries_derivs(self, crown16):
         # a profile's derivatives are those of its bubbles, the only field
@@ -413,7 +434,7 @@ class TestUStarDerivs:
         assert [f.name for f in dataclasses.fields(ProfileHandle)] == ["fn", "bubbles"]
         assert u_star_profile(crown16).bubbles is crown16._bubbles
         for z in _points((6, 3), seed=35):
-            u, g, _, _ = _bubble_derivs(z, talenti_profile().bubbles)
+            u, g, _, _ = _derivs_at(z, talenti_profile().bubbles)
             assert u == pytest.approx(u_bubble(z), rel=1e-15)
             assert np.allclose(g, -u_bubble(z) ** 3 / np.sqrt(3.0) * z, rtol=1e-14, atol=0.0)
         assert not any(a.flags.writeable for a in crown16._bubbles)

@@ -1,7 +1,7 @@
-"""The two input checks, counted and real, and every entry point that states
-its parameters through them: any value either passes the check or is a
-DomainError, never a TypeError, OverflowError or IndexError, and a NumPy
-integer acts as the equal int."""
+"""The input checks, counted, real and typed, and every entry point that
+states its parameters through them: any value either passes the check or is
+a DomainError, never a TypeError, OverflowError, IndexError or
+AttributeError, and a NumPy integer acts as the equal int."""
 import math
 import warnings
 
@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import necklace
-from necklace.crown import CrownParams, ProfileHandle, build_crown, u_star, u_star_profile
+from necklace.crown import (CrownParams, ProfileHandle, build_crown, psi_d1, q_mid_lower,
+                           u_star, u_star_profile)
 from necklace.energy import ReducedConfig, ReducedPoint, a_gamma, c0, c2, c_star
-from necklace.errors import AccuracyError, DomainError, UnsupportedError, counted, real
+from necklace.errors import AccuracyError, DomainError, UnsupportedError, counted, real, typed
 from necklace.geometry import K_MAX, Point3, SectorConfig
 from necklace.kernels import (PlacedBubble, _check_w_sums, full_kernels, gamma_bb,
-                              gamma_direct, h0e, h0e_bb, place_bubble, t_a)
-from necklace.nodal import nodal_mesh, radial_nodal_root
+                              gamma_direct, h0e, h0e_bb, kernel_grad, kernel_hess,
+                              place_bubble, t_a)
+from necklace.nodal import NodalMesh, gradient_min_on_nodal, nodal_mesh, radial_nodal_root
 from necklace.trigsums import (N_MAX, SumSpec, csc_asym, csc_full_sum, s1_contour, s_asym,
                                sum_direct)
 
@@ -104,11 +106,45 @@ REAL = {
        for f in ("eps", "a", "b_abs", "alpha_b", "beta_hat")},
 }
 
+_XI = _PARAMS.xi[0]
+_MESH = nodal_mesh(_PARAMS, _PROFILE, 2.5, 16)
+_PLACED = place_bubble(1e-4, 0.0, 0.97, 0.01, 0.02, _PROFILE, _XI)
+_IN_PLANE = Point3(0.9, 0.0, 0.0)
+#: each parameter that takes an instance of one type, as (the type, a call
+#: of the value)
+TYPED = {
+    "gradient_min_on_nodal.mesh": (NodalMesh, lambda v: gradient_min_on_nodal(v, _PROFILE)),
+    "gradient_min_on_nodal.profile": (ProfileHandle, lambda v: gradient_min_on_nodal(_MESH, v)),
+    "nodal_mesh.profile": (ProfileHandle, lambda v: nodal_mesh(_PARAMS, v, 2.5, 16)),
+    "radial_nodal_root.p": (CrownParams,
+                            lambda v: radial_nodal_root(v, _STOP, 0, (1.0, 0.0, 0.0))),
+    "radial_nodal_root.profile": (ProfileHandle,
+                                  lambda v: radial_nodal_root(_PARAMS, v, 0, (1.0, 0.0, 0.0))),
+    "c_star.profile": (ProfileHandle, lambda v: c_star(v, _XI)),
+    "place_bubble.profile": (ProfileHandle,
+                             lambda v: place_bubble(1e-4, 0.0, 0.97, 0.01, 0.02, v, _XI)),
+    "u_star.p": (CrownParams, lambda v: u_star(np.zeros((2, 3)), v)),
+    "psi_d1.p": (CrownParams, lambda v: psi_d1(np.full((2, 3), 0.3), v)),
+    "q_mid_lower.p": (CrownParams, q_mid_lower),
+    "u_star_profile.p": (CrownParams, u_star_profile),
+    "gamma_bb.cfg": (SectorConfig, lambda v: gamma_bb(_IN_PLANE, v)),
+    "h0e_bb.cfg": (SectorConfig, lambda v: h0e_bb(_IN_PLANE, v)),
+    "gamma_direct.cfg": (SectorConfig, lambda v: gamma_direct(_IN_PLANE, _IN_PLANE, v)),
+    "h0e.cfg": (SectorConfig, lambda v: h0e(_IN_PLANE, _IN_PLANE, v)),
+    "t_a.A": (PlacedBubble, lambda v: t_a(_IN_PLANE, v, SectorConfig(8))),
+    "t_a.cfg": (SectorConfig, lambda v: t_a(_IN_PLANE, _PLACED, v)),
+    "kernel_grad.A": (PlacedBubble, lambda v: kernel_grad("gamma", "z", v, SectorConfig(8))),
+    "kernel_grad.cfg": (SectorConfig, lambda v: kernel_grad("gamma", "z", _PLACED, v)),
+    "kernel_hess.A": (PlacedBubble, lambda v: kernel_hess("gamma", v, SectorConfig(8))),
+    "kernel_hess.cfg": (SectorConfig, lambda v: kernel_hess("gamma", _PLACED, v)),
+    "csc_asym.variant": (str, lambda v: csc_asym(v, 1, 8)),
+}
+
 _NOT_A_NUMBER = "takes no counted or real parameter"
 _POINTS = "takes points, which _as_array checks (test_rejected_calls)"
 _RECORD = "a result record that the package builds, with unchecked fields"
-#: per public callable of necklace, the rows above that state its counted
-#: and real parameters, or why it has none
+#: per public callable of necklace, the rows above that state its counted,
+#: real and typed parameters, or why it has none
 EXPORTS = {
     **{name: "an exception or warning class" for name in (
         "AccuracyError", "DomainError", "NearPoleWarning", "NotFoundError",
@@ -116,7 +152,7 @@ EXPORTS = {
     "Point3": ("Point3.z1", "Point3.z2", "Point3.z3"),
     "SectorConfig": ("SectorConfig.K",),
     "SumSpec": ("SumSpec.k", "SumSpec.n", "SumSpec.x"),
-    "csc_asym": ("csc_asym.k", "csc_asym.n"),
+    "csc_asym": ("csc_asym.k", "csc_asym.n", "csc_asym.variant"),
     "csc_full_sum": ("csc_full_sum.m",),
     "s1_contour": ("s1_contour.n", "s1_contour.x"),
     "s_asym": ("s_asym.k", "s_asym.n", "s_asym.x"),
@@ -124,26 +160,25 @@ EXPORTS = {
     "CrownParams": ("CrownParams.m",),
     "ProfileHandle": "takes a field and its bubble arrays (tests/test_crown.py)",
     "build_crown": ("build_crown.m",),
-    "psi_d1": _POINTS,
+    "psi_d1": ("psi_d1.p",),
     "psi_d11": _POINTS,
     "u_bubble": _POINTS,
-    "u_star": _POINTS,
-    "q_mid_lower": "takes a CrownParams, " + _NOT_A_NUMBER,
-    "u_star_profile": "takes a CrownParams, " + _NOT_A_NUMBER,
+    "u_star": ("u_star.p",),
+    "q_mid_lower": ("q_mid_lower.p",),
+    "u_star_profile": ("u_star_profile.p",),
     "NodalMesh": _RECORD,
-    "gradient_min_on_nodal": "takes a mesh and a profile, " + _NOT_A_NUMBER,
-    "nodal_mesh": ("nodal_mesh.resolution", "nodal_mesh.bbox"),
-    "radial_nodal_root": ("radial_nodal_root.j",),
+    "gradient_min_on_nodal": ("gradient_min_on_nodal.mesh", "gradient_min_on_nodal.profile"),
+    "nodal_mesh": ("nodal_mesh.resolution", "nodal_mesh.bbox", "nodal_mesh.profile"),
+    "radial_nodal_root": ("radial_nodal_root.j", "radial_nodal_root.p",
+                          "radial_nodal_root.profile"),
     "KernelReport": _RECORD,
     "PlacedBubble": tuple(f"PlacedBubble.{f}" for f in (
         "eps", "a", "q_hat", "w_abs", "alpha_w", "b_abs", "alpha_b", "beta_hat",
         "theta_star")),
-    **{name: "takes Point3s and a SectorConfig, " + _NOT_A_NUMBER for name in (
-        "gamma_bb", "gamma_direct", "h0e", "h0e_bb")},
-    **{name: "takes a PlacedBubble and a SectorConfig, " + _NOT_A_NUMBER for name in (
-        "kernel_grad", "kernel_hess", "t_a")},
+    **{name: (f"{name}.cfg",) for name in ("gamma_bb", "gamma_direct", "h0e", "h0e_bb")},
+    **{name: (f"{name}.A", f"{name}.cfg") for name in ("kernel_grad", "kernel_hess", "t_a")},
     "place_bubble": tuple(f"place_bubble.{f}" for f in (
-        "eps", "a", "b_abs", "alpha_b", "beta_hat")),
+        "eps", "a", "b_abs", "alpha_b", "beta_hat", "profile")),
     "ReducedConfig": tuple(f"ReducedConfig.{f}" for f in (
         "K", "lam", "gnorm", "cstar", "delta")),
     "ReducedPoint": tuple(f"ReducedPoint.{f}" for f in (
@@ -151,7 +186,7 @@ EXPORTS = {
     "a_gamma": ("a_gamma.K",),
     "c0": ("c0.K", "c0.d"),
     "c2": ("c2.K", "c2.d"),
-    "c_star": ("c_star.scale",),
+    "c_star": ("c_star.scale", "c_star.profile"),
     "minimize_psi": "takes a ReducedConfig and a mode, " + _NOT_A_NUMBER,
     **{name: "takes a ReducedPoint and a ReducedConfig, " + _NOT_A_NUMBER for name in (
         "psi_full", "psi_leading")},
@@ -205,12 +240,13 @@ def _admissible(site, v):
 
 def test_every_export_has_an_entry():
     # a new public callable of necklace fails here until EXPORTS names the
-    # rows that check its counted and real parameters, or why it has none
+    # rows that check its counted, real and typed parameters, or why it has
+    # none
     public = {name for name in dir(necklace)
               if not name.startswith("_") and callable(getattr(necklace, name))}
     assert set(EXPORTS) == public
     for name, entry in EXPORTS.items():
-        rows = {row for row in [*COUNTED, *REAL] if row.split(".")[0] == name}
+        rows = {row for row in [*COUNTED, *REAL, *TYPED] if row.split(".")[0] == name}
         if isinstance(entry, tuple):
             assert set(entry) == rows and len(entry) == len(rows), name
         else:
@@ -228,6 +264,30 @@ def test_every_site_returns_or_raises_domain_error(site, v):
     if isinstance(v, np.integer):
         # the same bits, error or admitted state as the equal int
         assert got == _outcome(call, int(v))
+
+
+#: values of many types, one of each kind that a typed parameter takes
+_OBJECTS = [None, 64, 1.5, True, "gamma", [], (0.5, 0.0, 0.0), {}, np.zeros(3),
+            Point3(0.5, 0.0, 0.0), _PARAMS, _PROFILE, _MESH, _PLACED, SectorConfig(8), _reach]
+
+
+@pytest.mark.parametrize("site", TYPED)
+def test_typed_parameters_take_only_their_type(site):
+    # a value that is no instance of the parameter's type is a DomainError,
+    # with no RuntimeWarning, where these calls raised TypeError or
+    # AttributeError
+    kind, call = TYPED[site]
+    for v in _OBJECTS:
+        if not isinstance(v, kind):
+            got = _outcome(call, v)
+            assert got[0] == "domain" and f"must be a {kind.__name__}" in got[1], (v, got)
+
+
+def test_typed():
+    x = Point3(0.5, 0.0, 0.0)
+    assert typed("z", x, Point3) is x
+    with pytest.raises(DomainError, match=r"^cfg must be a SectorConfig, got 64$"):
+        typed("cfg", 64, SectorConfig)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,4 +1,5 @@
 import logging
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -30,14 +31,14 @@ from necklace.nodal import (
     _certified_signs,
     _certify,
     _edge_bounds,
-    _polish_min,
+    _polish,
     gradient_min_on_nodal,
     gradient_norms,
     nodal_mesh,
     radial_nodal_root,
 )
 
-from conftest import talenti_profile
+from conftest import bubble_derivs_one, talenti_profile
 
 
 @pytest.fixture(scope="module")
@@ -635,6 +636,36 @@ class TestCertifiedHalvings:
         assert worst < Fraction(5, 2) * Fraction(2.0 ** -53)
 
 
+def _certified_signs_two_bounds(axis, bubbles, sizes=_BRICKS):
+    """The certificate as the package first made it, the oracle of
+    _certified_signs: both bounds of every open brick, each a sum of its
+    three axes' parts."""
+    centres, c, amp = bubbles
+    n = len(axis)
+    levels = []
+    for size in sizes:
+        (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = (
+            _axis_bounds(axis, centres[:, i], amp, size) for i in range(3))
+        levels.append((size, (z_lo + c, x_lo, y_lo), (z_hi + c, x_hi, y_hi)))
+    for z0 in range(0, n, sizes[0]):
+        brick, parent = np.zeros((1,) + (-(-n // sizes[0]),) * 2, np.int8), sizes[0]
+        for size, lower, upper in levels:
+            if size < parent:
+                r, nz, nb = parent // size, -(-min(sizes[0], n - z0) // size), -(-n // size)
+                brick = brick.repeat(r, 0)[:nz].repeat(r, 1)[:, :nb].repeat(r, 2)[:, :, :nb]
+                parent = size
+            at = np.nonzero(brick == 0)
+            for lo in range(0, len(at[0]), nodal._CHUNK):
+                z, x, y = (v[lo:lo + nodal._CHUNK] for v in at)
+                zk = z + z0 // size
+                low = np.power(lower[0][zk] + lower[1][x] + lower[2][y], -0.5) @ amp
+                high = np.power(upper[0][zk] + upper[1][x] + upper[2][y], -0.5) @ amp
+                brick[z, x, y] = (low > _SIGN_MARGIN).view(np.int8) - (
+                    high < -_SIGN_MARGIN).view(np.int8)
+        for layer in brick:
+            yield layer.repeat(parent, 0).repeat(parent, 1)[:n, :n]
+
+
 class TestCertifiedScan:
     @pytest.mark.parametrize("res", [48])
     def test_same_mesh_as_full_scan(self, crown16, star16, res, caplog, monkeypatch):
@@ -678,6 +709,8 @@ class TestCertifiedScan:
                     depth = sizes[-1]
                     layers = list(_certified_signs(axis, bubbles, sizes))
                     assert len(layers) == -(-len(axis) // depth)
+                    oracle = list(_certified_signs_two_bounds(axis, bubbles, sizes))
+                    assert np.array_equal(layers, oracle)
                     for k, layer in enumerate(layers):
                         assert layer.shape == sign.shape[:2]
                         known = layer != 0.0
@@ -687,6 +720,15 @@ class TestCertifiedScan:
                             count[v] += int(np.count_nonzero(layer == v))
         for count in counts.values():
             assert min(count.values()) > 1000
+
+    def test_lower_bound_first_keeps_every_layer(self, star16):
+        # at res 96 every layer is the two-bound certificate's, and some
+        # bricks are certified each way
+        axis = np.linspace(-2.5, 2.5, 96)
+        layers = np.array(list(_certified_signs(axis, star16.bubbles)))
+        oracle = np.array(list(_certified_signs_two_bounds(axis, star16.bubbles)))
+        assert np.array_equal(layers, oracle)
+        assert {-1, 0, 1} <= set(np.unique(layers).tolist())
 
     def test_axis_bounds(self, crown16):
         # per brick of each size, the far bound is the largest squared
@@ -788,6 +830,53 @@ def test_mesh_does_not_depend_on_bubbles(crown16, star16, bbox, res):
     assert np.all(mesh.values <= 1e-8)
 
 
+def _polish_min(derivs, start):
+    """The polish of one start as the package made it, start by start: the
+    oracle of _polish, with ``derivs`` of a single point."""
+    z = np.array(start, dtype=float)
+    u, g, hess, tg = derivs(z)
+    lam = float(g @ hess @ g) / float(g @ g)
+    jac = np.zeros((4, 4))
+    converged = False
+    for _ in range(nodal._NEWTON_ITERS):
+        hg = hess @ g
+        jac[:3, :3] = tg + hess @ hess - lam * hess
+        jac[:3, 3] = -g
+        jac[3, :3] = g
+        try:
+            step = np.linalg.solve(jac, -np.append(hg - lam * g, u))
+        except np.linalg.LinAlgError:
+            break
+        z += step[:3]
+        lam += float(step[3])
+        u, g, hess, tg = derivs(z)
+        if converged:
+            return float(np.linalg.norm(g)) if abs(u) <= 1e-6 else math.inf
+        converged = np.linalg.norm(step[:3]) <= 1e-12 * max(1.0, np.linalg.norm(z))
+    return math.inf
+
+
+def _steep_or_singular(bubbles):
+    """Stacked derivatives of ``bubbles`` (of nothing for None) but at two
+    kinds of marked points: z1 = 1000 has g = (1, 0, 0) and H = T[g] = 0,
+    so its Jacobian is singular; z1 = 2000, and every point for None, sees
+    u = 1e-3 with g = (1e20, 0, 0), so steep that its Newton step is below
+    the step bound, and the polish stops off the zero set."""
+    def derivs(z):
+        if bubbles is None:
+            u, g, hess, tg = (np.zeros((len(z),) + s) for s in ((), (3,), (3, 3), (3, 3)))
+        else:
+            u, g, hess, tg = _bubble_derivs(z, bubbles)
+        singular = z[:, 0] == 1000.0
+        steep = (z[:, 0] == 2000.0) | (bubbles is None)
+        u[singular], g[singular], hess[singular], tg[singular] = 0.5, (1.0, 0.0, 0.0), 0.0, 0.0
+        u[steep], g[steep], tg[steep] = 1e-3, (1e20, 0.0, 0.0), 0.0
+        hess[steep] = np.diag([1.0, 2.0, 3.0])
+        return u, g, hess, tg
+
+    return derivs
+
+
 class TestGradientMin:
     def test_positive_and_stable_under_refinement(self, crown16, star16):
         coarse = nodal_mesh(crown16, star16, 2.5, 48)
@@ -810,36 +899,62 @@ class TestGradientMin:
         assert abs(g_fine - g_coarse) <= 1e-12
 
     def test_polished_values_are_gradients_on_the_zero_set(self, crown16, star16, mesh48):
-        # the polish evaluates derivs last at the point it stops at
+        # a start's value is |g| at the point its polish stops at, the last
+        # one it evaluates derivs at
         seen = []
 
         def derivs(z):
             seen.append(z.copy())
-            return _bubble_derivs(z, star16.bubbles)
+            return bubble_derivs_one(z, star16.bubbles)
 
-        order = np.argsort(mesh48.gradients)[:_POLISH_CANDIDATES]
-        for idx in order:
-            start = mesh48.points[idx].copy()
-            val = _polish_min(derivs, mesh48.points[idx])
+        starts = mesh48.points[np.argsort(mesh48.gradients)[:_POLISH_CANDIDATES]]
+        kept = starts.copy()
+        got = _polish(lambda z: _bubble_derivs(z, star16.bubbles), starts)
+        assert np.array_equal(starts, kept)
+        for start, value in zip(starts, got):
+            assert value == _polish_min(derivs, start)
             z = seen[-1]
-            assert np.array_equal(mesh48.points[idx], start)
             assert abs(u_star(z, crown16)) <= 1e-12
-            assert val == np.linalg.norm(_bubble_derivs(z, crown16._bubbles)[1])
-            assert val == pytest.approx(gradient_norms(star16, z)[0], rel=1e-8)
+            assert value == np.linalg.norm(bubble_derivs_one(z, crown16._bubbles)[1])
+            assert value == pytest.approx(gradient_norms(star16, z)[0], rel=1e-8)
+
+    @pytest.mark.parametrize("res, shift", [
+        (48, None), (96, None), (192, None), (48, (-0.15, -0.6, -0.25))])
+    def test_batch_equals_serial_polish(self, crown16, star16, res, shift):
+        # each start's value, and so the minimum, has the bits of polishing
+        # it alone with the single-point derivatives
+        profile = star16 if shift is None else _moved(star16, shift)
+        mesh = nodal_mesh(crown16, profile, 2.5, res)
+        starts = mesh.points[np.argsort(mesh.gradients)[:_POLISH_CANDIDATES]]
+        got = _polish(lambda z: _bubble_derivs(z, profile.bubbles), starts)
+        want = [_polish_min(lambda z: bubble_derivs_one(z, profile.bubbles), z) for z in starts]
+        assert got.tolist() == want
+        assert np.isfinite(got).sum() > _POLISH_CANDIDATES // 2
+        assert gradient_min_on_nodal(mesh, profile) == min([mesh.gradients.min()] + want)
 
     def test_failed_start_gives_inf(self, star16):
         # from a start far outside the zero set the Newton steps run off to
         # infinity, and the start does not converge within the step budget
         derivs = lambda z: _bubble_derivs(z, star16.bubbles)
-        assert _polish_min(derivs, np.array([40.0, 30.0, 20.0])) == np.inf
+        assert _polish(derivs, np.array([[40.0, 30.0, 20.0]])).tolist() == [math.inf]
 
     def test_stalled_start_off_the_zero_set_gives_inf(self):
         # a field so steep that the Newton step to u = 0 is below the step
         # bound: the polish stops, but at |u| = 1e-3, off the zero set
-        def steep(z):
-            return 1e-3, np.array([1e20, 0.0, 0.0]), np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3))
+        assert _polish(_steep_or_singular(None), np.zeros((1, 3))).tolist() == [math.inf]
 
-        assert _polish_min(steep, np.zeros(3)) == np.inf
+    def test_singular_and_stalled_starts_leave_the_others_alone(self, star16, mesh48):
+        # among the mesh's starts, one whose Jacobian is singular, which
+        # fails the stack's solve, and one that stalls at |u| = 1e-3: both
+        # give inf, and every other start the bits of its serial polish
+        derivs = _steep_or_singular(star16.bubbles)
+        starts = mesh48.points[np.argsort(mesh48.gradients)[:_POLISH_CANDIDATES]]
+        starts = np.insert(starts, [3, 10], [[1000.0, 0.0, 0.0], [2000.0, 0.0, 0.0]], axis=0)
+        got = _polish(derivs, starts)
+        one = lambda z: tuple(v[0] for v in derivs(z[None]))
+        want = [_polish_min(one, z) for z in starts]
+        assert got.tolist() == want
+        assert got[3] == got[11] == math.inf and np.isfinite(np.delete(got, [3, 11])).any()
 
     def test_polishes_any_bubble_sum(self, crown16):
         # (1 + |z|^2)^{-1/2} - (0.1 + |z - x|^2)^{-1/2} / 2, x = (0.2, 0, 0):
