@@ -413,14 +413,22 @@ def psi_full(A: ReducedPoint, cfg: ReducedConfig) -> float:
 
     At a tiny d off the box (d = 1e-9 at K = 4, say) h0's radicand
     (1 - |b|^2)^2 cancels to <= 0 in round-off and this raises AccuracyError,
-    where psi_leading, built from the sums alone, returns a value."""
+    where psi_leading, built from the sums alone, returns a value.  An A or
+    cfg of another type is a DomainError."""
+    if not (type(A) is ReducedPoint and type(cfg) is ReducedConfig):
+        typed("A", A, ReducedPoint)
+        typed("cfg", cfg, ReducedConfig)
     coef = full_kernels(cfg.K, cfg.gnorm, _b_abs(A.d), A.alpha_b, A.alpha_w)
     return _psi(cfg, A.eps, A.eps**3, A.a * cfg.gnorm, coef, "full")
 
 
 def psi_leading(A: ReducedPoint, cfg: ReducedConfig) -> float:
     """eps (a gnorm)^2 C0/(2|b|) + eps^3 gnorm^2 C2/(8|b|^3) - lam eps^2 cstar
-    + eps^3 (alpha_w, alpha_b) A_gamma (alpha_w, alpha_b)^T."""
+    + eps^3 (alpha_w, alpha_b) A_gamma (alpha_w, alpha_b)^T.  An A or cfg
+    of another type is a DomainError."""
+    if not (type(A) is ReducedPoint and type(cfg) is ReducedConfig):
+        typed("A", A, ReducedPoint)
+        typed("cfg", cfg, ReducedConfig)
     b = A.b_abs
     coef = (c0(cfg.K, A.d), b, c2(cfg.K, A.d), b**3,
             a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b))
@@ -535,8 +543,10 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     the scalar objective calls of the descent.  K, the mode, the grid
     points, the sweeps, the evaluations and the axes on the boundary are
     logged in one DEBUG record on this module's logger.  Full mode raises
-    DomainError before the grid if check_full_mode does.
+    DomainError before the grid if check_full_mode does, and so does a cfg
+    that is no ReducedConfig.
     """
+    typed("cfg", cfg, ReducedConfig)
     if mode == "leading":
         objective = psi_leading
     elif mode == "full":

@@ -14,11 +14,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._forms import a_gamma_quad, s_alt_135, s_hat
+from ._forms import a_gamma_quad, s_hat
 from .crown import _COORD_MAX, ProfileHandle, _bubble_derivs, _check_points
 from .errors import AccuracyError, DomainError, UnsupportedError, real, typed
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
-from .trigsums import SumSpec, sum_direct
+from .trigsums import SumSpec, alt_sums, sum_direct
 
 _COINCIDENT_TOL = 1e-13
 #: central-difference step of kernel_grad's direct derivative
@@ -297,7 +297,7 @@ def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     closed = _h0e_bb_closed(babs, alpha_b, cfg)
     direct = h0e(b, b, cfg)
     d = (1.0 - babs * babs) / (2.0 * babs)
-    # S_1 alone: s_alt_135's three sums take ~2.6 times as long as one, and
+    # S_1 alone: alt_sums' three sums take ~2.6 times as long as one, and
     # a diagonal point's d is seldom revisited
     asym = sum_direct(SumSpec("alt", 1, cfg.K, d)) / (2.0 * babs)
     return KernelReport(direct, closed, asym)
@@ -426,7 +426,7 @@ def kernel_grad(kind: str, slot: str, A: PlacedBubble,
         asym = -A.w_abs * s_hat(1, cfg.K) / (4.0 * A.b_abs**2)
     else:
         d = A.d
-        s1, s3, _ = s_alt_135(cfg.K, d)
+        s1, s3, _ = alt_sums(cfg.K, d)
         asym = A.w_abs / (4.0 * A.b_abs**2) * (-s1 + d * math.sqrt(1.0 + d * d) * s3)
     return KernelReport(direct, closed, asym)
 
@@ -447,7 +447,7 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (s1h + s3h + quad)
     else:
         d = A.d
-        s1, s3, s5 = s_alt_135(cfg.K, d)
+        s1, s3, s5 = alt_sums(cfg.K, d)
         root = d + math.sqrt(1.0 + d * d)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (
             s1 - root * root * s3 + 3.0 * (d * d + d**4) * s5)

@@ -24,7 +24,6 @@ from operator import neg
 from typing import Tuple
 
 import numpy as np
-from mpmath.libmp import from_rational, mpf_cos_sin, mpf_shift, round_nearest, to_int
 
 from ._quad import gl_panels
 from .errors import (AccuracyError, DomainError, RegimeWarning, UnsupportedError,
@@ -149,14 +148,19 @@ def sum_direct(spec: SumSpec) -> float:
     exact pathway keeps no process-wide precision, so concurrent calls do
     not interfere.  Each q tried is logged at DEBUG on this module's logger,
     with the number of terms computed, the error bound in ulps of the result
-    and whether it resolved, underflowed or stayed unresolved.
+    and whether it resolved, underflowed or stayed unresolved.  A spec that
+    is no SumSpec is a DomainError.
     """
+    if type(spec) is not SumSpec:
+        typed("spec", spec, SumSpec)
     return _sum_float(spec, _bases(spec.n, spec.x))
 
 
+@functools.lru_cache(maxsize=1024)
 def alt_sums(n: int, x: float) -> Tuple[float, float, float]:
     """The alternating sums S_1, S_3 and S_5 (n, x), each equal to
-    sum_direct(SumSpec("alt", k, n, x)), from one list of x^2 + sin^2."""
+    sum_direct(SumSpec("alt", k, n, x)), from one list of x^2 + sin^2;
+    cached, as the reduced energy revisits the same (n, x)."""
     specs = [SumSpec("alt", k, n, x) for k in (1, 3, 5)]
     # the checked int and float, so that a NumPy integer x does not overflow
     bases = _bases(specs[0].n, specs[0].x)
@@ -172,6 +176,47 @@ _Q_CEILING = 2176
 _GUARD = 24
 
 
+def _atan_inv(m: int, w: int) -> int:
+    """2^w atan(1/m) for an integer m >= 5, within 2.1 I + 1.1 of it, where
+    I < w / (2 log2 m) + 1 is the number of terms: the series
+    sum_i (-1)^i m^-(2i+1) / (2i+1) with each power 2^w m^-(2i+1) floored from
+    the last (so at most 1 + 1.1/m^2 < 1.1 below its value) and each term
+    floored from its power (within 2.1); the series stops at the first power
+    that floors to 0, whose value, below 1.1, bounds the alternating tail."""
+    power, total, i, m2 = (1 << w) // m, 0, 0, m * m
+    while power:
+        term = power // (2 * i + 1)
+        total += -term if i % 2 else term
+        power //= m2
+        i += 1
+    return total
+
+
+def _cos_sin_pi_over(n: int, p: int) -> Tuple[int, int]:
+    """2^p cos(pi/n) and 2^p sin(pi/n) for n >= 4 and 128 <= p <= 3 200,
+    each rounded to an integer within 1/2 + 2^-17 of it.
+
+    At w = p + 32 bits, pi is 16 atan(1/5) - 4 atan(1/239) (Machin), within
+    16 (2.1 (w/4.64 + 1) + 1.1) + 4 (2.1 (w/15.8 + 1) + 1.1) < 8w + 64 of
+    2^w pi (_atan_inv), so t = floor(pi_w / n) is within a = 2w + 17 of
+    2^w theta, theta = pi/n <= pi/4.  The Taylor terms of e^{i theta},
+    u_0 = 2^w and u_j = floor(u_{j-1} t / (j 2^w)), are within
+    a theta^(j-1)/(j-1)! + 2 of 2^w theta^j / j! for j >= 1 (by induction,
+    as theta < 1), and they reach 0 within J < w/4 + 2 steps, leaving an
+    exact tail below 2 (a + 2).  So the alternating sums of the even and of
+    the odd terms are within e^theta a + 2J + 2 (a + 2) < 10w < 2^15 of
+    2^w (cos, sin)(theta), and rounding off the 32 extra bits leaves each
+    within 1/2 + 2^-17 of 2^p (cos, sin)(theta)."""
+    w = p + 32
+    t = (16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)) // n
+    parts, term, j = [0, 0], 1 << w, 0
+    while term:
+        parts[j % 2] += -term if j % 4 >= 2 else term
+        j += 1
+        term = term * t // (j << w)
+    return tuple((v + (1 << 31)) >> 32 for v in parts)
+
+
 @functools.lru_cache(maxsize=4)
 def _sin2_fixed(n: int, q: int) -> Tuple[int, ...]:
     """2^q sin^2(j pi/n) for j = 0..n/2 as integers, each within 0.51 of it
@@ -179,10 +224,9 @@ def _sin2_fixed(n: int, q: int) -> Tuple[int, ...]:
 
     The table rotates z_j ~ 2^p e^{ij pi/n} in integers at the scale 2^p,
     p = q + _GUARD: z_{j+1} = floor(z_j (C + iS) / 2^p) per component, from
-    z_0 = 2^p.  C and S are libmp's cos and sin of pi/n at p + 8 bits (1/n
-    rounded there, the functions within an ulp) rounded to integers, each
-    within 1/2 + 2^-6 of 2^p (cos, sin)(pi/n), so C + iS is within 0.74 of
-    2^p e^{i pi/n}.  The error e_j of z_j obeys
+    z_0 = 2^p.  C and S (_cos_sin_pi_over) are each within 1/2 + 2^-17 of
+    2^p (cos, sin)(pi/n), so C + iS is within 0.74 of 2^p e^{i pi/n}.  The
+    error e_j of z_j obeys
         |e_{j+1}| <= |e_j| |C + iS| / 2^p + 0.74 + sqrt(2)
                   <  |e_j| (1 + 2^-p) + 2.16,
     the sqrt(2) from the two floors, so |e_j| < 2.2 j for j <= 2^15.  The
@@ -194,8 +238,7 @@ def _sin2_fixed(n: int, q: int) -> Tuple[int, ...]:
     cached tables take at most 43 MB.
     """
     p = q + _GUARD
-    C, S = (to_int(mpf_shift(v, p), round_nearest) for v in mpf_cos_sin(
-        from_rational(1, n, p + 8, round_nearest), p + 8, round_nearest, pi=True))
+    C, S = _cos_sin_pi_over(n, p)
     shift = 2 * p - q
     half = 1 << (shift - 1)
     c, s, table = 1 << p, 0, [0]
@@ -395,9 +438,10 @@ _CSC_LEADING = {
 def csc_asym(variant: str, k: int, n: int) -> float:
     """Leading term of the pure cosecant sums (x = 0) for the four supported
     (variant, k) pairs; n is even, 4 <= n <= N_MAX (an int or a NumPy integer).
-    A variant that is no str is a DomainError, one without a leading
-    constant an UnsupportedError."""
-    typed("variant", variant, str)
+    A variant that is no str or not in VARIANTS is a DomainError, as in
+    SumSpec, and a known one without a leading constant an UnsupportedError."""
+    if typed("variant", variant, str) not in VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}")
     k, n = counted("k", k, 1, 5), counted("n", n, 4, N_MAX, parity=0)
     try:
         fn = _CSC_LEADING[(variant, k)]

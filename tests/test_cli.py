@@ -383,7 +383,7 @@ def test_verify_runs_serially(monkeypatch, capsys, tmp_path):
     """verify runs its criteria one after another on the calling thread,
     whatever NECKLACE_THREADS says: each criterion's elapsed_s then times
     its own work alone, and the report keeps the criteria's order.  (The
-    package sets no process-wide mpmath precision; its exact sums are
+    package keeps no process-wide precision; its exact sums are
     thread-safe, see test_sum_direct_thread_safe.)"""
     monkeypatch.setenv("NECKLACE_THREADS", "4")
     for failing, code in ((None, 0), ("second", 1)):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from necklace import energy
-from necklace._forms import s_alt_135, s_hat
+from necklace._forms import _a_gamma, s_hat
 from necklace._quad import gl_panels
 from necklace.crown import (
     _BLOCK,
@@ -54,7 +54,7 @@ from necklace.kernels import (
     _in_plane,
     _w_sums,
 )
-from necklace.trigsums import ZETA3, ZETA5, SumSpec, sum_direct
+from necklace.trigsums import ZETA3, ZETA5, SumSpec, alt_sums, sum_direct
 from conftest import talenti_profile
 from test_kernels import _old_h0e_derivs, _old_newton_derivs
 
@@ -153,22 +153,22 @@ class TestLeadingForms:
                          shat(1) + shat(3) + salt(1, d) - root * root * salt(3, d)
                          + 3.0 * (d * d + d**4) * salt(5, d)))
         want_form = a_gamma(K).copy()
-        for cache in (s_hat, s_alt_135, a_gamma):
+        for cache in (s_hat, alt_sums, _a_gamma):
             cache.cache_clear()
         for _warm in range(2):
             assert [(c0(K, d), c2(K, d)) for d in ds] == want
             assert a_gamma(K).tobytes() == want_form.tobytes()
         # one (K, d) entry holds C0's and C2's S_1, S_3 and S_5
-        assert s_alt_135.cache_info().hits >= 3 * len(ds)
+        assert alt_sums.cache_info().hits >= 3 * len(ds)
 
     def test_sum_caches_are_bounded(self):
-        for i in range(s_alt_135.cache_info().maxsize + 10):
-            s_alt_135(8, 0.5 + i / 4096)
+        for i in range(alt_sums.cache_info().maxsize + 10):
+            alt_sums(8, 0.5 + i / 4096)
         for n in range(4, 2 * s_hat.cache_info().maxsize + 12, 2):
             s_hat(1, n)
         for i in range(_w_sums.cache_info().maxsize + 10):
             _w_sums(8, 0.9, 0.0, 1.0 + i / 4096, 0.0)
-        for cache in (s_hat, s_alt_135, _w_sums):
+        for cache in (s_hat, alt_sums, _w_sums):
             assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
     @pytest.mark.parametrize("K", [128, 256])

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import necklace
 from necklace.crown import (CrownParams, ProfileHandle, build_crown, psi_d1, q_mid_lower,
                            u_star, u_star_profile)
-from necklace.energy import ReducedConfig, ReducedPoint, a_gamma, c0, c2, c_star
+from necklace.energy import (ReducedConfig, ReducedPoint, a_gamma, c0, c2, c_star, minimize_psi,
+                             psi_full, psi_leading)
 from necklace.errors import AccuracyError, DomainError, UnsupportedError, counted, real, typed
 from necklace.geometry import K_MAX, Point3, SectorConfig
 from necklace.kernels import (PlacedBubble, _check_w_sums, full_kernels, gamma_bb,
@@ -110,6 +111,9 @@ _XI = _PARAMS.xi[0]
 _MESH = nodal_mesh(_PARAMS, _PROFILE, 2.5, 16)
 _PLACED = place_bubble(1e-4, 0.0, 0.97, 0.01, 0.02, _PROFILE, _XI)
 _IN_PLANE = Point3(0.9, 0.0, 0.0)
+_CFG = ReducedConfig(64, 1.0, 1.0, 1.0)
+_POINT = ReducedPoint(eps=1e-3, a=0.0, d=0.05, alpha_b=0.0, alpha_w=0.0)
+_SPEC = SumSpec("alt", 1, 64, 0.5)
 #: each parameter that takes an instance of one type, as (the type, a call
 #: of the value)
 TYPED = {
@@ -138,9 +142,14 @@ TYPED = {
     "kernel_hess.A": (PlacedBubble, lambda v: kernel_hess("gamma", v, SectorConfig(8))),
     "kernel_hess.cfg": (SectorConfig, lambda v: kernel_hess("gamma", _PLACED, v)),
     "csc_asym.variant": (str, lambda v: csc_asym(v, 1, 8)),
+    "sum_direct.spec": (SumSpec, sum_direct),
+    "psi_full.A": (ReducedPoint, lambda v: psi_full(v, _CFG)),
+    "psi_full.cfg": (ReducedConfig, lambda v: psi_full(_POINT, v)),
+    "psi_leading.A": (ReducedPoint, lambda v: psi_leading(v, _CFG)),
+    "psi_leading.cfg": (ReducedConfig, lambda v: psi_leading(_POINT, v)),
+    "minimize_psi.cfg": (ReducedConfig, minimize_psi),
 }
 
-_NOT_A_NUMBER = "takes no counted or real parameter"
 _POINTS = "takes points, which _as_array checks (test_rejected_calls)"
 _RECORD = "a result record that the package builds, with unchecked fields"
 #: per public callable of necklace, the rows above that state its counted,
@@ -156,7 +165,7 @@ EXPORTS = {
     "csc_full_sum": ("csc_full_sum.m",),
     "s1_contour": ("s1_contour.n", "s1_contour.x"),
     "s_asym": ("s_asym.k", "s_asym.n", "s_asym.x"),
-    "sum_direct": "takes a SumSpec, whose rows check its numbers",
+    "sum_direct": ("sum_direct.spec",),
     "CrownParams": ("CrownParams.m",),
     "ProfileHandle": "takes a field and its bubble arrays (tests/test_crown.py)",
     "build_crown": ("build_crown.m",),
@@ -187,9 +196,8 @@ EXPORTS = {
     "c0": ("c0.K", "c0.d"),
     "c2": ("c2.K", "c2.d"),
     "c_star": ("c_star.scale", "c_star.profile"),
-    "minimize_psi": "takes a ReducedConfig and a mode, " + _NOT_A_NUMBER,
-    **{name: "takes a ReducedPoint and a ReducedConfig, " + _NOT_A_NUMBER for name in (
-        "psi_full", "psi_leading")},
+    "minimize_psi": ("minimize_psi.cfg",),
+    **{name: (f"{name}.A", f"{name}.cfg") for name in ("psi_full", "psi_leading")},
 }
 
 _NUMPY_INTS = st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint16,
@@ -205,7 +213,7 @@ VALUES = st.one_of(
     st.booleans(),
     st.text(max_size=3),
     st.sampled_from([np.bool_(True), np.float64(64.0), np.float32(0.5), None,
-                     math.nan, math.inf, -math.inf, 10**400, -10**400, 1.5]),
+                     math.nan, math.inf, -math.inf, 10**400, -10**400, 1.5, [], {}, [64]]),
 )
 
 
@@ -268,7 +276,8 @@ def test_every_site_returns_or_raises_domain_error(site, v):
 
 #: values of many types, one of each kind that a typed parameter takes
 _OBJECTS = [None, 64, 1.5, True, "gamma", [], (0.5, 0.0, 0.0), {}, np.zeros(3),
-            Point3(0.5, 0.0, 0.0), _PARAMS, _PROFILE, _MESH, _PLACED, SectorConfig(8), _reach]
+            Point3(0.5, 0.0, 0.0), _PARAMS, _PROFILE, _MESH, _PLACED, SectorConfig(8), _reach,
+            _CFG, _POINT, _SPEC]
 
 
 @pytest.mark.parametrize("site", TYPED)

@@ -1,8 +1,8 @@
-"""The package runs on numpy and mpmath alone, and of mpmath it uses only
-libmp, for the cos and sin that seed the exact sums' sin^2 tables: importing
-it, or running a command, loads no scipy module (the tests use scipy, and
-mpmath's high-precision arithmetic, only as independent references).  Each case runs in a fresh interpreter, since this one has
-imported scipy for other tests.  The package and the tests import nothing
+"""The package runs on numpy alone: importing it, or running a command,
+loads no scipy or mpmath module, even when a sum escalates to the exact
+integer pathway (the tests use scipy and mpmath only as independent
+references).  Each case runs in a fresh interpreter, since this one has
+imported both for other tests.  The package and the tests import nothing
 they do not read, and the package holds no definition that only the tests
 reach."""
 import ast
@@ -40,6 +40,22 @@ def _modules_after(code):
 def test_no_scipy_module(code):
     modules = _modules_after(code)
     assert [k for k in modules if k.split(".")[0] == "scipy"] == []
+
+
+# S_1(200, 0.15) cancels past double precision: the exact pathway runs
+_ESCALATING = (
+    "import logging; from necklace.cli import run; records = []; "
+    "handler = logging.Handler(); handler.emit = records.append; "
+    "log = logging.getLogger('necklace.trigsums'); "
+    "log.addHandler(handler); log.setLevel(logging.DEBUG); "
+    "assert run(['sums', '--variant', 'alt', '--n', '200', '--x', '0.15']) == 0; "
+    "assert records")
+
+
+@pytest.mark.parametrize("code", ["import necklace.cli", _ESCALATING],
+                         ids=["import", "escalating-sums"])
+def test_no_mpmath_module(code):
+    assert [k for k in _modules_after(code) if k.split(".")[0] == "mpmath"] == []
 
 
 def test_cli_import_leaves_out_the_acceptance_checks():

@@ -337,6 +337,23 @@ def test_sin2_fixed_within_its_bound_at_n_max(q):
     assert max(abs(table[j] - _sin2_oracle(N_MAX, j, q)) for j in js) <= 0.51
 
 
+#: (n, q) where mpmath.libmp's cos and sin of pi/n, the seed the tables had
+#: before, round 2^p cos(pi/n) to the integer next to the nearest one
+_LIBMP_OFF_NEAREST = [(170, 136), (740, 1088), (946, 136), (986, 136), (1168, 136),
+                      (1278, 2176), (1302, 544), (1336, 136), (1340, 1088), (1464, 544),
+                      (1864, 1088)]
+
+
+@pytest.mark.parametrize("n, q", [
+    *_LIBMP_OFF_NEAREST,
+    *((n, q) for n in (4, 6, 200, 12346, 65534, N_MAX) for q in (136, 272, 544, 1088, 2176))])
+def test_sin2_fixed_seed_is_the_nearest_integers(n, q):
+    p = q + trigsums._GUARD
+    with mp.workprec(p + 200):
+        want = tuple(int(mp.nint(mp.ldexp(f(mp.pi / n), p))) for f in (mp.cos, mp.sin))
+    assert trigsums._cos_sin_pi_over(n, p) == want
+
+
 def _alt_oracle(spec, dps):
     """The alternating sum term by term at dps digits."""
     with mp.workdps(dps):
@@ -504,6 +521,20 @@ def test_csc_asym_pairs():
     assert csc_asym("alt_hat", 1, n) == pytest.approx(n / math.pi * math.log(4.0))
     with pytest.raises(UnsupportedError):
         csc_asym("alt", 1, n)
+
+
+def test_csc_asym_unknown_variant_is_a_domain_error():
+    # the error SumSpec gives the same variant, not the UnsupportedError of
+    # a known variant without a leading constant
+    with pytest.raises(DomainError) as want:
+        SumSpec("bogus", 1, 8, 0.5)
+    with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+        csc_asym("bogus", 1, 8)
+
+
+def test_csc_asym_known_variant_without_a_constant_is_unsupported():
+    with pytest.raises(UnsupportedError, match="no leading constant"):
+        csc_asym("alt", 1, 8)
 
 
 def test_csc_asym_is_actually_asymptotic():
