@@ -14,7 +14,7 @@ import sys
 import warnings
 from dataclasses import replace
 from itertools import chain, groupby
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,20 +37,15 @@ from .trigsums import VARIANTS, SumSpec, csc_asym, s_asym, sum_direct
 _ROWS = 2048
 
 
-def _csv_lines(rows: Iterable[Sequence[object]], formats: Dict[tuple, str]) -> str:
+def _csv_lines(rows: Iterable[Sequence[object]]) -> str:
     """The CSV lines of ``rows``, each ended by a newline: %.17g for a
     float, %s for anything else.  Each run of consecutive rows with the same
     tuple of value types is made by one % operation, its row format
-    repeated once per row on the run's values.  ``formats`` holds the row
-    format of each tuple of value types met so far, and gains the new
-    ones."""
+    repeated once per row on the run's values."""
     lines = []
     for kinds, run in groupby(rows, lambda row: tuple(map(type, row))):
         run = list(run)
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join(
-                ["%.17g" if issubclass(t, float) else "%s" for t in kinds]) + "\n"
+        fmt = ",".join(["%.17g" if issubclass(t, float) else "%s" for t in kinds]) + "\n"
         lines.append(fmt * len(run) % tuple(chain.from_iterable(run)))
     return "".join(lines)
 
@@ -65,12 +60,12 @@ def _emit(columns: Sequence[str], batches: Iterable[List[Sequence[object]]], fmt
             payload = [dict(zip(columns, row)) for rows in batches for row in rows]
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
             return
-        header, formats = ",".join(columns) + "\n", {}
+        header = ",".join(columns) + "\n"
         for rows in batches:
             if rows and header:
                 fh.write(header)
                 header = ""
-            fh.write(_csv_lines(rows, formats))
+            fh.write(_csv_lines(rows))
 
 
 def _config_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> List[str]:

@@ -13,8 +13,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ._forms import a_gamma, a_gamma_quad, c0, c2
-from ._quad import gl_panels, leggauss
 from .crown import (
     _BLOCK,
     ProfileHandle,
@@ -25,8 +23,9 @@ from .crown import (
 )
 from .errors import AccuracyError, DomainError, real, typed
 from .geometry import Point3, SectorConfig
-from .kernels import full_kernels
+from .kernels import a_gamma, a_gamma_quad, c0, c2, full_kernels
 from .nodal import radial_nodal_root
+from .trigsums import gl_panels, leggauss
 
 _log = logging.getLogger(__name__)
 

@@ -1,6 +1,7 @@
 """Finite cosecant-power sums: direct evaluation, the contour-integral
-representation of the alternating k=1 sum, exponential asymptotics, and the
-leading cosecant-sum constants.
+representation of the alternating k=1 sum, exponential asymptotics, the
+leading cosecant-sum constants, and the Gauss-Legendre rules that
+s1_contour and the reduced energy's quadratures share.
 
 Variants, each over offsets x >= 0 with n even:
 
@@ -24,8 +25,10 @@ from operator import neg
 from typing import Tuple
 
 import numpy as np
+# NumPy 2 loads numpy.polynomial on first attribute access; importing it here
+# moves that cost to package import instead of the first quadrature
+from numpy.polynomial import legendre
 
-from ._quad import gl_panels
 from .errors import (AccuracyError, DomainError, RegimeWarning, UnsupportedError,
                      counted, real, typed)
 
@@ -337,6 +340,26 @@ def _sum_exact(spec: SumSpec) -> float:
         if q >= _Q_CEILING:
             raise AccuracyError(f"alternating sum unresolved at {q} bits", best=mid)
         q *= 2
+
+
+@functools.lru_cache(maxsize=128)
+def leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of the given order on [-1, 1], read-only."""
+    x, w = legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gl_panels(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule with one Gauss-Legendre panel
+    of the given order between each pair of consecutive edges."""
+    x, w = leggauss(order)
+    a = edges[:-1]
+    half = 0.5 * (edges[1:] - a)
+    nodes = (a + half)[:, None] + half[:, None] * x
+    weights = half[:, None] * w
+    return nodes.ravel(), weights.ravel()
 
 
 # s1_contour's two composite Gauss-Legendre rules on [0, 1], order 24 on 4

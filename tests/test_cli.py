@@ -671,20 +671,19 @@ _CSV_VALUE = st.one_of(
        st.lists(_CSV_VALUE, min_size=1, max_size=6))
 def test_csv_line_matches_per_value_format(value, row):
     # one % per run of rows gives "{:.17g}" for each float (np.float64
-    # included) and str for anything else, joined by commas, also where the
-    # format of an earlier row's types is reused
+    # included) and str for anything else, joined by commas, also where a
+    # run's types recur after another run
     expect = [",".join("{:.17g}".format(v) if isinstance(v, float) else str(v) for v in r)
               + "\n" for r in ([value], row, [value], row)]
-    formats = {}
-    assert cli._csv_lines([[value], row], formats) == "".join(expect[:2])
-    assert cli._csv_lines([[value], row], formats) == "".join(expect[2:])
-    assert cli._csv_lines([], formats) == ""
+    assert cli._csv_lines([[value], row]) == "".join(expect[:2])
+    assert cli._csv_lines([[value], row, [value], row]) == "".join(expect)
+    assert cli._csv_lines([]) == ""
 
 
-def _csv_lines_per_row(rows, formats):
+def _csv_lines_per_row(rows):
     """The CSV lines of ``rows`` made by one % per row, as the package first
     made them: the oracle of _csv_lines."""
-    lines = []
+    lines, formats = [], {}
     for row in rows:
         row = tuple(row)
         kinds = tuple(map(type, row))
@@ -710,11 +709,9 @@ _CSV_ROW = st.one_of(
 @given(st.lists(st.lists(_CSV_ROW, max_size=12), max_size=4))
 def test_csv_runs_match_per_row_format(batches):
     # batches of float-only rows, mixed rows and alternating signatures, or
-    # empty: one % per run gives the bytes and the formats of one % per row
-    formats, want = {}, {}
+    # empty: one % per run gives the bytes of one % per row
     for rows in batches:
-        assert cli._csv_lines(rows, formats) == _csv_lines_per_row(rows, want)
-    assert formats == want
+        assert cli._csv_lines(rows) == _csv_lines_per_row(rows)
 
 
 @pytest.mark.parametrize("rows", [
@@ -723,9 +720,7 @@ def test_csv_runs_match_per_row_format(batches):
     [(1.5, 2), ("x", 2), (1.5, 3), (1.5, 4), (True, None)],
 ], ids=["empty", "floats", "mixed", "alternating"])
 def test_csv_runs_examples(rows):
-    formats, want = {}, {}
-    assert cli._csv_lines(rows, formats) == _csv_lines_per_row(rows, want)
-    assert formats == want
+    assert cli._csv_lines(rows) == _csv_lines_per_row(rows)
 
 
 def _table_at_once(columns, rows):

@@ -9,8 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from necklace import energy
-from necklace._forms import _a_gamma, s_hat
-from necklace._quad import gl_panels
 from necklace.crown import (
     _BLOCK,
     TALENTI_AMP,
@@ -49,12 +47,14 @@ from necklace.errors import AccuracyError, DomainError, UnsupportedError
 from necklace.geometry import K_MAX, Point3, SectorConfig
 from necklace.kernels import (
     PlacedBubble,
+    _a_gamma,
     _gamma_bb_closed,
     _h0e_bb_closed,
     _in_plane,
     _w_sums,
+    s_hat,
 )
-from necklace.trigsums import ZETA3, ZETA5, SumSpec, alt_sums, sum_direct
+from necklace.trigsums import ZETA3, ZETA5, SumSpec, alt_sums, gl_panels, sum_direct
 from conftest import talenti_profile
 from test_kernels import _old_h0e_derivs, _old_newton_derivs
 

@@ -1,7 +1,7 @@
 """The package runs on numpy alone: importing it, or running a command,
 loads no scipy or mpmath module, even when a sum escalates to the exact
-integer pathway (the tests use scipy and mpmath only as independent
-references).  Each case runs in a fresh interpreter, since this one has
+integer pathway (the tests use mpmath only as an independent reference, and
+scipy not at all).  Each case runs in a fresh interpreter, since this one has
 imported both for other tests.  The package and the tests import nothing
 they do not read, and the package holds no definition that only the tests
 reach."""

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from necklace import kernels
-from necklace._forms import a_gamma_quad, s_hat
 from necklace.crown import (
     _COORD_MAX,
     ProfileHandle,
@@ -30,6 +29,7 @@ from necklace.kernels import (
     _check_w_sums,
     _gamma_bb_closed,
     _h0e_bb_closed,
+    a_gamma_quad,
     full_kernels,
     gamma_bb,
     gamma_direct,
@@ -38,6 +38,7 @@ from necklace.kernels import (
     kernel_grad,
     kernel_hess,
     place_bubble,
+    s_hat,
     t_a,
 )
 from necklace.trigsums import SumSpec, sum_direct
@@ -163,6 +164,15 @@ class TestGamma:
         p = Point3.from_array(mats[1] @ z.as_array())
         with pytest.raises(DomainError):
             gamma_direct(z, p, CFG)
+
+    def test_near_coincident_image_accepted(self):
+        # 5e-13 from the first image of z is not a coincidence: the value is
+        # about 1/5e-13
+        cfg = SectorConfig(64)
+        z = Point3(0.9, 0.0, 0.0)
+        mats, _ = sector_images(cfg.K)
+        p = Point3.from_array(mats[1] @ z.as_array() + np.array([0.0, 0.0, 5e-13]))
+        assert gamma_direct(z, p, cfg) == pytest.approx(2e12, rel=1e-9)
 
     def test_huge_points_rejected(self):
         # past _COORD_MAX the squared distances overflow; up to it they do not
