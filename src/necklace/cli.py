@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 # argparse's messages go through gettext, which imports locale on the first
 # parser; importing it with the module keeps that out of the first command
@@ -271,8 +272,17 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser that run reuses, built on its first call, not at import:
+    a build costs far more than a parse, as argparse formats each argument's
+    usage as it adds it.  A parse leaves no state in the parser, so each run
+    reads as it would with a fresh build_parser()."""
+    return build_parser()
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = list(argv)
     try:
         args = parser.parse_args(argv)

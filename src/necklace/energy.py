@@ -619,13 +619,34 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
 # ---------------------------------------------------------------------------
 # default model constants from the m = 16 ring profile
 
+#: the m = 16 model's constants as _computed_model gives them, as float.hex:
+#: the three coordinates of xi, then gnorm and cstar
+_MODEL_HEX = {
+    "xi": ("0x1.3531a2a91ec68p-1", "0x0.0p+0", "0x0.0p+0"),
+    "gnorm": "0x1.01b255b74ed60p+0",
+    "cstar": "0x1.de2e7458893ecp-3",
+}
+
 
 @lru_cache(maxsize=1)
 def default_model():
-    """Model constants from the m = 16 ring profile: the in-plane zero on the
-    outward ray from the first core, the gradient modulus there, and the
-    decay constant.  Returns (profile, xi, gnorm, cstar), computed once;
-    c_star's DEBUG record holds the parts of cstar."""
+    """Model constants of the m = 16 ring profile: the in-plane zero xi on
+    the outward ray from the first core, the gradient modulus gnorm there,
+    and the decay constant cstar.  Returns (profile, xi, gnorm, cstar),
+    the profile built once and the constants read from _MODEL_HEX;
+    _computed_model computes them, and a full `necklace verify` checks
+    that they agree."""
+    xi = Point3(*map(float.fromhex, _MODEL_HEX["xi"]))
+    return (u_star_profile(build_crown(16)), xi,
+            float.fromhex(_MODEL_HEX["gnorm"]), float.fromhex(_MODEL_HEX["cstar"]))
+
+
+@lru_cache(maxsize=1)
+def _computed_model():
+    """default_model's (profile, xi, gnorm, cstar) computed from the
+    profile, once: xi by the radial nodal root, gnorm by a finite-difference
+    gradient and cstar by the c_star quadrature (seconds); c_star's DEBUG
+    record holds the parts of cstar."""
     params = build_crown(16)
     profile = u_star_profile(params)
     t = radial_nodal_root(params, profile, 0, (-1.0, 0.0, 0.0))

@@ -30,16 +30,23 @@ _HESS_STEP = 1e-4
 _T_A_MAX = 1e61
 
 
-def _pow(a: np.ndarray, e: float) -> np.ndarray:
+def _pows(a: np.ndarray, *exps: float) -> Tuple[np.ndarray, ...]:
     # C's pow per element through math.pow (Python's float ** makes the same
     # call), not np.power: on CPUs with AVX-512 NumPy's power loop runs SVML,
     # which differs from pow by an ulp on about 5% of elements (9 862 to
     # 10 684 of 200 000 uniform values at e = -0.5, numpy 2.4.6 on an AVX-512
     # Xeon), and that moves printed values (the default `necklace kernels`
-    # h0e_bb direct sum among them).  An int e is converted once, not per
-    # element; an array of any shape keeps its shape.
-    return np.fromiter(map(math.pow, a.ravel().tolist(), repeat(float(e))),
-                       float, a.size).reshape(a.shape)
+    # h0e_bb direct sum among them).  One list of a's elements feeds every
+    # exponent; an int e is converted once, not per element; an array of any
+    # shape keeps its shape.
+    values = a.ravel().tolist()
+    return tuple(np.fromiter(map(math.pow, values, repeat(float(e))), float,
+                             a.size).reshape(a.shape) for e in exps)
+
+
+def _pow(a: np.ndarray, e: float) -> np.ndarray:
+    """a ** e per element, by C's pow (_pows)."""
+    return _pows(a, e)[0]
 
 
 def _norm(r: np.ndarray) -> np.ndarray:
@@ -123,13 +130,15 @@ class PlacedBubble:
         return self.theta_star + self.beta_hat
 
     @cached_property
-    def _arrays(self) -> Tuple[np.ndarray, ...]:
+    def _arrays(self) -> tuple:
         """b_point.as_array(), w_vec, w_vec/norm(w_vec), rotation_matrix(beta),
-        xi_hat.as_array() (None without xi_hat) and W, built once."""
+        xi_hat.as_array() (None without xi_hat), W and float(trace W), built
+        once."""
         w = self.w_vec
         xi = None if self.xi_hat is None else self.xi_hat.as_array()
+        W = np.asarray(self.W, dtype=float)
         return (self.b_point.as_array(), w, w / np.linalg.norm(w),
-                rotation_matrix(self.beta), xi, np.asarray(self.W, dtype=float))
+                rotation_matrix(self.beta), xi, W, float(np.trace(W)))
 
 
 def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
@@ -255,18 +264,29 @@ def a_gamma_quad(K: int, alpha_w: float, alpha_b: float) -> float:
 # alternating Newtonian image sum
 
 
+@lru_cache(maxsize=64)
+def _tail_images(K: int) -> Tuple[np.ndarray, np.ndarray]:
+    """sector_images(K) but the identity, with the signs negated, read-only:
+    u(z) - extension(u)(z) sums these images, and so does t_a's image
+    bubble sum.  Cached per K, as sector_images is."""
+    mats, signs = sector_images(K)
+    neg = -signs[1:]
+    neg.flags.writeable = False
+    return mats[1:], neg
+
+
 def _direct(kind: str, Z: np.ndarray, P: np.ndarray, K: int) -> List[float]:
     """gamma_direct or h0e (``kind``) at each row pair (Z[i], P[i]) of two
     (n, 3) stacks in one pass over the images: row for row the bits of a
     one-row call, and the error of the first row that raises one."""
-    mats, signs = sector_images(K)
     if kind == "gamma":
-        # u(z) - extension(u)(z): the images but the identity, signs negated
-        r = _norm((mats[1:] @ Z[:, None, :, None])[..., 0] - P[:, None])
+        mats, signs = _tail_images(K)
+        r = _norm((mats @ Z[:, None, :, None])[..., 0] - P[:, None])
         if (r < _COINCIDENT_TOL).any():
             raise DomainError("evaluation point coincides with an image point")
-        terms = -signs[1:] / r
+        terms = signs / r
     else:
+        mats, signs = sector_images(K)
         v = (mats @ Z[:, None, :, None])[..., 0]
         terms = signs * _pow(_h0_rad(v, P[:, None]), -0.5)
     return list(map(math.fsum, terms.tolist()))
@@ -397,7 +417,7 @@ def _w_sums(K: int, b_abs: float, alpha_b: float, w_abs: float, alpha_w: float):
     mww = np.vecdot(mw, w)
     r = v[1:] - bv
     rn = _norm(r)
-    rn3, rn5 = _pow(rn, 3), _pow(rn, 5)
+    rn3, rn5 = _pows(rn, 3, 5)
     rw, rmw = np.vecdot(r, w), np.vecdot(r, mw[1:])
     newton = (
         math.fsum((signs[1:] * rmw / rn3).tolist()),
@@ -409,7 +429,7 @@ def _w_sums(K: int, b_abs: float, alpha_b: float, w_abs: float, alpha_w: float):
     except (DomainError, AccuracyError) as exc:
         return newton, exc.with_traceback(None)
     v2 = np.vecdot(v, v)[:, None]
-    F3, F5 = _pow(F, 3), _pow(F, 5)
+    F3, F5 = _pows(F, 3, 5)
     gz = np.vecdot(bv - v2 * v, mw)
     gp = np.vecdot(v - v2 * bv, w)
     return newton, (
@@ -562,19 +582,18 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
                                "with its profile and xi_hat")
     if typed("z", z, Point3).norm() > _T_A_MAX:
         raise DomainError(f"t_a takes |z| up to {_T_A_MAX:g}")
-    mats, signs = sector_images(cfg.K)
-    mats, signs = mats[1:], -signs[1:]
-    b, w, _, rot, xi, W = A._arrays
+    mats, signs = _tail_images(cfg.K)
+    b, w, _, rot, xi, W, trace = A._arrays
     r = mats @ z.as_array() - b
     rn = _norm(r)
     if (rn < _COINCIDENT_TOL).any():
         raise DomainError("q_a is undefined at the placement point")
-    rn2, rn3, rn5 = _pow(rn, 2), _pow(rn, 3), _pow(rn, 5)
+    rn2, rn3, rn5 = _pows(rn, 2, 3, 5)
     e = A.eps
     # stacked matvecs, each rounded as rot @ r_i is
     inner = e * np.matmul(rot, r[:, :, None])[:, :, 0] / rn2[:, None] + xi
     direct = math.fsum((signs * (math.sqrt(e) / rn * A.profile.fn(inner))).tolist())
-    g2 = -float(np.trace(W)) / rn3 + 3.0 * np.vecdot(r @ W, r) / rn5
+    g2 = -trace / rn3 + 3.0 * np.vecdot(r @ W, r) / rn5
     lead = math.sqrt(e) * A.q_hat * math.fsum((signs / rn).tolist())
     grad_term = e**1.5 * math.fsum((signs * np.vecdot(r, w) / rn3).tolist())
     hess_term = e**2.5 / 6.0 * math.fsum((signs * g2).tolist())

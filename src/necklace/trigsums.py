@@ -89,10 +89,12 @@ class SumSpec:
 @functools.lru_cache(maxsize=64)
 def _sin2_float(n: int) -> np.ndarray:
     """sin^2(j pi/n) for j = 0..n-1 as a read-only float array, each entry
-    s * s from s = math.sin(j * step), step = pi/n.  A table takes 8n bytes:
-    at most 512 KB at n = N_MAX, and the 64 cached tables at most 32 MB."""
-    step = math.pi / n
-    sines = np.array([math.sin(j * step) for j in range(n)])
+    s * s from s = math.sin(j * step), step = pi/n: the products j * step
+    are one NumPy multiply (each j is exact in a double), mapped through
+    math.sin.  A table takes 8n bytes: at most 512 KB at n = N_MAX, and the
+    64 cached tables at most 32 MB."""
+    angles = (np.arange(n) * (math.pi / n)).tolist()
+    sines = np.fromiter(map(math.sin, angles), float, n)
     table = sines * sines
     table.flags.writeable = False
     return table

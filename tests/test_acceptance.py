@@ -60,3 +60,27 @@ def test_run_records_error_and_budget():
     assert [(c.quantity, c.op, c.bound) for c in res.checks] == [("elapsed_s", "<", 5.0)]
     res = acceptance._run(("late", lambda quick: [Check("q", 0.0, "<=", 1.0)], 0.0), True)
     assert not res.passed and res.error is None and res.checks[0].passed
+
+
+def test_model_table_checked_against_the_quadrature(monkeypatch):
+    # each recorded constant is one check at distance 0 from the computed
+    # one; a constant one ulp off fails its check alone
+    checks = acceptance._model_constants()
+    assert len(checks) == 5 and all(c.passed and c.measured == 0.0 for c in checks)
+    profile, xi, gnorm, cstar = acceptance._computed_model()
+    monkeypatch.setattr(acceptance, "_computed_model",
+                        lambda: (profile, xi, gnorm, math.nextafter(cstar, 1.0)))
+    failed = [c.quantity for c in acceptance._model_constants() if not c.passed]
+    assert failed == ["|computed - recorded| cstar"]
+
+
+def test_quick_run_trusts_the_table(monkeypatch):
+    # verify --quick runs no quadrature; the full run computes the model
+    # once, before the criteria
+    seen = []
+    monkeypatch.setattr(acceptance, "_computed_model", lambda: seen.append("model"))
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        ("probe", lambda quick: seen.append(quick) or [Check("q", 0.0, "<=", 1.0)], None),))
+    for quick in (True, False):
+        assert [r.passed for r in acceptance.run_all(quick=quick)] == [True]
+    assert seen == [True, "model", False]

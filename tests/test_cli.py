@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from necklace import acceptance, cli, energy
 from necklace.cli import build_parser, run
-from necklace.crown import build_crown, u_star_profile
 from necklace.errors import AccuracyError, DomainError, NotFoundError, UnsupportedError
 from necklace.errors import RegimeWarning
-from necklace.geometry import K_MAX, Point3
+from necklace.geometry import K_MAX
 from necklace.trigsums import N_MAX, SumSpec, s_asym, sum_direct
 
 
@@ -41,6 +40,43 @@ class TestParsing:
             parser.parse_args(["--help"])
         assert exc.value.code == 0
         capsys.readouterr()
+
+
+def _run_sequence(tmp):
+    """(exit code, stdout, stderr, output bytes) of each of a sequence of
+    in-process runs, in the new directory ``tmp``: each report command,
+    help, a usage error, a config file and a domain error."""
+    tmp.mkdir()
+    cfgfile = tmp / "k.cfg"
+    cfgfile.write_text("K=32\nalpha_b=-1e-3\n")
+    calls = [["sums"], ["ansatz"], ["kernels"], ["nodal", "--format", "json"],
+             ["--help"], ["sums", "--bogus", "1"], ["kernels", "--config", str(cfgfile)],
+             ["energy", "--K", "3"]]
+    seen = []
+    for i, argv in enumerate(calls):
+        path = tmp / f"{i}.out"
+        argv = argv + ["--out", str(path)] if i < 4 else argv
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        data = path.read_bytes() if path.exists() else None
+        seen.append((code, out.getvalue(), err.getvalue(), data))
+    return seen
+
+
+def test_run_reuses_one_parser(monkeypatch, tmp_path):
+    # run builds one parser per process and gives every call's exit code,
+    # stdout, stderr and output bytes that a fresh build_parser() gives
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    reused = _run_sequence(tmp_path / "reused")
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "_parser", build)
+    assert _run_sequence(tmp_path / "fresh") == reused
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 0, 2, 0, 2]
+    assert all(r[3] for r in reused[:4]) and reused[4][1].startswith("usage: necklace")
 
 
 class TestSums:
@@ -613,10 +649,6 @@ def test_verify_exits_cleanly(tokens, passed, config):
     assert "Traceback" not in err.getvalue()
 
 
-#: the m = 16 model as default_model computes it: profile, xi, gnorm, cstar
-_MODEL = (u_star_profile(build_crown(16)),
-          Point3(float.fromhex("0x1.3531a2a91ec68p-1"), 0.0, 0.0),
-          float.fromhex("0x1.01b255b74ed60p+0"), float.fromhex("0x1.de2e7458893ecp-3"))
 #: energy's options, each in its domain or anywhere around it; K stays at
 #: or below 256 in the domain, where full mode takes well under a second
 _ENERGY_OPTIONS = {
@@ -634,15 +666,13 @@ _ENERGY_OPTIONS = {
        st.fixed_dictionaries({}, optional=_ENERGY_OPTIONS))
 def test_energy_exits_cleanly(flags, config):
     # flags and a config file: exit 0, 1 or 2 with at most one "error:"
-    # line, no traceback and no RuntimeWarning; the model is the recorded one
+    # line, no traceback and no RuntimeWarning
     argv = ["energy", *(f"--{k}={v!r}" if isinstance(v, float) else f"--{k}={v}"
                         for k, v in flags.items())]
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
-            warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error", RuntimeWarning)
-        mp.setattr(energy, "default_model", lambda: _MODEL)
         if config:
             cfgfile = os.path.join(tmp, "energy.cfg")
             with open(cfgfile, "w") as fh:

@@ -25,6 +25,7 @@ from necklace.energy import (
     _a_half_width,
     _apply_bumps,
     _box,
+    _computed_model,
     _cores,
     _near_cores,
     _grid_start,
@@ -682,6 +683,16 @@ class TestCStar:
         # the m=16 value the benchmark reference pins, to the last bit
         _profile, _xi, _gnorm, cstar = default_model()
         assert cstar == 0.23348704238119866
+
+    def test_recorded_model_equals_computed(self):
+        # default_model's recorded xi, gnorm and cstar are what the
+        # quadrature computes, to the last bit and the sign of each zero
+        _profile, xi, gnorm, cstar = default_model()
+        _p, xi_c, gnorm_c, cstar_c = _computed_model()
+        recorded = (xi.z1, xi.z2, xi.z3, gnorm, cstar)
+        computed = (xi_c.z1, xi_c.z2, xi_c.z3, gnorm_c, cstar_c)
+        assert recorded == computed
+        assert [v.hex() for v in recorded] == [v.hex() for v in computed]
 
     def test_pruned_bump_factor_is_exact(self):
         # multiplying only the picked rows by the product of their cores'

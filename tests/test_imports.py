@@ -64,6 +64,17 @@ def test_cli_import_leaves_out_the_acceptance_checks():
     assert "necklace.acceptance" not in _modules_after("import necklace.cli")
 
 
+def test_cli_import_builds_no_parser():
+    # run builds its parser on the first call, so importing the CLI (a
+    # benchmark worker's set-up) makes no ArgumentParser
+    code = ("import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+            "import necklace.cli; assert built == [], built; "
+            "assert necklace.cli._parser.cache_info().currsize == 0")
+    _modules_after(code)
+
+
 def test_import_loads_the_legendre_rule():
     # numpy loads numpy.polynomial lazily; the package imports it up front,
     # so the first quadrature does not pay for it

@@ -1115,6 +1115,19 @@ def test_point_kernels_raise_the_per_call_errors(K):
     _assert_same(lambda: h0e_bb(q, cfg), lambda: _old_h0e_bb(q, cfg))
 
 
+def test_tail_images_cache_is_bounded():
+    # sector_images(K) but the identity, with negated signs, read-only and
+    # bit for bit; cached per K and bounded as sector_images is
+    for K in range(4, 2 * kernels._tail_images.cache_info().maxsize + 12, 2):
+        mats, signs = kernels._tail_images(K)
+        full_mats, full_signs = sector_images(K)
+        assert mats.tobytes() == full_mats[1:].tobytes()
+        assert signs.tobytes() == (-full_signs[1:]).tobytes()
+        assert not (mats.flags.writeable or signs.flags.writeable)
+    for cache in (kernels._tail_images, sector_images):
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
 def test_stencil_raises_the_first_rows_error():
     # a one-call stencil raises what the per-point loop raised first: here
     # a radicand lost to round-off (row q) and the Kelvin image (row k)

@@ -292,6 +292,21 @@ def test_alt_sums_equal_sum_direct(n, x):
     assert trigsums.alt_sums(n, x) == tuple(want)
 
 
+def _sin2_float_listcomp(n):
+    """_sin2_float's table as it was first built: a list of math.sin(j * step)."""
+    step = math.pi / n
+    sines = np.array([math.sin(j * step) for j in range(n)])
+    return sines * sines
+
+
+def test_sin2_float_bits_equal_listcomp_build():
+    # the NumPy products j * (pi/n) are the int-times-float products of
+    # the list build, so every table keeps its bits
+    for n in [*range(4, 4097, 2), N_MAX]:
+        assert trigsums._sin2_float.__wrapped__(n).tobytes() == \
+            _sin2_float_listcomp(n).tobytes(), n
+
+
 def test_sin2_float_cache_is_bounded():
     table = trigsums._sin2_float
     size = table.cache_info().maxsize
