@@ -155,8 +155,9 @@ def _sphere_rule(panels, n_p: int, upper: bool = False) -> Tuple[np.ndarray, np.
 
 #: inner log-radial cutoff of c_star's core balls
 _RHO0 = 1e-6
-#: points c_star's integrand evaluates at a time: it bounds the working
-#: memory of a shell or core ball to one value per point
+#: points c_star's integrand makes and evaluates at a time: a shell or core
+#: ball holds one value per point of its sphere rule, and no point array
+#: larger than a batch
 _BATCH = 8 * _BLOCK
 
 
@@ -200,23 +201,24 @@ def _reaches(r: float, R: float, w: float) -> bool:
     return (r - R) ** 2 < (w * (1.0 + 1e-9)) ** 2 + 1e-12 * (r + R) ** 2
 
 
-def _apply_bumps(vals: np.ndarray, y: np.ndarray, r: float, near, fac: np.ndarray) -> bool:
-    """Multiply ``vals`` at points ``y`` of the shell |y| = r, in the
-    directions ``_near_cores`` took ``near`` from, by the product over cores,
-    in order, of 1 - _smooth_cut(2|y - c|/w - 1).  ``fac`` is a buffer of
-    len(y) ones, and is left so.  Returns whether a core reached the shell.
+def _apply_bumps(vals: np.ndarray, dirs: np.ndarray, r: float, near, fac: np.ndarray) -> bool:
+    """Multiply ``vals`` at the points r * ``dirs`` of the shell |y| = r, in
+    the directions ``_near_cores`` took ``near`` from, by the product over
+    cores, in order, of 1 - _smooth_cut(2|y - c|/w - 1).  ``fac`` is a
+    buffer of len(dirs) ones, and is left so.  Returns whether a core
+    reached the shell.
 
     A core's factor is exactly 1.0 wherever |y - c| >= w: on the rows
     ``_near_cores`` did not pick and on a shell farther than w from R (with
     a margin covering the rounding of the test).  So only the picked rows
-    are multiplied, each once by its product: the bits of multiplying every
-    value by the product over all cores."""
+    are formed and multiplied, each once by its product: the bits of
+    multiplying every value by the product over all cores."""
     reach = [(c, w, picked) for c, R, w, picked in near if _reaches(r, R, w)]
     if not reach:
         return False
     for c, w, picked in reach:
         # np.linalg.norm's bits, without its per-call overhead
-        rho = np.sqrt(_sq_norm(y[picked] - c))
+        rho = np.sqrt(_sq_norm(r * dirs[picked] - c))
         fac[picked] *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
     # a row picked twice is gathered and set twice, to the same product
     rows = np.concatenate([picked for *_, picked in reach])
@@ -248,10 +250,13 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
     order adapted to the nearest core, and the far field beyond R = 10^3 is
     added from the measured 1/|z| coefficient.
     ``scale`` > 0 multiplies every node count (scale=2 halves all steps).
-    Each shell and core ball is evaluated _BATCH points at a time into one
-    value array: a point's value does not depend on its batch, so the
-    result has the bits of evaluating the shell at once, and no temporary
-    is larger than a batch.  ``xi`` is a Point3; anything else is a
+    Each shell and core ball is evaluated _BATCH points at a time, each
+    batch's points made when it is evaluated, into one value buffer per
+    sphere rule: a point's value does not depend on its batch, so the
+    result has the bits of evaluating the shell at once.  The working
+    memory is the sphere rule in use, its values (a core ball's: one per
+    radial node and direction) and one batch's temporaries, however many
+    shells share the rule.  ``xi`` is a Point3; anything else is a
     DomainError.  The part totals, the number of points the profile was
     evaluated at and the shells a core's bump reached are logged in one
     DEBUG record on this module's logger.
@@ -269,24 +274,28 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
     xi_rows = np.tile(xiv, (_BLOCK, 1))
     points = 1
 
-    def integrand(y: np.ndarray) -> np.ndarray:
-        # q * q / (4 pi r2 * r2), the same operations in the same order, _BATCH
-        # rows at a time into one value array, so that no temporary is
-        # full-size; r2 is formed after the profile call so that it is not
-        # held during it
+    # one batch of points, rewritten by every batch
+    pts = np.empty((_BATCH, 3))
+
+    def integrand(block, out: np.ndarray) -> None:
+        # q * q / (4 pi r2 * r2) into ``out``, the same operations in the
+        # same order, at the points that block(lo, hi, y) writes into y for
+        # its rows lo:hi, _BATCH rows at a time; r2 is formed after the profile
+        # call and each batch's arrays are dropped before the next is made,
+        # so that neither is held during a profile call
         nonlocal points
-        flat = y.reshape(-1, 3)
-        points += len(flat)
-        out = np.empty(len(flat))
-        for lo in range(0, len(flat), _BATCH):
-            blk = flat[lo:lo + _BATCH]
-            q = np.asarray(profile.fn(_shifted(blk, xi_rows)), dtype=float)
-            r2 = _sq_norm(blk)
+        points += len(out)
+        for lo in range(0, len(out), _BATCH):
+            hi = min(lo + _BATCH, len(out))
+            y = pts[:hi - lo]
+            block(lo, hi, y)
+            q = np.asarray(profile.fn(_shifted(y, xi_rows)), dtype=float)
+            r2 = _sq_norm(y)
             den = 4.0 * np.pi * r2
             den *= r2
-            val = np.multiply(q, q, out=out[lo:lo + len(blk)])
+            val = np.multiply(q, q, out=out[lo:hi])
             val /= den
-        return out.reshape(y.shape[:-1])
+            del y, q, r2, den, val
 
     cores = _cores(profile, xi)
     n = lambda base: max(2, int(math.ceil(base * scale)))
@@ -294,13 +303,23 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
     # core balls, log-radial around each center
     core_total = 0.0
     dirs, dweights = _sphere_rule([(-1.0, 1.0, n(12))], n(24))
+    vals = None
     for c, _R, w in cores:
         s_nodes, s_weights = gl_panels(
             np.linspace(math.log(_RHO0), math.log(w), n(30) + 1), 8
         )
         rho = np.exp(s_nodes)
-        pts = c + rho[:, None, None] * dirs
-        vals = integrand(pts)
+        if vals is None:
+            # every ball has the same rule: one value buffer for all
+            vals = np.empty((len(rho), len(dirs)))
+
+        def ball(lo, hi, y):
+            # rows lo:hi of the points c + rho[k] * dirs[j], in (k, j) order
+            k, j = divmod(np.arange(lo, hi), len(dirs))
+            np.multiply(rho[k, None], dirs[j], out=y)
+            np.add(y, c, out=y)
+
+        integrand(ball, vals.reshape(-1))
         vals *= _smooth_cut(2.0 * rho[:, None] / w - 1.0)
         core_total += float(
             np.sum((vals @ dweights) * s_weights * rho**3)
@@ -357,14 +376,14 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
         if rule != (panels, n_p):
             rule = (panels, n_p)
             # drop the old rule first, so that two are never held at once
-            dirs_s = dweights_s = bump = None
+            dirs_s = dweights_s = bump = vals = None
             dirs_s, dweights_s = _sphere_rule(panels, n_p, even_z3)
             bump = np.ones(len(dirs_s))
+            vals = np.empty(len(dirs_s))
         near = _near_cores(dirs_s, lo, hi, cores)
         for rv, rw in zip(r_nodes, r_weights):
-            pts = rv * dirs_s
-            vals = integrand(pts)
-            bumped += _apply_bumps(vals, pts, rv, near, bump)
+            integrand(lambda a, b, y: np.multiply(rv, dirs_s[a:b], out=y), vals)
+            bumped += _apply_bumps(vals, dirs_s, rv, near, bump)
             outer_total += float((vals @ dweights_s) * rw * rv * rv)
         shells += len(r_nodes)
 

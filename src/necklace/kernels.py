@@ -584,7 +584,8 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
         raise DomainError(f"t_a takes |z| up to {_T_A_MAX:g}")
     mats, signs = _tail_images(cfg.K)
     b, w, _, rot, xi, W, trace = A._arrays
-    r = mats @ z.as_array() - b
+    # one (3(K-1), 3) matvec, row for row the bits of the stacked one
+    r = (mats.reshape(-1, 3) @ z.as_array()).reshape(-1, 3) - b
     rn = _norm(r)
     if (rn < _COINCIDENT_TOL).any():
         raise DomainError("q_a is undefined at the placement point")

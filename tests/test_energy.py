@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -659,18 +660,7 @@ class TestCStar:
         # array: at scale 1 the constant and the DEBUG record are the same
         # for batches that split most shells and core balls, and for one
         # batch per shell or ball (each has fewer than 10^6 points here)
-        mu = 0.05
-        x = np.array([[0.0, 0.0, 0.0], [0.8, 0.0, 0.0]])
-        conc = np.array([1.0, mu * mu])
-        amp = np.array([TALENTI_AMP, -TALENTI_AMP * math.sqrt(mu)])
-        qa, qc = 1.0 - mu, 0.64 + mu * mu - mu
-        xi = Point3((1.6 - math.sqrt(1.6**2 - 4.0 * qa * qc)) / (2.0 * qa), 0.0, 0.0)
-
-        def fn(arr):
-            return sum(A / np.sqrt(cb + np.einsum("...i,...i->...", arr - xb, arr - xb))
-                       for xb, cb, A in zip(x, conc, amp))
-
-        profile = ProfileHandle(fn=fn, bubbles=(x, conc, amp))
+        profile, xi = _planar_pair()
         caplog.set_level(logging.DEBUG, logger="necklace.energy")
         values = [c_star(profile, xi).hex()]
         for batch in (2047, 10**6):
@@ -678,6 +668,30 @@ class TestCStar:
             values.append(c_star(profile, xi).hex())
         texts = [r.getMessage() for r in caplog.records]
         assert len(set(values)) == 1 and len(texts) == 3 and len(set(texts)) == 1
+
+    def test_memory_is_bounded_by_the_sphere_rule(self, monkeypatch):
+        # no point array outgrows a batch: with _BLOCK-point batches the
+        # tracemalloc peak is within 4x the bytes (nodes and weights) of the
+        # largest sphere rule; a shell's or core ball's full point array
+        # took it to 8.2x
+        profile, xi = _planar_pair()
+        rules = []
+        real = energy._sphere_rule
+
+        def spy(*args):
+            dirs, weights = real(*args)
+            rules.append(dirs.nbytes + weights.nbytes)
+            return dirs, weights
+
+        monkeypatch.setattr(energy, "_sphere_rule", spy)
+        monkeypatch.setattr(energy, "_BATCH", _BLOCK)
+        tracemalloc.start()
+        try:
+            c_star(profile, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * max(rules)
 
     def test_model_constant(self):
         # the m=16 value the benchmark reference pins, to the last bit
@@ -725,7 +739,7 @@ class TestCStar:
                     ref, touching = unpruned(y)
                     vals, buf = rng.normal(size=len(y)), np.ones(len(y))
                     got = vals.copy()
-                    _apply_bumps(got, y, r, _near_cores(dirs, r, r, cores), buf)
+                    _apply_bumps(got, dirs, r, _near_cores(dirs, r, r, cores), buf)
                     assert np.array_equal(got, vals * ref)
                     assert np.all(buf == 1.0)
                     crossed += int(np.any((ref > 0.0) & (ref < 1.0)))
@@ -758,6 +772,23 @@ class TestCStar:
         refined, _parts = refined_c_star
         assert refined == 0.23348691414482722
         assert abs(refined - cstar) / refined <= 1e-6
+
+
+def _planar_pair():
+    """An origin bubble and a core at (0.8, 0, 0) with mu = 0.05, and the
+    zero xi between their centres: a small c_star profile with one core."""
+    mu = 0.05
+    x = np.array([[0.0, 0.0, 0.0], [0.8, 0.0, 0.0]])
+    conc = np.array([1.0, mu * mu])
+    amp = np.array([TALENTI_AMP, -TALENTI_AMP * math.sqrt(mu)])
+    qa, qc = 1.0 - mu, 0.64 + mu * mu - mu
+    xi = Point3((1.6 - math.sqrt(1.6**2 - 4.0 * qa * qc)) / (2.0 * qa), 0.0, 0.0)
+
+    def fn(arr):
+        return sum(A / np.sqrt(cb + np.einsum("...i,...i->...", arr - xb, arr - xb))
+                   for xb, cb, A in zip(x, conc, amp))
+
+    return ProfileHandle(fn=fn, bubbles=(x, conc, amp)), xi
 
 
 @pytest.fixture(scope="module")
