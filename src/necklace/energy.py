@@ -228,15 +228,14 @@ def _apply_bumps(vals: np.ndarray, dirs: np.ndarray, r: float, near, fac: np.nda
 
 
 def _shifted(y: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
-    """y + x for points ``y`` (..., 3) and ``x_rows``, x repeated in _BLOCK
+    """y + x for points ``y`` (n, 3) and ``x_rows``, x repeated in _BLOCK
     rows: the same sums, added block by block without NumPy's slow
     broadcast over a trailing axis of length 3."""
-    flat = y.reshape(-1, 3)
-    out = np.empty_like(flat)
-    for lo in range(0, len(flat), _BLOCK):
-        hi = min(lo + _BLOCK, len(flat))
-        np.add(flat[lo:hi], x_rows[: hi - lo], out=out[lo:hi])
-    return out.reshape(y.shape)
+    out = np.empty_like(y)
+    for lo in range(0, len(y), _BLOCK):
+        hi = min(lo + _BLOCK, len(y))
+        np.add(y[lo:hi], x_rows[: hi - lo], out=out[lo:hi])
+    return out
 
 
 def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -30,23 +29,27 @@ _HESS_STEP = 1e-4
 _T_A_MAX = 1e61
 
 
-def _pows(a: np.ndarray, *exps: float) -> Tuple[np.ndarray, ...]:
-    # C's pow per element through math.pow (Python's float ** makes the same
-    # call), not np.power: on CPUs with AVX-512 NumPy's power loop runs SVML,
-    # which differs from pow by an ulp on about 5% of elements (9 862 to
-    # 10 684 of 200 000 uniform values at e = -0.5, numpy 2.4.6 on an AVX-512
-    # Xeon), and that moves printed values (the default `necklace kernels`
-    # h0e_bb direct sum among them).  One list of a's elements feeds every
-    # exponent; an int e is converted once, not per element; an array of any
-    # shape keeps its shape.
-    values = a.ravel().tolist()
-    return tuple(np.fromiter(map(math.pow, values, repeat(float(e))), float,
-                             a.size).reshape(a.shape) for e in exps)
+def _pows(a: np.ndarray, *exps: float) -> np.ndarray:
+    # C's pow per element through np.float_power, whose float64 loop is
+    # NumPy's generic one calling libm pow (the bits of math.pow and of
+    # Python's float **), not np.power: on CPUs with AVX-512 NumPy's power
+    # loop runs SVML, which differs from pow by an ulp on about 5% of
+    # elements (9 862 to 10 684 of 200 000 uniform values at e = -0.5, numpy
+    # 2.4.6 on an AVX-512 Xeon), and that moves printed values (the default
+    # `necklace kernels` h0e_bb direct sum among them).  One call raises a
+    # 1-D a to every exponent: row i of the result is a ** exps[i].
+    return _pow(a, np.array(exps, dtype=float)[:, None])
 
 
-def _pow(a: np.ndarray, e: float) -> np.ndarray:
-    """a ** e per element, by C's pow (_pows)."""
-    return _pows(a, e)[0]
+def _pow(a: np.ndarray, e) -> np.ndarray:
+    """a ** e per element, by C's pow (_pows), for e a float or an array
+    that broadcasts against a; a result past the largest double is an
+    OverflowError, as math.pow's."""
+    with np.errstate(over="raise"):
+        try:
+            return np.float_power(a, e)
+        except FloatingPointError:
+            raise OverflowError("a power overflows a double") from None
 
 
 def _norm(r: np.ndarray) -> np.ndarray:
@@ -288,6 +291,7 @@ def _direct(kind: str, Z: np.ndarray, P: np.ndarray, K: int) -> List[float]:
     else:
         mats, signs = sector_images(K)
         v = (mats @ Z[:, None, :, None])[..., 0]
+        # _h0_rad's radicands are > 0, so each power is below 1e162
         terms = signs * _pow(_h0_rad(v, P[:, None]), -0.5)
     return list(map(math.fsum, terms.tolist()))
 
@@ -310,14 +314,17 @@ def _in_plane(b: Point3) -> Tuple[float, float]:
 
 
 @lru_cache(maxsize=64)
-def _closed_tables(K: int) -> Tuple[List[float], List[float], List[float]]:
+def _closed_tables(K: int) -> Tuple[np.ndarray, List[float], np.ndarray]:
     """What the two closed forms take from K alone, j < K/2: the odd angles
-    (2j+1) theta0, the -csc(2j theta0) for j > 0 and the sin^2(2j theta0),
-    from sector_images' sines, squared by pow as float ** is (x * x is an
-    ulp off for some)."""
+    (2j+1) theta0 and the sin^2(2j theta0), read-only, and the
+    -csc(2j theta0) for j > 0, from sector_images' sines, squared by pow as
+    float ** is (x * x is an ulp off for some).  The closed forms take the
+    sines of the shifted odd angles from np.sin, whose float64 loop gives
+    math.sin's bits there."""
     t0, s = SectorConfig(K).theta0, sector_images(K)[0][:K // 2, 1, 0]
-    return ([(2 * j + 1) * t0 for j in range(K // 2)], (-1.0 / s[1:]).tolist(),
-            _pow(s, 2).tolist())
+    odd, sin2 = np.arange(1, K, 2) * t0, _pow(s, 2)
+    odd.flags.writeable = sin2.flags.writeable = False
+    return odd, (-1.0 / s[1:]).tolist(), sin2
 
 
 def _gamma_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
@@ -327,7 +334,7 @@ def _gamma_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
     if abs(alpha_b) >= cfg.theta0 / 2.0:
         raise DomainError("|alpha_b| must be below theta0/2")
     odd, neg_csc, _ = _closed_tables(cfg.K)
-    return math.fsum([1.0 / math.sin(a - alpha_b) for a in odd] + neg_csc) / (2.0 * babs)
+    return math.fsum((1.0 / np.sin(odd - alpha_b)).tolist() + neg_csc) / (2.0 * babs)
 
 
 def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
@@ -381,9 +388,11 @@ def _h0e_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
     d = (1.0 - babs * babs) / (2.0 * babs)
     d2 = d * d
     odd, _, sin2 = _closed_tables(cfg.K)
-    terms = [(d2 + s2) ** -0.5 for s2 in sin2]
-    terms += [-((d2 + math.sin(a - alpha_b) ** 2) ** -0.5) for a in odd]
-    return math.fsum(terms) / (2.0 * babs)
+    # no base is 0, as d >= 1.1e-16 for a double |b| < 1
+    shifted = _pow(np.sin(odd - alpha_b), 2)
+    terms = _pow(d2 + np.concatenate((sin2, shifted)), -0.5)
+    terms[len(sin2):] *= -1.0
+    return math.fsum(terms.tolist()) / (2.0 * babs)
 
 
 def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
@@ -417,6 +426,7 @@ def _w_sums(K: int, b_abs: float, alpha_b: float, w_abs: float, alpha_w: float):
     mww = np.vecdot(mw, w)
     r = v[1:] - bv
     rn = _norm(r)
+    # |r| < 2 for |b| < 1: no power overflows
     rn3, rn5 = _pows(rn, 3, 5)
     rw, rmw = np.vecdot(r, w), np.vecdot(r, mw[1:])
     newton = (
@@ -425,6 +435,7 @@ def _w_sums(K: int, b_abs: float, alpha_b: float, w_abs: float, alpha_w: float):
         math.fsum((-signs[1:] * (mww[1:] / rn3 - 3.0 * rmw * rw / rn5)).tolist()),
     )
     try:
+        # _h0_rad's radicands are > 0
         F = _pow(_h0_rad(v[None], bv[None, None])[0], -0.5)
     except (DomainError, AccuracyError) as exc:
         return newton, exc.with_traceback(None)
@@ -589,6 +600,7 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     rn = _norm(r)
     if (rn < _COINCIDENT_TOL).any():
         raise DomainError("q_a is undefined at the placement point")
+    # _COINCIDENT_TOL <= |r| <= _T_A_MAX + 1: every power is finite and > 0
     rn2, rn3, rn5 = _pows(rn, 2, 3, 5)
     e = A.eps
     # stacked matvecs, each rounded as rot @ r_i is

@@ -20,7 +20,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from operator import neg
 from typing import Tuple
 
@@ -119,21 +118,19 @@ def _resolved(total: float, plus: list, minus: list) -> bool:
     return abs(total) >= _CANCEL_THRESHOLD * math.fsum(plus + minus)
 
 
-def _sum_float(spec: SumSpec, bases: list) -> float:
-    """sum_direct of ``spec`` from the list x^2 + sin^2(j pi/n), j < n."""
-    nkhalf = -(spec.k / 2.0)
-    plus_slice, minus_slice = _FLOAT_SLICES[spec.variant]
-    plus = list(map(math.pow, bases[plus_slice], repeat(nkhalf)))
-    minus = list(map(math.pow, bases[minus_slice], repeat(nkhalf)))
+def _sum_float(spec: SumSpec, plus: list, minus: list) -> float:
+    """sum_direct of ``spec`` from the lists of its + and - terms."""
     total = math.fsum(plus + list(map(neg, minus)))
     if _resolved(total, plus, minus):
         return total
     return _sum_exact(spec)
 
 
-def _bases(n: int, x: float) -> list:
-    """x^2 + sin^2(j pi/n) for j = 0..n-1: the bases of every variant's terms."""
-    return (x * x + _sin2_float(n)).tolist()
+def _bases(n: int, x: float) -> np.ndarray:
+    """x^2 + sin^2(j pi/n) for j = 0..n-1: the bases of every variant's terms.
+    No term has a base 0 or overflows: a j = 0 term is SumSpec's checked
+    (x^2)^(-k/2), and every other base is at least sin^2(pi/N_MAX) > 2e-9."""
+    return x * x + _sin2_float(n)
 
 
 def sum_direct(spec: SumSpec) -> float:
@@ -141,9 +138,11 @@ def sum_direct(spec: SumSpec) -> float:
 
     In double precision the terms come from a cached table of sin^2(j pi/n)
     per n (_sin2_float): each variant's positive and negative terms are fixed
-    slices of it, raised to -k/2 by math.pow (C's pow, as Python's float
-    power for these finite positive bases), and summed by math.fsum, whose
-    correct rounding makes the result independent of the order of the terms.
+    slices of it, raised to -k/2 by np.float_power, and summed by math.fsum,
+    whose correct rounding makes the result independent of the order of the
+    terms.  On float64, np.float_power is NumPy's generic loop that calls C's
+    pow per element (math.pow and Python's float power give the same bits);
+    np.power is not, as it runs SVML on AVX-512 CPUs (see kernels._pows).
     When the alternating cancellation exceeds what double precision can
     resolve (|sum| below 1e-8 of the term magnitude), the sum is recomputed
     in exact integers at the scale 2^q with a proven error bound, q doubling
@@ -158,18 +157,27 @@ def sum_direct(spec: SumSpec) -> float:
     """
     if type(spec) is not SumSpec:
         typed("spec", spec, SumSpec)
-    return _sum_float(spec, _bases(spec.n, spec.x))
+    bases, nkhalf = _bases(spec.n, spec.x), -(spec.k / 2.0)
+    return _sum_float(spec, *(np.float_power(bases[sl], nkhalf).tolist()
+                              for sl in _FLOAT_SLICES[spec.variant]))
+
+
+#: alt_sums' exponents -k/2, k = 1, 3, 5, as a column: one row of terms each
+_ALT_EXPONENTS = np.array([[-0.5], [-1.5], [-2.5]])
+_ALT_EXPONENTS.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=1024)
 def alt_sums(n: int, x: float) -> Tuple[float, float, float]:
     """The alternating sums S_1, S_3 and S_5 (n, x), each equal to
-    sum_direct(SumSpec("alt", k, n, x)), from one list of x^2 + sin^2;
-    cached, as the reduced energy revisits the same (n, x)."""
+    sum_direct(SumSpec("alt", k, n, x)), from one array of x^2 + sin^2
+    raised to the three powers in one np.float_power call; cached, as the
+    reduced energy revisits the same (n, x)."""
     specs = [SumSpec("alt", k, n, x) for k in (1, 3, 5)]
     # the checked int and float, so that a NumPy integer x does not overflow
-    bases = _bases(specs[0].n, specs[0].x)
-    return tuple(_sum_float(spec, bases) for spec in specs)
+    terms = np.float_power(_bases(specs[0].n, specs[0].x), _ALT_EXPONENTS)
+    plus, minus = (terms[:, sl].tolist() for sl in _FLOAT_SLICES["alt"])
+    return tuple(map(_sum_float, specs, plus, minus))
 
 
 #: the exact pathway's scales 2^q: q doubles from _Q_FIRST up to _Q_CEILING

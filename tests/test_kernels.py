@@ -41,7 +41,7 @@ from necklace.kernels import (
     s_hat,
     t_a,
 )
-from necklace.trigsums import SumSpec, sum_direct
+from necklace.trigsums import N_MAX, SumSpec, _sin2_float, sum_direct
 
 CFG = SectorConfig(K=32)
 
@@ -540,11 +540,47 @@ def test_pow_bits_equal_float_power(values, e):
     assert kernels._pow(a, e).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("e", [-0.5, 3, 5])
+@pytest.mark.parametrize("e", [-0.5, -1.5, -2.5, 2, 3, 5])
 def test_pow_bits_equal_float_power_on_many(e):
     # 200 000 values, where np.power differs from C's pow on some CPUs
     a = np.random.default_rng(5).uniform(1e-3, 4.0, 200_000)
     assert kernels._pow(a, e).tobytes() == _pow_loop(a, e).tobytes()
+
+
+@pytest.mark.parametrize("e", [-0.5, -1.5, -2.5, 2.0, 3.0, 5.0])
+def test_float_power_is_libm_pow(e):
+    # the sums and kernels take C's pow from np.float_power's float64 loop,
+    # at every exponent they pass; a NumPy that vectorises that loop, as
+    # np.power's runs SVML, fails here first.  The bases: the sin^2(j pi/n)
+    # table at n = N_MAX, sums' bases from sin^2(pi/N_MAX) up to 1, the
+    # kernels' 1e-3 to 4, and large bases up to half the largest whose
+    # power is finite
+    rng = np.random.default_rng(39)
+    tiny = math.sin(math.pi / N_MAX) ** 2
+    big = 1e300 if e < 0 else 0.5 * np.finfo(float).max ** (1.0 / e)
+    a = np.concatenate([
+        _sin2_float(N_MAX)[1:],
+        np.exp(rng.uniform(math.log(tiny), 0.0, 70_000)),
+        rng.uniform(1e-3, 4.0, 70_000),
+        np.exp(rng.uniform(math.log(4.0), math.log(big), 70_000)),
+    ])
+    want = np.fromiter(map(math.pow, a.tolist(), repeat(e)), float, a.size)
+    assert np.float_power(a, e).tobytes() == want.tobytes()
+
+
+def test_np_sin_is_libm_sin():
+    # the closed forms take sin((2j+1) theta0 - alpha_b) from np.sin, whose
+    # bits there are math.sin's: on every odd angle of each even K <= 2 048
+    # and of K = 2^12 ... 2^16, shifted by alpha_b at 0 and at and inside
+    # +-theta0/2, and on 200 000 uniform angles in (0, pi)
+    angles = [np.random.default_rng(39).uniform(0.0, math.pi, 200_000)]
+    for K in [*range(4, 2049, 2), *(2**q for q in range(12, 17))]:
+        t0 = math.pi / K
+        odd = np.arange(1, K, 2) * t0
+        angles += [odd - f * t0 for f in (0.0, 0.5, -0.5, 0.3, -0.1)]
+    a = np.concatenate(angles)
+    want = np.fromiter(map(math.sin, a.tolist()), float, a.size)
+    assert np.sin(a).tobytes() == want.tobytes()
 
 
 def _gamma_bb_closed_loop(babs, alpha_b, K):
