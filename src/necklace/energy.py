@@ -8,7 +8,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, Tuple
 
 import numpy as np
@@ -23,7 +23,7 @@ from .crown import (
 )
 from .errors import AccuracyError, DomainError, real, typed
 from .geometry import Point3, SectorConfig
-from .kernels import a_gamma, a_gamma_quad, c0, c2, full_kernels
+from .kernels import _a_gamma_forms, a_gamma, a_gamma_quad, c0, c2, full_kernels
 from .nodal import radial_nodal_root
 from .trigsums import gl_panels, leggauss
 
@@ -422,6 +422,22 @@ def _psi(cfg: ReducedConfig, e, e3, qhat, coef, mode: str):
     return e * qhat * qhat * h_val + e * e * qhat * grad + e3 * hess - lam_term
 
 
+def _coef(cfg: ReducedConfig, mode: str, d: float, alpha_b: float, alpha_w: float):
+    """_psi's coefficients of ``mode`` at (d, alpha_b, alpha_w)."""
+    if mode == "leading":
+        b = _b_abs(d)
+        return (c0(cfg.K, d), b, c2(cfg.K, d), b**3, a_gamma_quad(cfg.K, alpha_w, alpha_b))
+    return full_kernels(cfg.K, cfg.gnorm, _b_abs(d), alpha_b, alpha_w)
+
+
+def _psi_point(A: ReducedPoint, cfg: ReducedConfig, mode: str) -> float:
+    if not (type(A) is ReducedPoint and type(cfg) is ReducedConfig):
+        typed("A", A, ReducedPoint)
+        typed("cfg", cfg, ReducedConfig)
+    return _psi(cfg, A.eps, A.eps**3, A.a * cfg.gnorm,
+                _coef(cfg, mode, A.d, A.alpha_b, A.alpha_w), mode)
+
+
 def psi_full(A: ReducedPoint, cfg: ReducedConfig) -> float:
     """eps qhat^2 H(b,b) + eps^2 qhat w.(grad_z + grad_p)H(b,b)
     + eps^3 w^T (mixed Hessian of H)(b,b) w - lam eps^2 cstar, where H is the
@@ -432,24 +448,14 @@ def psi_full(A: ReducedPoint, cfg: ReducedConfig) -> float:
     (1 - |b|^2)^2 cancels to <= 0 in round-off and this raises AccuracyError,
     where psi_leading, built from the sums alone, returns a value.  An A or
     cfg of another type is a DomainError."""
-    if not (type(A) is ReducedPoint and type(cfg) is ReducedConfig):
-        typed("A", A, ReducedPoint)
-        typed("cfg", cfg, ReducedConfig)
-    coef = full_kernels(cfg.K, cfg.gnorm, _b_abs(A.d), A.alpha_b, A.alpha_w)
-    return _psi(cfg, A.eps, A.eps**3, A.a * cfg.gnorm, coef, "full")
+    return _psi_point(A, cfg, "full")
 
 
 def psi_leading(A: ReducedPoint, cfg: ReducedConfig) -> float:
     """eps (a gnorm)^2 C0/(2|b|) + eps^3 gnorm^2 C2/(8|b|^3) - lam eps^2 cstar
     + eps^3 (alpha_w, alpha_b) A_gamma (alpha_w, alpha_b)^T.  An A or cfg
     of another type is a DomainError."""
-    if not (type(A) is ReducedPoint and type(cfg) is ReducedConfig):
-        typed("A", A, ReducedPoint)
-        typed("cfg", cfg, ReducedConfig)
-    b = A.b_abs
-    coef = (c0(cfg.K, A.d), b, c2(cfg.K, A.d), b**3,
-            a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b))
-    return _psi(cfg, A.eps, A.eps**3, A.a * cfg.gnorm, coef, "leading")
+    return _psi_point(A, cfg, "leading")
 
 
 def eps_star(cfg: ReducedConfig, d: float) -> float:
@@ -505,19 +511,16 @@ def _grid_values(cfg: ReducedConfig, axes: Dict[str, np.ndarray],
 
     Psi is a polynomial in eps and qhat = a gnorm with coefficients that
     depend on the other axes only.  Every other operation (exp, **, sqrt,
-    the kernel sums, the 2x2 quadratic form) runs through the scalar code on
-    its few distinct inputs; _psi then combines the tables with + - * /,
-    which round correctly.  No np.power on a table: see kernels._pow.
+    the kernel sums) runs through the scalar code on its few distinct inputs,
+    the 2x2 forms through a_gamma_quad's stacked product; _psi combines the
+    tables with + - * /, which round correctly.  No np.power: see kernels._pow.
     """
     log_eps, d, a_rel, alpha_b, alpha_w = (axes[k].tolist() for k in _ORDER)
 
     def table(values, *dims):
         # a table over the listed axes, shaped to broadcast over the others
-        arr = np.array(values, dtype=float)
-        shape = [1] * len(_ORDER)
-        for ax, n in zip(dims, arr.shape):
-            shape[ax] = n
-        return arr.reshape(shape)
+        return np.expand_dims(np.array(values, dtype=float),
+                              [ax for ax in range(len(_ORDER)) if ax not in dims])
 
     eps = [math.exp(v) for v in log_eps]
     qhat = (table(a_rel, 2) * table([_a_half_width(cfg, v) for v in eps], 0)
@@ -526,11 +529,10 @@ def _grid_values(cfg: ReducedConfig, axes: Dict[str, np.ndarray],
         b = [_b_abs(v) for v in d]
         coef = (table([c0(cfg.K, v) for v in d], 1), table(b, 1),
                 table([c2(cfg.K, v) for v in d], 1), table([v**3 for v in b], 1),
-                table([[a_gamma_quad(cfg.K, w, ab) for w in alpha_w]
-                       for ab in alpha_b], 3, 4))
+                table(_a_gamma_forms(cfg.K, np.stack(np.meshgrid(alpha_w, alpha_b), -1)), 3, 4))
     else:
-        kern = np.array([[[full_kernels(cfg.K, cfg.gnorm, _b_abs(dv), ab, w)
-                           for w in alpha_w] for ab in alpha_b] for dv in d])
+        kern = np.array([[[_coef(cfg, mode, v, ab, w) for w in alpha_w] for ab in alpha_b]
+                         for v in d])
         coef = tuple(table(kern[..., i], 1, 3, 4) for i in range(3))
     return _psi(cfg, table(eps, 0), table([v**3 for v in eps], 0), qhat, coef,
                 mode)
@@ -542,10 +544,17 @@ def _grid_start(cfg: ReducedConfig, box: Dict[str, Tuple[float, float]],
     the smallest Psi, NaN values skipped and the first in C order on ties."""
     axes = {k: np.linspace(*box[k], _GRID_POINTS) for k in _ORDER}
     grid = _grid_values(cfg, axes, mode)
-    if np.isnan(grid).all():
+    low = np.fmin.reduce(grid, axis=None)  # skips NaN, without nanargmin's copy
+    if math.isnan(low):
         raise AccuracyError("Psi is NaN at every grid point", best=math.nan)
-    best = np.unravel_index(np.nanargmin(grid), grid.shape)
+    best = np.unravel_index(np.flatnonzero(grid == low)[0], grid.shape)
     return {k: float(axes[k][i]) for k, i in zip(_ORDER, best)}
+
+
+def _psi_at(cfg: ReducedConfig, x: Dict[str, float], coef, mode: str) -> float:
+    """Psi at search coordinates ``x`` from _coef there: psi_leading's/psi_full's bits."""
+    eps = math.exp(x["log_eps"])
+    return _psi(cfg, eps, eps**3, x["a_rel"] * _a_half_width(cfg, eps) * cfg.gnorm, coef, mode)
 
 
 def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
@@ -553,38 +562,29 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
 
     Coordinates: log eps, the a-axis normalized by its eps-dependent
     half-width, d, alpha_b, alpha_w.  The grid is evaluated from tables
-    (_grid_values); the descent calls the scalar objective.  Returns (argmin,
-    diagnostics) where the diagnostics report the value, the axes within
-    1e-3 of the box width of a face, the scaling ratios of the minimizer,
-    the sweeps used, whether the descent converged before the sweep cap and
-    the scalar objective calls of the descent.  K, the mode, the grid
-    points, the sweeps, the evaluations and the axes on the boundary are
-    logged in one DEBUG record on this module's logger.  Full mode raises
-    DomainError before the grid if check_full_mode does, and so does a cfg
-    that is no ReducedConfig.
+    (_grid_values); the descent (_psi_at) keeps Psi's coefficients while d,
+    alpha_b and alpha_w stay put.  Returns (argmin, diagnostics) where the
+    diagnostics report the value, the axes within 1e-3 of the box width of
+    a face, the scaling ratios of the minimizer, the sweeps used, whether
+    the descent converged before the sweep cap and its Psi evaluations.  K,
+    the mode, the grid points, the sweeps, the evaluations and the axes on
+    the boundary are logged in one DEBUG record on this module's logger.
+    Full mode raises DomainError before the grid if check_full_mode does,
+    and so does a cfg that is no ReducedConfig.
     """
     typed("cfg", cfg, ReducedConfig)
-    if mode == "leading":
-        objective = psi_leading
-    elif mode == "full":
+    if mode == "full":
         check_full_mode(cfg)
-        objective = psi_full
-    else:
+    elif mode != "leading":
         raise DomainError(f"mode must be 'leading' or 'full', got {mode!r}")
     box = _box(cfg)
-
-    def to_point(x: Dict[str, float]) -> ReducedPoint:
-        eps = math.exp(x["log_eps"])
-        return ReducedPoint(
-            eps=eps, a=x["a_rel"] * _a_half_width(cfg, eps), d=x["d"],
-            alpha_b=x["alpha_b"], alpha_w=x["alpha_w"],
-        )
-
+    # box points are valid ReducedPoints: no checks; _coef reruns as (d, alpha_b, alpha_w) moves
+    coef = lru_cache(maxsize=1)(partial(_coef, cfg, mode))
     calls = [0]
 
     def value(x: Dict[str, float]) -> float:
         calls[0] += 1
-        return objective(to_point(x), cfg)
+        return _psi_at(cfg, x, coef(x["d"], x["alpha_b"], x["alpha_w"]), mode)
 
     # cyclic golden-section refinement from the best grid point
     x = _grid_start(cfg, box, mode)
@@ -610,14 +610,15 @@ def minimize_psi(cfg: ReducedConfig, mode: str = "leading"):
     converged = moved < 1e-5
     evaluations = calls[0]
 
-    argmin = to_point(x)
-    val = value(x)
+    eps = math.exp(x["log_eps"])
+    argmin = ReducedPoint(eps=eps, a=x["a_rel"] * _a_half_width(cfg, eps), d=x["d"],
+                          alpha_b=x["alpha_b"], alpha_w=x["alpha_w"])
     K = cfg.K
     on_boundary = tuple(k for k in _ORDER
                         if min(x[k] - box[k][0], box[k][1] - x[k])
                         / (box[k][1] - box[k][0]) < 1e-3)
     diagnostics = {
-        "value": val,
+        "value": value(x),
         "on_boundary": on_boundary,
         "eps_ratio": argmin.eps / eps_star(cfg, argmin.d),
         "d_scaling": K * argmin.d - math.log(K) + 0.5 * math.log(math.log(K)),

@@ -29,22 +29,16 @@ _HESS_STEP = 1e-4
 _T_A_MAX = 1e61
 
 
-def _pows(a: np.ndarray, *exps: float) -> np.ndarray:
-    # C's pow per element through np.float_power, whose float64 loop is
-    # NumPy's generic one calling libm pow (the bits of math.pow and of
-    # Python's float **), not np.power: on CPUs with AVX-512 NumPy's power
-    # loop runs SVML, which differs from pow by an ulp on about 5% of
-    # elements (9 862 to 10 684 of 200 000 uniform values at e = -0.5, numpy
-    # 2.4.6 on an AVX-512 Xeon), and that moves printed values (the default
-    # `necklace kernels` h0e_bb direct sum among them).  One call raises a
-    # 1-D a to every exponent: row i of the result is a ** exps[i].
-    return _pow(a, np.array(exps, dtype=float)[:, None])
-
-
 def _pow(a: np.ndarray, e) -> np.ndarray:
-    """a ** e per element, by C's pow (_pows), for e a float or an array
-    that broadcasts against a; a result past the largest double is an
-    OverflowError, as math.pow's."""
+    """a ** e per element, by C's pow, for e a float or an array that broadcasts
+    against a (a column [[e1], [e2]] raises a 1-D a to each); a result past
+    the largest double is an OverflowError, as math.pow's.  np.float_power's
+    float64 loop is NumPy's generic one calling libm pow (the bits of
+    math.pow and of Python's float **), not np.power: on CPUs with AVX-512
+    NumPy's power loop runs SVML, which differs from pow by an ulp on about
+    5% of elements (9 862 to 10 684 of 200 000 uniform values at e = -0.5,
+    numpy 2.4.6 on an AVX-512 Xeon), and that moves printed values (the
+    default `necklace kernels` h0e_bb direct sum among them)."""
     with np.errstate(over="raise"):
         try:
             return np.float_power(a, e)
@@ -257,10 +251,15 @@ def _a_gamma(K: int) -> np.ndarray:
     return form
 
 
+def _a_gamma_forms(K: int, alpha: np.ndarray) -> np.ndarray:
+    """alpha A_gamma(K) alpha^T for each row alpha = (alpha_w, alpha_b) of a
+    (..., 2) stack, row by row (no gemm): the bits of the 1-D alpha @ a_gamma(K) @ alpha."""
+    return np.vecdot(np.matmul(alpha[..., None, :], a_gamma(K))[..., 0, :], alpha)
+
+
 def a_gamma_quad(K: int, alpha_w: float, alpha_b: float) -> float:
     """(alpha_w, alpha_b) A_gamma(K) (alpha_w, alpha_b)^T."""
-    alpha = np.array([alpha_w, alpha_b])
-    return float(alpha @ a_gamma(K) @ alpha)
+    return float(_a_gamma_forms(K, np.array([alpha_w, alpha_b])))
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +387,9 @@ def _h0e_bb_closed(babs: float, alpha_b: float, cfg: SectorConfig) -> float:
     d = (1.0 - babs * babs) / (2.0 * babs)
     d2 = d * d
     odd, _, sin2 = _closed_tables(cfg.K)
-    # no base is 0, as d >= 1.1e-16 for a double |b| < 1
-    shifted = _pow(np.sin(odd - alpha_b), 2)
-    terms = _pow(d2 + np.concatenate((sin2, shifted)), -0.5)
+    # sin^2 <= 1 and each base is >= d^2 > 1e-32 (d >= 1.1e-16): no overflow
+    shifted = np.float_power(np.sin(odd - alpha_b), 2)
+    terms = np.float_power(d2 + np.concatenate((sin2, shifted)), -0.5)
     terms[len(sin2):] *= -1.0
     return math.fsum(terms.tolist()) / (2.0 * babs)
 
@@ -427,7 +426,7 @@ def _w_sums(K: int, b_abs: float, alpha_b: float, w_abs: float, alpha_w: float):
     r = v[1:] - bv
     rn = _norm(r)
     # |r| < 2 for |b| < 1: no power overflows
-    rn3, rn5 = _pows(rn, 3, 5)
+    rn3, rn5 = np.float_power(rn, [[3.0], [5.0]])
     rw, rmw = np.vecdot(r, w), np.vecdot(r, mw[1:])
     newton = (
         math.fsum((signs[1:] * rmw / rn3).tolist()),
@@ -440,7 +439,7 @@ def _w_sums(K: int, b_abs: float, alpha_b: float, w_abs: float, alpha_w: float):
     except (DomainError, AccuracyError) as exc:
         return newton, exc.with_traceback(None)
     v2 = np.vecdot(v, v)[:, None]
-    F3, F5 = _pows(F, 3, 5)
+    F3, F5 = _pow(F, [[3.0], [5.0]])
     gz = np.vecdot(bv - v2 * v, mw)
     gp = np.vecdot(v - v2 * bv, w)
     return newton, (
@@ -601,7 +600,7 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     if (rn < _COINCIDENT_TOL).any():
         raise DomainError("q_a is undefined at the placement point")
     # _COINCIDENT_TOL <= |r| <= _T_A_MAX + 1: every power is finite and > 0
-    rn2, rn3, rn5 = _pows(rn, 2, 3, 5)
+    rn2, rn3, rn5 = _pow(rn, [[2.0], [3.0], [5.0]])
     e = A.eps
     # stacked matvecs, each rounded as rot @ r_i is
     inner = e * np.matmul(rot, r[:, :, None])[:, :, 0] / rn2[:, None] + xi

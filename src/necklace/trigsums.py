@@ -118,12 +118,12 @@ def _resolved(total: float, plus: list, minus: list) -> bool:
     return abs(total) >= _CANCEL_THRESHOLD * math.fsum(plus + minus)
 
 
-def _sum_float(spec: SumSpec, plus: list, minus: list) -> float:
-    """sum_direct of ``spec`` from the lists of its + and - terms."""
+def _sum_float(variant: str, k: int, n: int, x: float, plus: list, minus: list) -> float:
+    """sum_direct of a valid SumSpec(variant, k, n, x) from its term lists."""
     total = math.fsum(plus + list(map(neg, minus)))
     if _resolved(total, plus, minus):
         return total
-    return _sum_exact(spec)
+    return _sum_exact(SumSpec(variant, k, n, x))
 
 
 def _bases(n: int, x: float) -> np.ndarray:
@@ -142,7 +142,7 @@ def sum_direct(spec: SumSpec) -> float:
     whose correct rounding makes the result independent of the order of the
     terms.  On float64, np.float_power is NumPy's generic loop that calls C's
     pow per element (math.pow and Python's float power give the same bits);
-    np.power is not, as it runs SVML on AVX-512 CPUs (see kernels._pows).
+    np.power is not, as it runs SVML on AVX-512 CPUs (see kernels._pow).
     When the alternating cancellation exceeds what double precision can
     resolve (|sum| below 1e-8 of the term magnitude), the sum is recomputed
     in exact integers at the scale 2^q with a proven error bound, q doubling
@@ -158,13 +158,8 @@ def sum_direct(spec: SumSpec) -> float:
     if type(spec) is not SumSpec:
         typed("spec", spec, SumSpec)
     bases, nkhalf = _bases(spec.n, spec.x), -(spec.k / 2.0)
-    return _sum_float(spec, *(np.float_power(bases[sl], nkhalf).tolist()
-                              for sl in _FLOAT_SLICES[spec.variant]))
-
-
-#: alt_sums' exponents -k/2, k = 1, 3, 5, as a column: one row of terms each
-_ALT_EXPONENTS = np.array([[-0.5], [-1.5], [-2.5]])
-_ALT_EXPONENTS.flags.writeable = False
+    return _sum_float(spec.variant, spec.k, spec.n, spec.x, *(
+        np.float_power(bases[sl], nkhalf).tolist() for sl in _FLOAT_SLICES[spec.variant]))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -173,11 +168,16 @@ def alt_sums(n: int, x: float) -> Tuple[float, float, float]:
     sum_direct(SumSpec("alt", k, n, x)), from one array of x^2 + sin^2
     raised to the three powers in one np.float_power call; cached, as the
     reduced energy revisits the same (n, x)."""
-    specs = [SumSpec("alt", k, n, x) for k in (1, 3, 5)]
+    try:
+        spec = SumSpec("alt", 5, n, x)  # a finite j = 0 term implies k = 1's and 3's
+    except DomainError:
+        SumSpec("alt", 1, n, x), SumSpec("alt", 3, n, x)  # the first k to reject x raises
+        raise
     # the checked int and float, so that a NumPy integer x does not overflow
-    terms = np.float_power(_bases(specs[0].n, specs[0].x), _ALT_EXPONENTS)
+    terms = np.float_power(_bases(spec.n, spec.x), [[-0.5], [-1.5], [-2.5]])
     plus, minus = (terms[:, sl].tolist() for sl in _FLOAT_SLICES["alt"])
-    return tuple(map(_sum_float, specs, plus, minus))
+    return tuple(_sum_float("alt", k, spec.n, spec.x, p, m)
+                 for k, p, m in zip((1, 3, 5), plus, minus))
 
 
 #: the exact pathway's scales 2^q: q doubles from _Q_FIRST up to _Q_CEILING

@@ -412,12 +412,13 @@ class TestMinimization:
 
     def test_reports_convergence(self, monkeypatch):
         calls = []
+        psi_at = energy._psi_at
 
-        def counted(A, cfg):
-            calls.append(A)
-            return psi_leading(A, cfg)
+        def counted(cfg, x, coef, mode):
+            calls.append(x)
+            return psi_at(cfg, x, coef, mode)
 
-        monkeypatch.setattr(energy, "psi_leading", counted)
+        monkeypatch.setattr(energy, "_psi_at", counted)
         _, diag = minimize_psi(_cfg(), mode="leading")
         monkeypatch.undo()
         assert diag["converged"] is True
@@ -435,6 +436,54 @@ class TestMinimization:
         _, capped = minimize_psi(slow, mode="leading")
         assert capped["sweeps_used"] == 1
         assert capped["converged"] is False
+
+    @pytest.mark.parametrize("K, mode", [(64, "leading"), (64, "full"), (128, "leading"),
+                                         (256, "leading")])
+    def test_descent_values_equal_psi_at_each_point(self, monkeypatch, K, mode):
+        # the descent keeps Psi's coefficients while d, alpha_b and alpha_w
+        # stay put: each value it computes, the reported one last, is the
+        # scalar objective's at the ReducedPoint of its search coordinates
+        _, _, gnorm, cstar = default_model()
+        cfg = ReducedConfig(K=K, lam=1.0, gnorm=gnorm, cstar=cstar, delta=0.1)
+        seen = []
+        psi_at = energy._psi_at
+
+        def recorded(cfg, x, coef, mode):
+            value = psi_at(cfg, x, coef, mode)
+            seen.append((dict(x), value))
+            return value
+
+        monkeypatch.setattr(energy, "_psi_at", recorded)
+        argmin, diag = minimize_psi(cfg, mode=mode)
+        objective = psi_leading if mode == "leading" else psi_full
+        points = []
+        for x, value in seen:
+            eps = math.exp(x["log_eps"])
+            A = ReducedPoint(eps=eps, a=x["a_rel"] * _a_half_width(cfg, eps), d=x["d"],
+                             alpha_b=x["alpha_b"], alpha_w=x["alpha_w"])
+            assert value == objective(A, cfg)
+            points.append(A)
+        assert len(seen) == diag["evaluations"] + 1
+        assert (points[-1], seen[-1][1]) == (argmin, diag["value"])
+        # every axis was searched, d, alpha_b and alpha_w off the argmin's too
+        for k in _ORDER:
+            assert len({x[k] for x, _ in seen}) > 10
+
+    @pytest.mark.parametrize("K, value, argmin", [
+        (128, "-0x1.c47d8f82bd1a9p-39", ("0x1.3fffffffffffcp-18", "0x0.0p+0",
+                                         "0x1.3687a9f1af2b1p-5", "0x0.0p+0", "0x0.0p+0")),
+        (256, "-0x1.e2440916f4aadp-45", ("0x1.4000000000004p-21", "0x0.0p+0",
+                                         "0x1.62e42fefa39efp-6", "0x0.0p+0", "0x0.0p+0")),
+    ])
+    def test_leading_bits_pinned(self, K, value, argmin):
+        # the model's minimiser at K = 128 and 256, bit for bit; the CLI's
+        # `necklace energy` sha256 pins K = 64
+        _, _, gnorm, cstar = default_model()
+        cfg = ReducedConfig(K=K, lam=1.0, gnorm=gnorm, cstar=cstar, delta=0.1)
+        A, diag = minimize_psi(cfg, mode="leading")
+        assert diag["value"].hex() == value
+        assert tuple(v.hex() for v in (A.eps, A.a, A.d, A.alpha_b, A.alpha_w)) == argmin
+        assert (diag["evaluations"], diag["sweeps_used"]) == (101, 1)
 
     def test_is_logged(self, caplog):
         caplog.set_level(logging.DEBUG, logger="necklace.energy")

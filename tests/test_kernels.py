@@ -547,6 +547,22 @@ def test_pow_bits_equal_float_power_on_many(e):
     assert kernels._pow(a, e).tobytes() == _pow_loop(a, e).tobytes()
 
 
+@pytest.mark.parametrize("K", [8, 64, 256, 1024, 8192])
+def test_a_gamma_forms_bits_equal_one_row_product(K):
+    # minimize_psi's grid takes its 81 forms from one call on the stack of
+    # rows, and a_gamma_quad its one form from the same routine: each
+    # entry the bits of the 1-D alpha @ A @ alpha, on 50 000 seeded alpha
+    # whose entries each have a magnitude from 1e-8 to 1.  A BLAS that
+    # rounds the stack otherwise fails here first
+    rng = np.random.default_rng(40 + K)
+    alpha = rng.uniform(-1.0, 1.0, (50_000, 2)) * 10.0 ** rng.uniform(-8.0, 0.0, (50_000, 2))
+    form = kernels.a_gamma(K)
+    want = np.array([float(a @ form @ a) for a in alpha]).tobytes()
+    assert kernels._a_gamma_forms(K, alpha).tobytes() == want
+    assert kernels._a_gamma_forms(K, alpha.reshape(250, 200, 2)).tobytes() == want
+    assert np.array([a_gamma_quad(K, w, b) for w, b in alpha.tolist()]).tobytes() == want
+
+
 @pytest.mark.parametrize("e", [-0.5, -1.5, -2.5, 2.0, 3.0, 5.0])
 def test_float_power_is_libm_pow(e):
     # the sums and kernels take C's pow from np.float_power's float64 loop,
