@@ -513,7 +513,7 @@ def _grid_values(cfg: ReducedConfig, axes: Dict[str, np.ndarray],
     depend on the other axes only.  Every other operation (exp, **, sqrt,
     the kernel sums) runs through the scalar code on its few distinct inputs,
     the 2x2 forms through a_gamma_quad's stacked product; _psi combines the
-    tables with + - * /, which round correctly.  No np.power: see kernels._pow.
+    tables with + - * /, which round correctly.  No np.power: see kernels.
     """
     log_eps, d, a_rel, alpha_b, alpha_w = (axes[k].tolist() for k in _ORDER)
 

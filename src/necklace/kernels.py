@@ -4,6 +4,13 @@ the image-bubble sum of a placed rescaled bubble, with exact closed forms and
 ring asymptotics for each, and the ring coefficients C0(K, d), C2(K, d) and
 A_gamma(K) that those asymptotics sum to and the reduced energy reads.  A
 point parameter (z, p, b, xi) is a Point3; anything else is a DomainError.
+
+Every power is np.float_power's, whose float64 loop is NumPy's generic one
+calling libm pow (the bits of math.pow and of Python's float **), never
+np.power: on CPUs with AVX-512 NumPy's power loop runs SVML, which differs
+from pow by an ulp on about 5% of elements (9 862 to 10 684 of 200 000
+uniform values at e = -0.5, numpy 2.4.6 on an AVX-512 Xeon), and that moves
+printed values.  Each site notes the bound that keeps its power finite.
 """
 from __future__ import annotations
 
@@ -27,23 +34,6 @@ _GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
 #: the largest |z| t_a takes: for |b| < 1, |r|^5 <= (|z| + 1)^5 stays finite
 _T_A_MAX = 1e61
-
-
-def _pow(a: np.ndarray, e) -> np.ndarray:
-    """a ** e per element, by C's pow, for e a float or an array that broadcasts
-    against a (a column [[e1], [e2]] raises a 1-D a to each); a result past
-    the largest double is an OverflowError, as math.pow's.  np.float_power's
-    float64 loop is NumPy's generic one calling libm pow (the bits of
-    math.pow and of Python's float **), not np.power: on CPUs with AVX-512
-    NumPy's power loop runs SVML, which differs from pow by an ulp on about
-    5% of elements (9 862 to 10 684 of 200 000 uniform values at e = -0.5,
-    numpy 2.4.6 on an AVX-512 Xeon), and that moves printed values (the
-    default `necklace kernels` h0e_bb direct sum among them)."""
-    with np.errstate(over="raise"):
-        try:
-            return np.float_power(a, e)
-        except FloatingPointError:
-            raise OverflowError("a power overflows a double") from None
 
 
 def _norm(r: np.ndarray) -> np.ndarray:
@@ -291,7 +281,7 @@ def _direct(kind: str, Z: np.ndarray, P: np.ndarray, K: int) -> List[float]:
         mats, signs = sector_images(K)
         v = (mats @ Z[:, None, :, None])[..., 0]
         # _h0_rad's radicands are > 0, so each power is below 1e162
-        terms = signs * _pow(_h0_rad(v, P[:, None]), -0.5)
+        terms = signs * np.float_power(_h0_rad(v, P[:, None]), -0.5)
     return list(map(math.fsum, terms.tolist()))
 
 
@@ -321,7 +311,8 @@ def _closed_tables(K: int) -> Tuple[np.ndarray, List[float], np.ndarray]:
     sines of the shifted odd angles from np.sin, whose float64 loop gives
     math.sin's bits there."""
     t0, s = SectorConfig(K).theta0, sector_images(K)[0][:K // 2, 1, 0]
-    odd, sin2 = np.arange(1, K, 2) * t0, _pow(s, 2)
+    # |s| <= 1: no overflow
+    odd, sin2 = np.arange(1, K, 2) * t0, np.float_power(s, 2)
     odd.flags.writeable = sin2.flags.writeable = False
     return odd, (-1.0 / s[1:]).tolist(), sin2
 
@@ -434,12 +425,18 @@ def _w_sums(K: int, b_abs: float, alpha_b: float, w_abs: float, alpha_w: float):
         math.fsum((-signs[1:] * (mww[1:] / rn3 - 3.0 * rmw * rw / rn5)).tolist()),
     )
     try:
-        # _h0_rad's radicands are > 0
-        F = _pow(_h0_rad(v[None], bv[None, None])[0], -0.5)
+        # _h0_rad's radicands are > 0, so F is finite
+        F = np.float_power(_h0_rad(v[None], bv[None, None])[0], -0.5)
     except (DomainError, AccuracyError) as exc:
         return newton, exc.with_traceback(None)
     v2 = np.vecdot(v, v)[:, None]
-    F3, F5 = _pow(F, [[3.0], [5.0]])
+    # F <= 2^28.5, so F^3 and F^5 are finite: a computed radicand
+    # 1 - 2t + s, t = v.b and s = |v|^2 |b|^2, is <= 0 (raised above) or
+    # >= 2^-57.  A 2t < 1/2 leaves it >= 1/2.  Else 1 and 2t are multiples
+    # of 2^-53, and so is 1 - 2t as rounded; s >= t^2 (1 - 2^-48) > 2^-5
+    # (Cauchy-Schwarz, each 3-term dot product within a relative 2^-51) is a
+    # multiple of 2^-57, so their sum, if > 0, rounds to at least 2^-57
+    F3, F5 = np.float_power(F, [[3.0], [5.0]])
     gz = np.vecdot(bv - v2 * v, mw)
     gp = np.vecdot(v - v2 * bv, w)
     return newton, (
@@ -480,9 +477,10 @@ def _check_w_sums(K: int, gnorm: float, babs: float, alpha_b: float) -> None:
     alpha = math.atan2(math.sin(alpha_b), math.cos(alpha_b))
     delta = abs(math.remainder(alpha - theta0, 2.0 * theta0))
     r = min(1.0, 2.0 * babs) * math.sin(min(delta, theta0 / 2.0))
-    g1 = 1.0 + gnorm
-    bound = (2.0 * K * g1 * g1 * (4.0 / r**3 + 15.0 / (1.0 - babs * babs) ** 5)
-             if r > 0.0 else math.inf)
+    g1, r3 = 1.0 + gnorm, r**3
+    # an r whose cube underflows, as at |b| below about 1e-107, bounds nothing
+    bound = (2.0 * K * g1 * g1 * (4.0 / r3 + 15.0 / (1.0 - babs * babs) ** 5)
+             if r3 > 0.0 else math.inf)
     if not math.isfinite(bound):
         raise DomainError(f"the w-derivative sums can overflow at |w|={gnorm!r}, "
                           f"|b|={babs!r} and alpha_b={alpha_b!r}")
@@ -600,7 +598,7 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     if (rn < _COINCIDENT_TOL).any():
         raise DomainError("q_a is undefined at the placement point")
     # _COINCIDENT_TOL <= |r| <= _T_A_MAX + 1: every power is finite and > 0
-    rn2, rn3, rn5 = _pow(rn, [[2.0], [3.0], [5.0]])
+    rn2, rn3, rn5 = np.float_power(rn, [[2.0], [3.0], [5.0]])
     e = A.eps
     # stacked matvecs, each rounded as rot @ r_i is
     inner = e * np.matmul(rot, r[:, :, None])[:, :, 0] / rn2[:, None] + xi

@@ -20,7 +20,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from operator import neg
 from typing import Tuple
 
 import numpy as np
@@ -43,16 +42,11 @@ N_MAX = 2**16
 
 _log = logging.getLogger(__name__)
 
-# each variant's + and - terms (x^2 + sin^2(j pi/n))^{-k/2} as slices of
-# j = 0..n-1 (slice(0) is empty)
-_FLOAT_SLICES = {
-    "odd": (slice(1, None, 2), slice(0)),
-    "even": (slice(0, None, 2), slice(0)),
-    "even_hat": (slice(2, None, 2), slice(0)),
-    "alt": (slice(0, None, 2), slice(1, None, 2)),
-    "alt_hat": (slice(1, None, 2), slice(2, None, 2)),
-}
-VARIANTS = tuple(_FLOAT_SLICES)
+# each variant's terms (x^2 + sin^2(j pi/n))^{-k/2} as (first j, step) over
+# j = 0..n-1: step 2 sums same-sign terms, and step 1 alternates the signs,
+# starting with +
+_TERMS = {"odd": (1, 2), "even": (0, 2), "even_hat": (2, 2), "alt": (0, 1), "alt_hat": (1, 1)}
+VARIANTS = tuple(_TERMS)
 
 
 @dataclass(frozen=True)
@@ -99,50 +93,56 @@ def _sin2_float(n: int) -> np.ndarray:
     return table
 
 
-#: the plain sum of at most N_MAX positive doubles lies within N_MAX 2^-53
-#: (< 1e-11) of their exact sum, relative, so math.fsum's correctly rounded
-#: value lies within these factors of it (for a normal, finite plain sum)
+#: a plain sum of at most N_MAX positive doubles, in any order, lies within
+#: N_MAX 2^-53 (< 1e-11) of their exact sum, relative, so math.fsum's
+#: correctly rounded value lies within these factors of it (for a normal,
+#: finite plain sum)
 _LOW, _HIGH = 1.0 - 1e-9, 1.0 + 1e-9
 
 
-def _resolved(total: float, plus: list, minus: list) -> bool:
-    """|total| >= _CANCEL_THRESHOLD * math.fsum(plus + minus), for terms
-    ``plus`` and ``minus`` >= 0: decided from the plain sum and its error
-    bound, with the fsum run only when the bound straddles the threshold."""
-    approx = sum(plus) + sum(minus)
-    if 1e-290 < approx < math.inf:
-        if abs(total) >= _CANCEL_THRESHOLD * (approx * _HIGH):
+def _resolved(total: float, plain: float, terms: list) -> bool:
+    """|total| >= _CANCEL_THRESHOLD * math.fsum(map(abs, terms)), for
+    ``plain`` the sum of |terms| in any order: decided from the plain sum and
+    its error bound, with the fsum run only when the bound straddles the
+    threshold."""
+    if 1e-290 < plain < math.inf:
+        if abs(total) >= _CANCEL_THRESHOLD * (plain * _HIGH):
             return True
-        if abs(total) < _CANCEL_THRESHOLD * (approx * _LOW):
+        if abs(total) < _CANCEL_THRESHOLD * (plain * _LOW):
             return False
-    return abs(total) >= _CANCEL_THRESHOLD * math.fsum(plus + minus)
+    return abs(total) >= _CANCEL_THRESHOLD * math.fsum(map(abs, terms))
 
 
-def _sum_float(variant: str, k: int, n: int, x: float, plus: list, minus: list) -> float:
-    """sum_direct of a valid SumSpec(variant, k, n, x) from its term lists."""
-    total = math.fsum(plus + list(map(neg, minus)))
-    if _resolved(total, plus, minus):
-        return total
-    return _sum_exact(SumSpec(variant, k, n, x))
-
-
-def _bases(n: int, x: float) -> np.ndarray:
-    """x^2 + sin^2(j pi/n) for j = 0..n-1: the bases of every variant's terms.
-    No term has a base 0 or overflows: a j = 0 term is SumSpec's checked
+def _sums(variant: str, ks: Tuple[int, ...], n: int, x: float) -> list:
+    """sum_direct of each valid SumSpec(variant, k, n, x), k in ks: the
+    terms to every -k/2 in one np.float_power call, their plain sums in one
+    NumPy sum, then every other term negated when the signs alternate.  No
+    term has a base 0 or overflows: a j = 0 term is SumSpec's checked
     (x^2)^(-k/2), and every other base is at least sin^2(pi/N_MAX) > 2e-9."""
-    return x * x + _sin2_float(n)
+    first, step = _TERMS[variant]
+    terms = np.float_power(x * x + _sin2_float(n)[first::step], [[-k / 2.0] for k in ks])
+    plain = terms.sum(axis=1).tolist()
+    if step == 1:
+        terms[:, 1::2] *= -1.0
+    sums = []
+    for k, p, row in zip(ks, plain, terms.tolist()):
+        total = math.fsum(row)
+        sums.append(total if _resolved(total, p, row)
+                    else _sum_exact(SumSpec(variant, k, n, x)))
+    return sums
 
 
 def sum_direct(spec: SumSpec) -> float:
     """The finite sum, by compensated summation.
 
     In double precision the terms come from a cached table of sin^2(j pi/n)
-    per n (_sin2_float): each variant's positive and negative terms are fixed
-    slices of it, raised to -k/2 by np.float_power, and summed by math.fsum,
-    whose correct rounding makes the result independent of the order of the
-    terms.  On float64, np.float_power is NumPy's generic loop that calls C's
-    pow per element (math.pow and Python's float power give the same bits);
-    np.power is not, as it runs SVML on AVX-512 CPUs (see kernels._pow).
+    per n (_sin2_float): each variant's terms are every first or second
+    entry of it from a fixed j, raised to -k/2 by np.float_power, and summed
+    by math.fsum, whose correct rounding makes the result independent of the
+    order of the terms.  On float64, np.float_power is NumPy's generic loop
+    that calls C's pow per element (math.pow and Python's float power give
+    the same bits); np.power is not, as it runs SVML on AVX-512 CPUs (see
+    the kernels module's docstring).
     When the alternating cancellation exceeds what double precision can
     resolve (|sum| below 1e-8 of the term magnitude), the sum is recomputed
     in exact integers at the scale 2^q with a proven error bound, q doubling
@@ -157,9 +157,7 @@ def sum_direct(spec: SumSpec) -> float:
     """
     if type(spec) is not SumSpec:
         typed("spec", spec, SumSpec)
-    bases, nkhalf = _bases(spec.n, spec.x), -(spec.k / 2.0)
-    return _sum_float(spec.variant, spec.k, spec.n, spec.x, *(
-        np.float_power(bases[sl], nkhalf).tolist() for sl in _FLOAT_SLICES[spec.variant]))
+    return _sums(spec.variant, (spec.k,), spec.n, spec.x)[0]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -174,10 +172,7 @@ def alt_sums(n: int, x: float) -> Tuple[float, float, float]:
         SumSpec("alt", 1, n, x), SumSpec("alt", 3, n, x)  # the first k to reject x raises
         raise
     # the checked int and float, so that a NumPy integer x does not overflow
-    terms = np.float_power(_bases(spec.n, spec.x), [[-0.5], [-1.5], [-2.5]])
-    plus, minus = (terms[:, sl].tolist() for sl in _FLOAT_SLICES["alt"])
-    return tuple(_sum_float("alt", k, spec.n, spec.x, p, m)
-                 for k, p, m in zip((1, 3, 5), plus, minus))
+    return tuple(_sums("alt", (1, 3, 5), spec.n, spec.x))
 
 
 #: the exact pathway's scales 2^q: q doubles from _Q_FIRST up to _Q_CEILING
@@ -291,25 +286,19 @@ def _scaled_sum(spec: SumSpec, q: int):
     X = (num * num << q) // (den * den)
     table = _sin2_fixed(n, q)
     numer, two_k = 1 << q * (2 + k), 2 * k
-    S = E = count = 0
-    for sign, sl in zip((1, -1), _FLOAT_SLICES[spec.variant]):
-        js = range(half_n + 1)[sl]
-        bases = [X + s for s in table[sl]]
-        if not bases:
-            continue
-        if min(bases) < 8:
-            return 0, None, 0
-        terms = [math.isqrt(numer // v**k) for v in bases]
-        errs = [3 + two_k * (t + 2) // v for t, v in zip(terms, bases)]
-        total, err = 2 * sum(terms), 2 * sum(errs)
-        for i in {0, len(js) - 1}:
-            if js[i] in (0, half_n):
-                total -= terms[i]
-                err -= errs[i]
-        S += sign * total
-        E += err
-        count += len(terms)
-    return S, E, count
+    first, step = _TERMS[spec.variant]
+    bases = [X + s for s in table[first::step]]
+    if min(bases) < 8:
+        return 0, None, 0
+    terms = [math.isqrt(numer // v**k) for v in bases]
+    errs = [3 + two_k * (t + 2) // v for t, v in zip(terms, bases)]
+    odd = -1 if step == 1 else 1  # the sign of the terms of odd index
+    S, E = 2 * (sum(terms[::2]) + odd * sum(terms[1::2])), 2 * sum(errs)
+    for i in {0, len(terms) - 1}:
+        if first + i * step in (0, half_n):
+            S -= odd**i * terms[i]
+            E -= errs[i]
+    return S, E, len(terms)
 
 
 def _ulps(E, q: int, value: float) -> float:

@@ -336,6 +336,19 @@ def test_rejected_calls(call):
         call()
 
 
+@pytest.mark.parametrize("b_abs", [1e-107, 1e-300])
+@pytest.mark.parametrize("call", [
+    lambda b: _check_w_sums(64, 1.0, b, 0.0),
+    lambda b: kernel_grad("gamma", "z", _placed("b_abs", b), SectorConfig(64)),
+    lambda b: kernel_grad("h0e", "p", _placed("b_abs", b), SectorConfig(64)),
+    lambda b: kernel_hess("h0e", _placed("b_abs", b), SectorConfig(64)),
+], ids=["_check_w_sums", "kernel_grad-gamma", "kernel_grad-h0e", "kernel_hess"])
+def test_tiny_b_is_a_domain_error(call, b_abs):
+    # b's nearest tail image is about |b| away, and its cube underflows to 0
+    with pytest.raises(DomainError):
+        call(b_abs)
+
+
 _B = Point3(0.9, 0.0, 0.0)
 _BUBBLE = place_bubble(1e-4, 0.0, 0.97, 0.01, 0.02, u_star_profile(_PARAMS), _PARAMS.xi[0])
 

@@ -81,6 +81,15 @@ def test_import_loads_the_legendre_rule():
     assert "numpy.polynomial.legendre" in _modules_after("import necklace")
 
 
+@pytest.mark.parametrize("name", ["trigsums.py", "kernels.py"])
+def test_no_np_power(name):
+    # the sums and kernels raise by np.float_power, C's pow per element:
+    # np.power runs SVML on AVX-512 CPUs, an ulp off on ~5% of elements.
+    # The docstrings that say so name it; the code reads no attribute power
+    tree = ast.parse((_PKG / name).read_text())
+    assert "power" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
 def _unused_imports(path):
     """The names a module imports and never reads: a name listed in its
     ``__all__`` counts as read, and an import on a ``# noqa: F401`` line is

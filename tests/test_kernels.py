@@ -516,37 +516,6 @@ class TestSectorImages:
 # the per-K tables and list sums against the loops they replaced
 
 
-def _pow_loop(a, e):
-    """kernels._pow as Python's float ** per element."""
-    return np.array([x ** e for x in a.tolist()])
-
-
-@settings(max_examples=200)
-@given(st.lists(st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e100),
-                          st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 2.0, 1e150])),
-                max_size=300),
-       st.sampled_from([-0.5, 2, 3, 5, 3.0]))
-def test_pow_bits_equal_float_power(values, e):
-    # the same bits, or the same OverflowError past the largest double
-    a = np.array(values, dtype=float)
-    if e < 0:
-        a = a[a > 0.0]
-    try:
-        want = _pow_loop(a, e)
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            kernels._pow(a, e)
-        return
-    assert kernels._pow(a, e).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("e", [-0.5, -1.5, -2.5, 2, 3, 5])
-def test_pow_bits_equal_float_power_on_many(e):
-    # 200 000 values, where np.power differs from C's pow on some CPUs
-    a = np.random.default_rng(5).uniform(1e-3, 4.0, 200_000)
-    assert kernels._pow(a, e).tobytes() == _pow_loop(a, e).tobytes()
-
-
 @pytest.mark.parametrize("K", [8, 64, 256, 1024, 8192])
 def test_a_gamma_forms_bits_equal_one_row_product(K):
     # minimize_psi's grid takes its 81 forms from one call on the stack of

@@ -4,7 +4,6 @@ import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from itertools import repeat
 
 import mpmath as mp
 import numpy as np
@@ -160,7 +159,7 @@ def test_extreme_cancellation_uses_high_precision():
 def _term_indices(spec):
     """Yield (j, sign) pairs where the term is (x^2 + sin^2(j pi/n))^{-k/2},
     in increasing j: each variant's definition, as the reference for the
-    index slices of trigsums._FLOAT_SLICES."""
+    (first j, step) of trigsums._TERMS."""
     n = spec.n
     if spec.variant == "odd":
         for j in range(0, n, 2):
@@ -217,14 +216,21 @@ def test_sum_float_bits_equal_term_loop(variant, k, n, x):
 
 def _sum_two_fsum(spec):
     """sum_direct's double-precision pathway as it was written before the
-    plain-sum cancellation test: Python's float power on the table slices,
-    then one math.fsum for the sum and one for the sum of the magnitudes."""
+    plain-sum cancellation test: Python's float power on the table entries
+    of each sign, then one math.fsum for the sum and one for the sum of the
+    magnitudes."""
     x2 = spec.x * spec.x
     nkhalf = -(spec.k / 2.0)
-    table = trigsums._sin2_float(spec.n)
-    plus, minus = (list(map(pow, (x2 + table[sl]).tolist(), repeat(nkhalf)))
-                   for sl in trigsums._FLOAT_SLICES[spec.variant])
+    table = trigsums._sin2_float(spec.n).tolist()
+    plus, minus = ([pow(x2 + table[j], nkhalf) for j, sign in _term_indices(spec)
+                    if sign == want] for want in (1.0, -1.0))
     return math.fsum(plus + [-t for t in minus]), math.fsum(plus + minus), plus, minus
+
+
+def _plain(plus, minus):
+    """_resolved's arguments after the total: a plain sum of the term
+    magnitudes and the terms."""
+    return sum(plus) + sum(minus), plus + minus
 
 
 @settings(max_examples=300)
@@ -245,7 +251,7 @@ def test_sum_float_bits_equal_two_fsum_path(variant, k, n, x):
         assume(False)
     total, abssum, plus, minus = _sum_two_fsum(spec)
     resolved = abs(total) >= trigsums._CANCEL_THRESHOLD * abssum
-    assert trigsums._resolved(total, plus, minus) == resolved
+    assert trigsums._resolved(total, *_plain(plus, minus)) == resolved
     if resolved:
         assert sum_direct(spec) == total
 
@@ -264,7 +270,7 @@ def test_cancellation_test_at_the_threshold(caplog, x, resolved):
     assert abs(abs(total) - threshold) < 1e-16
     assert abs(abs(total) - threshold) < 1e-9 * threshold
     assert (abs(total) >= threshold) == resolved
-    assert trigsums._resolved(total, plus, minus) == resolved
+    assert trigsums._resolved(total, *_plain(plus, minus)) == resolved
     got = sum_direct(spec)
     if resolved:
         assert got == total and caplog.records == []
@@ -373,7 +379,7 @@ def test_sin2_fixed_seed_is_the_nearest_integers(n, q):
 
 
 def _alt_oracle(spec, dps):
-    """The alternating sum term by term at dps digits."""
+    """The sum term by term at dps digits, any variant's signs."""
     with mp.workdps(dps):
         x2 = mp.mpf(spec.x) ** 2
         return mp.fsum(sign * (x2 + mp.sin(j * mp.pi / spec.n) ** 2) ** (-mp.mpf(spec.k) / 2)
@@ -381,11 +387,12 @@ def _alt_oracle(spec, dps):
 
 
 @settings(max_examples=60)
-@given(st.sampled_from(["alt", "alt_hat"]), st.sampled_from([1, 3, 5]),
+@given(st.sampled_from(trigsums.VARIANTS), st.sampled_from([1, 3, 5]),
        st.integers(2, 512).map(lambda h: 2 * h), st.floats(10.0, 120.0))
 def test_sum_exact_is_correctly_rounded(variant, k, n, nx):
     # the exact pathway returns the double nearest the sum, whether or not
-    # the float pathway escalates to it; S_k(n, x) cancels to about e^{-n x}
+    # the float pathway escalates to it; S_k(n, x) cancels to about e^{-n x},
+    # and the same-sign variants check the unsigned branch of _scaled_sum
     spec = SumSpec(variant, k, n, nx / n)
     assert trigsums._sum_exact(spec) == float(_alt_oracle(spec, 320))
 
