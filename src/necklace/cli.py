@@ -51,15 +51,28 @@ def _csv_lines(rows: Iterable[Sequence[object]]) -> str:
     return "".join(lines)
 
 
+def _json_value(value):
+    """``value`` with each non-finite float in it, nested in dicts, lists and
+    tuples too, replaced by None, which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_json_value, value))
+    return value
+
+
 def _emit(columns: Sequence[str], batches: Iterable[List[Sequence[object]]], fmt: str,
           out: Optional[str]) -> None:
     """Write the rows of ``batches``, lists of rows each one value per
     column, as CSV with a header line (nothing at all without rows), a batch
-    at a time, or as a JSON list of objects."""
+    at a time, or as a JSON list of objects, with null for a nan or an
+    infinity (RFC 8259 has neither)."""
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         if fmt == "json":
-            payload = [dict(zip(columns, row)) for rows in batches for row in rows]
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            payload = [dict(zip(columns, _json_value(row))) for rows in batches for row in rows]
+            fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
             return
         header = ",".join(columns) + "\n"
         for rows in batches:

@@ -62,8 +62,8 @@ class ReducedConfig:
 @dataclass(frozen=True)
 class ReducedPoint:
     """The free parameters with the anchor curve frozen out, real numbers
-    but bools, each stored as a float; the placement modulus is the derived
-    |b| = sqrt(1 + d^2) - d."""
+    but bools whose floats are finite, each stored as a float by
+    errors.real; the placement modulus is the derived |b| = sqrt(1 + d^2) - d."""
 
     eps: float
     a: float
@@ -72,16 +72,13 @@ class ReducedPoint:
     alpha_w: float
 
     def __post_init__(self):
-        if not (type(self.eps) is float and type(self.a) is float and type(self.d) is float
-                and type(self.alpha_b) is float and type(self.alpha_w) is float):
-            for f in ("eps", "a", "d", "alpha_b", "alpha_w"):
-                real(f, getattr(self, f), owner=self)
+        for f in ("eps", "a", "d", "alpha_b", "alpha_w"):
+            real(f, getattr(self, f), owner=self)
         # 1e100 is past every box (eps below ~1e60, |alpha| below ~1e31) and
         # keeps eps**3 and the alpha form from overflowing
-        if not (math.isfinite(self.a) and math.isfinite(self.d) and 0 < self.eps < 1e100
-                and abs(self.alpha_b) < 1e100 and abs(self.alpha_w) < 1e100):
-            raise DomainError("a and d must be finite, 0 < eps < 1e100 and "
-                              "|alpha_b|, |alpha_w| < 1e100")
+        if not (0 < self.eps < 1e100 and abs(self.alpha_b) < 1e100
+                and abs(self.alpha_w) < 1e100):
+            raise DomainError("eps must lie in (0, 1e100) and |alpha_b|, |alpha_w| below 1e100")
         if not 0.0 < self.b_abs < 1.0:
             raise DomainError(f"d must be positive with |b| in (0, 1), got d={self.d}")
 
@@ -431,9 +428,8 @@ def _coef(cfg: ReducedConfig, mode: str, d: float, alpha_b: float, alpha_w: floa
 
 
 def _psi_point(A: ReducedPoint, cfg: ReducedConfig, mode: str) -> float:
-    if not (type(A) is ReducedPoint and type(cfg) is ReducedConfig):
-        typed("A", A, ReducedPoint)
-        typed("cfg", cfg, ReducedConfig)
+    typed("A", A, ReducedPoint)
+    typed("cfg", cfg, ReducedConfig)
     return _psi(cfg, A.eps, A.eps**3, A.a * cfg.gnorm,
                 _coef(cfg, mode, A.d, A.alpha_b, A.alpha_w), mode)
 

@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, counted, real
+from .errors import counted, real
 from .trigsums import N_MAX
 
 #: the largest K SectorConfig accepts: the sums over a sector have n = K terms
@@ -25,20 +25,15 @@ K_MAX = N_MAX
 class Point3:
     """A point of R^3 (dimensionless; the domain of interest is the unit
     ball) with finite coordinates: real numbers but bools, each stored as a
-    float; anything else is a DomainError."""
+    float by errors.real; anything else is a DomainError."""
 
     z1: float
     z2: float
     z3: float
 
     def __post_init__(self):
-        if not (type(self.z1) is float and type(self.z2) is float
-                and type(self.z3) is float):
-            for f in ("z1", "z2", "z3"):
-                real(f, getattr(self, f), owner=self)
-        if not (math.isfinite(self.z1) and math.isfinite(self.z2)
-                and math.isfinite(self.z3)):
-            raise DomainError(f"point coordinates must be finite, got {self}")
+        for f in ("z1", "z2", "z3"):
+            real(f, getattr(self, f), owner=self)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.z1, self.z2, self.z3], dtype=float)

@@ -91,10 +91,9 @@ class PlacedBubble:
         W = np.asarray(self.W, dtype=float)
         if W.shape != (3, 3) or not np.isfinite(W).all():
             raise DomainError("W must be a finite 3x3 matrix")
-        # the exact test is far cheaper than allclose, and every W it
-        # accepts allclose accepts too; a W - W.T that overflows is rejected
+        # a W - W.T that overflows is rejected
         with np.errstate(over="ignore"):
-            if not np.array_equal(W, W.T) and not np.allclose(W, W.T, atol=1e-10):
+            if not np.allclose(W, W.T, atol=1e-10):
                 raise DomainError("W must be a symmetric 3x3 matrix")
 
     @property
@@ -256,29 +255,19 @@ def a_gamma_quad(K: int, alpha_w: float, alpha_b: float) -> float:
 # alternating Newtonian image sum
 
 
-@lru_cache(maxsize=64)
-def _tail_images(K: int) -> Tuple[np.ndarray, np.ndarray]:
-    """sector_images(K) but the identity, with the signs negated, read-only:
-    u(z) - extension(u)(z) sums these images, and so does t_a's image
-    bubble sum.  Cached per K, as sector_images is."""
-    mats, signs = sector_images(K)
-    neg = -signs[1:]
-    neg.flags.writeable = False
-    return mats[1:], neg
-
-
 def _direct(kind: str, Z: np.ndarray, P: np.ndarray, K: int) -> List[float]:
     """gamma_direct or h0e (``kind``) at each row pair (Z[i], P[i]) of two
-    (n, 3) stacks in one pass over the images: row for row the bits of a
-    one-row call, and the error of the first row that raises one."""
+    (n, 3) stacks in one pass over sector_images(K): gamma, u(z) -
+    extension(u)(z), sums the images but the identity with their signs
+    negated, and h0e sums them all.  Row for row the bits of a one-row call,
+    and the error of the first row that raises one."""
+    mats, signs = sector_images(K)
     if kind == "gamma":
-        mats, signs = _tail_images(K)
-        r = _norm((mats @ Z[:, None, :, None])[..., 0] - P[:, None])
+        r = _norm((mats[1:] @ Z[:, None, :, None])[..., 0] - P[:, None])
         if (r < _COINCIDENT_TOL).any():
             raise DomainError("evaluation point coincides with an image point")
-        terms = signs / r
+        terms = -signs[1:] / r
     else:
-        mats, signs = sector_images(K)
         v = (mats @ Z[:, None, :, None])[..., 0]
         # _h0_rad's radicands are > 0, so each power is below 1e162
         terms = signs * np.float_power(_h0_rad(v, P[:, None]), -0.5)
@@ -579,7 +568,8 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     eps^{1/2} q_hat gamma + eps^{3/2} w.grad_p gamma
     + (1/6) eps^{5/2} W : d2_p gamma
     as the closed form, and the first two orders as the asymptotic.  Both
-    sums share r = M z - b and the powers of |r|; q_a = eps^{1/2}/|r|
+    sums run over sector_images' M but the identity, with the signs negated
+    as in gamma, and share r = M z - b and the powers of |r|; q_a = eps^{1/2}/|r|
     q(eps R_beta r/|r|^2 + xi_hat) is one call of the profile that
     place_bubble attached, and b, w, R_beta, xi_hat are A's cached arrays.
     |z| is at most _T_A_MAX."""
@@ -590,7 +580,8 @@ def t_a(z: Point3, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
                                "with its profile and xi_hat")
     if typed("z", z, Point3).norm() > _T_A_MAX:
         raise DomainError(f"t_a takes |z| up to {_T_A_MAX:g}")
-    mats, signs = _tail_images(cfg.K)
+    mats, signs = sector_images(cfg.K)
+    mats, signs = mats[1:], -signs[1:]
     b, w, _, rot, xi, W, trace = A._arrays
     # one (3(K-1), 3) matvec, row for row the bits of the stacked one
     r = (mats.reshape(-1, 3) @ z.as_array()).reshape(-1, 3) - b

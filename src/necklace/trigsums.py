@@ -155,8 +155,7 @@ def sum_direct(spec: SumSpec) -> float:
     and whether it resolved, underflowed or stayed unresolved.  A spec that
     is no SumSpec is a DomainError.
     """
-    if type(spec) is not SumSpec:
-        typed("spec", spec, SumSpec)
+    typed("spec", spec, SumSpec)
     return _sums(spec.variant, (spec.k,), spec.n, spec.x)[0]
 
 

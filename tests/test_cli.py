@@ -25,6 +25,16 @@ def _read(path):
     return path.read_text()
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON (RFC 8259)")
+
+
+def _strict_json(text):
+    """json.loads, failing on the NaN, Infinity and -Infinity that Python's
+    json reads and writes by default."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 class TestParsing:
     def test_requires_subcommand(self, capsys):
         assert run([]) == 2
@@ -101,6 +111,14 @@ class TestSums:
         payload = json.loads(_read(out))
         assert payload[0]["variant"] == "alt"
         assert math.isfinite(payload[0]["direct"])
+
+    def test_json_nan_is_null(self, capsys):
+        # the CSV row's nan (test below) is null in JSON, which has no nan
+        assert run(["sums", "--variant", "odd", "--k", "1", "--x", "0",
+                    "--format", "json"]) == 0
+        row, = _strict_json(capsys.readouterr().out)
+        assert row["asymptotic"] is None and row["rel_err"] is None
+        assert row["direct"] == sum_direct(SumSpec("odd", 1, 64))
 
     def test_unsupported_asymptotic_is_nan(self, tmp_path, capsys):
         out = tmp_path / "row.csv"
@@ -450,6 +468,21 @@ def test_verify_runs_serially(monkeypatch, capsys, tmp_path):
             ([{"quantity": "x", "measured": 2.0 if n == failing else 0.5, "op": "<=",
                "bound": 1.0, "margin": -1.0 if n == failing else 0.5}], None)
             for n in names]
+
+
+def test_verify_json_nan_check_is_null(monkeypatch, capsys):
+    # a criterion that measured a nan fails, and its check's measured value
+    # and margin are null in JSON; a non-finite bound is null too
+    checks = [acceptance.Check("x", math.nan, "<=", 1.0),
+              acceptance.Check("y", 0.5, "<", math.inf)]
+    monkeypatch.setattr(acceptance, "CRITERIA", (("nan", lambda quick: checks, None),))
+    monkeypatch.setattr(acceptance, "default_model", lambda: None)
+    assert run(["verify", "--quick", "--format", "json"]) == 1
+    row, = _strict_json(capsys.readouterr().out)
+    assert row["status"] == "FAIL" and row["error"] is None
+    assert row["checks"] == [
+        {"quantity": "x", "measured": None, "op": "<=", "bound": 1.0, "margin": None},
+        {"quantity": "y", "measured": 0.5, "op": "<", "bound": None, "margin": None}]
 
 
 @pytest.mark.parametrize("argv, flag, value, code", [

@@ -23,6 +23,8 @@ from necklace.nodal import NodalMesh, gradient_min_on_nodal, nodal_mesh, radial_
 from necklace.trigsums import (N_MAX, SumSpec, csc_asym, csc_full_sum, s1_contour, s_asym,
                                sum_direct)
 
+from conftest import talenti_profile
+
 _PARAMS = build_crown(16)
 _PROFILE = u_star_profile(_PARAMS)
 
@@ -38,6 +40,16 @@ def _reach(_arr):
 # a field that stops the call the first time it is evaluated, with one bubble
 # of amplitude 0, which certifies no sign: nodal_mesh evaluates its first slab
 _STOP = ProfileHandle(fn=_reach, bubbles=(np.zeros((1, 3)), np.ones(1), np.zeros(1)))
+
+
+def _core_at_origin(z):
+    r2 = np.sum(np.asarray(z) ** 2, axis=-1)
+    return 1.0 / np.sqrt(0.25 + r2) - 2.0 / np.sqrt(1.0 + r2)
+
+
+# two bubbles at the origin that cancel there, one of them a core (c < 1)
+_CORE_AT_ORIGIN = ProfileHandle(fn=_core_at_origin, bubbles=(
+    np.zeros((2, 3)), np.array([0.25, 1.0]), np.array([1.0, -2.0])))
 
 
 def _placed(field, v):
@@ -330,6 +342,11 @@ def test_typed():
     lambda: ReducedPoint(eps=1e-3, a=0.0, d=10**400, alpha_b=0.0, alpha_w=0.0),
     lambda: ReducedPoint(eps="1e-3", a=0.0, d=0.05, alpha_b=0.0, alpha_w=0.0),
     lambda: ReducedPoint(eps=1e-3, a=0.0, d=0.05, alpha_b=np.bool_(True), alpha_w=0.0),
+    lambda: kernel_hess("bogus", _PLACED, SectorConfig(8)),
+    # the Talenti bubble's gradient vanishes at its centre
+    lambda: place_bubble(1e-4, 0.0, 0.97, 0.01, 0.02, talenti_profile(), Point3(0.0, 0.0, 0.0)),
+    lambda: c_star(_CORE_AT_ORIGIN, Point3(0.0, 0.0, 0.0)),
+    lambda: psi_d1(np.array([1.0, 0.0, 0.0]), _PARAMS),
 ])
 def test_rejected_calls(call):
     with pytest.raises(DomainError):

@@ -1136,17 +1136,12 @@ def test_point_kernels_raise_the_per_call_errors(K):
     _assert_same(lambda: h0e_bb(q, cfg), lambda: _old_h0e_bb(q, cfg))
 
 
-def test_tail_images_cache_is_bounded():
-    # sector_images(K) but the identity, with negated signs, read-only and
-    # bit for bit; cached per K and bounded as sector_images is
-    for K in range(4, 2 * kernels._tail_images.cache_info().maxsize + 12, 2):
-        mats, signs = kernels._tail_images(K)
-        full_mats, full_signs = sector_images(K)
-        assert mats.tobytes() == full_mats[1:].tobytes()
-        assert signs.tobytes() == (-full_signs[1:]).tobytes()
-        assert not (mats.flags.writeable or signs.flags.writeable)
-    for cache in (kernels._tail_images, sector_images):
-        assert cache.cache_info().currsize <= cache.cache_info().maxsize
+def test_sector_images_cache_is_bounded():
+    # the one image table per K, which _direct and t_a slice, stays bounded
+    # however many K a process visits
+    for K in range(4, 2 * sector_images.cache_info().maxsize + 12, 2):
+        sector_images(K)
+    assert sector_images.cache_info().currsize <= sector_images.cache_info().maxsize
 
 
 def test_stencil_raises_the_first_rows_error():
