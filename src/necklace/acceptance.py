@@ -5,12 +5,12 @@ the image-bubble bounds, the reduced-energy scaling laws, and the nodal mesh.
 
 Each criterion is a function ``(quick) -> list[Check]``: every bound it tests
 is one named Check of a measured quantity against that bound, stated once.
-CRITERIA is the table of (name, body, budget) rows.  run_all reads the model
-constants from energy's table; without ``quick`` it also computes them once,
-before the first criterion's timer starts, and criterion 9 checks that the
-two agree.  It runs the rows in order.  A criterion passes when it raised
-nothing and all its checks pass, its time budget, ``elapsed_s < budget``,
-among them.
+CRITERIA is the table of (name, body, budget) rows.  Criteria 8 and 9 read
+the model constants from energy's table; without ``quick``, run_all also
+computes them once, before the first criterion's timer starts, and criterion
+9 checks that the two agree.  run_all runs the rows in order.  A criterion
+passes when it raised nothing and all its checks pass, its time budget,
+``elapsed_s < budget``, among them.
 """
 from __future__ import annotations
 
@@ -350,11 +350,9 @@ def _run(criterion: Criterion, quick: bool) -> Result:
 
 
 def run_all(quick: bool = False) -> List[Result]:
-    # the model constants are fixed inputs to criteria 8 and 9, read from
-    # energy's table; the full suite also computes them (a one-time
-    # quadrature, cached) outside every criterion's time, and criterion 9
-    # checks the table against them
-    default_model()
+    # criteria 8 and 9 read the model constants from energy's table; the
+    # full suite also computes them (a quadrature of seconds, cached) outside
+    # every criterion's time, and criterion 9 checks the table against them
     if not quick:
         _computed_model()
     return [_run(c, quick) for c in CRITERIA]

@@ -6,14 +6,10 @@ import argparse
 import contextlib
 import functools
 import json
-# argparse's messages go through gettext, which imports locale on the first
-# parser; importing it with the module keeps that out of the first command
-import locale  # noqa: F401
 import math
 import re
 import sys
 import warnings
-from dataclasses import replace
 from itertools import chain, groupby
 from typing import Iterable, List, Optional, Sequence
 
@@ -21,7 +17,7 @@ import numpy as np
 
 from . import energy
 from .crown import build_crown, q_mid_lower, u_star_profile
-from .energy import ReducedConfig, check_full_mode, minimize_psi
+from .energy import ReducedConfig, minimize_psi
 from .errors import (
     AccuracyError,
     DomainError,
@@ -66,13 +62,22 @@ def _json_value(value):
 def _emit(columns: Sequence[str], batches: Iterable[List[Sequence[object]]], fmt: str,
           out: Optional[str]) -> None:
     """Write the rows of ``batches``, lists of rows each one value per
-    column, as CSV with a header line (nothing at all without rows), a batch
-    at a time, or as a JSON list of objects, with null for a nan or an
-    infinity (RFC 8259 has neither)."""
+    column, a batch at a time: as CSV with a header line (nothing at all
+    without rows), or as a JSON list of objects, with null for a nan or an
+    infinity (RFC 8259 has neither).  The JSON text is json.dumps's for the
+    whole list with indent=2 and sorted keys: each object dumped alone, its
+    lines indented one level more."""
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         if fmt == "json":
-            payload = [dict(zip(columns, _json_value(row))) for rows in batches for row in rows]
-            fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+            encode = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).encode
+            opening = "[\n"
+            for rows in batches:
+                if rows:
+                    fh.write(opening + ",\n".join(
+                        "  " + encode(dict(zip(columns, _json_value(row)))).replace("\n", "\n  ")
+                        for row in rows))
+                    opening = ",\n"
+            fh.write("[]\n" if opening == "[\n" else "\n]\n")
             return
         header = ",".join(columns) + "\n"
         for rows in batches:
@@ -239,13 +244,9 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    # the flags are checked with placeholder constants before the model is built
-    cfg = ReducedConfig(args.K, args.lam, 1.0, 1.0, args.delta)
-    if args.mode == "full":
-        check_full_mode(cfg)
     _, _, gnorm, cstar = energy.default_model()
-    cfg = replace(cfg, gnorm=gnorm, cstar=cstar)
-    argmin, diag = minimize_psi(cfg, mode=args.mode)
+    argmin, diag = minimize_psi(ReducedConfig(args.K, args.lam, gnorm, cstar, args.delta),
+                                mode=args.mode)
     _emit(("K", "lam", "delta", "mode", "eps", "a", "d", "alpha_b", "alpha_w",
            "value", "eps_ratio", "d_scaling", "on_boundary"),
           [[(args.K, args.lam, args.delta, args.mode, argmin.eps, argmin.a,

@@ -103,13 +103,6 @@ class CrownParams:
         amp = np.array([TALENTI_AMP] + [-TALENTI_AMP * math.sqrt(self.mu)] * self.m)
         return _read_only(x, c, amp)
 
-    @cached_property
-    def _ring_neg2(self) -> np.ndarray:
-        """-2 times the ring's (m, 3) centres, read-only: u_star's matmul
-        with it gives -2 z.xi_j, the bits of doubling and negating z.xi_j,
-        since scaling by -2 is exact."""
-        return _read_only(-2.0 * self._bubbles[0][1:])[0]
-
     def unit_centers_array(self) -> np.ndarray:
         """The centers pushed out to the unit circle (the mu -> 0 positions)."""
         ang = 2.0 * np.pi * np.arange(self.m) / self.m
@@ -172,9 +165,10 @@ def _u_star(arr: np.ndarray, p: CrownParams) -> Union[float, np.ndarray]:
     if len(pts) == 1:
         pts = np.repeat(pts, 2, axis=0)
     n = len(pts)
-    # the ring bubbles' c = mu^2 and A < 0 after the origin's row
-    _, c, amp = p._bubbles
-    neg2xi = p._ring_neg2.T
+    # the ring bubbles' centres, c = mu^2 and A < 0 after the origin's row;
+    # scaling by -2 is exact, so the matmul gives the bits of -2 z.xi_j
+    x, c, amp = p._bubbles
+    neg2xi = -2.0 * x[1:].T
     rho2 = 1.0 - c[1]
     out = np.empty(n)
     buf = np.empty((min(n, _BLOCK), p.m))

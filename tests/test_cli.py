@@ -407,11 +407,7 @@ def test_typed_errors_map_to_exit_codes(monkeypatch, capsys, exc, code):
     *([*mode, "--delta", delta] for mode in ([], ["--mode", "full"])
       for delta in ("1e-100", "1e-300", "5e-324")),
 ])
-def test_energy_validates_before_model(monkeypatch, capsys, flags):
-    def no_model(*args, **kwargs):
-        raise AssertionError("default_model called before validation")
-
-    monkeypatch.setattr(energy, "default_model", no_model)
+def test_energy_validates_before_model(capsys, flags):
     assert run(["energy", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
@@ -420,12 +416,8 @@ def test_energy_validates_before_model(monkeypatch, capsys, flags):
 
 
 @pytest.mark.parametrize("K, delta", [("64", "1e-3"), ("64", "1.71e-3"), ("128", "5e-4")])
-def test_energy_full_mode_delta_before_model(monkeypatch, capsys, K, delta):
+def test_energy_full_mode_delta_before_model(capsys, K, delta):
     # full mode's delta bound depends on K and delta alone
-    def no_model(*args, **kwargs):
-        raise AssertionError("default_model called before the delta check")
-
-    monkeypatch.setattr(energy, "default_model", no_model)
     assert run(["energy", "--mode", "full", "--K", K, "--delta", delta]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: full mode needs delta > ")
@@ -452,8 +444,6 @@ def test_verify_runs_serially(monkeypatch, capsys, tmp_path):
 
         names = ("first", "second", "third")
         monkeypatch.setattr(acceptance, "CRITERIA", tuple(map(fake, names)))
-        # the model is built once before the criteria; not paid here
-        monkeypatch.setattr(acceptance, "default_model", lambda: None)
         out = tmp_path / "verify.json"
         assert run(["verify", "--quick", "--format", "json",
                     "--out", str(out)]) == code
@@ -476,13 +466,64 @@ def test_verify_json_nan_check_is_null(monkeypatch, capsys):
     checks = [acceptance.Check("x", math.nan, "<=", 1.0),
               acceptance.Check("y", 0.5, "<", math.inf)]
     monkeypatch.setattr(acceptance, "CRITERIA", (("nan", lambda quick: checks, None),))
-    monkeypatch.setattr(acceptance, "default_model", lambda: None)
     assert run(["verify", "--quick", "--format", "json"]) == 1
     row, = _strict_json(capsys.readouterr().out)
     assert row["status"] == "FAIL" and row["error"] is None
     assert row["checks"] == [
         {"quantity": "x", "measured": None, "op": "<=", "bound": 1.0, "margin": None},
         {"quantity": "y", "measured": 0.5, "op": "<", "bound": None, "margin": None}]
+
+
+@pytest.mark.parametrize("argv", [["sums"], ["ansatz"], ["kernels"], ["energy"],
+                                  ["nodal", "--res", "16"]],
+                         ids=["sums", "ansatz", "kernels", "energy", "nodal"])
+def test_json_is_the_whole_list_dumped(capsys, argv):
+    # written a batch at a time, the JSON text is json.dumps's for the whole
+    # list, and it holds the CSV's rows
+    assert run(argv + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    rows = _strict_json(text)
+    assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    assert run(argv) == 0
+    csv = capsys.readouterr().out
+    columns = csv.split("\n", 1)[0].split(",")
+    assert rows and all(sorted(row) == sorted(columns) for row in rows)
+    assert _table_at_once(columns, [[row[c] for c in columns] for row in rows]) == csv
+
+
+def test_verify_json_is_the_whole_list_dumped(monkeypatch, capsys):
+    # verify's rows carry nested lists of checks
+    checks = [acceptance.Check("x", 0.5, "<=", 1.0), acceptance.Check("y", 2.0, ">", 1e300)]
+    monkeypatch.setattr(acceptance, "CRITERIA", (("two", lambda quick: checks, None),
+                                                 ("none", lambda quick: [], 5.0)))
+    assert run(["verify", "--quick", "--format", "json"]) == 1
+    text = capsys.readouterr().out
+    rows = _strict_json(text)
+    assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    assert [(r["name"], r["status"], len(r["checks"])) for r in rows] == [
+        ("two", "FAIL", 2), ("none", "pass", 1)]
+    assert rows[0]["checks"][1] == {"quantity": "y", "measured": 2.0, "op": ">",
+                                    "bound": 1e300, "margin": 2.0 - 1e300}
+
+
+@pytest.mark.parametrize("lam", ["1.5e307", "3e307"])
+def test_energy_lam_is_bounded_with_the_model_constants(capsys, lam):
+    # Psi's overflow bound on the box grows with lam cstar: these lam pass
+    # it with the model's cstar (about 0.23), as minimize_psi finds
+    _, _, gnorm, cstar = energy.default_model()
+    argmin, diag = energy.minimize_psi(energy.ReducedConfig(64, float(lam), gnorm, cstar, 0.1))
+    assert run(["energy", "--lam", lam]) == 0
+    out, err = capsys.readouterr()
+    row = (64, float(lam), 0.1, "leading", argmin.eps, argmin.a, argmin.d, argmin.alpha_b,
+           argmin.alpha_w, *(float(diag[k]) for k in ("value", "eps_ratio", "d_scaling")),
+           ";".join(diag["on_boundary"]))
+    assert err == "" and out == _table_at_once(out.split("\n", 1)[0].split(","), [row])
+
+
+def test_energy_lam_past_the_bound_overflows(capsys):
+    assert run(["energy", "--lam", "8e307"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: Psi overflows on the box of delta=0.1 and K=64\n")
 
 
 @pytest.mark.parametrize("argv, flag, value, code", [
@@ -495,10 +536,9 @@ def test_verify_json_nan_check_is_null(monkeypatch, capsys):
     (["energy"], "--lam", "-1e-3", 2),
     (["energy"], "--delta", "-1e-3", 2),
 ])
-def test_negative_exponent_value_parses(monkeypatch, capsys, argv, flag, value, code):
+def test_negative_exponent_value_parses(capsys, argv, flag, value, code):
     # "--flag -1e-3" is the same command as "--flag=-1e-3", with the same
     # output bytes, not a missing value
-    monkeypatch.setattr(energy, "default_model", lambda *a, **k: pytest.fail("model built"))
     assert run(argv + [flag, value]) == code
     spaced = capsys.readouterr()
     assert run(argv + [f"{flag}={value}"]) == code
@@ -535,9 +575,8 @@ def test_sums_rejects_huge_n(capsys, n):
 
 
 @pytest.mark.parametrize("command", ["kernels", "energy"])
-def test_k_above_max_is_rejected_first(monkeypatch, capsys, command):
-    # named as K, and for energy before the model is built
-    monkeypatch.setattr(energy, "default_model", lambda *a, **k: pytest.fail("model built"))
+def test_k_above_max_is_rejected_first(capsys, command):
+    # named as K
     K = str(2 * K_MAX)
     assert run([command, "--K", K]) == 2
     captured = capsys.readouterr()
@@ -816,8 +855,8 @@ def test_streamed_csv_is_the_table_at_once(tmp_path, capsys, sizes):
     want = _table_at_once(columns, rows)
     assert out.read_bytes() == want.encode() and capsys.readouterr().out == want
     cli._emit(columns, batches(), "json", str(out))
-    assert json.loads(out.read_text()) == json.loads(
-        json.dumps([dict(zip(columns, row)) for row in rows]))
+    assert out.read_text() == json.dumps([dict(zip(columns, row)) for row in rows],
+                                         indent=2, sort_keys=True) + "\n"
 
 
 def test_nodal_csv_does_not_depend_on_row_batch(tmp_path, capsys, monkeypatch):
