@@ -23,7 +23,7 @@ from .crown import (
 )
 from .errors import AccuracyError, DomainError, real, typed
 from .geometry import Point3, SectorConfig
-from .kernels import _a_gamma_forms, a_gamma, a_gamma_quad, c0, c2, full_kernels
+from .kernels import _a_gamma_forms, _a_gamma_quad, a_gamma, c0, c2, full_kernels
 from .nodal import radial_nodal_root
 from .trigsums import gl_panels, leggauss
 
@@ -56,7 +56,8 @@ class ReducedConfig:
         s = (1.0 + math.log(K) / self.delta) * max(1.0, self.gnorm)
         bound = 8.0 * K**5 * eps * eps * (2.0 * eps * s * s + self.lam * self.cstar)
         if not math.isfinite(bound):
-            raise DomainError(f"Psi overflows on the box of delta={self.delta!r} and K={K}")
+            raise DomainError(f"Psi overflows on the box of delta={self.delta!r} and K={K} with "
+                              f"lam={self.lam!r}, cstar={self.cstar!r} and gnorm={self.gnorm!r}")
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,13 @@ def _smooth_cut(t: np.ndarray) -> np.ndarray:
     return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def _sphere_rule(panels, n_p: int, upper: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+def _sphere_rule(panels, n_p: int, upper: bool = False):
     """Product rule on the unit sphere: Gauss on each (lo, hi, order) panel
     of cos(theta), uniform in phi.  With ``upper``, only the nodes with
     cos(theta) > 0, at twice their weights: the rule for a function even in
-    z3, when the panels are symmetric about 0."""
+    z3, when the panels are symmetric about 0.  Returns its factors (ct, st,
+    cos phi, sin phi), per polar and per azimuth node, and the weights of its
+    directions (st_i cos phi_k, st_i sin phi_k, ct_i) in (i, k) order."""
     ct_parts, wt_parts = [], []
     for lo, hi, order in panels:
         x, w = leggauss(order)
@@ -142,19 +145,24 @@ def _sphere_rule(panels, n_p: int, upper: bool = False) -> Tuple[np.ndarray, np.
         ct, wt = ct[ct > 0.0], 2.0 * wt[ct > 0.0]
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
     phi = 2.0 * np.pi * np.arange(n_p) / n_p
-    dirs = np.empty((len(ct) * n_p, 3))
-    dirs[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    dirs[:, 1] = np.outer(st, np.sin(phi)).ravel()
-    dirs[:, 2] = np.repeat(ct, n_p)
-    weights = np.repeat(wt, n_p) * (2.0 * np.pi / n_p)
-    return dirs, weights
+    return (ct, st, np.cos(phi), np.sin(phi)), np.repeat(wt, n_p) * (2.0 * np.pi / n_p)
+
+
+def _points(rule, rings, scale):
+    """The components x, y, z of scale * direction over the phi-rings
+    ``rings`` of the factored ``rule``, flat in (i, k) order, the bits of
+    scaling its (N, 3) directions; ``scale`` is a number or one per ring."""
+    ct, st, cphi, sphi = rule
+    s = st[rings, None]
+    return ((s * cphi * scale).ravel(), (s * sphi * scale).ravel(),
+            np.repeat(ct[rings, None] * scale, len(cphi)))
 
 
 #: inner log-radial cutoff of c_star's core balls
 _RHO0 = 1e-6
-#: points c_star's integrand makes and evaluates at a time: a shell or core
-#: ball holds one value per point of its sphere rule, and no point array
-#: larger than a batch
+#: points c_star's integrand makes and evaluates at a time, in whole
+#: phi-rings (one ring if it holds more): a shell or core ball holds one value
+#: per point of its sphere rule, and no point array larger than a batch
 _BATCH = 8 * _BLOCK
 
 
@@ -172,22 +180,25 @@ def _cores(profile: ProfileHandle, xi: Point3):
     return cores
 
 
-def _near_cores(dirs: np.ndarray, lo: float, hi: float, cores):
+def _near_cores(rule, lo: float, hi: float, cores):
     """The cores that come within w of the shells lo <= |y| <= hi through
-    ``dirs``, each as (c, R, w, rows): ``rows`` are the directions that can
-    pass within w of c.
+    the directions of the factored ``rule``, each as (c, R, w, rows): ``rows``
+    are the directions that can pass within w of c.
 
     A point within w of c lies within angle asin(w/R) of c's direction, and
     a shell farther than w from R misses the core; both tests are widened by
-    a relative 1e-9 on w (and 1e-9 on the cosine) for rounding, so the rows
-    are a superset of those within w.
+    a relative 1e-9 on w (and 1e-9 on the cosine, taken from the factors) for
+    rounding, so the rows are a superset of those within w.
     """
+    ct, st, cphi, sphi = rule
     near = []
     for c, R, w in cores:
         wide = w * (1.0 + 1e-9)
         if lo - wide <= R <= hi + wide:
             cos_min = math.sqrt(1.0 - (wide / R) ** 2) - 1e-9
-            near.append((c, R, w, np.flatnonzero(dirs @ (c / R) >= cos_min)))
+            cos = np.outer(st, c[0] / R * cphi + c[1] / R * sphi)
+            cos += (c[2] / R * ct)[:, None]
+            near.append((c, R, w, np.flatnonzero(cos >= cos_min)))
     return near
 
 
@@ -198,41 +209,33 @@ def _reaches(r: float, R: float, w: float) -> bool:
     return (r - R) ** 2 < (w * (1.0 + 1e-9)) ** 2 + 1e-12 * (r + R) ** 2
 
 
-def _apply_bumps(vals: np.ndarray, dirs: np.ndarray, r: float, near, fac: np.ndarray) -> bool:
-    """Multiply ``vals`` at the points r * ``dirs`` of the shell |y| = r, in
-    the directions ``_near_cores`` took ``near`` from, by the product over
-    cores, in order, of 1 - _smooth_cut(2|y - c|/w - 1).  ``fac`` is a
-    buffer of len(dirs) ones, and is left so.  Returns whether a core
-    reached the shell.
+def _apply_bumps(vals: np.ndarray, rule, r: float, near, fac: np.ndarray) -> bool:
+    """Multiply ``vals`` at the points r * direction of the shell |y| = r,
+    in the directions of the factored ``rule`` that ``_near_cores`` took
+    ``near`` from, by the product over cores, in order, of
+    1 - _smooth_cut(2|y - c|/w - 1).  ``fac`` is a buffer of one 1.0 per
+    direction, and is left so.  Returns whether a core reached the shell.
 
     A core's factor is exactly 1.0 wherever |y - c| >= w: on the rows
     ``_near_cores`` did not pick and on a shell farther than w from R (with
-    a margin covering the rounding of the test).  So only the picked rows
-    are formed and multiplied, each once by its product: the bits of
-    multiplying every value by the product over all cores."""
+    a margin covering the rounding of the test).  So only the picked rows'
+    directions are formed and multiplied, each once by its product: the
+    bits of multiplying every value by the product over all cores."""
     reach = [(c, w, picked) for c, R, w, picked in near if _reaches(r, R, w)]
     if not reach:
         return False
+    ct, st, cphi, sphi = rule
     for c, w, picked in reach:
+        i, k = np.divmod(picked, len(cphi))
+        dirs = np.column_stack((st[i] * cphi[k], st[i] * sphi[k], ct[i]))
         # np.linalg.norm's bits, without its per-call overhead
-        rho = np.sqrt(_sq_norm(r * dirs[picked] - c))
+        rho = np.sqrt(_sq_norm(r * dirs - c))
         fac[picked] *= 1.0 - _smooth_cut(2.0 * rho / w - 1.0)
     # a row picked twice is gathered and set twice, to the same product
     rows = np.concatenate([picked for *_, picked in reach])
     vals[rows] *= fac[rows]
     fac[rows] = 1.0
     return True
-
-
-def _shifted(y: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
-    """y + x for points ``y`` (n, 3) and ``x_rows``, x repeated in _BLOCK
-    rows: the same sums, added block by block without NumPy's slow
-    broadcast over a trailing axis of length 3."""
-    out = np.empty_like(y)
-    for lo in range(0, len(y), _BLOCK):
-        hi = min(lo + _BLOCK, len(y))
-        np.add(y[lo:hi], x_rows[: hi - lo], out=out[lo:hi])
-    return out
 
 
 def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
@@ -246,16 +249,16 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
     order adapted to the nearest core, and the far field beyond R = 10^3 is
     added from the measured 1/|z| coefficient.
     ``scale`` > 0 multiplies every node count (scale=2 halves all steps).
-    Each shell and core ball is evaluated _BATCH points at a time, each
-    batch's points made when it is evaluated, into one value buffer per
-    sphere rule: a point's value does not depend on its batch, so the
-    result has the bits of evaluating the shell at once.  The working
-    memory is the sphere rule in use, its values (a core ball's: one per
-    radial node and direction) and one batch's temporaries, however many
-    shells share the rule.  ``xi`` is a Point3; anything else is a
-    DomainError.  The part totals, the number of points the profile was
-    evaluated at and the shells a core's bump reached are logged in one
-    DEBUG record on this module's logger.
+    Each shell and core ball is evaluated in whole phi-rings of at most
+    _BATCH points, made from its sphere rule's factors when evaluated, into
+    one value buffer per rule: a point's value does not depend on its
+    batch, so the result has the bits of evaluating the shell at once.  The
+    working memory is the weights and values of the rule in use (a core
+    ball's: one per radial node and direction; a shell's also its bump
+    factors) plus one batch, with no (N, 3) direction array.  ``xi`` is a
+    Point3; anything else is a DomainError.  The part totals, the number of
+    points the profile was evaluated at and the shells a core's bump
+    reached are logged in one DEBUG record on this module's logger.
     """
     scale = real("scale", scale, positive=True)
     typed("profile", profile, ProfileHandle)
@@ -267,38 +270,48 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
             "otherwise non-integrable at the origin"
         )
 
-    xi_rows = np.tile(xiv, (_BLOCK, 1))
     points = 1
 
-    # one batch of points, rewritten by every batch
+    # the shifted points of one batch, rewritten by every batch
     pts = np.empty((_BATCH, 3))
 
-    def integrand(block, out: np.ndarray) -> None:
-        # q * q / (4 pi r2 * r2) into ``out``, the same operations in the
-        # same order, at the points that block(lo, hi, y) writes into y for
-        # its rows lo:hi, _BATCH rows at a time; r2 is formed after the profile
-        # call and each batch's arrays are dropped before the next is made,
-        # so that neither is held during a profile call
-        nonlocal points
+    def integrand(rule, n_rings: int, points_of, out: np.ndarray, raw: bool = False) -> None:
+        # q * q / (4 pi r2 * r2) (q with ``raw``) into ``out``, the same
+        # operations in the same order, at the points relative to xi that
+        # points_of(g) gives as components x, y, z for runs g of whole phi-rings
+        # of ``rule``, _BATCH points (or one ring) at a time; only pts and the
+        # denominator (from r2 in _sq_norm's order) are held in a profile call
+        nonlocal points, pts
         points += len(out)
-        for lo in range(0, len(out), _BATCH):
-            hi = min(lo + _BATCH, len(out))
-            y = pts[:hi - lo]
-            block(lo, hi, y)
-            q = np.asarray(profile.fn(_shifted(y, xi_rows)), dtype=float)
-            r2 = _sq_norm(y)
-            den = 4.0 * np.pi * r2
+        n_p = len(rule[2])
+        per = max(1, _BATCH // n_p)
+        if per * n_p > len(pts):
+            pts = np.empty((per * n_p, 3))
+        for a in range(0, n_rings, per):
+            x, y, z = points_of(np.arange(a, min(a + per, n_rings)))
+            p = pts[:len(x)]
+            for i, v in enumerate((x, y, z)):
+                np.add(v, xiv[i], out=p[:, i])
+            r2 = np.multiply(x, x, out=x)
+            r2 += np.multiply(y, y, out=y)
+            r2 += np.multiply(z, z, out=z)
+            den = np.multiply(r2, 4.0 * np.pi, out=y)
             den *= r2
-            val = np.multiply(q, q, out=out[lo:hi])
-            val /= den
-            del y, q, r2, den, val
+            del x, y, z, r2
+            val = out[a * n_p:a * n_p + len(p)]
+            val[:] = profile.fn(p)
+            if not raw:
+                val *= val
+                val /= den
+            del den
 
     cores = _cores(profile, xi)
     n = lambda base: max(2, int(math.ceil(base * scale)))
 
     # core balls, log-radial around each center
     core_total = 0.0
-    dirs, dweights = _sphere_rule([(-1.0, 1.0, n(12))], n(24))
+    rule, dweights = _sphere_rule([(-1.0, 1.0, n(12))], n(24))
+    n_ct = len(rule[0])
     vals = None
     for c, _R, w in cores:
         s_nodes, s_weights = gl_panels(
@@ -307,19 +320,14 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
         rho = np.exp(s_nodes)
         if vals is None:
             # every ball has the same rule: one value buffer for all
-            vals = np.empty((len(rho), len(dirs)))
-
-        def ball(lo, hi, y):
-            # rows lo:hi of the points c + rho[k] * dirs[j], in (k, j) order
-            k, j = divmod(np.arange(lo, hi), len(dirs))
-            np.multiply(rho[k, None], dirs[j], out=y)
-            np.add(y, c, out=y)
-
-        integrand(ball, vals.reshape(-1))
+            vals = np.empty((len(rho), len(dweights)))
+        # ring g is the polar node g % n_ct at radius rho[g // n_ct]: the
+        # points c + rho[k] * direction j in (k, j) order
+        integrand(rule, len(rho) * n_ct, lambda g: [
+            np.add(v, ci, out=v) for v, ci in zip(_points(rule, g % n_ct, rho[g // n_ct, None]), c)
+        ], vals.reshape(-1))
         vals *= _smooth_cut(2.0 * rho[:, None] / w - 1.0)
-        core_total += float(
-            np.sum((vals @ dweights) * s_weights * rho**3)
-        )
+        core_total += float(np.sum((vals @ dweights) * s_weights * rho**3))
 
     # shells around the origin: linear panels through the near region, then
     # geometric panels out to the far cutoff, with panel edges pinned to the
@@ -346,7 +354,7 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
     shells = bumped = 0
     # neighbouring panels mostly share an angular rule: it is rebuilt only
     # when its (panels, n_p) changes
-    rule = None
+    key = None
     for lo, hi in zip(edges[:-1], edges[1:]):
         r_nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * glx
         r_weights = 0.5 * (hi - lo) * glw
@@ -369,24 +377,24 @@ def c_star(profile: ProfileHandle, xi: Point3, scale: float = 1.0) -> float:
                           (0.25, 1.0, 16)]
             else:
                 panels = [(-1.0, 1.0, n_p)]
-        if rule != (panels, n_p):
-            rule = (panels, n_p)
+        if key != (panels, n_p):
+            key = (panels, n_p)
             # drop the old rule first, so that two are never held at once
-            dirs_s = dweights_s = bump = vals = None
-            dirs_s, dweights_s = _sphere_rule(panels, n_p, even_z3)
-            bump = np.ones(len(dirs_s))
-            vals = np.empty(len(dirs_s))
-        near = _near_cores(dirs_s, lo, hi, cores)
+            rule = dweights_s = bump = vals = None
+            rule, dweights_s = _sphere_rule(panels, n_p, even_z3)
+            bump = np.ones(len(dweights_s))
+            vals = np.empty(len(dweights_s))
+        near = _near_cores(rule, lo, hi, cores)
         for rv, rw in zip(r_nodes, r_weights):
-            integrand(lambda a, b, y: np.multiply(rv, dirs_s[a:b], out=y), vals)
-            bumped += _apply_bumps(vals, dirs_s, rv, near, bump)
+            integrand(rule, len(rule[0]), lambda g: _points(rule, g, rv), vals)
+            bumped += _apply_bumps(vals, rule, rv, near, bump)
             outer_total += float((vals @ dweights_s) * rw * rv * rv)
         shells += len(r_nodes)
 
     # far field: measured 1/|z| coefficient on the cutoff sphere
-    dirs_t, dweights_t = _sphere_rule([(-1.0, 1.0, n(16))], n(32))
-    qR = np.asarray(profile.fn(R_far * dirs_t + xiv), dtype=float)
-    points += len(dirs_t)
+    rule, dweights_t = _sphere_rule([(-1.0, 1.0, n(16))], n(32))
+    qR = np.empty(len(dweights_t))
+    integrand(rule, len(rule[0]), lambda g: _points(rule, g, R_far), qR, raw=True)
     coeff2 = float(((qR * R_far) ** 2) @ dweights_t) / (4.0 * np.pi)
     tail = coeff2 / (3.0 * R_far**3)
 
@@ -423,7 +431,7 @@ def _coef(cfg: ReducedConfig, mode: str, d: float, alpha_b: float, alpha_w: floa
     """_psi's coefficients of ``mode`` at (d, alpha_b, alpha_w)."""
     if mode == "leading":
         b = _b_abs(d)
-        return (c0(cfg.K, d), b, c2(cfg.K, d), b**3, a_gamma_quad(cfg.K, alpha_w, alpha_b))
+        return (c0(cfg.K, d), b, c2(cfg.K, d), b**3, _a_gamma_quad(cfg.K, alpha_w, alpha_b))
     return full_kernels(cfg.K, cfg.gnorm, _b_abs(d), alpha_b, alpha_w)
 
 
@@ -508,7 +516,7 @@ def _grid_values(cfg: ReducedConfig, axes: Dict[str, np.ndarray],
     Psi is a polynomial in eps and qhat = a gnorm with coefficients that
     depend on the other axes only.  Every other operation (exp, **, sqrt,
     the kernel sums) runs through the scalar code on its few distinct inputs,
-    the 2x2 forms through a_gamma_quad's stacked product; _psi combines the
+    the 2x2 forms through _a_gamma_quad's stacked product; _psi combines the
     tables with + - * /, which round correctly.  No np.power: see kernels.
     """
     log_eps, d, a_rel, alpha_b, alpha_w = (axes[k].tolist() for k in _ORDER)

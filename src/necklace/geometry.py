@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import counted, real
+from .errors import DomainError, counted, real
 from .trigsums import N_MAX
 
 #: the largest K SectorConfig accepts: the sums over a sector have n = K terms
@@ -40,7 +40,12 @@ class Point3:
 
     @staticmethod
     def from_array(arr) -> "Point3":
-        a = np.asarray(arr, dtype=float).reshape(3)
+        """The point of the three finite coordinates ``arr``; anything else
+        is a DomainError (its repr cut at 80 characters)."""
+        try:
+            a = np.asarray(arr, dtype=float).reshape(3)
+        except (TypeError, ValueError):
+            raise DomainError(f"a point needs three finite coordinates, got {arr!r:.80}") from None
         return Point3(float(a[0]), float(a[1]), float(a[2]))
 
     def norm(self) -> float:

@@ -22,9 +22,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .crown import _COORD_MAX, ProfileHandle, _bubble_derivs, _check_points
-from .errors import AccuracyError, DomainError, UnsupportedError, real, typed
+from .errors import AccuracyError, DomainError, UnsupportedError, counted, real, typed
 from .geometry import Point3, SectorConfig, rotation_matrix, sector_images
-from .trigsums import SumSpec, alt_sums, sum_direct
+from .trigsums import N_MAX, SumSpec, alt_sums, sum_direct
 
 _COINCIDENT_TOL = 1e-13
 #: central-difference step of kernel_grad's direct derivative
@@ -181,11 +181,16 @@ def place_bubble(eps: float, a: float, b_abs: float, alpha_b: float,
 # unhashable value.
 
 
-def _checked(K, d: float = 0.0) -> Tuple[int, float]:
-    """K and d as the int n and float x that SumSpec stores, or SumSpec's
-    DomainError for a value of another kind."""
-    spec = SumSpec("odd", 1, K, d)
-    return spec.n, spec.x
+def _checked(K, d: float = 1.0) -> Tuple[int, float]:
+    """K and d as the int n and float x that SumSpec stores, or a DomainError
+    that names K or d: K an even integer from 4 to N_MAX, and d > 0 with
+    d^-5, the j = 0 term of S_5, a finite double."""
+    K, d = counted("K", K, 4, N_MAX, 0), real("d", d)
+    try:
+        SumSpec("alt", 5, K, d)
+    except DomainError:
+        raise DomainError(f"d must be > 0 with d^-5 finite, got {d!r}") from None
+    return K, d
 
 
 @lru_cache(maxsize=64)
@@ -198,7 +203,11 @@ def c0(K: int, d: float) -> float:
     """Shat_1(K) + S_1(K, d): the coefficient of the first-order ring term."""
     if not (type(K) is int and type(d) is float):
         K, d = _checked(K, d)
-    return s_hat(1, K) + alt_sums(K, d)[0]
+    try:
+        return s_hat(1, K) + alt_sums(K, d)[0]
+    except DomainError:
+        _checked(K, d)  # names K or d where the sums name n or x
+        raise
 
 
 def c2(K: int, d: float) -> float:
@@ -206,7 +215,11 @@ def c2(K: int, d: float) -> float:
     the coefficient of the third-order ring term."""
     if not (type(K) is int and type(d) is float):
         K, d = _checked(K, d)
-    s1, s3, s5 = alt_sums(K, d)
+    try:
+        s1, s3, s5 = alt_sums(K, d)
+    except DomainError:
+        _checked(K, d)
+        raise
     root = d + math.sqrt(1.0 + d * d)
     return (
         s_hat(1, K)
@@ -221,7 +234,11 @@ def a_gamma(K: int) -> np.ndarray:
     """The symmetric 2x2 quadratic form in (alpha_w, alpha_b) governing the
     angular dependence of the third-order ring term, assembled exactly from
     the pure cosecant sums S^o_1, S^o_3, S^o_5 and Shat^e_3 (read-only)."""
-    return _a_gamma(K if type(K) is int else _checked(K)[0])
+    try:
+        return _a_gamma(K if type(K) is int else _checked(K)[0])
+    except DomainError:
+        _checked(K)
+        raise
 
 
 @lru_cache(maxsize=64)
@@ -246,7 +263,7 @@ def _a_gamma_forms(K: int, alpha: np.ndarray) -> np.ndarray:
     return np.vecdot(np.matmul(alpha[..., None, :], a_gamma(K))[..., 0, :], alpha)
 
 
-def a_gamma_quad(K: int, alpha_w: float, alpha_b: float) -> float:
+def _a_gamma_quad(K: int, alpha_w: float, alpha_b: float) -> float:
     """(alpha_w, alpha_b) A_gamma(K) (alpha_w, alpha_b)^T."""
     return float(_a_gamma_forms(K, np.array([alpha_w, alpha_b])))
 
@@ -537,7 +554,7 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     closed = _exact(kind, cfg.K, A.b_abs, A.alpha_b, A.w_abs, A.alpha_w)[2]
     if kind == "gamma":
         s1h, s3h = s_hat(1, cfg.K), s_hat(3, cfg.K)
-        quad = a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b)
+        quad = _a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (s1h + s3h + quad)
     else:
         d = A.d

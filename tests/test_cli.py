@@ -523,7 +523,8 @@ def test_energy_lam_is_bounded_with_the_model_constants(capsys, lam):
 def test_energy_lam_past_the_bound_overflows(capsys):
     assert run(["energy", "--lam", "8e307"]) == 2
     assert capsys.readouterr() == (
-        "", "error: Psi overflows on the box of delta=0.1 and K=64\n")
+        "", "error: Psi overflows on the box of delta=0.1 and K=64 with lam=8e+307, "
+            "cstar=0.23348704238119866 and gnorm=1.0066274235276396\n")
 
 
 @pytest.mark.parametrize("argv, flag, value, code", [

@@ -31,7 +31,7 @@ from necklace.energy import (
     _near_cores,
     _grid_start,
     _grid_values,
-    _shifted,
+    _points,
     _smooth_cut,
     _sphere_rule,
     a_gamma,
@@ -56,7 +56,7 @@ from necklace.kernels import (
     _w_sums,
     s_hat,
 )
-from necklace.trigsums import ZETA3, ZETA5, SumSpec, alt_sums, gl_panels, sum_direct
+from necklace.trigsums import ZETA3, ZETA5, SumSpec, alt_sums, gl_panels, leggauss, sum_direct
 from conftest import talenti_profile
 from test_kernels import _old_h0e_derivs, _old_newton_derivs
 
@@ -719,18 +719,19 @@ class TestCStar:
         assert len(set(values)) == 1 and len(texts) == 3 and len(set(texts)) == 1
 
     def test_memory_is_bounded_by_the_sphere_rule(self, monkeypatch):
-        # no point array outgrows a batch: with _BLOCK-point batches the
-        # tracemalloc peak is within 4x the bytes (nodes and weights) of the
-        # largest sphere rule; a shell's or core ball's full point array
-        # took it to 8.2x
+        # no point or direction array outgrows a batch: with _BLOCK-point
+        # batches the tracemalloc peak is within 8x the bytes (factors and
+        # weights) of the largest factored sphere rule, about half of the
+        # bound of 4x its (N, 3) directions and weights when it had them (a
+        # shell's or core ball's full point array took it to 8.2x those)
         profile, xi = _planar_pair()
         rules = []
         real = energy._sphere_rule
 
         def spy(*args):
-            dirs, weights = real(*args)
-            rules.append(dirs.nbytes + weights.nbytes)
-            return dirs, weights
+            rule, weights = real(*args)
+            rules.append((sum(v.nbytes for v in rule) + weights.nbytes, len(weights)))
+            return rule, weights
 
         monkeypatch.setattr(energy, "_sphere_rule", spy)
         monkeypatch.setattr(energy, "_BATCH", _BLOCK)
@@ -740,7 +741,50 @@ class TestCStar:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.0 * max(rules)
+        rule_bytes, n = max(rules)
+        assert 8.0 * rule_bytes <= 4.0 * (3 + 1) * 8 * n
+        assert peak <= 8.0 * rule_bytes
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_factored_rule_rebuilds_the_directions(self, monkeypatch, scale):
+        # every sphere rule c_star takes on the m = 16 model at scales 1 and 2
+        # (a spy records their shapes and hands c_star a 2-point rule, and a
+        # zero profile ends the run at the total): its factors give the
+        # (N, 3) directions of the rule as it was built with a direction
+        # grid, bit for bit, scaled by a shell radius and, as a core ball
+        # takes them, by a radius per ring plus a centre; and the same weights
+        profile, xi, _gnorm, _cstar = default_model()
+        shapes = []
+        real = energy._sphere_rule
+
+        def spy(panels, n_p, upper=False):
+            shapes.append((tuple(panels), n_p, upper))
+            return real([(-1.0, 1.0, 2)], 2)
+
+        monkeypatch.setattr(energy, "_sphere_rule", spy)
+        zero = ProfileHandle(fn=lambda arr: np.zeros(np.shape(arr)[:-1]), bubbles=profile.bubbles)
+        with pytest.raises(AccuracyError):
+            c_star(zero, xi, scale=scale)
+        shapes = list(dict.fromkeys(shapes))
+        assert any(upper and len(panels) == 3 for panels, _n_p, upper in shapes)
+        assert len(shapes) >= 4
+        c = np.array([0.6712345678901234, -1e-17, 0.3])
+        for panels, n_p, upper in shapes:
+            rule, weights = real(list(panels), n_p, upper)
+            dirs, want = _grid_sphere_rule(list(panels), n_p, upper)
+            assert weights.tobytes() == want.tobytes()
+            assert _directions(rule).tobytes() == dirs.tobytes()
+            for rv in (0.7312345678901234, 999.9999999999999):
+                assert np.column_stack(_points(rule, np.arange(len(rule[0])), rv)).tobytes() \
+                    == (rv * dirs).tobytes()
+            # rings g in (radius, polar node) order, as in a core ball
+            rho = np.exp(np.linspace(-13.8, -2.0, 5))
+            g = np.arange(len(rho) * len(rule[0]))[1:-1]
+            got = [v + ci for v, ci in zip(_points(rule, g % len(rule[0]),
+                                                   rho[g // len(rule[0]), None]), c)]
+            k, j = divmod(np.arange(len(rho) * len(dirs)), len(dirs))
+            ref = rho[k, None] * dirs[j] + c
+            assert np.column_stack(got).tobytes() == ref[n_p:-n_p].tobytes()
 
     def test_model_constant(self):
         # the m=16 value the benchmark reference pins, to the last bit
@@ -776,10 +820,15 @@ class TestCStar:
                 return fac, np.sum(np.array(facs) < 1.0, axis=0)
 
             for c, R, w in cores[:: max(1, len(cores) // 4)]:
-                # random directions plus a cluster around the core's direction
-                dirs = rng.normal(size=(4000, 3))
-                dirs[:2000] = c / R + 0.5 * w / R * dirs[:2000]
-                dirs /= np.linalg.norm(dirs, axis=-1)[:, None]
+                # a product rule of random polar and azimuth nodes, half of
+                # each around the core's direction
+                spread = 0.5 * w / R
+                ct = np.concatenate([rng.uniform(-1.0, 1.0, 40),
+                                     c[2] / R + spread * rng.normal(size=40)])
+                phi = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 50),
+                                      math.atan2(c[1], c[0]) + spread * rng.normal(size=50)])
+                rule = (ct, np.sqrt(1.0 - ct * ct), np.cos(phi), np.sin(phi))
+                dirs = _directions(rule)
                 for r in (R - 3.0 * w, R + 2.5 * w,
                           R - w - 1e-12, R - w, R - w + 1e-12,
                           R + w - 1e-12, R + w, R + w + 1e-12,
@@ -788,23 +837,12 @@ class TestCStar:
                     ref, touching = unpruned(y)
                     vals, buf = rng.normal(size=len(y)), np.ones(len(y))
                     got = vals.copy()
-                    _apply_bumps(got, dirs, r, _near_cores(dirs, r, r, cores), buf)
+                    _apply_bumps(got, rule, r, _near_cores(rule, r, r, cores), buf)
                     assert np.array_equal(got, vals * ref)
                     assert np.all(buf == 1.0)
                     crossed += int(np.any((ref > 0.0) & (ref < 1.0)))
                     shared += int(np.count_nonzero(touching > 1))
         assert crossed >= 16 and shared > 0
-
-    @pytest.mark.parametrize("shape", [
-        (0, 3), (1, 3), (_BLOCK - 1, 3), (_BLOCK, 3), (_BLOCK + 1, 3),
-        (2 * _BLOCK + 5, 3)])
-    def test_shifted_is_broadcast_add(self, shape):
-        rng = np.random.default_rng(len(shape) + shape[0])
-        y = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-        x = np.array([0.6712345678901234, -1e-17, 0.0])
-        got = _shifted(y, np.tile(x, (_BLOCK, 1)))
-        assert got.shape == y.shape
-        assert got.tobytes() == (y + x).tobytes()
 
     def test_value_and_tail(self, refined_c_star):
         _profile, _xi, gnorm, cstar = default_model()
@@ -821,6 +859,32 @@ class TestCStar:
         refined, _parts = refined_c_star
         assert refined == 0.23348691414482722
         assert abs(refined - cstar) / refined <= 1e-6
+
+
+def _directions(rule):
+    """The (N, 3) directions of a factored sphere rule, in its (i, k) order."""
+    return np.column_stack(_points(rule, np.arange(len(rule[0])), 1.0))
+
+
+def _grid_sphere_rule(panels, n_p, upper=False):
+    """The (N, 3) directions (st_i cos phi_k, st_i sin phi_k, ct_i) and the
+    weights of _sphere_rule's rule, built as it was before it kept factors."""
+    ct_parts, wt_parts = [], []
+    for lo, hi, order in panels:
+        x, w = leggauss(order)
+        half = 0.5 * (hi - lo)
+        ct_parts.append(0.5 * (lo + hi) + half * x)
+        wt_parts.append(half * w)
+    ct, wt = np.concatenate(ct_parts), np.concatenate(wt_parts)
+    if upper:
+        ct, wt = ct[ct > 0.0], 2.0 * wt[ct > 0.0]
+    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
+    phi = 2.0 * np.pi * np.arange(n_p) / n_p
+    dirs = np.empty((len(ct) * n_p, 3))
+    dirs[:, 0] = np.outer(st, np.cos(phi)).ravel()
+    dirs[:, 1] = np.outer(st, np.sin(phi)).ravel()
+    dirs[:, 2] = np.repeat(ct, n_p)
+    return dirs, np.repeat(wt, n_p) * (2.0 * np.pi / n_p)
 
 
 def _planar_pair():
@@ -874,7 +938,8 @@ def _u6_integral(profile):
     measured 1/|z|^6 tail: a closed-form check of _sphere_rule and gl_panels,
     the rules c_star uses."""
     R = _U6_RADIUS
-    dirs, dweights = _sphere_rule([(-1.0, 1.0, _U6_POLAR_ORDER)], _U6_AZIMUTH_NODES)
+    rule, dweights = _sphere_rule([(-1.0, 1.0, _U6_POLAR_ORDER)], _U6_AZIMUTH_NODES)
+    dirs = _directions(rule)
     s_nodes, s_weights = gl_panels(
         np.linspace(math.log(1e-6), math.log(R), _U6_RADIAL_PANELS + 1), 8
     )

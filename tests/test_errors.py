@@ -402,6 +402,46 @@ def test_point_values_are_floats():
     assert Point3(x, 0.0, 0.0).z1 is x
 
 
+@pytest.mark.parametrize("site, v, message", [
+    ("c0.K", 3, "K must be an even integer >= 4, got 3"),
+    ("c0.K", np.int64(6), None),
+    ("c2.K", 64.0, "K must be an even integer >= 4, got 64.0"),
+    ("a_gamma.K", 2 * N_MAX, f"K must be at most {N_MAX}, got {2 * N_MAX}"),
+    ("a_gamma.K", True, "K must be an even integer >= 4, got True"),
+    ("c0.d", -0.5, "d must be > 0 with d^-5 finite, got -0.5"),
+    ("c0.d", 0.0, "d must be > 0 with d^-5 finite, got 0.0"),
+    ("c0.d", 1e-300, "d must be > 0 with d^-5 finite, got 1e-300"),
+    ("c0.d", "0.5", "d must be a finite real number, got 0.5"),
+    ("c2.d", -0.5, "d must be > 0 with d^-5 finite, got -0.5"),
+    ("c2.d", math.nan, "d must be a finite real number, got nan"),
+    ("c2.d", np.int64(-2), "d must be > 0 with d^-5 finite, got -2.0"),
+])
+def test_ring_coefficients_name_k_and_d(site, v, message):
+    # c0, c2 and a_gamma name K and d in their DomainErrors, where they
+    # gave SumSpec's "n must be ..." and "x must be ..."
+    got = _outcome({**COUNTED, **REAL}[site], v)
+    assert got[0] == "value" if message is None else got == ("domain", message)
+
+
+@pytest.mark.parametrize("arr", [[0.1, 0.2], ["abc", 0.0, 0.0], None, "abc", 1.5,
+                                 [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2], [0.3]], [1j, 0.0, 0.0],
+                                 list(range(1000))])
+def test_point_from_array_asks_for_three_coordinates(arr):
+    # where NumPy's reshape or float conversion raised a plain ValueError
+    with pytest.raises(DomainError, match=r"^a point needs three finite coordinates, got ") \
+            as info:
+        Point3.from_array(arr)
+    assert len(str(info.value)) <= 44 + 80
+
+
+def test_point_from_array():
+    got = Point3.from_array(np.array([[0.1], [-0.0], [2]]))
+    assert (got.z1, got.z2, got.z3) == (0.1, 0.0, 2.0) and math.copysign(1.0, got.z2) < 0
+    for bad, field in (([0.1, math.inf, 0.0], "z2"), ((math.nan, 0.0, 0.0), "z1")):
+        with pytest.raises(DomainError, match=f"^{field} must be a finite real number"):
+            Point3.from_array(bad)
+
+
 def test_numpy_integers_are_ints():
     for K in (np.int64(64), np.uint16(64), np.int32(64)):
         cfg = SectorConfig(K)

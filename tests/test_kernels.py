@@ -26,10 +26,10 @@ from necklace.geometry import (
 from necklace.kernels import (
     KernelReport,
     PlacedBubble,
+    _a_gamma_quad,
     _check_w_sums,
     _gamma_bb_closed,
     _h0e_bb_closed,
-    a_gamma_quad,
     full_kernels,
     gamma_bb,
     gamma_direct,
@@ -519,7 +519,7 @@ class TestSectorImages:
 @pytest.mark.parametrize("K", [8, 64, 256, 1024, 8192])
 def test_a_gamma_forms_bits_equal_one_row_product(K):
     # minimize_psi's grid takes its 81 forms from one call on the stack of
-    # rows, and a_gamma_quad its one form from the same routine: each
+    # rows, and _a_gamma_quad its one form from the same routine: each
     # entry the bits of the 1-D alpha @ A @ alpha, on 50 000 seeded alpha
     # whose entries each have a magnitude from 1e-8 to 1.  A BLAS that
     # rounds the stack otherwise fails here first
@@ -529,7 +529,7 @@ def test_a_gamma_forms_bits_equal_one_row_product(K):
     want = np.array([float(a @ form @ a) for a in alpha]).tobytes()
     assert kernels._a_gamma_forms(K, alpha).tobytes() == want
     assert kernels._a_gamma_forms(K, alpha.reshape(250, 200, 2)).tobytes() == want
-    assert np.array([a_gamma_quad(K, w, b) for w, b in alpha.tolist()]).tobytes() == want
+    assert np.array([_a_gamma_quad(K, w, b) for w, b in alpha.tolist()]).tobytes() == want
 
 
 @pytest.mark.parametrize("e", [-0.5, -1.5, -2.5, 2.0, 3.0, 5.0])
@@ -934,7 +934,7 @@ def _old_kernel_hess(kind, A, cfg):
     what = w / np.linalg.norm(w)
     if kind == "gamma":
         closed = _old_newton_derivs(bv, w, cfg.K)[2]
-        quad = a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b)
+        quad = _a_gamma_quad(cfg.K, A.alpha_w, A.alpha_b)
         asym = A.w_abs**2 / (8.0 * A.b_abs**3) * (s_hat(1, cfg.K) + s_hat(3, cfg.K) + quad)
     else:
         closed = _old_h0e_derivs(bv, w, cfg.K)[2]
