@@ -188,7 +188,9 @@ def _near_cores(rule, lo: float, hi: float, cores):
     A point within w of c lies within angle asin(w/R) of c's direction, and
     a shell farther than w from R misses the core; both tests are widened by
     a relative 1e-9 on w (and 1e-9 on the cosine, taken from the factors) for
-    rounding, so the rows are a superset of those within w.
+    rounding, so the rows are a superset of those within w.  Each core's
+    (n_ct, n_p) cosines are dropped before the next core's are made: two
+    alive at once were c_star's memory peak at scale 2.
     """
     ct, st, cphi, sphi = rule
     near = []
@@ -199,6 +201,7 @@ def _near_cores(rule, lo: float, hi: float, cores):
             cos = np.outer(st, c[0] / R * cphi + c[1] / R * sphi)
             cos += (c[2] / R * ct)[:, None]
             near.append((c, R, w, np.flatnonzero(cos >= cos_min)))
+            del cos
     return near
 
 

@@ -199,27 +199,29 @@ def s_hat(k: int, n: int) -> float:
     return sum_direct(SumSpec("alt_hat", k, n, 0.0))
 
 
-def c0(K: int, d: float) -> float:
-    """Shat_1(K) + S_1(K, d): the coefficient of the first-order ring term."""
+def _ring_sums(K, d) -> Tuple[int, float, Tuple[float, float, float]]:
+    """K and d as _checked returns them, and alt_sums(K, d): an int K and a
+    float d go straight to the sums, and an error of the sums is raised as
+    _checked's, which names K or d where the sums name n or x."""
     if not (type(K) is int and type(d) is float):
         K, d = _checked(K, d)
     try:
-        return s_hat(1, K) + alt_sums(K, d)[0]
+        return K, d, alt_sums(K, d)
     except DomainError:
-        _checked(K, d)  # names K or d where the sums name n or x
+        _checked(K, d)
         raise
+
+
+def c0(K: int, d: float) -> float:
+    """Shat_1(K) + S_1(K, d): the coefficient of the first-order ring term."""
+    K, d, sums = _ring_sums(K, d)
+    return s_hat(1, K) + sums[0]
 
 
 def c2(K: int, d: float) -> float:
     """Shat_1 + Shat_3 + S_1 - (d + sqrt(1+d^2))^2 S_3 + 3(d^2 + d^4) S_5,
     the coefficient of the third-order ring term."""
-    if not (type(K) is int and type(d) is float):
-        K, d = _checked(K, d)
-    try:
-        s1, s3, s5 = alt_sums(K, d)
-    except DomainError:
-        _checked(K, d)
-        raise
+    K, d, (s1, s3, s5) = _ring_sums(K, d)
     root = d + math.sqrt(1.0 + d * d)
     return (
         s_hat(1, K)
@@ -339,7 +341,9 @@ def gamma_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     typed("cfg", cfg, SectorConfig)
     babs, alpha_b = _in_plane(b)
     closed = _gamma_bb_closed(babs, alpha_b, cfg)
-    direct = gamma_direct(b, b, cfg)
+    # the closed form has checked |b| < 1, which gamma_direct takes
+    bv = b.as_array()[None]
+    direct = _direct("gamma", bv, bv, cfg.K)[0]
     asym = s_hat(1, cfg.K) / (2.0 * babs)
     return KernelReport(direct, closed, asym)
 
@@ -397,7 +401,9 @@ def h0e_bb(b: Point3, cfg: SectorConfig) -> KernelReport:
     typed("cfg", cfg, SectorConfig)
     babs, alpha_b = _in_plane(b)
     closed = _h0e_bb_closed(babs, alpha_b, cfg)
-    direct = h0e(b, b, cfg)
+    # the closed form has checked |b| < 1, which h0e takes
+    bv = b.as_array()[None]
+    direct = _direct("h0e", bv, bv, cfg.K)[0]
     d = (1.0 - babs * babs) / (2.0 * babs)
     # S_1 alone: alt_sums' three sums take ~2.6 times as long as one, and
     # a diagonal point's d is seldom revisited
@@ -418,7 +424,8 @@ def _w_sums(K: int, b_abs: float, alpha_b: float, w_abs: float, alpha_w: float):
     mats, signs = sector_images(K)
     bv = np.array([b_abs * math.cos(alpha_b), b_abs * math.sin(alpha_b), 0.0])
     w = w_abs * np.array([math.cos(alpha_w), math.sin(alpha_w), 0.0])
-    v, mw = mats @ bv, mats @ w
+    # one (3K, 3) matvec each, row for row the bits of the stacked one
+    v, mw = ((mats.reshape(-1, 3) @ u).reshape(-1, 3) for u in (bv, w))
     mww = np.vecdot(mw, w)
     r = v[1:] - bv
     rn = _norm(r)
@@ -492,6 +499,17 @@ def _check_w_sums(K: int, gnorm: float, babs: float, alpha_b: float) -> None:
                           f"|b|={babs!r} and alpha_b={alpha_b!r}")
 
 
+def _check_placed(kind: str, A: PlacedBubble, cfg: SectorConfig) -> None:
+    """kernel_grad's and kernel_hess's checks: a DomainError for a kind other
+    than gamma and h0e or for A's w-derivative sums (_check_w_sums), and the
+    types of A and cfg."""
+    if kind not in ("gamma", "h0e"):
+        raise DomainError(f"unknown kernel kind {kind!r}")
+    typed("A", A, PlacedBubble)
+    typed("cfg", cfg, SectorConfig)
+    _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
+
+
 def full_kernels(K: int, gnorm: float, b_abs: float, alpha_b: float,
                  alpha_w: float) -> Tuple[float, float, float]:
     """H(b,b), w.(grad_z + grad_p)H(b,b) and w^T (mixed Hessian of H)(b,b) w,
@@ -522,11 +540,7 @@ def kernel_grad(kind: str, slot: str, A: PlacedBubble,
     last 256 (K, b, w)."""
     if slot not in ("z", "p"):
         raise DomainError(f"slot must be 'z' or 'p', got {slot!r}")
-    if kind not in ("gamma", "h0e"):
-        raise DomainError(f"unknown kernel kind {kind!r}")
-    typed("A", A, PlacedBubble)
-    typed("cfg", cfg, SectorConfig)
-    _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
+    _check_placed(kind, A, cfg)
     bv, _, what = A._arrays[:3]
     pair = np.array([bv + _GRAD_STEP * what, bv - _GRAD_STEP * what])
     fixed = np.array([bv, bv])
@@ -546,11 +560,7 @@ def kernel_hess(kind: str, A: PlacedBubble, cfg: SectorConfig) -> KernelReport:
     """w^T (mixed z/p Hessian) w at (b, b): Richardson-combined second
     differences (their eight points one _direct call) vs exact analytic sum
     (kernel_grad's _w_sums, cached for 256 (K, b, w)) vs the ring asymptotic."""
-    if kind not in ("gamma", "h0e"):
-        raise DomainError(f"unknown kernel kind {kind!r}")
-    typed("A", A, PlacedBubble)
-    typed("cfg", cfg, SectorConfig)
-    _check_w_sums(cfg.K, A.w_abs, A.b_abs, A.alpha_b)
+    _check_placed(kind, A, cfg)
     closed = _exact(kind, cfg.K, A.b_abs, A.alpha_b, A.w_abs, A.alpha_w)[2]
     if kind == "gamma":
         s1h, s3h = s_hat(1, cfg.K), s_hat(3, cfg.K)

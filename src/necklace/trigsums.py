@@ -144,16 +144,19 @@ def sum_direct(spec: SumSpec) -> float:
     the same bits); np.power is not, as it runs SVML on AVX-512 CPUs (see
     the kernels module's docstring).
     When the alternating cancellation exceeds what double precision can
-    resolve (|sum| below 1e-8 of the term magnitude), the sum is recomputed
-    in exact integers at the scale 2^q with a proven error bound, q doubling
-    from 136 bits until the bound fixes the rounding (_sum_exact).  The
-    result is then the correctly rounded double of the exact sum, +0.0 when
-    that underflows; past q = 2 176 bits the call raises AccuracyError.  The
-    exact pathway keeps no process-wide precision, so concurrent calls do
-    not interfere.  Each q tried is logged at DEBUG on this module's logger,
-    with the number of terms computed, the error bound in ulps of the result
-    and whether it resolved, underflowed or stayed unresolved.  A spec that
-    is no SumSpec is a DomainError.
+    resolve (|sum| below 1e-8 of the term magnitude), an alternating sum
+    whose a-priori Poisson bound is below 2^-1075 is +0.0 at once, and any
+    other is recomputed in exact integers at the scale 2^q with a proven
+    error bound, q doubling from 136 bits until the bound fixes the rounding
+    (_sum_exact).  The result is then the correctly rounded double of the
+    exact sum, +0.0 when that underflows; past q = 2 176 bits the call
+    raises AccuracyError.  The exact pathway keeps no process-wide
+    precision, so concurrent calls do not interfere.  An underflow that the
+    Poisson bound decides is logged at DEBUG on this module's logger with
+    log2 of the bound, and so is each q tried, with the number of terms
+    computed, the error bound in ulps of the result and whether it resolved,
+    underflowed or stayed unresolved.  A spec that is no SumSpec is a
+    DomainError.
     """
     typed("spec", spec, SumSpec)
     return _sums(spec.variant, (spec.k,), spec.n, spec.x)[0]
@@ -311,17 +314,59 @@ def _ulps(E, q: int, value: float) -> float:
         return math.inf
 
 
+#: _log2_alt_bound at or below this decides an underflow: 2^-1075 is half
+#: the least subnormal, and 2^-10 covers the bound's own rounding
+_UNDERFLOW_LOG2 = -1075.0 - 2.0**-10
+
+
+def _log2_alt_bound(k: int, n: int, x: float) -> float:
+    """log2 of an upper bound on |S_k(n, x)| (see _sum_exact), or inf
+    unless n asinh x > 2.  With asinh, log2, expm1 and hypot each within a
+    few ulps: the logs are below 1 100 in magnitude and within 2^-40 of
+    their exact values, ns log2(e) is below 65 536 * 711 * 1.45 < 2^27 and
+    within a relative 2^-50 of its, and the four additions round by at most
+    2^-26 each, so the result is within 2^-20 of the exact log2."""
+    ns = n * math.asinh(x) - 1.0
+    if not ns > 1.0:
+        return math.inf
+    lower = math.log2(x) + math.log2(math.hypot(1.0, x)) + math.log2(-math.expm1(-1.0 / n))
+    return (1.0 + math.log2(n) - k / 2.0 * lower - ns * math.log2(math.e)
+            - math.log2(-math.expm1(-2.0 * ns)))
+
+
 def _sum_exact(spec: SumSpec) -> float:
     """The sum correctly rounded to a double, from exact integers at the
     scales 2^q, q = _Q_FIRST, 2 _Q_FIRST, ... _Q_CEILING (see sum_direct).
 
-    The sum lies strictly between (S - E)/2^q and (S + E)/2^q (_scaled_sum).
-    Rounding to nearest is monotone and Python's int/int division rounds
-    correctly, so when both ends give one double, that double is the sum's
-    correctly rounded value; a zero at both ends, of either sign, is an
-    underflow and returns +0.0.  Otherwise q doubles, and past _Q_CEILING
-    the sum raises AccuracyError with the midpoint as ``best``.
+    An alternating sum first takes an a-priori bound.  f(t) = (x^2 +
+    sin^2 t)^(-k/2) is pi-periodic and analytic for |Im t| < asinh x, where
+    Re(x^2 + sin^2 t) = x^2 - sinh^2(Im t) + sin^2(Re t) cosh(2 Im t) > 0.
+    As (-1)^j = e^{i n t_j} at t_j = j pi/n, n even, Poisson summation gives
+    S_k(n, x) = n sum_l c_{(2l-1)n/2}, c_m the coefficient of e^{2imt} in f,
+    and moving the coefficient's integral to Im t = -+s bounds |c_m| by
+    M e^{-2|m|s}, M = (x^2 - sinh^2 s)^(-k/2) the largest |f| there.  So
+        |S| <= 2n (x^2 - sinh^2 s)^(-k/2) e^{-ns} / (1 - e^{-2ns})
+    for any 0 < s < asinh x; it takes s = asinh x - 1/n.  With r =
+    sqrt(1 + x^2), x - sinh s = x (1 - cosh(1/n)) + r sinh(1/n) >=
+    r (1 - e^{-1/n}) (as x <= r), and x + sinh s > x, which bounds
+    x^2 - sinh^2 s from below by x r (1 - e^{-1/n}): _log2_alt_bound is log2
+    of the bound with that in place.  At or below _UNDERFLOW_LOG2, |S| is
+    below 2^-1075 with room for the rounding of _log2_alt_bound, so the sum
+    rounds to 0: it returns +0.0 and logs one record that says so.
+
+    Every other sum lies strictly between (S - E)/2^q and (S + E)/2^q
+    (_scaled_sum).  Rounding to nearest is monotone and Python's int/int
+    division rounds correctly, so when both ends give one double, that
+    double is the sum's correctly rounded value; a zero at both ends, of
+    either sign, is an underflow and returns +0.0.  Otherwise q doubles, and
+    past _Q_CEILING the sum raises AccuracyError with the midpoint as
+    ``best``.
     """
+    if spec.variant == "alt":
+        bound = _log2_alt_bound(spec.k, spec.n, spec.x)
+        if bound <= _UNDERFLOW_LOG2:
+            _log.debug("sum_direct %s: underflow by its Poisson bound 2^%.1f", spec, bound)
+            return 0.0
     q = _Q_FIRST
     while True:
         S, E, count = _scaled_sum(spec, q)

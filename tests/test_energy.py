@@ -57,7 +57,7 @@ from necklace.kernels import (
     s_hat,
 )
 from necklace.trigsums import ZETA3, ZETA5, SumSpec, alt_sums, gl_panels, leggauss, sum_direct
-from conftest import talenti_profile
+from conftest import talenti_profile, worker_result
 from test_kernels import _old_h0e_derivs, _old_newton_derivs
 
 
@@ -905,24 +905,12 @@ def _planar_pair():
 
 
 @pytest.fixture(scope="module")
-def refined_c_star():
+def refined_c_star(request):
     """c_star of the m = 16 model at scale 2, and the outer, core and tail
-    parts of its one DEBUG record."""
-    profile, xi, _gnorm, _cstar = default_model()
-    records = []
-    handler = logging.Handler(logging.DEBUG)
-    handler.emit = records.append
-    logger = logging.getLogger("necklace.energy")
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.DEBUG)
-    try:
-        refined = c_star(profile, xi, scale=2.0)
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-    [record] = records
-    return refined, record.args[1:4]
+    parts of its one DEBUG record, from the worker process that computes
+    them (conftest.refined_c_star_parts)."""
+    refined, *parts = worker_result(request.config, "refined_c_star")
+    return refined, tuple(parts)
 
 
 #: _u6_integral's rule: outer radius, log-radial panels, Gauss order in

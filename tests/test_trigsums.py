@@ -416,8 +416,15 @@ def test_escalation_is_logged(caplog):
     caplog.clear()
     sum_direct(SumSpec("alt", 1, 16, 0.2))  # resolved in double precision
     assert caplog.records == []
-    # an underflow, after one scale per doubling of q
+    # an underflow that the Poisson bound decides at once
     spec = SumSpec("alt", 1, 512, 13.0)
+    assert sum_direct(spec) == 0.0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"sum_direct {spec}: underflow by its Poisson bound 2^-2395.5"]
+    caplog.clear()
+    # one that it leaves to the exact scales (the bound is 2^-1064.6), an
+    # underflow after one scale per doubling of q
+    spec = SumSpec("alt", 1, 512, 2.04)
     assert sum_direct(spec) == 0.0
     assert [(r.args[1], r.args[2], r.args[3]) for r in caplog.records] == [
         ("unresolved", 136, 257), ("unresolved", 272, 257),
@@ -436,6 +443,57 @@ def test_accuracy_error_past_the_ceiling(monkeypatch):
     with pytest.raises(AccuracyError, match="unresolved at 136 bits") as info:
         sum_direct(spec)
     assert math.isfinite(info.value.best)
+
+
+def _poisson_cases():
+    """A seeded grid of (k, n, x): k = 1, 3 and 5, even n from 8 to 1 024,
+    and x = sinh(y/n) with y = n asinh x log-uniform in [1.2, 4 000], so
+    that s = asinh x - 1/n > 0."""
+    rng = np.random.default_rng(45)
+    cases = []
+    for k in (1, 3, 5):
+        for _ in range(8):
+            n = 2 * int(rng.integers(4, 513))
+            y = math.exp(rng.uniform(math.log(1.2), math.log(4000.0)))
+            cases.append((k, n, math.sinh(y / n)))
+    return cases
+
+
+@pytest.mark.parametrize("k, n, x", _poisson_cases())
+def test_poisson_bound_holds(k, n, x, caplog):
+    # |S| <= 2n (x^2 - sinh^2 s)^(-k/2) e^(-ns) / (1 - e^(-2ns)), s = asinh x
+    # - 1/n, and _log2_alt_bound is log2 of at least that bound, within the
+    # 2^-20 it gives for its rounding
+    spec = SumSpec("alt", k, n, x)
+    dps = 40 + int((n * math.asinh(x) + k * max(0.0, -math.log(x))) / math.log(10.0))
+    total = _alt_oracle(spec, dps)
+    with mp.workdps(dps):
+        xm = mp.mpf(x)
+        s = mp.asinh(xm) - mp.mpf(1) / n
+        bound = (2 * n * (xm**2 - mp.sinh(s) ** 2) ** (-mp.mpf(k) / 2) * mp.exp(-n * s)
+                 / (1 - mp.exp(-2 * n * s)))
+        assert s > 0 and abs(total) <= bound
+        log2_bound = float(mp.log(bound, 2))
+    got = trigsums._log2_alt_bound(k, n, x)
+    assert log2_bound <= got + 2.0**-20
+    # wherever it decides, sum_direct returns +0.0 with the one record, and
+    # the sum does round to 0
+    caplog.set_level(logging.DEBUG, logger="necklace.trigsums")
+    if got <= trigsums._UNDERFLOW_LOG2:
+        assert float(total) == 0.0
+        value = trigsums._sum_exact(spec)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sum_direct {spec}: underflow by its Poisson bound 2^{got:.1f}"]
+
+
+def test_underflow_at_n_max_is_decided_at_once(caplog):
+    # each of S_1, S_3 and S_5 (N_MAX, 0.5), the sums of c0(N_MAX, 0.5),
+    # took five exact scales up to 2 176 bits; the bound decides each at once
+    caplog.set_level(logging.DEBUG, logger="necklace.trigsums")
+    assert trigsums.alt_sums.__wrapped__(N_MAX, 0.5) == (0.0, 0.0, 0.0)
+    assert [r.getMessage().split(": ")[1][:30] for r in caplog.records] == [
+        "underflow by its Poisson bound"] * 3
 
 
 @pytest.mark.parametrize("n", [10, 50, 200])
