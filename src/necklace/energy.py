@@ -80,8 +80,7 @@ class ReducedPoint:
         if not (0 < self.eps < 1e100 and abs(self.alpha_b) < 1e100
                 and abs(self.alpha_w) < 1e100):
             raise DomainError("eps must lie in (0, 1e100) and |alpha_b|, |alpha_w| below 1e100")
-        if not 0.0 < self.b_abs < 1.0:
-            raise DomainError(f"d must be positive with |b| in (0, 1), got d={self.d}")
+        _placed_b(self.d)
 
     @property
     def b_abs(self) -> float:
@@ -91,6 +90,14 @@ class ReducedPoint:
 def _b_abs(d: float) -> float:
     """The placement modulus |b| = sqrt(1 + d^2) - d."""
     return math.sqrt(1.0 + d * d) - d
+
+
+def _placed_b(d: float) -> float:
+    """_b_abs(d), or a DomainError unless it lies in (0, 1)."""
+    b = _b_abs(d)
+    if not 0.0 < b < 1.0:
+        raise DomainError(f"d must be positive with |b| in (0, 1), got d={d}")
+    return b
 
 
 def _box(cfg: ReducedConfig) -> Dict[str, Tuple[float, float]]:
@@ -467,8 +474,12 @@ def psi_leading(A: ReducedPoint, cfg: ReducedConfig) -> float:
 
 def eps_star(cfg: ReducedConfig, d: float) -> float:
     """Stationary eps of the leading model at a = alpha = 0:
-    16 |b|^3 lam cstar / (3 gnorm^2 C2)."""
-    return (16.0 * _b_abs(d)**3 * cfg.lam * cfg.cstar
+    16 |b|^3 lam cstar / (3 gnorm^2 C2).  A cfg that is no ReducedConfig, a
+    d that is no finite real number or whose |b| is not in (0, 1), as
+    ReducedPoint checks, and a d that c2 rejects are DomainErrors."""
+    typed("cfg", cfg, ReducedConfig)
+    d = real("d", d)
+    return (16.0 * _placed_b(d)**3 * cfg.lam * cfg.cstar
             / (3.0 * cfg.gnorm**2 * c2(cfg.K, d)))
 
 
@@ -504,7 +515,9 @@ def _golden(f, lo: float, hi: float, tol: float) -> float:
 def check_full_mode(cfg: ReducedConfig) -> None:
     """Full mode evaluates the closed forms, which need |alpha_b| < theta0/2,
     on the whole alpha_b box |alpha_b| <= log K/(sqrt(delta) K^2), so delta
-    must exceed (2 log K/(pi K))^2: about 1.71e-3 at K = 64."""
+    must exceed (2 log K/(pi K))^2: about 1.71e-3 at K = 64.  A cfg that is
+    no ReducedConfig is a DomainError."""
+    typed("cfg", cfg, ReducedConfig)
     if _box(cfg)["alpha_b"][1] >= SectorConfig(cfg.K).theta0 / 2.0:
         floor = (2.0 * math.log(cfg.K) / (math.pi * cfg.K)) ** 2
         raise DomainError(f"full mode needs delta > (2 log K/(pi K))^2 = {floor:.4g} "

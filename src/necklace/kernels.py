@@ -223,12 +223,14 @@ def c2(K: int, d: float) -> float:
     the coefficient of the third-order ring term."""
     K, d, (s1, s3, s5) = _ring_sums(K, d)
     root = d + math.sqrt(1.0 + d * d)
+    # S_3 and S_5 underflow to 0 (by d ~ 1e50 at K = 4) well before their
+    # factors overflow (d^4 past ~1e77): the term of a zero sum is 0
     return (
         s_hat(1, K)
         + s_hat(3, K)
         + s1
-        - root * root * s3
-        + 3.0 * (d * d + d**4) * s5
+        - (root * root * s3 if s3 else 0.0)
+        + (3.0 * (d * d + d**4) * s5 if s5 else 0.0)
     )
 
 
@@ -516,8 +518,10 @@ def full_kernels(K: int, gnorm: float, b_abs: float, alpha_b: float,
     H = gamma + h0e, at b = b_abs (cos alpha_b, sin alpha_b, 0) and
     w = gnorm (cos alpha_w, sin alpha_w, 0): the coefficients of psi_full,
     the derivatives from _w_sums (cached for 256 (K, b, w), shared with
-    kernel_grad and kernel_hess).  DomainError for a gnorm not finite and
-    positive, or so large that a w-derivative sum could overflow."""
+    kernel_grad and kernel_hess).  DomainError for an alpha_w that is no
+    finite real number, and for a gnorm not finite and positive, or so large
+    that a w-derivative sum could overflow."""
+    alpha_w = real("alpha_w", alpha_w)
     sector = SectorConfig(K)
     b = Point3(b_abs * math.cos(alpha_b), b_abs * math.sin(alpha_b), 0.0)
     # |b| and arg b read back from the point, as gamma_bb and h0e_bb do: the

@@ -1,7 +1,7 @@
 """Finite cosecant-power sums: direct evaluation, the contour-integral
 representation of the alternating k=1 sum, exponential asymptotics, the
-leading cosecant-sum constants, and the Gauss-Legendre rules that
-s1_contour and the reduced energy's quadratures share.
+leading cosecant-sum constants, and the Gauss-Legendre rules of
+s1_contour and of the reduced energy's quadratures.
 
 Variants, each over offsets x >= 0 with n even:
 
@@ -18,14 +18,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-# NumPy 2 loads numpy.polynomial on first attribute access; importing it here
-# moves that cost to package import instead of the first quadrature
-from numpy.polynomial import legendre
 
 from .errors import (AccuracyError, DomainError, RegimeWarning, UnsupportedError,
                      counted, real, typed)
@@ -385,19 +383,30 @@ def _sum_exact(spec: SumSpec) -> float:
         q *= 2
 
 
-@functools.lru_cache(maxsize=128)
 def leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Legendre rule of the given order on [-1, 1], read-only."""
+    """The Gauss-Legendre rule of the given order on [-1, 1], read-only, from
+    numpy.polynomial.legendre.leggauss (cached for 128 orders).  NumPy's
+    eigen-solve and the nine numpy.polynomial modules load on the first
+    call, which only c_star's rules make: s1_contour's order-24 rule is
+    recorded (_GL24_NODES).  An order that is not an int or a NumPy integer
+    >= 1 is a DomainError, raised before that import."""
+    return _leggauss(counted("order", order, 1, sys.maxsize))
+
+
+@functools.lru_cache(maxsize=128)
+def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial import legendre
+
     x, w = legendre.leggauss(order)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
-def gl_panels(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule with one Gauss-Legendre panel
-    of the given order between each pair of consecutive edges."""
-    x, w = leggauss(order)
+def _panels(edges: np.ndarray, x: np.ndarray,
+            w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule with the rule (x, w) on [-1, 1]
+    mapped to each pair of consecutive edges."""
     a = edges[:-1]
     half = 0.5 * (edges[1:] - a)
     nodes = (a + half)[:, None] + half[:, None] * x
@@ -405,14 +414,45 @@ def gl_panels(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
+def gl_panels(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule with one Gauss-Legendre panel
+    of the given order between each pair of consecutive edges."""
+    return _panels(edges, *leggauss(order))
+
+
+# s1_contour's order-24 Gauss-Legendre rule, recorded from leggauss(24):
+# float.hex of its 12 positive nodes, increasing, and of their weights.
+# leggauss symmetrises its rule, so its other 12 nodes are these negated,
+# with the same weights
+_GL24_NODES = (
+    "0x1.0660853eda2e8p-4", "0x1.8769542b94f8dp-3", "0x1.429a8c588e910p-2",
+    "0x1.bc345d81e24b5p-2", "0x1.17417bac4d72bp-1", "0x1.4bd2ee5fa1086p-1",
+    "0x1.7af18edb9ddd6p-1", "0x1.a3d74ce0d3700p-1", "0x1.c5d841864d0f5p-1",
+    "0x1.e06585a70aa4dp-1", "0x1.f30f9f0cbf876p-1", "0x1.fd892de691982p-1",
+)
+_GL24_WEIGHTS = (
+    "0x1.060475e763731p-3", "0x1.01b7117cf8bd6p-3", "0x1.f25cbce1d1fefp-4",
+    "0x1.d91c78acb1b27p-4", "0x1.b8177ba4a68d7p-4", "0x1.8fd8936444b19p-4",
+    "0x1.6108ef5044635p-4", "0x1.2c6d5c2eff05ap-4", "0x1.e5c6255d25e9dp-5",
+    "0x1.6ab884f57c940p-5", "0x1.d375514486effp-6", "0x1.9465bd311255dp-7",
+)
+
+
+def _gl24() -> Tuple[np.ndarray, np.ndarray]:
+    """The recorded order-24 rule on [-1, 1]: the bits of leggauss(24)."""
+    x, w = (np.array([float.fromhex(v) for v in half])
+            for half in (_GL24_NODES, _GL24_WEIGHTS))
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
 # s1_contour's two composite Gauss-Legendre rules on [0, 1], order 24 on 4
 # and on 8 equal panels: all their nodes in one array, and one row of weights
-# per rule (zero on the other rule's nodes).  They are built at import: a
-# Gauss-Legendre rule costs about as much as twenty s1_contour calls.
+# per rule (zero on the other rule's nodes).  They are built at import from
+# the recorded order-24 rule, so a process that runs no c_star pays for no
+# eigen-solve and loads no numpy.polynomial.
 def _contour_rule() -> Tuple[np.ndarray, np.ndarray]:
-    (t4, w4), (t8, w8) = (
-        gl_panels(np.linspace(0.0, 1.0, p + 1), 24) for p in (4, 8)
-    )
+    x, w = _gl24()
+    (t4, w4), (t8, w8) = (_panels(np.linspace(0.0, 1.0, p + 1), x, w) for p in (4, 8))
     weights = np.zeros((2, t4.size + t8.size))
     weights[0, : t4.size] = w4
     weights[1, t4.size :] = w8

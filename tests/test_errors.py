@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 import necklace
 from necklace.crown import (CrownParams, ProfileHandle, build_crown, psi_d1, q_mid_lower,
                            u_star, u_star_profile)
-from necklace.energy import (ReducedConfig, ReducedPoint, a_gamma, c0, c2, c_star, minimize_psi,
-                             psi_full, psi_leading)
+from necklace.energy import (ReducedConfig, ReducedPoint, a_gamma, c0, c2, c_star,
+                             check_full_mode, eps_star, minimize_psi, psi_full, psi_leading)
 from necklace.errors import AccuracyError, DomainError, UnsupportedError, counted, real, typed
 from necklace.geometry import K_MAX, Point3, SectorConfig
 from necklace.kernels import (PlacedBubble, _check_w_sums, full_kernels, gamma_bb,
                               gamma_direct, h0e, h0e_bb, kernel_grad, kernel_hess,
-                              place_bubble, t_a)
+                              place_bubble, s_hat, t_a)
 from necklace.nodal import NodalMesh, gradient_min_on_nodal, nodal_mesh, radial_nodal_root
 from necklace.trigsums import (N_MAX, SumSpec, csc_asym, csc_full_sum, s1_contour, s_asym,
                                sum_direct)
@@ -113,6 +113,8 @@ REAL = {
                  "beta_hat", "theta_star")},
     "_check_w_sums.gnorm": lambda v: _check_w_sums(64, v, 0.97, 0.01),
     "full_kernels.gnorm": lambda v: full_kernels(64, v, 0.97, 0.01, 0.02),
+    "full_kernels.alpha_w": lambda v: full_kernels(64, 1.0, 0.97, 0.01, v),
+    "eps_star.d": lambda v: eps_star(_CFG, v),
     "c0.d": lambda v: c0(64, v),
     "c2.d": lambda v: c2(64, v),
     **{f"place_bubble.{f}": (lambda v, f=f: _place(f, v))
@@ -160,6 +162,8 @@ TYPED = {
     "psi_leading.A": (ReducedPoint, lambda v: psi_leading(v, _CFG)),
     "psi_leading.cfg": (ReducedConfig, lambda v: psi_leading(_POINT, v)),
     "minimize_psi.cfg": (ReducedConfig, minimize_psi),
+    "eps_star.cfg": (ReducedConfig, lambda v: eps_star(v, 0.1)),
+    "check_full_mode.cfg": (ReducedConfig, check_full_mode),
 }
 
 _POINTS = "takes points, which _as_array checks (test_rejected_calls)"
@@ -347,6 +351,13 @@ def test_typed():
     lambda: place_bubble(1e-4, 0.0, 0.97, 0.01, 0.02, talenti_profile(), Point3(0.0, 0.0, 0.0)),
     lambda: c_star(_CORE_AT_ORIGIN, Point3(0.0, 0.0, 0.0)),
     lambda: psi_d1(np.array([1.0, 0.0, 0.0]), _PARAMS),
+    # where these raised AttributeError, TypeError, ValueError or returned nan
+    lambda: eps_star(3, 0.1),
+    lambda: eps_star(_CFG, "1"),
+    lambda: eps_star(_CFG, 1e9),
+    lambda: check_full_mode(3),
+    lambda: full_kernels(64, 1.0, 0.9, 0.0, math.nan),
+    lambda: full_kernels(64, 1.0, 0.9, 0.0, math.inf),
 ])
 def test_rejected_calls(call):
     with pytest.raises(DomainError):
@@ -421,6 +432,13 @@ def test_ring_coefficients_name_k_and_d(site, v, message):
     # gave SumSpec's "n must be ..." and "x must be ..."
     got = _outcome({**COUNTED, **REAL}[site], v)
     assert got[0] == "value" if message is None else got == ("domain", message)
+
+
+@pytest.mark.parametrize("d", [1e77, 1e80, 1e200, 1.7e308])
+def test_c2_at_a_huge_d_is_its_cosecant_constants(d):
+    # the ring sums underflow to 0, where 3 (d^2 + d^4) S_5 was inf * 0 or
+    # d^4 an OverflowError
+    assert c2(64, d) == s_hat(1, 64) + s_hat(3, 64)
 
 
 @pytest.mark.parametrize("arr", [[0.1, 0.2], ["abc", 0.0, 0.0], None, "abc", 1.5,

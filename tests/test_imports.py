@@ -2,9 +2,11 @@
 loads no scipy or mpmath module, even when a sum escalates to the exact
 integer pathway (the tests use mpmath only as an independent reference, and
 scipy not at all).  Each case runs in a fresh interpreter, since this one has
-imported both for other tests.  The package and the tests import nothing
-they do not read, and the package holds no definition that only the tests
-reach."""
+imported both for other tests.  Only c_star's Gauss-Legendre rules load
+numpy.polynomial and run its eigen-solve: importing the package, or any
+command that computes no c_star, does neither.  The package and the tests
+import nothing they do not read, and the package holds no definition that
+only the tests reach."""
 import ast
 import os
 import subprocess
@@ -75,10 +77,38 @@ def test_cli_import_builds_no_parser():
     _modules_after(code)
 
 
-def test_import_loads_the_legendre_rule():
-    # numpy loads numpy.polynomial lazily; the package imports it up front,
-    # so the first quadrature does not pay for it
-    assert "numpy.polynomial.legendre" in _modules_after("import necklace")
+# counts the calls of numpy.linalg.eigvalsh, the eigen-solve of
+# numpy.polynomial.legendre.leggauss, in `eigen_solves`
+_COUNT_EIGEN_SOLVES = (
+    "import numpy.linalg as la; eigen_solves = []; solve = la.eigvalsh; "
+    "la.eigvalsh = lambda *a, **k: eigen_solves.append(1) or solve(*a, **k)")
+
+
+def _cli(args):
+    return f"from necklace.cli import run; assert run({args.split()!r}) == 0"
+
+
+@pytest.mark.parametrize("code", [
+    "import necklace", "import necklace.cli",
+    *(_cli(args) for args in ("sums", "ansatz", "kernels", "nodal --res 16", "energy",
+                              "verify --quick")),
+    # an order is checked before the import
+    "from necklace.trigsums import leggauss\ntry: leggauss(0)\n"
+    "except necklace.DomainError: pass\nelse: raise AssertionError",
+], ids=["import", "import-cli", "sums", "ansatz", "kernels", "nodal", "energy", "verify-quick",
+        "bad-order"])
+def test_no_legendre_module_or_eigen_solve(code):
+    # s1_contour's order-24 rule is recorded: numpy.polynomial and its
+    # eigen-solve load only for c_star's rules
+    modules = _modules_after(f"{_COUNT_EIGEN_SOLVES}\nimport necklace\n{code}\n"
+                             "assert eigen_solves == [], eigen_solves")
+    assert [k for k in modules if k.startswith("numpy.polynomial")] == []
+
+
+def test_leggauss_loads_the_legendre_module():
+    modules = _modules_after(f"{_COUNT_EIGEN_SOLVES}\nfrom necklace.trigsums import leggauss\n"
+                             "leggauss(8)\nassert eigen_solves == [1], eigen_solves")
+    assert "numpy.polynomial.legendre" in modules
 
 
 @pytest.mark.parametrize("name", ["trigsums.py", "kernels.py"])

@@ -224,6 +224,24 @@ class TestNodalMesh:
         jump = nodal_mesh(crown16, spike, 1.0, 16)
         assert (len(jump), jump.dropped) == (0, 6)
 
+    def test_residual_bound(self, crown16, monkeypatch):
+        # a dip -1e-9/|z - x| at a grid point x in a field of ~1: the zero
+        # set is a sphere of radius ~1e-9 about x, where |grad u| ~ 1e9, and
+        # the 6 edges from x bisect to residuals of ~5e-8, an ulp of the
+        # coordinates times the gradient: over 1e-8, so all are dropped
+        xs = np.linspace(-1.0, 1.0, 16)
+        x = np.array([[0.0, 0.0, 0.0], [xs[3], xs[10], xs[5]]])
+        bubbles = (x, np.array([1e4, 1e-40]), np.array([100.0, -1e-9]))
+        dip = ProfileHandle(fn=lambda a: np.sum(bubbles[2] / np.sqrt(
+            bubbles[1] + np.sum((a[..., None, :] - x) ** 2, axis=-1)), axis=-1),
+            bubbles=bubbles)
+        mesh = nodal_mesh(crown16, dip, 1.0, 16)
+        assert (len(mesh), mesh.dropped) == (0, 6)
+        monkeypatch.setattr(nodal, "_RESIDUAL_TOL", math.inf)
+        kept = nodal_mesh(crown16, dip, 1.0, 16)
+        assert np.all(np.abs(kept.points - x[1]).max(axis=1) < 2e-9)
+        assert len(kept) == 6 and np.all((3e-8 < kept.values) & (kept.values < 7e-8))
+
 
 def _old_mesh(profile, half, res):
     """nodal_mesh as it was before its halvings were certified: a full scan

@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from numpy.polynomial import legendre
 
 from necklace import trigsums
 from necklace.errors import AccuracyError, DomainError, RegimeWarning, UnsupportedError
@@ -19,6 +20,8 @@ from necklace.trigsums import (
     SumSpec,
     csc_asym,
     csc_full_sum,
+    gl_panels,
+    leggauss,
     s1_contour,
     s_asym,
     sum_direct,
@@ -559,6 +562,35 @@ def test_contour_unresolved_at_tiny_x(x):
     # here (or ucut overflows); the error estimate reports that
     with pytest.raises(AccuracyError):
         s1_contour(4, x)
+
+
+def test_recorded_rule_is_leggauss_24():
+    # s1_contour's order-24 rule is recorded, not solved for: its 48 numbers
+    # have the bits of NumPy's rule
+    x, w = legendre.leggauss(24)
+    got_x, got_w = trigsums._gl24()
+    assert got_x.tobytes() == x.tobytes() and got_w.tobytes() == w.tobytes()
+
+
+def test_contour_rule_is_the_composite_of_leggauss_24():
+    # the two composite rules have the bits of gl_panels' on NumPy's rule
+    (t4, w4), (t8, w8) = (gl_panels(np.linspace(0.0, 1.0, p + 1), 24) for p in (4, 8))
+    weights = np.zeros((2, t4.size + t8.size))
+    weights[0, : t4.size], weights[1, t4.size :] = w4, w8
+    assert trigsums._CONTOUR_NODES.tobytes() == np.concatenate([t4, t8]).tobytes()
+    assert trigsums._CONTOUR_WEIGHTS.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5, 8.0, True, "8", None, [8], np.bool_(True)])
+def test_leggauss_rejects_an_order_not_a_positive_integer(order):
+    # where NumPy raised ValueError or TypeError, and a list the cache's
+    # TypeError
+    with pytest.raises(DomainError, match=r"^order must be an integer >= 1, got "):
+        leggauss(order)
+
+
+def test_leggauss_takes_a_numpy_integer():
+    assert leggauss(np.int64(8)) is leggauss(8)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
